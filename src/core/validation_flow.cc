@@ -2,6 +2,7 @@
 
 #include "support/status.hh"
 #include "support/strings.hh"
+#include "support/telemetry.hh"
 
 namespace archval::core
 {
@@ -40,6 +41,7 @@ const graph::StateGraph &
 PpValidationFlow::enumerate()
 {
     if (!graph_) {
+        telemetry::ScopedSpan span("flow.enumerate");
         murphi::Enumerator enumerator(*model_, options_.enumeration);
         graph_ = enumerator.runOrThrow();
         enumStats_ = enumerator.stats();
@@ -51,10 +53,13 @@ const std::vector<graph::Trace> &
 PpValidationFlow::makeTours()
 {
     if (!tours_) {
-        graph::TourGenerator generator(enumerate(), options_.tour);
+        const graph::StateGraph &state_graph = enumerate();
+        telemetry::ScopedSpan span("flow.tours");
+        graph::TourGenerator generator(state_graph, options_.tour);
         tours_ = generator.run();
         tourStats_ = generator.stats();
-        std::string check = graph::checkTourCoverage(*graph_, *tours_);
+        std::string check =
+            graph::checkTourCoverage(state_graph, *tours_);
         // fatal, not panic: tour generation runs inside long-lived
         // callers (the archvald job loop); a coverage failure must
         // surface as a catchable job error, never abort the process.
@@ -68,9 +73,12 @@ const std::vector<vecgen::TestTrace> &
 PpValidationFlow::makeVectors()
 {
     if (!vectors_) {
+        const graph::StateGraph &state_graph = enumerate();
+        const std::vector<graph::Trace> &tours = makeTours();
+        telemetry::ScopedSpan span("flow.vectors");
         vecgen::VectorGenerator generator(*model_,
                                           options_.vectorSeed);
-        vectors_ = generator.generateAll(enumerate(), makeTours());
+        vectors_ = generator.generateAll(state_graph, tours);
         vecStats_ = generator.stats();
     }
     return *vectors_;
@@ -81,6 +89,8 @@ PpValidationFlow::simulate(const rtl::BugSet &bugs)
 {
     const auto &vectors = makeVectors();
     const auto &tours = *tours_;
+    telemetry::ScopedSpan span("flow.simulate", "traces",
+                               vectors.size());
     harness::VectorPlayer player(config_);
 
     FlowReport report;

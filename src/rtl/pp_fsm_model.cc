@@ -148,12 +148,12 @@ PpFsmModel::next(const BitVec &state, const fsm::Choice &choice) const
 }
 
 PpOutputs
-PpFsmModel::outputsFor(const BitVec &state,
+PpFsmModel::outputsFor(const PpControlState &state,
                        const fsm::Choice &choice) const
 {
     ChoiceInputs inputs(choice);
     PpOutputs outputs;
-    control_.step(unpack(state), inputs, outputs);
+    control_.step(state, inputs, outputs);
     return outputs;
 }
 

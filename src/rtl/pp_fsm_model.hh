@@ -117,8 +117,10 @@ class PpFsmModel : public fsm::Model
     PpControlState unpack(const BitVec &packed) const;
 
     /** Re-run the control for (state, choice) to recover the cycle's
-     *  outputs (used by the vector generator). */
-    PpOutputs outputsFor(const BitVec &state,
+     *  outputs (used by the vector generator). Takes an unpacked
+     *  state, so a caller stepping many edges out of one state
+     *  unpacks it once. */
+    PpOutputs outputsFor(const PpControlState &state,
                          const fsm::Choice &choice) const;
 
     /**

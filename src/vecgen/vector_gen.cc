@@ -1,8 +1,15 @@
 #include "vector_gen.hh"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
+
 #include "pp/isa.hh"
 #include "support/status.hh"
 #include "support/strings.hh"
+#include "support/telemetry.hh"
 
 namespace archval::vecgen
 {
@@ -49,22 +56,249 @@ varIndex(PpChoiceVar var)
     return static_cast<size_t>(var);
 }
 
-} // namespace
+/** Edges summarized per claim of the parallel summary pass. */
+constexpr size_t summaryChunk = 1 << 14;
 
-VectorGenerator::VectorGenerator(const rtl::PpFsmModel &model,
-                                 uint64_t seed)
-    : model_(model), codec_(model.makeChoiceCodec()), seed_(seed)
-{
-}
+/** signalIdOf_ entry of a choice code not interned yet. */
+constexpr uint16_t noSignal = UINT16_MAX;
 
-TestTrace
-VectorGenerator::generate(const graph::StateGraph &graph,
-                          const graph::Trace &trace, size_t trace_index)
+void
+requireRetainedStates(const graph::StateGraph &graph)
 {
     if (!graph.statesRetained())
         fatal("vector generation needs retained states "
               "(EnumOptions::retainStates)");
+}
 
+void
+requireEdge(graph::EdgeId e, size_t num_edges, size_t trace_index)
+{
+    if (e >= num_edges)
+        fatal(formatString("trace %zu: edge %u is not in the graph "
+                           "(%zu edges)",
+                           trace_index, e, num_edges));
+}
+
+/** @return workers for @p items independent items. */
+unsigned
+workersFor(size_t items)
+{
+    size_t hw = std::max(1u, std::thread::hardware_concurrency());
+    return static_cast<unsigned>(std::max<size_t>(1, std::min(hw, items)));
+}
+
+/**
+ * Call fn(i) for every i in [0, count) on @p workers threads that
+ * claim indices from a shared counter. The first exception a call
+ * throws stops further claims and is rethrown on the calling thread
+ * after every worker has joined, so it never escapes a std::thread.
+ */
+template <typename Fn>
+void
+parallelFor(size_t count, unsigned workers, const Fn &fn)
+{
+    if (workers <= 1) {
+        for (size_t i = 0; i < count; ++i)
+            fn(i);
+        return;
+    }
+    std::atomic<size_t> next{0};
+    std::atomic<bool> stop{false};
+    std::mutex error_mutex;
+    std::exception_ptr error;
+    // Worker spans stay attributable to the service job that spawned
+    // them (as in the replay engine's pool).
+    const uint64_t job_id = telemetry::currentJobId();
+    auto work = [&](unsigned w) {
+        telemetry::JobScope job_scope(job_id);
+        if (telemetry::tracingEnabled())
+            telemetry::setThreadName(formatString("vecgen.worker.%u", w));
+        // One span per worker and pass: the trace shows how evenly
+        // the claims spread, without a span per item.
+        telemetry::ScopedSpan span("vecgen.worker");
+        try {
+            while (!stop.load(std::memory_order_relaxed)) {
+                size_t i = next.fetch_add(1, std::memory_order_relaxed);
+                if (i >= count)
+                    break;
+                fn(i);
+            }
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(error_mutex);
+            if (!error)
+                error = std::current_exception();
+            stop.store(true, std::memory_order_relaxed);
+        }
+    };
+
+    std::vector<std::thread> pool;
+    pool.reserve(workers);
+    try {
+        for (unsigned w = 0; w < workers; ++w)
+            pool.emplace_back(work, w);
+    } catch (...) {
+        stop.store(true, std::memory_order_relaxed);
+        for (std::thread &t : pool)
+            t.join();
+        throw;
+    }
+    for (std::thread &t : pool)
+        t.join();
+    if (error)
+        std::rethrow_exception(error);
+}
+
+} // namespace
+
+/**
+ * Everything the skeleton walk reads from one edge: the cycle's
+ * forced signals (as an interned id) and the control outputs and
+ * source-state predicates that drive the occupancy, squash, pending
+ * store and conflict-constraint bookkeeping.
+ */
+struct VectorGenerator::EdgeSummary
+{
+    enum Flag : uint8_t
+    {
+        Fetch = 1 << 0,         ///< a packet enters RD
+        Advance = 1 << 1,       ///< pipeline registers shift
+        BranchTaken = 1 << 2,   ///< EX branch squashes younger stages
+        BranchResolve = 1 << 3, ///< a branch in EX resolves
+        StoreMark = 1 << 4,     ///< the store in MEM becomes pending
+        StoreCommit = 1 << 5,   ///< the pending store's data is written
+        ConflictCheck = 1 << 6, ///< the load in MEM is checked against
+                                ///< the pending store's line
+        SameLine = 1 << 7,      ///< ... and the check chose same-line
+    };
+
+    SignalId signals = 0;
+    InstrClass fetchClass = InstrClass::None;
+    uint8_t fetchCount = 0;
+    uint8_t flags = 0;
+
+    bool has(Flag flag) const { return flags & flag; }
+};
+
+VectorGenerator::VectorGenerator(const rtl::PpFsmModel &model,
+                                 uint64_t seed)
+    : model_(model), codec_(model.makeChoiceCodec()),
+      dropsLoadCheck_(model.config().mutations.test(static_cast<size_t>(
+          rtl::MutationId::ConflictDropsLoadCheck))),
+      seed_(seed)
+{
+    if (codec_.numCombinations() > noSignal)
+        fatal(formatString("vector generation supports at most %u choice "
+                           "combinations; the model has %llu",
+                           unsigned(noSignal),
+                           static_cast<unsigned long long>(
+                               codec_.numCombinations())));
+    signalIdOf_.assign(codec_.numCombinations(), noSignal);
+}
+
+VectorGenerator::SignalId
+VectorGenerator::internChoice(uint64_t choice_code)
+{
+    if (choice_code >= signalIdOf_.size())
+        fatal(formatString("choice code %llu is outside the model's "
+                           "choice space",
+                           static_cast<unsigned long long>(choice_code)));
+    SignalId &id = signalIdOf_[choice_code];
+    if (id == noSignal) {
+        id = static_cast<SignalId>(choices_.size());
+        const fsm::Choice &choice =
+            choices_.emplace_back(codec_.decode(choice_code));
+        rtl::ForcedSignals &forced = signals_.emplace_back();
+        std::copy_n(choice.begin(),
+                    std::min(choice.size(), rtl::numPpChoiceVars),
+                    forced.begin());
+    }
+    return id;
+}
+
+void
+VectorGenerator::internTrace(const graph::StateGraph &graph,
+                             const graph::Trace &trace,
+                             size_t trace_index)
+{
+    for (graph::EdgeId e : trace.edges) {
+        requireEdge(e, graph.numEdges(), trace_index);
+        internChoice(graph.edge(e).choiceCode);
+    }
+}
+
+VectorGenerator::EdgeSummary
+VectorGenerator::summarize(const rtl::PpControlState &src,
+                           SignalId id) const
+{
+    const fsm::Choice &choice = choices_[id];
+    const rtl::PpOutputs out = model_.outputsFor(src, choice);
+
+    EdgeSummary s;
+    s.signals = id;
+    s.fetchClass = out.fetchClass;
+    s.fetchCount = static_cast<uint8_t>(out.fetchCount);
+    auto set = [&](EdgeSummary::Flag flag, bool on) {
+        if (on)
+            s.flags |= flag;
+    };
+    set(EdgeSummary::Fetch, out.fetch);
+    set(EdgeSummary::Advance, out.advance);
+    set(EdgeSummary::BranchTaken, out.branchTaken);
+    set(EdgeSummary::BranchResolve,
+        src.exClass == InstrClass::Branch && out.advance);
+    set(EdgeSummary::StoreMark,
+        out.storeProbe ||
+            (out.critWord && src.memClass == InstrClass::Store));
+    set(EdgeSummary::StoreCommit, out.storeCommit);
+    // The control examined SameLine this cycle for the load in MEM
+    // against the pending store. (A control mutated to skip the check
+    // never examines it, so no constraint is recorded and the load's
+    // address falls back to biased-random — which is how such a bug
+    // gets the chance to collide and manifest.)
+    set(EdgeSummary::ConflictCheck,
+        src.memClass == InstrClass::Load && !src.memDone &&
+            src.drefill == DRefill::Idle && src.storePending &&
+            !dropsLoadCheck_);
+    set(EdgeSummary::SameLine,
+        choice[varIndex(PpChoiceVar::SameLine)] != 0);
+    return s;
+}
+
+std::vector<VectorGenerator::EdgeSummary>
+VectorGenerator::summarizeGraph(const graph::StateGraph &graph) const
+{
+    static_assert(sizeof(EdgeSummary) <= 8);
+    telemetry::ScopedSpan span("vecgen.summarize", "edges",
+                               graph.numEdges());
+    std::vector<EdgeSummary> table(graph.numEdges());
+    const size_t chunks =
+        (graph.numEdges() + summaryChunk - 1) / summaryChunk;
+    parallelFor(chunks, workersFor(chunks), [&](size_t c) {
+        const size_t end =
+            std::min(graph.numEdges(), (c + 1) * summaryChunk);
+        // An enumerated graph lists a state's out-edges consecutively,
+        // so most edges reuse their predecessor's unpacked source.
+        graph::StateId src_id = graph::invalidState;
+        rtl::PpControlState src;
+        for (size_t e = c * summaryChunk; e < end; ++e) {
+            const graph::Edge &edge = graph.edge(e);
+            if (edge.src != src_id) {
+                src_id = edge.src;
+                src = model_.unpack(graph.packedState(src_id));
+            }
+            table[e] = summarize(src, signalIdOf_[edge.choiceCode]);
+        }
+    });
+    telemetry::counter("vecgen.edges_summarized").add(graph.numEdges());
+    return table;
+}
+
+template <typename SummaryOf>
+TestTrace
+VectorGenerator::walk(const graph::Trace &trace, size_t trace_index,
+                      size_t num_edges, const SummaryOf &summary_of,
+                      VecGenStats &stats) const
+{
     TestTrace out;
     out.traceIndex = trace_index;
     out.cycles.reserve(trace.edges.size());
@@ -85,72 +319,52 @@ VectorGenerator::generate(const graph::StateGraph &graph,
     uint64_t prefix_hash = prefixMix(0xcbf29ce484222325ull, seed_);
 
     for (graph::EdgeId e : trace.edges) {
+        requireEdge(e, num_edges, trace_index);
         prefix_hash = prefixMix(prefix_hash, e);
-        const graph::Edge &edge = graph.edge(e);
-        const BitVec &src = graph.packedState(edge.src);
-        rtl::PpControlState st = model_.unpack(src);
-        fsm::Choice choice = codec_.decode(edge.choiceCode);
-        rtl::PpOutputs cycle_out = model_.outputsFor(src, choice);
+        const EdgeSummary s = summary_of(e);
 
         // Record the forced-signal vector for this cycle verbatim.
-        rtl::ForcedSignals forced{};
-        for (size_t i = 0; i < rtl::numPpChoiceVars && i < choice.size();
-             ++i)
-            forced[i] = choice[i];
-        out.cycles.push_back(forced);
-        out.instructions += cycle_out.fetchCount;
+        out.cycles.push_back(signals_[s.signals]);
+        out.instructions += s.fetchCount;
 
-        // Conflict-check constraint: the control examined SameLine
-        // this cycle for the load in MEM against the pending store.
-        // (A control mutated to skip the check never examines it, so
-        // no constraint is recorded and the load's address falls
-        // back to biased-random — which is how such a bug gets the
-        // chance to collide and manifest.)
-        if (st.memClass == InstrClass::Load && !st.memDone &&
-            st.drefill == DRefill::Idle && st.storePending &&
-            !model_.config().mutations.test(static_cast<size_t>(
-                rtl::MutationId::ConflictDropsLoadCheck))) {
-            if (mem_hold >= 0 && pending_store >= 0) {
-                Skeleton &load = skeletons[mem_hold];
-                if (!load.hasConstraint)
-                    ++stats_.constrainedLoads;
-                load.hasConstraint = true;
-                load.sameLine =
-                    choice[varIndex(PpChoiceVar::SameLine)] != 0;
-                load.storeRef = pending_store;
-            }
+        // Conflict-check constraint (see summarize()).
+        if (s.has(EdgeSummary::ConflictCheck) && mem_hold >= 0 &&
+            pending_store >= 0) {
+            Skeleton &load = skeletons[mem_hold];
+            if (!load.hasConstraint)
+                ++stats.constrainedLoads;
+            load.hasConstraint = true;
+            load.sameLine = s.has(EdgeSummary::SameLine);
+            load.storeRef = pending_store;
         }
 
         // Pending-store tracking (before the commit clears it).
-        if (cycle_out.storeProbe ||
-            (cycle_out.critWord && st.memClass == InstrClass::Store)) {
+        if (s.has(EdgeSummary::StoreMark))
             pending_store = mem_hold;
-        }
-        if (cycle_out.storeCommit)
+        if (s.has(EdgeSummary::StoreCommit))
             pending_store = -1;
 
         // Branch resolution bookkeeping (the branch sits in EX).
-        if (st.exClass == InstrClass::Branch && cycle_out.advance &&
-            ex_hold >= 0) {
-            skeletons[ex_hold].branchTaken = cycle_out.branchTaken;
-        }
+        if (s.has(EdgeSummary::BranchResolve) && ex_hold >= 0)
+            skeletons[ex_hold].branchTaken =
+                s.has(EdgeSummary::BranchTaken);
 
         // Pipeline occupancy.
-        if (cycle_out.advance) {
+        if (s.has(EdgeSummary::Advance)) {
             mem_hold = ex_hold;
-            if (cycle_out.branchTaken) {
+            if (s.has(EdgeSummary::BranchTaken)) {
                 if (rd_hold >= 0) {
                     skeletons[rd_hold].squashed = true;
-                    ++stats_.squashedPackets;
+                    ++stats.squashedPackets;
                 }
                 ex_hold = -1;
                 rd_hold = -1;
             } else {
                 ex_hold = rd_hold;
-                if (cycle_out.fetch) {
+                if (s.has(EdgeSummary::Fetch)) {
                     Skeleton skel;
-                    skel.cls = cycle_out.fetchClass;
-                    skel.count = cycle_out.fetchCount;
+                    skel.cls = s.fetchClass;
+                    skel.count = s.fetchCount;
                     skel.seedHash = prefix_hash;
                     skeletons.push_back(skel);
                     rd_hold = static_cast<int>(skeletons.size()) - 1;
@@ -160,6 +374,17 @@ VectorGenerator::generate(const graph::StateGraph &graph,
             }
         }
     }
+
+    if (out.instructions != trace.instructions) {
+        fatal(formatString(
+            "trace %zu: vector generator instruction accounting "
+            "mismatch: %llu generated vs %llu in the tour",
+            trace_index,
+            static_cast<unsigned long long>(out.instructions),
+            static_cast<unsigned long long>(trace.instructions)));
+    }
+    out.fetchStream.reserve(out.instructions);
+    out.retiredStream.reserve(out.instructions);
 
     // ------------------------------------------------------------------
     // Pass 2: materialize concrete instructions. Everything the
@@ -280,7 +505,9 @@ VectorGenerator::generate(const graph::StateGraph &graph,
                         : pp::encodeBranch(pp::Opcode::Bne, 0, 0, 0);
             break;
           default:
-            panic("unexpected instruction class in skeleton");
+            fatal(formatString("trace %zu: unexpected instruction "
+                               "class %u in a fetch",
+                               trace_index, unsigned(skel.cls)));
         }
 
         out.fetchStream.push_back(slot0);
@@ -301,17 +528,38 @@ VectorGenerator::generate(const graph::StateGraph &graph,
         }
     }
 
-    if (out.instructions != trace.instructions) {
-        panic(formatString(
-            "vector generator instruction accounting mismatch: "
-            "%llu generated vs %llu in the tour",
-            static_cast<unsigned long long>(out.instructions),
-            static_cast<unsigned long long>(trace.instructions)));
-    }
+    ++stats.traces;
+    stats.cycles += out.cycles.size();
+    stats.instructions += out.instructions;
+    return out;
+}
 
-    ++stats_.traces;
-    stats_.cycles += out.cycles.size();
-    stats_.instructions += out.instructions;
+void
+VectorGenerator::account(const VecGenStats &delta)
+{
+    stats_ += delta;
+    telemetry::counter("vecgen.traces").add(delta.traces);
+    telemetry::counter("vecgen.cycles").add(delta.cycles);
+}
+
+TestTrace
+VectorGenerator::generate(const graph::StateGraph &graph,
+                          const graph::Trace &trace, size_t trace_index)
+{
+    requireRetainedStates(graph);
+    internTrace(graph, trace, trace_index);
+
+    VecGenStats delta;
+    TestTrace out = walk(
+        trace, trace_index, graph.numEdges(),
+        [&](graph::EdgeId e) {
+            const graph::Edge &edge = graph.edge(e);
+            return summarize(model_.unpack(graph.packedState(edge.src)),
+                             signalIdOf_[edge.choiceCode]);
+        },
+        delta);
+    account(delta);
+    telemetry::counter("vecgen.edges_summarized").add(trace.edges.size());
     return out;
 }
 
@@ -319,10 +567,30 @@ std::vector<TestTrace>
 VectorGenerator::generateAll(const graph::StateGraph &graph,
                              const std::vector<graph::Trace> &traces)
 {
-    std::vector<TestTrace> out;
-    out.reserve(traces.size());
-    for (size_t i = 0; i < traces.size(); ++i)
-        out.push_back(generate(graph, traces[i], i));
+    if (traces.empty())
+        return {};
+    requireRetainedStates(graph);
+    const unsigned workers = workersFor(traces.size());
+    telemetry::ScopedSpan span("vecgen.generate_all", "traces",
+                               traces.size(), "workers", workers);
+    for (graph::EdgeId e = 0; e < graph.numEdges(); ++e)
+        internChoice(graph.edge(e).choiceCode);
+    const std::vector<EdgeSummary> table = summarizeGraph(graph);
+
+    // Each trace writes only its own slots; the per-trace figures are
+    // summed in trace order afterwards.
+    std::vector<TestTrace> out(traces.size());
+    std::vector<VecGenStats> per_trace(traces.size());
+    parallelFor(traces.size(), workers, [&](size_t i) {
+        out[i] = walk(
+            traces[i], i, table.size(),
+            [&](graph::EdgeId e) { return table[e]; }, per_trace[i]);
+    });
+
+    VecGenStats delta;
+    for (const VecGenStats &s : per_trace)
+        delta += s;
+    account(delta);
     return out;
 }
 

@@ -23,6 +23,14 @@
  *    the same word would produce a false architectural divergence.
  *    The generator records the constraint active at each load's
  *    completing probe and materializes addresses in a second pass.
+ *
+ * Everything the first pass needs from a tour edge is a pure function
+ * of that edge (the control step is deterministic and the model's
+ * mutation set is fixed), so it is condensed into a small per-edge
+ * summary. generateAll() computes one summary per distinct edge in a
+ * parallel pass and then walks the traces on several threads; the
+ * output does not depend on the thread count (see DESIGN.md, "Vector
+ * generation").
  */
 
 #ifndef ARCHVAL_VECGEN_VECTOR_GEN_HH
@@ -74,10 +82,25 @@ struct VecGenStats
     uint64_t instructions = 0;
     uint64_t squashedPackets = 0;
     uint64_t constrainedLoads = 0;
+
+    VecGenStats &
+    operator+=(const VecGenStats &other)
+    {
+        traces += other.traces;
+        cycles += other.cycles;
+        instructions += other.instructions;
+        squashedPackets += other.squashedPackets;
+        constrainedLoads += other.constrainedLoads;
+        return *this;
+    }
 };
 
 /**
  * Generates test traces from tour components over a PP state graph.
+ *
+ * Malformed input — a trace naming an edge the graph lacks, or whose
+ * instruction count disagrees with its edges — throws FatalError.
+ * One generator must not be used from several threads at once.
  */
 class VectorGenerator
 {
@@ -89,11 +112,20 @@ class VectorGenerator
      */
     VectorGenerator(const rtl::PpFsmModel &model, uint64_t seed = 1);
 
-    /** Convert one tour component. */
+    /** Convert one tour component, summarizing each of its edge
+     *  traversals as it goes. */
     TestTrace generate(const graph::StateGraph &graph,
                        const graph::Trace &trace, size_t trace_index = 0);
 
-    /** Convert every tour component. */
+    /**
+     * Convert every tour component: byte-identical to calling
+     * generate() on each in order. Summarizes every edge of @p graph
+     * once (meant for trace sets that cover the graph, such as a
+     * transition tour), then converts the traces on
+     * min(hardware threads, traces) workers. The summary table is
+     * freed before returning. The first exception a worker throws is
+     * rethrown here once every worker has stopped.
+     */
     std::vector<TestTrace> generateAll(
         const graph::StateGraph &graph,
         const std::vector<graph::Trace> &traces);
@@ -108,8 +140,51 @@ class VectorGenerator
     std::string renderForceScript(const TestTrace &trace) const;
 
   private:
+    /** What the skeleton walk needs from one edge (vector_gen.cc). */
+    struct EdgeSummary;
+
+    /** Index of an interned choice in choices_/signals_. */
+    using SignalId = uint16_t;
+
+    /** Intern the choice of every edge @p trace traverses, checking
+     *  each edge id against @p graph. */
+    void internTrace(const graph::StateGraph &graph,
+                     const graph::Trace &trace, size_t trace_index);
+
+    /** @return the id of @p choice_code's decoded choice, interning
+     *  it on first sight. */
+    SignalId internChoice(uint64_t choice_code);
+
+    /** Summarize the edge leaving @p src under interned choice @p id. */
+    EdgeSummary summarize(const rtl::PpControlState &src,
+                          SignalId id) const;
+
+    /** @return the summary of every edge of @p graph, indexed by
+     *  edge id, computed in parallel (all choices must already be
+     *  interned). */
+    std::vector<EdgeSummary> summarizeGraph(
+        const graph::StateGraph &graph) const;
+
+    /** Turn @p trace into stimulus; @p summary_of maps an edge id to
+     *  its EdgeSummary. Adds the trace's figures to @p stats. */
+    template <typename SummaryOf>
+    TestTrace walk(const graph::Trace &trace, size_t trace_index,
+                   size_t num_edges, const SummaryOf &summary_of,
+                   VecGenStats &stats) const;
+
+    /** Fold @p delta into stats_ and the telemetry counters. */
+    void account(const VecGenStats &delta);
+
     const rtl::PpFsmModel &model_;
     fsm::ChoiceCodec codec_;
+    /** The model skips the load/pending-store conflict check
+     *  (MutationId::ConflictDropsLoadCheck). */
+    bool dropsLoadCheck_;
+    /** Interned choice id per choice code (noSignal: not seen yet). */
+    std::vector<SignalId> signalIdOf_;
+    /** Interned decoded choices, and the same as forced signals. */
+    std::vector<fsm::Choice> choices_;
+    std::vector<rtl::ForcedSignals> signals_;
     /**
      * Operand draws are seeded per packet from a hash of (seed_,
      * tour-edge prefix), not from one sequential stream: traces that

@@ -2,8 +2,10 @@
  * @file
  * Property sweep across the PP model's configuration matrix: every
  * combination of feature flags must enumerate to a deadlock-free
- * graph with sound edge labels, admit a covering tour, and survive a
- * bug-free vector replay without divergence. This is the "the model
+ * graph with sound edge labels, admit a covering tour, generate the
+ * same stimulus from the multi-threaded generateAll() as from a
+ * per-trace generate() loop, and survive a bug-free vector replay
+ * without divergence. This is the "the model
  * is valid at every abstraction point" property behind the
  * enum-scaling ablation.
  */
@@ -99,13 +101,41 @@ TEST_P(ConfigMatrix, EnumeratesToursAndReplaysClean)
     ASSERT_EQ(checkTourCoverage(graph, traces), "")
         << pointName(GetParam());
 
+    // The multi-threaded generateAll() reproduces a per-trace
+    // generate() loop byte for byte, figures included.
+    vecgen::VectorGenerator batch_gen(model, 1234);
+    vecgen::VectorGenerator loop_gen(model, 1234);
+    auto vectors = batch_gen.generateAll(graph, traces);
+    ASSERT_EQ(vectors.size(), traces.size()) << pointName(GetParam());
+    for (size_t i = 0; i < traces.size(); ++i) {
+        // Field by field, everything serializeTrace() writes (the
+        // text form itself costs over a minute across the matrix).
+        const vecgen::TestTrace &a = vectors[i];
+        const vecgen::TestTrace b = loop_gen.generate(graph, traces[i], i);
+        ASSERT_TRUE(a.traceIndex == b.traceIndex &&
+                    a.instructions == b.instructions &&
+                    a.cycles == b.cycles &&
+                    a.fetchStream == b.fetchStream &&
+                    a.retiredStream == b.retiredStream &&
+                    a.inbox == b.inbox)
+            << pointName(GetParam()) << " trace " << i;
+    }
+    const vecgen::VecGenStats &batch = batch_gen.stats();
+    const vecgen::VecGenStats &loop = loop_gen.stats();
+    EXPECT_EQ(batch.traces, loop.traces) << pointName(GetParam());
+    EXPECT_EQ(batch.cycles, loop.cycles) << pointName(GetParam());
+    EXPECT_EQ(batch.instructions, loop.instructions)
+        << pointName(GetParam());
+    EXPECT_EQ(batch.squashedPackets, loop.squashedPackets)
+        << pointName(GetParam());
+    EXPECT_EQ(batch.constrainedLoads, loop.constrainedLoads)
+        << pointName(GetParam());
+
     // Bug-free replay of a few traces stays clean.
-    vecgen::VectorGenerator generator(model, 1234);
     harness::VectorPlayer player(config);
     size_t to_play = std::min<size_t>(traces.size(), 3);
     for (size_t i = 0; i < to_play; ++i) {
-        auto trace = generator.generate(graph, traces[i], i);
-        auto result = player.play(trace);
+        auto result = player.play(vectors[i]);
         EXPECT_FALSE(result.diverged)
             << pointName(GetParam()) << " trace " << i << ": "
             << result.diff;
