@@ -26,7 +26,7 @@ main()
     archval::telemetry::initTelemetryFromEnv();
     rtl::PpConfig config = rtl::PpConfig::smallPreset();
     rtl::PpFsmModel model(config);
-    // Enumerate with the parallel sharded search; the graph is
+    // Enumerate on four worker threads; the graph is
     // bit-identical for any worker count, so everything downstream
     // (tours, vectors, the campaign itself) stays reproducible.
     murphi::EnumOptions enum_options;

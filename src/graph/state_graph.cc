@@ -50,7 +50,6 @@ StateGraph::addStates(std::vector<BitVec> &&packed)
     if (packedStates_.empty()) {
         packedStates_ = std::move(packed);
     } else {
-        packedStates_.reserve(packedStates_.size() + packed.size());
         for (BitVec &state : packed)
             packedStates_.push_back(std::move(state));
     }
@@ -62,20 +61,6 @@ StateGraph::addStatesUnretained(size_t count)
 {
     setRetention(false);
     outEdges_.resize(outEdges_.size() + count);
-}
-
-void
-StateGraph::reserveStates(size_t expected)
-{
-    outEdges_.reserve(expected);
-    if (retainStates_)
-        packedStates_.reserve(expected);
-}
-
-void
-StateGraph::reserveEdges(size_t expected)
-{
-    edges_.reserve(expected);
 }
 
 EdgeId
@@ -94,7 +79,6 @@ void
 StateGraph::addEdges(const std::vector<Edge> &batch)
 {
     EdgeId id = static_cast<EdgeId>(edges_.size());
-    edges_.reserve(edges_.size() + batch.size());
     for (const Edge &e : batch) {
         if (e.src >= outEdges_.size() || e.dst >= outEdges_.size())
             panic("StateGraph::addEdges out of range");

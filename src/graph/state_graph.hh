@@ -73,12 +73,6 @@ class StateGraph
      *  sources and destinations must already exist. */
     void addEdges(const std::vector<Edge> &batch);
 
-    /** Pre-size the state containers for @p expected states. */
-    void reserveStates(size_t expected);
-
-    /** Pre-size the edge container for @p expected edges. */
-    void reserveEdges(size_t expected);
-
     /** @return number of states. */
     size_t numStates() const { return outEdges_.size(); }
 

@@ -1,18 +1,59 @@
-#include "enumerator.hh"
+/**
+ * @file
+ * The enumerator: one level-synchronous breadth-first search for
+ * every option set (see DESIGN.md, "State enumeration").
+ *
+ * Each BFS level is cut into contiguous slices that numThreads
+ * workers expand in parallel; the level barrier then turns what they
+ * found into graph states and edges. None of the following may change
+ * a produced byte (tests/test_enum_parallel.cc pins golden
+ * fingerprints; the `enum`, `ooc` and `compile` differentials compare
+ * configurations):
+ *
+ *  - Delayed duplicate detection. Workers never probe the interned
+ *    state table; every destination is interned into a level-local
+ *    per-partition candidate table and gets a provisional id — even
+ *    states already known from earlier levels. Resolution against
+ *    the partitioned table happens at the level barrier, one
+ *    partition at a time, so only one partition need be resident
+ *    while resolving. Provisional ids are stable per state for the
+ *    whole level, so FirstCondition dedup on them equals dedup on
+ *    canonical ids.
+ *
+ *  - The canonical walk. The barrier numbers still-provisional states
+ *    at their first occurrence walking workers in index order,
+ *    sources in level order and transitions in generation order —
+ *    the order a one-source-at-a-time BFS discovers them in — so ids
+ *    and edges are the same for every worker count.
+ *
+ *  - Paging only under a budget. With memoryBudgetBytes > 0, cold
+ *    partitions are written to CRC-guarded shard files and their
+ *    tables freed, and the next level's frontier goes to a frontier
+ *    file at the barrier. Any read damage either rebuilds the content
+ *    from the retained graph (counted in enum.spill_fallbacks) or,
+ *    when states are not retained, fails the run with a typed error —
+ *    never a silently different graph. A zero budget makes no spill
+ *    directory and pages nothing.
+ *
+ *  - Cancellation per source. Workers read EnumOptions::cancelFlag
+ *    before every source (every batch for the bit-sliced kernel); a
+ *    raised flag stops them and the partial level is discarded.
+ */
 
-#include "enum_internal.hh"
+#include "enumerator.hh"
 
 #include <algorithm>
 #include <array>
-#include <deque>
+#include <cstdio>
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "compile/fsm_spec.hh"
 #include "compile/kernel.hh"
+#include "murphi/ooc.hh"
+#include "support/flight_recorder.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
 #include "support/table_memory.hh"
@@ -55,10 +96,7 @@ EnumStats::render() const
                             withCommas(minShardStates).c_str(),
                             withCommas(maxShardStates).c_str());
     }
-    if (numProcesses > 1 || spillBytesWritten || pageIns || pageOuts ||
-        spillFallbacks) {
-        out += formatString("Worker processes        %u\n",
-                            numProcesses);
+    if (spillBytesWritten || pageIns || pageOuts || spillFallbacks) {
         out += formatString("Spill bytes written     %s\n",
                             humanBytes(spillBytesWritten).c_str());
         out += formatString("Shard pages in/out      %s / %s\n",
@@ -90,96 +128,24 @@ EnumStats::renderLevels() const
     return out;
 }
 
-namespace detail
+namespace
 {
 
-size_t
-stateTableBytes(const StateTable &table)
-{
-    size_t payload = 0;
-    for (const auto &[key, id] : table)
-        payload += key.memoryBytes();
-    return hashTableFootprint(table.bucket_count(), table.size(),
-                              sizeof(StateTable::value_type), payload)
-        .total();
-}
+/** Interned state table (one partition). */
+using StateTable = ooc::StateMap;
 
-std::string
-stateExplosionMessage(uint64_t max_states)
-{
-    return formatString(
-        "state explosion: search exceeds %llu states",
-        static_cast<unsigned long long>(max_states));
-}
+/**
+ * High bit marks a provisional (not yet canonically numbered) state
+ * id. A provisional id encodes (partition, pending slot) so the
+ * barrier walk can find the entry to renumber.
+ */
+constexpr graph::StateId kPendingFlag = 0x8000'0000u;
 
-std::string
-resetWidthMessage(size_t reset_bits, size_t state_bits)
-{
-    return formatString(
-        "model reset state is %zu bits but the state layout "
-        "declares %zu",
-        reset_bits, state_bits);
-}
-
-void
-recordEnumMetrics(const EnumStats &stats)
-{
-    telemetry::counter("enum.states").add(stats.numStates);
-    telemetry::counter("enum.edges").add(stats.numEdges);
-    telemetry::counter("enum.levels").add(stats.levels.size());
-    telemetry::gauge("enum.shard_states_min")
-        .set(static_cast<int64_t>(stats.minShardStates));
-    telemetry::gauge("enum.shard_states_max")
-        .set(static_cast<int64_t>(stats.maxShardStates));
-}
-
-} // namespace detail
-
-using detail::kPendingFlag;
-using detail::recordEnumMetrics;
-using detail::resetWidthMessage;
-using detail::StateTable;
-using detail::stateExplosionMessage;
-using detail::stateTableBytes;
+} // namespace
 
 Enumerator::Enumerator(const fsm::Model &model, EnumOptions options)
     : model_(model), options_(options)
 {
-}
-
-Result<graph::StateGraph>
-Enumerator::run()
-{
-    unsigned threads = options_.numThreads;
-    if (threads == 0) {
-        threads = std::thread::hardware_concurrency();
-        if (threads == 0)
-            threads = 1;
-    }
-    stats_ = EnumStats{};
-
-    // Resolve the step kernel once per run: lower the model's
-    // compiled-form spec when one exists, otherwise fall back to the
-    // interpreted step (recorded, never an error — closure-based
-    // models simply have no compiled form).
-    program_.reset();
-    if (options_.compiledStep != StepKernel::Interpreted) {
-        if (auto spec = model_.compileSpec()) {
-            program_ = compile::lower(*spec);
-            stats_.kernelUsed = options_.compiledStep;
-        } else {
-            stats_.compiledFallback = true;
-            telemetry::counter("compile.enum_fallbacks").add();
-        }
-    }
-
-    // A table budget or a worker-process count selects the
-    // out-of-core search; both produce bit-identical graphs, so the
-    // dispatch is purely a residency/topology decision.
-    if (options_.memoryBudgetBytes > 0 || options_.numProcesses > 1)
-        return runOutOfCore(threads);
-
-    return threads == 1 ? runSequential() : runParallel(threads);
 }
 
 graph::StateGraph
@@ -192,224 +158,31 @@ Enumerator::runOrThrow()
 }
 
 Result<graph::StateGraph>
-Enumerator::runSequential()
+Enumerator::run()
 {
-    telemetry::ScopedSpan run_span("enum.run", "threads", 1);
-    CpuTimer timer;
-
-    const fsm::ChoiceCodec codec = model_.makeChoiceCodec();
-    const uint64_t combos = codec.numCombinations();
-    const size_t state_bits = model_.stateBits();
-
-    graph::StateGraph graph;
-    StateTable known;
-    std::deque<graph::StateId> frontier;
-
-    // BFS needs the packed vector of every state to expand it; retain
-    // a private copy when the caller asked the graph not to keep them.
-    std::vector<BitVec> privateStates;
-    auto packed_of = [&](graph::StateId id) -> const BitVec & {
-        return options_.retainStates ? graph.packedState(id)
-                                     : privateStates[id];
-    };
-
-    auto intern = [&](BitVec state) -> std::pair<graph::StateId, bool> {
-        auto it = known.find(state);
-        if (it != known.end())
-            return {it->second, false};
-        graph::StateId id = options_.retainStates
-                                ? graph.addState(state)
-                                : graph.addStateUnretained();
-        if (!options_.retainStates)
-            privateStates.push_back(state);
-        known.emplace(std::move(state), id);
-        return {id, true};
-    };
-
-    BitVec reset = model_.resetState();
-    if (reset.numBits() != state_bits) {
-        return Result<graph::StateGraph>::error(
-            resetWidthMessage(reset.numBits(), state_bits));
+    unsigned num_threads = options_.numThreads;
+    if (num_threads == 0) {
+        num_threads = std::thread::hardware_concurrency();
+        if (num_threads == 0)
+            num_threads = 1;
     }
-    intern(std::move(reset));
-    frontier.push_back(0);
+    stats_ = EnumStats{};
 
-    // Per-source dedup of destinations (FirstCondition mode).
-    std::unordered_set<uint64_t> dst_seen;
-
-    // BFS level watermarks: ids below level_end are the current
-    // level; everything interned beyond it belongs to the next.
-    uint64_t level_first = 0;
-    uint64_t level_end = 1;
-    uint64_t level_start_edges = 0;
-    WallTimer level_timer;
-    telemetry::Gauge &frontier_gauge = telemetry::gauge("enum.frontier");
-    std::optional<telemetry::ScopedSpan> level_span;
-    if (telemetry::tracingEnabled())
-        level_span.emplace("enum.level", "level", 0, "frontier", 1);
-    auto close_level = [&] {
-        LevelStats level;
-        level.frontierWidth = level_end - level_first;
-        level.newStates = graph.numStates() - level_end;
-        level.newEdges = graph.numEdges() - level_start_edges;
-        level.seconds = level_timer.seconds();
-        stats_.levels.push_back(level);
-        level_first = level_end;
-        level_end = graph.numStates();
-        level_start_edges = graph.numEdges();
-        level_timer.reset();
-        frontier_gauge.set(
-            static_cast<int64_t>(level_end - level_first));
-        level_span.reset();
-        if (telemetry::tracingEnabled()) {
-            level_span.emplace("enum.level", "level",
-                               stats_.levels.size(), "frontier",
-                               level_end - level_first);
-        }
-    };
-
-    // Per-run step kernels (sequential search: one of each at most).
-    std::optional<compile::ScalarKernel> scalar;
-    std::optional<compile::SlicedKernel> sliced;
-    if (program_) {
-        if (stats_.kernelUsed == StepKernel::BitSliced)
-            sliced.emplace(program_);
-        else
-            scalar.emplace(program_);
-    }
-
-    std::string error;
-
-    // One discovered transition out of `src`. Identical for every
-    // kernel: the kernels reproduce the interpreter's callback
-    // sequence exactly, so dedup/cap/recording semantics carry over.
-    auto handle = [&](graph::StateId src, uint64_t code,
-                      fsm::Transition &&transition) {
-        ++stats_.transitionsValid;
-        if (!error.empty())
-            return;
-        unsigned instrs = transition.instructions;
-        // Enforce the cap *before* interning: the over-limit
-        // state must not enter the graph or the table.
-        if (options_.maxStates &&
-            graph.numStates() >= options_.maxStates &&
-            known.find(transition.next) == known.end()) {
-            error = stateExplosionMessage(options_.maxStates);
-            return;
-        }
-        auto [dst, is_new] = intern(std::move(transition.next));
-        if (is_new) {
-            frontier.push_back(dst);
-            if (options_.progressInterval &&
-                graph.numStates() % options_.progressInterval == 0) {
-                logInfo(formatString(
-                    "enumerated %zu states, %zu edges",
-                    graph.numStates(), graph.numEdges()));
-            }
-        }
-
-        bool record;
-        if (options_.recording == EdgeRecording::FirstCondition) {
-            // "Only one permutation is recorded" per
-            // (src, dst) pair: the first condition found.
-            record = dst_seen.insert(dst).second;
+    // Resolve the step kernel once per run: lower the model's
+    // compiled-form spec when one exists, otherwise fall back to the
+    // interpreted step (recorded, never an error — closure-based
+    // models simply have no compiled form).
+    std::shared_ptr<const compile::Program> program;
+    if (options_.compiledStep != StepKernel::Interpreted) {
+        if (auto spec = model_.compileSpec()) {
+            program = compile::lower(*spec);
+            stats_.kernelUsed = options_.compiledStep;
         } else {
-            // AllConditions (the Section 4 fix): every
-            // distinct condition becomes its own edge.
-            record = true;
+            stats_.compiledFallback = true;
+            telemetry::counter("compile.enum_fallbacks").add();
         }
-        if (record)
-            graph.addEdge(src, dst, code,
-                          static_cast<uint32_t>(instrs));
-    };
-
-    while (!frontier.empty() && error.empty()) {
-        if (options_.cancelFlag &&
-            options_.cancelFlag->load(std::memory_order_relaxed)) {
-            error = "enumeration cancelled";
-            break;
-        }
-        // Peek-based level close (frontier ids ascend, so the front
-        // crossing the watermark closes the level exactly where the
-        // popped id used to).
-        if (frontier.front() == level_end)
-            close_level();
-
-        if (sliced) {
-            // Batch up to 64 same-level sources into one bit-sliced
-            // expansion. Source pointers are read only before the
-            // sink runs, so interning (which may reallocate the
-            // state store) cannot invalidate them mid-batch.
-            std::array<graph::StateId, 64> ids;
-            std::array<const BitVec *, 64> srcs;
-            size_t chunk = 0;
-            while (chunk < 64 && !frontier.empty() &&
-                   frontier.front() < level_end) {
-                ids[chunk] = frontier.front();
-                frontier.pop_front();
-                ++chunk;
-            }
-            for (size_t i = 0; i < chunk; ++i)
-                srcs[i] = &packed_of(ids[i]);
-            stats_.transitionsTried += combos * chunk;
-            size_t cur_lane = SIZE_MAX;
-            sliced->expandBatch(
-                srcs.data(), chunk,
-                [&](size_t lane, uint64_t code,
-                    fsm::Transition &&transition) {
-                    if (lane != cur_lane) {
-                        cur_lane = lane;
-                        dst_seen.clear();
-                    }
-                    handle(ids[lane], code, std::move(transition));
-                });
-            continue;
-        }
-
-        graph::StateId src = frontier.front();
-        frontier.pop_front();
-        dst_seen.clear();
-        stats_.transitionsTried += combos;
-
-        // Copy: interning new states may reallocate the state store
-        // while the generator still holds the source state.
-        const BitVec src_packed = packed_of(src);
-        auto on_transition = [&](uint64_t code,
-                                 fsm::Transition &&transition) {
-            handle(src, code, std::move(transition));
-        };
-        if (scalar)
-            scalar->forEachTransition(src_packed, on_transition);
-        else
-            model_.forEachTransition(src_packed, on_transition);
     }
-    if (!error.empty())
-        return Result<graph::StateGraph>::error(error);
-    close_level();
-    level_span.reset();
 
-    stats_.numStates = graph.numStates();
-    stats_.numEdges = graph.numEdges();
-    stats_.bitsPerState = state_bits;
-    stats_.cpuSeconds = timer.seconds();
-    stats_.numThreads = 1;
-    stats_.numShards = 1;
-    stats_.minShardStates = known.size();
-    stats_.maxShardStates = known.size();
-    if (sliced)
-        stats_.slicedFallbackLanes = sliced->scalarFallbackLanes();
-    size_t private_bytes = 0;
-    for (const BitVec &state : privateStates)
-        private_bytes += state.memoryBytes() + sizeof(state);
-    stats_.memoryBytes =
-        graph.memoryBytes() + stateTableBytes(known) + private_bytes;
-    recordEnumMetrics(stats_);
-    return graph;
-}
-
-Result<graph::StateGraph>
-Enumerator::runParallel(unsigned num_threads)
-{
     telemetry::ScopedSpan run_span("enum.run", "threads", num_threads);
     CpuTimer timer;
 
@@ -419,101 +192,322 @@ Enumerator::runParallel(unsigned num_threads)
     const bool retain = options_.retainStates;
     const bool first_condition =
         options_.recording == EdgeRecording::FirstCondition;
+    const ooc::TestHooks *hooks = options_.testHooks;
 
-    // Shard count: a power of two comfortably above the worker count
-    // so that stripes stay short and contention stays low.
-    size_t num_shards = 1;
-    unsigned shard_bits = 0;
-    while (num_shards < size_t(num_threads) * 4) {
-        num_shards <<= 1;
-        ++shard_bits;
+    telemetry::Counter &spill_bytes_ctr =
+        telemetry::counter("enum.spill_bytes");
+    telemetry::Counter &page_in_ctr =
+        telemetry::counter("enum.page_ins");
+    telemetry::Counter &page_out_ctr =
+        telemetry::counter("enum.page_outs");
+    telemetry::Counter &fallback_ctr =
+        telemetry::counter("enum.spill_fallbacks");
+
+    auto spill_fallback = [&](const char *why) {
+        ++stats_.spillFallbacks;
+        fallback_ctr.add();
+        flight::recordEvent(flight::EventKind::SpillFallback,
+                            telemetry::currentJobId(), 0, why);
+        logWarn(formatString("enumerator (out-of-core): %s", why));
+    };
+
+    // Partition count: a power of two; high enough that one resident
+    // partition is a small slice of the table, and never below the
+    // thread count's contention-comfort point.
+    size_t num_parts = 1;
+    unsigned part_bits = 0;
+    const size_t min_parts =
+        options_.oocPartitions
+            ? options_.oocPartitions
+            : std::max<size_t>(64, size_t(num_threads) * 4);
+    while (num_parts < min_parts) {
+        num_parts <<= 1;
+        ++part_bits;
     }
-    const size_t shard_mask = num_shards - 1;
+    const size_t part_mask = num_parts - 1;
+
+    // Spill scratch: requested by a non-zero budget. An unusable
+    // directory degrades the run to fully-resident tables rather
+    // than failing it — the graph is identical either way.
+    const bool paging_requested = options_.memoryBudgetBytes > 0;
+    std::optional<ooc::SpillDir> spill_dir;
+    if (paging_requested)
+        spill_dir.emplace(options_.spillDir);
+    bool paging = paging_requested && spill_dir && spill_dir->ok();
+    if (paging_requested && !paging)
+        spill_fallback("spill directory unusable; "
+                       "running fully resident");
+    const std::string spill_path = paging ? spill_dir->path() : "";
+
+    ResidencyBudget budget;
+    budget.budgetBytes = options_.memoryBudgetBytes;
 
     /**
-     * One stripe of the state table. During a level's expansion,
-     * workers insert unseen states under the shard lock with a
-     * *provisional* id naming the shard and its pending slot; at the
-     * level barrier the provisional ids are rewritten (through the
-     * stable pointers below) to canonical BFS ids assigned in
-     * first-occurrence order over the canonical transition walk.
+     * One partition of the interned state table, plus its
+     * level-local candidate table (delayed duplicate detection; see
+     * file comment). unordered_map nodes are stable across rehash,
+     * so the raw pointers into `cand` survive the level.
      */
-    struct Shard
+    struct Partition
     {
         std::mutex mutex;
-        StateTable map;
-        // unordered_map nodes are stable across rehash, so raw
-        // pointers into the map survive the level.
+        StateTable table;
+        size_t tablePayload = 0;    ///< summed key.memoryBytes()
+        bool resident = true;
+        uint64_t spilledCount = 0;  ///< entries in its shard file
+        uint64_t lastUse = 0;       ///< LRU clock for eviction
+        StateTable cand;            ///< this level's candidates
         std::vector<const BitVec *> pendingKeys;
         std::vector<graph::StateId *> pendingIds;
+        std::vector<char> resolvedKnown; ///< slot was already interned
     };
-    std::vector<Shard> shards(num_shards);
+    std::vector<Partition> parts(num_parts);
+    uint64_t use_clock = 0;
+    std::string error;
+
+    auto partition_bytes = [&](const Partition &part) {
+        return hashTableFootprint(
+                   part.table.bucket_count(), part.table.size(),
+                   sizeof(StateTable::value_type),
+                   part.tablePayload)
+            .total();
+    };
+
+    auto page_out = [&](size_t p) -> bool {
+        Partition &part = parts[p];
+        const std::string path = ooc::shardPath(spill_path, p);
+        uint64_t bytes = 0;
+        if (!ooc::writeShardFile(path, p, state_bits, part.table,
+                                 &bytes)) {
+            return false;
+        }
+        stats_.spillBytesWritten += bytes;
+        spill_bytes_ctr.add(bytes);
+        ++stats_.pageOuts;
+        page_out_ctr.add();
+        part.spilledCount = part.table.size();
+        StateTable().swap(part.table);
+        part.tablePayload = 0;
+        part.resident = false;
+        if (hooks && hooks->afterShardPageOut)
+            hooks->afterShardPageOut(path, p);
+        return true;
+    };
+
+    // Evict least-recently-used resident partitions (never @p keep)
+    // until the resident footprint fits the budget or nothing
+    // evictable remains. A failed page-out stops eviction for this
+    // call — a sick disk must not be retried per partition.
+    auto enforce_budget = [&](size_t keep) {
+        if (!paging)
+            return;
+        for (;;) {
+            size_t resident_bytes = 0;
+            for (const Partition &part : parts) {
+                if (part.resident)
+                    resident_bytes += partition_bytes(part);
+            }
+            if (resident_bytes <= budget.budgetBytes)
+                break;
+            size_t victim = SIZE_MAX;
+            uint64_t oldest = UINT64_MAX;
+            for (size_t p = 0; p < num_parts; ++p) {
+                const Partition &part = parts[p];
+                if (p == keep || !part.resident ||
+                    part.table.empty()) {
+                    continue;
+                }
+                if (part.lastUse < oldest) {
+                    oldest = part.lastUse;
+                    victim = p;
+                }
+            }
+            if (victim == SIZE_MAX)
+                break;
+            if (!page_out(victim)) {
+                spill_fallback("shard page-out failed; "
+                               "keeping partition resident");
+                break;
+            }
+        }
+    };
 
     graph::StateGraph graph;
-    std::vector<BitVec> privateStates;
-    auto packed_of = [&](graph::StateId id) -> const BitVec & {
-        return retain ? graph.packedState(id) : privateStates[id];
+
+    // Page a partition's table back in (CRC-verified). Damage
+    // rebuilds the partition from the retained graph — the graph is
+    // the ground truth the table merely indexes — or, when states
+    // are not retained, fails the run with a typed error.
+    auto ensure_resident = [&](size_t p) -> bool {
+        Partition &part = parts[p];
+        part.lastUse = ++use_clock;
+        if (part.resident)
+            return true;
+        const std::string path = ooc::shardPath(spill_path, p);
+        uint64_t payload = 0;
+        bool ok = ooc::readShardFile(
+            path, p, state_bits,
+            [&](BitVec &&key, graph::StateId id) {
+                payload += key.memoryBytes();
+                part.table.emplace(std::move(key), id);
+            });
+        if (ok && part.table.size() != part.spilledCount)
+            ok = false;
+        if (!ok) {
+            StateTable().swap(part.table);
+            part.tablePayload = 0;
+            if (!retain) {
+                ++stats_.spillFallbacks;
+                fallback_ctr.add();
+                error = formatString(
+                    "shard spill file %s is damaged and packed "
+                    "states are not retained; cannot rebuild",
+                    path.c_str());
+                part.resident = true; // (empty) — no more reads
+                return false;
+            }
+            spill_fallback("shard spill file damaged; "
+                           "rebuilding partition from graph");
+            for (graph::StateId id = 0; id < graph.numStates();
+                 ++id) {
+                const BitVec &state = graph.packedState(id);
+                const size_t hash = BitVecHash{}(state);
+                if ((hash & part_mask) != p)
+                    continue;
+                part.tablePayload += state.memoryBytes();
+                part.table.emplace(state, id);
+            }
+        } else {
+            part.tablePayload = payload;
+        }
+        part.resident = true;
+        ++stats_.pageIns;
+        page_in_ctr.add();
+        enforce_budget(p);
+        return true;
     };
 
     BitVec reset = model_.resetState();
     if (reset.numBits() != state_bits) {
         return Result<graph::StateGraph>::error(
-            resetWidthMessage(reset.numBits(), state_bits));
+            formatString("model reset state is %zu bits but the state "
+                         "layout declares %zu",
+                         reset.numBits(), state_bits));
     }
     {
-        const size_t hash = BitVecHash{}(reset);
-        if (retain) {
+        Partition &part = parts[BitVecHash{}(reset) & part_mask];
+        part.tablePayload += reset.memoryBytes();
+        part.table.emplace(reset, 0);
+        if (retain)
             graph.addState(reset);
-        } else {
+        else
             graph.addStateUnretained();
-            privateStates.push_back(reset);
-        }
-        shards[hash & shard_mask].map.emplace(std::move(reset), 0);
     }
+    std::vector<BitVec> level_states;
+    level_states.push_back(std::move(reset));
 
-    /** One worker-discovered transition; dst may be provisional. */
+    /** One worker-discovered transition; dst is provisional. */
     struct TransRec
     {
         uint64_t code;
         graph::StateId dst;
         uint32_t instrs;
     };
-    /** All transitions found by one worker, grouped per source. */
+    /** All transitions found for one slice, grouped per source. */
     struct WorkerOut
     {
         std::vector<TransRec> trans;
         std::vector<uint64_t> perSource;
         uint64_t valid = 0;
         uint64_t fallbackLanes = 0;
+        bool cancelled = false; ///< stopped early on cancelFlag
     };
 
-    std::vector<graph::StateId> level = {0};
-    std::string error;
-    telemetry::Gauge &frontier_gauge = telemetry::gauge("enum.frontier");
+    // Intern a destination into its partition's candidate table and
+    // return its (stable for the level) provisional id.
+    auto intern_cand = [&](BitVec &&state) -> graph::StateId {
+        const size_t hash = BitVecHash{}(state);
+        Partition &part = parts[hash & part_mask];
+        std::lock_guard<std::mutex> lock(part.mutex);
+        auto [it, inserted] =
+            part.cand.try_emplace(std::move(state), 0);
+        if (inserted) {
+            const uint32_t slot =
+                static_cast<uint32_t>(part.pendingKeys.size());
+            if (slot >= (kPendingFlag >> part_bits))
+                panic("enumerator: provisional id space exhausted");
+            it->second = kPendingFlag | (slot << part_bits) |
+                         static_cast<uint32_t>(hash & part_mask);
+            part.pendingKeys.push_back(&it->first);
+            part.pendingIds.push_back(&it->second);
+        }
+        return it->second;
+    };
+
+    telemetry::Gauge &frontier_gauge =
+        telemetry::gauge("enum.frontier");
+    telemetry::Gauge &residency_gauge =
+        telemetry::gauge("enum.residency_high_water");
     telemetry::Histogram &barrier_wait =
         telemetry::histogram("enum.barrier_wait_seconds");
 
-    while (!level.empty() && error.empty()) {
-        if (options_.cancelFlag &&
-            options_.cancelFlag->load(std::memory_order_relaxed)) {
-            error = "enumeration cancelled";
-            break;
-        }
+    bool frontier_spill_enabled = paging;
+    bool frontier_on_disk = false;
+    size_t width = 1;
+    uint64_t level_first = 0;
+    size_t level_index = 0;
+
+    while (width > 0 && error.empty()) {
         WallTimer level_timer;
-        const size_t width = level.size();
+
+        // Reload a spilled frontier. The file carries the level, the
+        // state width and the exact count, all CRC-guarded; damage
+        // rebuilds the frontier from the retained graph (this
+        // level's ids are [level_first, level_first + width)) or
+        // fails the run typed.
+        if (frontier_on_disk) {
+            const std::string path =
+                ooc::frontierPath(spill_path, level_index);
+            const bool ok = ooc::readFrontierFile(
+                path, level_index, state_bits, width, level_states);
+            ::remove(path.c_str());
+            frontier_on_disk = false;
+            if (!ok) {
+                if (!retain) {
+                    ++stats_.spillFallbacks;
+                    fallback_ctr.add();
+                    error = formatString(
+                        "frontier spill file %s is damaged and "
+                        "packed states are not retained; cannot "
+                        "rebuild",
+                        path.c_str());
+                    break;
+                }
+                spill_fallback("frontier spill file damaged; "
+                               "rebuilding from graph");
+                level_states.clear();
+                level_states.reserve(width);
+                for (size_t i = 0; i < width; ++i) {
+                    level_states.push_back(graph.packedState(
+                        static_cast<graph::StateId>(level_first +
+                                                    i)));
+                }
+            }
+        }
+
         const unsigned workers = static_cast<unsigned>(
             std::min<size_t>(num_threads, width));
         std::vector<WorkerOut> outs(workers);
+        std::vector<uint64_t> finish_ns(workers, 0);
         frontier_gauge.set(static_cast<int64_t>(width));
         telemetry::ScopedSpan level_span("enum.level", "level",
-                                         stats_.levels.size(),
-                                         "frontier", width);
-        std::vector<uint64_t> finish_ns(workers, 0);
+                                         level_index, "frontier",
+                                         width);
 
-        // Expand a disjoint contiguous slice of the level. Sources
-        // are visited in level order and transitions buffered in
-        // generation order, so the concatenation of all worker
-        // buffers is exactly the sequential expansion order.
+        // Expand a disjoint contiguous slice of the level, recording
+        // in the canonical order (sources in level order, transitions
+        // in generation order). The cancel flag is read before every
+        // source (every batch of the bit-sliced kernel).
         const uint64_t job_id = telemetry::currentJobId();
         auto expand = [&, job_id](unsigned w) {
             telemetry::JobScope job_scope(job_id);
@@ -525,70 +519,41 @@ Enumerator::runParallel(unsigned num_threads)
             }
             telemetry::ScopedSpan expand_span(
                 "enum.expand", "worker", w, "sources", end - begin);
-            WorkerOut &out = outs[w];
-            out.perSource.reserve(end - begin);
-            std::unordered_set<uint64_t> dst_seen;
-
             // Per-worker step kernels: kernels hold mutable scratch
-            // and are not thread-safe, so each worker owns its own.
+            // and are not thread-safe.
             std::optional<compile::ScalarKernel> scalar;
             std::optional<compile::SlicedKernel> sliced;
-            if (program_) {
+            if (program) {
                 if (stats_.kernelUsed == StepKernel::BitSliced)
-                    sliced.emplace(program_);
+                    sliced.emplace(program);
                 else
-                    scalar.emplace(program_);
+                    scalar.emplace(program);
             }
-
+            WorkerOut &out = outs[w];
+            out.perSource.reserve(end - begin);
+            auto cancelled = [&] {
+                if (options_.cancelFlag &&
+                    options_.cancelFlag->load(std::memory_order_relaxed))
+                    out.cancelled = true;
+                return out.cancelled;
+            };
+            std::unordered_set<uint64_t> dst_seen;
             auto record = [&](uint64_t code,
                               fsm::Transition &&transition) {
                 ++out.valid;
-                uint32_t instrs = transition.instructions;
-                BitVec state = std::move(transition.next);
-                const size_t hash = BitVecHash{}(state);
-                Shard &shard = shards[hash & shard_mask];
-                graph::StateId dst;
-                {
-                    std::lock_guard<std::mutex> lock(shard.mutex);
-                    auto [it, inserted] =
-                        shard.map.try_emplace(std::move(state), 0);
-                    if (inserted) {
-                        uint32_t slot = static_cast<uint32_t>(
-                            shard.pendingKeys.size());
-                        if (slot >= (kPendingFlag >> shard_bits)) {
-                            panic("enumerator: provisional "
-                                  "id space exhausted");
-                        }
-                        it->second =
-                            kPendingFlag | (slot << shard_bits) |
-                            static_cast<uint32_t>(hash & shard_mask);
-                        shard.pendingKeys.push_back(&it->first);
-                        shard.pendingIds.push_back(&it->second);
-                    }
-                    dst = it->second;
-                }
-                // Provisional ids are stable per state for
-                // the whole level, so FirstCondition dedup
-                // on them equals dedup on canonical ids.
-                if (first_condition &&
-                    !dst_seen.insert(dst).second) {
+                const uint32_t instrs = transition.instructions;
+                const graph::StateId dst =
+                    intern_cand(std::move(transition.next));
+                if (first_condition && !dst_seen.insert(dst).second)
                     return;
-                }
                 out.trans.push_back({code, dst, instrs});
             };
-
             if (sliced) {
-                // Bit-sliced batches of up to 64 sources from this
-                // worker's slice. The sink arrives source-major in
-                // lane order, so splitting the transition buffer by
-                // per-lane counts preserves the per-source grouping
-                // the barrier walk expects.
-                for (size_t i = begin; i < end;) {
-                    const size_t chunk =
-                        std::min<size_t>(64, end - i);
+                for (size_t i = begin; i < end && !cancelled();) {
+                    const size_t chunk = std::min<size_t>(64, end - i);
                     std::array<const BitVec *, 64> srcs;
                     for (size_t k = 0; k < chunk; ++k)
-                        srcs[k] = &packed_of(level[i + k]);
+                        srcs[k] = &level_states[i + k];
                     std::array<uint64_t, 64> counts{};
                     size_t cur_lane = SIZE_MAX;
                     sliced->expandBatch(
@@ -601,8 +566,7 @@ Enumerator::runParallel(unsigned num_threads)
                             }
                             const size_t before = out.trans.size();
                             record(code, std::move(transition));
-                            counts[lane] +=
-                                out.trans.size() - before;
+                            counts[lane] += out.trans.size() - before;
                         });
                     for (size_t k = 0; k < chunk; ++k)
                         out.perSource.push_back(counts[k]);
@@ -610,28 +574,24 @@ Enumerator::runParallel(unsigned num_threads)
                 }
                 out.fallbackLanes = sliced->scalarFallbackLanes();
             } else {
-                for (size_t i = begin; i < end; ++i) {
-                    const BitVec &src_packed = packed_of(level[i]);
+                for (size_t i = begin; i < end && !cancelled(); ++i) {
                     const size_t before = out.trans.size();
                     dst_seen.clear();
-                    auto on_transition =
-                        [&](uint64_t code,
-                            fsm::Transition &&transition) {
-                            record(code, std::move(transition));
-                        };
+                    auto on_transition = [&](uint64_t code,
+                                             fsm::Transition &&tr) {
+                        record(code, std::move(tr));
+                    };
                     if (scalar)
-                        scalar->forEachTransition(src_packed,
+                        scalar->forEachTransition(level_states[i],
                                                   on_transition);
                     else
-                        model_.forEachTransition(src_packed,
+                        model_.forEachTransition(level_states[i],
                                                  on_transition);
-                    out.perSource.push_back(out.trans.size() -
-                                            before);
+                    out.perSource.push_back(out.trans.size() - before);
                 }
             }
             finish_ns[w] = telemetry::nowNs();
         };
-
         if (workers == 1) {
             expand(0);
         } else {
@@ -642,13 +602,19 @@ Enumerator::runParallel(unsigned num_threads)
             for (std::thread &t : threads)
                 t.join();
         }
-
-        // Barrier imbalance: how long each worker sat idle between
-        // finishing its slice and the slowest worker finishing.
         const uint64_t slowest =
             *std::max_element(finish_ns.begin(), finish_ns.end());
         for (unsigned w = 0; w < workers; ++w)
             barrier_wait.record(double(slowest - finish_ns[w]) / 1e9);
+
+        // A cancelled worker left its slice short: discard the level.
+        if (std::any_of(outs.begin(), outs.end(),
+                        [](const WorkerOut &out) {
+                            return out.cancelled;
+                        })) {
+            error = "enumeration cancelled";
+            break;
+        }
 
         stats_.transitionsTried += uint64_t(width) * combos;
         for (const WorkerOut &out : outs) {
@@ -656,49 +622,74 @@ Enumerator::runParallel(unsigned num_threads)
             stats_.slicedFallbackLanes += out.fallbackLanes;
         }
 
-        // --- Level barrier: canonical id assignment ----------------
-        // Walk workers in index order, sources in level order and
-        // transitions in generation order — the sequential BFS
-        // discovery order — assigning the next id to each pending
-        // state at its first occurrence. This makes ids, states and
-        // edges bit-identical to the sequential search for every
+        // --- Level barrier ----------------------------------------
+        // (1) Delayed duplicate detection: resolve each partition's
+        // candidates against its table, paging partitions in one at
+        // a time. Candidates found in the table get their canonical
+        // id written through the stable pointer; the rest stay
+        // provisional for the walk below to number.
+        for (size_t p = 0; p < num_parts && error.empty(); ++p) {
+            Partition &part = parts[p];
+            if (part.pendingKeys.empty())
+                continue;
+            part.resolvedKnown.assign(part.pendingKeys.size(), 0);
+            if (!ensure_resident(p))
+                break;
+            for (size_t slot = 0; slot < part.pendingKeys.size();
+                 ++slot) {
+                auto it = part.table.find(*part.pendingKeys[slot]);
+                if (it != part.table.end()) {
+                    *part.pendingIds[slot] = it->second;
+                    part.resolvedKnown[slot] = 1;
+                }
+            }
+        }
+        if (!error.empty())
+            break;
+
+        // (2) Canonical id assignment: workers in index order,
+        // sources in level order, transitions in generation order,
+        // numbering each still-provisional state at its first
+        // occurrence. This is what makes the graph the same for every
         // worker count.
         const uint64_t interned = graph.numStates();
         const uint64_t edges_before = graph.numEdges();
-        std::vector<graph::StateId> next_level;
         std::vector<BitVec> new_states;
         std::vector<graph::Edge> new_edges;
         for (unsigned w = 0; w < workers && error.empty(); ++w) {
             WorkerOut &out = outs[w];
             const size_t begin = width * w / workers;
             size_t cursor = 0;
-            for (size_t i = 0; i < out.perSource.size() &&
-                               error.empty(); ++i) {
-                const graph::StateId src = level[begin + i];
+            for (size_t i = 0;
+                 i < out.perSource.size() && error.empty(); ++i) {
+                const graph::StateId src = static_cast<graph::StateId>(
+                    level_first + begin + i);
                 for (uint64_t t = 0; t < out.perSource[i];
                      ++t, ++cursor) {
                     const TransRec &rec = out.trans[cursor];
                     graph::StateId dst = rec.dst;
                     if (dst & kPendingFlag) {
                         const uint32_t raw = dst & ~kPendingFlag;
-                        Shard &shard = shards[raw & shard_mask];
-                        const uint32_t slot = raw >> shard_bits;
+                        Partition &part = parts[raw & part_mask];
+                        const uint32_t slot = raw >> part_bits;
                         graph::StateId current =
-                            *shard.pendingIds[slot];
+                            *part.pendingIds[slot];
                         if (current & kPendingFlag) {
                             if (options_.maxStates &&
                                 interned + new_states.size() >=
                                     options_.maxStates) {
-                                error = stateExplosionMessage(
-                                    options_.maxStates);
+                                error = formatString(
+                                    "state explosion: search exceeds "
+                                    "%llu states",
+                                    static_cast<unsigned long long>(
+                                        options_.maxStates));
                                 break;
                             }
                             current = static_cast<graph::StateId>(
                                 interned + new_states.size());
-                            *shard.pendingIds[slot] = current;
+                            *part.pendingIds[slot] = current;
                             new_states.push_back(
-                                *shard.pendingKeys[slot]);
-                            next_level.push_back(current);
+                                *part.pendingKeys[slot]);
                         }
                         dst = current;
                     }
@@ -709,21 +700,85 @@ Enumerator::runParallel(unsigned num_threads)
         }
         if (!error.empty())
             break;
+        std::vector<WorkerOut>().swap(outs);
 
+        // (3) Intern the newly numbered states into their
+        // partitions' tables (again paging one partition at a time).
+        for (size_t p = 0; p < num_parts && error.empty(); ++p) {
+            Partition &part = parts[p];
+            if (part.pendingKeys.empty())
+                continue;
+            if (!ensure_resident(p))
+                break;
+            for (size_t slot = 0; slot < part.pendingKeys.size();
+                 ++slot) {
+                if (part.resolvedKnown[slot])
+                    continue;
+                const graph::StateId id = *part.pendingIds[slot];
+                part.tablePayload +=
+                    part.pendingKeys[slot]->memoryBytes();
+                part.table.emplace(*part.pendingKeys[slot], id);
+            }
+        }
+        if (!error.empty())
+            break;
+
+        // (4) Drop the level-local candidate tables.
+        for (Partition &part : parts) {
+            StateTable().swap(part.cand);
+            part.pendingKeys.clear();
+            part.pendingIds.clear();
+            part.resolvedKnown.clear();
+        }
+
+        // (5) Commit states and edges to the graph.
+        std::vector<BitVec> next_states;
         if (retain) {
+            next_states = new_states;
             graph.addStates(std::move(new_states));
         } else {
             graph.addStatesUnretained(new_states.size());
-            privateStates.reserve(privateStates.size() +
-                                  new_states.size());
-            for (BitVec &state : new_states)
-                privateStates.push_back(std::move(state));
-            new_states.clear();
+            next_states = std::move(new_states);
         }
         graph.addEdges(new_edges);
-        for (Shard &shard : shards) {
-            shard.pendingKeys.clear();
-            shard.pendingIds.clear();
+
+        // (6) Spill the next frontier. Only a non-empty frontier is
+        // written (so every written file is read back), and a write
+        // failure keeps the in-memory vector and stops spilling —
+        // degradation, not damage.
+        const size_t new_count = next_states.size();
+        if (frontier_spill_enabled && new_count > 0) {
+            const std::string path =
+                ooc::frontierPath(spill_path, level_index + 1);
+            uint64_t bytes = 0;
+            if (ooc::writeFrontierFile(path, level_index + 1,
+                                       state_bits, next_states,
+                                       &bytes)) {
+                stats_.spillBytesWritten += bytes;
+                spill_bytes_ctr.add(bytes);
+                frontier_on_disk = true;
+                std::vector<BitVec>().swap(next_states);
+                if (hooks && hooks->afterFrontierWrite)
+                    hooks->afterFrontierWrite(path);
+            } else {
+                spill_fallback("frontier spill write failed; "
+                               "keeping frontier in memory");
+                frontier_spill_enabled = false;
+            }
+        }
+
+        // (7) Enforce the budget at its steady-state point and take
+        // the residency reading the acceptance gate asserts on.
+        if (paging) {
+            enforce_budget(SIZE_MAX);
+            size_t resident_bytes = 0;
+            for (const Partition &part : parts) {
+                if (part.resident)
+                    resident_bytes += partition_bytes(part);
+            }
+            budget.update(resident_bytes);
+            residency_gauge.set(
+                static_cast<int64_t>(budget.highWaterBytes));
         }
 
         LevelStats level_stats;
@@ -740,19 +795,12 @@ Enumerator::runParallel(unsigned num_threads)
                     "enumerated %zu states, %zu edges",
                     graph.numStates(), graph.numEdges()));
             }
-            logInfo(formatString(
-                "level %zu: frontier %llu, +%llu states, "
-                "%llu states/sec",
-                stats_.levels.size() - 1,
-                static_cast<unsigned long long>(
-                    level_stats.frontierWidth),
-                static_cast<unsigned long long>(
-                    level_stats.newStates),
-                static_cast<unsigned long long>(
-                    level_stats.statesPerSec())));
         }
 
-        level = std::move(next_level);
+        level_first = interned;
+        level_states = std::move(next_states);
+        width = new_count;
+        ++level_index;
     }
     if (!error.empty())
         return Result<graph::StateGraph>::error(error);
@@ -762,23 +810,34 @@ Enumerator::runParallel(unsigned num_threads)
     stats_.bitsPerState = state_bits;
     stats_.cpuSeconds = timer.seconds();
     stats_.numThreads = num_threads;
-    stats_.numShards = num_shards;
+    stats_.numShards = num_parts;
+    stats_.residencyHighWaterBytes = budget.highWaterBytes;
     size_t table_bytes = 0;
     size_t min_occupancy = SIZE_MAX;
     size_t max_occupancy = 0;
-    for (const Shard &shard : shards) {
-        table_bytes += stateTableBytes(shard.map);
-        min_occupancy = std::min(min_occupancy, shard.map.size());
-        max_occupancy = std::max(max_occupancy, shard.map.size());
+    for (const Partition &part : parts) {
+        const size_t entries = part.resident
+                                   ? part.table.size()
+                                   : size_t(part.spilledCount);
+        if (part.resident)
+            table_bytes += partition_bytes(part);
+        min_occupancy = std::min(min_occupancy, entries);
+        max_occupancy = std::max(max_occupancy, entries);
     }
     stats_.minShardStates = min_occupancy;
     stats_.maxShardStates = max_occupancy;
-    size_t private_bytes = 0;
-    for (const BitVec &state : privateStates)
-        private_bytes += state.memoryBytes() + sizeof(state);
+    size_t level_bytes = 0;
+    for (const BitVec &state : level_states)
+        level_bytes += state.memoryBytes() + sizeof(state);
     stats_.memoryBytes =
-        graph.memoryBytes() + table_bytes + private_bytes;
-    recordEnumMetrics(stats_);
+        graph.memoryBytes() + table_bytes + level_bytes;
+    telemetry::counter("enum.states").add(stats_.numStates);
+    telemetry::counter("enum.edges").add(stats_.numEdges);
+    telemetry::counter("enum.levels").add(stats_.levels.size());
+    telemetry::gauge("enum.shard_states_min")
+        .set(static_cast<int64_t>(min_occupancy));
+    telemetry::gauge("enum.shard_states_max")
+        .set(static_cast<int64_t>(max_occupancy));
     return graph;
 }
 

@@ -14,15 +14,14 @@
  *    distinct (src, dst, condition), which catches the Figure 4.2
  *    "fewer behaviours" bug class at the cost of a larger graph.
  *
- * The search runs either sequentially (numThreads == 1) or as a
- * level-synchronous parallel BFS (numThreads > 1): the state hash
- * table is striped into shards keyed by BitVecHash, worker threads
- * expand disjoint slices of the current BFS level interning newly
- * discovered states into the shards under per-shard locks, and state
- * ids are assigned in canonical BFS order at each level barrier. The
- * produced StateGraph is bit-identical for any worker count and
- * matches the sequential search state-for-state and edge-for-edge
- * (see DESIGN.md, "Parallel sharded enumeration").
+ * There is one search for every option set: a level-synchronous BFS.
+ * Worker threads expand disjoint slices of the current level into
+ * level-local candidate tables, and at each level barrier the
+ * candidates are resolved against the partitioned interned-state
+ * table and numbered in canonical BFS order. The produced StateGraph
+ * is bit-identical for every worker count, step kernel and memory
+ * budget; a budget only decides whether table partitions and the
+ * frontier are paged to disk (see DESIGN.md, "State enumeration").
  */
 
 #ifndef ARCHVAL_MURPHI_ENUMERATOR_HH
@@ -30,18 +29,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "fsm/model.hh"
 #include "graph/state_graph.hh"
 #include "support/status.hh"
-
-namespace archval::compile
-{
-struct Program;
-} // namespace archval::compile
 
 namespace archval::murphi
 {
@@ -92,19 +85,20 @@ struct EnumOptions
     bool retainStates = true;
 
     /** Emit progress to the log every this many states (0 = never).
-     *  In parallel mode progress is emitted at level barriers. */
+     *  Progress is emitted at level barriers. */
     uint64_t progressInterval = 0;
 
-    /** Worker threads for the level-synchronous parallel search.
-     *  1 = the sequential search; 0 = one per hardware thread. The
-     *  resulting graph is bit-identical for every value. */
+    /** Worker threads expanding slices of each BFS level (0 = one
+     *  per hardware thread). The resulting graph is bit-identical
+     *  for every value. */
     unsigned numThreads = 1;
 
     /** Cooperative cancellation: when non-null and it reads true,
-     *  the search stops at the next source (sequential) or level
-     *  barrier (parallel) and run() returns an error result — the
-     *  same recoverable path as maxStates, never a process exit.
-     *  The flag is only read. */
+     *  every worker stops before its next source (the bit-sliced
+     *  kernel: its next batch of up to 64), the partial level is
+     *  discarded and run() returns an error result — the same
+     *  recoverable path as maxStates, never a process exit. The
+     *  flag is only read. */
     const std::atomic<bool> *cancelFlag = nullptr;
 
     /** Step kernel for frontier expansion (see StepKernel). */
@@ -112,12 +106,11 @@ struct EnumOptions
 
     /**
      * Byte budget for the resident interned-state table (0 =
-     * unbounded, everything stays in memory). A non-zero budget
-     * selects the out-of-core search: the table is partitioned, cold
-     * partitions are paged out to CRC-guarded spill files under
-     * spillDir, and the BFS frontier is spilled between levels. The
-     * produced graph is bit-identical to the in-memory search for
-     * every budget. An unusable spill directory degrades the run
+     * unbounded: nothing is paged and no spill directory is made).
+     * Under a non-zero budget, cold table partitions are paged out
+     * to CRC-guarded spill files under spillDir and the BFS frontier
+     * is spilled between levels. The produced graph is bit-identical
+     * for every budget. An unusable spill directory degrades the run
      * back to in-memory (counted in enum.spill_fallbacks) rather
      * than failing it.
      */
@@ -127,24 +120,13 @@ struct EnumOptions
      *  A fresh subdirectory is created per run and removed after. */
     std::string spillDir;
 
-    /**
-     * Expansion worker processes (1 = expand in-process). Values
-     * above 1 also select the out-of-core search: frontier slices
-     * are shipped to forked workers over pipes and the raw
-     * transition streams are replayed through the same interning
-     * path the in-process search uses, so the graph stays
-     * bit-identical. A worker dying mid-level degrades to local
-     * re-expansion of its slice (counted in enum.spill_fallbacks).
-     */
-    unsigned numProcesses = 1;
-
-    /** Out-of-core table partition count (0 = default; rounded up
-     *  to a power of two). 1 is legal — the pathological single
+    /** State table partition count (0 = default; rounded up to a
+     *  power of two). 1 is legal — the pathological single
      *  partition — and mainly useful for tests. */
     size_t oocPartitions = 0;
 
-    /** Fault-injection hooks for the out-of-core search (testing
-     *  only; see ooc::TestHooks). Not owned. */
+    /** Fault-injection hooks for the spill files (testing only;
+     *  see ooc::TestHooks). Not owned. */
     const ooc::TestHooks *testHooks = nullptr;
 };
 
@@ -177,7 +159,7 @@ struct EnumStats
     uint64_t transitionsValid = 0; ///< tuples that were legal actions
 
     unsigned numThreads = 1;      ///< worker threads actually used
-    size_t numShards = 1;         ///< hash table stripes
+    size_t numShards = 1;         ///< state table partitions
 
     /** Kernel that actually ran (Interpreted when the model has no
      *  compiled form and the requested mode fell back). */
@@ -188,8 +170,7 @@ struct EnumStats
     size_t maxShardStates = 0;    ///< final occupancy, fullest shard
     std::vector<LevelStats> levels; ///< per-BFS-level breakdown
 
-    /** @name Out-of-core search (all zero for in-memory runs) @{ */
-    unsigned numProcesses = 1;    ///< expansion worker processes
+    /** @name Paging under a memory budget (all zero without one) @{ */
     uint64_t spillBytesWritten = 0; ///< spill file bytes written
     uint64_t pageIns = 0;         ///< shard page-in operations
     uint64_t pageOuts = 0;        ///< shard page-out operations
@@ -243,18 +224,9 @@ class Enumerator
     const EnumStats &stats() const { return stats_; }
 
   private:
-    Result<graph::StateGraph> runSequential();
-    Result<graph::StateGraph> runParallel(unsigned num_threads);
-    /** Out-of-core search (enum_ooc.cc): disk-backed frontier,
-     *  partitioned table under a residency budget, optional forked
-     *  expansion workers. Bit-identical output to the above. */
-    Result<graph::StateGraph> runOutOfCore(unsigned num_threads);
-
     const fsm::Model &model_;
     EnumOptions options_;
     EnumStats stats_;
-    /** Lowered bytecode when a compiled kernel is active this run. */
-    std::shared_ptr<const compile::Program> program_;
 };
 
 } // namespace archval::murphi

@@ -1,10 +1,9 @@
 /**
  * @file
  * Out-of-core support for the enumerator: CRC-guarded spill files
- * for the BFS frontier and the partitioned state table, plus the
- * forked expansion-worker pool.
+ * for the BFS frontier and the partitioned state table.
  *
- * On-disk format (see DESIGN.md, "Out-of-core sharded enumeration"):
+ * On-disk format (see DESIGN.md, "State enumeration"):
  * both file kinds are support::RecordFileWriter/Reader record files
  * — `[magic u32][version u32]` then `[size u64][crc u32][payload]`
  * records — written atomically (temp file + rename) and fully
@@ -17,22 +16,6 @@
  * it cannot vouch for, and the enumerator then either rebuilds the
  * content from the retained graph or fails the run with a typed
  * error — never a silently different graph.
- *
- * The ProcessPool forks stateless expansion workers that exchange
- * frontier batches over pipes using the same length-prefixed frame
- * discipline as src/service/protocol (4-byte little-endian length,
- * then payload — here with a CRC-32 ahead of the payload, since a
- * half-written pipe frame from a killed worker must read as damage).
- * Children only expand states; the parent does all interning and
- * canonical id assignment, which is what keeps the produced graph
- * bit-identical to the in-process search.
- *
- * Tracing crosses the fork boundary: each expand request carries the
- * parent's job correlation id, the child records its expansion spans
- * under that id, and every response ships the spans back so the
- * parent can fold them into its own trace (one synthetic trace
- * thread per child). A trace of a service job therefore accounts for
- * work done in forked workers too.
  */
 
 #ifndef ARCHVAL_MURPHI_OOC_HH
@@ -40,24 +23,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "graph/state_graph.hh"
 #include "support/bitvec.hh"
-#include "support/telemetry.hh"
-
-namespace archval::fsm
-{
-class Model;
-} // namespace archval::fsm
-
-namespace archval::compile
-{
-struct Program;
-} // namespace archval::compile
 
 namespace archval::murphi::ooc
 {
@@ -75,9 +46,8 @@ constexpr uint32_t kSpillVersion = 1;
 /**
  * Fault-injection hooks (testing only). Null members are skipped;
  * production runs pass no hooks at all. They let the differential
- * battery damage spill files between write and read, and kill
- * worker processes mid-level, to prove every failure either
- * rebuilds correctly or surfaces a typed error.
+ * battery damage spill files between write and read, to prove every
+ * failure either rebuilds correctly or surfaces a typed error.
  */
 struct TestHooks
 {
@@ -85,9 +55,6 @@ struct TestHooks
     std::function<void(const std::string &, size_t)> afterShardPageOut;
     /** After a frontier file was committed: (path). */
     std::function<void(const std::string &)> afterFrontierWrite;
-    /** At the start of each BFS level: (level, worker pids — empty
-     *  without a process pool). */
-    std::function<void(size_t, const std::vector<int> &)> onLevelStart;
 };
 
 /**
@@ -157,87 +124,6 @@ bool readShardFile(const std::string &path, uint64_t partition,
                    const std::function<void(BitVec &&,
                                             graph::StateId)> &sink);
 /** @} */
-
-/**
- * Forked expansion workers. Each child owns one request and one
- * response pipe; a batch of packed frontier states goes out, the
- * child expands every state through its step kernel and streams the
- * raw transitions back (per-source counts + code/instrs/next-state
- * records, in exactly the callback order of the in-process kernels).
- * Any frame failure — child killed mid-level, short read, CRC
- * mismatch, oversize response — marks the worker dead and returns
- * false; the caller re-expands that slice in-process, which produces
- * the identical transitions.
- */
-class ProcessPool
-{
-  public:
-    /** Fork @p processes workers. @p program may be null (the
-     *  interpreted step); @p bit_sliced selects the 64-lane kernel
-     *  when a program is present. Fork failures leave the affected
-     *  workers dead (alive() false) rather than failing the pool. */
-    ProcessPool(const fsm::Model &model,
-                std::shared_ptr<const compile::Program> program,
-                bool bit_sliced, unsigned processes,
-                size_t state_bits);
-    ~ProcessPool();
-
-    ProcessPool(const ProcessPool &) = delete;
-    ProcessPool &operator=(const ProcessPool &) = delete;
-
-    unsigned size() const
-    {
-        return static_cast<unsigned>(workers_.size());
-    }
-    bool alive(unsigned w) const { return workers_[w].alive; }
-
-    /** @return the worker pids (−1 for dead slots), for test hooks
-     *  and telemetry. */
-    std::vector<int> pids() const;
-
-    /** One worker's expansion of one frontier batch. perSource holds
-     *  the raw (pre-dedup) transition count of each source, in
-     *  order; codes/instrs/states are the flattened transitions. */
-    struct Expansion
-    {
-        uint64_t fallbackLanes = 0;
-        std::vector<uint64_t> perSource;
-        std::vector<uint64_t> codes;
-        std::vector<uint32_t> instrs;
-        std::vector<BitVec> states;
-        /** Spans the child recorded while expanding this batch
-         *  (empty unless tracing is enabled). */
-        std::vector<telemetry::ForeignSpan> spans;
-    };
-
-    /** Send a frontier batch to worker @p w, stamped with the
-     *  calling thread's job correlation id. @return false (worker
-     *  marked dead) on any write failure. */
-    bool sendBatch(unsigned w, const BitVec *const *states,
-                   size_t count);
-
-    /** Receive worker @p w's expansion of its last batch. @return
-     *  false (worker marked dead) on any frame damage. */
-    bool recvBatch(unsigned w, Expansion &out);
-
-  private:
-    [[noreturn]] void childLoop(int in_fd, int out_fd);
-    void markDead(unsigned w);
-
-    const fsm::Model &model_;
-    std::shared_ptr<const compile::Program> program_;
-    bool bitSliced_;
-    size_t stateBits_;
-
-    struct Worker
-    {
-        int pid = -1;
-        int toChild = -1;
-        int fromChild = -1;
-        bool alive = false;
-    };
-    std::vector<Worker> workers_;
-};
 
 } // namespace archval::murphi::ooc
 

@@ -12,10 +12,10 @@
  *        reply; `stats --watch` refreshes a live dashboard instead)
  *
  * Job options: --preset small|full, --line-words N, --max-states N,
- * --enum-threads N, --memory-budget-mb N, --enum-processes N,
- * --spill-dir PATH, --vector-seed N, --bugs bug1,bug4 (names or
- * indices), --threads N, --stride N, --budget N, --rounds N,
- * --round-instructions N, --seed N. Control options: --job N.
+ * --enum-threads N, --memory-budget-mb N, --spill-dir PATH,
+ * --vector-seed N, --bugs bug1,bug4 (names or indices), --threads N,
+ * --stride N, --budget N, --rounds N, --round-instructions N,
+ * --seed N. Control options: --job N.
  * `--request JSON` sends a raw request object instead (the verb
  * argument is still required and overrides the object's).
  * `--json` prints each received event as one raw JSON line.
@@ -91,8 +91,6 @@ help(const char *argv0)
         "  --memory-budget-mb N out-of-core enumeration residency "
         "budget in MiB (not part of the fingerprint)\n"
         "  --memory-budget-kb N same, in KiB\n"
-        "  --enum-processes N   forked enumeration worker processes "
-        "(not part of the fingerprint)\n"
         "  --spill-dir PATH     enumeration spill root (not part of "
         "the fingerprint)\n"
         "  --vector-seed N      vector generation seed\n"
@@ -408,10 +406,6 @@ main(int argc, char **argv)
             if (!intValue(n))
                 return usage(argv[0]);
             design.set("memoryBudgetBytes", n * (int64_t{1} << 10));
-        } else if (arg == "--enum-processes") {
-            if (!intValue(n))
-                return usage(argv[0]);
-            design.set("enumProcesses", n);
         } else if (arg == "--spill-dir") {
             const char *v = value();
             if (!v)

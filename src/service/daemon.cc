@@ -200,6 +200,10 @@ Daemon::start()
 void
 Daemon::stop()
 {
+    // Under mutex_, which wait() takes before it closes the listening
+    // descriptors: a stop() from a connection thread must finish
+    // reading them first.
+    std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_.exchange(true))
         return;
     // Wake the accept threads; their accept() fails and they exit.

@@ -112,7 +112,6 @@ DesignSpec::fromJson(const json::Value &design)
     }
     uint64_t line_words = spec.lineWords;
     uint64_t enum_threads = spec.enumThreads;
-    uint64_t enum_processes = spec.enumProcesses;
     bool model_branches = false;
     bool dual_issue = false;
     if (!readCount(design, "lineWords", line_words, error) ||
@@ -120,7 +119,6 @@ DesignSpec::fromJson(const json::Value &design)
         !readCount(design, "enumThreads", enum_threads, error) ||
         !readCount(design, "memoryBudgetBytes",
                    spec.memoryBudgetBytes, error) ||
-        !readCount(design, "enumProcesses", enum_processes, error) ||
         !readCount(design, "maxInstructionsPerTrace",
                    spec.maxInstructionsPerTrace, error) ||
         !readCount(design, "vectorSeed", spec.vectorSeed, error) ||
@@ -139,8 +137,6 @@ DesignSpec::fromJson(const json::Value &design)
     }
     spec.lineWords = static_cast<unsigned>(line_words);
     spec.enumThreads = static_cast<unsigned>(enum_threads);
-    spec.enumProcesses =
-        static_cast<unsigned>(std::max<uint64_t>(1, enum_processes));
     if (design.has("modelBranches"))
         spec.modelBranches = model_branches ? 1 : 0;
     if (design.has("dualIssue"))
@@ -187,7 +183,6 @@ Session::ensure(Stage stage, const std::atomic<bool> *cancel)
                 spec_.compiledStep ? murphi::StepKernel::BitSliced
                                    : murphi::StepKernel::Interpreted;
             options.memoryBudgetBytes = spec_.memoryBudgetBytes;
-            options.numProcesses = std::max(1u, spec_.enumProcesses);
             options.spillDir = spec_.spillDir;
             murphi::Enumerator enumerator(*model_, options);
             Result<graph::StateGraph> result = enumerator.run();

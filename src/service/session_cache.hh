@@ -76,14 +76,12 @@ struct DesignSpec
      *  either way, so it cannot invalidate a cached product. */
     bool compiledStep = false;
 
-    /** Out-of-core enumeration knobs (murphi::EnumOptions). All
-     *  three are excluded from the fingerprint for the same reason
-     *  as enumThreads/compiledStep: the out-of-core search is held
-     *  to byte-identity with the in-memory one, so neither the
-     *  residency budget, the worker-process count nor the spill
+    /** Out-of-core enumeration knobs (murphi::EnumOptions). Both
+     *  are excluded from the fingerprint for the same reason as
+     *  enumThreads/compiledStep: the graph is byte-identical for
+     *  every budget, so neither the residency budget nor the spill
      *  directory can change any cached product. */
     uint64_t memoryBudgetBytes = 0; ///< 0 = fully in-memory
-    unsigned enumProcesses = 1;     ///< forked expansion workers
     std::string spillDir;           ///< spill root ("" = $TMPDIR)
 
     /** Tour generation (graph::TourOptions). */

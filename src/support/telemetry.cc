@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -110,12 +109,6 @@ struct ThreadBuffer
     std::vector<SpanEvent> events; ///< ring once size hits capacity
     size_t head = 0;               ///< oldest element when full
     size_t capacity = 0;
-
-    /** Foreign-span name storage: SpanEvent keeps `const char *`
-     *  names, so spans received from another process intern their
-     *  names here (deque => pointer-stable). */
-    std::deque<std::string> namePool;
-    std::unordered_map<std::string, const char *> interned;
 };
 
 struct Global
@@ -124,10 +117,6 @@ struct Global
     std::mutex mutex; ///< options + buffer registry
     TelemetryOptions options;
     std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-    /** Synthetic buffers for spans shipped across a process
-     *  boundary, keyed by trace thread name (also in `buffers`). */
-    std::unordered_map<std::string, std::shared_ptr<ThreadBuffer>>
-        foreignBuffers;
     std::atomic<uint32_t> nextTid{1};
     std::atomic<uint64_t> dropped{0};
 
@@ -841,73 +830,6 @@ JobScope::JobScope(uint64_t jobId) : prev_(tCurrentJobId)
 JobScope::~JobScope()
 {
     tCurrentJobId = prev_;
-}
-
-std::vector<ForeignSpan>
-drainThreadSpans()
-{
-    ThreadBuffer &b = threadBuffer();
-    std::lock_guard<std::mutex> lock(b.mutex);
-    std::vector<ForeignSpan> out;
-    out.reserve(b.events.size());
-    for (size_t i = 0; i < b.events.size(); ++i) {
-        const SpanEvent &e = b.events[(b.head + i) % b.events.size()];
-        ForeignSpan f;
-        f.name = e.name ? e.name : "";
-        f.startNs = e.startNs;
-        f.durNs = e.durNs;
-        f.jobId = e.jobId;
-        out.push_back(std::move(f));
-    }
-    b.events.clear();
-    b.head = 0;
-    return out;
-}
-
-void
-recordForeignSpans(const std::string &threadName,
-                   const std::vector<ForeignSpan> &spans)
-{
-    if (!tracingEnabled() || spans.empty())
-        return;
-    Global &g = global();
-    std::shared_ptr<ThreadBuffer> buffer;
-    {
-        std::lock_guard<std::mutex> lock(g.mutex);
-        auto it = g.foreignBuffers.find(threadName);
-        if (it == g.foreignBuffers.end()) {
-            auto b = std::make_shared<ThreadBuffer>();
-            b->tid = g.nextTid.fetch_add(1, std::memory_order_relaxed);
-            b->threadName = threadName;
-            b->capacity = g.options.spanRingCapacity
-                              ? g.options.spanRingCapacity
-                              : TelemetryOptions{}.spanRingCapacity;
-            g.buffers.push_back(b);
-            it = g.foreignBuffers.emplace(threadName, std::move(b))
-                     .first;
-        }
-        buffer = it->second;
-    }
-    std::lock_guard<std::mutex> lock(buffer->mutex);
-    for (const ForeignSpan &f : spans) {
-        auto [it, inserted] = buffer->interned.try_emplace(f.name);
-        if (inserted) {
-            buffer->namePool.push_back(f.name);
-            it->second = buffer->namePool.back().c_str();
-        }
-        SpanEvent e;
-        e.name = it->second;
-        e.startNs = f.startNs;
-        e.durNs = f.durNs;
-        e.jobId = f.jobId;
-        if (buffer->events.size() < buffer->capacity) {
-            buffer->events.push_back(e);
-        } else if (buffer->capacity) {
-            buffer->events[buffer->head] = e;
-            buffer->head = (buffer->head + 1) % buffer->capacity;
-            g.dropped.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
 }
 
 ScopedSpan::ScopedSpan(const char *name, int num_args)

@@ -330,37 +330,6 @@ class JobScope
 };
 
 /**
- * A span that crossed a process boundary: same shape as a recorded
- * span but with owned storage, so forked OOC children can ship their
- * spans back over the pipe protocol and the parent can re-record
- * them into the trace.
- */
-struct ForeignSpan
-{
-    std::string name;
-    uint64_t startNs = 0;
-    uint64_t durNs = 0;
-    uint64_t jobId = 0;
-};
-
-/**
- * Move the calling thread's recorded spans out of its ring buffer
- * (clearing it) as ForeignSpans. Forked children call this once at
- * startup to discard spans inherited from the parent, then once per
- * batch to ship what the batch recorded.
- */
-std::vector<ForeignSpan> drainThreadSpans();
-
-/**
- * Record spans received from another process under a synthetic
- * trace thread named @p threadName (one per distinct name; repeated
- * calls append). Span names are interned into buffer-owned storage.
- * No-op while tracing is disabled.
- */
-void recordForeignSpans(const std::string &threadName,
-                        const std::vector<ForeignSpan> &spans);
-
-/**
  * RAII tracing span: construction starts the interval, destruction
  * records it into the calling thread's ring buffer. `name` (and arg
  * keys) must be string literals or otherwise outlive the trace —

@@ -1,20 +1,20 @@
 /**
  * @file
- * Differential battery for the out-of-core enumerator: for every
- * corpus design and the PP FSM model, the disk-backed search must
- * produce a graph byte-identical to the in-memory search across
- * every step kernel, worker count, residency budget — including the
- * pathological single-partition table — and process count, and every
- * injected spill fault (flipped CRC byte, truncated record file,
- * killed worker process, unusable spill directory) must either
- * rebuild the identical graph or surface a typed error, counted in
- * enum.spill_fallbacks. Registered under the ctest label `ooc`;
- * ARCHVAL_ENUM_SOAK widens the PP configuration to paper scale.
+ * Differential battery for enumeration under a memory budget: for
+ * every corpus design and the PP FSM model, a run that pages its
+ * table partitions and frontier to disk must produce a graph
+ * byte-identical to the unbudgeted single-thread run across every
+ * step kernel, worker count and residency budget — including the
+ * pathological single-partition table — and every injected spill
+ * fault (flipped CRC byte, truncated record file, unusable spill
+ * directory) must either rebuild the identical graph or surface a
+ * typed error, counted in enum.spill_fallbacks. Registered under the
+ * ctest label `ooc`; ARCHVAL_ENUM_SOAK widens the PP configuration
+ * to paper scale.
  */
 
 #include <gtest/gtest.h>
 
-#include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -23,25 +23,10 @@
 
 #include "graph/state_graph.hh"
 #include "hdl/corpus.hh"
-#include "murphi/enum_internal.hh"
 #include "murphi/enumerator.hh"
 #include "murphi/ooc.hh"
 #include "rtl/pp_fsm_model.hh"
 #include "support/spill_store.hh"
-
-// TSan does not support fork-without-exec, so the multi-process
-// differentials are skipped under it; the thread and single-process
-// out-of-core paths still run TSan-clean.
-#if defined(__SANITIZE_THREAD__)
-#define ARCHVAL_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define ARCHVAL_TSAN 1
-#endif
-#endif
-#ifndef ARCHVAL_TSAN
-#define ARCHVAL_TSAN 0
-#endif
 
 namespace archval
 {
@@ -110,17 +95,16 @@ std::string
 inMemoryBaseline(const fsm::Model &model, murphi::EnumOptions options)
 {
     options.memoryBudgetBytes = 0;
-    options.numProcesses = 1;
     options.numThreads = 1;
-    murphi::Enumerator sequential(model, options);
-    auto graph = sequential.runOrThrow();
+    murphi::Enumerator single(model, options);
+    auto graph = single.runOrThrow();
     EXPECT_GT(graph.numStates(), 0u);
     return fingerprintBytes(graph);
 }
 
 /**
- * The tentpole differential: OOC graphs must be byte-identical to
- * the in-memory graph for every kernel x worker count x budget.
+ * Budgeted graphs must be byte-identical to the in-memory graph for
+ * every kernel x worker count x budget.
  */
 void
 expectOocIdentical(const fsm::Model &model)
@@ -222,51 +206,6 @@ TEST(EnumOoc, MaxStatesCapStillEnforced)
     ASSERT_FALSE(result.ok());
     EXPECT_NE(result.errorMessage().find("state explosion"),
               std::string::npos);
-}
-
-// --- Multi-process differentials ------------------------------------
-
-TEST(EnumOoc, MultiProcessIdenticalToSingleProcess)
-{
-    if (ARCHVAL_TSAN)
-        GTEST_SKIP() << "fork without exec is unsupported under TSan";
-    rtl::PpFsmModel model(rtl::PpConfig::smallPreset());
-    for (murphi::StepKernel kernel :
-         {murphi::StepKernel::Interpreted,
-          murphi::StepKernel::BitSliced}) {
-        murphi::EnumOptions options = baseOptions();
-        options.compiledStep = kernel;
-        const std::string expected = inMemoryBaseline(model, options);
-        for (unsigned processes : {2u, 4u}) {
-            for (size_t budget :
-                 {size_t(0), kBudgets[1].budgetBytes}) {
-                options.numProcesses = processes;
-                options.memoryBudgetBytes = budget;
-                murphi::Enumerator ooc(model, options);
-                auto graph = ooc.runOrThrow();
-                EXPECT_EQ(fingerprintBytes(graph), expected)
-                    << processes << " processes, budget " << budget;
-                EXPECT_EQ(ooc.stats().spillFallbacks, 0u);
-                EXPECT_EQ(ooc.stats().numProcesses, processes);
-            }
-        }
-    }
-}
-
-TEST(EnumOoc, CorpusDesignMultiProcessIdentical)
-{
-    if (ARCHVAL_TSAN)
-        GTEST_SKIP() << "fork without exec is unsupported under TSan";
-    auto result = hdl::translateCorpus(hdl::largestCorpusDesign());
-    ASSERT_TRUE(result.ok()) << result.errorMessage();
-    const fsm::Model &model = *result.value().model;
-    murphi::EnumOptions options = baseOptions();
-    options.compiledStep = murphi::StepKernel::Bytecode;
-    const std::string expected = inMemoryBaseline(model, options);
-    options.numProcesses = 2;
-    options.memoryBudgetBytes = kBudgets[1].budgetBytes;
-    murphi::Enumerator ooc(model, options);
-    EXPECT_EQ(fingerprintBytes(ooc.runOrThrow()), expected);
 }
 
 // --- Fault injection ------------------------------------------------
@@ -399,33 +338,6 @@ TEST(EnumOoc, UnusableSpillDirDegradesInMemory)
     EXPECT_EQ(ooc.stats().spillBytesWritten, 0u);
 }
 
-/** Killing a worker process mid-level re-expands its slice in the
- *  parent: identical graph, counted fallback. */
-TEST(EnumOoc, KilledWorkerProcessReexpandsLocally)
-{
-    if (ARCHVAL_TSAN)
-        GTEST_SKIP() << "fork without exec is unsupported under TSan";
-    rtl::PpFsmModel model(rtl::PpConfig::smallPreset());
-    murphi::EnumOptions options = baseOptions();
-    const std::string expected = inMemoryBaseline(model, options);
-    bool killed = false;
-    murphi::ooc::TestHooks hooks;
-    hooks.onLevelStart = [&](size_t level,
-                             const std::vector<int> &pids) {
-        if (killed || level != 1 || pids.empty() || pids[0] <= 0)
-            return;
-        ASSERT_EQ(::kill(pids[0], SIGKILL), 0);
-        killed = true;
-    };
-    options.numProcesses = 2;
-    options.testHooks = &hooks;
-    murphi::Enumerator ooc(model, options);
-    auto graph = ooc.runOrThrow();
-    EXPECT_TRUE(killed) << "search ended before level 1";
-    EXPECT_EQ(fingerprintBytes(graph), expected);
-    EXPECT_GE(ooc.stats().spillFallbacks, 1u);
-}
-
 // --- Spill file unit coverage ---------------------------------------
 
 TEST(EnumOoc, FrontierFileRoundTripsAndRejectsMismatch)
@@ -506,13 +418,6 @@ TEST(EnumOoc, ShardFileRoundTripsAndRejectsDamage)
         path, static_cast<uint64_t>(st.st_size) / 2));
     EXPECT_FALSE(murphi::ooc::readShardFile(
         path, 7, 33, [](BitVec &&, graph::StateId) {}));
-}
-
-TEST(EnumOoc, ProvisionalIdFlagUnchanged)
-{
-    // The provisional-id encoding is shared between the in-memory
-    // and out-of-core searches; moving it must not change it.
-    EXPECT_EQ(murphi::detail::kPendingFlag, 0x8000'0000u);
 }
 
 } // namespace

@@ -1,21 +1,24 @@
 /**
  * @file
- * Determinism and equivalence suite for the parallel sharded
- * enumerator: for each HDL example design and the PP FSM model, the
- * parallel search at worker counts {1, 2, 8} must produce a graph
- * byte-identical to the sequential search — same ids, same packed
- * states, same edges in the same order — in both edge-recording
- * modes. Registered under the ctest label `enum`.
+ * Determinism suite for the enumerator: for each HDL example design
+ * and the PP FSM model, runs at worker counts {1, 2, 8} must produce
+ * a graph byte-identical to the single-worker run — same ids, same
+ * packed states, same edges in the same order — in both
+ * edge-recording modes; and golden graph fingerprints pin the output
+ * itself. Registered under the ctest label `enum`.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "fsm/built_model.hh"
+#include "graph/state_graph.hh"
+#include "hdl/corpus.hh"
 #include "hdl/translate.hh"
 #include "murphi/enumerator.hh"
 #include "rtl/pp_fsm_model.hh"
@@ -72,8 +75,8 @@ expectIdenticalAcrossWorkerCounts(const fsm::Model &model,
     options.retainStates = retain_states;
 
     options.numThreads = 1;
-    murphi::Enumerator sequential(model, options);
-    auto baseline = sequential.runOrThrow();
+    murphi::Enumerator single(model, options);
+    auto baseline = single.runOrThrow();
     const std::string expected = fingerprintBytes(baseline);
     ASSERT_GT(baseline.numStates(), 0u);
 
@@ -110,22 +113,22 @@ expectIdenticalAcrossWorkerCounts(const fsm::Model &model,
 
         // Search-shape statistics are scheduling-independent too.
         EXPECT_EQ(parallel.stats().numStates,
-                  sequential.stats().numStates);
+                  single.stats().numStates);
         EXPECT_EQ(parallel.stats().numEdges,
-                  sequential.stats().numEdges);
+                  single.stats().numEdges);
         EXPECT_EQ(parallel.stats().transitionsTried,
-                  sequential.stats().transitionsTried);
+                  single.stats().transitionsTried);
         EXPECT_EQ(parallel.stats().transitionsValid,
-                  sequential.stats().transitionsValid);
+                  single.stats().transitionsValid);
         ASSERT_EQ(parallel.stats().levels.size(),
-                  sequential.stats().levels.size());
+                  single.stats().levels.size());
         for (size_t i = 0; i < parallel.stats().levels.size(); ++i) {
             EXPECT_EQ(parallel.stats().levels[i].frontierWidth,
-                      sequential.stats().levels[i].frontierWidth);
+                      single.stats().levels[i].frontierWidth);
             EXPECT_EQ(parallel.stats().levels[i].newStates,
-                      sequential.stats().levels[i].newStates);
+                      single.stats().levels[i].newStates);
             EXPECT_EQ(parallel.stats().levels[i].newEdges,
-                      sequential.stats().levels[i].newEdges);
+                      single.stats().levels[i].newEdges);
         }
     }
 }
@@ -269,6 +272,89 @@ TEST(EnumParallel, WideShallowModelExercisesSlicing)
             return next;
         });
     expectIdenticalInBothModes(*model);
+}
+
+// --- Golden fingerprints ----------------------------------------------
+//
+// The suites above compare configurations of the enumerator with one
+// another; these constants pin the graphs themselves. Each is the
+// graph::fingerprint of a default-option enumeration. A change here
+// is a change of the enumerator's output, never of its schedule.
+
+uint64_t
+defaultFingerprint(const fsm::Model &model,
+                   murphi::EdgeRecording recording)
+{
+    murphi::EnumOptions options;
+    options.recording = recording;
+    murphi::Enumerator enumerator(model, options);
+    return graph::fingerprint(enumerator.runOrThrow());
+}
+
+struct GoldenFingerprints
+{
+    const char *design;
+    uint64_t firstCondition;
+    uint64_t allConditions;
+};
+
+const GoldenFingerprints kCorpusGolden[] = {
+    {"elevator", 0x00000a548ac9efd9ull,
+     0x3d54dfdf23480b71ull},
+    {"credit_sender", 0xc2c6846906441a91ull,
+     0x2b75100fbb7de7a8ull},
+    {"dma_arbiter", 0x11c4adc531284dcdull,
+     0x0cb05b0a1f026b38ull},
+    {"barrel_rotator", 0x3dfa43f7c76b12b9ull,
+     0x9619d86d35895319ull},
+};
+
+TEST(EnumGolden, CorpusDesignsInBothModes)
+{
+    ASSERT_EQ(hdl::designCorpus().size(), std::size(kCorpusGolden));
+    for (size_t i = 0; i < std::size(kCorpusGolden); ++i) {
+        const hdl::CorpusDesign &design = hdl::designCorpus()[i];
+        const GoldenFingerprints &golden = kCorpusGolden[i];
+        ASSERT_STREQ(design.name, golden.design);
+        auto result = hdl::translateCorpus(design);
+        ASSERT_TRUE(result.ok()) << design.name << ": "
+                                 << result.errorMessage();
+        const fsm::Model &model = *result.value().model;
+        EXPECT_EQ(defaultFingerprint(
+                      model, murphi::EdgeRecording::FirstCondition),
+                  golden.firstCondition)
+            << design.name << " FirstCondition";
+        EXPECT_EQ(defaultFingerprint(
+                      model, murphi::EdgeRecording::AllConditions),
+                  golden.allConditions)
+            << design.name << " AllConditions";
+    }
+}
+
+TEST(EnumGolden, PpSmallPresetInBothModes)
+{
+    rtl::PpFsmModel model(rtl::PpConfig::smallPreset());
+    EXPECT_EQ(defaultFingerprint(model,
+                                 murphi::EdgeRecording::FirstCondition),
+              0xca7f1934b24593b0ull);
+    EXPECT_EQ(defaultFingerprint(model,
+                                 murphi::EdgeRecording::AllConditions),
+              0xc44702de4dd61783ull);
+}
+
+TEST(EnumGolden, PpSpillBenchmarkModel)
+{
+    // The repo benchmark's pp_enum_spill model: the full preset
+    // without WB-stage tracking and fetch alignment.
+    rtl::PpConfig config = rtl::PpConfig::fullPreset();
+    config.modelWbStage = false;
+    config.modelAlignment = false;
+    rtl::PpFsmModel model(config);
+    murphi::Enumerator enumerator(model);
+    const graph::StateGraph graph = enumerator.runOrThrow();
+    EXPECT_EQ(graph.numStates(), 14304u);
+    EXPECT_EQ(graph.numEdges(), 126801u);
+    EXPECT_EQ(graph::fingerprint(graph), 0x3a643502a563f9aeull);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 
 #include "fsm/built_model.hh"
@@ -353,7 +354,7 @@ TEST(Enumerator, LevelStatsCoverEveryState)
 {
     // The per-level breakdown must account for every state and edge
     // exactly once, and every state is expanded exactly once, in
-    // both sequential and parallel modes.
+    // single- and multi-worker runs.
     auto model = counterModel(4);
     for (unsigned threads : {1u, 2u}) {
         murphi::EnumOptions options;
@@ -373,6 +374,50 @@ TEST(Enumerator, LevelStatsCoverEveryState)
         EXPECT_EQ(expanded, graph.numStates())
             << "threads=" << threads;
         EXPECT_FALSE(stats.renderLevels().empty());
+    }
+}
+
+TEST(Enumerator, CancelStopsWithinOneSourcePerWorker)
+{
+    // A 16-bit shift register fed four bits per step: level k holds
+    // 15 * 16^(k-1) states, so the flag, raised on the model's
+    // 1,000th call (mid level 2), lands with thousands of calls left
+    // in the level. Each worker checks the flag before every source,
+    // so after it is raised a worker at most finishes the source it
+    // is expanding.
+    constexpr uint64_t kChoices = 16;
+    constexpr uint64_t kCancelAt = 1000;
+    for (unsigned threads : {1u, 2u}) {
+        for (size_t budget : {size_t(0), size_t(32) << 10}) {
+            std::atomic<bool> cancel{false};
+            std::atomic<uint64_t> calls{0};
+            fsm::LambdaModel model(
+                "shift",
+                std::vector<fsm::StateVarInfo>{{"s", 16, 0}},
+                std::vector<fsm::ChoiceVarInfo>{{"nibble", kChoices}},
+                [&](const BitVec &state, const fsm::Choice &choice)
+                    -> std::optional<BitVec> {
+                    if (++calls == kCancelAt)
+                        cancel.store(true);
+                    BitVec next(16);
+                    next.setField(0, 16,
+                                  ((state.getField(0, 16) << 4) |
+                                   choice[0]) &
+                                      0xffff);
+                    return next;
+                });
+            murphi::EnumOptions options;
+            options.numThreads = threads;
+            options.memoryBudgetBytes = budget;
+            options.cancelFlag = &cancel;
+            murphi::Enumerator enumerator(model, options);
+            auto result = enumerator.run();
+            ASSERT_FALSE(result.ok())
+                << "threads=" << threads << " budget=" << budget;
+            EXPECT_EQ(result.errorMessage(), "enumeration cancelled");
+            EXPECT_LE(calls.load() - kCancelAt, kChoices * threads)
+                << "threads=" << threads << " budget=" << budget;
+        }
     }
 }
 

@@ -931,75 +931,6 @@ TEST(JobCorrelation, WorkerThreadsInheritInstalledScope)
 }
 
 // ---------------------------------------------------------------------
-// Foreign spans (the fork-boundary shipping primitive)
-// ---------------------------------------------------------------------
-
-TEST(ForeignSpans, DrainReturnsRecordedSpansAndClears)
-{
-    TraceSession session(tempPath("telemetry_drain.json"));
-    {
-        JobScope job(3);
-        ScopedSpan a("test.drain_a");
-        ScopedSpan b("test.drain_b");
-    }
-    std::vector<ForeignSpan> spans = drainThreadSpans();
-    ASSERT_EQ(spans.size(), 2u);
-    // Ring order: b closed before a.
-    EXPECT_EQ(spans[0].name, "test.drain_b");
-    EXPECT_EQ(spans[1].name, "test.drain_a");
-    EXPECT_EQ(spans[0].jobId, 3u);
-    EXPECT_GT(spans[1].durNs, 0u);
-    EXPECT_TRUE(drainThreadSpans().empty());
-}
-
-TEST(ForeignSpans, RecordUnderSyntheticThreadInTrace)
-{
-    TraceSession session(tempPath("telemetry_foreign.json"));
-    std::vector<ForeignSpan> spans;
-    spans.push_back(ForeignSpan{"child.expand", 1000, 500, 11});
-    spans.push_back(ForeignSpan{"child.expand", 2000, 300, 11});
-    recordForeignSpans("ooc.child.0", spans);
-    JsonValue doc = session.finish();
-
-    double foreign_tid = -1;
-    for (const JsonValue &ev : doc.at("traceEvents").array) {
-        if (ev.at("ph").string == "M" &&
-            ev.at("name").string == "thread_name" &&
-            ev.at("args").at("name").string == "ooc.child.0")
-            foreign_tid = ev.at("tid").number;
-    }
-    ASSERT_GE(foreign_tid, 0.0) << "synthetic thread not named";
-    size_t found = 0;
-    for (const JsonValue &ev : doc.at("traceEvents").array) {
-        if (ev.at("ph").string != "X" ||
-            ev.at("name").string != "child.expand")
-            continue;
-        ++found;
-        EXPECT_DOUBLE_EQ(ev.at("tid").number, foreign_tid);
-        EXPECT_DOUBLE_EQ(ev.at("args").at("job").number, 11.0);
-    }
-    EXPECT_EQ(found, 2u);
-}
-
-TEST(ForeignSpans, RepeatedRecordsReuseOneSyntheticThread)
-{
-    TraceSession session(tempPath("telemetry_foreign2.json"));
-    std::vector<ForeignSpan> spans;
-    spans.push_back(ForeignSpan{"child.batch", 10, 5, 1});
-    recordForeignSpans("ooc.child.1", spans);
-    recordForeignSpans("ooc.child.1", spans);
-    JsonValue doc = session.finish();
-    size_t named = 0;
-    for (const JsonValue &ev : doc.at("traceEvents").array) {
-        if (ev.at("ph").string == "M" &&
-            ev.at("name").string == "thread_name" &&
-            ev.at("args").at("name").string == "ooc.child.1")
-            ++named;
-    }
-    EXPECT_EQ(named, 1u);
-}
-
-// ---------------------------------------------------------------------
 // Heartbeat vs shutdown interleaving (TSan-audited)
 // ---------------------------------------------------------------------
 

@@ -45,7 +45,6 @@ ID_KEYS = (
     "stride",
     "spill_budget_mb",
     "budget_kb",
-    "processes",
     "bug",
     "mutation",
     "limit",

@@ -3,8 +3,7 @@
 
 Exercises the service end of out-of-core enumeration: two archvald
 lifetimes enumerate the same design, one fully in-memory and one
-budget-capped across two forked worker processes
-(`--memory-budget-kb 128 --enum-processes 2`), and the reported
+budget-capped (`--memory-budget-kb 128`), and the reported
 `graphFingerprint` must be byte-identical. The capped run must
 actually have gone out of core — spill bytes written, shard pages
 out, residency high-water under the budget — without a single spill
@@ -70,7 +69,6 @@ def main():
         ooc, trace, error = enumerate_once(
             archvald, client, tmp, "ooc",
             ["--memory-budget-kb", str(BUDGET_KB),
-             "--enum-processes", "2",
              "--spill-dir", spill_root])
         if error:
             return fail(error)
@@ -81,8 +79,8 @@ def main():
             if "graphFingerprint" not in result:
                 return fail(f"{tag} result has no graphFingerprint")
 
-        # The headline guarantee: the disk-backed multi-process
-        # search produced the exact same graph.
+        # The headline guarantee: the disk-backed search produced
+        # the exact same graph.
         if in_mem["graphFingerprint"] != ooc["graphFingerprint"]:
             return fail(
                 "graph fingerprints diverge: in-memory "

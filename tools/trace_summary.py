@@ -27,10 +27,10 @@ Usage:
   tools/trace_summary.py trace.json --job 3   # only job 3's spans
 
 Service traces stamp each span with the job correlation id that was
-live on its thread (`args.job`), including spans recorded by forked
-out-of-core workers. When job-stamped spans are present a per-job
-self-time table is printed; `--job <id>` restricts every table to
-one job's spans across all threads and processes.
+live on its thread (`args.job`), including spans recorded by the
+enumerator's and the replay engine's worker threads. When job-stamped
+spans are present a per-job self-time table is printed; `--job <id>`
+restricts every table to one job's spans across all threads.
 """
 
 import argparse
@@ -246,7 +246,7 @@ def main():
         default=None,
         metavar="ID",
         help="restrict every table to spans stamped with this job "
-        "correlation id (args.job), across threads and forked workers",
+        "correlation id (args.job), across threads",
     )
     parser.add_argument(
         "--require-metric",
