@@ -313,6 +313,9 @@ TourGenerator::run()
         if (!trace.edges.empty()) {
             if (trace.limitTerminated)
                 ++stats_.tracesTerminatedByLimit;
+            // Drop the growth slack: the flow keeps every trace for
+            // its whole life.
+            trace.edges.shrink_to_fit();
             traces.push_back(std::move(trace));
         }
         trace = Trace();

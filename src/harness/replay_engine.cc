@@ -42,8 +42,8 @@ struct SlotPlan
 
 /** @return length of the common forced-cycle prefix of two traces. */
 size_t
-commonPrefix(const std::vector<rtl::ForcedSignals> &a,
-             const std::vector<rtl::ForcedSignals> &b)
+commonPrefix(const std::vector<rtl::PackedSignals> &a,
+             const std::vector<rtl::PackedSignals> &b)
 {
     size_t n = std::min(a.size(), b.size());
     size_t i = 0;
@@ -784,7 +784,8 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
     // run, and the LCP chain between sorted neighbours is exactly a
     // DFS of the prefix tree — a stack of live checkpoints mirrors
     // the DFS path. Each job publishes at most one checkpoint: the
-    // deepest prefix it shares with its sorted successor.
+    // deepest prefix it shares with its sorted successor. (Packed
+    // cycles order as the rows they pack; see rtl::PackedSignals.)
     // ------------------------------------------------------------------
     std::vector<size_t> order(nt);
     std::iota(order.begin(), order.end(), size_t{0});

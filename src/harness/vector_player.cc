@@ -56,8 +56,9 @@ VectorPlayer::drive(rtl::PpCore &core, const vecgen::TestTrace &trace,
                     const LockstepSpec *lockstep)
 {
     uint64_t lockstep_errors = 0;
+    const std::vector<rtl::ForcedSignals> &rows = rtl::unpackTable();
     for (size_t i = first_cycle; i < last_cycle; ++i) {
-        core.forceSignals(trace.cycles[i]);
+        core.forceSignals(rows[trace.cycles[i]]);
         core.step();
         if (lockstep) {
             // The core's control must now sit exactly on the tour

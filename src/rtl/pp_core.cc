@@ -33,7 +33,52 @@ choiceOfClass(InstrClass cls)
 /** Garbage pattern for bug-corrupted values ("Z values latched"). */
 constexpr uint32_t garbageValue = 0x2a2a2a2au;
 
+/** Bit position of each PpChoiceVar's PackedSignals field (var 0
+ *  most significant). */
+constexpr std::array<unsigned, numPpChoiceVars> packedSignalShift = [] {
+    std::array<unsigned, numPpChoiceVars> shift{};
+    unsigned low = 0;
+    for (size_t v = numPpChoiceVars; v-- > 0;) {
+        shift[v] = low;
+        low += packedSignalBits[v];
+    }
+    return shift;
+}();
+
+static_assert(packedSignalShift[0] + packedSignalBits[0] ==
+                  8 * sizeof(PackedSignals),
+              "the PackedSignals fields must fill exactly 16 bits");
+
 } // namespace
+
+std::optional<PackedSignals>
+packSignals(const ForcedSignals &signals)
+{
+    unsigned packed = 0;
+    for (size_t v = 0; v < numPpChoiceVars; ++v) {
+        if (!fitsPackedSignal(v, signals[v]))
+            return std::nullopt;
+        packed |= signals[v] << packedSignalShift[v];
+    }
+    return static_cast<PackedSignals>(packed);
+}
+
+const std::vector<ForcedSignals> &
+unpackTable()
+{
+    static const std::vector<ForcedSignals> table = [] {
+        std::vector<ForcedSignals> rows(size_t{1}
+                                        << (8 * sizeof(PackedSignals)));
+        for (size_t p = 0; p < rows.size(); ++p) {
+            for (size_t v = 0; v < numPpChoiceVars; ++v)
+                rows[p][v] = static_cast<uint32_t>(
+                    (p >> packedSignalShift[v]) &
+                    ((1u << packedSignalBits[v]) - 1));
+        }
+        return rows;
+    }();
+    return table;
+}
 
 PpCore::PpCore(const PpConfig &config, CoreMode mode)
     : config_(config), mode_(mode), controller_(config)
@@ -216,7 +261,10 @@ struct ByteReader
             ok = false;
             return false;
         }
-        std::memcpy(out, data + pos, n);
+        // An empty vector's data() may be null, which memcpy must
+        // not see even for zero bytes.
+        if (n != 0)
+            std::memcpy(out, data + pos, n);
         pos += n;
         return true;
     }

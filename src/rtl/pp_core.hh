@@ -62,6 +62,38 @@ enum class CoreMode
 /** Per-cycle forced signal values for vector mode. */
 using ForcedSignals = std::array<uint32_t, numPpChoiceVars>;
 
+/**
+ * One cycle of forced signals packed into 16 bits, the form test
+ * traces store. The fields are in PpChoiceVar order with var 0 in the
+ * most significant bits: fetch class 3 bits, each of the nine flag
+ * variables 1 bit, target alignment 4 bits. Every field sits above
+ * all later ones, so comparing two packed words orders them exactly
+ * as comparing the rows they pack (std::array's lexicographic order).
+ */
+using PackedSignals = uint16_t;
+
+/** Width in bits of each PpChoiceVar's PackedSignals field. */
+inline constexpr std::array<unsigned, numPpChoiceVars> packedSignalBits{
+    3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 4};
+
+/** @return true when @p value fits @p var's PackedSignals field. */
+constexpr bool
+fitsPackedSignal(size_t var, uint32_t value)
+{
+    return (value >> packedSignalBits[var]) == 0;
+}
+
+/** @return @p signals packed, or nothing when a value does not fit
+ *  its field. */
+std::optional<PackedSignals> packSignals(const ForcedSignals &signals);
+
+/**
+ * @return the decode table: entry p is the row that p packs (64 Ki
+ * entries, built once per process on first use). Loops that decode
+ * every cycle take this reference once, outside the loop.
+ */
+const std::vector<ForcedSignals> &unpackTable();
+
 /** Memory/interface timing knobs for program mode. */
 struct CoreTiming
 {

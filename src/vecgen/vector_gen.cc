@@ -60,7 +60,7 @@ varIndex(PpChoiceVar var)
 constexpr size_t summaryChunk = 1 << 14;
 
 /** signalIdOf_ entry of a choice code not interned yet. */
-constexpr uint16_t noSignal = UINT16_MAX;
+constexpr uint32_t noSignal = UINT32_MAX;
 
 void
 requireRetainedStates(const graph::StateGraph &graph)
@@ -152,7 +152,7 @@ parallelFor(size_t count, unsigned workers, const Fn &fn)
 
 /**
  * Everything the skeleton walk reads from one edge: the cycle's
- * forced signals (as an interned id) and the control outputs and
+ * packed forced signals and the control outputs and
  * source-state predicates that drive the occupancy, squash, pending
  * store and conflict-constraint bookkeeping.
  */
@@ -171,7 +171,7 @@ struct VectorGenerator::EdgeSummary
         SameLine = 1 << 7,      ///< ... and the check chose same-line
     };
 
-    SignalId signals = 0;
+    rtl::PackedSignals signals = 0;
     InstrClass fetchClass = InstrClass::None;
     uint8_t fetchCount = 0;
     uint8_t flags = 0;
@@ -186,12 +186,17 @@ VectorGenerator::VectorGenerator(const rtl::PpFsmModel &model,
           rtl::MutationId::ConflictDropsLoadCheck))),
       seed_(seed)
 {
-    if (codec_.numCombinations() > noSignal)
-        fatal(formatString("vector generation supports at most %u choice "
-                           "combinations; the model has %llu",
-                           unsigned(noSignal),
-                           static_cast<unsigned long long>(
-                               codec_.numCombinations())));
+    const auto &vars = codec_.vars();
+    for (size_t v = 0; v < vars.size(); ++v) {
+        if (!rtl::fitsPackedSignal(v, vars[v].cardinality - 1))
+            fatal(formatString(
+                "vector generation packs each cycle into 16 bits: "
+                "choice variable %s takes %u values, its field holds "
+                "%u (with branches and alignment modelled, lineWords "
+                "must be at most 16)",
+                vars[v].name.c_str(), vars[v].cardinality,
+                1u << rtl::packedSignalBits[v]));
+    }
     signalIdOf_.assign(codec_.numCombinations(), noSignal);
 }
 
@@ -207,10 +212,10 @@ VectorGenerator::internChoice(uint64_t choice_code)
         id = static_cast<SignalId>(choices_.size());
         const fsm::Choice &choice =
             choices_.emplace_back(codec_.decode(choice_code));
-        rtl::ForcedSignals &forced = signals_.emplace_back();
-        std::copy_n(choice.begin(),
-                    std::min(choice.size(), rtl::numPpChoiceVars),
-                    forced.begin());
+        rtl::ForcedSignals forced;
+        std::copy_n(choice.begin(), rtl::numPpChoiceVars, forced.begin());
+        // The constructor checked every value fits its field.
+        signals_.push_back(*rtl::packSignals(forced));
     }
     return id;
 }
@@ -234,7 +239,7 @@ VectorGenerator::summarize(const rtl::PpControlState &src,
     const rtl::PpOutputs out = model_.outputsFor(src, choice);
 
     EdgeSummary s;
-    s.signals = id;
+    s.signals = signals_[id];
     s.fetchClass = out.fetchClass;
     s.fetchCount = static_cast<uint8_t>(out.fetchCount);
     auto set = [&](EdgeSummary::Flag flag, bool on) {
@@ -324,7 +329,7 @@ VectorGenerator::walk(const graph::Trace &trace, size_t trace_index,
         const EdgeSummary s = summary_of(e);
 
         // Record the forced-signal vector for this cycle verbatim.
-        out.cycles.push_back(signals_[s.signals]);
+        out.cycles.push_back(s.signals);
         out.instructions += s.fetchCount;
 
         // Conflict-check constraint (see summarize()).
@@ -531,6 +536,11 @@ VectorGenerator::walk(const graph::Trace &trace, size_t trace_index,
     ++stats.traces;
     stats.cycles += out.cycles.size();
     stats.instructions += out.instructions;
+    stats.traceBytes +=
+        out.cycles.size() * sizeof(out.cycles[0]) +
+        (out.fetchStream.size() + out.retiredStream.size() +
+         out.inbox.size()) *
+            sizeof(uint32_t);
     return out;
 }
 
@@ -540,6 +550,7 @@ VectorGenerator::account(const VecGenStats &delta)
     stats_ += delta;
     telemetry::counter("vecgen.traces").add(delta.traces);
     telemetry::counter("vecgen.cycles").add(delta.cycles);
+    telemetry::counter("vecgen.trace_bytes").add(delta.traceBytes);
 }
 
 TestTrace
@@ -606,9 +617,10 @@ VectorGenerator::renderForceScript(const TestTrace &trace) const
         static_cast<unsigned long long>(trace.instructions),
         trace.fetchStream.size());
     script += "initial begin\n";
+    const std::vector<rtl::ForcedSignals> &rows = rtl::unpackTable();
     size_t fetch_pos = 0;
     for (size_t cycle = 0; cycle < trace.cycles.size(); ++cycle) {
-        const auto &signals = trace.cycles[cycle];
+        const rtl::ForcedSignals &signals = rows[trace.cycles[cycle]];
         script += formatString("  @cycle_%zu;", cycle);
         for (size_t v = 0; v < vars.size(); ++v) {
             if (vars[v].cardinality > 1) {

@@ -53,8 +53,9 @@ namespace archval::vecgen
 /** One runnable test trace (a tour component turned into stimulus). */
 struct TestTrace
 {
-    /** Forced interface-signal values, one entry per clock cycle. */
-    std::vector<rtl::ForcedSignals> cycles;
+    /** Forced interface-signal values, one packed entry per clock
+     *  cycle (rtl::unpackTable() decodes them). */
+    std::vector<rtl::PackedSignals> cycles;
 
     /** Instruction words in fetch order (consumed by the RTL core's
      *  abstract I-cache). */
@@ -82,6 +83,9 @@ struct VecGenStats
     uint64_t instructions = 0;
     uint64_t squashedPackets = 0;
     uint64_t constrainedLoads = 0;
+    /** Bytes the generated traces hold: 2 per cycle, 4 per fetch,
+     *  retired and inbox word. */
+    uint64_t traceBytes = 0;
 
     VecGenStats &
     operator+=(const VecGenStats &other)
@@ -91,6 +95,7 @@ struct VecGenStats
         instructions += other.instructions;
         squashedPackets += other.squashedPackets;
         constrainedLoads += other.constrainedLoads;
+        traceBytes += other.traceBytes;
         return *this;
     }
 };
@@ -109,6 +114,9 @@ class VectorGenerator
      * @param model The enumerated PP FSM model (provides the choice
      *              codec, state unpacking and per-edge outputs).
      * @param seed Seed for all biased-random operand choices.
+     * Throws FatalError when a choice variable takes more values than
+     * its rtl::PackedSignals field holds (target alignment does when
+     * branches and alignment are modelled with lineWords > 16).
      */
     VectorGenerator(const rtl::PpFsmModel &model, uint64_t seed = 1);
 
@@ -144,7 +152,7 @@ class VectorGenerator
     struct EdgeSummary;
 
     /** Index of an interned choice in choices_/signals_. */
-    using SignalId = uint16_t;
+    using SignalId = uint32_t;
 
     /** Intern the choice of every edge @p trace traverses, checking
      *  each edge id against @p graph. */
@@ -182,9 +190,9 @@ class VectorGenerator
     bool dropsLoadCheck_;
     /** Interned choice id per choice code (noSignal: not seen yet). */
     std::vector<SignalId> signalIdOf_;
-    /** Interned decoded choices, and the same as forced signals. */
+    /** Interned decoded choices, and the same as packed signals. */
     std::vector<fsm::Choice> choices_;
-    std::vector<rtl::ForcedSignals> signals_;
+    std::vector<rtl::PackedSignals> signals_;
     /**
      * Operand draws are seeded per packet from a hash of (seed_,
      * tour-edge prefix), not from one sequential stream: traces that

@@ -11,6 +11,7 @@
 
 #include "harness/vector_player.hh"
 #include "murphi/enumerator.hh"
+#include "support/strings.hh"
 #include "vecgen/trace_io.hh"
 
 namespace archval::vecgen
@@ -135,7 +136,7 @@ TEST(TraceIo, RejectsBadMagic)
 TEST(TraceIo, RejectsTruncatedInput)
 {
     TestTrace trace;
-    trace.cycles.push_back(rtl::ForcedSignals{});
+    trace.cycles.push_back(rtl::PackedSignals{});
     trace.fetchStream.push_back(0x1234);
     trace.retiredStream.push_back(0x1234);
     std::string text = serializeTrace(trace);
@@ -144,6 +145,97 @@ TEST(TraceIo, RejectsTruncatedInput)
         EXPECT_FALSE(deserializeTrace(text.substr(0, cut)).ok())
             << "cut at " << cut;
     }
+}
+
+/** Serialized one-cycle, one-fetch-word trace that the damage tests
+ *  below edit. */
+std::string
+oneCycleText()
+{
+    TestTrace trace;
+    trace.cycles.push_back(rtl::PackedSignals{});
+    trace.fetchStream.push_back(0x1234);
+    return serializeTrace(trace);
+}
+
+/** @return @p text with its first @p from replaced by @p to. */
+std::string
+damaged(std::string text, const std::string &from, const std::string &to)
+{
+    const size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? text
+                                   : text.replace(at, from.size(), to);
+}
+
+/** @return deserializeTrace()'s error for @p text, "" when it parses.
+ *  An exception escaping the parser fails the calling test. */
+std::string
+parseError(const std::string &text)
+{
+    auto parsed = deserializeTrace(text);
+    return parsed.ok() ? "" : parsed.errorMessage();
+}
+
+TEST(TraceIo, OneCycleTextParses)
+{
+    EXPECT_EQ(parseError(oneCycleText()), "");
+}
+
+TEST(TraceIo, HugeCycleCountIsAnError)
+{
+    EXPECT_NE(parseError(damaged(oneCycleText(), "cycles 1 11",
+                                 "cycles 1000000000000 11")),
+              "");
+}
+
+TEST(TraceIo, MaximumCycleCountIsAnError)
+{
+    EXPECT_NE(parseError(damaged(oneCycleText(), "cycles 1 11",
+                                 "cycles 18446744073709551615 11")),
+              "");
+}
+
+TEST(TraceIo, FetchClassTooWideIsAnError)
+{
+    EXPECT_NE(parseError(damaged(oneCycleText(), "C 0 ", "C 99 ")), "");
+}
+
+TEST(TraceIo, AlignmentTooWideIsAnError)
+{
+    EXPECT_NE(parseError(damaged(oneCycleText(), " 0\nfetch",
+                                 " 4000000000\nfetch")),
+              "");
+}
+
+TEST(TraceIo, NonHexWordIsAnError)
+{
+    EXPECT_NE(parseError(damaged(oneCycleText(), "W 00001234", "W zz")),
+              "");
+}
+
+// Every packed word renders as the decimal row it packs and parses
+// back to itself.
+TEST(TraceIo, EveryPackedWordRoundTrips)
+{
+    TestTrace trace;
+    for (uint32_t p = 0; p <= UINT16_MAX; ++p)
+        trace.cycles.push_back(static_cast<rtl::PackedSignals>(p));
+    const std::string text = serializeTrace(trace);
+
+    std::string expected;
+    for (rtl::PackedSignals p : trace.cycles) {
+        expected += "C";
+        for (uint32_t value : rtl::unpackTable()[p])
+            expected += formatString(" %u", value);
+        expected += "\n";
+    }
+    EXPECT_NE(text.find("cycles 65536 11\n" + expected + "fetch 0\n"),
+              std::string::npos);
+
+    auto parsed = deserializeTrace(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.errorMessage();
+    EXPECT_EQ(parsed.value().cycles, trace.cycles);
 }
 
 TEST(TraceIo, ReadMissingFileFails)

@@ -4,7 +4,10 @@
 Runs `pp_validation small` with ARCHVAL_TRACE pointing at a temporary
 file, then gates the trace with trace_summary.py: the flow's
 top-level spans must cover at least 95% of the traced wall-clock,
-and the vector generator must have reported its work.
+and the vector generator must have reported its work. The traces it
+generates must also stay packed: the small preset's 309,530 cycles
+and 235,225 stream words hold 1,559,960 bytes at 2 bytes per cycle,
+and the gate allows 10% above that (44-byte cycles would be 14.6 MB).
 
 Usage: tools/pipeline_smoke.py <path-to-pp_validation-binary>
 """
@@ -13,6 +16,9 @@ import os
 import subprocess
 import sys
 import tempfile
+
+# vecgen.trace_bytes of `pp_validation small`, plus 10%.
+MAX_SMALL_TRACE_BYTES = 1_559_960 * 11 // 10
 
 
 def main():
@@ -40,7 +46,10 @@ def main():
             [sys.executable, summary, trace, "--check",
              "--min-coverage", "95",
              "--require-metric", "vecgen.cycles>=1",
-             "--require-metric", "vecgen.edges_summarized>=1"])
+             "--require-metric", "vecgen.edges_summarized>=1",
+             "--require-metric", "vecgen.trace_bytes>=1",
+             "--require-metric",
+             f"vecgen.trace_bytes<={MAX_SMALL_TRACE_BYTES}"])
         if check.returncode != 0:
             print("trace_summary gate failed", file=sys.stderr)
             return 1
