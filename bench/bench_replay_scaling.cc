@@ -1,19 +1,20 @@
 /**
  * @file
- * Checkpointed-replay scaling — worker-count sweep with the prefix
- * checkpoint cache on and off.
+ * Checkpointed-replay scaling — worker count × checkpoint stride.
  *
- * The batch is the hunt workload: every tour trace replayed against
- * the bug-free machine and each of the six Table 2.1 faults. The
- * engine exploits two redundancy axes — cross-trace shared stimulus
- * prefixes (checkpoint cache) and, dominating here, bug-free donor
- * reuse: a fault that never triggers on a trace provably cannot
- * change its replay, so the bugged job reuses the bug-free result
- * without stepping a cycle. This bench reports, per (workers, cache)
- * point: wall time, cycles actually stepped, the fraction of
- * demanded cycles avoided, donor copies, and whether the results
- * stayed byte-identical to the sequential player (they must — the
- * cache is a pure accelerator).
+ * The batch is the hunt workload: every plain 10k-limit tour trace
+ * replayed against the bug-free machine and each of the six Table 2.1
+ * faults. Each worker plays one trace's row of bug sets at a time,
+ * the bug-free donor first: a fault that never triggers on a trace
+ * provably cannot change its replay, so the bugged job reuses the
+ * donor result without stepping a cycle, and a fault that did trigger
+ * resumes from the donor's greatest stride checkpoint below its first
+ * trigger cycle. This bench reports, per (workers, stride) point:
+ * wall time, cycles actually stepped, donor copies, stride hits, the
+ * fraction of the triggered jobs' reset-to-trigger lead cycles the
+ * checkpoints skip, and whether the results stayed byte-identical to
+ * a VectorPlayer::play loop (they must — both axes are pure
+ * accelerators).
  *
  * `--json <path>` additionally writes the table as JSON (see
  * README; CI uses BENCH_replay.json).
@@ -65,8 +66,7 @@ int
 main(int argc, char **argv)
 {
     bench::banner("Replay scaling",
-                  "Checkpointed batch replay: workers x prefix "
-                  "cache");
+                  "Checkpointed batch replay: workers x stride");
 
     telemetry::setThreadName("main");
     std::optional<telemetry::ScopedSpan> phase;
@@ -76,19 +76,18 @@ main(int argc, char **argv)
     rtl::PpFsmModel model(config);
     murphi::Enumerator enumerator(model);
     auto graph = enumerator.runOrThrow();
-    // The Table 3.3 trace limit, applied as nested prefix splits:
-    // consecutive traces share their whole stem, which is the shape
-    // the checkpoint cache exploits (each stem simulates once).
+    // The Table 3.3 trace limit: plain traces cover disjoint graph
+    // regions, so trigger cycles spread across the whole trace
+    // length.
     graph::TourOptions tour_options;
     tour_options.maxInstructionsPerTrace = 10'000;
-    tour_options.nestedPrefixSplits = true;
     graph::TourGenerator tour_gen(graph, tour_options);
     auto tours = tour_gen.run();
     vecgen::VectorGenerator generator(model, 2024);
     auto vectors = generator.generateAll(graph, tours);
 
-    // The hunt workload: bug-free (the donor block) plus every
-    // Table 2.1 fault, each as its own bug set.
+    // The hunt workload: bug-free (the donor) plus every Table 2.1
+    // fault, each as its own bug set.
     std::vector<rtl::BugSet> bug_sets;
     bug_sets.emplace_back();
     for (size_t b = 0; b < rtl::numBugs; ++b) {
@@ -107,37 +106,41 @@ main(int argc, char **argv)
                 withCommas(graph.numStates()).c_str(),
                 withCommas(graph.numEdges()).c_str());
 
-    // Sequential reference: the plain per-trace player path the
-    // engine must match byte-for-byte.
+    // Sequential reference: the plain per-trace player loop the
+    // engine must match byte-for-byte, in the engine's
+    // [b * traces + t] layout.
     phase.emplace("bench.seq_reference");
-    harness::ReplayOptions seq_options;
-    seq_options.numThreads = 1;
-    seq_options.checkpointBudgetBytes = 0;
-    harness::ReplayEngine sequential(config, seq_options);
+    harness::VectorPlayer player(config);
     WallTimer seq_timer;
-    auto reference = sequential.playAll(vectors, bug_sets);
-    double seq_seconds = seq_timer.seconds();
+    std::vector<harness::PlayResult> reference;
+    for (const rtl::BugSet &bugs : bug_sets)
+        for (const auto &trace : vectors)
+            reference.push_back(player.play(trace, bugs));
+    const double seq_seconds = seq_timer.seconds();
     const uint64_t base_fingerprint = fingerprint(reference);
-    const uint64_t base_cycles = sequential.stats().simulatedCycles;
+    std::printf("sequential player: %.2f s\n\n", seq_seconds);
 
+    // "Savings" is avoided/avoidable: the fraction of the triggered
+    // jobs' reset-to-trigger lead cycles never re-stepped. The lead
+    // is the right denominator — everything past the trigger is the
+    // diverged run itself, which any scheme must simulate — and it
+    // is the Table 3.3 quantity, the time to rerun a simulation to
+    // reach a bug.
     bench::JsonWriter json("replay_scaling");
-    std::printf("%8s %7s %8s %9s %16s %10s %7s %9s %10s\n",
-                "workers", "cache", "wall s", "speedup",
-                "sim cycles", "avoided", "copies", "hit rate",
+    std::printf("%8s %7s %8s %9s %14s %7s %6s %6s %9s %10s\n",
+                "workers", "stride", "wall s", "speedup",
+                "sim cycles", "copies", "trig", "hits", "savings",
                 "identical");
 
-    double best_reduction = 0.0;
+    double best_savings = 0.0;
     for (unsigned threads : {1u, 2u, 4u, 8u}) {
-        for (bool cache : {false, true}) {
+        for (size_t stride : {size_t{0}, size_t{256}, size_t{1024},
+                              size_t{4096}}) {
             phase.emplace("bench.sweep_point", "workers", threads,
-                          "cache", (uint64_t)cache);
+                          "stride", (uint64_t)stride);
             harness::ReplayOptions options;
             options.numThreads = threads;
-            options.checkpointBudgetBytes =
-                cache ? (256ull << 20) : 0;
-            // Stride tier off: this sweep isolates the prefix-cache
-            // axis (the tier gets its own sweep below).
-            options.checkpointStride = 0;
+            options.checkpointStride = stride;
             harness::ReplayEngine engine(config, options);
             WallTimer timer;
             auto results = engine.playAll(vectors, bug_sets);
@@ -145,135 +148,31 @@ main(int argc, char **argv)
             const auto &stats = engine.stats();
             bool identical =
                 fingerprint(results) == base_fingerprint;
-            double reduction =
-                base_cycles
-                    ? 1.0 - double(stats.simulatedCycles) /
-                                double(base_cycles)
-                    : 0.0;
-            if (cache && reduction > best_reduction)
-                best_reduction = reduction;
+            if (stride > 0 && stats.strideSavings() > best_savings)
+                best_savings = stats.strideSavings();
 
             std::printf(
-                "%8u %7s %8.2f %8.2fx %16s %9.1f%% %7s %8.1f%% "
+                "%8u %7zu %8.3f %8.2fx %14s %7s %6s %6s %8.1f%% "
                 "%10s\n",
-                threads, cache ? "on" : "off", seconds,
+                threads, stride, seconds,
                 seconds > 0.0 ? seq_seconds / seconds : 0.0,
                 withCommas(stats.simulatedCycles).c_str(),
-                100.0 * stats.avoidedFraction(),
                 withCommas(stats.bugSetCopies).c_str(),
-                100.0 * stats.hitRate(), identical ? "yes" : "NO");
+                withCommas(stats.triggeredJobs).c_str(),
+                withCommas(stats.strideHits).c_str(),
+                100.0 * stats.strideSavings(),
+                identical ? "yes" : "NO");
 
             json.beginRow();
             json.add("section", "scaling");
             json.add("workers", threads);
-            json.add("cache", cache);
+            json.add("stride", (uint64_t)stride);
             json.add("wall_seconds", seconds);
             json.add("simulated_cycles", stats.simulatedCycles);
             json.add("batch_cycles", stats.batchCycles);
             json.add("cycles_avoided", stats.cyclesAvoided);
             json.add("avoided_fraction", stats.avoidedFraction());
-            json.add("hit_rate", stats.hitRate());
-            json.add("checkpoints_published",
-                     stats.checkpointsPublished);
-            json.add("checkpoint_hits", stats.checkpointHits);
             json.add("bug_set_copies", stats.bugSetCopies);
-            json.add("verify_fallbacks", stats.verifyFallbacks);
-            json.add("cache_evictions", stats.cacheEvictions);
-            json.add("peak_cache_bytes",
-                     (uint64_t)stats.peakCacheBytes);
-            json.add("identical", identical);
-            if (!identical)
-                return 1;
-        }
-    }
-
-    std::printf("\nsummary: prefix sharing removes %.1f%% of the "
-                "simulated cycles on this batch\n(cache on vs off); "
-                "results stay byte-identical to the sequential "
-                "player at\nevery point.\n",
-                100.0 * best_reduction);
-
-    // ------------------------------------------------------------------
-    // Tiered in-trace checkpointing: stride x spill sweep. The jobs
-    // this tier targets are the ones donor copying cannot touch —
-    // (trace, bug) pairs whose fault *did* trigger on the bug-free
-    // run. Each such job resumes from the greatest periodic donor
-    // checkpoint strictly below its first trigger cycle (bug mask
-    // re-armed at restore). "Savings" is avoided/avoidable: the
-    // fraction of the jobs' reset-to-trigger lead cycles never
-    // re-stepped. The lead is the right denominator — everything
-    // past the trigger is the diverged run itself, which any scheme
-    // must simulate — and it is the Table 3.3 quantity, the time to
-    // rerun a simulation to reach a bug. A tiny memory budget plus a
-    // spill cap routes the chain through the CRC-checked disk tier.
-    //
-    // The sweep runs on the *plain* 10k-limit batch (the Table 2.1
-    // hunt workload). On the nested batch above the tier is
-    // structurally idle: every trace re-walks the same stem, so the
-    // fault conjunctions fire within that stem's first few hundred
-    // cycles of every trace, below the first checkpoint of any
-    // useful stride. Plain traces cover disjoint graph regions, so
-    // trigger cycles spread across the whole trace length.
-    // ------------------------------------------------------------------
-    phase.emplace("bench.plain_setup");
-    graph::TourOptions plain_options;
-    plain_options.maxInstructionsPerTrace = 10'000;
-    graph::TourGenerator plain_gen(graph, plain_options);
-    auto plain_tours = plain_gen.run();
-    auto plain_vectors = generator.generateAll(graph, plain_tours);
-
-    harness::ReplayEngine plain_seq(config, seq_options);
-    auto plain_reference = plain_seq.playAll(plain_vectors, bug_sets);
-    const uint64_t plain_fingerprint = fingerprint(plain_reference);
-
-    std::printf("\nstride x spill sweep (plain 10k-limit batch, %s "
-                "traces):\n",
-                withCommas(plain_vectors.size()).c_str());
-    std::printf("%8s %10s %8s %6s %6s %9s %8s %8s %10s\n",
-                "stride", "spill MB", "chkpts", "trig", "hits",
-                "savings", "spill w", "spill r", "identical");
-
-    double best_savings = 0.0;
-    for (size_t stride : {size_t{0}, size_t{256}, size_t{1024},
-                          size_t{4096}}) {
-        for (size_t spill_mb : {size_t{0}, size_t{256}}) {
-            phase.emplace("bench.stride_point", "stride",
-                          (uint64_t)stride, "spill_mb",
-                          (uint64_t)spill_mb);
-            harness::ReplayOptions options;
-            options.numThreads = 4;
-            options.checkpointStride = stride;
-            // Memory holds only a handful of snapshots when a spill
-            // cap is set, so the chain actually exercises the tier.
-            options.checkpointBudgetBytes =
-                spill_mb ? (4ull << 20) : (256ull << 20);
-            options.spillBudgetBytes = spill_mb << 20;
-            harness::ReplayEngine engine(config, options);
-            WallTimer timer;
-            auto results = engine.playAll(plain_vectors, bug_sets);
-            double seconds = timer.seconds();
-            const auto &stats = engine.stats();
-            bool identical =
-                fingerprint(results) == plain_fingerprint;
-            if (stride > 0 && stats.strideSavings() > best_savings)
-                best_savings = stats.strideSavings();
-
-            std::printf(
-                "%8zu %10zu %8s %6s %6s %8.1f%% %8s %8s %10s\n",
-                stride, spill_mb,
-                withCommas(stats.strideCheckpoints).c_str(),
-                withCommas(stats.triggeredJobs).c_str(),
-                withCommas(stats.strideHits).c_str(),
-                100.0 * stats.strideSavings(),
-                withCommas(stats.spillWrites).c_str(),
-                withCommas(stats.spillReads).c_str(),
-                identical ? "yes" : "NO");
-
-            json.beginRow();
-            json.add("section", "stride");
-            json.add("stride", (uint64_t)stride);
-            json.add("spill_budget_mb", (uint64_t)spill_mb);
-            json.add("wall_seconds", seconds);
             json.add("stride_checkpoints", stats.strideCheckpoints);
             json.add("triggered_jobs", stats.triggeredJobs);
             json.add("triggered_job_cycles",
@@ -284,11 +183,8 @@ main(int argc, char **argv)
             json.add("stride_resume_cycles",
                      stats.strideResumeCycles);
             json.add("stride_savings", stats.strideSavings());
-            json.add("simulated_cycles", stats.simulatedCycles);
-            json.add("spill_writes", stats.spillWrites);
-            json.add("spill_reads", stats.spillReads);
-            json.add("spill_bytes", stats.spillBytes);
-            json.add("spill_fallbacks", stats.spillFallbacks);
+            json.add("peak_cache_bytes",
+                     (uint64_t)stats.peakCacheBytes);
             json.add("identical", identical);
             if (!identical)
                 return 1;
@@ -307,5 +203,5 @@ main(int argc, char **argv)
         std::fprintf(stderr, "failed to write %s\n", path.c_str());
         return 1;
     }
-    return best_reduction > 0.30 && best_savings > 0.30 ? 0 : 1;
+    return best_savings > 0.30 ? 0 : 1;
 }

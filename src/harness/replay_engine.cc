@@ -3,14 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <mutex>
-#include <numeric>
 #include <thread>
 
-#include "support/flight_recorder.hh"
-#include "support/spill_store.hh"
 #include "support/status.hh"
 #include "support/strings.hh"
 #include "support/telemetry.hh"
@@ -22,442 +17,103 @@ namespace archval::harness
 namespace
 {
 
-/** One replay job: a (trace, bug set) pair plus its plan. */
-struct Job
+/** One periodic checkpoint of a donor run, held in memory. */
+struct RowLink
 {
-    size_t trace = 0;        ///< index into the batch
-    size_t bugSet = 0;       ///< index into the bug-set list
-    int restoreSlot = -1;    ///< checkpoint to resume from
-    int publishSlot = -1;    ///< checkpoint this job must produce
-    size_t publishDepth = 0; ///< absolute cycle of the publish
+    uint64_t cycle = 0;
+    rtl::PpCore::Snapshot snapshot;
 };
 
-/** Plan-time record of one checkpoint. */
-struct SlotPlan
-{
-    size_t donorTrace = 0;
-    size_t depth = 0;
-    unsigned consumers = 0;
-};
-
-/** @return length of the common forced-cycle prefix of two traces. */
 size_t
-commonPrefix(const std::vector<rtl::PackedSignals> &a,
-             const std::vector<rtl::PackedSignals> &b)
+linkBytes(const RowLink &link)
 {
-    size_t n = std::min(a.size(), b.size());
-    size_t i = 0;
-    while (i < n && a[i] == b[i])
-        ++i;
-    return i;
+    return link.snapshot.bytes();
+}
+
+size_t
+linkBytes(const ReplayWarmCache::ChainLink &link)
+{
+    return sizeof(link) + link.snapshot.size();
 }
 
 /**
- * Tiered runtime checkpoint cache.
- *
- * Tier 1 is memory under the byte budget; tier 2 is the CRC-checked
- * disk spill file. Entries come in two kinds: *plan slots* (the
- * prefix-tree checkpoints planned before execution, with exact
- * consumer counts) and *stride entries* (periodic donor checkpoints
- * added at runtime, shared read-only by every non-donor bug set and
- * dropped when their trace's last consumer finishes). Eviction is
- * LRU across both kinds; a victim is serialized to the spill store
- * when it fits the spill cap, dropped otherwise. Faulting a spilled
- * entry back in re-reads and CRC-checks the record; any failure
- * marks the entry dropped and the caller degrades to an earlier
- * checkpoint or from-reset replay.
- *
- * One mutex guards everything — publishes, consumes, and spill I/O
- * are rare next to the simulation they save.
+ * One run's periodic checkpoints under a byte cap. Links start
+ * `stride` cycles apart; when the next link would overflow the cap,
+ * every other kept link is dropped and the stride doubles
+ * (logarithmic thinning), so a long run keeps geometrically spaced
+ * resume points instead of none. Serves both the donor's row chain
+ * and a warm entry's chain.
  */
-class CheckpointCache
+template <class Link>
+struct ThinnedChain
 {
-  public:
-    CheckpointCache(const rtl::PpConfig &config,
-                    const std::vector<SlotPlan> &plans, size_t budget,
-                    SpillStore *spill,
-                    ReplayOptions::SpillFault fault)
-        : config_(config), budget_(budget), spill_(spill),
-          fault_(fault)
+    ThinnedChain(size_t link_stride, size_t byte_cap)
+        : stride(link_stride), cap(byte_cap)
     {
-        slots_.resize(plans.size());
-        for (size_t i = 0; i < plans.size(); ++i)
-            slots_[i].remaining = plans[i].consumers;
     }
 
-    /** Store @p snap for plan slot @p slot (or drop it). */
-    void publish(size_t slot, rtl::PpCore::Snapshot snap)
+    size_t stride;           ///< cycles between kept links (0 = off)
+    size_t cap;              ///< byte cap
+    size_t bytes = 0;        ///< bytes held
+    std::vector<Link> links; ///< increasing cycle order
+
+    /** @return true when a link at @p cycle would be kept. */
+    bool
+    due(uint64_t cycle) const
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        Slot &s = slots_[slot];
-        if (s.remaining == 0)
-            s.state = State::Dropped;
-        else
-            insert(s, std::move(snap));
-        if (s.state != State::Dropped)
-            ++published_;
-        cv_.notify_all();
+        return stride != 0 && cycle % stride == 0;
     }
 
-    /** The producer will never publish @p slot (job skipped). */
-    void abandon(size_t slot)
+    /** Append @p link, thinning first when it would overflow the
+     *  cap. @return false when the link was dropped instead (off the
+     *  thinned stride, or alone past the cap). */
+    bool
+    add(Link link)
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (slots_[slot].state == State::Pending)
-            slots_[slot].state = State::Dropped;
-        cv_.notify_all();
-    }
-
-    /**
-     * Block until plan slot @p slot resolves; @return its snapshot,
-     * or an invalid one when it was dropped, evicted past the spill
-     * cap, or its spill record came back damaged. Decrements the
-     * planned-consumer count (the last consumer frees the entry).
-     */
-    rtl::PpCore::Snapshot consume(size_t slot)
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        Slot &s = slots_[slot];
-        cv_.wait(lock, [&] { return s.state != State::Pending; });
-        rtl::PpCore::Snapshot out = materialize(s);
-        if (--s.remaining == 0)
-            freeSlot(s);
-        return out;
-    }
-
-    /** Drop a consumer claim without waiting (job skipped). */
-    void release(size_t slot)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        Slot &s = slots_[slot];
-        if (--s.remaining == 0)
-            freeSlot(s);
-    }
-
-    /** Add a periodic donor checkpoint. @return its entry id. */
-    size_t addStride(rtl::PpCore::Snapshot snap)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        slots_.emplace_back();
-        Slot &s = slots_.back();
-        s.stride = true;
-        insert(s, std::move(snap));
-        ++strideCheckpoints_;
-        return slots_.size() - 1;
-    }
-
-    /**
-     * Fetch stride entry @p id without consuming it (the donor chain
-     * is shared by every non-donor bug set). Stride entries are
-     * never pending — the donor published the whole chain before its
-     * result became visible.
-     */
-    rtl::PpCore::Snapshot fetchStride(size_t id)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return materialize(slots_[id]);
-    }
-
-    /** Free a trace's stride chain (its last consumer finished). */
-    void dropChain(const std::vector<size_t> &ids)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (size_t id : ids)
-            freeSlot(slots_[id]);
-    }
-
-    uint64_t published() const { return published_; }
-    uint64_t strideCheckpoints() const { return strideCheckpoints_; }
-    uint64_t evictions() const { return evictions_; }
-    uint64_t spillFallbacks() const { return spillFallbacks_; }
-    size_t peakBytes() const { return peakBytes_; }
-
-  private:
-    enum class State
-    {
-        Pending, ///< producer has not resolved the entry yet
-        Ready,   ///< snapshot held in memory
-        Spilled, ///< snapshot parked in the spill store
-        Dropped, ///< gone; consumers degrade
-    };
-
-    struct Slot
-    {
-        State state = State::Pending;
-        rtl::PpCore::Snapshot snap;
-        int64_t record = SpillStore::invalidId;
-        unsigned remaining = 0;
-        uint64_t lastUse = 0;
-        bool stride = false;
-    };
-
-    /** Place @p snap into @p s, evicting/spilling as needed. */
-    void insert(Slot &s, rtl::PpCore::Snapshot snap)
-    {
-        size_t bytes = snap.bytes();
-        if (makeRoom(bytes)) {
-            s.snap = std::move(snap);
-            s.state = State::Ready;
-            s.lastUse = ++useClock_;
-            bytes_ += bytes;
-            peakBytes_ = std::max(peakBytes_, bytes_);
-        } else {
-            // Too big for the whole memory budget (mid-trace
-            // snapshots outgrow the reset-state estimate): straight
-            // to the spill tier, or gone.
-            s.state = spillSnapshot(s, snap) ? State::Spilled
-                                             : State::Dropped;
+        const size_t cost = linkBytes(link);
+        while (bytes + cost > cap && !links.empty()) {
+            stride *= 2;
+            std::erase_if(links, [&](const Link &l) {
+                return l.cycle % stride != 0;
+            });
+            bytes = 0;
+            for (const Link &l : links)
+                bytes += linkBytes(l);
         }
-    }
-
-    /** Evict LRU entries until @p bytes fits the memory budget. */
-    bool makeRoom(size_t bytes)
-    {
-        if (bytes > budget_)
+        if (!due(link.cycle) || bytes + cost > cap)
             return false;
-        while (bytes_ + bytes > budget_) {
-            size_t victim = slots_.size();
-            for (size_t i = 0; i < slots_.size(); ++i) {
-                if (slots_[i].state != State::Ready)
-                    continue;
-                if (victim == slots_.size() ||
-                    slots_[i].lastUse < slots_[victim].lastUse)
-                    victim = i;
-            }
-            if (victim == slots_.size())
-                return bytes_ + bytes <= budget_;
-            Slot &loser = slots_[victim];
-            // Best effort: when the spill store is full, disabled,
-            // or failing, the eviction becomes a drop.
-            spillSnapshot(loser, loser.snap);
-            freeInMemory(loser);
-            ++evictions_;
-        }
+        bytes += cost;
+        links.push_back(std::move(link));
         return true;
     }
-
-    /** Try to park @p snap in the spill store for @p s.
-     *  @return true when @p s now points at a spill record. */
-    bool spillSnapshot(Slot &s, const rtl::PpCore::Snapshot &snap)
-    {
-        if (!spill_ || !spill_->enabled())
-            return false;
-        std::vector<uint8_t> bytes = snap.serialize();
-        int64_t record = spill_->append(bytes.data(), bytes.size());
-        if (record == SpillStore::invalidId)
-            return false;
-        // Fault injection (testing): damage the record on disk so
-        // the fault-back path must detect it and degrade.
-        if (fault_ == ReplayOptions::SpillFault::CorruptCrc)
-            spill_->corruptRecordForTesting(record);
-        else if (fault_ == ReplayOptions::SpillFault::Truncate)
-            spill_->truncateAtRecordForTesting(record);
-        s.record = record;
-        return true;
-    }
-
-    /** @return @p s's snapshot, faulting it back from spill if
-     *  needed; invalid (with @p s dropped) on any failure. */
-    rtl::PpCore::Snapshot materialize(Slot &s)
-    {
-        if (s.state == State::Ready) {
-            s.lastUse = ++useClock_;
-            return s.snap;
-        }
-        if (s.state == State::Spilled) {
-            std::vector<uint8_t> bytes;
-            if (spill_ && spill_->read(s.record, bytes)) {
-                rtl::PpCore::Snapshot snap =
-                    rtl::PpCore::deserializeSnapshot(
-                        config_, rtl::CoreMode::Vector, bytes.data(),
-                        bytes.size());
-                if (snap.valid())
-                    return snap;
-            }
-            // Damaged or unreadable record: degrade, never guess.
-            ++spillFallbacks_;
-            s.record = SpillStore::invalidId;
-            s.state = State::Dropped;
-        }
-        return rtl::PpCore::Snapshot();
-    }
-
-    /** Forget an in-memory snapshot (keeps any Spilled marker). */
-    void freeInMemory(Slot &s)
-    {
-        if (s.state != State::Ready)
-            return;
-        bytes_ -= s.snap.bytes();
-        s.snap = rtl::PpCore::Snapshot();
-        s.state = s.record != SpillStore::invalidId ? State::Spilled
-                                                    : State::Dropped;
-    }
-
-    /** Drop @p s entirely (memory and spill reference). */
-    void freeSlot(Slot &s)
-    {
-        if (s.state == State::Ready) {
-            bytes_ -= s.snap.bytes();
-            s.snap = rtl::PpCore::Snapshot();
-        }
-        s.record = SpillStore::invalidId;
-        s.state = State::Dropped;
-    }
-
-    const rtl::PpConfig &config_;
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    /// Deque, not vector: addStride grows the container while other
-    /// workers hold Slot references across cv_ waits in consume().
-    std::deque<Slot> slots_;
-    size_t budget_;
-    SpillStore *spill_;
-    ReplayOptions::SpillFault fault_;
-    size_t bytes_ = 0;
-    size_t peakBytes_ = 0;
-    uint64_t useClock_ = 0;
-    uint64_t published_ = 0;
-    uint64_t strideCheckpoints_ = 0;
-    uint64_t evictions_ = 0;
-    uint64_t spillFallbacks_ = 0;
 };
 
-/**
- * Bug-set-axis donor records: one per trace, filled by the empty
- * bug set's job. Consumers (jobs for the same trace under a non-empty
- * bug set) block until the donor resolves; donor jobs precede every
- * consumer in plan order and are claimed in order, so a waited-on
- * donor is always running or done — the same no-deadlock argument as
- * CheckpointCache.
- */
-class DonorTable
+/** @return the greatest of @p links (increasing cycle order) strictly
+ *  below cycle @p limit, or null when none qualifies. */
+template <class Link>
+const Link *
+linkBelow(const std::vector<Link> &links, uint64_t limit)
 {
-  public:
-    explicit DonorTable(size_t traces) : entries_(traces) {}
-
-    /** Donor completed: record its result and trigger cycles. */
-    void publish(size_t trace, const PlayResult &result,
-                 const std::array<uint64_t, rtl::numBugs> &triggers)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        Entry &e = entries_[trace];
-        e.result = result;
-        e.triggers = triggers;
-        e.state = State::Ready;
-        cv_.notify_all();
+    for (size_t i = links.size(); i-- > 0;) {
+        if (links[i].cycle < limit)
+            return &links[i];
     }
+    return nullptr;
+}
 
-    /** Donor will never publish (its job was skipped). */
-    void fail(size_t trace)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        entries_[trace].state = State::Failed;
-        cv_.notify_all();
-    }
-
-    /**
-     * Block until @p trace's donor resolves. @return true (with
-     * @p result / @p triggers filled) when it completed.
-     */
-    bool wait(size_t trace, PlayResult &result,
-              std::array<uint64_t, rtl::numBugs> &triggers)
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        Entry &e = entries_[trace];
-        cv_.wait(lock, [&] { return e.state != State::Pending; });
-        if (e.state != State::Ready)
-            return false;
-        result = e.result;
-        triggers = e.triggers;
-        return true;
-    }
-
-  private:
-    enum class State
-    {
-        Pending,
-        Ready,
-        Failed,
-    };
-
-    struct Entry
-    {
-        State state = State::Pending;
-        PlayResult result;
-        std::array<uint64_t, rtl::numBugs> triggers{};
-    };
-
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    std::vector<Entry> entries_;
-};
-
-/**
- * Per-trace chains of periodic donor checkpoints: (cycle, cache id)
- * links in increasing cycle order, filled by the donor job and read
- * by every non-donor job for the same trace after the donor
- * resolves. Each trace's chain carries a consumer count (one per
- * non-donor bug set); the last consumer frees the chain's cache
- * entries.
- */
-class StrideChains
+/** @return the first cycle any bug of @p bugs triggered, given each
+ *  bug's first-trigger cycle (UINT64_MAX = never). */
+uint64_t
+firstTrigger(const std::array<uint64_t, rtl::numBugs> &triggers,
+             const rtl::BugSet &bugs)
 {
-  public:
-    StrideChains(size_t traces, unsigned consumers)
-        : chains_(traces), remaining_(traces, consumers)
-    {
+    uint64_t first = UINT64_MAX;
+    for (size_t i = 0; i < rtl::numBugs; ++i) {
+        if (bugs.test(i))
+            first = std::min(first, triggers[i]);
     }
-
-    /** Donor appends a checkpoint (cycles strictly increase). */
-    void add(size_t trace, uint64_t cycle, size_t id)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        chains_[trace].push_back(Link{cycle, id});
-    }
-
-    /** @return cache id of the greatest checkpoint with cycle
-     *  strictly below @p below, or -1 when none qualifies. */
-    int64_t find(size_t trace, uint64_t below) const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto &chain = chains_[trace];
-        for (size_t i = chain.size(); i-- > 0;) {
-            if (chain[i].cycle < below)
-                return (int64_t)chain[i].id;
-        }
-        return -1;
-    }
-
-    /**
-     * Drop one consumer claim on @p trace's chain. @return the
-     * chain's cache ids when this was the last claim (the caller
-     * frees them in the cache), empty otherwise.
-     */
-    std::vector<size_t> release(size_t trace)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (--remaining_[trace] != 0)
-            return {};
-        std::vector<size_t> ids;
-        ids.reserve(chains_[trace].size());
-        for (const Link &link : chains_[trace])
-            ids.push_back(link.id);
-        chains_[trace].clear();
-        chains_[trace].shrink_to_fit();
-        return ids;
-    }
-
-  private:
-    struct Link
-    {
-        uint64_t cycle = 0;
-        size_t id = 0;
-    };
-
-    mutable std::mutex mutex_;
-    std::vector<std::vector<Link>> chains_;
-    std::vector<unsigned> remaining_;
-};
+    return first;
+}
 
 /** Per-worker stat accumulators (merged once at the end). */
 struct LocalStats
@@ -465,10 +121,9 @@ struct LocalStats
     uint64_t batchCycles = 0;
     uint64_t simulatedCycles = 0;
     uint64_t cyclesAvoided = 0;
-    uint64_t hits = 0;
     uint64_t misses = 0;
-    uint64_t fallbacks = 0;
     uint64_t copies = 0;
+    uint64_t strideCheckpoints = 0;
     uint64_t strideHits = 0;
     uint64_t strideResumeCycles = 0;
     uint64_t triggeredJobs = 0;
@@ -492,6 +147,17 @@ fetchMin(std::atomic<size_t> &target, size_t value)
     }
 }
 
+/** Raise @p target to @p value if it is larger (atomic max). */
+void
+fetchMax(std::atomic<size_t> &target, size_t value)
+{
+    size_t cur = target.load(std::memory_order_relaxed);
+    while (value > cur &&
+           !target.compare_exchange_weak(cur, value,
+                                         std::memory_order_relaxed)) {
+    }
+}
+
 } // namespace
 
 std::shared_ptr<const ReplayWarmCache::Entry>
@@ -507,21 +173,21 @@ ReplayWarmCache::find(const std::string &key)
     return it->second.entry;
 }
 
-void
+bool
 ReplayWarmCache::insert(std::shared_ptr<Entry> entry)
 {
     if (!entry)
-        return;
+        return false;
     size_t bytes = sizeof(Entry) + entry->key.size();
     for (const ChainLink &link : entry->chain)
-        bytes += sizeof(ChainLink) + link.snapshot.size();
+        bytes += linkBytes(link);
     entry->bytes = bytes;
 
     std::lock_guard<std::mutex> lock(mutex_);
     if (entries_.count(entry->key))
-        return; // entries are immutable; the first insert wins
+        return false; // entries are immutable; the first insert wins
     if (bytes > budget_)
-        return; // alone past the whole budget: not cacheable
+        return false; // alone past the whole budget: not cacheable
     while (bytes_ + bytes > budget_ && !entries_.empty()) {
         auto victim = entries_.end();
         for (auto it = entries_.begin(); it != entries_.end(); ++it) {
@@ -538,6 +204,7 @@ ReplayWarmCache::insert(std::shared_ptr<Entry> entry)
     Slot &slot = entries_[entry->key];
     slot.entry = std::move(entry);
     slot.lastUse = ++clock_;
+    return true;
 }
 
 ReplayWarmCache::Stats
@@ -778,44 +445,12 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         }
     }
 
-    // ------------------------------------------------------------------
-    // Plan: the batch's prefix tree. Sorting traces lexicographically
-    // by forced-cycle content makes every shared prefix a contiguous
-    // run, and the LCP chain between sorted neighbours is exactly a
-    // DFS of the prefix tree — a stack of live checkpoints mirrors
-    // the DFS path. Each job publishes at most one checkpoint: the
-    // deepest prefix it shares with its sorted successor. (Packed
-    // cycles order as the rows they pack; see rtl::PackedSignals.)
-    // ------------------------------------------------------------------
-    std::vector<size_t> order(nt);
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        const auto &ca = traces[a].cycles;
-        const auto &cb = traces[b].cycles;
-        if (ca != cb)
-            return std::lexicographical_compare(ca.begin(), ca.end(),
-                                                cb.begin(), cb.end());
-        return a < b;
-    });
-    std::vector<size_t> lcp(nt, 0);
-    for (size_t i = 1; i < nt; ++i)
-        lcp[i] = commonPrefix(traces[order[i - 1]].cycles,
-                              traces[order[i]].cycles);
-
-    // Plan-time byte accounting uses one footprint estimate for all
-    // checkpoints (dmem dominates and is config-fixed), keeping the
-    // plan a pure function of the batch.
-    const size_t est =
-        rtl::PpCore(config_, rtl::CoreMode::Vector).snapshotBytes();
+    // Bug-set axis: when the batch contains the empty bug set, each
+    // row plays it first as the donor. Jobs whose bugs never
+    // triggered on the donor run copy its result; triggered jobs
+    // resume from the donor's stride checkpoints with the bug mask
+    // re-armed.
     const size_t budget = options_.checkpointBudgetBytes;
-    const size_t min_prefix = std::max<size_t>(1, options_.minPrefixCycles);
-
-    // Bug-set axis: when the batch contains the empty bug set, its
-    // block runs first as the per-trace donor; jobs in other blocks
-    // whose bugs never triggered on the donor run reuse its result
-    // outright, and (with the stride tier active) triggered jobs
-    // resume from the donor's in-trace checkpoint chain with the bug
-    // mask re-armed.
     size_t donor_set = nb;
     if (budget > 0 && nb > 1) {
         for (size_t b = 0; b < nb; ++b) {
@@ -825,463 +460,222 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
             }
         }
     }
-    const bool donor_active = donor_set < nb;
     std::vector<size_t> set_order(nb);
-    std::iota(set_order.begin(), set_order.end(), size_t{0});
-    if (donor_active)
+    for (size_t b = 0; b < nb; ++b)
+        set_order[b] = b;
+    if (donor_set < nb)
         std::swap(set_order[0], set_order[donor_set]);
-
-    // The stride tier: periodic checkpoints along each donor run,
-    // consumed cross-bug-set. While active, non-donor blocks take no
-    // prefix chains of their own — a checkpoint valid below every
-    // trigger cycle of two bug sets serves both, so the donor chain
-    // subsumes them (jobs it cannot serve replay from reset).
     const size_t stride = options_.checkpointStride;
-    const bool stride_active =
-        donor_active && stride > 0 && budget > 0;
+    const bool stride_active = donor_set < nb && stride > 0;
 
-    std::vector<SlotPlan> slots;
-    std::vector<Job> jobs;
-    jobs.reserve(nt * nb);
-    for (size_t bi = 0; bi < nb; ++bi) {
-        size_t b = set_order[bi];
-        const bool chain_this_block = !stride_active || bi == 0;
-        std::vector<std::pair<size_t, int>> stack; // (depth, slot)
-        size_t live_bytes = 0;
-        for (size_t i = 0; i < nt; ++i) {
-            Job job;
-            job.trace = order[i];
-            job.bugSet = b;
-            if (chain_this_block) {
-                size_t shared = (i == 0) ? 0 : lcp[i];
-                while (!stack.empty() &&
-                       stack.back().first > shared) {
-                    live_bytes -= est;
-                    stack.pop_back();
-                }
-                size_t start = 0;
-                if (!stack.empty()) {
-                    job.restoreSlot = stack.back().second;
-                    start = stack.back().first;
-                    ++slots[static_cast<size_t>(job.restoreSlot)]
-                          .consumers;
-                }
-                if (budget > 0 && i + 1 < nt) {
-                    size_t depth = lcp[i + 1];
-                    if (depth > start && depth >= min_prefix &&
-                        live_bytes + est <= budget) {
-                        job.publishSlot =
-                            static_cast<int>(slots.size());
-                        job.publishDepth = depth;
-                        slots.push_back(
-                            SlotPlan{job.trace, depth, 0});
-                        stack.emplace_back(depth, job.publishSlot);
-                        live_bytes += est;
-                    }
-                }
-            }
-            jobs.push_back(job);
+    // The budget is split evenly: no worker's chain can crowd out
+    // another's, so the sum never exceeds it.
+    const unsigned workers = std::min<size_t>(options_.numThreads, nt);
+    const size_t chain_cap = budget / workers;
+    std::atomic<size_t> chain_bytes{0};
+    std::atomic<size_t> peak_chain_bytes{0};
+    auto track = [&](size_t before, size_t after) {
+        if (after >= before) {
+            const size_t grown = after - before;
+            fetchMax(peak_chain_bytes,
+                     chain_bytes.fetch_add(grown) + grown);
+        } else {
+            chain_bytes.fetch_sub(before - after);
         }
-    }
+    };
 
-    // ------------------------------------------------------------------
-    // Execute. Workers claim jobs in plan order, so a checkpoint's
-    // producer is always claimed before any of its consumers: every
-    // wait in CheckpointCache::consume is on a job that is already
-    // running (or done), and every running job publishes or abandons
-    // its slot — no deadlock, any worker count. Stride chains are
-    // read only after DonorTable::wait returns, which orders them
-    // after the donor's last add.
-    // ------------------------------------------------------------------
-    SpillStore spill(SpillStore::Options{
-        options_.spillDir,
-        budget > 0 ? options_.spillBudgetBytes : 0});
-    CheckpointCache cache(config_, slots, budget, &spill,
-                          options_.spillFault);
-    DonorTable donors(donor_active ? nt : 0);
-    StrideChains chains(stride_active ? nt : 0,
-                        static_cast<unsigned>(nb - 1));
-    std::atomic<size_t> next_job{0};
     std::vector<std::atomic<size_t>> first_div(nb);
     for (auto &fd : first_div)
         fd.store(nt, std::memory_order_relaxed);
+    auto record = [&](size_t t, size_t b, const PlayResult &result) {
+        results[b * nt + t] = result;
+        if (result.diverged && options_.stopOnDivergence)
+            fetchMin(first_div[b], t);
+    };
 
     telemetry::ScopedSpan batch_span("replay.batch", "traces", nt,
                                      "bug_sets", nb);
     telemetry::Histogram &resume_depth = telemetry::histogram(
         "replay.resume_depth", telemetry::depthBounds());
 
-    auto run_one = [&](const Job &job, LocalStats &ls) {
-        telemetry::ScopedSpan job_span("replay.job", "trace",
-                                       job.trace, "bug_set",
-                                       job.bugSet);
-        const vecgen::TestTrace &trace = traces[job.trace];
+    // One row: the trace's jobs, donor first. The row's bug-free
+    // reference is the trace's warm entry or its donor run; only the
+    // donor run fills the row chain, and only this worker reads it.
+    auto run_row = [&](size_t t, LocalStats &ls) {
+        const vecgen::TestTrace &trace = traces[t];
         const size_t len = trace.cycles.size();
-        const bool is_donor = donor_active && job.bugSet == donor_set;
-        // Every non-donor job holds one claim on its trace's stride
-        // chain; dropping the last claim frees the chain.
-        auto release_chain = [&] {
-            if (stride_active && !is_donor)
-                cache.dropChain(chains.release(job.trace));
-        };
+        const ReplayWarmCache::Entry *warm_hit =
+            warm ? warm_entries[t].get() : nullptr;
+        PlayResult donor_result;
+        const PlayResult *ref =
+            warm_hit ? &warm_hit->donorResult : nullptr;
+        std::array<uint64_t, rtl::numBugs> triggers{};
+        if (warm_hit)
+            triggers = warm_hit->triggers;
+        ThinnedChain<RowLink> chain(stride_active ? stride : 0,
+                                    chain_cap);
 
-        const bool past_divergence =
-            options_.stopOnDivergence &&
-            first_div[job.bugSet].load(std::memory_order_acquire) <
-                job.trace;
-        const bool cancelled =
-            !past_divergence && options_.cancelFlag &&
-            options_.cancelFlag->load(std::memory_order_relaxed);
-        if (past_divergence || cancelled) {
+        for (size_t b : set_order) {
             // A trace earlier in the batch already diverged under
-            // this bug set (or the batch was cancelled); drop our
-            // claims so waiters resolve.
-            if (job.restoreSlot >= 0)
-                cache.release(static_cast<size_t>(job.restoreSlot));
-            if (job.publishSlot >= 0)
-                cache.abandon(static_cast<size_t>(job.publishSlot));
-            if (is_donor)
-                donors.fail(job.trace);
-            release_chain();
-            results[job.bugSet * nt + job.trace].skipped = true;
-            if (cancelled)
-                ++ls.cancelled;
-            return;
-        }
+            // this bug set, or the batch was cancelled.
+            const bool past_divergence =
+                options_.stopOnDivergence &&
+                first_div[b].load(std::memory_order_acquire) < t;
+            const bool cancelled =
+                !past_divergence && options_.cancelFlag &&
+                options_.cancelFlag->load(std::memory_order_relaxed);
+            if (past_divergence || cancelled) {
+                results[b * nt + t].skipped = true;
+                if (cancelled)
+                    ++ls.cancelled;
+                continue;
+            }
+            telemetry::ScopedSpan job_span("replay.job", "trace", t,
+                                           "bug_set", b);
 
-        // Fourth sharing axis: a warm entry deposited by an earlier
-        // batch's bug-free run over a content-identical trace. It
-        // plays the donor-block role without the wait — copy the
-        // donor result outright when none of this job's bugs ever
-        // triggered, otherwise resume from the warm checkpoint chain
-        // below the first trigger (selected further down).
-        const ReplayWarmCache::Entry *warm_entry_hit =
-            warm ? warm_entries[job.trace].get() : nullptr;
-        uint64_t warm_first = UINT64_MAX;
-        if (warm_entry_hit) {
+            // Both sharing axes hinge on one guarantee: fault effects
+            // are strictly trigger-guarded and trigger cycles are
+            // recorded on the bug-free run, so the reference
+            // trajectory *is* the bugged trajectory below the first
+            // trigger.
             uint64_t first = UINT64_MAX;
-            for (size_t i = 0; i < rtl::numBugs; ++i) {
-                if (bug_sets[job.bugSet].test(i))
-                    first = std::min(first, warm_entry_hit->triggers[i]);
-            }
-            if (first == UINT64_MAX) {
-                ++ls.warmCopies;
-                ls.batchCycles += len;
-                ls.cyclesAvoided += warm_entry_hit->donorResult.cycles;
-                results[job.bugSet * nt + job.trace] =
-                    warm_entry_hit->donorResult;
-                if (is_donor)
-                    donors.publish(job.trace,
-                                   warm_entry_hit->donorResult,
-                                   warm_entry_hit->triggers);
-                if (job.restoreSlot >= 0)
-                    cache.release(
-                        static_cast<size_t>(job.restoreSlot));
-                if (job.publishSlot >= 0)
-                    cache.abandon(
-                        static_cast<size_t>(job.publishSlot));
-                release_chain();
-                if (warm_entry_hit->donorResult.diverged &&
-                    options_.stopOnDivergence)
-                    fetchMin(first_div[job.bugSet], job.trace);
-                return;
-            }
-            warm_first = first;
-            ++ls.triggeredJobs;
-            ls.triggeredJobCycles += len;
-            ls.triggeredLeadCycles += std::min<uint64_t>(first, len);
-        }
-
-        // Bug-free jobs of a warm-enabled batch deposit the entry
-        // the next batch will hit: the in-batch donor when there is
-        // one, or a single-bug-set batch's own empty-set jobs (the
-        // service's warm-up shape).
-        const bool populate =
-            warm && !warm_entry_hit &&
-            bug_sets[job.bugSet].none() && (is_donor || nb == 1);
-        std::shared_ptr<ReplayWarmCache::Entry> warm_entry;
-        if (populate)
-            warm_entry = std::make_shared<ReplayWarmCache::Entry>();
-
-        // The cross-bug-set axes: wholesale donor-result reuse for
-        // never-triggered jobs, donor-chain resume for triggered
-        // ones. Both hinge on the same guarantee — fault effects are
-        // strictly trigger-guarded and trigger cycles are recorded
-        // on the bug-free run — so the donor's trajectory *is* the
-        // bugged trajectory below the first trigger.
-        int64_t stride_entry = -1;
-        if (!warm_entry_hit && donor_active && !is_donor) {
-            PlayResult donor_result;
-            std::array<uint64_t, rtl::numBugs> triggers{};
-            if (donors.wait(job.trace, donor_result, triggers)) {
-                uint64_t first = UINT64_MAX;
-                for (size_t i = 0; i < rtl::numBugs; ++i) {
-                    if (bug_sets[job.bugSet].test(i))
-                        first = std::min(first, triggers[i]);
-                }
+            if (ref) {
+                first = firstTrigger(triggers, bug_sets[b]);
                 if (first == UINT64_MAX) {
-                    ++ls.copies;
+                    ++(warm_hit ? ls.warmCopies : ls.copies);
                     ls.batchCycles += len;
-                    ls.cyclesAvoided += donor_result.cycles;
-                    results[job.bugSet * nt + job.trace] =
-                        donor_result;
-                    // Drop this job's slot claims so planned waiters
-                    // in the same block resolve (they fall back to
-                    // from-reset replay if they cannot copy too).
-                    if (job.restoreSlot >= 0)
-                        cache.release(
-                            static_cast<size_t>(job.restoreSlot));
-                    if (job.publishSlot >= 0)
-                        cache.abandon(
-                            static_cast<size_t>(job.publishSlot));
-                    release_chain();
-                    if (donor_result.diverged &&
-                        options_.stopOnDivergence)
-                        fetchMin(first_div[job.bugSet], job.trace);
-                    return;
+                    ls.cyclesAvoided += ref->cycles;
+                    record(t, b, *ref);
+                    continue;
                 }
                 ++ls.triggeredJobs;
                 ls.triggeredJobCycles += len;
                 // The avoidable pool: the bug-free lead up to the
                 // first trigger (a trigger can fire during drain, so
                 // cap at the forced-cycle length).
-                ls.triggeredLeadCycles +=
-                    std::min<uint64_t>(first, len);
-                if (stride_active)
-                    stride_entry = chains.find(job.trace, first);
+                ls.triggeredLeadCycles += std::min<uint64_t>(first, len);
             }
-        }
 
-        rtl::PpCore core(config_, rtl::CoreMode::Vector);
-        VectorPlayer::primeCore(core, trace, bug_sets[job.bugSet]);
+            const bool is_donor = !warm_hit && b == donor_set;
+            // Bug-free jobs of a warm-enabled batch deposit the entry
+            // the next batch will hit: the donor when there is one,
+            // or a single-bug-set batch's own empty-set job (the
+            // service's warm-up shape).
+            const bool populate = warm && !warm_hit &&
+                                  bug_sets[b].none() &&
+                                  (is_donor || nb == 1);
 
-        size_t start = 0;
-        if (warm_entry_hit) {
-            // Warm-chain resume: greatest link strictly below the
-            // first trigger (the cross-bug-set validity rule), within
-            // the trace, and — when this job still owes a planned
-            // checkpoint — strictly below its publish depth so the
-            // drive loop pauses there. A serialized snapshot is
-            // self-contained (the core owns its stream and inbox by
-            // value, and the key guarantees identical content), so a
-            // valid record restores with nothing to rebind; a damaged
-            // or foreign record degrades to from-reset replay.
-            const ReplayWarmCache::ChainLink *link = nullptr;
-            const auto &chain = warm_entry_hit->chain;
-            for (size_t i = chain.size(); i-- > 0;) {
-                if (chain[i].cycle < warm_first &&
-                    chain[i].cycle <= len &&
-                    (job.publishSlot < 0 ||
-                     chain[i].cycle < job.publishDepth)) {
-                    link = &chain[i];
-                    break;
+            rtl::PpCore core(config_, rtl::CoreMode::Vector);
+            VectorPlayer::primeCore(core, trace, bug_sets[b]);
+
+            // Resume from the greatest link strictly below the first
+            // trigger, re-arming this job's bug mask (the one field of
+            // the reference state that legitimately differs). A warm
+            // link is a serialized snapshot of a content-identical
+            // trace; a damaged or foreign one degrades to from-reset
+            // replay.
+            size_t start = 0;
+            if (warm_hit) {
+                // Within the trace, too: at most cycle len.
+                if (const ReplayWarmCache::ChainLink *link = linkBelow(
+                        warm_hit->chain,
+                        std::min<uint64_t>(first, len + 1))) {
+                    rtl::PpCore::Snapshot snap =
+                        rtl::PpCore::deserializeSnapshot(
+                            config_, rtl::CoreMode::Vector,
+                            link->snapshot.data(), link->snapshot.size());
+                    if (snap.valid() && snap.cycles() <= len) {
+                        core.restoreWithBugs(snap, bug_sets[b]);
+                        start = snap.cycles();
+                        ++ls.warmChainHits;
+                        ls.warmResumeCycles += start;
+                        ls.cyclesAvoided += start;
+                    } else {
+                        ++ls.misses;
+                    }
                 }
-            }
-            if (link) {
-                rtl::PpCore::Snapshot snap =
-                    rtl::PpCore::deserializeSnapshot(
-                        config_, rtl::CoreMode::Vector,
-                        link->snapshot.data(), link->snapshot.size());
-                if (snap.valid() && snap.cycles() <= len) {
-                    core.restoreWithBugs(snap, bug_sets[job.bugSet]);
-                    start = snap.cycles();
-                    ++ls.warmChainHits;
-                    ls.warmResumeCycles += start;
-                    ls.cyclesAvoided += start;
-                } else {
-                    ++ls.misses;
-                }
-            }
-        }
-        if (warm_entry_hit && start > 0 && job.restoreSlot >= 0) {
-            // The warm resume superseded the planned restore; drop
-            // the claim so the slot can be freed.
-            cache.release(static_cast<size_t>(job.restoreSlot));
-        } else if (stride_entry >= 0) {
-            // In-trace donor checkpoint: same trace, so the stimulus
-            // is identical by construction and no prefix
-            // verification is needed; validity below the first
-            // trigger was checked when the entry was chosen. The
-            // restore re-arms this job's bug mask (the one field of
-            // the donor state that legitimately differs).
-            rtl::PpCore::Snapshot snap =
-                cache.fetchStride(static_cast<size_t>(stride_entry));
-            if (!snap.valid() || snap.cycles() > len) {
-                ++ls.misses;
-            } else {
-                core.restoreWithBugs(snap, bug_sets[job.bugSet]);
-                start = snap.cycles();
+            } else if (const RowLink *link =
+                           linkBelow(chain.links, first)) {
+                core.restoreWithBugs(link->snapshot, bug_sets[b]);
+                start = link->snapshot.cycles();
                 ++ls.strideHits;
                 ls.strideResumeCycles += start;
                 ls.cyclesAvoided += start;
             }
-        } else if (job.restoreSlot >= 0) {
-            rtl::PpCore::Snapshot snap =
-                cache.consume(static_cast<size_t>(job.restoreSlot));
-            if (!snap.valid()) {
-                ++ls.misses;
-            } else {
-                const vecgen::TestTrace &donor =
-                    traces[slots[static_cast<size_t>(job.restoreSlot)]
-                               .donorTrace];
-                // Exact reuse condition: our stimulus prefix must
-                // equal the donor's up to everything the checkpoint
-                // consumed. On any mismatch, replay from reset —
-                // correctness never rides on the plan being right.
-                size_t depth = snap.cycles();
-                size_t consumed = snap.streamConsumed();
-                size_t popped =
-                    donor.inbox.size() - snap.inboxRemaining();
-                bool ok =
-                    depth <= trace.cycles.size() &&
-                    consumed <= trace.fetchStream.size() &&
-                    popped <= trace.inbox.size() &&
-                    std::equal(donor.cycles.begin(),
-                               donor.cycles.begin() +
-                                   static_cast<long>(depth),
-                               trace.cycles.begin()) &&
-                    std::equal(donor.fetchStream.begin(),
-                               donor.fetchStream.begin() +
-                                   static_cast<long>(consumed),
-                               trace.fetchStream.begin()) &&
-                    std::equal(donor.inbox.begin(),
-                               donor.inbox.begin() +
-                                   static_cast<long>(popped),
-                               trace.inbox.begin());
-                if (!ok) {
-                    ++ls.fallbacks;
-                } else {
-                    core.restore(snap);
-                    core.rebindStream(trace.fetchStream);
-                    core.rebindInbox(trace.inbox, popped);
-                    start = depth;
-                    ++ls.hits;
-                    ls.cyclesAvoided += depth;
+            resume_depth.record(double(start));
+
+            // Drive to the end of the trace. The donor and populating
+            // runs (both from reset) pause at every stride boundary to
+            // snapshot into the chains that want the link: the row
+            // chain under the worker's share of the budget, the warm
+            // entry under the cache's per-entry cap.
+            const bool row_links = is_donor && stride_active;
+            ThinnedChain<ReplayWarmCache::ChainLink> warm_chain(
+                populate ? stride : 0,
+                warm ? warm->chainBytesCap() : 0);
+            const size_t snap_stride =
+                (row_links || populate) ? stride : 0;
+            uint64_t stepped_from = core.cycles();
+            size_t pos = start;
+            size_t next_stride = snap_stride ? snap_stride : len;
+            while (pos < len) {
+                const size_t stop = std::min(len, next_stride);
+                VectorPlayer::drive(core, trace, pos, stop);
+                pos = stop;
+                if (pos < len && pos == next_stride) {
+                    const bool to_row = row_links && chain.due(pos);
+                    const bool to_warm = warm_chain.due(pos);
+                    if (to_row || to_warm) {
+                        rtl::PpCore::Snapshot snap = core.snapshot();
+                        if (to_warm)
+                            warm_chain.add({pos, snap.serialize()});
+                        if (to_row) {
+                            const size_t before = chain.bytes;
+                            if (chain.add({pos, std::move(snap)}))
+                                ++ls.strideCheckpoints;
+                            track(before, chain.bytes);
+                        }
+                    }
+                    next_stride += snap_stride;
                 }
             }
-        }
+            PlayResult result = VectorPlayer::finish(config_, core, trace);
+            ls.simulatedCycles += core.cycles() - stepped_from;
+            ls.batchCycles += len;
+            record(t, b, result);
 
-        resume_depth.record(double(start));
-
-        // Drive to the end of the trace, pausing at this job's
-        // planned publish depth and (donor runs) at every stride
-        // boundary to snapshot. The donor publishes its chain links
-        // before DonorTable::publish, so consumers always see a
-        // complete chain.
-        const size_t my_stride =
-            (stride_active && is_donor) ? stride : 0;
-        // Populating runs pause at stride boundaries even when the
-        // in-batch tier is off (single-bug-set warm-up batches have
-        // no in-batch consumers) — one snapshot per boundary serves
-        // both the in-batch chain and the warm entry.
-        const size_t snap_stride =
-            my_stride ? my_stride
-                      : (populate && stride > 0 ? stride : 0);
-        uint64_t stepped_from = core.cycles();
-        size_t pos = start;
-        size_t next_stride =
-            snap_stride ? (start / snap_stride + 1) * snap_stride
-                        : len + 1;
-        // Warm-chain population stays under the cache's per-entry
-        // byte cap by logarithmic thinning: when the next link would
-        // overflow, drop every other kept link and double the link
-        // stride. Coverage degrades gracefully — a long trace keeps
-        // geometrically spaced resume points instead of none.
-        size_t warm_link_stride = snap_stride;
-        size_t warm_chain_bytes = 0;
-        auto warm_add_link = [&](size_t cycle,
-                                 const rtl::PpCore::Snapshot &snap) {
-            if (cycle % warm_link_stride != 0)
-                return;
-            std::vector<uint8_t> bytes = snap.serialize();
-            const size_t cap = warm->chainBytesCap();
-            const size_t cost = sizeof(ReplayWarmCache::ChainLink) +
-                                bytes.size();
-            auto &chain = warm_entry->chain;
-            while (warm_chain_bytes + cost > cap && !chain.empty()) {
-                warm_link_stride *= 2;
-                size_t kept = 0;
-                warm_chain_bytes = 0;
-                for (size_t i = 0; i < chain.size(); ++i) {
-                    if (chain[i].cycle % warm_link_stride != 0)
-                        continue;
-                    warm_chain_bytes +=
-                        sizeof(ReplayWarmCache::ChainLink) +
-                        chain[i].snapshot.size();
-                    chain[kept++] = std::move(chain[i]);
-                }
-                chain.resize(kept);
+            if (is_donor || populate) {
+                for (size_t i = 0; i < rtl::numBugs; ++i)
+                    triggers[i] =
+                        core.bugFirstTrigger(static_cast<rtl::BugId>(i));
             }
-            if (cycle % warm_link_stride != 0 ||
-                warm_chain_bytes + cost > cap)
-                return;
-            warm_chain_bytes += cost;
-            chain.push_back(ReplayWarmCache::ChainLink{
-                cycle, std::move(bytes)});
-        };
-        while (pos < len) {
-            size_t stop = len;
-            if (job.publishSlot >= 0 && job.publishDepth > pos)
-                stop = std::min(stop, job.publishDepth);
-            if (next_stride > pos)
-                stop = std::min(stop, next_stride);
-            VectorPlayer::drive(core, trace, pos, stop);
-            pos = stop;
-            if (job.publishSlot >= 0 && pos == job.publishDepth)
-                cache.publish(static_cast<size_t>(job.publishSlot),
-                              core.snapshot());
-            if (snap_stride && pos == next_stride) {
-                if (pos < len) {
-                    rtl::PpCore::Snapshot snap = core.snapshot();
-                    if (populate)
-                        warm_add_link(pos, snap);
-                    if (my_stride)
-                        chains.add(job.trace, pos,
-                                   cache.addStride(std::move(snap)));
-                }
-                next_stride += snap_stride;
+            if (is_donor) {
+                donor_result = result;
+                ref = &donor_result;
             }
-        }
-        // The loop above always reaches publishDepth (the plan keeps
-        // it in (start, len]); this guard only exists so a planning
-        // bug could never strand waiters on a Pending slot.
-        if (job.publishSlot >= 0 && job.publishDepth > len)
-            cache.abandon(static_cast<size_t>(job.publishSlot));
-        PlayResult result = VectorPlayer::finish(config_, core, trace);
-        ls.simulatedCycles += core.cycles() - stepped_from;
-        ls.batchCycles += len;
-        results[job.bugSet * nt + job.trace] = result;
-
-        if (is_donor || populate) {
-            // Trigger cycles are exact even when this run resumed
-            // from a checkpoint: the snapshot carries the donor
-            // prefix's counters, and the verified-identical stimulus
-            // makes that prefix's triggers this trace's triggers.
-            std::array<uint64_t, rtl::numBugs> triggers{};
-            for (size_t i = 0; i < rtl::numBugs; ++i)
-                triggers[i] =
-                    core.bugFirstTrigger(static_cast<rtl::BugId>(i));
-            if (is_donor)
-                donors.publish(job.trace, result, triggers);
             if (populate) {
-                warm_entry->key = std::move(warm_keys[job.trace]);
-                warm_entry->donorResult = result;
-                warm_entry->triggers = triggers;
-                warm->insert(std::move(warm_entry));
-                ++ls.warmInserts;
+                auto entry = std::make_shared<ReplayWarmCache::Entry>();
+                entry->key = std::move(warm_keys[t]);
+                entry->donorResult = result;
+                entry->triggers = triggers;
+                entry->chain = std::move(warm_chain.links);
+                if (warm->insert(std::move(entry)))
+                    ++ls.warmInserts;
             }
         }
-        release_chain();
-
-        if (result.diverged && options_.stopOnDivergence)
-            fetchMin(first_div[job.bugSet], job.trace);
+        track(chain.bytes, 0);
     };
 
-    unsigned workers = std::min<size_t>(options_.numThreads, jobs.size());
-    std::vector<LocalStats> local(std::max(1u, workers));
+    std::atomic<size_t> next_trace{0};
+    std::vector<LocalStats> local(workers);
+    auto work = [&](LocalStats &ls) {
+        for (size_t t;
+             (t = next_trace.fetch_add(1, std::memory_order_relaxed)) <
+             nt;)
+            run_row(t, ls);
+    };
     if (workers <= 1) {
-        for (const Job &job : jobs)
-            run_one(job, local[0]);
+        work(local[0]);
     } else {
         std::vector<std::thread> pool;
         pool.reserve(workers);
@@ -1296,13 +690,7 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
                     telemetry::setThreadName(
                         formatString("replay.worker.%u", w));
                 }
-                while (true) {
-                    size_t j = next_job.fetch_add(
-                        1, std::memory_order_relaxed);
-                    if (j >= jobs.size())
-                        break;
-                    run_one(jobs[j], local[w]);
-                }
+                work(local[w]);
             });
         }
         for (std::thread &t : pool)
@@ -1329,10 +717,9 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         stats_.batchCycles += ls.batchCycles;
         stats_.simulatedCycles += ls.simulatedCycles;
         stats_.cyclesAvoided += ls.cyclesAvoided;
-        stats_.checkpointHits += ls.hits;
         stats_.checkpointMisses += ls.misses;
-        stats_.verifyFallbacks += ls.fallbacks;
         stats_.bugSetCopies += ls.copies;
+        stats_.strideCheckpoints += ls.strideCheckpoints;
         stats_.strideHits += ls.strideHits;
         stats_.strideResumeCycles += ls.strideResumeCycles;
         stats_.triggeredJobs += ls.triggeredJobs;
@@ -1344,35 +731,16 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         stats_.warmResumeCycles += ls.warmResumeCycles;
         stats_.warmInserts += ls.warmInserts;
     }
-    stats_.checkpointsPublished = cache.published();
-    stats_.strideCheckpoints = cache.strideCheckpoints();
-    stats_.cacheEvictions = cache.evictions();
-    stats_.peakCacheBytes = cache.peakBytes();
-    stats_.spillWrites = spill.writes();
-    stats_.spillReads = spill.reads();
-    stats_.spillBytes = spill.bytesWritten();
-    stats_.spillFallbacks = cache.spillFallbacks();
+    stats_.peakCacheBytes = peak_chain_bytes.load();
 
     // Registry mirror of the batch stats: one add per batch keeps
     // the hot path free of shared-counter traffic.
     telemetry::counter("replay.jobs").add(stats_.jobs);
-    telemetry::counter("replay.checkpoint_hits")
-        .add(stats_.checkpointHits);
     telemetry::counter("replay.checkpoint_misses")
         .add(stats_.checkpointMisses);
-    telemetry::counter("replay.verify_fallbacks")
-        .add(stats_.verifyFallbacks);
     telemetry::counter("replay.bug_set_copies")
         .add(stats_.bugSetCopies);
     telemetry::counter("replay.stride_hits").add(stats_.strideHits);
-    telemetry::counter("replay.spill_writes").add(stats_.spillWrites);
-    telemetry::counter("replay.spill_reads").add(stats_.spillReads);
-    telemetry::counter("replay.spill_fallbacks")
-        .add(stats_.spillFallbacks);
-    if (stats_.spillFallbacks)
-        flight::recordEvent(flight::EventKind::SpillFallback,
-                            telemetry::currentJobId(),
-                            stats_.spillFallbacks, "replay");
     telemetry::counter("replay.cycles_avoided")
         .add(stats_.cyclesAvoided);
     telemetry::counter("replay.cycles_simulated")

@@ -2,67 +2,45 @@
  * @file
  * Checkpoint-accelerated batch replay — the perf core of steps 3–4.
  *
- * Tour traces are reset-rooted DFS walks of the state graph, so a
- * batch of them shares long stimulus prefixes. The engine organizes a
- * batch into its prefix tree (by sorting traces lexicographically on
- * forced-cycle content and chaining longest-common-prefix lengths),
- * simulates each shared prefix once per bug set, publishes a
- * value-semantics PpCore snapshot at every planned branch point, and
- * resumes sibling traces from the snapshot instead of from reset.
- * Snapshots live in an LRU cache under a configurable byte budget;
- * replay jobs (trace × BugSet) fan out across a worker pool.
+ * The engine plays a batch of tour traces against a list of bug sets
+ * (the trace × bug-set matrix of a Table 2.1 hunt) on a worker pool.
+ * One trace's row of bug sets is the unit of work: a worker claims
+ * the next trace in batch order and plays every job of that row
+ * before it claims another. Nothing a row needs lives in another
+ * row, so no worker ever waits on another, and every checkpoint
+ * lives only as long as its row.
  *
  * Correctness contract: results are byte-identical to playing every
  * trace on a fresh core with VectorPlayer::play, for any worker
- * count and any cache budget. Two mechanisms guarantee it:
+ * count and any checkpoint budget. Snapshots are bit-exact
+ * whole-machine copies (cycle and retire counters included), so a
+ * resumed run is indistinguishable from an uninterrupted one.
  *
- *  - snapshots are bit-exact whole-machine copies (cycle and retire
- *    counters included), so a resumed run is indistinguishable from
- *    an uninterrupted one;
- *  - before resuming trace B from a checkpoint donated by trace A,
- *    the engine verifies that B's stimulus prefix (forced cycles,
- *    consumed fetch-stream words, popped inbox words) equals A's. On
- *    any mismatch it falls back to from-reset replay, so a foreign
- *    checkpoint can cost cycles but never correctness.
+ * Two sharing axes cut a row's simulated cycles. Both rest on one
+ * guarantee: every fault effect in rtl::PpCore is strictly guarded by
+ * its trigger conjunction, and the core records the first cycle each
+ * conjunction held whether or not the bug is enabled
+ * (PpCore::bugFirstTrigger). When the batch contains the empty bug
+ * set, each row plays it first as the donor:
  *
- * The checkpoint cache only helps when shared edge prefixes carry
- * identical operand bytes — which the vector generator guarantees by
- * seeding each packet's draws from a hash of the tour-edge prefix
- * (see vecgen::VectorGenerator).
+ *  - Donor copy: a job whose bugs never triggered on the donor run
+ *    reuses the donor's PlayResult outright — the bugged run is
+ *    provably bit-identical — and simulates nothing. Since the
+ *    Table 2.1 faults are rare multi-event conjunctions, most bugged
+ *    jobs collapse to copies.
+ *  - Stride checkpoints: the donor run snapshots the core every
+ *    ReplayOptions::checkpointStride cycles into a chain the worker
+ *    owns. A job whose bugs did trigger resumes from the greatest
+ *    link strictly below its first trigger cycle: below the trigger
+ *    the donor's state *is* the bugged state except for the
+ *    enabled-bug mask, which the restore re-arms
+ *    (PpCore::restoreWithBugs). With no such link it plays from
+ *    reset. The worker frees the chain when the row is done.
  *
- * A second sharing axis covers the trace × bug-set matrix: every
- * fault effect in rtl::PpCore is strictly guarded by its trigger
- * conjunction, and the core records the first cycle each conjunction
- * held whether or not the bug is enabled (PpCore::bugFirstTrigger).
- * When a batch contains the empty bug set, its block runs first as
- * the donor: a job for (trace, B) whose bugs never triggered on the
- * trace's bug-free run reuses the donor's PlayResult outright — the
- * bugged run is provably bit-identical — and skips simulation
- * entirely. Since the Table 2.1 faults are rare multi-event
- * conjunctions, most bugged replays collapse to copies.
- *
- * The third axis is the tiered in-trace checkpoint scheme, which
- * covers the jobs the first two cannot: (trace, B) jobs whose bugs
- * *did* trigger on the donor run.
- *
- *  - Periodic donor checkpoints: the donor run snapshots the core
- *    every ReplayOptions::checkpointStride cycles. A triggered job
- *    resumes from the greatest donor checkpoint strictly below its
- *    first trigger cycle instead of replaying from reset.
- *  - Cross-bug-set restore: a checkpoint whose cycle lies strictly
- *    below every first-trigger cycle of a bug set is bit-identical
- *    to the state that bugged run would have reached (fault effects
- *    are trigger-guarded; trigger cycles are recorded regardless of
- *    enablement), except for the enabled-bug mask itself — so the
- *    restore re-arms the mask (PpCore::restoreWithBugs) and
- *    non-donor blocks consume the donor block's chain instead of
- *    maintaining chains of their own.
- *  - Disk spill tier: checkpoints LRU-evicted from the byte budget
- *    are serialized into a CRC-checked temp-dir spill file
- *    (support/spill_store) under their own byte cap and faulted back
- *    in on demand. Any I/O, CRC, or decode failure degrades to
- *    from-reset replay — a damaged record can cost cycles, never
- *    correctness.
+ * ReplayOptions::checkpointBudgetBytes bounds the chain bytes held at
+ * once: each worker thins its row chain logarithmically (every other
+ * link dropped, the link stride doubled) to stay under budget /
+ * workers.
  */
 
 #ifndef ARCHVAL_HARNESS_REPLAY_ENGINE_HH
@@ -83,9 +61,9 @@ namespace archval::harness
 {
 
 /**
- * Cross-batch warm cache — the fourth sharing axis, across playAll()
- * calls (and across engines: the cache is shared by handle, so a
- * service session or a hunt loop keeps it alive between requests).
+ * Cross-batch warm cache — donor reuse across playAll() calls (and
+ * across engines: the cache is shared by handle, so a service session
+ * or a hunt loop keeps it alive between requests).
  *
  * Every bug-free donor run deposits an entry keyed by the trace's
  * *entire serialized content* (vecgen::serializeTrace — exact-match
@@ -93,14 +71,14 @@ namespace archval::harness
  * donor PlayResult, the first-trigger cycle of every bug, and the
  * donor's periodic checkpoint chain as serialized core snapshots. A
  * later batch containing the same trace then reuses the warm entry
- * exactly like an in-batch donor block:
+ * exactly like an in-batch donor run:
  *
  *  - a job whose bugs never triggered on the donor run copies the
  *    donor result outright (zero cycles simulated);
  *  - a job whose bugs did trigger resumes from the greatest warm
  *    checkpoint strictly below its first trigger cycle, with the bug
  *    mask re-armed on restore (PpCore::restoreWithBugs) — the same
- *    validity rule as the in-batch stride tier.
+ *    validity rule as the in-batch stride checkpoints.
  *
  * Snapshot records are config-fingerprinted; a record that fails to
  * deserialize degrades that job to from-reset replay, never to wrong
@@ -159,8 +137,9 @@ class ReplayWarmCache
 
     /** Insert @p entry (an existing entry with the same key wins;
      *  LRU entries are evicted past the byte budget; an entry alone
-     *  exceeding the budget is dropped). */
-    void insert(std::shared_ptr<Entry> entry);
+     *  exceeding the budget is dropped).
+     *  @return true when @p entry was stored. */
+    bool insert(std::shared_ptr<Entry> entry);
 
     /** @return a point-in-time snapshot of every entry (unordered).
      *  Entries are immutable, so the snapshot stays valid however
@@ -207,54 +186,24 @@ class ReplayWarmCache
 /** Engine tuning. */
 struct ReplayOptions
 {
-    /** Worker threads replay jobs concurrently (1 = inline). */
+    /** Worker threads; each plays whole trace rows (1 = inline). */
     unsigned numThreads = 1;
 
-    /** Checkpoint-cache byte budget; 0 disables both sharing axes
-     *  (cross-trace prefixes and bug-free donor reuse) and every job
-     *  replays from reset. */
+    /** Checkpoint bytes held at once, across workers: each worker
+     *  thins its row chain to stay under budget / workers. 0 disables
+     *  both sharing axes (donor copy and stride checkpoints) and every
+     *  job replays from reset. */
     size_t checkpointBudgetBytes = 64ull << 20;
 
-    /** Shortest shared prefix worth a checkpoint: below this the
-     *  snapshot copy costs more than the cycles it saves. */
-    size_t minPrefixCycles = 16;
-
     /**
-     * Cycle stride of the periodic in-trace donor checkpoints
-     * (0 disables the tier). Only meaningful when the batch has a
-     * bug-free donor block: the donor run publishes a snapshot every
-     * stride cycles, and a (trace, bug) job whose bugs triggered on
-     * the donor run resumes from the greatest checkpoint strictly
-     * below its first trigger cycle, with the bug mask re-armed at
-     * restore. While the tier is active, non-donor blocks consume
-     * the donor chain instead of maintaining their own prefix
-     * chains.
+     * Cycle stride of the donor run's periodic checkpoints (0
+     * disables them). Only meaningful when the batch has a bug-free
+     * donor set: a (trace, bug) job whose bugs triggered on the donor
+     * run resumes from the greatest checkpoint strictly below its
+     * first trigger cycle, with the bug mask re-armed at restore. Also
+     * the starting link stride of warm-cache entries.
      */
     size_t checkpointStride = 1024;
-
-    /**
-     * Byte cap for the disk spill tier (0 disables it). Checkpoints
-     * LRU-evicted from the in-memory budget are serialized into a
-     * CRC-checked temp file and faulted back in on demand; the cap
-     * bounds total bytes ever written (the file is append-only and
-     * removed when playAll returns). Spill failures of any kind
-     * degrade to from-reset replay.
-     */
-    size_t spillBudgetBytes = 0;
-
-    /** Spill-file directory; empty picks $TMPDIR or /tmp. An
-     *  unusable directory disables the spill tier. */
-    std::string spillDir;
-
-    /** Spill-tier fault injection (testing): damage every spilled
-     *  record so read-back must take the degradation path. */
-    enum class SpillFault
-    {
-        None,       ///< normal operation
-        CorruptCrc, ///< flip a payload byte after each write
-        Truncate,   ///< cut the file at each record after writing
-    };
-    SpillFault spillFault = SpillFault::None;
 
     /**
      * Early exit for hunt loops: once a job diverges, jobs for later
@@ -291,39 +240,33 @@ struct ReplayStats
     uint64_t batchCycles = 0;     ///< forced cycles the batch demands
     uint64_t simulatedCycles = 0; ///< core steps actually executed
     uint64_t cyclesAvoided = 0;   ///< cycles reused instead of stepped
-    uint64_t checkpointsPublished = 0;
-    uint64_t checkpointHits = 0;     ///< restores from the cache
-    uint64_t checkpointMisses = 0;   ///< planned restore evicted/abandoned
-    uint64_t verifyFallbacks = 0;    ///< stimulus-prefix mismatch
+    /** Always 0: no job restores a checkpoint taken on another
+     *  trace. Kept, with verifyFallbacks and hitRate(), because
+     *  reports still print them. */
+    uint64_t checkpointHits = 0;
+    uint64_t checkpointMisses = 0;   ///< warm links that failed to load
+    uint64_t verifyFallbacks = 0;    ///< always 0 (see checkpointHits)
     /** Jobs whose whole result was reused from the trace's bug-free
      *  donor run because none of their bugs ever triggered on it. */
     uint64_t bugSetCopies = 0;
-    uint64_t cacheEvictions = 0;
+    /** Most row-chain checkpoint bytes held at once (summed over
+     *  workers; never above ReplayOptions::checkpointBudgetBytes). */
     size_t peakCacheBytes = 0;
 
-    /** @name Tiered in-trace checkpointing @{ */
-    uint64_t strideCheckpoints = 0; ///< periodic donor checkpoints
+    /** @name Stride checkpoints @{ */
+    uint64_t strideCheckpoints = 0; ///< links kept in donor row chains
     uint64_t strideHits = 0;        ///< triggered jobs resumed from one
     uint64_t strideResumeCycles = 0; ///< cycles skipped by those resumes
     /** Non-donor jobs whose bug set triggered on the donor run (the
-     *  jobs only the stride tier can accelerate). */
+     *  jobs only stride checkpoints can accelerate). */
     uint64_t triggeredJobs = 0;
     uint64_t triggeredJobCycles = 0; ///< forced cycles those jobs demand
     /** Cycles standing between reset and the bug set's first trigger,
      *  summed over triggered jobs (capped at the trace length). This
-     *  is the pool the stride tier can address: everything past the
-     *  trigger is the diverged run itself and must be re-stepped by
-     *  any scheme. */
+     *  is the pool stride checkpoints can address: everything past
+     *  the trigger is the diverged run itself and must be re-stepped
+     *  by any scheme. */
     uint64_t triggeredLeadCycles = 0;
-    /** @} */
-
-    /** @name Disk spill tier @{ */
-    uint64_t spillWrites = 0;    ///< checkpoints evicted to disk
-    uint64_t spillReads = 0;     ///< spill-record read attempts
-    uint64_t spillBytes = 0;     ///< payload bytes written to the file
-    /** Spill read/decode failures; each degraded a planned restore
-     *  to a miss (from-reset or nearest earlier checkpoint). */
-    uint64_t spillFallbacks = 0;
     /** @} */
 
     /** @name Cross-batch warm cache (ReplayWarmCache) @{ */
@@ -334,10 +277,11 @@ struct ReplayStats
     uint64_t warmCopies = 0;
     uint64_t warmChainHits = 0;     ///< jobs resumed from a warm link
     uint64_t warmResumeCycles = 0;  ///< cycles those resumes skipped
-    uint64_t warmInserts = 0;       ///< donor entries published
+    uint64_t warmInserts = 0;       ///< donor entries stored
     /** @} */
 
-    /** @return fraction of planned restores that hit the cache. */
+    /** @return checkpointHits over planned restores (reads 0; see
+     *  checkpointHits). */
     double hitRate() const
     {
         uint64_t planned =
@@ -368,9 +312,9 @@ struct ReplayStats
 };
 
 /**
- * Replays batches of test traces against bug sets with prefix
- * sharing and a worker pool. Reusable; stats() reflects the most
- * recent playAll().
+ * Replays batches of test traces against bug sets, one trace row per
+ * worker at a time. Reusable; stats() reflects the most recent
+ * playAll().
  */
 class ReplayEngine
 {
@@ -394,9 +338,10 @@ class ReplayEngine
     playAll(const std::vector<vecgen::TestTrace> &traces,
             const rtl::BugSet &bugs = {});
 
-    /** @return statistics for the most recent playAll(). Simulation
-     *  results are always exact; cache-related counters can vary
-     *  with thread timing when evictions occur. */
+    /** @return statistics for the most recent playAll(). With more
+     *  than one worker, peakCacheBytes depends on thread timing (as do
+     *  the work counters of a batch cut short by stopOnDivergence or
+     *  cancelFlag); every other counter is a function of the batch. */
     const ReplayStats &stats() const { return stats_; }
 
     /** @return the engine's options. */

@@ -8,7 +8,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
-#include "support/spill_store.hh"
+#include "support/record_file.hh"
 #include "support/strings.hh"
 
 namespace archval::murphi::ooc

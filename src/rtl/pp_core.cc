@@ -166,18 +166,6 @@ PpCore::Snapshot::cycles() const
     return state_ ? state_->cycles_ : 0;
 }
 
-size_t
-PpCore::Snapshot::streamConsumed() const
-{
-    return state_ ? state_->streamPos_ : 0;
-}
-
-size_t
-PpCore::Snapshot::inboxRemaining() const
-{
-    return state_ ? state_->inbox_.size() : 0;
-}
-
 PpCore::Snapshot
 PpCore::snapshot() const
 {
@@ -210,10 +198,10 @@ namespace
 {
 
 /**
- * Byte-stream helpers for the spill-tier snapshot record. The format
+ * Byte-stream helpers for the serialized snapshot record. The format
  * is a plain concatenation of trivially-copyable blocks and
- * length-prefixed arrays in native layout — a spill record never
- * leaves the host, and SpillStore CRC-checks the bytes in transit;
+ * length-prefixed arrays in native layout — a record never leaves
+ * the host, and the session store's record files CRC-check it on disk;
  * the reader only has to reject structural damage (bad lengths,
  * foreign configuration), which it does by refusing to read past the
  * end and by checking every length against the constructing config.
@@ -452,29 +440,6 @@ PpCore::deserializeSnapshot(const PpConfig &config, CoreMode mode,
     if (core->deserializeFrom(data, size))
         snap.state_ = std::move(core);
     return snap;
-}
-
-void
-PpCore::rebindStream(const std::vector<uint32_t> &stream)
-{
-    if (mode_ != CoreMode::Vector)
-        fatal("rebindStream requires vector mode");
-    if (stream.size() < streamPos_)
-        fatal("rebindStream: new stream shorter than consumed prefix");
-    for (size_t i = 0; i < streamPos_; ++i) {
-        if (stream[i] != stream_[i])
-            fatal("rebindStream: consumed prefix differs");
-    }
-    stream_.assign(stream.begin(), stream.end());
-}
-
-void
-PpCore::rebindInbox(const std::deque<uint32_t> &inbox, size_t consumed)
-{
-    if (consumed > inbox.size())
-        fatal("rebindInbox: consumed count exceeds inbox size");
-    inbox_.assign(inbox.begin() + static_cast<long>(consumed),
-                  inbox.end());
 }
 
 size_t

@@ -150,14 +150,11 @@ class PpCore
         size_t bytes() const;
         /** @return cycles executed at capture time. */
         uint64_t cycles() const;
-        /** @return fetch-stream words consumed at capture time. */
-        size_t streamConsumed() const;
-        /** @return Inbox words left unconsumed at capture time. */
-        size_t inboxRemaining() const;
 
         /**
-         * Serialize to a self-contained byte record for the disk
-         * spill tier. Same-host format (native endianness and struct
+         * Serialize to a self-contained byte record for the replay
+         * warm cache's checkpoint chains (which the service's session
+         * store persists). Same-host format (native endianness and struct
          * layout), versioned and tagged with the capture
          * configuration so deserializeSnapshot() can reject foreign
          * records. @return an empty vector for an invalid snapshot.
@@ -200,22 +197,6 @@ class PpCore
      * re-arms. The caller owns that validity check.
      */
     void restoreWithBugs(const Snapshot &snap, const BugSet &bugs);
-
-    /**
-     * Replace the vector-mode fetch stream while keeping the consumed
-     * position — used when a checkpoint is resumed under a different
-     * trace that shares the consumed prefix. The already-consumed
-     * words must be identical (checked).
-     */
-    void rebindStream(const std::vector<uint32_t> &stream);
-
-    /**
-     * Replace the Inbox with @p inbox minus its first @p consumed
-     * words. The checkpoint already popped those; the caller verifies
-     * against the donor trace that they match what was popped.
-     */
-    void rebindInbox(const std::deque<uint32_t> &inbox,
-                     size_t consumed);
 
     /** @return approximate footprint of one snapshot of this core. */
     size_t snapshotBytes() const;
@@ -319,7 +300,7 @@ class PpCore
 
     void reset();
 
-    /** Append the whole machine state to @p out (spill tier). */
+    /** Append the whole machine state to @p out (Snapshot::serialize). */
     void serializeInto(std::vector<uint8_t> &out) const;
 
     /** Overwrite this core's state from serializeInto() bytes.

@@ -86,7 +86,6 @@ struct DesignSpec
 
     /** Tour generation (graph::TourOptions). */
     uint64_t maxInstructionsPerTrace = 0;
-    bool nestedPrefixSplits = false;
 
     /** Vector generation seed. */
     uint64_t vectorSeed = 1;

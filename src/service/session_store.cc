@@ -10,7 +10,7 @@
 
 #include "service/session_cache.hh"
 #include "support/flight_recorder.hh"
-#include "support/spill_store.hh"
+#include "support/record_file.hh"
 #include "support/strings.hh"
 #include "support/telemetry.hh"
 

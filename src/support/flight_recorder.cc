@@ -278,7 +278,8 @@ recordEvent(EventKind kind, uint64_t a, uint64_t b,
     slot.a.store(a, std::memory_order_relaxed);
     slot.b.store(b, std::memory_order_relaxed);
     char padded[kDetailBytes] = {};
-    std::memcpy(padded, detail.data(), len);
+    if (len > 0) // an empty detail may carry a null data()
+        std::memcpy(padded, detail.data(), len);
     for (size_t i = 0; i < kDetailBytes / 8; ++i) {
         uint64_t word;
         std::memcpy(&word, padded + i * 8, 8);

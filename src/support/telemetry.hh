@@ -28,7 +28,7 @@
  * snapshot through the tagged logger at that interval.
  *
  * Metric naming scheme: `<subsystem>.<noun>[_<unit>]`, e.g.
- * `enum.states`, `replay.checkpoint_hits`,
+ * `enum.states`, `replay.stride_hits`,
  * `enum.barrier_wait_seconds`. Subsystem prefixes in use: `enum`,
  * `replay`, `player`, `fuzz`, `hunt`.
  */

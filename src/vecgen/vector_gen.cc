@@ -319,8 +319,8 @@ VectorGenerator::walk(const graph::Trace &trace, size_t trace_index,
     // Running hash of the tour-edge prefix. Each packet's operand
     // draws are seeded from the hash at its fetch cycle, so traces
     // sharing a reset-rooted edge prefix materialize byte-identical
-    // stimulus for that prefix (what ReplayEngine checkpoint sharing
-    // keys on) while decorrelating right after the walks diverge.
+    // stimulus for that prefix while decorrelating right after the
+    // walks diverge.
     uint64_t prefix_hash = prefixMix(0xcbf29ce484222325ull, seed_);
 
     for (graph::EdgeId e : trace.edges) {

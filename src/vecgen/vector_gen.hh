@@ -195,10 +195,10 @@ class VectorGenerator
     std::vector<rtl::PackedSignals> signals_;
     /**
      * Operand draws are seeded per packet from a hash of (seed_,
-     * tour-edge prefix), not from one sequential stream: traces that
-     * share a reset-rooted prefix then materialize byte-identical
-     * stimulus for it, which is what makes checkpoint reuse across
-     * traces (harness::ReplayEngine) actually hit.
+     * tour-edge prefix), not from one sequential stream: a trace's
+     * stimulus is a function of the seed and its own edges alone, so
+     * traces can be generated in any order, and traces that share a
+     * reset-rooted prefix materialize byte-identical stimulus for it.
      */
     uint64_t seed_;
     VecGenStats stats_;

@@ -12,19 +12,16 @@
  *     restoring a donor snapshot with the bug mask re-armed
  *     (PpCore::restoreWithBugs) reproduces the bugged run exactly.
  *  3. The engine's results are byte-identical to the sequential
- *     VectorPlayer for every (stride × cache budget × spill budget ×
- *     worker count) combination — including under injected spill
- *     faults, which may cost cycles but never correctness.
+ *     VectorPlayer for every (stride × checkpoint budget × worker
+ *     count) combination, and the budget bounds the checkpoint bytes
+ *     held at once without costing a stride hit when each row's
+ *     chain fits its worker's share.
  *
- * The suite exercises the worker pool and the spill tier, so it is
- * part of the ARCHVAL_SANITIZE=thread build (see README).
+ * The suite exercises the worker pool, so it is part of the
+ * ARCHVAL_SANITIZE=thread build (see README).
  */
 
 #include <gtest/gtest.h>
-
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <array>
@@ -33,7 +30,6 @@
 #include "harness/vector_player.hh"
 #include "murphi/enumerator.hh"
 #include "support/rng.hh"
-#include "support/spill_store.hh"
 #include "support/status.hh"
 
 namespace archval::harness
@@ -308,58 +304,36 @@ TEST_F(CheckpointFixture, BugRearmRoundTripFuzz)
 
 TEST_F(CheckpointFixture, EngineMatchesSequentialAcrossTierSweep)
 {
-    // The acceptance sweep: stride × (memory budget, spill budget) ×
-    // worker count, all six Table 2.1 bug sets plus the bug-free
-    // donor. Tiny memory budgets force evictions into the spill
-    // tier; spill budget 0 forces evictions into drops.
-    const size_t one = snapshotBytes();
-    struct Tier
-    {
-        size_t memory;
-        size_t spill;
-        const char *name;
-    };
-    const Tier tiers[] = {
-        {size_t{1} << 40, 0, "mem-unbounded"},
-        {2 * one, size_t{1} << 40, "mem-tiny+spill"},
-        {2 * one, 0, "mem-tiny+drop"},
-    };
+    // The acceptance sweep: stride × worker count under an unbounded
+    // budget, all six Table 2.1 bug sets plus the bug-free donor.
+    // (Tight budgets are swept in BudgetBoundsHeldChainsNotHits.)
     const size_t strides[] = {0, 64, 4096};
     bool stride_hit_somewhere = false;
 
     for (size_t stride : strides) {
-        for (const Tier &tier : tiers) {
-            for (unsigned nw : {1u, 2u, 8u}) {
-                ReplayOptions options;
-                options.numThreads = nw;
-                options.checkpointStride = stride;
-                options.checkpointBudgetBytes = tier.memory;
-                options.spillBudgetBytes = tier.spill;
-                ReplayStats stats = expectMatrixIdentical(
-                    *config_, *traces_, *bug_sets_, *expected_,
-                    options,
-                    std::string(tier.name) + " stride=" +
-                        std::to_string(stride) +
-                        " workers=" + std::to_string(nw));
-                if (stride > 0) {
-                    EXPECT_GT(stats.strideCheckpoints, 0u)
-                        << tier.name << " stride=" << stride;
-                }
-                if (stats.strideHits > 0) {
-                    stride_hit_somewhere = true;
-                    EXPECT_GT(stats.strideResumeCycles, 0u);
-                    // Resumes land strictly below the first trigger,
-                    // so the skipped cycles fit inside the jobs'
-                    // reset-to-trigger leads.
-                    EXPECT_LE(stats.strideResumeCycles,
-                              stats.triggeredLeadCycles);
-                    EXPECT_LE(stats.triggeredLeadCycles,
-                              stats.triggeredJobCycles);
-                }
-                if (tier.spill == 0 &&
-                    tier.memory > (size_t{1} << 30)) {
-                    EXPECT_EQ(stats.spillWrites, 0u);
-                }
+        for (unsigned nw : {1u, 2u, 8u}) {
+            ReplayOptions options;
+            options.numThreads = nw;
+            options.checkpointStride = stride;
+            options.checkpointBudgetBytes = size_t{1} << 40;
+            ReplayStats stats = expectMatrixIdentical(
+                *config_, *traces_, *bug_sets_, *expected_, options,
+                "stride=" + std::to_string(stride) +
+                    " workers=" + std::to_string(nw));
+            if (stride > 0) {
+                EXPECT_GT(stats.strideCheckpoints, 0u)
+                    << "stride=" << stride;
+            }
+            if (stats.strideHits > 0) {
+                stride_hit_somewhere = true;
+                EXPECT_GT(stats.strideResumeCycles, 0u);
+                // Resumes land strictly below the first trigger, so
+                // the skipped cycles fit inside the jobs'
+                // reset-to-trigger leads.
+                EXPECT_LE(stats.strideResumeCycles,
+                          stats.triggeredLeadCycles);
+                EXPECT_LE(stats.triggeredLeadCycles,
+                          stats.triggeredJobCycles);
             }
         }
     }
@@ -406,9 +380,6 @@ TEST_F(CheckpointFixture, RandomizedPropertyDifferential)
         options.checkpointStride = rng.index(2 * max_len);
         options.checkpointBudgetBytes =
             rng.chance(1, 4) ? 0 : rng.range(one, 64 * one);
-        options.spillBudgetBytes =
-            rng.chance(1, 2) ? 0 : rng.range(one, 64 * one);
-        options.minPrefixCycles = rng.range(1, 64);
         expectMatrixIdentical(
             *config_, *traces_, bug_sets, expected, options,
             "draw " + std::to_string(draw) + " workers=" +
@@ -418,329 +389,92 @@ TEST_F(CheckpointFixture, RandomizedPropertyDifferential)
 }
 
 // ---------------------------------------------------------------------
-// Spill-tier fault injection: damage may cost cycles, never bytes.
+// The budget bounds what is held at once, not what is reused.
 // ---------------------------------------------------------------------
 
-TEST_F(CheckpointFixture, SpillTierRoundTripsUnderPressure)
+/** @return the bytes of the stride chain a bug-free run of @p trace
+ *  takes at @p stride (snapshots at every boundary short of the
+ *  end, as the donor run takes them). */
+size_t
+chainBytes(const PpConfig &config, const vecgen::TestTrace &trace,
+           size_t stride)
 {
-    // A memory budget of ~1 snapshot forces every published
-    // checkpoint through the spill tier; results must not change and
-    // the spill counters must show real traffic.
+    rtl::PpCore core(config, rtl::CoreMode::Vector);
+    VectorPlayer::primeCore(core, trace, BugSet{});
+    size_t bytes = 0;
+    for (size_t pos = stride; pos < trace.cycles.size();
+         pos += stride) {
+        VectorPlayer::drive(core, trace, pos - stride, pos);
+        bytes += core.snapshot().bytes();
+    }
+    return bytes;
+}
+
+TEST_F(CheckpointFixture, BudgetBoundsHeldChainsNotHits)
+{
+    // Each worker holds one row's chain at a time, so a budget that
+    // fits about two traces' chains — far less than the whole
+    // batch's — must bound the bytes held at once while every stride
+    // resume still lands exactly where an unbounded budget puts it.
+    constexpr size_t stride = 64;
+    size_t largest = 0;
+    size_t batch = 0;
+    for (const auto &trace : *traces_) {
+        const size_t bytes = chainBytes(*config_, trace, stride);
+        largest = std::max(largest, bytes);
+        batch += bytes;
+    }
+    const size_t budget = 2 * largest;
+    ASSERT_LT(4 * budget, batch)
+        << "batch too small for the budget to bind";
+
     ReplayOptions options;
-    options.numThreads = 2;
-    options.checkpointStride = 64;
-    options.checkpointBudgetBytes = snapshotBytes() + 1;
-    options.spillBudgetBytes = size_t{1} << 40;
-    options.minPrefixCycles = 4;
-    ReplayStats stats = expectMatrixIdentical(
+    options.checkpointStride = stride;
+    options.checkpointBudgetBytes = size_t{1} << 40;
+    ReplayStats unbounded = expectMatrixIdentical(
         *config_, *traces_, *bug_sets_, *expected_, options,
-        "spill pressure");
-    EXPECT_GT(stats.spillWrites, 0u);
-    EXPECT_GT(stats.spillBytes, 0u);
-    EXPECT_GT(stats.spillReads, 0u);
-    EXPECT_EQ(stats.spillFallbacks, 0u);
-}
+        "unbounded");
+    ASSERT_GT(unbounded.strideHits, 0u);
 
-TEST_F(CheckpointFixture, InjectedSpillFaultsDegradeGracefully)
-{
-    // Every spilled record is damaged on disk (flipped payload byte,
-    // then truncation). Faulting back must detect the damage, count
-    // a fallback, and replay from an earlier checkpoint or reset —
-    // with byte-identical results throughout.
-    for (auto fault : {ReplayOptions::SpillFault::CorruptCrc,
-                       ReplayOptions::SpillFault::Truncate}) {
-        ReplayOptions options;
-        options.numThreads = 2;
-        options.checkpointStride = 64;
-        options.checkpointBudgetBytes = snapshotBytes() + 1;
-        options.spillBudgetBytes = size_t{1} << 40;
-        options.minPrefixCycles = 4;
-        options.spillFault = fault;
-        const char *name =
-            fault == ReplayOptions::SpillFault::CorruptCrc
-                ? "corrupt-crc"
-                : "truncate";
-        ReplayStats stats = expectMatrixIdentical(
-            *config_, *traces_, *bug_sets_, *expected_, options,
-            name);
-        EXPECT_GT(stats.spillWrites, 0u) << name;
-        EXPECT_GT(stats.spillFallbacks, 0u) << name;
-    }
-}
-
-TEST_F(CheckpointFixture, UnusableSpillDirectoryDisablesTier)
-{
-    // A nonexistent spill directory must disable the tier (no file,
-    // no writes) without affecting results.
-    ReplayOptions options;
-    options.numThreads = 2;
-    options.checkpointBudgetBytes = snapshotBytes() + 1;
-    options.spillBudgetBytes = size_t{1} << 40;
-    options.spillDir = "/nonexistent/archval-spill-dir";
-    options.minPrefixCycles = 4;
-    ReplayStats stats = expectMatrixIdentical(
+    options.checkpointBudgetBytes = budget;
+    ReplayStats bounded = expectMatrixIdentical(
         *config_, *traces_, *bug_sets_, *expected_, options,
-        "bad spill dir");
-    EXPECT_EQ(stats.spillWrites, 0u);
-    EXPECT_EQ(stats.spillReads, 0u);
-}
+        "two chains");
+    EXPECT_EQ(bounded.strideHits, unbounded.strideHits);
+    EXPECT_EQ(bounded.bugSetCopies, unbounded.bugSetCopies);
+    EXPECT_EQ(bounded.simulatedCycles, unbounded.simulatedCycles);
+    EXPECT_GT(bounded.peakCacheBytes, 0u);
+    EXPECT_LE(bounded.peakCacheBytes, budget);
 
-// ---------------------------------------------------------------------
-// SpillStore unit-level faults (real file damage, no engine).
-// ---------------------------------------------------------------------
-
-TEST(SpillStoreTest, RoundTripAndStats)
-{
-    SpillStore store(SpillStore::Options{});
-    ASSERT_TRUE(store.enabled());
-    std::vector<uint8_t> a(1000);
-    for (size_t i = 0; i < a.size(); ++i)
-        a[i] = (uint8_t)(i * 7);
-    std::vector<uint8_t> b(313, 0x5A);
-
-    int64_t ida = store.append(a.data(), a.size());
-    int64_t idb = store.append(b.data(), b.size());
-    ASSERT_NE(ida, SpillStore::invalidId);
-    ASSERT_NE(idb, SpillStore::invalidId);
-
-    std::vector<uint8_t> out;
-    EXPECT_TRUE(store.read(idb, out));
-    EXPECT_EQ(out, b);
-    EXPECT_TRUE(store.read(ida, out));
-    EXPECT_EQ(out, a);
-    EXPECT_EQ(store.writes(), 2u);
-    EXPECT_EQ(store.reads(), 2u);
-    EXPECT_EQ(store.readFailures(), 0u);
-    EXPECT_EQ(store.bytesWritten(), a.size() + b.size());
-
-    EXPECT_FALSE(store.read(99, out)); // unknown id
-    EXPECT_TRUE(out.empty());
-}
-
-TEST(SpillStoreTest, CorruptedRecordFailsCrc)
-{
-    SpillStore store(SpillStore::Options{});
-    ASSERT_TRUE(store.enabled());
-    std::vector<uint8_t> data(4096, 0xA5);
-    int64_t id = store.append(data.data(), data.size());
-    ASSERT_NE(id, SpillStore::invalidId);
-    ASSERT_TRUE(store.corruptRecordForTesting(id));
-
-    std::vector<uint8_t> out(3, 1);
-    EXPECT_FALSE(store.read(id, out));
-    EXPECT_TRUE(out.empty()) << "failed read must not leak bytes";
-    EXPECT_EQ(store.readFailures(), 1u);
-}
-
-TEST(SpillStoreTest, TruncatedFileFailsShortRead)
-{
-    SpillStore store(SpillStore::Options{});
-    ASSERT_TRUE(store.enabled());
-    std::vector<uint8_t> first(256, 0x11);
-    std::vector<uint8_t> second(256, 0x22);
-    int64_t id0 = store.append(first.data(), first.size());
-    int64_t id1 = store.append(second.data(), second.size());
-    ASSERT_TRUE(store.truncateAtRecordForTesting(id1));
-
-    std::vector<uint8_t> out;
-    EXPECT_TRUE(store.read(id0, out)) << "record before cut survives";
-    EXPECT_EQ(out, first);
-    EXPECT_FALSE(store.read(id1, out));
-    EXPECT_TRUE(out.empty());
-}
-
-TEST(SpillStoreTest, BudgetCapRefusesOverflow)
-{
-    SpillStore store(SpillStore::Options{"", 100});
-    ASSERT_TRUE(store.enabled());
-    std::vector<uint8_t> data(60, 0x33);
-    EXPECT_NE(store.append(data.data(), data.size()),
-              SpillStore::invalidId);
-    // 60 + 60 > 100: the second append must be refused, and the
-    // refusal must not disable the store.
-    EXPECT_EQ(store.append(data.data(), data.size()),
-              SpillStore::invalidId);
-    std::vector<uint8_t> small(30, 0x44);
-    EXPECT_NE(store.append(small.data(), small.size()),
-              SpillStore::invalidId);
-}
-
-TEST(SpillStoreTest, ZeroBudgetAndBadDirDisable)
-{
-    SpillStore none(SpillStore::Options{"", 0});
-    EXPECT_FALSE(none.enabled());
-    EXPECT_TRUE(none.path().empty());
-
-    SpillStore bad(
-        SpillStore::Options{"/nonexistent/archval-spill-dir", 1024});
-    EXPECT_FALSE(bad.enabled());
-    std::vector<uint8_t> data(8, 0);
-    EXPECT_EQ(bad.append(data.data(), data.size()),
-              SpillStore::invalidId);
-}
-
-// ---------------------------------------------------------------------
-// RecordFile writer/reader — the session-store container format.
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-constexpr uint32_t kTestMagic = 0x52435654; // "TVCR"
-
-std::vector<uint8_t>
-patternRecord(size_t size, uint8_t seed)
-{
-    std::vector<uint8_t> record(size);
-    for (size_t i = 0; i < size; ++i)
-        record[i] = static_cast<uint8_t>(seed + i * 13);
-    return record;
-}
-
-std::string
-recordFilePath(const char *name)
-{
-    return ::testing::TempDir() + "/archval-recfile-" + name + "-" +
-           std::to_string(::getpid());
-}
-
-} // namespace
-
-TEST(RecordFileTest, RoundTripIncludingEmptyRecords)
-{
-    const std::string path = recordFilePath("roundtrip");
-    std::vector<std::vector<uint8_t>> records{
-        patternRecord(1, 3), {}, patternRecord(4096, 7),
-        patternRecord(17, 11)};
-    {
-        RecordFileWriter writer(path, kTestMagic, 2);
-        ASSERT_TRUE(writer.ok());
-        for (const auto &record : records)
-            ASSERT_TRUE(writer.append(record));
-        ASSERT_TRUE(writer.commit());
-    }
-    RecordFileReader reader(path, kTestMagic, 2);
-    ASSERT_TRUE(reader.ok());
-    std::vector<uint8_t> out;
-    for (const auto &record : records) {
-        ASSERT_EQ(reader.next(out), RecordFileReader::Status::Record);
-        EXPECT_EQ(out, record);
-    }
-    EXPECT_EQ(reader.next(out), RecordFileReader::Status::End);
-    EXPECT_EQ(reader.next(out), RecordFileReader::Status::End);
-    ::unlink(path.c_str());
-}
-
-TEST(RecordFileTest, UncommittedWriterLeavesTargetUntouched)
-{
-    const std::string path = recordFilePath("atomic");
-    {
-        RecordFileWriter writer(path, kTestMagic, 1);
-        ASSERT_TRUE(writer.ok());
-        ASSERT_TRUE(writer.append(patternRecord(64, 1)));
-        ASSERT_TRUE(writer.commit());
-    }
-    {
-        // A writer that dies before commit() (daemon killed mid-save)
-        // must leave the previously committed file intact.
-        RecordFileWriter writer(path, kTestMagic, 1);
-        ASSERT_TRUE(writer.ok());
-        ASSERT_TRUE(writer.append(patternRecord(999, 2)));
-        // no commit
-    }
-    RecordFileReader reader(path, kTestMagic, 1);
-    ASSERT_TRUE(reader.ok());
-    std::vector<uint8_t> out;
-    ASSERT_EQ(reader.next(out), RecordFileReader::Status::Record);
-    EXPECT_EQ(out, patternRecord(64, 1));
-    EXPECT_EQ(reader.next(out), RecordFileReader::Status::End);
-    ::unlink(path.c_str());
-}
-
-TEST(RecordFileTest, ForeignMagicOrVersionFailsOpen)
-{
-    const std::string path = recordFilePath("identity");
-    {
-        RecordFileWriter writer(path, kTestMagic, 3);
-        ASSERT_TRUE(writer.ok());
-        ASSERT_TRUE(writer.append(patternRecord(32, 5)));
-        ASSERT_TRUE(writer.commit());
-    }
-    EXPECT_FALSE(RecordFileReader(path, kTestMagic + 1, 3).ok());
-    EXPECT_FALSE(RecordFileReader(path, kTestMagic, 4).ok());
-    EXPECT_FALSE(
-        RecordFileReader(path + ".nope", kTestMagic, 3).ok());
-    EXPECT_TRUE(RecordFileReader(path, kTestMagic, 3).ok());
-    ::unlink(path.c_str());
-}
-
-TEST(RecordFileTest, FlippedBitAndTruncationAreStickyDamage)
-{
-    const std::string path = recordFilePath("damage");
-    {
-        RecordFileWriter writer(path, kTestMagic, 1);
-        ASSERT_TRUE(writer.ok());
-        ASSERT_TRUE(writer.append(patternRecord(512, 9)));
-        ASSERT_TRUE(writer.append(patternRecord(512, 10)));
-        ASSERT_TRUE(writer.commit());
-    }
-    struct stat st;
-    ASSERT_EQ(::stat(path.c_str(), &st), 0);
-
-    // Flip one payload byte of the second record: record one still
-    // reads, record two is Damaged, and damage is sticky.
-    {
-        int fd = ::open(path.c_str(), O_RDWR);
-        ASSERT_GE(fd, 0);
-        const off_t target = st.st_size - 100;
-        uint8_t byte = 0;
-        ASSERT_EQ(::pread(fd, &byte, 1, target), 1);
-        byte ^= 0x01;
-        ASSERT_EQ(::pwrite(fd, &byte, 1, target), 1);
-        ::close(fd);
-
-        RecordFileReader reader(path, kTestMagic, 1);
-        ASSERT_TRUE(reader.ok());
-        std::vector<uint8_t> out;
-        ASSERT_EQ(reader.next(out),
-                  RecordFileReader::Status::Record);
-        EXPECT_EQ(out, patternRecord(512, 9));
-        EXPECT_EQ(reader.next(out),
-                  RecordFileReader::Status::Damaged);
-        EXPECT_TRUE(out.empty());
-        EXPECT_EQ(reader.next(out),
-                  RecordFileReader::Status::Damaged);
+    // A budget of two snapshots thins every chain to nearly nothing:
+    // cycles may be lost, never bytes, at any stride or worker
+    // count, and the bound still holds.
+    const size_t tiny = 2 * snapshotBytes();
+    for (size_t tiny_stride : {size_t{0}, size_t{64}, size_t{4096}}) {
+        for (unsigned nw : {1u, 2u, 8u}) {
+            options.numThreads = nw;
+            options.checkpointStride = tiny_stride;
+            options.checkpointBudgetBytes = tiny;
+            ReplayStats stats = expectMatrixIdentical(
+                *config_, *traces_, *bug_sets_, *expected_, options,
+                "tiny budget stride=" + std::to_string(tiny_stride) +
+                    " workers=" + std::to_string(nw));
+            EXPECT_LE(stats.peakCacheBytes, tiny);
+        }
     }
 
-    // Truncation mid-record: Damaged, not a short read or End.
-    ASSERT_EQ(::truncate(path.c_str(), st.st_size - 10), 0);
-    {
-        RecordFileReader reader(path, kTestMagic, 1);
-        ASSERT_TRUE(reader.ok());
-        std::vector<uint8_t> out;
-        ASSERT_EQ(reader.next(out),
-                  RecordFileReader::Status::Record);
-        EXPECT_EQ(reader.next(out),
-                  RecordFileReader::Status::Damaged);
-    }
-
-    // Truncation inside the header: the open itself fails.
-    ASSERT_EQ(::truncate(path.c_str(), 5), 0);
-    EXPECT_FALSE(RecordFileReader(path, kTestMagic, 1).ok());
-    ::unlink(path.c_str());
-}
-
-TEST(SpillStoreTest, ReadOnlyDirectoryDisables)
-{
-    // Root bypasses directory permission bits, so the scenario is
-    // only constructible as an unprivileged user.
-    if (::geteuid() == 0)
-        GTEST_SKIP() << "running as root: mode 0500 is not read-only";
-    std::string dir = ::testing::TempDir() + "/archval-ro-spill";
-    ASSERT_EQ(::mkdir(dir.c_str(), 0500), 0);
-    SpillStore store(SpillStore::Options{dir, 1024});
-    EXPECT_FALSE(store.enabled());
-    ::rmdir(dir.c_str());
+    // A bug-free batch alone holds nothing: no other bug set can
+    // resume from a checkpoint, and no warm cache wants one.
+    options = ReplayOptions{};
+    options.checkpointStride = stride;
+    ReplayStats single = expectMatrixIdentical(
+        *config_, *traces_, std::vector<BugSet>{BugSet{}},
+        std::vector<PlayResult>(
+            expected_->begin(),
+            expected_->begin() + static_cast<long>(traces_->size())),
+        options, "bug-free only");
+    EXPECT_EQ(single.strideCheckpoints, 0u);
+    EXPECT_EQ(single.peakCacheBytes, 0u);
 }
 
 } // namespace

@@ -26,7 +26,7 @@
 #include "murphi/enumerator.hh"
 #include "murphi/ooc.hh"
 #include "rtl/pp_fsm_model.hh"
-#include "support/spill_store.hh"
+#include "support/record_file.hh"
 
 namespace archval
 {

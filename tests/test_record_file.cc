@@ -1,0 +1,167 @@
+/**
+ * @file
+ * Record-file tests: the CRC-guarded container format of the
+ * service's session store and the out-of-core enumerator's spill
+ * files (support/record_file).
+ */
+
+#include <gtest/gtest.h>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <string>
+#include <vector>
+
+#include "support/record_file.hh"
+
+namespace archval
+{
+namespace
+{
+
+constexpr uint32_t kTestMagic = 0x52435654; // "TVCR"
+
+std::vector<uint8_t>
+patternRecord(size_t size, uint8_t seed)
+{
+    std::vector<uint8_t> record(size);
+    for (size_t i = 0; i < size; ++i)
+        record[i] = static_cast<uint8_t>(seed + i * 13);
+    return record;
+}
+
+std::string
+recordFilePath(const char *name)
+{
+    return ::testing::TempDir() + "/archval-recfile-" + name + "-" +
+           std::to_string(::getpid());
+}
+
+TEST(RecordFileTest, RoundTripIncludingEmptyRecords)
+{
+    const std::string path = recordFilePath("roundtrip");
+    std::vector<std::vector<uint8_t>> records{
+        patternRecord(1, 3), {}, patternRecord(4096, 7),
+        patternRecord(17, 11)};
+    {
+        RecordFileWriter writer(path, kTestMagic, 2);
+        ASSERT_TRUE(writer.ok());
+        for (const auto &record : records)
+            ASSERT_TRUE(writer.append(record));
+        ASSERT_TRUE(writer.commit());
+    }
+    RecordFileReader reader(path, kTestMagic, 2);
+    ASSERT_TRUE(reader.ok());
+    std::vector<uint8_t> out;
+    for (const auto &record : records) {
+        ASSERT_EQ(reader.next(out), RecordFileReader::Status::Record);
+        EXPECT_EQ(out, record);
+    }
+    EXPECT_EQ(reader.next(out), RecordFileReader::Status::End);
+    EXPECT_EQ(reader.next(out), RecordFileReader::Status::End);
+    ::unlink(path.c_str());
+}
+
+TEST(RecordFileTest, UncommittedWriterLeavesTargetUntouched)
+{
+    const std::string path = recordFilePath("atomic");
+    {
+        RecordFileWriter writer(path, kTestMagic, 1);
+        ASSERT_TRUE(writer.ok());
+        ASSERT_TRUE(writer.append(patternRecord(64, 1)));
+        ASSERT_TRUE(writer.commit());
+    }
+    {
+        // A writer that dies before commit() (daemon killed mid-save)
+        // must leave the previously committed file intact.
+        RecordFileWriter writer(path, kTestMagic, 1);
+        ASSERT_TRUE(writer.ok());
+        ASSERT_TRUE(writer.append(patternRecord(999, 2)));
+        // no commit
+    }
+    RecordFileReader reader(path, kTestMagic, 1);
+    ASSERT_TRUE(reader.ok());
+    std::vector<uint8_t> out;
+    ASSERT_EQ(reader.next(out), RecordFileReader::Status::Record);
+    EXPECT_EQ(out, patternRecord(64, 1));
+    EXPECT_EQ(reader.next(out), RecordFileReader::Status::End);
+    ::unlink(path.c_str());
+}
+
+TEST(RecordFileTest, ForeignMagicOrVersionFailsOpen)
+{
+    const std::string path = recordFilePath("identity");
+    {
+        RecordFileWriter writer(path, kTestMagic, 3);
+        ASSERT_TRUE(writer.ok());
+        ASSERT_TRUE(writer.append(patternRecord(32, 5)));
+        ASSERT_TRUE(writer.commit());
+    }
+    EXPECT_FALSE(RecordFileReader(path, kTestMagic + 1, 3).ok());
+    EXPECT_FALSE(RecordFileReader(path, kTestMagic, 4).ok());
+    EXPECT_FALSE(
+        RecordFileReader(path + ".nope", kTestMagic, 3).ok());
+    EXPECT_TRUE(RecordFileReader(path, kTestMagic, 3).ok());
+    ::unlink(path.c_str());
+}
+
+TEST(RecordFileTest, FlippedBitAndTruncationAreStickyDamage)
+{
+    const std::string path = recordFilePath("damage");
+    {
+        RecordFileWriter writer(path, kTestMagic, 1);
+        ASSERT_TRUE(writer.ok());
+        ASSERT_TRUE(writer.append(patternRecord(512, 9)));
+        ASSERT_TRUE(writer.append(patternRecord(512, 10)));
+        ASSERT_TRUE(writer.commit());
+    }
+    struct stat st;
+    ASSERT_EQ(::stat(path.c_str(), &st), 0);
+
+    // Flip one payload byte of the second record: record one still
+    // reads, record two is Damaged, and damage is sticky.
+    {
+        int fd = ::open(path.c_str(), O_RDWR);
+        ASSERT_GE(fd, 0);
+        const off_t target = st.st_size - 100;
+        uint8_t byte = 0;
+        ASSERT_EQ(::pread(fd, &byte, 1, target), 1);
+        byte ^= 0x01;
+        ASSERT_EQ(::pwrite(fd, &byte, 1, target), 1);
+        ::close(fd);
+
+        RecordFileReader reader(path, kTestMagic, 1);
+        ASSERT_TRUE(reader.ok());
+        std::vector<uint8_t> out;
+        ASSERT_EQ(reader.next(out),
+                  RecordFileReader::Status::Record);
+        EXPECT_EQ(out, patternRecord(512, 9));
+        EXPECT_EQ(reader.next(out),
+                  RecordFileReader::Status::Damaged);
+        EXPECT_TRUE(out.empty());
+        EXPECT_EQ(reader.next(out),
+                  RecordFileReader::Status::Damaged);
+    }
+
+    // Truncation mid-record: Damaged, not a short read or End.
+    ASSERT_EQ(::truncate(path.c_str(), st.st_size - 10), 0);
+    {
+        RecordFileReader reader(path, kTestMagic, 1);
+        ASSERT_TRUE(reader.ok());
+        std::vector<uint8_t> out;
+        ASSERT_EQ(reader.next(out),
+                  RecordFileReader::Status::Record);
+        EXPECT_EQ(reader.next(out),
+                  RecordFileReader::Status::Damaged);
+    }
+
+    // Truncation inside the header: the open itself fails.
+    ASSERT_EQ(::truncate(path.c_str(), 5), 0);
+    EXPECT_FALSE(RecordFileReader(path, kTestMagic, 1).ok());
+    ::unlink(path.c_str());
+}
+
+} // namespace
+} // namespace archval

@@ -4,8 +4,8 @@
  * snapshots must be bit-exact against fresh-from-reset replay at
  * every cycle, and ReplayEngine must return byte-identical
  * PlayResults to the sequential VectorPlayer for any worker count
- * and any checkpoint-cache budget — while actually avoiding
- * simulated cycles on prefix-sharing batches.
+ * and any checkpoint budget — while actually avoiding simulated
+ * cycles through the bug-free donor and the warm cache.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "harness/replay_engine.hh"
 #include "harness/vector_player.hh"
 #include "murphi/enumerator.hh"
-#include "support/status.hh"
 
 namespace archval::harness
 {
@@ -38,9 +37,8 @@ class ReplayFixture : public ::testing::Test
         murphi::Enumerator enumerator(*model_);
         graph_ = new graph::StateGraph(enumerator.runOrThrow());
         // Split the tour into many reset-rooted traces (the paper's
-        // 10k-instruction limit, scaled down): prefix sharing only
-        // exists across traces, and the round-trip test is O(n^2) in
-        // the shortest trace's cycle count.
+        // 10k-instruction limit, scaled down): the round-trip test is
+        // O(n^2) in the shortest trace's cycle count.
         graph::TourOptions tour_options;
         tour_options.maxInstructionsPerTrace = 1'000;
         graph::TourGenerator tour_gen(*graph_, tour_options);
@@ -137,27 +135,6 @@ TEST_F(ReplayFixture, PpCoreSnapshotRoundTripEqualsFreshReplay)
     }
 }
 
-TEST_F(ReplayFixture, PpCoreRebindRejectsForeignPrefix)
-{
-    const vecgen::TestTrace &trace = traces_->front();
-    ASSERT_GE(trace.cycles.size(), 8u);
-    rtl::PpCore core(*config_, rtl::CoreMode::Vector);
-    VectorPlayer::primeCore(core, trace, BugSet{});
-    VectorPlayer::drive(core, trace, 0, trace.cycles.size());
-    ASSERT_GT(core.streamConsumed(), 0u);
-
-    // Rebinding to a stream that agrees on the consumed prefix is
-    // fine (longer suffix allowed)...
-    std::vector<uint32_t> extended = trace.fetchStream;
-    extended.push_back(0x12345678);
-    core.rebindStream(extended);
-
-    // ...but a mutated consumed word must be rejected.
-    std::vector<uint32_t> corrupt = trace.fetchStream;
-    corrupt[0] ^= 1;
-    EXPECT_THROW(core.rebindStream(corrupt), FatalError);
-}
-
 TEST_F(ReplayFixture, RefSimSnapshotRoundTrip)
 {
     const vecgen::TestTrace &trace = traces_->front();
@@ -188,9 +165,9 @@ TEST_F(ReplayFixture, RefSimSnapshotRoundTrip)
 
 TEST_F(ReplayFixture, EngineMatchesSequentialPlayerEverywhere)
 {
-    // The acceptance matrix: worker counts {1,2,8} x cache budgets
-    // {0 (disabled), small (forces eviction), unbounded}, bug-free
-    // and with a bug injected. Every cell must reproduce the
+    // The acceptance matrix: worker counts {1,2,8} x checkpoint
+    // budgets {0 (disabled), small (thins every chain), unbounded},
+    // bug-free and with a bug injected. Every cell must reproduce the
     // sequential player byte-for-byte.
     std::vector<BugSet> bug_sets(2);
     bug_sets[1].set(static_cast<size_t>(BugId::Bug5MembusGlitch));
@@ -225,34 +202,12 @@ TEST_F(ReplayFixture, EngineMatchesSequentialPlayerEverywhere)
             EXPECT_EQ(engine.stats().jobs,
                       traces_->size() * bug_sets.size());
             if (budget == 0) {
-                EXPECT_EQ(engine.stats().checkpointsPublished, 0u);
+                EXPECT_EQ(engine.stats().strideCheckpoints, 0u);
+                EXPECT_EQ(engine.stats().peakCacheBytes, 0u);
                 EXPECT_EQ(engine.stats().cyclesAvoided, 0u);
             }
         }
     }
-}
-
-TEST_F(ReplayFixture, PrefixSharingAvoidsSimulatedCycles)
-{
-    // Tour traces are reset-rooted DFS walks: with the cache enabled
-    // the engine must resume shared prefixes from checkpoints rather
-    // than re-stepping them.
-    ReplayOptions options;
-    options.minPrefixCycles = 4;
-    ReplayEngine engine(*config_, options);
-    engine.playAll(*traces_);
-    const ReplayStats &stats = engine.stats();
-    EXPECT_GT(stats.checkpointsPublished, 0u);
-    EXPECT_GT(stats.checkpointHits, 0u);
-    EXPECT_GT(stats.cyclesAvoided, 0u);
-    EXPECT_LT(stats.simulatedCycles,
-              stats.batchCycles + stats.cyclesAvoided);
-    // Most planned restores must verify and hit. A few fallbacks are
-    // legitimate even within one generator seed: a load fetched
-    // inside the shared prefix can have its address constrained by a
-    // conflict check *after* the branch point, so its operand bytes
-    // differ between donor and consumer.
-    EXPECT_GT(stats.checkpointHits, stats.verifyFallbacks);
 }
 
 TEST_F(ReplayFixture, BugFreeDonorCopiesUntriggeredJobs)
@@ -306,52 +261,12 @@ TEST_F(ReplayFixture, BugFreeDonorCopiesUntriggeredJobs)
     }
 }
 
-TEST_F(ReplayFixture, NestedPrefixBatchChainsCheckpoints)
-{
-    // Tours emitted with nestedPrefixSplits make consecutive traces
-    // share their entire stem; the engine must simulate each stem
-    // once (every trace resumes from its predecessor's checkpoint)
-    // and still reproduce the sequential player byte-for-byte.
-    graph::TourOptions tour_options;
-    tour_options.maxInstructionsPerTrace = 4'000;
-    tour_options.nestedPrefixSplits = true;
-    graph::TourGenerator tour_gen(*graph_, tour_options);
-    auto tours = tour_gen.run();
-    vecgen::VectorGenerator generator(*model_, 42);
-    auto nested = generator.generateAll(*graph_, tours);
-    ASSERT_GT(nested.size(), 2u);
-
-    VectorPlayer player(*config_);
-    std::vector<PlayResult> expected;
-    for (const auto &trace : nested)
-        expected.push_back(player.play(trace));
-
-    for (unsigned nw : {1u, 2u, 8u}) {
-        ReplayOptions options;
-        options.numThreads = nw;
-        ReplayEngine engine(*config_, options);
-        std::vector<PlayResult> actual = engine.playAll(nested);
-        ASSERT_EQ(actual.size(), expected.size());
-        for (size_t i = 0; i < expected.size(); ++i) {
-            expectSameResult(expected[i], actual[i],
-                             "nested trace " + std::to_string(i) +
-                                 " workers=" + std::to_string(nw));
-        }
-        // Stems dominate a nested batch: well over the bench's 30%
-        // acceptance bar must come off the simulated-cycle count.
-        EXPECT_GT(engine.stats().avoidedFraction(), 0.3)
-            << "workers=" << nw;
-        EXPECT_GT(engine.stats().checkpointHits, 0u);
-    }
-}
-
 TEST_F(ReplayFixture, ForeignStimulusFallsBackNotCorrupts)
 {
     // Same tours concretized under a different vecgen seed: forced
     // cycles match (they come from the edges), operand bytes do not.
-    // The plan pairs such traces; runtime verification must reject
-    // the checkpoints and fall back to from-reset replay with exact
-    // results.
+    // A batch mixing both must still reproduce the sequential player
+    // exactly.
     vecgen::VectorGenerator other(*model_, 1042);
     std::vector<vecgen::TestTrace> mixed = *traces_;
     std::vector<vecgen::TestTrace> foreign =
@@ -359,16 +274,13 @@ TEST_F(ReplayFixture, ForeignStimulusFallsBackNotCorrupts)
     mixed.insert(mixed.end(), foreign.begin(), foreign.end());
 
     VectorPlayer player(*config_);
-    ReplayOptions options;
-    options.minPrefixCycles = 4;
-    ReplayEngine engine(*config_, options);
+    ReplayEngine engine(*config_);
     std::vector<PlayResult> actual = engine.playAll(mixed);
     ASSERT_EQ(actual.size(), mixed.size());
     for (size_t i = 0; i < mixed.size(); ++i) {
         expectSameResult(player.play(mixed[i]), actual[i],
                          "mixed trace " + std::to_string(i));
     }
-    EXPECT_GT(engine.stats().verifyFallbacks, 0u);
 }
 
 TEST_F(ReplayFixture, StopOnDivergenceMatchesSequentialBreak)
@@ -412,6 +324,37 @@ TEST_F(ReplayFixture, StopOnDivergenceMatchesSequentialBreak)
         EXPECT_EQ(engine.stats().jobsSkipped,
                   traces_->size() - first_div - 1);
     }
+}
+
+TEST_F(ReplayFixture, WarmInsertsCountOnlyStoredEntries)
+{
+    // A warm cache whose budget is smaller than any one entry stores
+    // nothing, so the batch must report no inserts — and still warm
+    // nothing on a repeat.
+    auto warm = std::make_shared<ReplayWarmCache>(1);
+    ReplayOptions options;
+    options.warmCache = warm;
+    std::vector<BugSet> bug_sets(2);
+    bug_sets[1].set(static_cast<size_t>(BugId::Bug3ConflictAddr));
+    for (int pass = 0; pass < 2; ++pass) {
+        ReplayEngine engine(*config_, options);
+        engine.playAll(*traces_, bug_sets);
+        EXPECT_EQ(engine.stats().warmInserts, 0u) << "pass " << pass;
+        EXPECT_EQ(engine.stats().warmHits, 0u) << "pass " << pass;
+    }
+    EXPECT_EQ(warm->stats().inserts, 0u);
+    EXPECT_EQ(warm->stats().entries, 0u);
+
+    // With room, every trace's donor run is stored exactly once: a
+    // repeat batch finds every trace warm and stores nothing new.
+    options.warmCache = std::make_shared<ReplayWarmCache>();
+    ReplayEngine cold(*config_, options);
+    cold.playAll(*traces_, bug_sets);
+    EXPECT_EQ(cold.stats().warmInserts, traces_->size());
+    ReplayEngine hot(*config_, options);
+    hot.playAll(*traces_, bug_sets);
+    EXPECT_EQ(hot.stats().warmHits, traces_->size());
+    EXPECT_EQ(hot.stats().warmInserts, 0u);
 }
 
 TEST_F(ReplayFixture, EmptyBatchesAreHarmless)

@@ -374,7 +374,6 @@ TEST(DesignSpecParse, WrongTypedFieldsAreBadRequests)
     EXPECT_FALSE(parse("{\"maxStates\": \"lots\"}").ok());
     EXPECT_FALSE(parse("{\"lineWords\": -2}").ok());
     EXPECT_FALSE(parse("{\"modelBranches\": 1}").ok()); // bool field
-    EXPECT_FALSE(parse("{\"nestedPrefixSplits\": \"yes\"}").ok());
     EXPECT_FALSE(parse("{\"preset\": 3}").ok());
     EXPECT_FALSE(parse("[1, 2]").ok()); // design must be an object
 
