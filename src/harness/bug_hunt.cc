@@ -38,12 +38,12 @@ BugHunt::hunt(rtl::BugId bug, uint64_t random_budget, uint64_t seed)
     // Transition-tour vectors, in generation order. With a warm
     // cache installed the batch carries a bug-free donor block in
     // front: the first hunt populates the cache (donor results +
-    // stride chains), every later hunt's donor block warm-copies,
-    // and triggered jobs resume from the cached chain instead of
-    // replaying the bug-free lead from reset. The bugged block's
-    // results — the ones read below — are byte-identical either way.
-    const bool warm_tour =
-        warmCache_ && replay.checkpointBudgetBytes > 0;
+    // pinned stride checkpoints), every later hunt's donor block
+    // warm-copies, and triggered jobs resume from the cached links
+    // instead of replaying the bug-free lead from reset. The bugged
+    // block's results — the ones read below — are byte-identical
+    // either way.
+    const bool warm_tour = warmCache_ != nullptr;
     {
         telemetry::ScopedSpan arm_span(
             "hunt.tour", "bug", static_cast<uint64_t>(bug));

@@ -84,10 +84,10 @@ class BugHunt
      * Install (or clear) a cross-hunt warm cache. With a cache
      * installed the tour arm plays {bug-free, bug} instead of just
      * {bug}: the first hunt's bug-free donor block deposits every
-     * tour trace's result and stride-checkpoint chain in the cache,
+     * tour trace's result and pinned stride checkpoints in the cache,
      * and each later hunt's donor block collapses to warm copies —
-     * the donor chain stays alive across hunt() calls, so a
-     * triggered bug resumes from the checkpoint tier instead of
+     * the donor links stay alive across hunt() calls, so a
+     * triggered bug resumes from a checkpoint instead of
      * replaying the bug-free lead from reset. Opt in deliberately:
      * the first hunt pays for the donor block (a second pass over
      * the tour corpus). Detection results are unchanged either way.

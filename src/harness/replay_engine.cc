@@ -17,75 +17,11 @@ namespace archval::harness
 namespace
 {
 
-/** One periodic checkpoint of a donor run, held in memory. */
+/** One stride snapshot of a reference run, held in memory. */
 struct RowLink
 {
     uint64_t cycle = 0;
     rtl::PpCore::Snapshot snapshot;
-};
-
-size_t
-linkBytes(const RowLink &link)
-{
-    return link.snapshot.bytes();
-}
-
-size_t
-linkBytes(const ReplayWarmCache::ChainLink &link)
-{
-    return sizeof(link) + link.snapshot.size();
-}
-
-/**
- * One run's periodic checkpoints under a byte cap. Links start
- * `stride` cycles apart; when the next link would overflow the cap,
- * every other kept link is dropped and the stride doubles
- * (logarithmic thinning), so a long run keeps geometrically spaced
- * resume points instead of none. Serves both the donor's row chain
- * and a warm entry's chain.
- */
-template <class Link>
-struct ThinnedChain
-{
-    ThinnedChain(size_t link_stride, size_t byte_cap)
-        : stride(link_stride), cap(byte_cap)
-    {
-    }
-
-    size_t stride;           ///< cycles between kept links (0 = off)
-    size_t cap;              ///< byte cap
-    size_t bytes = 0;        ///< bytes held
-    std::vector<Link> links; ///< increasing cycle order
-
-    /** @return true when a link at @p cycle would be kept. */
-    bool
-    due(uint64_t cycle) const
-    {
-        return stride != 0 && cycle % stride == 0;
-    }
-
-    /** Append @p link, thinning first when it would overflow the
-     *  cap. @return false when the link was dropped instead (off the
-     *  thinned stride, or alone past the cap). */
-    bool
-    add(Link link)
-    {
-        const size_t cost = linkBytes(link);
-        while (bytes + cost > cap && !links.empty()) {
-            stride *= 2;
-            std::erase_if(links, [&](const Link &l) {
-                return l.cycle % stride != 0;
-            });
-            bytes = 0;
-            for (const Link &l : links)
-                bytes += linkBytes(l);
-        }
-        if (!due(link.cycle) || bytes + cost > cap)
-            return false;
-        bytes += cost;
-        links.push_back(std::move(link));
-        return true;
-    }
 };
 
 /** @return the greatest of @p links (increasing cycle order) strictly
@@ -100,6 +36,69 @@ linkBelow(const std::vector<Link> &links, uint64_t limit)
     }
     return nullptr;
 }
+
+/**
+ * The checkpoints a row keeps from its bug-free reference run (the
+ * donor, or a warm-populating run). Only the two newest stride
+ * snapshots roll along; as each bug's first trigger appears, the
+ * greatest snapshot strictly below it is pinned. A bug set's first
+ * trigger is one of its own bugs' first triggers, so the greatest
+ * pin below it is the greatest stride snapshot below it: a triggered
+ * job resumes exactly where the run's whole chain would put it, from
+ * at most 2 + numBugs snapshots held.
+ */
+struct TriggerPins
+{
+    std::vector<RowLink> recent; ///< the two newest, oldest first
+    std::vector<RowLink> pins;   ///< increasing cycle order
+    std::array<bool, rtl::numBugs> pinned{};
+    size_t peakBytes = 0; ///< most snapshot bytes held at once
+
+    /** Roll in the snapshot the run took at stride boundary @p cycle
+     *  (the older of the two newest goes, unless it is pinned). */
+    void
+    take(uint64_t cycle, rtl::PpCore::Snapshot snapshot)
+    {
+        if (recent.size() == 2)
+            recent.erase(recent.begin());
+        recent.push_back({cycle, std::move(snapshot)});
+        // A pin at a recent link's cycle shares that link's snapshot.
+        size_t held = 0;
+        for (const RowLink &link : recent)
+            held += link.snapshot.bytes();
+        for (const RowLink &pin : pins) {
+            if (pin.cycle < recent.front().cycle)
+                held += pin.snapshot.bytes();
+        }
+        peakBytes = std::max(peakBytes, held);
+    }
+
+    /** Pin below every first trigger @p core recorded since the last
+     *  call. Call after each stretch the run drives: a trigger seen
+     *  then lies at or past the newest snapshot's cycle, and every
+     *  later snapshot lies past it. */
+    void
+    pinTriggers(const rtl::PpCore &core)
+    {
+        for (size_t i = 0; i < rtl::numBugs; ++i) {
+            const uint64_t trigger =
+                core.bugFirstTrigger(static_cast<rtl::BugId>(i));
+            if (pinned[i] || trigger == UINT64_MAX)
+                continue;
+            pinned[i] = true;
+            const RowLink *link = linkBelow(recent, trigger);
+            if (!link)
+                continue;
+            auto at = std::lower_bound(
+                pins.begin(), pins.end(), link->cycle,
+                [](const RowLink &pin, uint64_t cycle) {
+                    return pin.cycle < cycle;
+                });
+            if (at == pins.end() || at->cycle != link->cycle)
+                pins.insert(at, *link);
+        }
+    }
+};
 
 /** @return the first cycle any bug of @p bugs triggered, given each
  *  bug's first-trigger cycle (UINT64_MAX = never). */
@@ -134,6 +133,7 @@ struct LocalStats
     uint64_t warmChainHits = 0;
     uint64_t warmResumeCycles = 0;
     uint64_t warmInserts = 0;
+    size_t peakCacheBytes = 0;
 };
 
 /** Lower @p target to @p value if it is smaller (atomic min). */
@@ -144,17 +144,6 @@ fetchMin(std::atomic<size_t> &target, size_t value)
     while (value < cur &&
            !target.compare_exchange_weak(cur, value,
                                          std::memory_order_acq_rel)) {
-    }
-}
-
-/** Raise @p target to @p value if it is larger (atomic max). */
-void
-fetchMax(std::atomic<size_t> &target, size_t value)
-{
-    size_t cur = target.load(std::memory_order_relaxed);
-    while (value > cur &&
-           !target.compare_exchange_weak(cur, value,
-                                         std::memory_order_relaxed)) {
     }
 }
 
@@ -180,7 +169,7 @@ ReplayWarmCache::insert(std::shared_ptr<Entry> entry)
         return false;
     size_t bytes = sizeof(Entry) + entry->key.size();
     for (const ChainLink &link : entry->chain)
-        bytes += linkBytes(link);
+        bytes += sizeof(link) + link.snapshot.size();
     entry->bytes = bytes;
 
     std::lock_guard<std::mutex> lock(mutex_);
@@ -448,11 +437,10 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
     // Bug-set axis: when the batch contains the empty bug set, each
     // row plays it first as the donor. Jobs whose bugs never
     // triggered on the donor run copy its result; triggered jobs
-    // resume from the donor's stride checkpoints with the bug mask
-    // re-armed.
-    const size_t budget = options_.checkpointBudgetBytes;
+    // resume from the donor's pinned stride checkpoints with the bug
+    // mask re-armed.
     size_t donor_set = nb;
-    if (budget > 0 && nb > 1) {
+    if (nb > 1) {
         for (size_t b = 0; b < nb; ++b) {
             if (bug_sets[b].none()) {
                 donor_set = b;
@@ -466,23 +454,6 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
     if (donor_set < nb)
         std::swap(set_order[0], set_order[donor_set]);
     const size_t stride = options_.checkpointStride;
-    const bool stride_active = donor_set < nb && stride > 0;
-
-    // The budget is split evenly: no worker's chain can crowd out
-    // another's, so the sum never exceeds it.
-    const unsigned workers = std::min<size_t>(options_.numThreads, nt);
-    const size_t chain_cap = budget / workers;
-    std::atomic<size_t> chain_bytes{0};
-    std::atomic<size_t> peak_chain_bytes{0};
-    auto track = [&](size_t before, size_t after) {
-        if (after >= before) {
-            const size_t grown = after - before;
-            fetchMax(peak_chain_bytes,
-                     chain_bytes.fetch_add(grown) + grown);
-        } else {
-            chain_bytes.fetch_sub(before - after);
-        }
-    };
 
     std::vector<std::atomic<size_t>> first_div(nb);
     for (auto &fd : first_div)
@@ -499,8 +470,9 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         "replay.resume_depth", telemetry::depthBounds());
 
     // One row: the trace's jobs, donor first. The row's bug-free
-    // reference is the trace's warm entry or its donor run; only the
-    // donor run fills the row chain, and only this worker reads it.
+    // reference is the trace's warm entry or its reference run (the
+    // donor, or the job that populates the warm cache); only that run
+    // takes stride snapshots, and only this worker reads its pins.
     auto run_row = [&](size_t t, LocalStats &ls) {
         const vecgen::TestTrace &trace = traces[t];
         const size_t len = trace.cycles.size();
@@ -512,8 +484,7 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         std::array<uint64_t, rtl::numBugs> triggers{};
         if (warm_hit)
             triggers = warm_hit->triggers;
-        ThinnedChain<RowLink> chain(stride_active ? stride : 0,
-                                    chain_cap);
+        TriggerPins pins;
 
         for (size_t b : set_order) {
             // A trace earlier in the batch already diverged under
@@ -564,6 +535,7 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
             const bool populate = warm && !warm_hit &&
                                   bug_sets[b].none() &&
                                   (is_donor || nb == 1);
+            const bool reference = is_donor || populate;
 
             rtl::PpCore core(config_, rtl::CoreMode::Vector);
             VectorPlayer::primeCore(core, trace, bug_sets[b]);
@@ -595,7 +567,7 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
                     }
                 }
             } else if (const RowLink *link =
-                           linkBelow(chain.links, first)) {
+                           linkBelow(pins.pins, first)) {
                 core.restoreWithBugs(link->snapshot, bug_sets[b]);
                 start = link->snapshot.cycles();
                 ++ls.strideHits;
@@ -604,17 +576,12 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
             }
             resume_depth.record(double(start));
 
-            // Drive to the end of the trace. The donor and populating
-            // runs (both from reset) pause at every stride boundary to
-            // snapshot into the chains that want the link: the row
-            // chain under the worker's share of the budget, the warm
-            // entry under the cache's per-entry cap.
-            const bool row_links = is_donor && stride_active;
-            ThinnedChain<ReplayWarmCache::ChainLink> warm_chain(
-                populate ? stride : 0,
-                warm ? warm->chainBytesCap() : 0);
-            const size_t snap_stride =
-                (row_links || populate) ? stride : 0;
+            // Drive to the end of the trace. The reference run (from
+            // reset) pauses at every stride boundary: it pins below
+            // the triggers that fired since the last pause, then rolls
+            // in a snapshot. Triggers of the last stretch and of the
+            // drain are pinned once the run is finished.
+            const size_t snap_stride = reference ? stride : 0;
             uint64_t stepped_from = core.cycles();
             size_t pos = start;
             size_t next_stride = snap_stride ? snap_stride : len;
@@ -623,28 +590,20 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
                 VectorPlayer::drive(core, trace, pos, stop);
                 pos = stop;
                 if (pos < len && pos == next_stride) {
-                    const bool to_row = row_links && chain.due(pos);
-                    const bool to_warm = warm_chain.due(pos);
-                    if (to_row || to_warm) {
-                        rtl::PpCore::Snapshot snap = core.snapshot();
-                        if (to_warm)
-                            warm_chain.add({pos, snap.serialize()});
-                        if (to_row) {
-                            const size_t before = chain.bytes;
-                            if (chain.add({pos, std::move(snap)}))
-                                ++ls.strideCheckpoints;
-                            track(before, chain.bytes);
-                        }
-                    }
+                    pins.pinTriggers(core);
+                    pins.take(pos, core.snapshot());
+                    ++ls.strideCheckpoints;
                     next_stride += snap_stride;
                 }
             }
             PlayResult result = VectorPlayer::finish(config_, core, trace);
+            if (snap_stride)
+                pins.pinTriggers(core);
             ls.simulatedCycles += core.cycles() - stepped_from;
             ls.batchCycles += len;
             record(t, b, result);
 
-            if (is_donor || populate) {
+            if (reference) {
                 for (size_t i = 0; i < rtl::numBugs; ++i)
                     triggers[i] =
                         core.bugFirstTrigger(static_cast<rtl::BugId>(i));
@@ -658,14 +617,17 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
                 entry->key = std::move(warm_keys[t]);
                 entry->donorResult = result;
                 entry->triggers = triggers;
-                entry->chain = std::move(warm_chain.links);
+                for (const RowLink &pin : pins.pins)
+                    entry->chain.push_back(
+                        {pin.cycle, pin.snapshot.serialize()});
                 if (warm->insert(std::move(entry)))
                     ++ls.warmInserts;
             }
         }
-        track(chain.bytes, 0);
+        ls.peakCacheBytes = std::max(ls.peakCacheBytes, pins.peakBytes);
     };
 
+    const unsigned workers = std::min<size_t>(options_.numThreads, nt);
     std::atomic<size_t> next_trace{0};
     std::vector<LocalStats> local(workers);
     auto work = [&](LocalStats &ls) {
@@ -730,8 +692,9 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         stats_.warmChainHits += ls.warmChainHits;
         stats_.warmResumeCycles += ls.warmResumeCycles;
         stats_.warmInserts += ls.warmInserts;
+        stats_.peakCacheBytes =
+            std::max(stats_.peakCacheBytes, ls.peakCacheBytes);
     }
-    stats_.peakCacheBytes = peak_chain_bytes.load();
 
     // Registry mirror of the batch stats: one add per batch keeps
     // the hot path free of shared-counter traffic.

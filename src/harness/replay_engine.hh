@@ -12,7 +12,7 @@
  *
  * Correctness contract: results are byte-identical to playing every
  * trace on a fresh core with VectorPlayer::play, for any worker
- * count and any checkpoint budget. Snapshots are bit-exact
+ * count and any checkpoint stride. Snapshots are bit-exact
  * whole-machine copies (cycle and retire counters included), so a
  * resumed run is indistinguishable from an uninterrupted one.
  *
@@ -28,19 +28,20 @@
  *    provably bit-identical — and simulates nothing. Since the
  *    Table 2.1 faults are rare multi-event conjunctions, most bugged
  *    jobs collapse to copies.
- *  - Stride checkpoints: the donor run snapshots the core every
- *    ReplayOptions::checkpointStride cycles into a chain the worker
- *    owns. A job whose bugs did trigger resumes from the greatest
- *    link strictly below its first trigger cycle: below the trigger
- *    the donor's state *is* the bugged state except for the
+ *  - Trigger-anchored checkpoints: the donor run snapshots the core
+ *    every ReplayOptions::checkpointStride cycles but keeps only the
+ *    two newest snapshots; as each bug's first trigger appears (and
+ *    once more after the drain) it pins the greatest snapshot
+ *    strictly below that trigger. A job whose bugs did trigger
+ *    resumes from the greatest pin strictly below its first trigger
+ *    cycle, which is the greatest stride snapshot below it, since
+ *    that trigger is one of its own bugs' first triggers: below the
+ *    trigger the donor's state *is* the bugged state except for the
  *    enabled-bug mask, which the restore re-arms
- *    (PpCore::restoreWithBugs). With no such link it plays from
- *    reset. The worker frees the chain when the row is done.
+ *    (PpCore::restoreWithBugs). With no such pin it plays from reset.
  *
- * ReplayOptions::checkpointBudgetBytes bounds the chain bytes held at
- * once: each worker thins its row chain logarithmically (every other
- * link dropped, the link stride doubled) to stay under budget /
- * workers.
+ * Memory bound: a worker holds at most 2 + rtl::numBugs snapshots at
+ * any stride or trace length, and frees them when the row is done.
  */
 
 #ifndef ARCHVAL_HARNESS_REPLAY_ENGINE_HH
@@ -69,14 +70,15 @@ namespace archval::harness
  * *entire serialized content* (vecgen::serializeTrace — exact-match
  * lookup, so a foreign trace can never borrow a warm result): the
  * donor PlayResult, the first-trigger cycle of every bug, and the
- * donor's periodic checkpoint chain as serialized core snapshots. A
+ * donor's pinned stride checkpoints (at most one per bug, see
+ * ReplayEngine) as serialized core snapshots. A
  * later batch containing the same trace then reuses the warm entry
  * exactly like an in-batch donor run:
  *
  *  - a job whose bugs never triggered on the donor run copies the
  *    donor result outright (zero cycles simulated);
  *  - a job whose bugs did trigger resumes from the greatest warm
- *    checkpoint strictly below its first trigger cycle, with the bug
+ *    link strictly below its first trigger cycle, with the bug
  *    mask re-armed on restore (PpCore::restoreWithBugs) — the same
  *    validity rule as the in-batch stride checkpoints.
  *
@@ -88,21 +90,13 @@ namespace archval::harness
 class ReplayWarmCache
 {
   public:
-    /** @param budget_bytes Whole-cache LRU byte budget.
-     *  @param chain_cap_bytes Per-entry checkpoint-chain byte cap —
-     *  populating runs thin their chain logarithmically (drop every
-     *  other link, double the link stride) to stay under it, so one
-     *  long trace cannot monopolize the cache with snapshots. */
-    explicit ReplayWarmCache(size_t budget_bytes = 256ull << 20,
-                             size_t chain_cap_bytes = 32ull << 20)
-        : budget_(budget_bytes), chainCap_(chain_cap_bytes)
+    /** @param budget_bytes Whole-cache LRU byte budget. */
+    explicit ReplayWarmCache(size_t budget_bytes = 256ull << 20)
+        : budget_(budget_bytes)
     {
     }
 
-    /** Per-entry chain byte cap (see constructor). */
-    size_t chainBytesCap() const { return chainCap_; }
-
-    /** One periodic donor checkpoint (serialized core snapshot). */
+    /** One pinned donor checkpoint (serialized core snapshot). */
     struct ChainLink
     {
         uint64_t cycle = 0;
@@ -117,7 +111,9 @@ class ReplayWarmCache
         /** First cycle each bug's trigger conjunction held on the
          *  bug-free run (UINT64_MAX = never). */
         std::array<uint64_t, rtl::numBugs> triggers{};
-        std::vector<ChainLink> chain; ///< increasing cycle order
+        /** The donor's pinned links (at most rtl::numBugs),
+         *  increasing cycle order. */
+        std::vector<ChainLink> chain;
         size_t bytes = 0;             ///< filled by insert()
     };
 
@@ -173,7 +169,6 @@ class ReplayWarmCache
 
     mutable std::mutex mutex_;
     size_t budget_;
-    size_t chainCap_;
     size_t bytes_ = 0;
     uint64_t clock_ = 0;
     uint64_t lookups_ = 0;
@@ -189,19 +184,14 @@ struct ReplayOptions
     /** Worker threads; each plays whole trace rows (1 = inline). */
     unsigned numThreads = 1;
 
-    /** Checkpoint bytes held at once, across workers: each worker
-     *  thins its row chain to stay under budget / workers. 0 disables
-     *  both sharing axes (donor copy and stride checkpoints) and every
-     *  job replays from reset. */
-    size_t checkpointBudgetBytes = 64ull << 20;
-
     /**
-     * Cycle stride of the donor run's periodic checkpoints (0
-     * disables them). Only meaningful when the batch has a bug-free
-     * donor set: a (trace, bug) job whose bugs triggered on the donor
-     * run resumes from the greatest checkpoint strictly below its
-     * first trigger cycle, with the bug mask re-armed at restore. Also
-     * the starting link stride of warm-cache entries.
+     * Cycle stride of the reference run's snapshots (0 disables
+     * them). Only meaningful when the batch has a bug-free donor set
+     * or populates the warm cache: a (trace, bug) job whose bugs
+     * triggered on the donor run resumes from the greatest stride
+     * snapshot strictly below its first trigger cycle, with the bug
+     * mask re-armed at restore. Warm entries keep the same pinned
+     * snapshots.
      */
     size_t checkpointStride = 1024;
 
@@ -249,12 +239,13 @@ struct ReplayStats
     /** Jobs whose whole result was reused from the trace's bug-free
      *  donor run because none of their bugs ever triggered on it. */
     uint64_t bugSetCopies = 0;
-    /** Most row-chain checkpoint bytes held at once (summed over
-     *  workers; never above ReplayOptions::checkpointBudgetBytes). */
+    /** Most snapshot bytes one row held at once: its reference run's
+     *  two newest stride snapshots and its pins, at most
+     *  2 + rtl::numBugs snapshots (a per-worker maximum). */
     size_t peakCacheBytes = 0;
 
     /** @name Stride checkpoints @{ */
-    uint64_t strideCheckpoints = 0; ///< links kept in donor row chains
+    uint64_t strideCheckpoints = 0; ///< snapshots reference runs took
     uint64_t strideHits = 0;        ///< triggered jobs resumed from one
     uint64_t strideResumeCycles = 0; ///< cycles skipped by those resumes
     /** Non-donor jobs whose bug set triggered on the donor run (the
@@ -339,9 +330,9 @@ class ReplayEngine
             const rtl::BugSet &bugs = {});
 
     /** @return statistics for the most recent playAll(). With more
-     *  than one worker, peakCacheBytes depends on thread timing (as do
-     *  the work counters of a batch cut short by stopOnDivergence or
-     *  cancelFlag); every other counter is a function of the batch. */
+     *  than one worker, the work counters of a batch cut short by
+     *  stopOnDivergence or cancelFlag depend on thread timing; every
+     *  other counter is a function of the batch. */
     const ReplayStats &stats() const { return stats_; }
 
     /** @return the engine's options. */

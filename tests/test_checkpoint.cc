@@ -1,21 +1,24 @@
 /**
  * @file
- * Tiered in-trace checkpointing tests (ctest label `checkpoint`).
+ * Trigger-anchored in-trace checkpointing tests (ctest label
+ * `checkpoint`).
  *
- * The stride tier rides on three claims, each attacked here:
+ * The stride tier rides on four claims, each attacked here:
  *
- *  1. Snapshot serialization is lossless: a snapshot that round-trips
- *     through bytes resumes to a bit-identical outcome, and damaged
- *     bytes are rejected rather than half-decoded.
+ *  1. Serialization is lossless: a snapshot that round-trips through
+ *     bytes resumes to a bit-identical outcome, and damaged snapshot
+ *     or warm-entry bytes are rejected rather than half-decoded — a
+ *     damaged warm link costs a resume, never a result.
  *  2. Cross-bug-set restore is sound: below a bug set's first trigger
  *     cycle the bug-free trajectory *is* the bugged trajectory, so
  *     restoring a donor snapshot with the bug mask re-armed
  *     (PpCore::restoreWithBugs) reproduces the bugged run exactly.
  *  3. The engine's results are byte-identical to the sequential
- *     VectorPlayer for every (stride × checkpoint budget × worker
- *     count) combination, and the budget bounds the checkpoint bytes
- *     held at once without costing a stride hit when each row's
- *     chain fits its worker's share.
+ *     VectorPlayer for every (stride × worker count) combination.
+ *  4. Pinning loses no resume point: every triggered job resumes from
+ *     the greatest stride boundary below its first trigger, exactly
+ *     as a whole chain would, while a row holds at most 2 + numBugs
+ *     snapshots.
  *
  * The suite exercises the worker pool, so it is part of the
  * ARCHVAL_SANITIZE=thread build (see README).
@@ -25,6 +28,7 @@
 
 #include <algorithm>
 #include <array>
+#include <utility>
 
 #include "harness/replay_engine.hh"
 #include "harness/vector_player.hh"
@@ -94,12 +98,22 @@ class CheckpointFixture : public ::testing::Test
         config_ = nullptr;
     }
 
-    /** @return one PpCore snapshot's byte footprint. */
-    static size_t
-    snapshotBytes()
+    /** @return the first @p count traces and their rows of
+     *  expected_, in the engine's [b * traces + t] layout. */
+    static std::pair<std::vector<vecgen::TestTrace>,
+                     std::vector<PlayResult>>
+    firstTraces(size_t count)
     {
-        return rtl::PpCore(*config_, rtl::CoreMode::Vector)
-            .snapshotBytes();
+        const size_t nt = traces_->size();
+        count = std::min(count, nt);
+        std::vector<vecgen::TestTrace> traces(
+            traces_->begin(),
+            traces_->begin() + static_cast<long>(count));
+        std::vector<PlayResult> expected;
+        for (size_t b = 0; b < bug_sets_->size(); ++b)
+            for (size_t t = 0; t < count; ++t)
+                expected.push_back((*expected_)[b * nt + t]);
+        return {std::move(traces), std::move(expected)};
     }
 
     static PpConfig *config_;
@@ -228,6 +242,152 @@ TEST_F(CheckpointFixture, DeserializeRejectsDamage)
                      .valid());
 }
 
+/** @return a small warm entry whose links hold opaque bytes (the
+ *  entry decoder never looks inside a link's snapshot). */
+ReplayWarmCache::Entry
+syntheticWarmEntry()
+{
+    ReplayWarmCache::Entry entry;
+    entry.key = std::string("trace\0content", 13);
+    entry.donorResult.diverged = true;
+    entry.donorResult.diff = "r3: 1 != 2";
+    entry.donorResult.cycles = 4242;
+    entry.donorResult.instructions = 1717;
+    entry.donorResult.lockstepErrors = 3;
+    entry.donorResult.drained = true;
+    for (size_t i = 0; i < rtl::numBugs; ++i)
+        entry.triggers[i] = i % 2 ? UINT64_MAX : 100 * i + 7;
+    entry.chain.push_back({64, {0x01, 0x02, 0x03}});
+    entry.chain.push_back({128, {0xFF}});
+    entry.chain.push_back({960, {0x00, 0x10, 0x20, 0x30, 0x40}});
+    return entry;
+}
+
+/** Overwrite the little-endian @p width-byte field at @p offset. */
+void
+pokeLe(std::vector<uint8_t> &bytes, size_t offset, uint64_t value,
+       size_t width)
+{
+    for (size_t i = 0; i < width; ++i)
+        bytes[offset + i] = static_cast<uint8_t>(value >> (8 * i));
+}
+
+TEST_F(CheckpointFixture, WarmEntryRoundTripsAndRejectsDamage)
+{
+    const ReplayWarmCache::Entry entry = syntheticWarmEntry();
+    const std::vector<uint8_t> bytes =
+        ReplayWarmCache::serializeEntry(entry);
+    auto decode = [](const std::vector<uint8_t> &record, size_t size) {
+        return ReplayWarmCache::deserializeEntry(record.data(), size);
+    };
+
+    std::shared_ptr<ReplayWarmCache::Entry> back =
+        decode(bytes, bytes.size());
+    ASSERT_NE(back, nullptr);
+    EXPECT_EQ(back->key, entry.key);
+    expectSameResult(entry.donorResult, back->donorResult,
+                     "round-tripped donor result");
+    EXPECT_EQ(back->triggers, entry.triggers);
+    ASSERT_EQ(back->chain.size(), entry.chain.size());
+    for (size_t i = 0; i < entry.chain.size(); ++i) {
+        EXPECT_EQ(back->chain[i].cycle, entry.chain[i].cycle);
+        EXPECT_EQ(back->chain[i].snapshot, entry.chain[i].snapshot);
+    }
+    EXPECT_EQ(ReplayWarmCache::serializeEntry(*back), bytes);
+
+    // Every strict prefix is a truncated record.
+    for (size_t keep = 0; keep < bytes.size(); ++keep)
+        EXPECT_EQ(decode(bytes, keep), nullptr) << "prefix " << keep;
+
+    // One trailing byte is damage too.
+    std::vector<uint8_t> longer = bytes;
+    longer.push_back(0);
+    EXPECT_EQ(decode(longer, longer.size()), nullptr);
+
+    // The record layout, read from the end: the bug count (u32), the
+    // triggers (u64 each), the link count (u64), then per link its
+    // cycle (u64) and length-prefixed snapshot bytes.
+    size_t links_bytes = 0;
+    for (const auto &link : entry.chain)
+        links_bytes += 16 + link.snapshot.size();
+    const size_t count_at = bytes.size() - links_bytes - 8;
+    const size_t bugs_at = count_at - 8 * rtl::numBugs - 4;
+
+    std::vector<uint8_t> damaged = bytes;
+    pokeLe(damaged, 0, 2, 4);
+    EXPECT_EQ(decode(damaged, damaged.size()), nullptr) << "version";
+
+    damaged = bytes;
+    pokeLe(damaged, bugs_at, rtl::numBugs + 1, 4);
+    EXPECT_EQ(decode(damaged, damaged.size()), nullptr) << "bug count";
+
+    for (uint64_t count : {uint64_t{entry.chain.size() + 1},
+                           uint64_t{bytes.size()}, UINT64_MAX}) {
+        damaged = bytes;
+        pokeLe(damaged, count_at, count, 8);
+        EXPECT_EQ(decode(damaged, damaged.size()), nullptr)
+            << "link count " << count;
+    }
+
+    // Every single-byte flip either decodes to some entry or returns
+    // null; it never reads out of bounds or aborts (the sanitizer
+    // builds turn an overrun into a failure here).
+    size_t rejected = 0;
+    for (size_t at = 0; at < bytes.size(); ++at) {
+        for (uint8_t mask : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xFF}}) {
+            damaged = bytes;
+            damaged[at] ^= mask;
+            rejected += decode(damaged, damaged.size()) == nullptr;
+        }
+    }
+    EXPECT_GT(rejected, 0u);
+}
+
+TEST_F(CheckpointFixture, DamagedWarmLinksReplayFromReset)
+{
+    // A cold batch fills a warm cache; a copy of every entry with its
+    // link bytes damaged goes into a fresh cache. Against that cache
+    // every triggered job that would resume from a link counts a miss
+    // and replays from reset instead — with byte-identical results.
+    ReplayOptions options;
+    options.checkpointStride = 64;
+    options.warmCache = std::make_shared<ReplayWarmCache>(size_t{1} << 32);
+    ReplayStats cold = expectMatrixIdentical(
+        *config_, *traces_, *bug_sets_, *expected_, options, "cold");
+    ASSERT_GT(cold.strideHits, 0u);
+
+    auto damaged = std::make_shared<ReplayWarmCache>(size_t{1} << 32);
+    for (const auto &entry : options.warmCache->entries()) {
+        auto copy = std::make_shared<ReplayWarmCache::Entry>(*entry);
+        for (size_t i = 0; i < copy->chain.size(); ++i) {
+            std::vector<uint8_t> &snapshot = copy->chain[i].snapshot;
+            ASSERT_FALSE(snapshot.empty());
+            if (i % 2)
+                snapshot.pop_back(); // truncated
+            else
+                snapshot[0] ^= 0xFF; // damaged header
+        }
+        ASSERT_TRUE(damaged->insert(std::move(copy)));
+    }
+    options.warmCache = damaged;
+    ReplayStats hot = expectMatrixIdentical(
+        *config_, *traces_, *bug_sets_, *expected_, options,
+        "damaged links");
+    EXPECT_EQ(hot.warmHits, traces_->size());
+    EXPECT_EQ(hot.warmChainHits, 0u);
+    EXPECT_EQ(hot.warmResumeCycles, 0u);
+    EXPECT_EQ(hot.checkpointMisses, cold.strideHits);
+    EXPECT_EQ(hot.warmCopies, traces_->size() + cold.bugSetCopies);
+    // The donor runs are copied and each missed resume re-steps its
+    // skipped lead, so the hot batch simulates the cold batch's
+    // cycles less the donor runs plus the cold resumes.
+    uint64_t donor_cycles = 0;
+    for (size_t t = 0; t < traces_->size(); ++t)
+        donor_cycles += (*expected_)[t].cycles;
+    EXPECT_EQ(hot.simulatedCycles, cold.simulatedCycles - donor_cycles +
+                                       cold.strideResumeCycles);
+}
+
 // ---------------------------------------------------------------------
 // Claim 2: cross-bug-set restore with mask re-arming.
 // ---------------------------------------------------------------------
@@ -304,9 +464,8 @@ TEST_F(CheckpointFixture, BugRearmRoundTripFuzz)
 
 TEST_F(CheckpointFixture, EngineMatchesSequentialAcrossTierSweep)
 {
-    // The acceptance sweep: stride × worker count under an unbounded
-    // budget, all six Table 2.1 bug sets plus the bug-free donor.
-    // (Tight budgets are swept in BudgetBoundsHeldChainsNotHits.)
+    // The acceptance sweep: stride × worker count, all six Table 2.1
+    // bug sets plus the bug-free donor.
     const size_t strides[] = {0, 64, 4096};
     bool stride_hit_somewhere = false;
 
@@ -315,7 +474,6 @@ TEST_F(CheckpointFixture, EngineMatchesSequentialAcrossTierSweep)
             ReplayOptions options;
             options.numThreads = nw;
             options.checkpointStride = stride;
-            options.checkpointBudgetBytes = size_t{1} << 40;
             ReplayStats stats = expectMatrixIdentical(
                 *config_, *traces_, *bug_sets_, *expected_, options,
                 "stride=" + std::to_string(stride) +
@@ -348,7 +506,6 @@ TEST_F(CheckpointFixture, RandomizedPropertyDifferential)
     // subsets must always reproduce the sequential player. Seeded,
     // so a failure is reproducible from the draw index.
     Rng rng(0x7E57C0DE);
-    const size_t one = snapshotBytes();
     size_t max_len = 0;
     for (const auto &trace : *traces_)
         max_len = std::max(max_len, trace.cycles.size());
@@ -378,8 +535,6 @@ TEST_F(CheckpointFixture, RandomizedPropertyDifferential)
         ReplayOptions options;
         options.numThreads = 1 + (unsigned)rng.index(8);
         options.checkpointStride = rng.index(2 * max_len);
-        options.checkpointBudgetBytes =
-            rng.chance(1, 4) ? 0 : rng.range(one, 64 * one);
         expectMatrixIdentical(
             *config_, *traces_, bug_sets, expected, options,
             "draw " + std::to_string(draw) + " workers=" +
@@ -389,84 +544,119 @@ TEST_F(CheckpointFixture, RandomizedPropertyDifferential)
 }
 
 // ---------------------------------------------------------------------
-// The budget bounds what is held at once, not what is reused.
+// Claim 4: pins resume where the whole chain would, from a bounded set.
 // ---------------------------------------------------------------------
 
-/** @return the bytes of the stride chain a bug-free run of @p trace
- *  takes at @p stride (snapshots at every boundary short of the
- *  end, as the donor run takes them). */
-size_t
-chainBytes(const PpConfig &config, const vecgen::TestTrace &trace,
-           size_t stride)
+/** Stride 1 snapshots every cycle, so its sweeps take only this many
+ *  traces (still more than the widest worker pool). */
+constexpr size_t kStrideOneTraces = 10;
+
+/** @return each bug's first-trigger cycle on a bug-free run of
+ *  @p trace (UINT64_MAX = never). */
+std::array<uint64_t, rtl::numBugs>
+bugFreeTriggers(const PpConfig &config, const vecgen::TestTrace &trace)
 {
     rtl::PpCore core(config, rtl::CoreMode::Vector);
     VectorPlayer::primeCore(core, trace, BugSet{});
-    size_t bytes = 0;
-    for (size_t pos = stride; pos < trace.cycles.size();
-         pos += stride) {
-        VectorPlayer::drive(core, trace, pos - stride, pos);
-        bytes += core.snapshot().bytes();
-    }
-    return bytes;
+    VectorPlayer::drive(core, trace, 0, trace.cycles.size());
+    VectorPlayer::finish(config, core, trace);
+    std::array<uint64_t, rtl::numBugs> triggers{};
+    for (size_t b = 0; b < rtl::numBugs; ++b)
+        triggers[b] = core.bugFirstTrigger(static_cast<BugId>(b));
+    return triggers;
 }
 
-TEST_F(CheckpointFixture, BudgetBoundsHeldChainsNotHits)
+TEST_F(CheckpointFixture, StrideResumesLandOnGreatestBoundaryBelowTrigger)
 {
-    // Each worker holds one row's chain at a time, so a budget that
-    // fits about two traces' chains — far less than the whole
-    // batch's — must bound the bytes held at once while every stride
-    // resume still lands exactly where an unbounded budget puts it.
-    constexpr size_t stride = 64;
-    size_t largest = 0;
-    size_t batch = 0;
-    for (const auto &trace : *traces_) {
-        const size_t bytes = chainBytes(*config_, trace, stride);
-        largest = std::max(largest, bytes);
-        batch += bytes;
-    }
-    const size_t budget = 2 * largest;
-    ASSERT_LT(4 * budget, batch)
-        << "batch too small for the budget to bind";
+    // The resume rule, computed here from bug-free runs alone: a
+    // triggered single-bug job resumes from the greatest multiple of
+    // the stride that is at least the stride and lies below both the
+    // trace length and the bug's first trigger; with none, it plays
+    // from reset. At stride 1 every trigger lands on the newest
+    // snapshot when it is seen, so the pin is the one before it.
+    for (size_t stride : {size_t{1}, size_t{3}, size_t{64}, size_t{1024}}) {
+        auto [traces, expected] =
+            firstTraces(stride == 1 ? kStrideOneTraces : traces_->size());
+        uint64_t hits = 0;
+        uint64_t resume_cycles = 0;
+        for (const auto &trace : traces) {
+            const auto triggers = bugFreeTriggers(*config_, trace);
+            for (uint64_t first : triggers) {
+                const uint64_t limit =
+                    std::min<uint64_t>(first, trace.cycles.size());
+                if (first == UINT64_MAX || limit <= stride)
+                    continue;
+                ++hits;
+                resume_cycles += (limit - 1) / stride * stride;
+            }
+        }
+        ASSERT_GT(hits, 0u) << "stride=" << stride;
 
-    ReplayOptions options;
-    options.checkpointStride = stride;
-    options.checkpointBudgetBytes = size_t{1} << 40;
-    ReplayStats unbounded = expectMatrixIdentical(
-        *config_, *traces_, *bug_sets_, *expected_, options,
-        "unbounded");
-    ASSERT_GT(unbounded.strideHits, 0u);
-
-    options.checkpointBudgetBytes = budget;
-    ReplayStats bounded = expectMatrixIdentical(
-        *config_, *traces_, *bug_sets_, *expected_, options,
-        "two chains");
-    EXPECT_EQ(bounded.strideHits, unbounded.strideHits);
-    EXPECT_EQ(bounded.bugSetCopies, unbounded.bugSetCopies);
-    EXPECT_EQ(bounded.simulatedCycles, unbounded.simulatedCycles);
-    EXPECT_GT(bounded.peakCacheBytes, 0u);
-    EXPECT_LE(bounded.peakCacheBytes, budget);
-
-    // A budget of two snapshots thins every chain to nearly nothing:
-    // cycles may be lost, never bytes, at any stride or worker
-    // count, and the bound still holds.
-    const size_t tiny = 2 * snapshotBytes();
-    for (size_t tiny_stride : {size_t{0}, size_t{64}, size_t{4096}}) {
-        for (unsigned nw : {1u, 2u, 8u}) {
+        for (unsigned nw : {1u, 8u}) {
+            ReplayOptions options;
             options.numThreads = nw;
-            options.checkpointStride = tiny_stride;
-            options.checkpointBudgetBytes = tiny;
+            options.checkpointStride = stride;
             ReplayStats stats = expectMatrixIdentical(
-                *config_, *traces_, *bug_sets_, *expected_, options,
-                "tiny budget stride=" + std::to_string(tiny_stride) +
+                *config_, traces, *bug_sets_, expected, options,
+                "stride=" + std::to_string(stride) +
                     " workers=" + std::to_string(nw));
-            EXPECT_LE(stats.peakCacheBytes, tiny);
+            EXPECT_EQ(stats.strideHits, hits)
+                << "stride=" << stride << " workers=" << nw;
+            EXPECT_EQ(stats.strideResumeCycles, resume_cycles)
+                << "stride=" << stride << " workers=" << nw;
+        }
+    }
+}
+
+/** @return the largest snapshot a bug-free run of any of @p traces
+ *  takes at a @p stride boundary. */
+size_t
+largestSnapshotBytes(const PpConfig &config,
+                     const std::vector<vecgen::TestTrace> &traces,
+                     size_t stride)
+{
+    size_t largest = 0;
+    for (const auto &trace : traces) {
+        rtl::PpCore core(config, rtl::CoreMode::Vector);
+        VectorPlayer::primeCore(core, trace, BugSet{});
+        for (size_t pos = stride; pos < trace.cycles.size();
+             pos += stride) {
+            VectorPlayer::drive(core, trace, pos - stride, pos);
+            largest = std::max(largest, core.snapshot().bytes());
+        }
+    }
+    return largest;
+}
+
+TEST_F(CheckpointFixture, HeldCheckpointsAreBoundedPerRow)
+{
+    // A row holds its reference run's two newest snapshots and at
+    // most one pin per bug, whatever the stride, trace length or
+    // worker count — far less than a whole chain at these strides.
+    for (size_t stride : {size_t{1}, size_t{64}}) {
+        auto [traces, expected] =
+            firstTraces(stride == 1 ? kStrideOneTraces : traces_->size());
+        const size_t bound = (2 + rtl::numBugs) *
+                             largestSnapshotBytes(*config_, traces, stride);
+        for (unsigned nw : {1u, 8u}) {
+            ReplayOptions options;
+            options.numThreads = nw;
+            options.checkpointStride = stride;
+            ReplayStats stats = expectMatrixIdentical(
+                *config_, traces, *bug_sets_, expected, options,
+                "stride=" + std::to_string(stride) +
+                    " workers=" + std::to_string(nw));
+            EXPECT_GT(stats.strideHits, 0u) << "stride=" << stride;
+            EXPECT_GT(stats.peakCacheBytes, 0u) << "stride=" << stride;
+            EXPECT_LE(stats.peakCacheBytes, bound)
+                << "stride=" << stride << " workers=" << nw;
         }
     }
 
     // A bug-free batch alone holds nothing: no other bug set can
     // resume from a checkpoint, and no warm cache wants one.
-    options = ReplayOptions{};
-    options.checkpointStride = stride;
+    ReplayOptions options;
+    options.checkpointStride = 64;
     ReplayStats single = expectMatrixIdentical(
         *config_, *traces_, std::vector<BugSet>{BugSet{}},
         std::vector<PlayResult>(

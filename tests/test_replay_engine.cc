@@ -3,9 +3,9 @@
  * Checkpointed replay tests (ctest label `replay`): value-semantics
  * snapshots must be bit-exact against fresh-from-reset replay at
  * every cycle, and ReplayEngine must return byte-identical
- * PlayResults to the sequential VectorPlayer for any worker count
- * and any checkpoint budget — while actually avoiding simulated
- * cycles through the bug-free donor and the warm cache.
+ * PlayResults to the sequential VectorPlayer for any worker count,
+ * checkpoint stride and warm-cache state — while actually avoiding
+ * simulated cycles through the bug-free donor and the warm cache.
  */
 
 #include <gtest/gtest.h>
@@ -166,8 +166,8 @@ TEST_F(ReplayFixture, RefSimSnapshotRoundTrip)
 TEST_F(ReplayFixture, EngineMatchesSequentialPlayerEverywhere)
 {
     // The acceptance matrix: worker counts {1,2,8} x checkpoint
-    // budgets {0 (disabled), small (thins every chain), unbounded},
-    // bug-free and with a bug injected. Every cell must reproduce the
+    // strides {0 (off), 64} x warm cache {none, cold, hot}, bug-free
+    // and with a bug injected. Every cell must reproduce the
     // sequential player byte-for-byte.
     std::vector<BugSet> bug_sets(2);
     bug_sets[1].set(static_cast<size_t>(BugId::Bug5MembusGlitch));
@@ -178,33 +178,54 @@ TEST_F(ReplayFixture, EngineMatchesSequentialPlayerEverywhere)
         for (const auto &trace : *traces_)
             expected.push_back(player.play(trace, bugs));
 
-    size_t one_snapshot =
-        rtl::PpCore(*config_, rtl::CoreMode::Vector).snapshotBytes();
-    const size_t budgets[] = {0, 2 * one_snapshot, size_t{1} << 40};
-    const unsigned workers[] = {1, 2, 8};
-
-    for (size_t budget : budgets) {
-        for (unsigned nw : workers) {
+    for (size_t stride : {size_t{0}, size_t{64}}) {
+        for (unsigned nw : {1u, 2u, 8u}) {
+            const std::string what = "workers=" + std::to_string(nw) +
+                                     " stride=" + std::to_string(stride);
             ReplayOptions options;
             options.numThreads = nw;
-            options.checkpointBudgetBytes = budget;
-            ReplayEngine engine(*config_, options);
-            std::vector<PlayResult> actual =
-                engine.playAll(*traces_, bug_sets);
-            ASSERT_EQ(actual.size(), expected.size());
-            for (size_t i = 0; i < expected.size(); ++i) {
-                expectSameResult(
-                    expected[i], actual[i],
-                    "job " + std::to_string(i) + " workers=" +
-                        std::to_string(nw) + " budget=" +
-                        std::to_string(budget));
+            options.checkpointStride = stride;
+            auto play = [&](const std::string &pass) {
+                ReplayEngine engine(*config_, options);
+                std::vector<PlayResult> actual =
+                    engine.playAll(*traces_, bug_sets);
+                EXPECT_EQ(actual.size(), expected.size());
+                for (size_t i = 0;
+                     i < expected.size() && i < actual.size(); ++i) {
+                    expectSameResult(expected[i], actual[i],
+                                     "job " + std::to_string(i) + " " +
+                                         what + " " + pass);
+                }
+                EXPECT_EQ(engine.stats().jobs,
+                          traces_->size() * bug_sets.size());
+                return engine.stats();
+            };
+
+            const ReplayStats plain = play("no warm cache");
+            if (stride == 0) {
+                EXPECT_EQ(plain.strideCheckpoints, 0u) << what;
+                EXPECT_EQ(plain.peakCacheBytes, 0u) << what;
+                EXPECT_EQ(plain.strideHits, 0u) << what;
             }
-            EXPECT_EQ(engine.stats().jobs,
-                      traces_->size() * bug_sets.size());
-            if (budget == 0) {
-                EXPECT_EQ(engine.stats().strideCheckpoints, 0u);
-                EXPECT_EQ(engine.stats().peakCacheBytes, 0u);
-                EXPECT_EQ(engine.stats().cyclesAvoided, 0u);
+
+            // The warm cache keeps the donor's pins, never a chain:
+            // a hot batch resumes every triggered job exactly where
+            // the cold batch's donor pins put it.
+            auto warm = std::make_shared<ReplayWarmCache>();
+            options.warmCache = warm;
+            const ReplayStats cold = play("cold");
+            const ReplayStats hot = play("hot");
+            EXPECT_EQ(cold.strideHits, plain.strideHits) << what;
+            EXPECT_EQ(cold.warmInserts, traces_->size()) << what;
+            EXPECT_EQ(hot.warmHits, traces_->size()) << what;
+            for (const auto &entry : warm->entries())
+                EXPECT_LE(entry->chain.size(), rtl::numBugs) << what;
+            EXPECT_EQ(hot.warmChainHits, cold.strideHits) << what;
+            EXPECT_EQ(hot.warmResumeCycles, cold.strideResumeCycles)
+                << what;
+            EXPECT_EQ(hot.checkpointMisses, 0u) << what;
+            if (stride > 0) {
+                EXPECT_GT(hot.warmChainHits, 0u) << what;
             }
         }
     }

@@ -205,6 +205,18 @@ TEST(EintrSafety, SendAllDeliversEveryFrameUnderSignalFire)
         }
     });
 
+    // Start draining only once a signal has landed. Until then the
+    // sender sits blocked in send() on its full buffer, so the first
+    // signals interrupt a transfer in flight instead of racing its
+    // end. The deadline only keeps a broken signaler from hanging the
+    // suite; the count is still asserted below.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (g_signal_count.load() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+
     // Drain in small chunks; every byte of every frame must arrive
     // in order, however many signals interrupted the transfer.
     FrameReader reader;
