@@ -3,11 +3,12 @@
  * Flagship example: validate the Protocol Processor exactly as the
  * paper does (Figure 3.1), at a chosen scale.
  *
- *   pp_validation [small|full] [limit <N>] [bug <1..6>] [lockstep]
+ *   pp_validation [small|full] [limit <N>] [bug <1..6>]
  *
  * Enumerates the PP control, generates covering transition tours and
  * test vectors, then simulates the RTL model against the
- * instruction-level specification. With "bug N" one of the six
+ * instruction-level specification, checking cycle by cycle that the
+ * core's control follows each tour. With "bug N" one of the six
  * published FLASH PP bugs (Table 2.1) is injected first.
  */
 
@@ -46,12 +47,9 @@ main(int argc, char **argv)
                 return 2;
             }
             bugs.set(n - 1);
-        } else if (arg == "lockstep") {
-            options.checkLockstep = true;
         } else {
             std::fprintf(stderr,
-                         "usage: %s [small|full] [limit N] [bug N] "
-                         "[lockstep]\n",
+                         "usage: %s [small|full] [limit N] [bug N]\n",
                          argv[0]);
             return 2;
         }

@@ -89,7 +89,6 @@ main()
 
     rtl::BugSet bugs;
     bugs.set(static_cast<size_t>(rtl::BugId::Bug5MembusGlitch));
-    core::FlowOptions options;
     core::FlowReport buggy = flow.simulate(bugs);
     std::printf("\nwith PP bug #5 injected (%s):\n%s",
                 rtl::bugSummary(rtl::BugId::Bug5MembusGlitch),

@@ -10,13 +10,16 @@
  *   trace_workflow demo            (generate + replay in a tmp dir)
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 
 #include "core/validation_flow.hh"
-#include "harness/vector_player.hh"
+#include "harness/replay_engine.hh"
+#include "support/status.hh"
 #include "support/strings.hh"
 #include "vecgen/trace_io.hh"
 #include "support/telemetry.hh"
@@ -63,11 +66,25 @@ replay(const std::string &dir, const rtl::PpConfig &config,
         return 1;
     }
 
-    harness::VectorPlayer player(config);
+    // Stimulus out of step with this configuration (traces generated
+    // for another preset, a truncated inbox) fails the replay.
+    harness::ReplayOptions options;
+    options.numThreads =
+        std::max(1u, std::thread::hardware_concurrency());
+    harness::ReplayEngine engine(config, options);
+    std::vector<harness::PlayResult> results;
+    try {
+        results = engine.playAll(traces.value(), bugs);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "replay failed: %s\n", e.what());
+        return 1;
+    }
+
     uint64_t diverged = 0, cycles = 0;
     std::string first_diff;
-    for (const auto &trace : traces.value()) {
-        auto result = player.play(trace, bugs);
+    for (size_t i = 0; i < results.size(); ++i) {
+        const vecgen::TestTrace &trace = traces.value()[i];
+        const harness::PlayResult &result = results[i];
         cycles += result.cycles;
         if (result.diverged) {
             ++diverged;

@@ -1,5 +1,9 @@
 #include "validation_flow.hh"
 
+#include <algorithm>
+#include <thread>
+
+#include "harness/replay_engine.hh"
 #include "support/status.hh"
 #include "support/strings.hh"
 #include "support/telemetry.hh"
@@ -88,18 +92,21 @@ FlowReport
 PpValidationFlow::simulate(const rtl::BugSet &bugs)
 {
     const auto &vectors = makeVectors();
-    const auto &tours = *tours_;
     telemetry::ScopedSpan span("flow.simulate", "traces",
                                vectors.size());
-    harness::VectorPlayer player(config_);
+    harness::ReplayOptions replay;
+    replay.numThreads = std::max(1u, std::thread::hardware_concurrency());
+    replay.stopOnDivergence = options_.stopAtFirstDivergence;
+    harness::ReplayEngine engine(config_, replay);
+    const harness::LockstepReference lockstep{*model_, *graph_, *tours_};
+    const std::vector<harness::PlayResult> plays =
+        engine.playAll(vectors, bugs, &lockstep);
 
+    // With stopAtFirstDivergence, every trace after the first
+    // divergence comes back skipped.
     FlowReport report;
-    for (size_t i = 0; i < vectors.size(); ++i) {
-        harness::PlayResult play =
-            options_.checkLockstep
-                ? player.playChecked(*model_, *graph_, tours[i],
-                                     vectors[i], bugs)
-                : player.play(vectors[i], bugs);
+    for (size_t i = 0; i < plays.size() && !plays[i].skipped; ++i) {
+        const harness::PlayResult &play = plays[i];
         ++report.tracesPlayed;
         report.cyclesSimulated += play.cycles;
         report.instructionsSimulated += play.instructions;
@@ -110,8 +117,6 @@ PpValidationFlow::simulate(const rtl::BugSet &bugs)
                 report.divergences.push_back(formatString(
                     "trace %zu: %s", i, play.diff.c_str()));
             }
-            if (options_.stopAtFirstDivergence)
-                break;
         }
     }
     return report;

@@ -7,7 +7,8 @@
  *   2. state enumeration (murphi::Enumerator)
  *   3. transition tours  (graph::TourGenerator)
  *   4. test vectors      (vecgen::VectorGenerator)
- *   5. simulate+compare  (harness::VectorPlayer vs pp::RefSim)
+ *   5. simulate+compare  (harness::ReplayEngine vs pp::RefSim,
+ *                         with the tour lockstep checked)
  *
  * PpValidationFlow specializes the flow for the Protocol Processor
  * with optional fault injection; exploreModel() runs steps 2-3 for
@@ -38,8 +39,6 @@ struct FlowOptions
     murphi::EnumOptions enumeration;
     graph::TourOptions tour;
     uint64_t vectorSeed = 1;
-    /** Verify control lockstep on every played trace (slower). */
-    bool checkLockstep = false;
     /** Stop the simulation phase at the first divergence. */
     bool stopAtFirstDivergence = false;
 };
@@ -83,7 +82,10 @@ class PpValidationFlow
     const std::vector<vecgen::TestTrace> &makeVectors();
 
     /** Step 5: play all vectors against the specification with
-     *  @p bugs injected into the implementation. */
+     *  @p bugs injected into the implementation, on a ReplayEngine
+     *  with one worker per hardware thread. Every trace is also
+     *  checked to keep the core's control in lockstep with its
+     *  tour. */
     FlowReport simulate(const rtl::BugSet &bugs = {});
 
     /** Convenience: run everything. */

@@ -5,6 +5,7 @@
 
 #include "support/status.hh"
 #include "support/strings.hh"
+#include "support/telemetry.hh"
 #include "support/timer.hh"
 
 namespace archval::graph
@@ -293,13 +294,16 @@ TourGenerator::run()
 
     // "Remove empty last output file": only non-empty traces were kept.
     stats_.numTraces = traces.size();
+    uint64_t traversals = 0;
     for (const auto &t : traces) {
+        traversals += t.edges.size();
         if (t.edges.size() > stats_.longestTraceEdges) {
             stats_.longestTraceEdges = t.edges.size();
             stats_.longestTraceInstructions = t.instructions;
         }
     }
     stats_.generationSeconds = timer.seconds();
+    telemetry::counter("tour.traversals").add(traversals);
     return traces;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <exception>
 #include <mutex>
 #include <thread>
 
@@ -21,6 +22,8 @@ namespace
 struct RowLink
 {
     uint64_t cycle = 0;
+    /** The run's lockstep mismatches over cycles [0, cycle). */
+    uint64_t lockstepErrors = 0;
     rtl::PpCore::Snapshot snapshot;
 };
 
@@ -55,13 +58,15 @@ struct TriggerPins
     size_t peakBytes = 0; ///< most snapshot bytes held at once
 
     /** Roll in the snapshot the run took at stride boundary @p cycle
-     *  (the older of the two newest goes, unless it is pinned). */
+     *  with @p lockstep_errors mismatches counted below it (the older
+     *  of the two newest goes, unless it is pinned). */
     void
-    take(uint64_t cycle, rtl::PpCore::Snapshot snapshot)
+    take(uint64_t cycle, uint64_t lockstep_errors,
+         rtl::PpCore::Snapshot snapshot)
     {
         if (recent.size() == 2)
             recent.erase(recent.begin());
-        recent.push_back({cycle, std::move(snapshot)});
+        recent.push_back({cycle, lockstep_errors, std::move(snapshot)});
         // A pin at a recent link's cycle shares that link's snapshot.
         size_t held = 0;
         for (const RowLink &link : recent)
@@ -396,29 +401,53 @@ ReplayEngine::ReplayEngine(const rtl::PpConfig &config,
 
 std::vector<PlayResult>
 ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
-                      const rtl::BugSet &bugs)
+                      const rtl::BugSet &bugs,
+                      const LockstepReference *lockstep)
 {
-    return playAll(traces, std::vector<rtl::BugSet>{bugs});
+    return playAll(traces, std::vector<rtl::BugSet>{bugs}, lockstep);
 }
 
 std::vector<PlayResult>
 ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
-                      const std::vector<rtl::BugSet> &bug_sets)
+                      const std::vector<rtl::BugSet> &bug_sets,
+                      const LockstepReference *lockstep)
 {
     stats_ = ReplayStats{};
     const size_t nt = traces.size();
     const size_t nb = bug_sets.size();
+    if (lockstep) {
+        if (lockstep->tours.size() != nt)
+            fatal(formatString("lockstep reference has %zu tours for "
+                               "%zu traces",
+                               lockstep->tours.size(), nt));
+        for (size_t t = 0; t < nt; ++t) {
+            if (lockstep->tours[t].edges.size() !=
+                traces[t].cycles.size())
+                fatal(formatString("trace %zu: tour and generated "
+                                   "trace disagree on cycle count",
+                                   t));
+        }
+    }
     std::vector<PlayResult> results(nt * nb);
     if (nt == 0 || nb == 0)
         return results;
     stats_.jobs = nt * nb;
 
+    // The lockstep oracle reads each graph state's control fields
+    // from a table unpacked once per batch.
+    const std::vector<rtl::PpControlState> expected_states =
+        lockstep ? VectorPlayer::expectedStates(lockstep->model,
+                                                lockstep->graph)
+                 : std::vector<rtl::PpControlState>{};
+
     // Cross-batch warm cache: resolve each trace's entry up front by
     // its full serialized content (exact match, so a foreign trace
     // can never borrow a warm result). Keys of the misses are kept —
     // they become the insert keys when this batch's bug-free runs
-    // populate the cache.
-    ReplayWarmCache *warm = options_.warmCache.get();
+    // populate the cache. Warm records carry no lockstep counts, so
+    // a checked batch leaves the cache alone.
+    ReplayWarmCache *warm =
+        lockstep ? nullptr : options_.warmCache.get();
     std::vector<std::shared_ptr<const ReplayWarmCache::Entry>>
         warm_entries(warm ? nt : 0);
     std::vector<std::string> warm_keys(warm ? nt : 0);
@@ -485,6 +514,13 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         if (warm_hit)
             triggers = warm_hit->triggers;
         TriggerPins pins;
+        VectorPlayer::LockstepSpec spec;
+        if (lockstep) {
+            spec = {&lockstep->graph, expected_states.data(),
+                    &lockstep->tours[t]};
+        }
+        const VectorPlayer::LockstepSpec *check =
+            lockstep ? &spec : nullptr;
 
         for (size_t b : set_order) {
             // A trace earlier in the batch already diverged under
@@ -542,11 +578,13 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
 
             // Resume from the greatest link strictly below the first
             // trigger, re-arming this job's bug mask (the one field of
-            // the reference state that legitimately differs). A warm
-            // link is a serialized snapshot of a content-identical
-            // trace; a damaged or foreign one degrades to from-reset
-            // replay.
+            // the reference state that legitimately differs), and
+            // carry the reference run's lockstep count below it. A
+            // warm link is a serialized snapshot of a
+            // content-identical trace; a damaged or foreign one
+            // degrades to from-reset replay.
             size_t start = 0;
+            uint64_t lockstep_errors = 0;
             if (warm_hit) {
                 // Within the trace, too: at most cycle len.
                 if (const ReplayWarmCache::ChainLink *link = linkBelow(
@@ -570,6 +608,7 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
                            linkBelow(pins.pins, first)) {
                 core.restoreWithBugs(link->snapshot, bug_sets[b]);
                 start = link->snapshot.cycles();
+                lockstep_errors = link->lockstepErrors;
                 ++ls.strideHits;
                 ls.strideResumeCycles += start;
                 ls.cyclesAvoided += start;
@@ -587,16 +626,18 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
             size_t next_stride = snap_stride ? snap_stride : len;
             while (pos < len) {
                 const size_t stop = std::min(len, next_stride);
-                VectorPlayer::drive(core, trace, pos, stop);
+                lockstep_errors +=
+                    VectorPlayer::drive(core, trace, pos, stop, check);
                 pos = stop;
                 if (pos < len && pos == next_stride) {
                     pins.pinTriggers(core);
-                    pins.take(pos, core.snapshot());
+                    pins.take(pos, lockstep_errors, core.snapshot());
                     ++ls.strideCheckpoints;
                     next_stride += snap_stride;
                 }
             }
             PlayResult result = VectorPlayer::finish(config_, core, trace);
+            result.lockstepErrors = lockstep_errors;
             if (snap_stride)
                 pins.pinTriggers(core);
             ls.simulatedCycles += core.cycles() - stepped_from;
@@ -641,6 +682,11 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
     } else {
         std::vector<std::thread> pool;
         pool.reserve(workers);
+        // A job that throws (stimulus out of step with the core)
+        // stops the claiming of rows; the first failure reaches the
+        // caller once the pool has joined.
+        std::mutex failure_mutex;
+        std::exception_ptr failure;
         // Worker spans must stay attributable to the service job
         // that spawned them, so the caller's correlation id travels
         // into each pool thread.
@@ -652,11 +698,20 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
                     telemetry::setThreadName(
                         formatString("replay.worker.%u", w));
                 }
-                work(local[w]);
+                try {
+                    work(local[w]);
+                } catch (...) {
+                    next_trace.store(nt, std::memory_order_relaxed);
+                    std::lock_guard<std::mutex> lock(failure_mutex);
+                    if (!failure)
+                        failure = std::current_exception();
+                }
             });
         }
         for (std::thread &t : pool)
             t.join();
+        if (failure)
+            std::rethrow_exception(failure);
     }
 
     // Normalize early-exit batches: everything after a bug set's
@@ -675,6 +730,8 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         }
     }
 
+    for (const PlayResult &result : results)
+        stats_.lockstepErrors += result.lockstepErrors;
     for (const LocalStats &ls : local) {
         stats_.batchCycles += ls.batchCycles;
         stats_.simulatedCycles += ls.simulatedCycles;
@@ -710,6 +767,10 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         .add(stats_.simulatedCycles);
     telemetry::gauge("replay.peak_cache_bytes")
         .set(static_cast<int64_t>(stats_.peakCacheBytes));
+    if (lockstep) {
+        telemetry::counter("replay.lockstep_errors")
+            .add(stats_.lockstepErrors);
+    }
     if (warm) {
         telemetry::counter("replay.warm_lookups")
             .add(stats_.warmLookups);

@@ -16,6 +16,15 @@
  * whole-machine copies (cycle and retire counters included), so a
  * resumed run is indistinguishable from an uninterrupted one.
  *
+ * Lockstep: given a LockstepReference, each job also counts the
+ * forced cycles after which the core's control is not on its tour's
+ * state, exactly as a from-reset VectorPlayer::drive over that tour
+ * counts them; that count is the only field play() leaves 0. A donor
+ * copy inherits the donor's count. A job resumed from a pin adds the
+ * count the reference run had reached below the pin, which the pin
+ * stores. Warm records carry no counts, so a batch with a lockstep
+ * reference neither reads nor fills the warm cache.
+ *
  * Two sharing axes cut a row's simulated cycles. Both rest on one
  * guarantee: every fault effect in rtl::PpCore is strictly guarded by
  * its trigger conjunction, and the core records the first cycle each
@@ -178,6 +187,20 @@ class ReplayWarmCache
     std::unordered_map<std::string, Slot> entries_;
 };
 
+/**
+ * What the lockstep check compares a batch against: the FSM model
+ * and state graph its traces were generated from, and each trace's
+ * tour (tours[t] drove traces[t]). After forced cycle i of trace t
+ * the core's control must equal the state tours[t].edges[i] leads
+ * to.
+ */
+struct LockstepReference
+{
+    const rtl::PpFsmModel &model;
+    const graph::StateGraph &graph;
+    const std::vector<graph::Trace> &tours;
+};
+
 /** Engine tuning. */
 struct ReplayOptions
 {
@@ -239,6 +262,9 @@ struct ReplayStats
     /** Jobs whose whole result was reused from the trace's bug-free
      *  donor run because none of their bugs ever triggered on it. */
     uint64_t bugSetCopies = 0;
+    /** Lockstep mismatches summed over the returned results (0
+     *  without a LockstepReference). */
+    uint64_t lockstepErrors = 0;
     /** Most snapshot bytes one row held at once: its reference run's
      *  two newest stride snapshots and its pins, at most
      *  2 + rtl::numBugs snapshots (a per-worker maximum). */
@@ -315,19 +341,27 @@ class ReplayEngine
                           ReplayOptions options = {});
 
     /**
-     * Play every trace against every bug set.
+     * Play every trace against every bug set, checking each job
+     * against @p lockstep when it is given. A reference without one
+     * tour per trace, or with a tour whose length differs from its
+     * trace's, is rejected (FatalError) before any job runs. A
+     * FatalError a job throws (stimulus out of step with the core)
+     * reaches the caller at any worker count; the other workers
+     * finish the rows they hold and claim no more.
      * @return results indexed [b * traces.size() + t], each
      * byte-identical to VectorPlayer(config).play(traces[t],
-     * bug_sets[b]).
+     * bug_sets[b]) apart from lockstepErrors.
      */
     std::vector<PlayResult>
     playAll(const std::vector<vecgen::TestTrace> &traces,
-            const std::vector<rtl::BugSet> &bug_sets);
+            const std::vector<rtl::BugSet> &bug_sets,
+            const LockstepReference *lockstep = nullptr);
 
     /** Single-bug-set convenience overload. */
     std::vector<PlayResult>
     playAll(const std::vector<vecgen::TestTrace> &traces,
-            const rtl::BugSet &bugs = {});
+            const rtl::BugSet &bugs = {},
+            const LockstepReference *lockstep = nullptr);
 
     /** @return statistics for the most recent playAll(). With more
      *  than one worker, the work counters of a batch cut short by

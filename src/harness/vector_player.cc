@@ -1,13 +1,20 @@
 #include "vector_player.hh"
 
 #include "pp/ref_sim.hh"
-#include "support/status.hh"
 #include "support/telemetry.hh"
 
 namespace archval::harness
 {
 
 using rtl::PpChoiceVar;
+
+namespace
+{
+
+/** Cycles ahead of the step that drive() prefetches tour edges. */
+constexpr size_t kLockstepPrefetch = 16;
+
+} // namespace
 
 rtl::ForcedSignals
 VectorPlayer::drainSignals()
@@ -50,6 +57,16 @@ VectorPlayer::primeCore(rtl::PpCore &core,
     }
 }
 
+std::vector<rtl::PpControlState>
+VectorPlayer::expectedStates(const rtl::PpFsmModel &model,
+                             const graph::StateGraph &graph)
+{
+    std::vector<rtl::PpControlState> states(graph.numStates());
+    for (graph::StateId s = 0; s < states.size(); ++s)
+        states[s] = model.unpack(graph.packedState(s));
+    return states;
+}
+
 uint64_t
 VectorPlayer::drive(rtl::PpCore &core, const vecgen::TestTrace &trace,
                     size_t first_cycle, size_t last_cycle,
@@ -62,12 +79,17 @@ VectorPlayer::drive(rtl::PpCore &core, const vecgen::TestTrace &trace,
         core.step();
         if (lockstep) {
             // The core's control must now sit exactly on the tour
-            // edge's destination state.
-            rtl::PpControlState expected = lockstep->model->unpack(
-                lockstep->graph->packedState(
-                    lockstep->graph->edge(lockstep->tour->edges[i])
-                        .dst));
-            if (!(core.controlState() == expected))
+            // edge's destination state. Tour edges land anywhere in
+            // the edge array, so fetch the one a few cycles on while
+            // the core steps.
+            const graph::Trace &tour = *lockstep->tour;
+            if (i + kLockstepPrefetch < last_cycle) {
+                __builtin_prefetch(&lockstep->graph->edge(
+                    tour.edges[i + kLockstepPrefetch]));
+            }
+            const graph::StateId expected =
+                lockstep->graph->edge(tour.edges[i]).dst;
+            if (!(core.controlState() == lockstep->states[expected]))
                 ++lockstep_errors;
         }
     }
@@ -118,30 +140,6 @@ VectorPlayer::play(const vecgen::TestTrace &trace,
     primeCore(core, trace, bugs);
     drive(core, trace, 0, trace.cycles.size());
     return finish(config_, core, trace);
-}
-
-PlayResult
-VectorPlayer::playChecked(const rtl::PpFsmModel &model,
-                          const graph::StateGraph &graph,
-                          const graph::Trace &tour,
-                          const vecgen::TestTrace &trace,
-                          const rtl::BugSet &bugs) const
-{
-    if (tour.edges.size() != trace.cycles.size())
-        fatal("tour and generated trace disagree on cycle count");
-
-    telemetry::ScopedSpan span("player.play_checked", "cycles",
-                               trace.cycles.size());
-    telemetry::counter("player.plays").add(1);
-    rtl::PpCore core(config_, rtl::CoreMode::Vector);
-    primeCore(core, trace, bugs);
-    LockstepSpec lockstep{&model, &graph, &tour};
-    uint64_t lockstep_errors =
-        drive(core, trace, 0, trace.cycles.size(), &lockstep);
-
-    PlayResult result = finish(config_, core, trace);
-    result.lockstepErrors = lockstep_errors;
-    return result;
 }
 
 } // namespace archval::harness

@@ -8,16 +8,19 @@
  * then compares architectural state. A bug is "found" when the two
  * disagree.
  *
- * playChecked() additionally verifies lockstep: after every forced
- * cycle the core's control state must equal the state-graph node the
- * tour intended to be in — the property that makes transition-tour
- * coverage claims meaningful.
+ * drive() can also check lockstep: after every forced cycle the
+ * core's control state must equal the state-graph node the tour
+ * intended to be in — the property that makes transition-tour
+ * coverage claims meaningful. The batch ReplayEngine runs that check
+ * on every job given a lockstep reference; play() is the unchecked
+ * sequential reference the engine is held to.
  */
 
 #ifndef ARCHVAL_HARNESS_VECTOR_PLAYER_HH
 #define ARCHVAL_HARNESS_VECTOR_PLAYER_HH
 
 #include <string>
+#include <vector>
 
 #include "graph/state_graph.hh"
 #include "graph/tour.hh"
@@ -35,7 +38,9 @@ struct PlayResult
     std::string diff;        ///< first architectural difference
     uint64_t cycles = 0;     ///< cycles simulated (incl. drain)
     uint64_t instructions = 0; ///< instructions retired by the core
-    uint64_t lockstepErrors = 0; ///< control-state mismatches
+    /** Cycles whose control state left the tour (0 when played
+     *  without a lockstep reference). */
+    uint64_t lockstepErrors = 0;
     bool drained = false;    ///< pipe empty when the run ended
     /** Not played: a ReplayEngine batch with stopOnDivergence set
      *  skips every job after the first divergence. */
@@ -61,17 +66,6 @@ class VectorPlayer
     PlayResult play(const vecgen::TestTrace &trace,
                     const rtl::BugSet &bugs = {}) const;
 
-    /**
-     * Like play(), and also checks cycle-by-cycle that the core's
-     * control state follows the tour's intended path through
-     * @p graph.
-     */
-    PlayResult playChecked(const rtl::PpFsmModel &model,
-                           const graph::StateGraph &graph,
-                           const graph::Trace &tour,
-                           const vecgen::TestTrace &trace,
-                           const rtl::BugSet &bugs = {}) const;
-
     /** @return the drain stimulus used after a trace's last cycle. */
     static rtl::ForcedSignals drainSignals();
 
@@ -80,19 +74,31 @@ class VectorPlayer
 
     /**
      * @name Shared trace-driving primitives
-     * One driver backs play(), playChecked() and the batch
-     * ReplayEngine, so bug injection, forcing and draining cannot
-     * drift apart between the sequential and checkpointed paths.
+     * One driver backs play() and the batch ReplayEngine, so bug
+     * injection, forcing and draining cannot drift apart between the
+     * sequential and checkpointed paths.
      * @{
      */
 
-    /** Lockstep-check context for drive() (playChecked's extra). */
+    /**
+     * Lockstep-check context for drive(): after forced cycle i the
+     * core's control must equal states[d], where d is the
+     * destination of @c tour->edges[i] in @c graph and @c states is
+     * expectedStates() of that graph.
+     */
     struct LockstepSpec
     {
-        const rtl::PpFsmModel *model = nullptr;
         const graph::StateGraph *graph = nullptr;
+        const rtl::PpControlState *states = nullptr;
         const graph::Trace *tour = nullptr;
     };
+
+    /** @return every state of @p graph unpacked by @p model, indexed
+     *  by state id: the table a LockstepSpec reads, built once so
+     *  the per-cycle check is a lookup, not an unpack. */
+    static std::vector<rtl::PpControlState>
+    expectedStates(const rtl::PpFsmModel &model,
+                   const graph::StateGraph &graph);
 
     /** Load @p trace's stream/inbox into @p core and inject @p bugs. */
     static void primeCore(rtl::PpCore &core,

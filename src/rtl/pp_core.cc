@@ -673,10 +673,14 @@ PpCore::fetchPacket(InstrClass cls, unsigned count)
         }
         op.d = pp::decode(op.word);
     }
+    // fatal, not panic: in vector mode the stream is input, and a
+    // stream that does not match its forced fetch classes (a trace
+    // replayed on another configuration) must fail catchably.
     if (packet.count > 0 && packet.ops[0].d.cls() != cls) {
-        panic(formatString(
-            "fetch stream out of sync: expected class %s, got %s "
-            "(%s)",
+        fatal(formatString(
+            "cycle %llu: fetch stream out of sync: expected class %s, "
+            "got %s (%s)",
+            static_cast<unsigned long long>(cycles_),
             pp::instrClassName(cls),
             pp::instrClassName(packet.ops[0].d.cls()),
             packet.ops[0].d.toString().c_str()));
@@ -860,8 +864,14 @@ PpCore::step()
     // 3. EX-stage handshakes (order of pops/pushes == program order).
     // ------------------------------------------------------------------
     if (out.inboxPop) {
-        if (!exPacket_.valid || inbox_.empty())
-            panic("inboxPop with no SWITCH in EX or empty inbox");
+        if (!exPacket_.valid)
+            panic("inboxPop with no SWITCH in EX");
+        // An empty inbox is bad input (a truncated trace), not a
+        // broken core.
+        if (inbox_.empty()) {
+            fatal(formatString("cycle %llu: SWITCH pops an empty inbox",
+                               static_cast<unsigned long long>(cycles_)));
+        }
         exPacket_.ops[0].inboxValue = inbox_.front();
         exPacket_.ops[0].inboxValid = true;
         inbox_.pop_front();

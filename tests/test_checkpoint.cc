@@ -19,6 +19,9 @@
  *     the greatest stride boundary below its first trigger, exactly
  *     as a whole chain would, while a row holds at most 2 + numBugs
  *     snapshots.
+ *  5. The lockstep count survives sharing: a donor copy and a pin
+ *     resume report exactly the mismatches a from-reset run counts,
+ *     on tours deliberately put out of step with their traces.
  *
  * The suite exercises the worker pool, so it is part of the
  * ARCHVAL_SANITIZE=thread build (see README).
@@ -28,6 +31,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <utility>
 
 #include "harness/replay_engine.hh"
@@ -665,6 +669,177 @@ TEST_F(CheckpointFixture, HeldCheckpointsAreBoundedPerRow)
         options, "bug-free only");
     EXPECT_EQ(single.strideCheckpoints, 0u);
     EXPECT_EQ(single.peakCacheBytes, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Claim 5: the lockstep count survives donor copies and pin resumes.
+// ---------------------------------------------------------------------
+
+/** @return the first k in [@p from, @p to - 1) whose tour edges k and
+ *  k + 1 lead to different states, or SIZE_MAX. */
+size_t
+swappableAt(const graph::StateGraph &graph, const graph::Trace &tour,
+            size_t from, size_t to)
+{
+    for (size_t k = from; k + 1 < to; ++k) {
+        if (graph.edge(tour.edges[k]).dst !=
+            graph.edge(tour.edges[k + 1]).dst)
+            return k;
+    }
+    return SIZE_MAX;
+}
+
+/** @return @p tour with edges @p k and k + 1 swapped. The trace
+ *  still drives the core down the original path, so the tour is out
+ *  of step with it after both cycles. */
+graph::Trace
+swapped(const graph::Trace &tour, size_t k)
+{
+    graph::Trace out = tour;
+    std::swap(out.edges[k], out.edges[k + 1]);
+    return out;
+}
+
+TEST_F(CheckpointFixture, LockstepCountSurvivesCopiesAndResumes)
+{
+    const std::vector<rtl::PpControlState> states =
+        VectorPlayer::expectedStates(*model_, *graph_);
+    VectorPlayer player(*config_);
+
+    for (size_t stride : {size_t{64}, size_t{1024}}) {
+        // A trace and a bug that first triggers past a stride
+        // boundary, twice: with a swap below the pin, and with one
+        // above it. Then a trace that bug never triggers on.
+        std::vector<vecgen::TestTrace> traces;
+        std::vector<graph::Trace> tours;
+        size_t bug = rtl::numBugs;
+        for (size_t t = 0; t < traces_->size() && traces.empty(); ++t) {
+            const vecgen::TestTrace &trace = (*traces_)[t];
+            const graph::Trace &tour = (*tours_)[t];
+            const size_t len = trace.cycles.size();
+            const auto triggers = bugFreeTriggers(*config_, trace);
+            for (size_t b = 0; b < rtl::numBugs; ++b) {
+                const uint64_t limit =
+                    std::min<uint64_t>(triggers[b], len);
+                if (triggers[b] == UINT64_MAX || limit <= stride)
+                    continue;
+                const size_t pin = (limit - 1) / stride * stride;
+                const size_t below = swappableAt(*graph_, tour, 0, pin);
+                const size_t above =
+                    swappableAt(*graph_, tour, pin, len);
+                if (below == SIZE_MAX || above == SIZE_MAX)
+                    continue;
+                bug = b;
+                traces.assign(2, trace);
+                tours = {swapped(tour, below), swapped(tour, above)};
+                break;
+            }
+        }
+        ASSERT_EQ(traces.size(), 2u) << "stride=" << stride;
+        for (size_t t = 0; t < traces_->size(); ++t) {
+            const vecgen::TestTrace &trace = (*traces_)[t];
+            const size_t k = swappableAt(*graph_, (*tours_)[t], 0,
+                                         trace.cycles.size());
+            if (bugFreeTriggers(*config_, trace)[bug] == UINT64_MAX &&
+                k != SIZE_MAX) {
+                traces.push_back(trace);
+                tours.push_back(swapped((*tours_)[t], k));
+                break;
+            }
+        }
+        ASSERT_EQ(traces.size(), 3u) << "stride=" << stride;
+
+        const LockstepReference lockstep{*model_, *graph_, tours};
+        std::vector<BugSet> bug_sets(2);
+        bug_sets[1].set(bug);
+
+        // The independent count: each job from reset, checked by
+        // VectorPlayer::drive; every other field from play().
+        std::vector<PlayResult> expected;
+        uint64_t expected_errors = 0;
+        for (const BugSet &bugs : bug_sets) {
+            for (size_t t = 0; t < traces.size(); ++t) {
+                rtl::PpCore core(*config_, rtl::CoreMode::Vector);
+                VectorPlayer::primeCore(core, traces[t], bugs);
+                const VectorPlayer::LockstepSpec spec{
+                    graph_, states.data(), &tours[t]};
+                PlayResult result = player.play(traces[t], bugs);
+                result.lockstepErrors = VectorPlayer::drive(
+                    core, traces[t], 0, traces[t].cycles.size(), &spec);
+                EXPECT_GE(result.lockstepErrors, 2u)
+                    << "the swap must put the tour out of step";
+                expected_errors += result.lockstepErrors;
+                expected.push_back(result);
+            }
+        }
+
+        for (unsigned nw : {1u, 4u}) {
+            const std::string what = "stride=" + std::to_string(stride) +
+                                     " workers=" + std::to_string(nw);
+            ReplayOptions options;
+            options.numThreads = nw;
+            options.checkpointStride = stride;
+
+            // Both bug sets: the bugged jobs of the first two rows
+            // resume from the pin (one swap below it, one above), the
+            // third row's bugged job copies the donor.
+            ReplayEngine engine(*config_, options);
+            std::vector<PlayResult> actual =
+                engine.playAll(traces, bug_sets, &lockstep);
+            ASSERT_EQ(actual.size(), expected.size()) << what;
+            for (size_t i = 0; i < expected.size(); ++i)
+                expectSameResult(expected[i], actual[i],
+                                 what + " job " + std::to_string(i));
+            EXPECT_EQ(engine.stats().strideHits, 2u) << what;
+            EXPECT_EQ(engine.stats().bugSetCopies, 1u) << what;
+            EXPECT_EQ(engine.stats().lockstepErrors, expected_errors)
+                << what;
+
+            // The bug set alone: every job plays from reset.
+            std::vector<PlayResult> alone =
+                engine.playAll(traces, bug_sets[1], &lockstep);
+            ASSERT_EQ(alone.size(), traces.size()) << what;
+            for (size_t t = 0; t < traces.size(); ++t)
+                expectSameResult(expected[traces.size() + t], alone[t],
+                                 what + " alone trace " +
+                                     std::to_string(t));
+            EXPECT_EQ(engine.stats().strideHits, 0u) << what;
+        }
+
+        // Warm records carry no lockstep counts: a checked batch
+        // neither reads nor fills the warm cache.
+        ReplayOptions options;
+        options.checkpointStride = stride;
+        options.warmCache = std::make_shared<ReplayWarmCache>();
+        ReplayEngine warm(*config_, options);
+        std::vector<PlayResult> actual =
+            warm.playAll(traces, bug_sets, &lockstep);
+        for (size_t i = 0; i < expected.size(); ++i)
+            expectSameResult(expected[i], actual[i],
+                             "warm cache job " + std::to_string(i));
+        EXPECT_EQ(warm.stats().warmLookups, 0u);
+        EXPECT_EQ(options.warmCache->stats().inserts, 0u);
+        EXPECT_EQ(options.warmCache->stats().lookups, 0u);
+    }
+}
+
+TEST_F(CheckpointFixture, LockstepRejectsToursOutOfShape)
+{
+    // Before any job runs, the engine rejects a reference without one
+    // tour per trace or with a tour whose length is not its trace's.
+    std::vector<graph::Trace> tours(tours_->begin(), tours_->end());
+    tours.back().edges.pop_back();
+    const LockstepReference short_tour{*model_, *graph_, tours};
+    ReplayEngine engine(*config_);
+    EXPECT_THROW(engine.playAll(*traces_, *bug_sets_, &short_tour),
+                 FatalError);
+    EXPECT_EQ(engine.stats().jobs, 0u);
+
+    tours.pop_back();
+    const LockstepReference missing{*model_, *graph_, tours};
+    EXPECT_THROW(engine.playAll(*traces_, *bug_sets_, &missing),
+                 FatalError);
+    EXPECT_EQ(engine.stats().jobs, 0u);
 }
 
 } // namespace

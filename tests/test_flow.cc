@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "core/validation_flow.hh"
+#include "harness/vector_player.hh"
 #include "hdl/translate.hh"
+#include "support/strings.hh"
 
 namespace archval::core
 {
@@ -48,14 +50,70 @@ TEST(Flow, InjectedBugIsReported)
     EXPECT_NE(report.render().find("divergence"), std::string::npos);
 }
 
-TEST(Flow, LockstepOptionChecksCleanly)
+/** @return the report of a sequential VectorPlayer::play loop over
+ *  @p flow's vectors, stopping after the first divergence when
+ *  @p stop is set. play() checks no lockstep, so its count reads 0:
+ *  equal reports also mean simulate() found no lockstep error. */
+FlowReport
+sequentialReport(PpValidationFlow &flow, const rtl::BugSet &bugs,
+                 bool stop)
 {
-    FlowOptions options;
-    options.checkLockstep = true;
-    PpValidationFlow flow(rtl::PpConfig::smallPreset(), options);
-    FlowReport report = flow.run();
-    EXPECT_EQ(report.lockstepErrors, 0u);
-    EXPECT_FALSE(report.bugFound());
+    const auto &vectors = flow.makeVectors();
+    harness::VectorPlayer player(flow.config());
+    FlowReport report;
+    for (size_t i = 0; i < vectors.size(); ++i) {
+        harness::PlayResult play = player.play(vectors[i], bugs);
+        ++report.tracesPlayed;
+        report.cyclesSimulated += play.cycles;
+        report.instructionsSimulated += play.instructions;
+        report.lockstepErrors += play.lockstepErrors;
+        if (play.diverged) {
+            ++report.divergingTraces;
+            if (report.divergences.size() < 5) {
+                report.divergences.push_back(formatString(
+                    "trace %zu: %s", i, play.diff.c_str()));
+            }
+            if (stop)
+                break;
+        }
+    }
+    return report;
+}
+
+TEST(Flow, SimulateMatchesSequentialPlayer)
+{
+    // simulate() runs on the replay engine with lockstep checked; its
+    // report must equal the sequential loop's in every field, the
+    // first divergences included, for the bug-free design and each
+    // Table 2.1 bug, with and without the early stop.
+    std::vector<rtl::BugSet> bug_sets(1 + rtl::numBugs);
+    for (size_t b = 0; b < rtl::numBugs; ++b)
+        bug_sets[1 + b].set(b);
+    for (bool stop : {false, true}) {
+        FlowOptions options;
+        options.tour.maxInstructionsPerTrace = 1'000;
+        options.stopAtFirstDivergence = stop;
+        PpValidationFlow flow(rtl::PpConfig::smallPreset(), options);
+        for (const rtl::BugSet &bugs : bug_sets) {
+            const std::string what = "bugs " + bugs.to_string() +
+                                     (stop ? " stop" : " full");
+            FlowReport expected = sequentialReport(flow, bugs, stop);
+            FlowReport actual = flow.simulate(bugs);
+            EXPECT_EQ(actual.tracesPlayed, expected.tracesPlayed) << what;
+            EXPECT_EQ(actual.divergingTraces, expected.divergingTraces)
+                << what;
+            EXPECT_EQ(actual.lockstepErrors, expected.lockstepErrors)
+                << what;
+            EXPECT_EQ(actual.cyclesSimulated, expected.cyclesSimulated)
+                << what;
+            EXPECT_EQ(actual.instructionsSimulated,
+                      expected.instructionsSimulated)
+                << what;
+            EXPECT_EQ(actual.divergences, expected.divergences) << what;
+            EXPECT_EQ(actual.render(), expected.render()) << what;
+            EXPECT_EQ(expected.bugFound(), bugs.any()) << what;
+        }
+    }
 }
 
 TEST(Flow, TourLimitPropagates)

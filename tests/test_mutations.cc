@@ -132,7 +132,6 @@ TEST_P(MutationFlow, DetectedIffDataVisible)
     config.mutations.set(GetParam());
 
     core::FlowOptions options;
-    options.checkLockstep = true;
     options.stopAtFirstDivergence = mutationDataVisible(mutation);
     core::PpValidationFlow flow(config, options);
     core::FlowReport report = flow.run();

@@ -11,6 +11,7 @@
 #include "harness/baselines.hh"
 #include "harness/bug_hunt.hh"
 #include "harness/coverage.hh"
+#include "harness/replay_engine.hh"
 #include "harness/vector_player.hh"
 #include "murphi/enumerator.hh"
 
@@ -85,13 +86,19 @@ TEST_F(PlayerFixture, ControlFollowsTourInLockstep)
 {
     // The forced vectors must drive the RTL control through exactly
     // the arcs the tour prescribes — the paper's central mechanism.
-    VectorPlayer player(*config_);
-    size_t checked = std::min<size_t>(tours_->size(), 25);
-    for (size_t i = 0; i < checked; ++i) {
-        PlayResult result = player.playChecked(
-            *model_, *graph_, (*tours_)[i], (*traces_)[i]);
-        EXPECT_EQ(result.lockstepErrors, 0u) << "trace " << i;
-        EXPECT_FALSE(result.diverged) << result.diff;
+    const long checked = std::min<long>(tours_->size(), 25);
+    const std::vector<graph::Trace> tours(tours_->begin(),
+                                          tours_->begin() + checked);
+    const std::vector<vecgen::TestTrace> traces(
+        traces_->begin(), traces_->begin() + checked);
+    const LockstepReference lockstep{*model_, *graph_, tours};
+    ReplayEngine engine(*config_);
+    std::vector<PlayResult> results =
+        engine.playAll(traces, BugSet{}, &lockstep);
+    ASSERT_EQ(results.size(), traces.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+        EXPECT_EQ(results[i].lockstepErrors, 0u) << "trace " << i;
+        EXPECT_FALSE(results[i].diverged) << results[i].diff;
     }
 }
 

@@ -15,6 +15,8 @@
 #include "harness/replay_engine.hh"
 #include "harness/vector_player.hh"
 #include "murphi/enumerator.hh"
+#include "pp/isa.hh"
+#include "support/status.hh"
 
 namespace archval::harness
 {
@@ -376,6 +378,75 @@ TEST_F(ReplayFixture, WarmInsertsCountOnlyStoredEntries)
     hot.playAll(*traces_, bug_sets);
     EXPECT_EQ(hot.stats().warmHits, traces_->size());
     EXPECT_EQ(hot.stats().warmInserts, 0u);
+}
+
+/** @return the FatalError message @p play throws, or "" when it
+ *  returns. */
+template <class Play>
+std::string
+fatalMessage(Play &&play)
+{
+    try {
+        play();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST_F(ReplayFixture, OutOfStepStimulusThrowsFatal)
+{
+    // Stimulus the core cannot follow is bad input, not a broken
+    // core: a fetch stream whose classes disagree with the forced
+    // fetch classes, and an inbox cut short of the SWITCHes that pop
+    // it, must throw FatalError naming the cycle, from the sequential
+    // player and from the engine at any worker count.
+    const auto with_inbox = std::find_if(
+        traces_->begin(), traces_->end(),
+        [](const vecgen::TestTrace &trace) {
+            return !trace.inbox.empty();
+        });
+    ASSERT_NE(with_inbox, traces_->end());
+    const size_t t = static_cast<size_t>(with_inbox - traces_->begin());
+
+    // A non-ALU word always leads its packet, so fetching a NOP in
+    // its place breaks the stream's class check.
+    vecgen::TestTrace stream = (*traces_)[t];
+    auto word = std::find_if(
+        stream.fetchStream.begin(), stream.fetchStream.end(),
+        [](uint32_t w) {
+            return pp::decode(w).cls() != pp::InstrClass::Alu;
+        });
+    ASSERT_NE(word, stream.fetchStream.end());
+    *word = pp::encodeNop();
+
+    vecgen::TestTrace inbox = (*traces_)[t];
+    inbox.inbox.clear();
+
+    for (const vecgen::TestTrace *damaged : {&stream, &inbox}) {
+        const std::string what =
+            damaged == &stream ? "fetch stream" : "inbox";
+        VectorPlayer player(*config_);
+        const std::string message =
+            fatalMessage([&] { player.play(*damaged); });
+        EXPECT_EQ(message.rfind("cycle ", 0), 0u) << message;
+        EXPECT_NE(message.find(what), std::string::npos) << message;
+
+        std::vector<vecgen::TestTrace> batch = *traces_;
+        batch[t] = *damaged;
+        std::vector<BugSet> bug_sets(2);
+        bug_sets[1].set(static_cast<size_t>(BugId::Bug3ConflictAddr));
+        for (unsigned nw : {1u, 4u}) {
+            ReplayOptions options;
+            options.numThreads = nw;
+            ReplayEngine engine(*config_, options);
+            EXPECT_EQ(fatalMessage([&] {
+                          engine.playAll(batch, bug_sets);
+                      }),
+                      message)
+                << what << " workers=" << nw;
+        }
+    }
 }
 
 TEST_F(ReplayFixture, EmptyBatchesAreHarmless)

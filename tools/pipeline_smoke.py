@@ -4,10 +4,12 @@
 Runs `pp_validation small` with ARCHVAL_TRACE pointing at a temporary
 file, then gates the trace with trace_summary.py: the flow's
 top-level spans must cover at least 95% of the traced wall-clock,
-and the vector generator must have reported its work. The traces it
-generates must also stay packed: the small preset's 309,530 cycles
-and 235,225 stream words hold 1,559,960 bytes at 2 bytes per cycle,
-and the gate allows 10% above that (44-byte cycles would be 14.6 MB).
+and the tour generator and the vector generator must have reported
+their work. The simulate phase must have run on the replay engine
+with the tour lockstep checked and clean. The traces it generates
+must also stay packed: the small preset's 309,530 cycles and 235,225
+stream words hold 1,559,960 bytes at 2 bytes per cycle, and the gate
+allows 10% above that (44-byte cycles would be 14.6 MB).
 
 Usage: tools/pipeline_smoke.py <path-to-pp_validation-binary>
 """
@@ -45,11 +47,15 @@ def main():
         check = subprocess.run(
             [sys.executable, summary, trace, "--check",
              "--min-coverage", "95",
+             "--require-metric", "tour.traversals>=1",
              "--require-metric", "vecgen.cycles>=1",
              "--require-metric", "vecgen.edges_summarized>=1",
              "--require-metric", "vecgen.trace_bytes>=1",
              "--require-metric",
-             f"vecgen.trace_bytes<={MAX_SMALL_TRACE_BYTES}"])
+             f"vecgen.trace_bytes<={MAX_SMALL_TRACE_BYTES}",
+             "--require-metric", "replay.jobs>=1",
+             "--require-metric", "replay.cycles_simulated>=1",
+             "--require-metric", "replay.lockstep_errors==0"])
         if check.returncode != 0:
             print("trace_summary gate failed", file=sys.stderr)
             return 1
