@@ -1,22 +1,24 @@
 /**
  * @file
- * Step-kernel throughput: interpreted expression walking vs compiled
- * bytecode vs 64-lane bit-sliced evaluation, over every design in the
+ * Step throughput: an HDL model's interpreted step (the base
+ * fsm::Model loop over the expression-tree next()) vs the bytecode
+ * step HdlModel::forEachTransition runs, over every design in the
  * HDL corpus.
  *
  * Two layers are measured per design:
  *
- *  - kernel-level expansion: repeated passes expanding every
- *    reachable state through every choice code (states/sec and
- *    cycles/sec, where one cycle = one (state, choice) step). This
- *    is the apples-to-apples number the speedup columns gate on.
- *  - end-to-end enumeration wall time per kernel (informational;
- *    includes hashing/interning, which is kernel-independent).
+ *  - step-level expansion: repeated passes expanding every reachable
+ *    state through every choice code (states/sec and cycles/sec,
+ *    where one cycle = one (state, choice) step). The bytecode arm
+ *    is the exact call the enumerator makes, per-call kernel
+ *    included. This is the number the speedup column gates on.
+ *  - end-to-end enumeration wall time per step (informational;
+ *    includes hashing/interning, which is step-independent).
  *
- * Every mode's graph fingerprint is cross-checked before timing —
- * a fast wrong kernel is not a result. The committed baseline gates
- * `speedup_bytecode` >= 2x and `speedup_sliced` >= 8x on the largest
- * design (bench_diff.py MIN_FLOORS).
+ * Both enumerations' graph fingerprints are cross-checked before
+ * timing — a fast wrong step is not a result. The committed baseline
+ * gates `speedup_bytecode` >= 2x on the largest design
+ * (bench_diff.py MIN_FLOORS).
  */
 
 #include <cstdio>
@@ -25,7 +27,6 @@
 
 #include "bench_util.hh"
 #include "compile/bytecode.hh"
-#include "compile/kernel.hh"
 #include "graph/state_graph.hh"
 #include "hdl/corpus.hh"
 #include "murphi/enumerator.hh"
@@ -36,26 +37,51 @@ namespace archval
 namespace
 {
 
-/** One timed enumeration; @return (fingerprint, seconds, stats). */
+/** @p model seen through its interpreted step: everything forwards
+ *  except forEachTransition, which stays the base loop over next(). */
+class InterpretedStep : public fsm::Model
+{
+  public:
+    explicit InterpretedStep(const fsm::Model &model) : model_(model) {}
+
+    std::string name() const override { return model_.name(); }
+    const std::vector<fsm::StateVarInfo> &
+    stateVars() const override
+    {
+        return model_.stateVars();
+    }
+    const std::vector<fsm::ChoiceVarInfo> &
+    choiceVars() const override
+    {
+        return model_.choiceVars();
+    }
+    BitVec resetState() const override { return model_.resetState(); }
+    std::optional<fsm::Transition>
+    next(const BitVec &state, const fsm::Choice &choice) const override
+    {
+        return model_.next(state, choice);
+    }
+
+  private:
+    const fsm::Model &model_;
+};
+
+/** One timed default-option enumeration. */
 struct EnumRun
 {
     uint64_t fingerprint;
     double seconds;
-    murphi::EnumStats stats;
 };
 
 EnumRun
-runEnum(const fsm::Model &model, murphi::StepKernel kernel)
+runEnum(const fsm::Model &model)
 {
-    murphi::EnumOptions options;
-    options.compiledStep = kernel;
-    murphi::Enumerator enumerator(model, options);
+    murphi::Enumerator enumerator(model);
     WallTimer timer;
     graph::StateGraph graph = enumerator.runOrThrow();
     EnumRun run;
     run.seconds = timer.seconds();
     run.fingerprint = graph::fingerprint(graph);
-    run.stats = enumerator.stats();
     return run;
 }
 
@@ -82,20 +108,19 @@ benchDesign(const hdl::CorpusDesign &design,
     auto translated = hdl::translateCorpus(design);
     if (!translated.ok())
         fatal(translated.errorMessage());
-    const fsm::Model &model = *translated.value().model;
+    const hdl::HdlModel &model = *translated.value().model;
+    const InterpretedStep interpreted(model);
     const uint64_t combos =
         model.makeChoiceCodec().numCombinations();
 
-    // End-to-end enumeration per kernel, fingerprint-checked.
-    EnumRun interp = runEnum(model, murphi::StepKernel::Interpreted);
-    EnumRun bytecode = runEnum(model, murphi::StepKernel::Bytecode);
-    EnumRun sliced = runEnum(model, murphi::StepKernel::BitSliced);
-    if (bytecode.fingerprint != interp.fingerprint ||
-        sliced.fingerprint != interp.fingerprint)
-        fatal(std::string("kernel fingerprint mismatch on ") +
+    // End-to-end enumeration per step, fingerprint-checked.
+    EnumRun interp = runEnum(interpreted);
+    EnumRun bytecode = runEnum(model);
+    if (bytecode.fingerprint != interp.fingerprint)
+        fatal(std::string("step fingerprint mismatch on ") +
               design.name);
 
-    // Reachable states for the kernel-level passes.
+    // Reachable states for the step-level passes.
     murphi::Enumerator enumerator(model);
     graph::StateGraph graph = enumerator.runOrThrow();
     const size_t num_states = graph.numStates();
@@ -103,52 +128,35 @@ benchDesign(const hdl::CorpusDesign &design,
     for (size_t s = 0; s < num_states; ++s)
         states[s] = &graph.packedState(s);
 
-    auto program = compile::lower(*model.compileSpec());
-    compile::ScalarKernel scalar(program);
-    compile::SlicedKernel slicedKernel(program);
-
     uint64_t sink_count = 0;
-    auto count_sink = [&sink_count](uint64_t, fsm::Transition &&t) {
-        sink_count += t.next.numBits();
-    };
+    const std::function<void(uint64_t, fsm::Transition &&)> count_sink =
+        [&sink_count](uint64_t, fsm::Transition &&t) {
+            sink_count += t.next.numBits();
+        };
 
     const double interp_pass = secondsPerPass([&] {
         for (const BitVec *state : states)
-            model.forEachTransition(*state, count_sink);
+            model.fsm::Model::forEachTransition(*state, count_sink);
     });
     const double bytecode_pass = secondsPerPass([&] {
         for (const BitVec *state : states)
-            scalar.forEachTransition(*state, count_sink);
-    });
-    const double sliced_pass = secondsPerPass([&] {
-        for (size_t i = 0; i < num_states; i += 64) {
-            const size_t chunk =
-                std::min<size_t>(64, num_states - i);
-            slicedKernel.expandBatch(
-                &states[i], chunk,
-                [&sink_count](size_t, uint64_t,
-                              fsm::Transition &&t) {
-                    sink_count += t.next.numBits();
-                });
-        }
+            model.forEachTransition(*state, count_sink);
     });
     if (sink_count == 0)
-        fatal("kernel passes produced no transitions");
+        fatal("step passes produced no transitions");
 
     const double interp_sps = double(num_states) / interp_pass;
     const double bytecode_sps = double(num_states) / bytecode_pass;
-    const double sliced_sps = double(num_states) / sliced_pass;
     const double speedup_bytecode = interp_pass / bytecode_pass;
-    const double speedup_sliced = interp_pass / sliced_pass;
 
     std::printf("  %-16s %8zu states %4llu combos | "
-                "%11.0f / %11.0f / %11.0f states/s | "
-                "bytecode %5.1fx sliced %5.1fx%s\n",
+                "%11.0f / %11.0f states/s | bytecode %5.1fx%s\n",
                 design.name, num_states,
                 (unsigned long long)combos, interp_sps,
-                bytecode_sps, sliced_sps, speedup_bytecode,
-                speedup_sliced, design.largest ? "  [largest]" : "");
+                bytecode_sps, speedup_bytecode,
+                design.largest ? "  [largest]" : "");
 
+    const compile::Program &program = model.program();
     writer.beginRow();
     writer.add("design", design.name);
     writer.add("largest", design.largest);
@@ -157,20 +165,14 @@ benchDesign(const hdl::CorpusDesign &design,
     writer.add("combos", combos);
     writer.add("interp_states_per_sec", interp_sps);
     writer.add("bytecode_states_per_sec", bytecode_sps);
-    writer.add("sliced_states_per_sec", sliced_sps);
     writer.add("interp_cycles_per_sec", interp_sps * double(combos));
     writer.add("bytecode_cycles_per_sec",
                bytecode_sps * double(combos));
-    writer.add("sliced_cycles_per_sec", sliced_sps * double(combos));
     writer.add("speedup_bytecode", speedup_bytecode);
-    writer.add("speedup_sliced", speedup_sliced);
     writer.add("enum_interp_seconds", interp.seconds);
     writer.add("enum_bytecode_seconds", bytecode.seconds);
-    writer.add("enum_sliced_seconds", sliced.seconds);
-    writer.add("sliced_fallback_lanes",
-               sliced.stats.slicedFallbackLanes);
-    writer.add("bytecode_bytes", (uint64_t)program->byteSize());
-    writer.add("bytecode_regs", (uint64_t)program->numRegs);
+    writer.add("bytecode_bytes", (uint64_t)program.byteSize());
+    writer.add("bytecode_regs", (uint64_t)program.numRegs);
 }
 
 } // namespace
@@ -181,8 +183,8 @@ main(int argc, char **argv)
 {
     using namespace archval;
     bench::banner("bench_step_throughput",
-                  "step kernels: interpreted vs bytecode vs "
-                  "bit-sliced (states/sec, cycles/sec)");
+                  "HDL step: interpreted vs bytecode "
+                  "(states/sec, cycles/sec)");
     std::string json = bench::jsonPath(argc, argv);
 
     bench::JsonWriter writer("step_throughput");

@@ -28,14 +28,13 @@ clampBits(unsigned bits)
 
 } // namespace
 
-std::shared_ptr<const Program>
+Program
 lower(const FsmSpec &spec)
 {
     telemetry::ScopedSpan span("compile.lower");
     WallTimer timer;
 
-    auto program = std::make_shared<Program>();
-    Program &p = *program;
+    Program p;
     p.name = spec.name;
     p.stateVars = spec.stateVars;
     p.choiceVars = spec.choiceVars;
@@ -47,27 +46,32 @@ lower(const FsmSpec &spec)
     const size_t num_choice = spec.choiceVars.size();
     p.choiceBase = static_cast<uint16_t>(num_state);
 
+    // Per-register value-width bound in [0, 64], and the value of
+    // each constant register (for the shift bounds).
+    std::vector<uint8_t> reg_bits;
+    std::vector<uint8_t> reg_is_const;
+    std::vector<uint64_t> reg_const_value;
     auto ensure_reg = [&](size_t reg) {
         if (reg >= 0xFFFF)
             fatal("compile: register file exceeds 65534 registers");
-        if (p.regBits.size() <= reg) {
-            p.regBits.resize(reg + 1, 0);
-            p.regIsConst.resize(reg + 1, 0);
-            p.regConstValue.resize(reg + 1, 0);
+        if (reg_bits.size() <= reg) {
+            reg_bits.resize(reg + 1, 0);
+            reg_is_const.resize(reg + 1, 0);
+            reg_const_value.resize(reg + 1, 0);
         }
     };
 
     // Fixed registers: state fields then choice values.
     for (size_t i = 0; i < num_state; ++i) {
         ensure_reg(i);
-        p.regBits[i] =
+        reg_bits[i] =
             clampBits(static_cast<unsigned>(spec.stateVars[i].numBits));
     }
     for (size_t i = 0; i < num_choice; ++i) {
         size_t reg = num_state + i;
         ensure_reg(reg);
         uint32_t card = spec.choiceVars[i].cardinality;
-        p.regBits[reg] = valueBits(card ? card - 1 : 0);
+        reg_bits[reg] = valueBits(card ? card - 1 : 0);
     }
 
     size_t next_reg = num_state + num_choice;
@@ -78,9 +82,9 @@ lower(const FsmSpec &spec)
             return it->second;
         ensure_reg(next_reg);
         uint16_t reg = static_cast<uint16_t>(next_reg++);
-        p.regBits[reg] = valueBits(value);
-        p.regIsConst[reg] = 1;
-        p.regConstValue[reg] = value;
+        reg_bits[reg] = valueBits(value);
+        reg_is_const[reg] = 1;
+        reg_const_value[reg] = value;
         p.constInit.emplace_back(reg, value);
         const_regs.emplace(value, reg);
         return reg;
@@ -106,7 +110,7 @@ lower(const FsmSpec &spec)
         }
 
         const uint16_t ra = node_reg[node.a];
-        const uint8_t ba = p.regBits[ra];
+        const uint8_t ba = reg_bits[ra];
         if (node.op == SpecOp::Mask && ba <= node.width) {
             // Masking a value already narrower than the field is a
             // no-op: alias instead of emitting an instruction.
@@ -157,7 +161,7 @@ lower(const FsmSpec &spec)
           case SpecOp::LAnd:
           case SpecOp::LOr:
             rb = node_reg[node.b];
-            bb = p.regBits[rb];
+            bb = reg_bits[rb];
             insn.b = rb;
             switch (node.op) {
               case SpecOp::Add:
@@ -171,8 +175,8 @@ lower(const FsmSpec &spec)
                 break;
               case SpecOp::Shl:
                 insn.op = BOp::Shl;
-                if (p.regIsConst[rb]) {
-                    uint64_t sh = p.regConstValue[rb];
+                if (reg_is_const[rb]) {
+                    uint64_t sh = reg_const_value[rb];
                     bits = sh >= 64
                                ? 0
                                : std::min<unsigned>(
@@ -185,8 +189,8 @@ lower(const FsmSpec &spec)
                 break;
               case SpecOp::Shr:
                 insn.op = BOp::Shr;
-                if (p.regIsConst[rb]) {
-                    uint64_t sh = p.regConstValue[rb];
+                if (reg_is_const[rb]) {
+                    uint64_t sh = reg_const_value[rb];
                     bits = sh >= ba ? 0
                                     : static_cast<uint8_t>(ba - sh);
                 } else {
@@ -246,7 +250,7 @@ lower(const FsmSpec &spec)
             rb = node_reg[node.b];
             insn.b = rb;
             insn.c = node_reg[node.c];
-            bits = std::max(p.regBits[rb], p.regBits[insn.c]);
+            bits = std::max(reg_bits[rb], reg_bits[insn.c]);
             break;
           default:
             fatal("compile: unhandled spec op");
@@ -254,7 +258,7 @@ lower(const FsmSpec &spec)
 
         ensure_reg(next_reg);
         insn.dst = static_cast<uint16_t>(next_reg++);
-        p.regBits[insn.dst] = clampBits(bits);
+        reg_bits[insn.dst] = clampBits(bits);
         p.insns.push_back(insn);
         node_reg[ni] = insn.dst;
     }
@@ -278,7 +282,7 @@ lower(const FsmSpec &spec)
     telemetry::counter("compile.bytecode_bytes").add(p.byteSize());
     telemetry::counter("compile.lower_micros")
         .add(static_cast<uint64_t>(timer.seconds() * 1e6));
-    return program;
+    return p;
 }
 
 } // namespace archval::compile

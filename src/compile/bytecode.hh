@@ -9,13 +9,10 @@
  * There is no pointer chasing and no per-cycle allocation — a kernel
  * step is "overwrite the choice registers, run the instruction list".
  *
- * Each register also carries a static *value-width bound*: a sound
+ * Lowering tracks a static *value-width bound* per register: a sound
  * upper bound on the number of significant bits any value it can hold
- * may have. The bound drives two things: `Mask` instructions whose
- * operand is already narrow enough are elided at lowering (the mask
- * is a no-op on values below the bound), and the bit-sliced kernel
- * sizes each register's plane set by it so a 1-bit signal costs one
- * plane op, not 64.
+ * may have. `Mask` instructions whose operand is already narrow
+ * enough are elided (the mask is a no-op on values below the bound).
  */
 
 #ifndef ARCHVAL_COMPILE_BYTECODE_HH
@@ -23,7 +20,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -75,7 +71,7 @@ struct Insn
     uint16_t c = 0;
 };
 
-/** Lowered program plus the layout metadata kernels need. */
+/** Lowered program plus the layout metadata the kernel needs. */
 struct Program
 {
     std::string name;
@@ -94,13 +90,6 @@ struct Program
     uint16_t instrReg = kNoReg;
     uint16_t legalReg = kNoReg; ///< transition legal iff != 0
 
-    /** Per-register value-width bound, in [0, 64]. */
-    std::vector<uint8_t> regBits;
-    /** Per-register constant flag + value (for the sliced kernel's
-     *  constant-shift fast path). Index by register id. */
-    std::vector<uint8_t> regIsConst;
-    std::vector<uint64_t> regConstValue;
-
     /** Total combinations of the choice variables. */
     uint64_t numCombos = 1;
 
@@ -117,7 +106,7 @@ struct Program
  * `compile.lower_micros`, `compile.bytecode_bytes` and
  * `compile.programs` via support/telemetry.
  */
-std::shared_ptr<const Program> lower(const FsmSpec &spec);
+Program lower(const FsmSpec &spec);
 
 } // namespace archval::compile
 

@@ -10,12 +10,12 @@
  * mini-Verilog translator, `hdl/translate`) emit a spec whose
  * evaluation is *bit-exact* with their interpreted step function; the
  * compile library lowers it to bytecode (`compile::lower`) executed by
- * the scalar and 64-lane bit-sliced kernels.
+ * the scalar kernel.
  *
  * Evaluation semantics (mirrors `HdlModel::Impl::eval` exactly):
  * every node yields a uint64; `width` is the number of low bits kept
  * after the op (64 = keep all). Producers encode their masking rules
- * into `width` — the kernels apply no masking of their own beyond it.
+ * into `width` — the kernel applies no masking of its own beyond it.
  */
 
 #ifndef ARCHVAL_COMPILE_FSM_SPEC_HH

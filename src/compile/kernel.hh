@@ -1,24 +1,20 @@
 /**
  * @file
- * Execution kernels over lowered bytecode.
+ * Execution kernel over lowered bytecode.
  *
  * ScalarKernel runs one (state, choice) step at a time through a
- * computed-goto threaded interpreter; SlicedKernel packs up to 64
- * independent source states into `uint64_t` bit planes (plane `b`,
- * bit `l` = bit `b` of lane `l`'s value) so one ALU op advances all
- * lanes of a boolean signal at once. Both produce transitions
+ * computed-goto threaded interpreter. Its transitions are
  * bit-identical to the producing model's interpreted step.
  *
- * Kernels hold mutable per-instance scratch (the register file /
- * plane arena) and are NOT thread-safe; create one per worker. The
- * shared Program is immutable and safely shared across threads.
+ * A kernel holds mutable per-instance scratch (the register file)
+ * and is NOT thread-safe; create one per thread or per call. The
+ * Program it runs is immutable and safely shared across threads.
  */
 
 #ifndef ARCHVAL_COMPILE_KERNEL_HH
 #define ARCHVAL_COMPILE_KERNEL_HH
 
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "compile/bytecode.hh"
@@ -30,13 +26,8 @@ namespace archval::compile
 class ScalarKernel
 {
   public:
-    explicit ScalarKernel(std::shared_ptr<const Program> program);
-
-    const Program &program() const { return *prog_; }
-
-    /** One step; nullopt when the choice tuple is illegal. */
-    std::optional<fsm::Transition> next(const BitVec &state,
-                                        const fsm::Choice &choice);
+    /** @param program Program to run; must outlive the kernel. */
+    explicit ScalarKernel(const Program &program);
 
     /**
      * Enumerate every legal transition out of @p state in ascending
@@ -48,51 +39,12 @@ class ScalarKernel
         const std::function<void(uint64_t, fsm::Transition &&)> &fn);
 
   private:
-    void loadState(const BitVec &state);
     void exec();
     bool legal() const;
     fsm::Transition materialize() const;
 
-    std::shared_ptr<const Program> prog_;
+    const Program &prog_;
     std::vector<uint64_t> regs_;
-};
-
-/** 64-lane bit-sliced batch kernel. */
-class SlicedKernel
-{
-  public:
-    explicit SlicedKernel(std::shared_ptr<const Program> program);
-
-    const Program &program() const { return *prog_; }
-
-    /**
-     * Expand a batch of up to 64 source states through every choice
-     * code. Calls @p sink once per legal transition, grouped by
-     * source lane in ascending lane order and, within a lane, in
-     * ascending packed-code order — per lane, the exact callback
-     * sequence of the scalar kernel (and of the interpreted model).
-     * Source pointers are only read before the first sink call.
-     */
-    void expandBatch(
-        const BitVec *const *sources, size_t count,
-        const std::function<void(size_t, uint64_t, fsm::Transition &&)>
-            &sink);
-
-    /** Lane-steps run through the per-lane scalar fallback (variable
-     *  shifts are not sliceable). */
-    uint64_t scalarFallbackLanes() const { return fallbackLanes_; }
-
-  private:
-    uint64_t execPlanes(uint64_t active);
-    void scalarFallback(const Insn &insn, uint64_t active);
-    uint64_t gather(uint16_t reg, unsigned lane) const;
-
-    std::shared_ptr<const Program> prog_;
-    std::vector<uint32_t> planeOff_;
-    std::vector<uint64_t> planes_;
-    std::vector<std::vector<std::pair<uint64_t, fsm::Transition>>>
-        buffers_;
-    uint64_t fallbackLanes_ = 0;
 };
 
 } // namespace archval::compile

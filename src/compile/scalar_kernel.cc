@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "support/status.hh"
-
 namespace archval::compile
 {
 
@@ -19,19 +17,11 @@ maskFor(unsigned width)
 
 } // namespace
 
-ScalarKernel::ScalarKernel(std::shared_ptr<const Program> program)
-    : prog_(std::move(program)), regs_(prog_->numRegs, 0)
+ScalarKernel::ScalarKernel(const Program &program)
+    : prog_(program), regs_(prog_.numRegs, 0)
 {
-    for (const auto &[reg, value] : prog_->constInit)
+    for (const auto &[reg, value] : prog_.constInit)
         regs_[reg] = value;
-}
-
-void
-ScalarKernel::loadState(const BitVec &state)
-{
-    const fsm::StateLayout &layout = prog_->layout;
-    for (size_t i = 0; i < prog_->stateVars.size(); ++i)
-        regs_[i] = layout.get(state, i);
 }
 
 /**
@@ -42,7 +32,7 @@ ScalarKernel::loadState(const BitVec &state)
 void
 ScalarKernel::exec()
 {
-    const Insn *pc = prog_->insns.data();
+    const Insn *pc = prog_.insns.data();
     uint64_t *r = regs_.data();
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -208,13 +198,13 @@ lHalt:
 bool
 ScalarKernel::legal() const
 {
-    return prog_->legalReg == kNoReg || regs_[prog_->legalReg] != 0;
+    return prog_.legalReg == kNoReg || regs_[prog_.legalReg] != 0;
 }
 
 fsm::Transition
 ScalarKernel::materialize() const
 {
-    const Program &p = *prog_;
+    const Program &p = prog_;
     fsm::Transition t;
     t.next = BitVec(p.layout.totalBits());
     for (size_t i = 0; i < p.nextRegs.size(); ++i)
@@ -224,28 +214,14 @@ ScalarKernel::materialize() const
     return t;
 }
 
-std::optional<fsm::Transition>
-ScalarKernel::next(const BitVec &state, const fsm::Choice &choice)
-{
-    const Program &p = *prog_;
-    if (choice.size() != p.choiceVars.size())
-        panic("ScalarKernel::next choice arity mismatch");
-    loadState(state);
-    for (size_t i = 0; i < choice.size(); ++i)
-        regs_[p.choiceBase + i] = choice[i];
-    exec();
-    if (!legal())
-        return std::nullopt;
-    return materialize();
-}
-
 void
 ScalarKernel::forEachTransition(
     const BitVec &state,
     const std::function<void(uint64_t, fsm::Transition &&)> &fn)
 {
-    const Program &p = *prog_;
-    loadState(state);
+    const Program &p = prog_;
+    for (size_t i = 0; i < p.stateVars.size(); ++i)
+        regs_[i] = p.layout.get(state, i);
     const size_t num_choice = p.choiceVars.size();
     uint64_t *choice = regs_.data() + p.choiceBase;
     std::fill(choice, choice + num_choice, 0);

@@ -57,12 +57,6 @@ ChoiceCodec::component(uint64_t code, size_t var) const
                                  vars_[var].cardinality);
 }
 
-std::shared_ptr<const compile::FsmSpec>
-Model::compileSpec() const
-{
-    return nullptr; // no compiled form by default
-}
-
 size_t
 Model::stateBits() const
 {

@@ -23,17 +23,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "support/bitvec.hh"
-
-namespace archval::compile
-{
-struct FsmSpec; // see compile/fsm_spec.hh
-}
 
 namespace archval::fsm
 {
@@ -152,8 +146,10 @@ class Model
      * through next(). Models whose choice relevance is sparse (like
      * the PP control, where most inputs are examined only in a few
      * states) override this with a generator that visits only the
-     * canonical tuples — a large constant-factor speedup for the
-     * enumerator with identical results.
+     * canonical tuples, and HDL models override it to step through
+     * their lowered bytecode — constant-factor speedups for the
+     * enumerator with identical results. Overrides must be
+     * thread-safe: enumerator workers call them concurrently.
      *
      * @param state Source state.
      * @param fn Called once per legal transition with the packed
@@ -162,18 +158,6 @@ class Model
     virtual void forEachTransition(
         const BitVec &state,
         const std::function<void(uint64_t, Transition &&)> &fn) const;
-
-    /**
-     * @return this model's compiled-form spec (see
-     * compile/fsm_spec.hh), or nullptr when it has none. Producers
-     * whose step function is expressible as a pure expression network
-     * (today: the mini-Verilog translator) publish a spec here; the
-     * enumerator lowers it to bytecode when
-     * EnumOptions::compiledStep asks for a compiled kernel, and
-     * falls back to this interpreted interface otherwise. A returned
-     * spec must be bit-exact with next()/forEachTransition().
-     */
-    virtual std::shared_ptr<const compile::FsmSpec> compileSpec() const;
 
     /** @return total packed state width in bits. */
     size_t stateBits() const;

@@ -87,9 +87,9 @@ endmodule
 /**
  * Four-channel DMA arbiter: the corpus "largest" design. Twelve state
  * bits and 32 choice combinations per state give wide BFS frontiers
- * (hundreds of states per level), which is what the bit-sliced kernel
- * is built for; the priority encoder, burst arithmetic and completion
- * counter give the bytecode a realistic amount of combinational work.
+ * (hundreds of states per level); the priority encoder, burst
+ * arithmetic and completion counter give the bytecode a realistic
+ * amount of combinational work.
  */
 const char *dmaArbiter = R"(
 module dma_arbiter(clk, req0, req1, req2, req3, done);
@@ -144,9 +144,8 @@ endmodule
 
 /**
  * Barrel rotator: rotates an 8-bit pattern by a variable amount each
- * cycle. The data-dependent shift counts exercise the bit-sliced
- * kernel's scalar per-lane fallback (variable shifts cannot be
- * expressed as lane-parallel plane formulas).
+ * cycle. The data-dependent shift counts exercise the bytecode's
+ * shifts by a register rather than a constant.
  */
 const char *barrelRotator = R"(
 module barrel_rotator(clk, amt, en);

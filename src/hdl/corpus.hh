@@ -5,11 +5,10 @@
  * One shared list of realistic designs used by the differential
  * compile tests, the step-throughput benchmarks, and anything else
  * that wants "every HDL design" without re-embedding source strings.
- * The corpus spans the behaviours the compiled kernels must handle:
+ * The corpus spans the behaviours the bytecode step must handle:
  * small protocol FSMs, a wide-frontier arbiter (the largest design,
- * used for throughput claims), and a barrel rotator whose variable
- * shift amounts force the bit-sliced kernel's scalar per-lane
- * fallback.
+ * used for throughput claims), and a barrel rotator whose shift
+ * amounts are data-dependent.
  */
 
 #ifndef ARCHVAL_HDL_CORPUS_HH

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "compile/fsm_spec.hh"
+#include "compile/kernel.hh"
 #include "hdl/parser.hh"
 #include "support/strings.hh"
 
@@ -121,7 +122,7 @@ struct HdlModel::Impl
     std::vector<CombNode> comb; ///< topological order
     std::vector<ExprPtr> nextExprs; ///< per state var
     std::string instrNet;
-    std::shared_ptr<const compile::FsmSpec> spec; ///< compiled form
+    compile::Program program; ///< the lowered step (forEachTransition)
 
     unsigned
     widthOf(const std::string &name) const
@@ -361,10 +362,19 @@ HdlModel::evalNet(const std::string &net, const BitVec &state,
     return impl_->readNet(net, ctx);
 }
 
-std::shared_ptr<const compile::FsmSpec>
-HdlModel::compileSpec() const
+void
+HdlModel::forEachTransition(
+    const BitVec &state,
+    const std::function<void(uint64_t, fsm::Transition &&)> &fn) const
 {
-    return impl_->spec;
+    compile::ScalarKernel kernel(impl_->program);
+    kernel.forEachTransition(state, fn);
+}
+
+const compile::Program &
+HdlModel::program() const
+{
+    return impl_->program;
 }
 
 namespace
@@ -588,7 +598,7 @@ class SymbolicExec
  *
  * Every node replicates the interpreter's semantics exactly —
  * including its width rules (`Impl::exprWidth`) and where masking
- * does and does not happen — so compiled kernels are bit-identical to
+ * does and does not happen — so the bytecode step is bit-identical to
  * `HdlModel::next` by construction. Select desugars to shift+mask,
  * concat to shift/or folds, reductions to compares/parity; `&&`/`||`
  * evaluate eagerly, which is sound because every operand is
@@ -1036,12 +1046,16 @@ translate(const ElabDesign &design)
 
         impl->layout = fsm::StateLayout(impl->stateVars);
 
-        // Lower the expression network into the compiled-form spec
-        // up front: translation already paid for elaboration, and an
-        // eager build means compileSpec() can never fail later.
-        auto spec = std::make_shared<compile::FsmSpec>();
-        SpecLowering(*impl, *spec).run();
-        impl->spec = std::move(spec);
+        // Lower the expression network to bytecode up front, so a
+        // design the bytecode cannot hold fails translation instead
+        // of a later step.
+        compile::FsmSpec spec;
+        SpecLowering(*impl, spec).run();
+        try {
+            impl->program = compile::lower(spec);
+        } catch (const FatalError &error) {
+            xlatFail(0, error.what());
+        }
 
         result.model.reset(new HdlModel(std::move(impl)));
         return result;

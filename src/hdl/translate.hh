@@ -32,6 +32,11 @@
 #include "hdl/elaborate.hh"
 #include "support/status.hh"
 
+namespace archval::compile
+{
+struct Program; // see compile/bytecode.hh
+}
+
 namespace archval::hdl
 {
 
@@ -52,8 +57,11 @@ Result<TranslateResult> translateSource(const std::string &source,
                                         const std::string &top);
 
 /**
- * fsm::Model produced by translation. The interpreter evaluates the
- * combinational network and next-state functions per transition.
+ * fsm::Model produced by translation. Translation lowers the
+ * expression network to bytecode once; forEachTransition() — the
+ * step the enumerator runs — executes that bytecode, while next()
+ * interprets the expression trees and is the reference the compile
+ * tests hold the bytecode to.
  */
 class HdlModel : public fsm::Model
 {
@@ -68,12 +76,18 @@ class HdlModel : public fsm::Model
     next(const BitVec &state, const fsm::Choice &choice) const override;
 
     /**
-     * The compiled-form spec of this model, built eagerly at
-     * translation time; bit-exact with next() by construction (the
-     * spec encodes the interpreter's width/masking rules node by
-     * node). See compile/fsm_spec.hh.
+     * Every transition out of @p state through a per-call
+     * compile::ScalarKernel over program(): the callback sequence of
+     * the base loop over next(), bit for bit. Thread-safe.
      */
-    std::shared_ptr<const compile::FsmSpec> compileSpec() const override;
+    void forEachTransition(
+        const BitVec &state,
+        const std::function<void(uint64_t, fsm::Transition &&)> &fn)
+        const override;
+
+    /** @return the bytecode this model steps through, lowered at
+     *  translation time (see compile/bytecode.hh). */
+    const compile::Program &program() const;
 
     /**
      * Evaluate a named net for (state, choice) — lets tests inspect

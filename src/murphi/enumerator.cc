@@ -7,7 +7,7 @@
  * workers expand in parallel; the level barrier then turns what they
  * found into graph states and edges. None of the following may change
  * a produced byte (tests/test_enum_parallel.cc pins golden
- * fingerprints; the `enum`, `ooc` and `compile` differentials compare
+ * fingerprints; the `enum` and `ooc` differentials compare
  * configurations):
  *
  *  - Delayed duplicate detection. Workers never probe the interned
@@ -36,22 +36,19 @@
  *    directory and pages nothing.
  *
  *  - Cancellation per source. Workers read EnumOptions::cancelFlag
- *    before every source (every batch for the bit-sliced kernel); a
- *    raised flag stops them and the partial level is discarded.
+ *    before every source; a raised flag stops them and the partial
+ *    level is discarded.
  */
 
 #include "enumerator.hh"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <mutex>
 #include <optional>
 #include <thread>
 #include <unordered_set>
 
-#include "compile/fsm_spec.hh"
-#include "compile/kernel.hh"
 #include "murphi/ooc.hh"
 #include "support/flight_recorder.hh"
 #include "support/logging.hh"
@@ -167,21 +164,6 @@ Enumerator::run()
             num_threads = 1;
     }
     stats_ = EnumStats{};
-
-    // Resolve the step kernel once per run: lower the model's
-    // compiled-form spec when one exists, otherwise fall back to the
-    // interpreted step (recorded, never an error — closure-based
-    // models simply have no compiled form).
-    std::shared_ptr<const compile::Program> program;
-    if (options_.compiledStep != StepKernel::Interpreted) {
-        if (auto spec = model_.compileSpec()) {
-            program = compile::lower(*spec);
-            stats_.kernelUsed = options_.compiledStep;
-        } else {
-            stats_.compiledFallback = true;
-            telemetry::counter("compile.enum_fallbacks").add();
-        }
-    }
 
     telemetry::ScopedSpan run_span("enum.run", "threads", num_threads);
     CpuTimer timer;
@@ -419,7 +401,6 @@ Enumerator::run()
         std::vector<TransRec> trans;
         std::vector<uint64_t> perSource;
         uint64_t valid = 0;
-        uint64_t fallbackLanes = 0;
         bool cancelled = false; ///< stopped early on cancelFlag
     };
 
@@ -507,7 +488,7 @@ Enumerator::run()
         // Expand a disjoint contiguous slice of the level, recording
         // in the canonical order (sources in level order, transitions
         // in generation order). The cancel flag is read before every
-        // source (every batch of the bit-sliced kernel).
+        // source.
         const uint64_t job_id = telemetry::currentJobId();
         auto expand = [&, job_id](unsigned w) {
             telemetry::JobScope job_scope(job_id);
@@ -519,16 +500,6 @@ Enumerator::run()
             }
             telemetry::ScopedSpan expand_span(
                 "enum.expand", "worker", w, "sources", end - begin);
-            // Per-worker step kernels: kernels hold mutable scratch
-            // and are not thread-safe.
-            std::optional<compile::ScalarKernel> scalar;
-            std::optional<compile::SlicedKernel> sliced;
-            if (program) {
-                if (stats_.kernelUsed == StepKernel::BitSliced)
-                    sliced.emplace(program);
-                else
-                    scalar.emplace(program);
-            }
             WorkerOut &out = outs[w];
             out.perSource.reserve(end - begin);
             auto cancelled = [&] {
@@ -538,57 +509,22 @@ Enumerator::run()
                 return out.cancelled;
             };
             std::unordered_set<uint64_t> dst_seen;
-            auto record = [&](uint64_t code,
-                              fsm::Transition &&transition) {
-                ++out.valid;
-                const uint32_t instrs = transition.instructions;
-                const graph::StateId dst =
-                    intern_cand(std::move(transition.next));
-                if (first_condition && !dst_seen.insert(dst).second)
-                    return;
-                out.trans.push_back({code, dst, instrs});
-            };
-            if (sliced) {
-                for (size_t i = begin; i < end && !cancelled();) {
-                    const size_t chunk = std::min<size_t>(64, end - i);
-                    std::array<const BitVec *, 64> srcs;
-                    for (size_t k = 0; k < chunk; ++k)
-                        srcs[k] = &level_states[i + k];
-                    std::array<uint64_t, 64> counts{};
-                    size_t cur_lane = SIZE_MAX;
-                    sliced->expandBatch(
-                        srcs.data(), chunk,
-                        [&](size_t lane, uint64_t code,
-                            fsm::Transition &&transition) {
-                            if (lane != cur_lane) {
-                                cur_lane = lane;
-                                dst_seen.clear();
-                            }
-                            const size_t before = out.trans.size();
-                            record(code, std::move(transition));
-                            counts[lane] += out.trans.size() - before;
-                        });
-                    for (size_t k = 0; k < chunk; ++k)
-                        out.perSource.push_back(counts[k]);
-                    i += chunk;
-                }
-                out.fallbackLanes = sliced->scalarFallbackLanes();
-            } else {
-                for (size_t i = begin; i < end && !cancelled(); ++i) {
-                    const size_t before = out.trans.size();
-                    dst_seen.clear();
-                    auto on_transition = [&](uint64_t code,
-                                             fsm::Transition &&tr) {
-                        record(code, std::move(tr));
-                    };
-                    if (scalar)
-                        scalar->forEachTransition(level_states[i],
-                                                  on_transition);
-                    else
-                        model_.forEachTransition(level_states[i],
-                                                 on_transition);
-                    out.perSource.push_back(out.trans.size() - before);
-                }
+            const std::function<void(uint64_t, fsm::Transition &&)>
+                record = [&](uint64_t code,
+                             fsm::Transition &&transition) {
+                    ++out.valid;
+                    const uint32_t instrs = transition.instructions;
+                    const graph::StateId dst =
+                        intern_cand(std::move(transition.next));
+                    if (first_condition && !dst_seen.insert(dst).second)
+                        return;
+                    out.trans.push_back({code, dst, instrs});
+                };
+            for (size_t i = begin; i < end && !cancelled(); ++i) {
+                const size_t before = out.trans.size();
+                dst_seen.clear();
+                model_.forEachTransition(level_states[i], record);
+                out.perSource.push_back(out.trans.size() - before);
             }
             finish_ns[w] = telemetry::nowNs();
         };
@@ -617,10 +553,8 @@ Enumerator::run()
         }
 
         stats_.transitionsTried += uint64_t(width) * combos;
-        for (const WorkerOut &out : outs) {
+        for (const WorkerOut &out : outs)
             stats_.transitionsValid += out.valid;
-            stats_.slicedFallbackLanes += out.fallbackLanes;
-        }
 
         // --- Level barrier ----------------------------------------
         // (1) Delayed duplicate detection: resolve each partition's
@@ -787,15 +721,6 @@ Enumerator::run()
         level_stats.newEdges = graph.numEdges() - edges_before;
         level_stats.seconds = level_timer.seconds();
         stats_.levels.push_back(level_stats);
-
-        if (options_.progressInterval) {
-            const uint64_t interval = options_.progressInterval;
-            if (graph.numStates() / interval > interned / interval) {
-                logInfo(formatString(
-                    "enumerated %zu states, %zu edges",
-                    graph.numStates(), graph.numEdges()));
-            }
-        }
 
         level_first = interned;
         level_states = std::move(next_states);

@@ -18,10 +18,12 @@
  * Worker threads expand disjoint slices of the current level into
  * level-local candidate tables, and at each level barrier the
  * candidates are resolved against the partitioned interned-state
- * table and numbered in canonical BFS order. The produced StateGraph
- * is bit-identical for every worker count, step kernel and memory
- * budget; a budget only decides whether table partitions and the
- * frontier are paged to disk (see DESIGN.md, "State enumeration").
+ * table and numbered in canonical BFS order. Each source state is
+ * expanded by the model's own fsm::Model::forEachTransition. The
+ * produced StateGraph is bit-identical for every worker count and
+ * memory budget; a budget only decides whether table partitions and
+ * the frontier are paged to disk (see DESIGN.md, "State
+ * enumeration").
  */
 
 #ifndef ARCHVAL_MURPHI_ENUMERATOR_HH
@@ -51,25 +53,6 @@ enum class EdgeRecording
     AllConditions,
 };
 
-/**
- * Which step kernel expands frontier states.
- *
- * Interpreted walks the model's expression tree per transition;
- * Bytecode runs the model's lowered compile::Program through the
- * scalar threaded interpreter; BitSliced additionally packs up to 64
- * frontier states into bit planes and expands them per choice code in
- * one pass. All three produce bit-identical graphs. Compiled modes
- * need the model to publish a compileSpec(); models that return none
- * (e.g. closure-based models) silently fall back to Interpreted and
- * the fallback is reported in EnumStats.
- */
-enum class StepKernel
-{
-    Interpreted,
-    Bytecode,
-    BitSliced,
-};
-
 /** Enumeration options. */
 struct EnumOptions
 {
@@ -84,25 +67,17 @@ struct EnumOptions
      *  vector generator's condition mapping and by debug output). */
     bool retainStates = true;
 
-    /** Emit progress to the log every this many states (0 = never).
-     *  Progress is emitted at level barriers. */
-    uint64_t progressInterval = 0;
-
     /** Worker threads expanding slices of each BFS level (0 = one
      *  per hardware thread). The resulting graph is bit-identical
      *  for every value. */
     unsigned numThreads = 1;
 
     /** Cooperative cancellation: when non-null and it reads true,
-     *  every worker stops before its next source (the bit-sliced
-     *  kernel: its next batch of up to 64), the partial level is
-     *  discarded and run() returns an error result — the same
+     *  every worker stops before its next source, the partial level
+     *  is discarded and run() returns an error result — the same
      *  recoverable path as maxStates, never a process exit. The
      *  flag is only read. */
     const std::atomic<bool> *cancelFlag = nullptr;
-
-    /** Step kernel for frontier expansion (see StepKernel). */
-    StepKernel compiledStep = StepKernel::Interpreted;
 
     /**
      * Byte budget for the resident interned-state table (0 =
@@ -160,12 +135,6 @@ struct EnumStats
 
     unsigned numThreads = 1;      ///< worker threads actually used
     size_t numShards = 1;         ///< state table partitions
-
-    /** Kernel that actually ran (Interpreted when the model has no
-     *  compiled form and the requested mode fell back). */
-    StepKernel kernelUsed = StepKernel::Interpreted;
-    bool compiledFallback = false; ///< compiled mode requested, no spec
-    uint64_t slicedFallbackLanes = 0; ///< per-lane scalar-path steps
     size_t minShardStates = 0;    ///< final occupancy, emptiest shard
     size_t maxShardStates = 0;    ///< final occupancy, fullest shard
     std::vector<LevelStats> levels; ///< per-BFS-level breakdown

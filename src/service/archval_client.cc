@@ -86,8 +86,6 @@ help(const char *argv0)
         "  --max-states N       enumeration state cap\n"
         "  --enum-threads N     enumeration workers (not part of "
         "the fingerprint)\n"
-        "  --compiled-step      bit-sliced compiled step kernel "
-        "(not part of the fingerprint)\n"
         "  --memory-budget-mb N out-of-core enumeration residency "
         "budget in MiB (not part of the fingerprint)\n"
         "  --memory-budget-kb N same, in KiB\n"
@@ -396,8 +394,6 @@ main(int argc, char **argv)
             if (!intValue(n))
                 return usage(argv[0]);
             design.set("enumThreads", n);
-        } else if (arg == "--compiled-step") {
-            design.set("compiledStep", true);
         } else if (arg == "--memory-budget-mb") {
             if (!intValue(n))
                 return usage(argv[0]);

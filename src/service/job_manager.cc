@@ -117,11 +117,13 @@ namespace
  * field must be a JSON integer — a double or string answers the
  * request with a `bad request` error instead of silently running
  * with the default value (the same posture as DesignSpec::fromJson).
- * The parsed value is clamped to at least @p min_value.
+ * A value above @p max_value is a bad request too; the parsed value
+ * is clamped to at least @p min_value.
  */
 bool
 readJobCount(const json::Value &message, const char *field,
-             int64_t min_value, int64_t &out, std::string &error)
+             int64_t min_value, int64_t max_value, int64_t &out,
+             std::string &error)
 {
     if (!message.has(field))
         return true;
@@ -129,6 +131,12 @@ readJobCount(const json::Value &message, const char *field,
     if (!value.isInt()) {
         error = formatString(
             "bad request: field '%s' must be an integer", field);
+        return false;
+    }
+    if (value.asInt() > max_value) {
+        error = formatString(
+            "bad request: field '%s' must be at most %lld", field,
+            static_cast<long long>(max_value));
         return false;
     }
     out = std::max<int64_t>(min_value, value.asInt());
@@ -166,13 +174,16 @@ JobRequest::fromJson(const json::Value &message)
         static_cast<int64_t>(request.roundInstructions);
     int64_t rounds = request.maxRounds;
     int64_t seed = static_cast<int64_t>(request.seed);
-    if (!readJobCount(message, "threads", 1, threads, error) ||
-        !readJobCount(message, "stride", 0, stride, error) ||
-        !readJobCount(message, "budget", 0, budget, error) ||
-        !readJobCount(message, "roundInstructions", 1,
+    constexpr int64_t kNoMax = INT64_MAX;
+    if (!readJobCount(message, "threads", 1, kMaxRequestThreads,
+                      threads, error) ||
+        !readJobCount(message, "stride", 0, kNoMax, stride, error) ||
+        !readJobCount(message, "budget", 0, kNoMax, budget, error) ||
+        !readJobCount(message, "roundInstructions", 1, kNoMax,
                       round_instructions, error) ||
-        !readJobCount(message, "rounds", 1, rounds, error) ||
-        !readJobCount(message, "seed", 0, seed, error)) {
+        !readJobCount(message, "rounds", 1, UINT32_MAX, rounds,
+                      error) ||
+        !readJobCount(message, "seed", 0, kNoMax, seed, error)) {
         return Result<JobRequest>::error(error);
     }
     request.threads = static_cast<unsigned>(threads);
@@ -571,13 +582,12 @@ JobManager::execute(Job &job)
             result.set("levels",
                        static_cast<int64_t>(stats.levels.size()));
             // Structural graph hash: lets clients verify byte-equal
-            // graphs across step kernels and worker counts.
+            // graphs across worker counts and memory budgets.
             result.set("graphFingerprint",
                        formatString("%016llx",
                                     static_cast<unsigned long long>(
                                         graph::fingerprint(
                                             session->graph()))));
-            result.set("compiledFallback", stats.compiledFallback);
             // Out-of-core telemetry: all zero for a fully in-memory
             // run, so clients can assert both "it spilled" and "it
             // never fell back" from the result frame alone.

@@ -61,13 +61,20 @@ fieldError(const char *field, const char *want)
  */
 bool
 readCount(const json::Value &design, const char *field,
-          uint64_t &out, std::string &error)
+          uint64_t &out, std::string &error,
+          uint64_t max_value = UINT64_MAX)
 {
     if (!design.has(field))
         return true;
     const json::Value &value = design.get(field);
     if (!value.isInt() || value.asInt() < 0) {
         error = fieldError(field, "a non-negative integer");
+        return false;
+    }
+    if (static_cast<uint64_t>(value.asInt()) > max_value) {
+        error = formatString(
+            "bad request: design field '%s' must be at most %llu",
+            field, static_cast<unsigned long long>(max_value));
         return false;
     }
     out = static_cast<uint64_t>(value.asInt());
@@ -113,15 +120,16 @@ DesignSpec::fromJson(const json::Value &design)
     uint64_t enum_threads = spec.enumThreads;
     bool model_branches = false;
     bool dual_issue = false;
-    if (!readCount(design, "lineWords", line_words, error) ||
+    if (!readCount(design, "lineWords", line_words, error,
+                   UINT32_MAX) ||
         !readCount(design, "maxStates", spec.maxStates, error) ||
-        !readCount(design, "enumThreads", enum_threads, error) ||
+        !readCount(design, "enumThreads", enum_threads, error,
+                   kMaxRequestThreads) ||
         !readCount(design, "memoryBudgetBytes",
                    spec.memoryBudgetBytes, error) ||
         !readCount(design, "maxInstructionsPerTrace",
                    spec.maxInstructionsPerTrace, error) ||
         !readCount(design, "vectorSeed", spec.vectorSeed, error) ||
-        !readFlag(design, "compiledStep", spec.compiledStep, error) ||
         !readFlag(design, "modelBranches", model_branches, error) ||
         !readFlag(design, "dualIssue", dual_issue, error)) {
         return Result<DesignSpec>::error(error);
@@ -176,9 +184,6 @@ Session::ensure(Stage stage, const std::atomic<bool> *cancel)
             options.numThreads = std::max(1u, spec_.enumThreads);
             options.retainStates = true; // vecgen condition mapping
             options.cancelFlag = cancel;
-            options.compiledStep =
-                spec_.compiledStep ? murphi::StepKernel::BitSliced
-                                   : murphi::StepKernel::Interpreted;
             options.memoryBudgetBytes = spec_.memoryBudgetBytes;
             options.spillDir = spec_.spillDir;
             murphi::Enumerator enumerator(*model_, options);

@@ -52,6 +52,11 @@
 namespace archval::service
 {
 
+/** Most worker threads one request may ask for (the job's `threads`
+ *  and the design's `enumThreads`); a larger count is a bad
+ *  request. */
+constexpr unsigned kMaxRequestThreads = 256;
+
 /**
  * Everything that identifies a cached session. Fields mirror the
  * `design` object of a job request; defaults are the small-preset
@@ -67,20 +72,13 @@ struct DesignSpec
 
     /** Enumeration guard (murphi::EnumOptions::maxStates). */
     uint64_t maxStates = 500'000;
-    unsigned enumThreads = 1;
-
-    /** Expand frontiers with the compiled bit-sliced step kernel
-     *  (murphi::StepKernel::BitSliced); models without a compiled
-     *  form fall back to the interpreter. Excluded from the
-     *  fingerprint like enumThreads: the graph is bit-identical
-     *  either way, so it cannot invalidate a cached product. */
-    bool compiledStep = false;
+    unsigned enumThreads = 1; ///< at most kMaxRequestThreads
 
     /** Out-of-core enumeration knobs (murphi::EnumOptions). Both
      *  are excluded from the fingerprint for the same reason as
-     *  enumThreads/compiledStep: the graph is byte-identical for
-     *  every budget, so neither the residency budget nor the spill
-     *  directory can change any cached product. */
+     *  enumThreads: the graph is byte-identical for every budget,
+     *  so neither the residency budget nor the spill directory can
+     *  change any cached product. */
     uint64_t memoryBudgetBytes = 0; ///< 0 = fully in-memory
     std::string spillDir;           ///< spill root ("" = $TMPDIR)
 
@@ -108,7 +106,9 @@ struct DesignSpec
      * their defaults; a present field of the wrong type is an error
      * (answered as a `bad request` frame), never a silent default —
      * a client sending `"maxStates": 500000.0` must not land on a
-     * different fingerprint than the 500000 it meant.
+     * different fingerprint than the 500000 it meant. So is a value
+     * its field cannot hold: `lineWords` above UINT32_MAX, or
+     * `enumThreads` above kMaxRequestThreads.
      */
     static Result<DesignSpec> fromJson(const json::Value &design);
 };

@@ -4,8 +4,8 @@
  * every corpus design and the PP FSM model, a run that pages its
  * table partitions and frontier to disk must produce a graph
  * byte-identical to the unbudgeted single-thread run across every
- * step kernel, worker count and residency budget — including the
- * pathological single-partition table — and every injected spill
+ * worker count and residency budget — including the pathological
+ * single-partition table — and every injected spill
  * fault (flipped CRC byte, truncated record file, unusable spill
  * directory) must either rebuild the identical graph or surface a
  * typed error, counted in enum.spill_fallbacks. Registered under the
@@ -104,42 +104,35 @@ inMemoryBaseline(const fsm::Model &model, murphi::EnumOptions options)
 
 /**
  * Budgeted graphs must be byte-identical to the in-memory graph for
- * every kernel x worker count x budget.
+ * every worker count x budget.
  */
 void
 expectOocIdentical(const fsm::Model &model)
 {
-    for (murphi::StepKernel kernel :
-         {murphi::StepKernel::Interpreted, murphi::StepKernel::Bytecode,
-          murphi::StepKernel::BitSliced}) {
-        murphi::EnumOptions options = baseOptions();
-        options.compiledStep = kernel;
-        const std::string expected = inMemoryBaseline(model, options);
+    murphi::EnumOptions options = baseOptions();
+    const std::string expected = inMemoryBaseline(model, options);
 
-        for (const BudgetCase &budget : kBudgets) {
-            for (unsigned workers : {1u, 2u, 8u}) {
-                options.numThreads = workers;
-                options.memoryBudgetBytes = budget.budgetBytes;
-                options.oocPartitions = budget.partitions;
-                murphi::Enumerator ooc(model, options);
-                auto graph = ooc.runOrThrow();
-                EXPECT_EQ(fingerprintBytes(graph), expected)
-                    << model.name() << " kernel " << int(kernel)
-                    << " diverges at " << workers << " threads, "
-                    << budget.name << " budget";
-                EXPECT_EQ(ooc.stats().spillFallbacks, 0u);
-                // The acceptance gate: whenever nothing degraded,
-                // the steady-state resident table footprint stayed
-                // under the budget.
-                EXPECT_LE(ooc.stats().residencyHighWaterBytes,
-                          budget.budgetBytes)
-                    << model.name() << " over budget (" << budget.name
-                    << ")";
-                if (budget.budgetBytes < (size_t(1) << 30)) {
-                    EXPECT_GT(ooc.stats().spillBytesWritten, 0u)
-                        << budget.name
-                        << " budget never touched disk";
-                }
+    for (const BudgetCase &budget : kBudgets) {
+        for (unsigned workers : {1u, 2u, 8u}) {
+            options.numThreads = workers;
+            options.memoryBudgetBytes = budget.budgetBytes;
+            options.oocPartitions = budget.partitions;
+            murphi::Enumerator ooc(model, options);
+            auto graph = ooc.runOrThrow();
+            EXPECT_EQ(fingerprintBytes(graph), expected)
+                << model.name() << " diverges at " << workers
+                << " threads, " << budget.name << " budget";
+            EXPECT_EQ(ooc.stats().spillFallbacks, 0u);
+            // The acceptance gate: whenever nothing degraded, the
+            // steady-state resident table footprint stayed under
+            // the budget.
+            EXPECT_LE(ooc.stats().residencyHighWaterBytes,
+                      budget.budgetBytes)
+                << model.name() << " over budget (" << budget.name
+                << ")";
+            if (budget.budgetBytes < (size_t(1) << 30)) {
+                EXPECT_GT(ooc.stats().spillBytesWritten, 0u)
+                    << budget.name << " budget never touched disk";
             }
         }
     }

@@ -389,6 +389,21 @@ TEST(DesignSpecParse, WrongTypedFieldsAreBadRequests)
     EXPECT_FALSE(parse("{\"preset\": 3}").ok());
     EXPECT_FALSE(parse("[1, 2]").ok()); // design must be an object
 
+    // Values the fields cannot hold: a worker count past the cap
+    // (one enumeration thread per frontier state), and a line width
+    // that used to wrap to 0 in the fingerprint.
+    EXPECT_FALSE(parse("{\"enumThreads\": 50000}").ok());
+    EXPECT_FALSE(parse("{\"enumThreads\": 257}").ok());
+    EXPECT_FALSE(parse("{\"lineWords\": 4294967296}").ok());
+    Result<DesignSpec> edge = parse(
+        "{\"enumThreads\": 256, \"lineWords\": 4294967295}");
+    ASSERT_TRUE(edge.ok()) << edge.errorMessage();
+    EXPECT_EQ(edge.value().enumThreads, kMaxRequestThreads);
+    EXPECT_EQ(edge.value().lineWords, 4294967295u);
+    Result<DesignSpec> zero = parse("{\"enumThreads\": 0}");
+    ASSERT_TRUE(zero.ok()) << zero.errorMessage();
+    EXPECT_EQ(zero.value().enumThreads, 0u); // the session runs 1
+
     // Correctly typed fields still parse, absent ones keep defaults.
     Result<DesignSpec> good =
         parse("{\"maxStates\": 250000, \"dualIssue\": true}");
@@ -413,6 +428,21 @@ TEST(JobRequestParse, WrongTypedJobFieldsAreBadRequests)
     EXPECT_FALSE(
         parse("{\"verb\": \"fuzz\", \"rounds\": true}").ok());
 
+    // Counts the daemon cannot honour: thread counts past the cap,
+    // and values that used to wrap in the unsigned fields (threads
+    // 2^32 + 1 ran 1 worker, rounds 2^32 ran 0 rounds).
+    for (const char *text :
+         {"{\"verb\": \"fuzz\", \"threads\": 100000}",
+          "{\"verb\": \"replay\", \"threads\": 257}",
+          "{\"verb\": \"replay\", \"threads\": 4294967297}",
+          "{\"verb\": \"fuzz\", \"rounds\": 4294967296}"}) {
+        Result<JobRequest> over = parse(text);
+        ASSERT_FALSE(over.ok()) << text;
+        EXPECT_NE(over.errorMessage().find("bad request"),
+                  std::string::npos)
+            << text;
+    }
+
     // A wrong-typed *design* field surfaces through the same path.
     Result<JobRequest> nested = parse(
         "{\"verb\": \"replay\", \"design\": {\"maxStates\": 1.5}}");
@@ -424,6 +454,17 @@ TEST(JobRequestParse, WrongTypedJobFieldsAreBadRequests)
         parse("{\"verb\": \"replay\", \"threads\": 4}");
     ASSERT_TRUE(good.ok()) << good.errorMessage();
     EXPECT_EQ(good.value().threads, 4u);
+
+    Result<JobRequest> edge = parse(
+        "{\"verb\": \"fuzz\", \"threads\": 256, "
+        "\"rounds\": 4294967295}");
+    ASSERT_TRUE(edge.ok()) << edge.errorMessage();
+    EXPECT_EQ(edge.value().threads, kMaxRequestThreads);
+    EXPECT_EQ(edge.value().maxRounds, 4294967295u);
+    Result<JobRequest> zero =
+        parse("{\"verb\": \"replay\", \"threads\": 0}");
+    ASSERT_TRUE(zero.ok()) << zero.errorMessage();
+    EXPECT_EQ(zero.value().threads, 1u); // clamped, as before
 }
 
 // ---------------------------------------------------------------

@@ -84,17 +84,15 @@ HIGHER_IS_BETTER = {
     "stride_savings",
     "coverage_fraction",
     "speedup_bytecode",
-    "speedup_sliced",
 }
 
 # Absolute floors, independent of the baseline: on rows flagged
-# `"largest": true` (the biggest HDL corpus design) the compiled
-# kernels must clear their headline speedups over the interpreter.
-# A baseline captured on a fast machine must not let a broken kernel
+# `"largest": true` (the biggest HDL corpus design) the bytecode
+# step must clear its headline speedup over the interpreter.
+# A baseline captured on a fast machine must not let a broken step
 # hide inside the 20% drift window.
 MIN_FLOORS = {
     "speedup_bytecode": 2.0,
-    "speedup_sliced": 8.0,
 }
 
 # Observability counters from the embedded telemetry registry
