@@ -75,8 +75,9 @@ graphFingerprint(const graph::StateGraph &graph)
         mix(edge.instrCount);
     }
     for (graph::StateId s = 0; s < graph.numStates(); ++s) {
-        for (size_t b = 0; b < graph.packedState(s).numBits(); ++b)
-            mix(graph.packedState(s).get(b));
+        const BitVec packed = graph.packedState(s);
+        for (size_t b = 0; b < packed.numBits(); ++b)
+            mix(packed.get(b));
     }
     return h;
 }

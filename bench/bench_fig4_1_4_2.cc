@@ -179,11 +179,11 @@ main()
 
     std::printf("\nFigure 4.2 (impl merges A--c--> onto the A--a--> "
                 "arc):\n");
-    std::printf("  first-condition labelling: %zu edge(s) from A, "
+    std::printf("  first-condition labelling: %u edge(s) from A, "
                 "%u mismatch(es) -> bug %s\n",
                 first_graph.outEdges(0).size(), first_found,
                 first_found ? "exposed" : "MISSED");
-    std::printf("  all-conditions labelling:  %zu edge(s) from A, "
+    std::printf("  all-conditions labelling:  %u edge(s) from A, "
                 "%u mismatch(es) -> bug %s\n",
                 all_graph.outEdges(0).size(), all_found,
                 all_found ? "EXPOSED" : "missed");

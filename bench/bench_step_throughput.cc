@@ -124,9 +124,10 @@ benchDesign(const hdl::CorpusDesign &design,
     murphi::Enumerator enumerator(model);
     graph::StateGraph graph = enumerator.runOrThrow();
     const size_t num_states = graph.numStates();
-    std::vector<const BitVec *> states(num_states);
+    std::vector<BitVec> states;
+    states.reserve(num_states);
     for (size_t s = 0; s < num_states; ++s)
-        states[s] = &graph.packedState(s);
+        states.push_back(graph.packedState(s));
 
     uint64_t sink_count = 0;
     const std::function<void(uint64_t, fsm::Transition &&)> count_sink =
@@ -135,12 +136,12 @@ benchDesign(const hdl::CorpusDesign &design,
         };
 
     const double interp_pass = secondsPerPass([&] {
-        for (const BitVec *state : states)
-            model.fsm::Model::forEachTransition(*state, count_sink);
+        for (const BitVec &state : states)
+            model.fsm::Model::forEachTransition(state, count_sink);
     });
     const double bytecode_pass = secondsPerPass([&] {
-        for (const BitVec *state : states)
-            model.forEachTransition(*state, count_sink);
+        for (const BitVec &state : states)
+            model.forEachTransition(state, count_sink);
     });
     if (sink_count == 0)
         fatal("step passes produced no transitions");

@@ -59,7 +59,7 @@ TraceMutator::extendRandomly(graph::Trace &trace,
     uint64_t added = 0;
     while (trace.instructions < maxInstructions_ &&
            added < max_extra) {
-        const auto &out = graph_.outEdges(state);
+        const graph::EdgeRange out = graph_.outEdges(state);
         if (out.empty())
             break;
         graph::EdgeId e = out[rng.index(out.size())];
@@ -172,7 +172,7 @@ TraceMutator::edgeFlip(const Candidate &base, Rng &rng)
 
     graph::EdgeId original = base.trace.edges[flip];
     graph::StateId src = graph_.edge(original).src;
-    const auto &out = graph_.outEdges(src);
+    const graph::EdgeRange out = graph_.outEdges(src);
     graph::EdgeId replacement = original;
     if (out.size() > 1) {
         // Draw among the other out-edges of the same state.

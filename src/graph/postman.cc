@@ -218,7 +218,7 @@ hierholzerTour(const StateGraph &graph, const PostmanResult &result)
 
     while (!stack.empty()) {
         StateId v = stack.back().first;
-        const auto &out = graph.outEdges(v);
+        const EdgeRange out = graph.outEdges(v);
         uint32_t &pos = position[v];
         while (pos < out.size() && remaining[out[pos]] == 0)
             ++pos;

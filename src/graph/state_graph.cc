@@ -23,86 +23,128 @@ StateGraph::setRetention(bool retain)
     }
 }
 
-StateId
-StateGraph::addState(BitVec packed)
+void
+StateGraph::setWidth(size_t state_bits)
 {
     setRetention(true);
-    StateId id = static_cast<StateId>(outEdges_.size());
-    outEdges_.emplace_back();
-    packedStates_.push_back(std::move(packed));
-    return id;
+    if (numStates_ == 0) {
+        stateBits_ = state_bits;
+        stride_ = (state_bits + 63) / 64;
+    } else if (state_bits != stateBits_) {
+        fatal(formatString("StateGraph: a %zu-bit state added to a "
+                           "graph of %zu-bit states",
+                           state_bits, stateBits_));
+    }
+}
+
+StateId
+StateGraph::addState(const BitVec &packed)
+{
+    setWidth(packed.numBits());
+    words_.insert(words_.end(), packed.words().begin(),
+                  packed.words().end());
+    return static_cast<StateId>(numStates_++);
 }
 
 StateId
 StateGraph::addStateUnretained()
 {
     setRetention(false);
-    StateId id = static_cast<StateId>(outEdges_.size());
-    outEdges_.emplace_back();
-    return id;
+    return static_cast<StateId>(numStates_++);
 }
 
 void
-StateGraph::addStates(std::vector<BitVec> &&packed)
+StateGraph::addStates(size_t state_bits, size_t count,
+                      std::span<const uint64_t> words)
 {
-    setRetention(true);
-    outEdges_.resize(outEdges_.size() + packed.size());
-    if (packedStates_.empty()) {
-        packedStates_ = std::move(packed);
-    } else {
-        for (BitVec &state : packed)
-            packedStates_.push_back(std::move(state));
-    }
-    packed.clear();
+    setWidth(state_bits);
+    if (words.size() != count * stride_)
+        panic("StateGraph::addStates: word count does not match");
+    words_.insert(words_.end(), words.begin(), words.end());
+    numStates_ += count;
 }
 
 void
 StateGraph::addStatesUnretained(size_t count)
 {
     setRetention(false);
-    outEdges_.resize(outEdges_.size() + count);
+    numStates_ += count;
 }
 
 EdgeId
 StateGraph::addEdge(StateId src, StateId dst, uint64_t choice_code,
                     uint32_t instr_count)
 {
-    if (src >= outEdges_.size() || dst >= outEdges_.size())
-        panic("StateGraph::addEdge out of range");
-    EdgeId id = static_cast<EdgeId>(edges_.size());
-    edges_.push_back({src, dst, choice_code, instr_count});
-    outEdges_[src].push_back(id);
-    return id;
+    if (choice_code > UINT32_MAX) {
+        fatal(formatString("StateGraph: choice code %llu exceeds 32 bits",
+                           static_cast<unsigned long long>(choice_code)));
+    }
+    const Edge edge{src, dst, static_cast<uint32_t>(choice_code),
+                    instr_count};
+    addEdges(std::span<const Edge>(&edge, 1));
+    return static_cast<EdgeId>(edges_.size() - 1);
 }
 
 void
-StateGraph::addEdges(const std::vector<Edge> &batch)
+StateGraph::addEdges(std::span<const Edge> batch)
 {
+    StateId last_src = edges_.empty() ? 0 : edges_.back().src;
+    for (const Edge &e : batch) {
+        if (e.src >= numStates_ || e.dst >= numStates_)
+            panic("StateGraph::addEdges out of range");
+        if (e.src < last_src) {
+            fatal(formatString("StateGraph: edge from state %u added "
+                               "after an edge from state %u (edges "
+                               "must arrive in source order)",
+                               e.src, last_src));
+        }
+        last_src = e.src;
+    }
     EdgeId id = static_cast<EdgeId>(edges_.size());
     for (const Edge &e : batch) {
-        if (e.src >= outEdges_.size() || e.dst >= outEdges_.size())
-            panic("StateGraph::addEdges out of range");
-        edges_.push_back(e);
-        outEdges_[e.src].push_back(id++);
+        while (rowStart_.size() <= e.src)
+            rowStart_.push_back(id);
+        ++id;
     }
+    edges_.insert(edges_.end(), batch.begin(), batch.end());
 }
 
-const std::vector<EdgeId> &
+void
+StateGraph::shrinkToFit()
+{
+    edges_.shrink_to_fit();
+    rowStart_.shrink_to_fit();
+    words_.shrink_to_fit();
+}
+
+EdgeRange
 StateGraph::outEdges(StateId state) const
 {
-    if (state >= outEdges_.size())
+    if (state >= numStates_)
         panic("StateGraph::outEdges out of range");
-    return outEdges_[state];
+    const EdgeId end = static_cast<EdgeId>(edges_.size());
+    if (state >= rowStart_.size())
+        return EdgeRange(end, end);
+    return EdgeRange(rowStart_[state], state + 1 < rowStart_.size()
+                                           ? rowStart_[state + 1]
+                                           : end);
 }
 
-const BitVec &
-StateGraph::packedState(StateId state) const
+std::span<const uint64_t>
+StateGraph::stateWords(StateId state) const
 {
     if (!retainStates_)
-        panic("StateGraph::packedState: states were not retained");
-    if (state >= packedStates_.size())
-        panic("StateGraph::packedState out of range");
-    return packedStates_[state];
+        panic("StateGraph: packed states were not retained");
+    if (state >= numStates_)
+        panic("StateGraph: packed state out of range");
+    return std::span<const uint64_t>(words_).subspan(state * stride_,
+                                                     stride_);
+}
+
+BitVec
+StateGraph::packedState(StateId state) const
+{
+    return BitVec(stateBits_, stateWords(state));
 }
 
 uint64_t
@@ -117,12 +159,9 @@ StateGraph::totalEdgeInstructions() const
 size_t
 StateGraph::memoryBytes() const
 {
-    size_t bytes = edges_.capacity() * sizeof(Edge);
-    for (const auto &adj : outEdges_)
-        bytes += adj.capacity() * sizeof(EdgeId) + sizeof(adj);
-    for (const auto &s : packedStates_)
-        bytes += s.memoryBytes() + sizeof(s);
-    return bytes;
+    return edges_.capacity() * sizeof(Edge) +
+           rowStart_.capacity() * sizeof(EdgeId) +
+           words_.capacity() * sizeof(uint64_t);
 }
 
 SccResult
@@ -156,7 +195,7 @@ stronglyConnectedComponents(const StateGraph &graph)
 
         while (!frames.empty()) {
             Frame &frame = frames.back();
-            const auto &out = graph.outEdges(frame.state);
+            const EdgeRange out = graph.outEdges(frame.state);
             bool descended = false;
             while (frame.edgePos < out.size()) {
                 StateId dst = graph.edge(out[frame.edgePos]).dst;
@@ -280,7 +319,7 @@ fingerprint(const StateGraph &graph)
     mix(graph.numStates());
     if (graph.statesRetained()) {
         for (StateId s = 0; s < graph.numStates(); ++s)
-            mix(graph.packedState(s).hash());
+            mix(hashPackedWords(graph.stateBits(), graph.stateWords(s)));
     }
     mix(graph.numEdges());
     for (EdgeId e = 0; e < graph.numEdges(); ++e) {

@@ -12,6 +12,8 @@
 #define ARCHVAL_GRAPH_STATE_GRAPH_HH
 
 #include <cstdint>
+#include <ranges>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,11 +31,16 @@ constexpr StateId invalidState = UINT32_MAX;
 /** One labelled transition. */
 struct Edge
 {
-    StateId src;        ///< source state
-    StateId dst;        ///< destination state
-    uint64_t choiceCode; ///< packed environment choice (ChoiceCodec)
+    StateId src;         ///< source state
+    StateId dst;         ///< destination state
+    uint32_t choiceCode; ///< packed environment choice (ChoiceCodec)
     uint32_t instrCount; ///< instructions consumed by this transition
 };
+static_assert(sizeof(Edge) == 16);
+
+/** The out-edges of one state: consecutive edge ids, because edges
+ *  are stored in source order. */
+using EdgeRange = std::ranges::iota_view<EdgeId, EdgeId>;
 
 /**
  * Directed multigraph over enumerated states.
@@ -41,6 +48,12 @@ struct Edge
  * Built incrementally by the enumerator, then used read-only by tour
  * generation and analysis. Optionally retains the packed state vector
  * of every state for debugging and condition mapping.
+ *
+ * Layout (see DESIGN.md, "The state graph"): edges live in one array
+ * in non-decreasing source order, so a state's out-edges are one
+ * contiguous id range found through a per-source offset (CSR);
+ * retained states live in one word array at a fixed stride of
+ * ceil(bits / 64) words.
  */
 class StateGraph
 {
@@ -49,32 +62,44 @@ class StateGraph
      * Add a state whose packed vector is retained (a zero-width
      * vector is legal: a model whose control state is fully
      * implicit). The first insertion fixes the graph's retention
-     * mode; mixing retained and unretained states is a FatalError.
+     * mode, and the first retained state its width; mixing retained
+     * and unretained states, or widths, is a FatalError.
      * @return the new state's id.
      */
-    StateId addState(BitVec packed);
+    StateId addState(const BitVec &packed);
 
     /** Add a state without retaining a packed vector (see
      *  addState() for the retention-mode contract). */
     StateId addStateUnretained();
 
-    /** Bulk-append retained states in order; ids are assigned
-     *  consecutively starting at the current numStates(). */
-    void addStates(std::vector<BitVec> &&packed);
+    /** Bulk-append @p count retained states of @p state_bits bits,
+     *  packed back to back in @p words at ceil(state_bits / 64)
+     *  words each; ids are assigned consecutively starting at the
+     *  current numStates(). */
+    void addStates(size_t state_bits, size_t count,
+                   std::span<const uint64_t> words);
 
     /** Bulk-append @p count unretained states. */
     void addStatesUnretained(size_t count);
 
-    /** Add an edge; @return the new edge's id. */
+    /**
+     * Add an edge; @return the new edge's id. Edges must arrive in
+     * non-decreasing source order, and the choice code must fit 32
+     * bits; anything else is a FatalError that leaves the graph
+     * unchanged.
+     */
     EdgeId addEdge(StateId src, StateId dst, uint64_t choice_code,
                    uint32_t instr_count);
 
-    /** Bulk-append edges (one adjacency pass, no per-edge calls);
-     *  sources and destinations must already exist. */
-    void addEdges(const std::vector<Edge> &batch);
+    /** Bulk-append edges (the addEdge() contract per edge; on a
+     *  FatalError none of @p batch is added). */
+    void addEdges(std::span<const Edge> batch);
+
+    /** Release the arrays' growth slack once building is done. */
+    void shrinkToFit();
 
     /** @return number of states. */
-    size_t numStates() const { return outEdges_.size(); }
+    size_t numStates() const { return numStates_; }
 
     /** @return number of edges. */
     size_t numEdges() const { return edges_.size(); }
@@ -82,12 +107,20 @@ class StateGraph
     /** @return edge record for @p id. */
     const Edge &edge(EdgeId id) const { return edges_[id]; }
 
-    /** @return ids of edges leaving @p state. */
-    const std::vector<EdgeId> &outEdges(StateId state) const;
+    /** @return ids of edges leaving @p state, in insertion order. */
+    EdgeRange outEdges(StateId state) const;
 
     /** @return the packed state vector; panics when retention is
      *  off or @p state is out of range. */
-    const BitVec &packedState(StateId state) const;
+    BitVec packedState(StateId state) const;
+
+    /** @return the packed words of @p state, ceil(stateBits() / 64)
+     *  of them; panics like packedState(). */
+    std::span<const uint64_t> stateWords(StateId state) const;
+
+    /** @return the width of the retained states (0 before the first
+     *  one, and for unretained graphs). */
+    size_t stateBits() const { return stateBits_; }
 
     /** @return true when packed states are retained. An empty graph
      *  reports true (retention is decided by the first insertion,
@@ -100,15 +133,21 @@ class StateGraph
     /** @return total instruction count across all edges. */
     uint64_t totalEdgeInstructions() const;
 
-    /** @return approximate heap bytes held by the graph. */
+    /** @return heap bytes the graph's arrays have allocated. */
     size_t memoryBytes() const;
 
   private:
     void setRetention(bool retain);
+    void setWidth(size_t state_bits);
 
     std::vector<Edge> edges_;
-    std::vector<std::vector<EdgeId>> outEdges_;
-    std::vector<BitVec> packedStates_;
+    /** rowStart_[s] is the first out-edge id of state s, for every
+     *  state up to the last edge's source; later states have none. */
+    std::vector<EdgeId> rowStart_;
+    std::vector<uint64_t> words_; ///< retained states at stride_
+    size_t numStates_ = 0;
+    size_t stateBits_ = 0;
+    size_t stride_ = 0;         ///< words per retained state
     bool retainStates_ = true;  ///< retention mode (see statesRetained)
     bool retentionSet_ = false; ///< first insertion happened
 };

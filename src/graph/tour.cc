@@ -51,12 +51,12 @@ TourGenerator::coverEdge(EdgeId edge)
 }
 
 void
-TourGenerator::takeEdge(EdgeId edge, Trace &trace)
+TourGenerator::takeEdge(EdgeId edge, uint32_t instrs, Trace &trace)
 {
     trace.edges.push_back(edge);
-    trace.instructions += graph_.edge(edge).instrCount;
+    trace.instructions += instrs;
     ++stats_.totalEdgeTraversals;
-    stats_.totalInstructions += graph_.edge(edge).instrCount;
+    stats_.totalInstructions += instrs;
     coverEdge(edge);
 }
 
@@ -78,15 +78,15 @@ TourGenerator::traverseDfs(StateId state, Trace &trace)
     // reset-to-work BFS prefix already exhausts the budget would
     // cover nothing and generation would never terminate.
     for (;;) {
-        const auto &out = graph_.outEdges(state);
+        const EdgeRange out = graph_.outEdges(state);
         uint32_t &pos = nextUncovered_[state];
         while (pos < out.size() && covered_[out[pos]])
             ++pos;
         if (pos >= out.size())
             return state;
-        EdgeId edge = out[pos];
-        takeEdge(edge, trace);
-        state = graph_.edge(edge).dst;
+        const Edge &edge = graph_.edge(out[pos]);
+        takeEdge(out[pos], edge.instrCount, trace);
+        state = edge.dst;
         if (atLimit(trace))
             return state;
     }
@@ -95,7 +95,7 @@ TourGenerator::traverseDfs(StateId state, Trace &trace)
 bool
 TourGenerator::hasUncovered(StateId state)
 {
-    const auto &out = graph_.outEdges(state);
+    const EdgeRange out = graph_.outEdges(state);
     uint32_t &pos = nextUncovered_[state];
     while (pos < out.size() && covered_[out[pos]])
         ++pos;
@@ -108,9 +108,9 @@ TourGenerator::buildStaticRoutes()
     const size_t n = graph_.numStates();
     const StateId reset = graph_.resetState();
 
-    // Forward BFS tree from reset: fromResetEdge_[v] is the tree
-    // edge entering v; depthOrder_ lists states in BFS order.
-    fromResetEdge_.assign(n, invalidEdge);
+    // Forward BFS tree from reset: fromReset_[v] is the tree edge
+    // entering v; depthOrder_ lists states in BFS order.
+    fromReset_.assign(n, {invalidEdge, invalidState, 0});
     depthOrder_.clear();
     depthOrder_.reserve(n);
     {
@@ -127,16 +127,16 @@ TourGenerator::buildStaticRoutes()
                 if (visited[v])
                     continue;
                 visited[v] = true;
-                fromResetEdge_[v] = e;
+                fromReset_[v] = {e, u, graph_.edge(e).instrCount};
                 depthOrder_.push_back(v);
                 queue.push_back(v);
             }
         }
     }
 
-    // Reverse BFS in-tree toward reset: toResetEdge_[v] is the first
-    // hop of a shortest walk v -> ... -> reset (invalid when reset
-    // is unreachable from v). Needs reverse adjacency, built here in
+    // Reverse BFS in-tree toward reset: toReset_[v] is the first hop
+    // of a shortest walk v -> ... -> reset (invalid when reset is
+    // unreachable from v). Needs reverse adjacency, built here in
     // CSR form by counting sort.
     std::vector<uint32_t> offsets(n + 1, 0);
     for (EdgeId e = 0; e < graph_.numEdges(); ++e)
@@ -151,7 +151,7 @@ TourGenerator::buildStaticRoutes()
             reverse_edges[cursor[graph_.edge(e).dst]++] = e;
     }
 
-    toResetEdge_.assign(n, invalidEdge);
+    toReset_.assign(n, {invalidEdge, invalidState, 0});
     {
         std::vector<bool> visited(n, false);
         std::deque<StateId> queue;
@@ -166,7 +166,8 @@ TourGenerator::buildStaticRoutes()
                 if (visited[v])
                     continue;
                 visited[v] = true;
-                toResetEdge_[v] = e; // forward edge v -> ... -> reset
+                // forward edge v -> u -> ... -> reset
+                toReset_[v] = {e, u, graph_.edge(e).instrCount};
                 queue.push_back(v);
             }
         }
@@ -204,27 +205,26 @@ TourGenerator::traverseBfs(StateId state, Trace &trace)
     // Leg 1: back to reset along the static in-tree (re-traversing
     // covered edges is cheap in simulation).
     if (state != reset) {
-        if (toResetEdge_[state] == invalidEdge)
+        if (toReset_[state].edge == invalidEdge)
             return invalidState; // must start a fresh trace
         while (state != reset) {
-            EdgeId e = toResetEdge_[state];
-            takeEdge(e, trace);
-            state = graph_.edge(e).dst;
+            const Hop &hop = toReset_[state];
+            takeEdge(hop.edge, hop.instrs, trace);
+            state = hop.next;
         }
     }
 
     // Leg 2: reset to the target along the forward BFS tree.
     if (target != reset) {
-        if (fromResetEdge_[target] == invalidEdge)
+        if (fromReset_[target].edge == invalidEdge)
             panic("tour: uncovered edges unreachable from reset");
-        std::vector<EdgeId> path;
+        path_.clear();
         for (StateId cur = target; cur != reset;) {
-            EdgeId e = fromResetEdge_[cur];
-            path.push_back(e);
-            cur = graph_.edge(e).src;
+            path_.push_back(fromReset_[cur]);
+            cur = fromReset_[cur].next;
         }
-        for (auto it = path.rbegin(); it != path.rend(); ++it)
-            takeEdge(*it, trace);
+        for (auto it = path_.rbegin(); it != path_.rend(); ++it)
+            takeEdge(it->edge, it->instrs, trace);
     }
     return target;
 }
@@ -267,16 +267,17 @@ TourGenerator::run()
             // progress.
         }
 
-        // Close the current output file.
+        // Close the current output file. The copy is sized exactly
+        // (the flow keeps every trace for its whole life); the working
+        // trace keeps its capacity for the next one.
         if (!trace.edges.empty()) {
             if (trace.limitTerminated)
                 ++stats_.tracesTerminatedByLimit;
-            // Drop the growth slack: the flow keeps every trace for
-            // its whole life.
-            trace.edges.shrink_to_fit();
-            traces.push_back(std::move(trace));
+            traces.push_back(trace);
         }
-        trace = Trace();
+        trace.edges.clear();
+        trace.instructions = 0;
+        trace.limitTerminated = false;
 
         if (remainingUncovered_ == 0)
             break;

@@ -116,8 +116,9 @@ class TourGenerator
     /** Mark @p edge traversed; update coverage bookkeeping. */
     void coverEdge(EdgeId edge);
 
-    /** Append @p edge to @p trace, covering it if still uncovered. */
-    void takeEdge(EdgeId edge, Trace &trace);
+    /** Append @p edge, which consumes @p instrs instructions, to
+     *  @p trace, covering it if still uncovered. */
+    void takeEdge(EdgeId edge, uint32_t instrs, Trace &trace);
 
     /** @return true when @p trace is at or past the instruction
      *  limit. */
@@ -133,12 +134,24 @@ class TourGenerator
     std::vector<uint32_t> nextUncovered_;
     uint64_t remainingUncovered_ = 0;
 
+    /** One step of a static route, copied out of the edge array so
+     *  that re-routing legs never read it. */
+    struct Hop
+    {
+        EdgeId edge;     ///< invalidEdge: no route
+        StateId next;    ///< the state the route continues from
+        uint32_t instrs; ///< the edge's instruction count
+    };
+
     /** Static routing (built once per run). @{ */
-    std::vector<EdgeId> toResetEdge_;   ///< first hop toward reset
-    std::vector<EdgeId> fromResetEdge_; ///< BFS-tree edge into state
-    std::vector<StateId> depthOrder_;   ///< states by BFS depth
-    size_t workCursor_ = 0;             ///< scan position
+    std::vector<Hop> toReset_;   ///< first hop toward reset
+    std::vector<Hop> fromReset_; ///< BFS-tree edge into the state;
+                                 ///< `next` is its source
+    std::vector<StateId> depthOrder_; ///< states by BFS depth
+    size_t workCursor_ = 0;           ///< scan position
     /** @} */
+
+    std::vector<Hop> path_; ///< reused buffer for leg 2
 
     static constexpr EdgeId invalidEdge = UINT32_MAX;
 };

@@ -20,7 +20,7 @@ RandomWalker::walk(uint64_t max_instructions, uint64_t max_edges)
     graph::StateId state = graph_.resetState();
     while (trace.instructions < max_instructions &&
            trace.edges.size() < max_edges) {
-        const auto &out = graph_.outEdges(state);
+        const graph::EdgeRange out = graph_.outEdges(state);
         if (out.empty())
             break;
         graph::EdgeId e = out[rng_.index(out.size())];
@@ -95,7 +95,7 @@ BiasedWalker::walk(uint64_t max_instructions, uint64_t max_edges)
         values[static_cast<size_t>(PpChoiceVar::TargetAlign)] =
             static_cast<uint32_t>(rng_.index(align_card));
 
-        const BitVec &packed = graph_.packedState(at);
+        const BitVec packed = graph_.packedState(at);
         fsm::Choice choice = model_.canonicalize(packed, values);
         auto transition = model_.next(packed, choice);
         if (!transition)

@@ -11,16 +11,15 @@
  * configurations):
  *
  *  - Delayed duplicate detection. Workers never probe the interned
- *    state table; every destination is interned into a level-local
- *    per-partition candidate table and gets a provisional id — even
- *    states already known from earlier levels. Resolution against
- *    the partitioned table happens at the level barrier, one
+ *    state table and take no lock: each appends (choice code, packed
+ *    next state, instructions) to its own buffers, and under
+ *    FirstCondition drops a transition whose next state the same
+ *    source already reached. At the level barrier every transition is
+ *    resolved against its destination's table partition, one
  *    partition at a time, so only one partition need be resident
- *    while resolving. Provisional ids are stable per state for the
- *    whole level, so FirstCondition dedup on them equals dedup on
- *    canonical ids.
+ *    while resolving.
  *
- *  - The canonical walk. The barrier numbers still-provisional states
+ *  - The canonical walk. The barrier numbers still-unresolved states
  *    at their first occurrence walking workers in index order,
  *    sources in level order and transitions in generation order —
  *    the order a one-source-at-a-time BFS discovers them in — so ids
@@ -44,16 +43,14 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
-#include <unordered_set>
 
 #include "murphi/ooc.hh"
 #include "support/flight_recorder.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
-#include "support/table_memory.hh"
 #include "support/telemetry.hh"
 #include "support/timer.hh"
 
@@ -128,15 +125,41 @@ EnumStats::renderLevels() const
 namespace
 {
 
-/** Interned state table (one partition). */
-using StateTable = ooc::StateMap;
+/** One worker-found transition. dst is invalidState until the level
+ *  barrier resolves it: the canonical id of a state interned at an
+ *  earlier level, or still invalidState for a state that may be new. */
+struct TransRec
+{
+    uint32_t code;
+    uint32_t instrs;
+    graph::StateId dst;
+};
 
-/**
- * High bit marks a provisional (not yet canonically numbered) state
- * id. A provisional id encodes (partition, pending slot) so the
- * barrier walk can find the entry to renumber.
- */
-constexpr graph::StateId kPendingFlag = 0x8000'0000u;
+/** All transitions found for one slice, grouped per source. */
+struct WorkerOut
+{
+    std::vector<TransRec> trans;
+    std::vector<uint64_t> words; ///< destinations, packed per trans
+    std::vector<uint64_t> perSource;
+    /** Per table partition, the trans indices whose destination
+     *  hashes into it. */
+    std::vector<std::vector<uint32_t>> byPart;
+    uint64_t valid = 0;
+    bool cancelled = false; ///< stopped early on cancelFlag
+    std::string error;      ///< stopped early on a malformed state
+
+    /** Empty every buffer, keeping its capacity. */
+    void
+    clear()
+    {
+        trans.clear();
+        words.clear();
+        perSource.clear();
+        for (std::vector<uint32_t> &list : byPart)
+            list.clear();
+        valid = 0;
+    }
+};
 
 } // namespace
 
@@ -170,11 +193,23 @@ Enumerator::run()
 
     const fsm::ChoiceCodec codec = model_.makeChoiceCodec();
     const uint64_t combos = codec.numCombinations();
+    if (combos > (uint64_t(1) << 32)) {
+        return Result<graph::StateGraph>::error(formatString(
+            "model has %llu choice combinations; edge choice codes "
+            "hold 32 bits",
+            static_cast<unsigned long long>(combos)));
+    }
     const size_t state_bits = model_.stateBits();
+    const size_t stride = (state_bits + 63) / 64;
     const bool retain = options_.retainStates;
     const bool first_condition =
         options_.recording == EdgeRecording::FirstCondition;
     const ooc::TestHooks *hooks = options_.testHooks;
+    // Ids are 32 bits and invalidState marks "none".
+    const uint64_t max_states =
+        options_.maxStates
+            ? std::min<uint64_t>(options_.maxStates, graph::invalidState)
+            : graph::invalidState;
 
     telemetry::Counter &spill_bytes_ctr =
         telemetry::counter("enum.spill_bytes");
@@ -194,18 +229,14 @@ Enumerator::run()
     };
 
     // Partition count: a power of two; high enough that one resident
-    // partition is a small slice of the table, and never below the
-    // thread count's contention-comfort point.
+    // partition is a small slice of the table.
     size_t num_parts = 1;
-    unsigned part_bits = 0;
     const size_t min_parts =
         options_.oocPartitions
             ? options_.oocPartitions
             : std::max<size_t>(64, size_t(num_threads) * 4);
-    while (num_parts < min_parts) {
+    while (num_parts < min_parts)
         num_parts <<= 1;
-        ++part_bits;
-    }
     const size_t part_mask = num_parts - 1;
 
     // Spill scratch: requested by a non-zero budget. An unusable
@@ -221,38 +252,25 @@ Enumerator::run()
                        "running fully resident");
     const std::string spill_path = paging ? spill_dir->path() : "";
 
-    ResidencyBudget budget;
-    budget.budgetBytes = options_.memoryBudgetBytes;
+    /** Most resident table bytes seen at a level's end, after
+     *  eviction (<= memoryBudgetBytes unless a page-out failed). */
+    size_t residency_high_water = 0;
 
-    /**
-     * One partition of the interned state table, plus its
-     * level-local candidate table (delayed duplicate detection; see
-     * file comment). unordered_map nodes are stable across rehash,
-     * so the raw pointers into `cand` survive the level.
-     */
+    /** One partition of the interned state table. */
     struct Partition
     {
-        std::mutex mutex;
-        StateTable table;
-        size_t tablePayload = 0;    ///< summed key.memoryBytes()
+        ooc::StateTable table;
         bool resident = true;
         uint64_t spilledCount = 0;  ///< entries in its shard file
         uint64_t lastUse = 0;       ///< LRU clock for eviction
-        StateTable cand;            ///< this level's candidates
-        std::vector<const BitVec *> pendingKeys;
-        std::vector<graph::StateId *> pendingIds;
-        std::vector<char> resolvedKnown; ///< slot was already interned
     };
-    std::vector<Partition> parts(num_parts);
+    std::vector<Partition> parts(num_parts,
+                                 Partition{ooc::StateTable(state_bits)});
     uint64_t use_clock = 0;
     std::string error;
 
-    auto partition_bytes = [&](const Partition &part) {
-        return hashTableFootprint(
-                   part.table.bucket_count(), part.table.size(),
-                   sizeof(StateTable::value_type),
-                   part.tablePayload)
-            .total();
+    auto hash_of = [state_bits](std::span<const uint64_t> key) {
+        return hashPackedWords(state_bits, key);
     };
 
     auto page_out = [&](size_t p) -> bool {
@@ -268,12 +286,20 @@ Enumerator::run()
         ++stats_.pageOuts;
         page_out_ctr.add();
         part.spilledCount = part.table.size();
-        StateTable().swap(part.table);
-        part.tablePayload = 0;
+        part.table.release();
         part.resident = false;
         if (hooks && hooks->afterShardPageOut)
             hooks->afterShardPageOut(path, p);
         return true;
+    };
+
+    auto resident_bytes = [&] {
+        size_t bytes = 0;
+        for (const Partition &part : parts) {
+            if (part.resident)
+                bytes += part.table.memoryBytes();
+        }
+        return bytes;
     };
 
     // Evict least-recently-used resident partitions (never @p keep)
@@ -283,14 +309,7 @@ Enumerator::run()
     auto enforce_budget = [&](size_t keep) {
         if (!paging)
             return;
-        for (;;) {
-            size_t resident_bytes = 0;
-            for (const Partition &part : parts) {
-                if (part.resident)
-                    resident_bytes += partition_bytes(part);
-            }
-            if (resident_bytes <= budget.budgetBytes)
-                break;
+        while (resident_bytes() > options_.memoryBudgetBytes) {
             size_t victim = SIZE_MAX;
             uint64_t oldest = UINT64_MAX;
             for (size_t p = 0; p < num_parts; ++p) {
@@ -326,18 +345,15 @@ Enumerator::run()
         if (part.resident)
             return true;
         const std::string path = ooc::shardPath(spill_path, p);
-        uint64_t payload = 0;
         bool ok = ooc::readShardFile(
             path, p, state_bits,
-            [&](BitVec &&key, graph::StateId id) {
-                payload += key.memoryBytes();
-                part.table.emplace(std::move(key), id);
+            [&](std::span<const uint64_t> key, graph::StateId id) {
+                part.table.insert(key, hash_of(key), id);
             });
         if (ok && part.table.size() != part.spilledCount)
             ok = false;
         if (!ok) {
-            StateTable().swap(part.table);
-            part.tablePayload = 0;
+            part.table.release();
             if (!retain) {
                 ++stats_.spillFallbacks;
                 fallback_ctr.add();
@@ -352,15 +368,12 @@ Enumerator::run()
                            "rebuilding partition from graph");
             for (graph::StateId id = 0; id < graph.numStates();
                  ++id) {
-                const BitVec &state = graph.packedState(id);
-                const size_t hash = BitVecHash{}(state);
-                if ((hash & part_mask) != p)
-                    continue;
-                part.tablePayload += state.memoryBytes();
-                part.table.emplace(state, id);
+                const std::span<const uint64_t> key =
+                    graph.stateWords(id);
+                const uint64_t hash = hash_of(key);
+                if ((hash & part_mask) == p)
+                    part.table.insert(key, hash, id);
             }
-        } else {
-            part.tablePayload = payload;
         }
         part.resident = true;
         ++stats_.pageIns;
@@ -369,7 +382,7 @@ Enumerator::run()
         return true;
     };
 
-    BitVec reset = model_.resetState();
+    const BitVec reset = model_.resetState();
     if (reset.numBits() != state_bits) {
         return Result<graph::StateGraph>::error(
             formatString("model reset state is %zu bits but the state "
@@ -377,53 +390,16 @@ Enumerator::run()
                          reset.numBits(), state_bits));
     }
     {
-        Partition &part = parts[BitVecHash{}(reset) & part_mask];
-        part.tablePayload += reset.memoryBytes();
-        part.table.emplace(reset, 0);
+        const uint64_t hash = hash_of(reset.words());
+        parts[hash & part_mask].table.insert(reset.words(), hash, 0);
         if (retain)
             graph.addState(reset);
         else
             graph.addStateUnretained();
     }
-    std::vector<BitVec> level_states;
-    level_states.push_back(std::move(reset));
-
-    /** One worker-discovered transition; dst is provisional. */
-    struct TransRec
-    {
-        uint64_t code;
-        graph::StateId dst;
-        uint32_t instrs;
-    };
-    /** All transitions found for one slice, grouped per source. */
-    struct WorkerOut
-    {
-        std::vector<TransRec> trans;
-        std::vector<uint64_t> perSource;
-        uint64_t valid = 0;
-        bool cancelled = false; ///< stopped early on cancelFlag
-    };
-
-    // Intern a destination into its partition's candidate table and
-    // return its (stable for the level) provisional id.
-    auto intern_cand = [&](BitVec &&state) -> graph::StateId {
-        const size_t hash = BitVecHash{}(state);
-        Partition &part = parts[hash & part_mask];
-        std::lock_guard<std::mutex> lock(part.mutex);
-        auto [it, inserted] =
-            part.cand.try_emplace(std::move(state), 0);
-        if (inserted) {
-            const uint32_t slot =
-                static_cast<uint32_t>(part.pendingKeys.size());
-            if (slot >= (kPendingFlag >> part_bits))
-                panic("enumerator: provisional id space exhausted");
-            it->second = kPendingFlag | (slot << part_bits) |
-                         static_cast<uint32_t>(hash & part_mask);
-            part.pendingKeys.push_back(&it->first);
-            part.pendingIds.push_back(&it->second);
-        }
-        return it->second;
-    };
+    /** The level's states, packed back to back. */
+    std::vector<uint64_t> level_words(reset.words().begin(),
+                                      reset.words().end());
 
     telemetry::Gauge &frontier_gauge =
         telemetry::gauge("enum.frontier");
@@ -432,6 +408,12 @@ Enumerator::run()
     telemetry::Histogram &barrier_wait =
         telemetry::histogram("enum.barrier_wait_seconds");
 
+    // Every level's edges, in id order. They join the graph once the
+    // search is done, so the graph's edge array is allocated once, at
+    // its final size; nothing reads them before.
+    std::vector<graph::Edge> edges;
+
+    std::vector<WorkerOut> outs;
     bool frontier_spill_enabled = paging;
     bool frontier_on_disk = false;
     size_t width = 1;
@@ -450,7 +432,7 @@ Enumerator::run()
             const std::string path =
                 ooc::frontierPath(spill_path, level_index);
             const bool ok = ooc::readFrontierFile(
-                path, level_index, state_bits, width, level_states);
+                path, level_index, state_bits, width, level_words);
             ::remove(path.c_str());
             frontier_on_disk = false;
             if (!ok) {
@@ -466,29 +448,33 @@ Enumerator::run()
                 }
                 spill_fallback("frontier spill file damaged; "
                                "rebuilding from graph");
-                level_states.clear();
-                level_states.reserve(width);
+                level_words.clear();
                 for (size_t i = 0; i < width; ++i) {
-                    level_states.push_back(graph.packedState(
-                        static_cast<graph::StateId>(level_first +
-                                                    i)));
+                    const std::span<const uint64_t> key =
+                        graph.stateWords(static_cast<graph::StateId>(
+                            level_first + i));
+                    level_words.insert(level_words.end(), key.begin(),
+                                       key.end());
                 }
             }
         }
 
         const unsigned workers = static_cast<unsigned>(
             std::min<size_t>(num_threads, width));
-        std::vector<WorkerOut> outs(workers);
+        // The buffers keep their capacity from level to level.
+        outs.resize(workers);
+        for (WorkerOut &out : outs)
+            out.clear();
         std::vector<uint64_t> finish_ns(workers, 0);
         frontier_gauge.set(static_cast<int64_t>(width));
         telemetry::ScopedSpan level_span("enum.level", "level",
                                          level_index, "frontier",
                                          width);
 
-        // Expand a disjoint contiguous slice of the level, recording
-        // in the canonical order (sources in level order, transitions
-        // in generation order). The cancel flag is read before every
-        // source.
+        // Expand a disjoint contiguous slice of the level into the
+        // worker's own buffers, recording in the canonical order
+        // (sources in level order, transitions in generation order).
+        // The cancel flag is read before every source.
         const uint64_t job_id = telemetry::currentJobId();
         auto expand = [&, job_id](unsigned w) {
             telemetry::JobScope job_scope(job_id);
@@ -501,29 +487,53 @@ Enumerator::run()
             telemetry::ScopedSpan expand_span(
                 "enum.expand", "worker", w, "sources", end - begin);
             WorkerOut &out = outs[w];
+            out.byPart.resize(num_parts);
             out.perSource.reserve(end - begin);
-            auto cancelled = [&] {
+            auto stopped = [&] {
                 if (options_.cancelFlag &&
                     options_.cancelFlag->load(std::memory_order_relaxed))
                     out.cancelled = true;
-                return out.cancelled;
+                return out.cancelled || !out.error.empty();
             };
-            std::unordered_set<uint64_t> dst_seen;
+            // FirstCondition: this source's destinations so far.
+            ooc::StateTable seen(state_bits);
             const std::function<void(uint64_t, fsm::Transition &&)>
                 record = [&](uint64_t code,
                              fsm::Transition &&transition) {
                     ++out.valid;
-                    const uint32_t instrs = transition.instructions;
-                    const graph::StateId dst =
-                        intern_cand(std::move(transition.next));
-                    if (first_condition && !dst_seen.insert(dst).second)
+                    if (!out.error.empty())
                         return;
-                    out.trans.push_back({code, dst, instrs});
+                    if (transition.next.numBits() != state_bits) {
+                        out.error = formatString(
+                            "model produced a %zu-bit state but the "
+                            "state layout declares %zu",
+                            transition.next.numBits(), state_bits);
+                        return;
+                    }
+                    const std::span<const uint64_t> key =
+                        transition.next.words();
+                    const uint64_t hash = hash_of(key);
+                    if (first_condition) {
+                        if (seen.find(key, hash) != graph::invalidState)
+                            return;
+                        seen.insert(key, hash, 0);
+                    }
+                    out.byPart[hash & part_mask].push_back(
+                        static_cast<uint32_t>(out.trans.size()));
+                    out.trans.push_back(
+                        {static_cast<uint32_t>(code),
+                         transition.instructions, graph::invalidState});
+                    out.words.insert(out.words.end(), key.begin(),
+                                     key.end());
                 };
-            for (size_t i = begin; i < end && !cancelled(); ++i) {
+            for (size_t i = begin; i < end && !stopped(); ++i) {
                 const size_t before = out.trans.size();
-                dst_seen.clear();
-                model_.forEachTransition(level_states[i], record);
+                seen.clear();
+                model_.forEachTransition(
+                    BitVec(state_bits,
+                           std::span<const uint64_t>(level_words)
+                               .subspan(i * stride, stride)),
+                    record);
                 out.perSource.push_back(out.trans.size() - before);
             }
             finish_ns[w] = telemetry::nowNs();
@@ -543,7 +553,7 @@ Enumerator::run()
         for (unsigned w = 0; w < workers; ++w)
             barrier_wait.record(double(slowest - finish_ns[w]) / 1e9);
 
-        // A cancelled worker left its slice short: discard the level.
+        // A stopped worker left its slice short: discard the level.
         if (std::any_of(outs.begin(), outs.end(),
                         [](const WorkerOut &out) {
                             return out.cancelled;
@@ -551,30 +561,46 @@ Enumerator::run()
             error = "enumeration cancelled";
             break;
         }
+        for (const WorkerOut &out : outs) {
+            if (!out.error.empty()) {
+                error = out.error;
+                break;
+            }
+        }
+        if (!error.empty())
+            break;
 
         stats_.transitionsTried += uint64_t(width) * combos;
         for (const WorkerOut &out : outs)
             stats_.transitionsValid += out.valid;
 
         // --- Level barrier ----------------------------------------
-        // (1) Delayed duplicate detection: resolve each partition's
-        // candidates against its table, paging partitions in one at
-        // a time. Candidates found in the table get their canonical
-        // id written through the stable pointer; the rest stay
-        // provisional for the walk below to number.
+        // (1) Delayed duplicate detection: resolve every transition
+        // against its destination's partition, paging partitions in
+        // one at a time. A destination found there gets its
+        // canonical id; the rest stay unresolved for the walk below.
         for (size_t p = 0; p < num_parts && error.empty(); ++p) {
-            Partition &part = parts[p];
-            if (part.pendingKeys.empty())
+            if (std::all_of(outs.begin(), outs.end(),
+                            [p](const WorkerOut &out) {
+                                return out.byPart[p].empty();
+                            }))
                 continue;
-            part.resolvedKnown.assign(part.pendingKeys.size(), 0);
             if (!ensure_resident(p))
                 break;
-            for (size_t slot = 0; slot < part.pendingKeys.size();
-                 ++slot) {
-                auto it = part.table.find(*part.pendingKeys[slot]);
-                if (it != part.table.end()) {
-                    *part.pendingIds[slot] = it->second;
-                    part.resolvedKnown[slot] = 1;
+            const ooc::StateTable &table = parts[p].table;
+            for (WorkerOut &out : outs) {
+                const std::span<const uint64_t> words(out.words);
+                // The indices ascend but skip: fetch ahead.
+                const std::vector<uint32_t> &list = out.byPart[p];
+                for (size_t k = 0; k < list.size(); ++k) {
+                    if (k + 16 < list.size()) {
+                        __builtin_prefetch(&out.trans[list[k + 16]]);
+                        __builtin_prefetch(
+                            words.data() + list[k + 16] * stride);
+                    }
+                    const uint32_t t = list[k];
+                    const auto key = words.subspan(t * stride, stride);
+                    out.trans[t].dst = table.find(key, hash_of(key));
                 }
             }
         }
@@ -583,15 +609,18 @@ Enumerator::run()
 
         // (2) Canonical id assignment: workers in index order,
         // sources in level order, transitions in generation order,
-        // numbering each still-provisional state at its first
-        // occurrence. This is what makes the graph the same for every
-        // worker count.
+        // numbering each unresolved state at its first occurrence.
+        // This is what makes the graph the same for every worker
+        // count.
         const uint64_t interned = graph.numStates();
-        const uint64_t edges_before = graph.numEdges();
-        std::vector<BitVec> new_states;
-        std::vector<graph::Edge> new_edges;
+        const uint64_t edges_before = edges.size();
+        // This level's new states in id order, and per partition
+        // their entry indices.
+        ooc::StateTable fresh(state_bits);
+        std::vector<std::vector<uint32_t>> fresh_by_part(num_parts);
         for (unsigned w = 0; w < workers && error.empty(); ++w) {
-            WorkerOut &out = outs[w];
+            const WorkerOut &out = outs[w];
+            const std::span<const uint64_t> words(out.words);
             const size_t begin = width * w / workers;
             size_t cursor = 0;
             for (size_t i = 0;
@@ -602,96 +631,74 @@ Enumerator::run()
                      ++t, ++cursor) {
                     const TransRec &rec = out.trans[cursor];
                     graph::StateId dst = rec.dst;
-                    if (dst & kPendingFlag) {
-                        const uint32_t raw = dst & ~kPendingFlag;
-                        Partition &part = parts[raw & part_mask];
-                        const uint32_t slot = raw >> part_bits;
-                        graph::StateId current =
-                            *part.pendingIds[slot];
-                        if (current & kPendingFlag) {
-                            if (options_.maxStates &&
-                                interned + new_states.size() >=
-                                    options_.maxStates) {
+                    if (dst == graph::invalidState) {
+                        const auto key =
+                            words.subspan(cursor * stride, stride);
+                        const uint64_t hash = hash_of(key);
+                        dst = fresh.find(key, hash);
+                        if (dst == graph::invalidState) {
+                            if (interned + fresh.size() >= max_states) {
                                 error = formatString(
                                     "state explosion: search exceeds "
                                     "%llu states",
                                     static_cast<unsigned long long>(
-                                        options_.maxStates));
+                                        max_states));
                                 break;
                             }
-                            current = static_cast<graph::StateId>(
-                                interned + new_states.size());
-                            *part.pendingIds[slot] = current;
-                            new_states.push_back(
-                                *part.pendingKeys[slot]);
+                            dst = static_cast<graph::StateId>(
+                                interned + fresh.size());
+                            fresh_by_part[hash & part_mask].push_back(
+                                static_cast<uint32_t>(fresh.size()));
+                            fresh.insert(key, hash, dst);
                         }
-                        dst = current;
                     }
-                    new_edges.push_back(
-                        {src, dst, rec.code, rec.instrs});
+                    edges.push_back({src, dst, rec.code, rec.instrs});
                 }
             }
         }
         if (!error.empty())
             break;
-        std::vector<WorkerOut>().swap(outs);
 
         // (3) Intern the newly numbered states into their
         // partitions' tables (again paging one partition at a time).
         for (size_t p = 0; p < num_parts && error.empty(); ++p) {
-            Partition &part = parts[p];
-            if (part.pendingKeys.empty())
+            if (fresh_by_part[p].empty())
                 continue;
             if (!ensure_resident(p))
                 break;
-            for (size_t slot = 0; slot < part.pendingKeys.size();
-                 ++slot) {
-                if (part.resolvedKnown[slot])
-                    continue;
-                const graph::StateId id = *part.pendingIds[slot];
-                part.tablePayload +=
-                    part.pendingKeys[slot]->memoryBytes();
-                part.table.emplace(*part.pendingKeys[slot], id);
+            for (uint32_t e : fresh_by_part[p]) {
+                parts[p].table.insert(fresh.key(e),
+                                      hash_of(fresh.key(e)),
+                                      fresh.id(e));
             }
         }
         if (!error.empty())
             break;
 
-        // (4) Drop the level-local candidate tables.
-        for (Partition &part : parts) {
-            StateTable().swap(part.cand);
-            part.pendingKeys.clear();
-            part.pendingIds.clear();
-            part.resolvedKnown.clear();
-        }
+        // (4) Commit the new states to the graph.
+        const size_t new_count = fresh.size();
+        if (retain)
+            graph.addStates(state_bits, new_count, fresh.keys());
+        else
+            graph.addStatesUnretained(new_count);
+        std::vector<uint64_t> next_words = fresh.keys();
+        fresh.release();
 
-        // (5) Commit states and edges to the graph.
-        std::vector<BitVec> next_states;
-        if (retain) {
-            next_states = new_states;
-            graph.addStates(std::move(new_states));
-        } else {
-            graph.addStatesUnretained(new_states.size());
-            next_states = std::move(new_states);
-        }
-        graph.addEdges(new_edges);
-
-        // (6) Spill the next frontier. Only a non-empty frontier is
+        // (5) Spill the next frontier. Only a non-empty frontier is
         // written (so every written file is read back), and a write
-        // failure keeps the in-memory vector and stops spilling —
+        // failure keeps the in-memory words and stops spilling —
         // degradation, not damage.
-        const size_t new_count = next_states.size();
         if (frontier_spill_enabled && new_count > 0) {
             const std::string path =
                 ooc::frontierPath(spill_path, level_index + 1);
             uint64_t bytes = 0;
             if (ooc::writeFrontierFile(path, level_index + 1,
-                                       state_bits, next_states,
-                                       &bytes)) {
+                                       state_bits, new_count,
+                                       next_words, &bytes)) {
                 stats_.spillBytesWritten += bytes;
                 spill_bytes_ctr.add(bytes);
                 frontier_on_disk = true;
-                std::vector<BitVec>().swap(next_states);
+                std::vector<uint64_t>().swap(next_words);
                 if (hooks && hooks->afterFrontierWrite)
                     hooks->afterFrontierWrite(path);
             } else {
@@ -701,61 +708,54 @@ Enumerator::run()
             }
         }
 
-        // (7) Enforce the budget at its steady-state point and take
+        // (6) Enforce the budget at its steady-state point and take
         // the residency reading the acceptance gate asserts on.
         if (paging) {
             enforce_budget(SIZE_MAX);
-            size_t resident_bytes = 0;
-            for (const Partition &part : parts) {
-                if (part.resident)
-                    resident_bytes += partition_bytes(part);
-            }
-            budget.update(resident_bytes);
+            residency_high_water =
+                std::max(residency_high_water, resident_bytes());
             residency_gauge.set(
-                static_cast<int64_t>(budget.highWaterBytes));
+                static_cast<int64_t>(residency_high_water));
         }
 
         LevelStats level_stats;
         level_stats.frontierWidth = width;
         level_stats.newStates = graph.numStates() - interned;
-        level_stats.newEdges = graph.numEdges() - edges_before;
+        level_stats.newEdges = edges.size() - edges_before;
         level_stats.seconds = level_timer.seconds();
         stats_.levels.push_back(level_stats);
 
         level_first = interned;
-        level_states = std::move(next_states);
+        level_words = std::move(next_words);
         width = new_count;
         ++level_index;
     }
     if (!error.empty())
         return Result<graph::StateGraph>::error(error);
 
+    graph.addEdges(edges);
+    std::vector<graph::Edge>().swap(edges);
+    graph.shrinkToFit();
     stats_.numStates = graph.numStates();
     stats_.numEdges = graph.numEdges();
     stats_.bitsPerState = state_bits;
     stats_.cpuSeconds = timer.seconds();
     stats_.numThreads = num_threads;
     stats_.numShards = num_parts;
-    stats_.residencyHighWaterBytes = budget.highWaterBytes;
-    size_t table_bytes = 0;
+    stats_.residencyHighWaterBytes = residency_high_water;
     size_t min_occupancy = SIZE_MAX;
     size_t max_occupancy = 0;
     for (const Partition &part : parts) {
         const size_t entries = part.resident
                                    ? part.table.size()
                                    : size_t(part.spilledCount);
-        if (part.resident)
-            table_bytes += partition_bytes(part);
         min_occupancy = std::min(min_occupancy, entries);
         max_occupancy = std::max(max_occupancy, entries);
     }
     stats_.minShardStates = min_occupancy;
     stats_.maxShardStates = max_occupancy;
-    size_t level_bytes = 0;
-    for (const BitVec &state : level_states)
-        level_bytes += state.memoryBytes() + sizeof(state);
-    stats_.memoryBytes =
-        graph.memoryBytes() + table_bytes + level_bytes;
+    stats_.memoryBytes = graph.memoryBytes() + resident_bytes() +
+                         level_words.capacity() * sizeof(uint64_t);
     telemetry::counter("enum.states").add(stats_.numStates);
     telemetry::counter("enum.edges").add(stats_.numEdges);
     telemetry::counter("enum.levels").add(stats_.levels.size());

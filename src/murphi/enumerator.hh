@@ -16,9 +16,10 @@
  *
  * There is one search for every option set: a level-synchronous BFS.
  * Worker threads expand disjoint slices of the current level into
- * level-local candidate tables, and at each level barrier the
- * candidates are resolved against the partitioned interned-state
- * table and numbered in canonical BFS order. Each source state is
+ * their own transition buffers, and at each level barrier the
+ * destinations are resolved against the partitioned interned-state
+ * table (open addressing over packed words) and the new ones
+ * numbered in canonical BFS order. Each source state is
  * expanded by the model's own fsm::Model::forEachTransition. The
  * produced StateGraph is bit-identical for every worker count and
  * memory budget; a budget only decides whether table partitions and

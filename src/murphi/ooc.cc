@@ -1,6 +1,7 @@
 #include "ooc.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 
 #include <dirent.h>
@@ -42,15 +43,10 @@ packU64(std::vector<uint8_t> &out, uint64_t value)
 }
 
 void
-packState(std::vector<uint8_t> &out, const BitVec &state,
-          size_t state_bits)
+packState(std::vector<uint8_t> &out, std::span<const uint64_t> state)
 {
-    const size_t words = wordsFor(state_bits);
-    for (size_t w = 0; w < words; ++w) {
-        const size_t lsb = w * 64;
-        const size_t width = std::min<size_t>(64, state_bits - lsb);
-        packU64(out, state.getField(lsb, width));
-    }
+    for (uint64_t word : state)
+        packU64(out, word);
 }
 
 /** Bounds-checked little-endian reader; any overrun flips ok. */
@@ -91,22 +87,122 @@ struct Reader
         return value;
     }
 
-    BitVec
-    state(size_t state_bits)
+    /** Append one packed state of @p state_bits bits to @p out;
+     *  bits above the width are cleared. */
+    void
+    state(size_t state_bits, std::vector<uint64_t> &out)
     {
-        BitVec out(state_bits);
         const size_t words = wordsFor(state_bits);
-        for (size_t w = 0; w < words; ++w) {
-            const size_t lsb = w * 64;
-            const size_t width =
-                std::min<size_t>(64, state_bits - lsb);
-            out.setField(lsb, width, u64());
-        }
-        return out;
+        for (size_t w = 0; w < words; ++w)
+            out.push_back(u64());
+        if (words > 0 && state_bits % 64 != 0)
+            out.back() &= (uint64_t(1) << (state_bits % 64)) - 1;
     }
 };
 
+constexpr unsigned kMinSlotBits = 4;
+
+/** Fibonacci hashing: the top @p slot_bits bits of the hash times
+ *  2^64 / phi, so every bit of the hash picks the slot (partitions
+ *  are chosen by its low bits). */
+size_t
+homeSlot(uint64_t hash, unsigned slot_bits)
+{
+    return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ull) >>
+                               (64 - slot_bits));
+}
+
 } // namespace
+
+// --- Interned state table -------------------------------------------
+
+StateTable::StateTable(size_t state_bits)
+    : stateBits_(state_bits), stride_(wordsFor(state_bits))
+{
+}
+
+std::span<const uint64_t>
+StateTable::key(size_t entry) const
+{
+    return std::span<const uint64_t>(keys_).subspan(entry * stride_,
+                                                    stride_);
+}
+
+graph::StateId
+StateTable::find(std::span<const uint64_t> key, uint64_t hash) const
+{
+    if (slots_.empty())
+        return graph::invalidState;
+    const size_t mask = slots_.size() - 1;
+    for (size_t slot = homeSlot(hash, slotBits_);;
+         slot = (slot + 1) & mask) {
+        const uint32_t entry = slots_[slot];
+        if (entry == 0)
+            return graph::invalidState;
+        const uint64_t *stored = keys_.data() + (entry - 1) * stride_;
+        if (std::equal(key.begin(), key.end(), stored))
+            return ids_[entry - 1];
+    }
+}
+
+void
+StateTable::insert(std::span<const uint64_t> key, uint64_t hash,
+                   graph::StateId id)
+{
+    if (2 * (ids_.size() + 1) > slots_.size())
+        reslot(ids_.size() + 1);
+    keys_.insert(keys_.end(), key.begin(), key.end());
+    ids_.push_back(id);
+    const size_t mask = slots_.size() - 1;
+    size_t slot = homeSlot(hash, slotBits_);
+    while (slots_[slot] != 0)
+        slot = (slot + 1) & mask;
+    slots_[slot] = static_cast<uint32_t>(ids_.size());
+}
+
+void
+StateTable::reslot(size_t entries)
+{
+    const size_t count = std::max<size_t>(
+        size_t(1) << kMinSlotBits, std::bit_ceil(2 * entries));
+    slotBits_ = static_cast<unsigned>(std::countr_zero(count));
+    slots_.assign(count, 0);
+    const size_t mask = count - 1;
+    for (size_t e = 0; e < ids_.size(); ++e) {
+        size_t slot = homeSlot(hashPackedWords(stateBits_, key(e)),
+                               slotBits_);
+        while (slots_[slot] != 0)
+            slot = (slot + 1) & mask;
+        slots_[slot] = static_cast<uint32_t>(e + 1);
+    }
+}
+
+void
+StateTable::clear()
+{
+    const size_t entries = ids_.size();
+    keys_.clear();
+    ids_.clear();
+    if (!slots_.empty())
+        reslot(entries);
+}
+
+void
+StateTable::release()
+{
+    std::vector<uint64_t>().swap(keys_);
+    std::vector<graph::StateId>().swap(ids_);
+    std::vector<uint32_t>().swap(slots_);
+    slotBits_ = 0;
+}
+
+size_t
+StateTable::memoryBytes() const
+{
+    return keys_.capacity() * sizeof(uint64_t) +
+           ids_.capacity() * sizeof(graph::StateId) +
+           slots_.capacity() * sizeof(uint32_t);
+}
 
 // --- Spill scratch directory ----------------------------------------
 
@@ -152,23 +248,22 @@ frontierPath(const std::string &dir, size_t level)
 
 bool
 writeFrontierFile(const std::string &path, uint64_t level,
-                  size_t state_bits,
-                  const std::vector<BitVec> &states,
+                  size_t state_bits, size_t count,
+                  std::span<const uint64_t> words,
                   uint64_t *bytes_written)
 {
+    const size_t stride = wordsFor(state_bits);
     RecordFileWriter writer(path, kFrontierMagic, kSpillVersion);
     std::vector<uint8_t> rec;
     packU64(rec, level);
     packU64(rec, state_bits);
-    packU64(rec, states.size());
+    packU64(rec, count);
     bool ok = writer.append(rec);
-    for (size_t i = 0; i < states.size() && ok; i += kBatchStates) {
-        const size_t n =
-            std::min(kBatchStates, states.size() - i);
+    for (size_t i = 0; i < count && ok; i += kBatchStates) {
+        const size_t n = std::min(kBatchStates, count - i);
         rec.clear();
         packU64(rec, n);
-        for (size_t k = 0; k < n; ++k)
-            packState(rec, states[i + k], state_bits);
+        packState(rec, words.subspan(i * stride, n * stride));
         ok = writer.append(rec);
     }
     const uint64_t bytes = writer.bytesWritten();
@@ -181,7 +276,7 @@ writeFrontierFile(const std::string &path, uint64_t level,
 bool
 readFrontierFile(const std::string &path, uint64_t level,
                  size_t state_bits, size_t expect_count,
-                 std::vector<BitVec> &out)
+                 std::vector<uint64_t> &out)
 {
     out.clear();
     RecordFileReader reader(path, kFrontierMagic, kSpillVersion);
@@ -199,21 +294,24 @@ readFrontierFile(const std::string &path, uint64_t level,
         file_level != level || file_bits != state_bits ||
         file_count != expect_count)
         return false;
-    out.reserve(expect_count);
-    const size_t state_bytes = wordsFor(state_bits) * 8;
+    const size_t stride = wordsFor(state_bits);
+    out.reserve(expect_count * stride);
+    const size_t state_bytes = stride * 8;
+    uint64_t seen = 0;
     RS status;
     while ((status = reader.next(rec)) == RS::Record) {
         Reader in{rec.data(), rec.size()};
         const uint64_t n = in.u64();
         if (!in.ok || n * state_bytes != in.remaining() ||
-            out.size() + n > expect_count) {
+            seen + n > expect_count) {
             out.clear();
             return false;
         }
         for (uint64_t k = 0; k < n; ++k)
-            out.push_back(in.state(state_bits));
+            in.state(state_bits, out);
+        seen += n;
     }
-    if (status != RS::End || out.size() != expect_count) {
+    if (status != RS::End || seen != expect_count) {
         out.clear();
         return false;
     }
@@ -231,7 +329,7 @@ shardPath(const std::string &dir, size_t partition)
 
 bool
 writeShardFile(const std::string &path, uint64_t partition,
-               size_t state_bits, const StateMap &table,
+               size_t state_bits, const StateTable &table,
                uint64_t *bytes_written)
 {
     RecordFileWriter writer(path, kShardMagic, kSpillVersion);
@@ -243,9 +341,9 @@ writeShardFile(const std::string &path, uint64_t partition,
     rec.clear();
     uint64_t in_batch = 0;
     std::vector<uint8_t> batch;
-    for (auto it = table.begin(); it != table.end() && ok; ++it) {
-        packU32(batch, it->second);
-        packState(batch, it->first, state_bits);
+    for (size_t e = 0; e < table.size() && ok; ++e) {
+        packU32(batch, table.id(e));
+        packState(batch, table.key(e));
         if (++in_batch == kBatchStates) {
             rec.clear();
             packU64(rec, in_batch);
@@ -269,10 +367,10 @@ writeShardFile(const std::string &path, uint64_t partition,
 }
 
 bool
-readShardFile(const std::string &path, uint64_t partition,
-              size_t state_bits,
-              const std::function<void(BitVec &&, graph::StateId)>
-                  &sink)
+readShardFile(
+    const std::string &path, uint64_t partition, size_t state_bits,
+    const std::function<void(std::span<const uint64_t>, graph::StateId)>
+        &sink)
 {
     RecordFileReader reader(path, kShardMagic, kSpillVersion);
     if (!reader.ok())
@@ -289,6 +387,7 @@ readShardFile(const std::string &path, uint64_t partition,
         file_partition != partition || file_bits != state_bits)
         return false;
     const size_t entry_bytes = 4 + wordsFor(state_bits) * 8;
+    std::vector<uint64_t> key;
     uint64_t seen = 0;
     RS status;
     while ((status = reader.next(rec)) == RS::Record) {
@@ -299,7 +398,9 @@ readShardFile(const std::string &path, uint64_t partition,
             return false;
         for (uint64_t k = 0; k < n; ++k) {
             const graph::StateId id = in.u32();
-            sink(in.state(state_bits), id);
+            key.clear();
+            in.state(state_bits, key);
+            sink(key, id);
         }
         seen += n;
     }

@@ -23,19 +23,77 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/state_graph.hh"
-#include "support/bitvec.hh"
 
 namespace archval::murphi::ooc
 {
 
-/** Interned state table (one partition's worth). */
-using StateMap =
-    std::unordered_map<BitVec, graph::StateId, BitVecHash>;
+/**
+ * Open-addressing map from packed states to state ids: the
+ * enumerator's interned-state partitions, its per-level table of new
+ * states and its per-source duplicate filter.
+ *
+ * A state is its ceil(bits / 64) packed words (hashPackedWords gives
+ * its hash). Entries sit densely in insertion order, keys in one word
+ * array and ids in another; a linear-probing slot array, at most half
+ * full, holds entry indices. Nothing is allocated per entry.
+ */
+class StateTable
+{
+  public:
+    explicit StateTable(size_t state_bits);
+
+    /** @return the id stored for @p key (whose hash is @p hash), or
+     *  graph::invalidState when @p key is absent. */
+    graph::StateId find(std::span<const uint64_t> key,
+                        uint64_t hash) const;
+
+    /** Add @p key (whose hash is @p hash, and which must be absent)
+     *  with @p id. */
+    void insert(std::span<const uint64_t> key, uint64_t hash,
+                graph::StateId id);
+
+    /** @return number of entries. */
+    size_t size() const { return ids_.size(); }
+
+    bool empty() const { return ids_.empty(); }
+
+    /** @return the key of entry @p entry (insertion order). */
+    std::span<const uint64_t> key(size_t entry) const;
+
+    /** @return the id of entry @p entry (insertion order). */
+    graph::StateId id(size_t entry) const { return ids_[entry]; }
+
+    /** @return every key, back to back in insertion order. */
+    const std::vector<uint64_t> &keys() const { return keys_; }
+
+    /** Forget every entry, keeping the allocation for reuse; the
+     *  work is proportional to the entries forgotten. */
+    void clear();
+
+    /** Forget every entry and free the allocation. */
+    void release();
+
+    /** @return heap bytes the table's arrays have allocated. */
+    size_t memoryBytes() const;
+
+  private:
+    /** Size the slot array for @p entries entries and re-slot the
+     *  current ones. */
+    void reslot(size_t entries);
+
+    size_t stateBits_;
+    size_t stride_; ///< words per key
+    std::vector<uint64_t> keys_;
+    std::vector<graph::StateId> ids_;
+    /** Entry index + 1 per slot; 0 marks an empty slot. */
+    std::vector<uint32_t> slots_;
+    unsigned slotBits_ = 0; ///< log2(slots_.size())
+};
 
 /** Frontier file identity: "AVF1" + format version. */
 constexpr uint32_t kFrontierMagic = 0x31465641;
@@ -86,20 +144,22 @@ class SpillDir
 /** @return the frontier file path for @p level under @p dir. */
 std::string frontierPath(const std::string &dir, size_t level);
 
-/** Write @p states as level @p level's frontier file (atomic).
- *  @return false on any write failure (target untouched); on
- *  success adds the file size to @p bytes_written. */
+/** Write the @p count states packed back to back in @p words as
+ *  level @p level's frontier file (atomic). @return false on any
+ *  write failure (target untouched); on success adds the file size
+ *  to @p bytes_written. */
 bool writeFrontierFile(const std::string &path, uint64_t level,
-                       size_t state_bits,
-                       const std::vector<BitVec> &states,
+                       size_t state_bits, size_t count,
+                       std::span<const uint64_t> words,
                        uint64_t *bytes_written);
 
-/** Read a frontier file back, expecting exactly @p expect_count
- *  states of @p state_bits bits for @p level. @return false — with
- *  @p out cleared — on any damage or header mismatch. */
+/** Read a frontier file back into @p out (packed words), expecting
+ *  exactly @p expect_count states of @p state_bits bits for
+ *  @p level. @return false — with @p out cleared — on any damage or
+ *  header mismatch. */
 bool readFrontierFile(const std::string &path, uint64_t level,
                       size_t state_bits, size_t expect_count,
-                      std::vector<BitVec> &out);
+                      std::vector<uint64_t> &out);
 /** @} */
 
 /** @name Shard (table partition) spill files
@@ -112,17 +172,18 @@ std::string shardPath(const std::string &dir, size_t partition);
 /** Page @p table out to @p path (atomic). @return false on any
  *  write failure (target untouched, table intact). */
 bool writeShardFile(const std::string &path, uint64_t partition,
-                    size_t state_bits, const StateMap &table,
+                    size_t state_bits, const StateTable &table,
                     uint64_t *bytes_written);
 
-/** Page a shard file back in, calling @p sink once per entry.
- *  @return false on any damage, header mismatch, or entry-count
- *  mismatch — the caller must then discard whatever the sink
- *  received and rebuild or fail. */
-bool readShardFile(const std::string &path, uint64_t partition,
-                   size_t state_bits,
-                   const std::function<void(BitVec &&,
-                                            graph::StateId)> &sink);
+/** Page a shard file back in, calling @p sink once per entry with
+ *  its packed words (valid for the call only) and id. @return false
+ *  on any damage, header mismatch, or entry-count mismatch — the
+ *  caller must then discard whatever the sink received and rebuild
+ *  or fail. */
+bool readShardFile(
+    const std::string &path, uint64_t partition, size_t state_bits,
+    const std::function<void(std::span<const uint64_t>, graph::StateId)>
+        &sink);
 /** @} */
 
 } // namespace archval::murphi::ooc

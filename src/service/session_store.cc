@@ -210,23 +210,14 @@ serializeGraph(const graph::StateGraph &g)
     std::vector<uint8_t> out;
     const bool retained = g.statesRetained();
     const uint64_t num_states = g.numStates();
-    const uint64_t bits = retained && num_states > 0
-                              ? g.packedState(0).numBits()
-                              : 0;
     packU8(out, retained ? 1 : 0);
-    packU64(out, bits);
+    packU64(out, retained ? g.stateBits() : 0);
     packU64(out, num_states);
     if (retained) {
-        const size_t words = (bits + 63) / 64;
         for (uint64_t s = 0; s < num_states; ++s) {
-            const BitVec &state =
-                g.packedState(static_cast<graph::StateId>(s));
-            for (size_t w = 0; w < words; ++w) {
-                const size_t lsb = w * 64;
-                const size_t width =
-                    std::min<size_t>(64, bits - lsb);
-                packU64(out, state.getField(lsb, width));
-            }
+            for (uint64_t word :
+                 g.stateWords(static_cast<graph::StateId>(s)))
+                packU64(out, word);
         }
     }
     const uint64_t num_edges = g.numEdges();
@@ -256,22 +247,21 @@ deserializeGraph(const std::vector<uint8_t> &rec,
         const size_t words = (bits + 63) / 64;
         if (num_states * (words * 8) > in.remaining())
             return false;
-        std::vector<BitVec> packed;
-        packed.reserve(num_states);
-        for (uint64_t s = 0; s < num_states; ++s) {
-            BitVec state(bits);
-            for (size_t w = 0; w < words; ++w) {
-                const size_t lsb = w * 64;
-                const size_t width =
-                    std::min<size_t>(64, bits - lsb);
-                state.setField(lsb, width, in.u64());
-            }
-            packed.push_back(std::move(state));
-        }
+        std::vector<uint64_t> packed;
+        packed.reserve(num_states * words);
+        for (uint64_t i = 0; i < num_states * words; ++i)
+            packed.push_back(in.u64());
         if (!in.ok)
             return false;
+        // Bits above the width are clear in every saved state.
+        if (bits % 64 != 0) {
+            for (size_t i = words - 1; i < packed.size(); i += words) {
+                if (packed[i] >> (bits % 64))
+                    return false;
+            }
+        }
         if (num_states > 0)
-            g.addStates(std::move(packed));
+            g.addStates(bits, num_states, packed);
     } else if (num_states > 0) {
         g.addStatesUnretained(num_states);
     }
@@ -285,17 +275,22 @@ deserializeGraph(const std::vector<uint8_t> &rec,
         graph::Edge edge;
         edge.src = in.u32();
         edge.dst = in.u32();
-        edge.choiceCode = in.u64();
+        const uint64_t code = in.u64();
         edge.instrCount = in.u32();
         // addEdges() treats out-of-range endpoints as an internal
-        // invariant violation; from a disk record they are damage.
-        if (edge.src >= num_states || edge.dst >= num_states)
+        // invariant violation, and rejects a wide choice code or a
+        // source out of order; from a disk record all are damage.
+        if (edge.src >= num_states || edge.dst >= num_states ||
+            code > UINT32_MAX ||
+            (!batch.empty() && edge.src < batch.back().src))
             return false;
+        edge.choiceCode = static_cast<uint32_t>(code);
         batch.push_back(edge);
     }
     if (!in.ok || in.pos != in.size)
         return false;
     g.addEdges(batch);
+    g.shrinkToFit();
     return true;
 }
 

@@ -23,6 +23,15 @@ BitVec::BitVec(size_t num_bits)
 {
 }
 
+BitVec::BitVec(size_t num_bits, std::span<const uint64_t> words)
+    : numBits_(num_bits), words_(words.begin(), words.end())
+{
+    if (words_.size() != wordsFor(num_bits))
+        panic("BitVec: word count does not match the width");
+    if (num_bits % wordBits != 0)
+        words_.back() &= (uint64_t(1) << (num_bits % wordBits)) - 1;
+}
+
 bool
 BitVec::get(size_t index) const
 {
@@ -108,14 +117,20 @@ BitVec::toString() const
 size_t
 BitVec::hash() const
 {
+    return static_cast<size_t>(hashPackedWords(numBits_, words_));
+}
+
+uint64_t
+hashPackedWords(size_t num_bits, std::span<const uint64_t> words)
+{
     // FNV-1a over the words, folded with the width so that vectors of
     // different widths with equal payloads do not collide trivially.
-    uint64_t h = 1469598103934665603ull ^ numBits_;
-    for (uint64_t w : words_) {
+    uint64_t h = 1469598103934665603ull ^ num_bits;
+    for (uint64_t w : words) {
         h ^= w;
         h *= 1099511628211ull;
     }
-    return static_cast<size_t>(h);
+    return h;
 }
 
 bool

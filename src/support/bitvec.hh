@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,11 @@ class BitVec
   public:
     /** Construct an all-zero vector of @p num_bits bits. */
     explicit BitVec(size_t num_bits = 0);
+
+    /** Construct a @p num_bits vector from its packed words (bit 0 is
+     *  the LSB of word 0); there must be exactly ceil(num_bits / 64)
+     *  of them. Bits above the width are cleared. */
+    BitVec(size_t num_bits, std::span<const uint64_t> words);
 
     /** @return the width in bits. */
     size_t numBits() const { return numBits_; }
@@ -66,10 +72,22 @@ class BitVec
     /** @return approximate heap bytes used by this vector. */
     size_t memoryBytes() const { return words_.size() * sizeof(uint64_t); }
 
+    /** @return the packed words, ceil(numBits() / 64) of them; bits
+     *  above the width read zero. */
+    std::span<const uint64_t> words() const { return words_; }
+
   private:
     size_t numBits_;
     std::vector<uint64_t> words_;
 };
+
+/**
+ * The hash of a packed state of @p num_bits bits held in @p words:
+ * FNV-1a over the words, folded with the width. BitVec::hash() and
+ * code that keeps states as bare words share it, so a state hashes
+ * the same in either form.
+ */
+uint64_t hashPackedWords(size_t num_bits, std::span<const uint64_t> words);
 
 /** std::hash adaptor for BitVec. */
 struct BitVecHash

@@ -56,8 +56,9 @@ varIndex(PpChoiceVar var)
     return static_cast<size_t>(var);
 }
 
-/** Edges summarized per claim of the parallel summary pass. */
-constexpr size_t summaryChunk = 1 << 14;
+/** Source states summarized per claim of the parallel summary pass
+ *  (a PP state has about a dozen out-edges). */
+constexpr size_t summaryChunk = 1 << 10;
 
 /** signalIdOf_ entry of a choice code not interned yet. */
 constexpr uint32_t noSignal = UINT32_MAX;
@@ -277,21 +278,18 @@ VectorGenerator::summarizeGraph(const graph::StateGraph &graph) const
                                graph.numEdges());
     std::vector<EdgeSummary> table(graph.numEdges());
     const size_t chunks =
-        (graph.numEdges() + summaryChunk - 1) / summaryChunk;
+        (graph.numStates() + summaryChunk - 1) / summaryChunk;
     parallelFor(chunks, workersFor(chunks), [&](size_t c) {
         const size_t end =
-            std::min(graph.numEdges(), (c + 1) * summaryChunk);
-        // An enumerated graph lists a state's out-edges consecutively,
-        // so most edges reuse their predecessor's unpacked source.
-        graph::StateId src_id = graph::invalidState;
-        rtl::PpControlState src;
-        for (size_t e = c * summaryChunk; e < end; ++e) {
-            const graph::Edge &edge = graph.edge(e);
-            if (edge.src != src_id) {
-                src_id = edge.src;
-                src = model_.unpack(graph.packedState(src_id));
+            std::min(graph.numStates(), (c + 1) * summaryChunk);
+        for (size_t s = c * summaryChunk; s < end; ++s) {
+            const graph::StateId src_id = static_cast<graph::StateId>(s);
+            const rtl::PpControlState src =
+                model_.unpack(graph.packedState(src_id));
+            for (graph::EdgeId e : graph.outEdges(src_id)) {
+                table[e] = summarize(
+                    src, signalIdOf_[graph.edge(e).choiceCode]);
             }
-            table[e] = summarize(src, signalIdOf_[edge.choiceCode]);
         }
     });
     telemetry::counter("vecgen.edges_summarized").add(graph.numEdges());

@@ -15,8 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <sys/stat.h>
 #include <vector>
@@ -337,25 +339,23 @@ TEST(EnumOoc, FrontierFileRoundTripsAndRejectsMismatch)
 {
     murphi::ooc::SpillDir dir("");
     ASSERT_TRUE(dir.ok());
-    std::vector<BitVec> states;
+    std::vector<uint64_t> states; // 67-bit states, two words each
     for (uint64_t i = 0; i < 700; ++i) {
-        BitVec state(67);
-        state.setField(0, 64, i * 0x9e3779b97f4a7c15ull);
-        state.setField(64, 3, i & 7);
-        states.push_back(std::move(state));
+        states.push_back(i * 0x9e3779b97f4a7c15ull);
+        states.push_back(i & 7);
     }
     const std::string path = murphi::ooc::frontierPath(dir.path(), 3);
     uint64_t bytes = 0;
-    ASSERT_TRUE(
-        murphi::ooc::writeFrontierFile(path, 3, 67, states, &bytes));
+    ASSERT_TRUE(murphi::ooc::writeFrontierFile(path, 3, 67, 700, states,
+                                               &bytes));
     EXPECT_GT(bytes, 0u);
 
-    std::vector<BitVec> back;
+    std::vector<uint64_t> back;
     ASSERT_TRUE(
         murphi::ooc::readFrontierFile(path, 3, 67, 700, back));
     ASSERT_EQ(back.size(), states.size());
     for (size_t i = 0; i < states.size(); ++i)
-        EXPECT_EQ(back[i], states[i]) << "state " << i;
+        EXPECT_EQ(back[i], states[i]) << "word " << i;
 
     // Wrong level, wrong width, wrong count: all rejected.
     EXPECT_FALSE(
@@ -376,12 +376,11 @@ TEST(EnumOoc, ShardFileRoundTripsAndRejectsDamage)
 {
     murphi::ooc::SpillDir dir("");
     ASSERT_TRUE(dir.ok());
-    murphi::ooc::StateMap table;
+    murphi::ooc::StateTable table(33);
     for (uint64_t i = 0; i < 600; ++i) {
-        BitVec state(33);
-        state.setField(0, 33, i | (i << 20));
-        table.emplace(std::move(state),
-                      static_cast<graph::StateId>(i));
+        const uint64_t key[] = {(i | (i << 20)) & ((uint64_t(1) << 33) - 1)};
+        table.insert(key, hashPackedWords(33, key),
+                     static_cast<graph::StateId>(i));
     }
     const std::string path = murphi::ooc::shardPath(dir.path(), 7);
     uint64_t bytes = 0;
@@ -389,18 +388,24 @@ TEST(EnumOoc, ShardFileRoundTripsAndRejectsDamage)
         murphi::ooc::writeShardFile(path, 7, 33, table, &bytes));
     EXPECT_GT(bytes, 0u);
 
-    murphi::ooc::StateMap back;
+    murphi::ooc::StateTable back(33);
     ASSERT_TRUE(murphi::ooc::readShardFile(
-        path, 7, 33, [&](BitVec &&key, graph::StateId id) {
-            back.emplace(std::move(key), id);
+        path, 7, 33,
+        [&](std::span<const uint64_t> key, graph::StateId id) {
+            back.insert(key, hashPackedWords(33, key), id);
         }));
-    EXPECT_EQ(back, table);
+    ASSERT_EQ(back.size(), table.size());
+    for (size_t e = 0; e < table.size(); ++e) {
+        EXPECT_EQ(back.find(table.key(e),
+                            hashPackedWords(33, table.key(e))),
+                  table.id(e))
+            << "entry " << e;
+    }
 
     // Wrong partition or width: rejected before any entry is used.
-    EXPECT_FALSE(murphi::ooc::readShardFile(
-        path, 8, 33, [](BitVec &&, graph::StateId) {}));
-    EXPECT_FALSE(murphi::ooc::readShardFile(
-        path, 7, 32, [](BitVec &&, graph::StateId) {}));
+    auto ignore = [](std::span<const uint64_t>, graph::StateId) {};
+    EXPECT_FALSE(murphi::ooc::readShardFile(path, 8, 33, ignore));
+    EXPECT_FALSE(murphi::ooc::readShardFile(path, 7, 32, ignore));
 
     // Truncation mid-records is Damaged, not a short table.
     struct stat st
@@ -409,8 +414,7 @@ TEST(EnumOoc, ShardFileRoundTripsAndRejectsDamage)
     ASSERT_EQ(::stat(path.c_str(), &st), 0);
     ASSERT_TRUE(truncateFileForTesting(
         path, static_cast<uint64_t>(st.st_size) / 2));
-    EXPECT_FALSE(murphi::ooc::readShardFile(
-        path, 7, 33, [](BitVec &&, graph::StateId) {}));
+    EXPECT_FALSE(murphi::ooc::readShardFile(path, 7, 33, ignore));
 }
 
 } // namespace

@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fsm/built_model.hh"
@@ -98,7 +100,8 @@ expectIdenticalAcrossWorkerCounts(const fsm::Model &model,
                     << "state " << s << " at " << threads
                     << " threads";
             }
-            ASSERT_EQ(graph.outEdges(s), baseline.outEdges(s));
+            ASSERT_TRUE(std::ranges::equal(graph.outEdges(s),
+                                           baseline.outEdges(s)));
         }
         for (graph::EdgeId e = 0; e < graph.numEdges(); ++e) {
             const graph::Edge &got = graph.edge(e);
@@ -340,6 +343,78 @@ TEST(EnumGolden, PpSmallPresetInBothModes)
     EXPECT_EQ(defaultFingerprint(model,
                                  murphi::EdgeRecording::AllConditions),
               0xc44702de4dd61783ull);
+}
+
+/**
+ * A 100-bit built model whose fields straddle the 64-bit word
+ * boundary. A 10-bit counter n, kept in the low bits, steps by one to
+ * four or jumps to 5n + step; each field holds a fixed scramble of n,
+ * so every state fills both words. A jump by step 3 is illegal, and
+ * an edge consumes `step` instructions.
+ */
+std::unique_ptr<fsm::LambdaModel>
+wideWordModel()
+{
+    auto encode = [](uint64_t n) {
+        constexpr uint64_t mask30 = (uint64_t(1) << 30) - 1;
+        constexpr uint64_t mask40 = (uint64_t(1) << 40) - 1;
+        BitVec state(100);
+        state.setField(0, 40,
+                       (n | (n * 0x9e3779b97f4a7c15ull) << 10) & mask40);
+        state.setField(40, 30, (n * 0x2545f491ull) & mask30);
+        state.setField(70, 30, ((n ^ 0x155) * 0x5851f42dull) & mask30);
+        return state;
+    };
+    return std::make_unique<fsm::LambdaModel>(
+        "wide_words",
+        std::vector<fsm::StateVarInfo>{
+            {"lo", 40, 0}, {"mid", 30, 0}, {"hi", 30, 0}},
+        std::vector<fsm::ChoiceVarInfo>{{"step", 4}, {"jump", 2}},
+        [encode](const BitVec &state, const fsm::Choice &choice)
+            -> std::optional<BitVec> {
+            if (choice[1] && choice[0] == 3)
+                return std::nullopt;
+            const uint64_t n = state.getField(0, 10);
+            return encode(choice[1] ? (n * 5 + choice[0]) % 1000
+                                    : (n + choice[0] + 1) % 1000);
+        },
+        [](const BitVec &, const fsm::Choice &choice) -> unsigned {
+            return choice[0];
+        });
+}
+
+TEST(EnumGolden, WideStatesAcrossWordBoundary)
+{
+    auto model = wideWordModel();
+    ASSERT_EQ(model->stateBits(), 100u);
+    const std::pair<murphi::EdgeRecording, uint64_t> golden[] = {
+        {murphi::EdgeRecording::FirstCondition, 0xa0bc0c472c1223eeull},
+        {murphi::EdgeRecording::AllConditions, 0x6590f22ac3de09c2ull},
+    };
+    for (const auto &[recording, expected] : golden) {
+        const char *mode =
+            recording == murphi::EdgeRecording::FirstCondition
+                ? "FirstCondition"
+                : "AllConditions";
+        murphi::EnumOptions options;
+        options.recording = recording;
+        for (unsigned threads : {1u, 2u, 8u}) {
+            options.numThreads = threads;
+            murphi::Enumerator enumerator(*model, options);
+            EXPECT_EQ(graph::fingerprint(enumerator.runOrThrow()),
+                      expected)
+                << mode << " at " << threads << " threads";
+        }
+        // Out of core: a budget far below the table pages partitions.
+        options.numThreads = 2;
+        options.memoryBudgetBytes = 4u << 10;
+        options.oocPartitions = 4;
+        murphi::Enumerator paged(*model, options);
+        EXPECT_EQ(graph::fingerprint(paged.runOrThrow()), expected)
+            << mode << " paged";
+        EXPECT_GT(paged.stats().pageOuts, 0u) << mode;
+        EXPECT_EQ(paged.stats().spillFallbacks, 0u) << mode;
+    }
 }
 
 TEST(EnumGolden, PpSpillBenchmarkModel)

@@ -247,6 +247,27 @@ TEST(Enumerator, ResetWidthMismatchReturnsError)
     }
 }
 
+TEST(Enumerator, NextStateWidthMismatchReturnsError)
+{
+    // States are stored at a fixed stride of packed words, so a next
+    // state of another width is refused rather than interned.
+    auto model = std::make_unique<fsm::LambdaModel>(
+        "widening", std::vector<fsm::StateVarInfo>{{"s", 4, 0}},
+        std::vector<fsm::ChoiceVarInfo>{{"c", 2}},
+        [](const BitVec &, const fsm::Choice &choice)
+            -> std::optional<BitVec> { return BitVec(choice[0] ? 70 : 4); });
+    for (unsigned threads : {1u, 4u}) {
+        murphi::EnumOptions options;
+        options.numThreads = threads;
+        murphi::Enumerator enumerator(*model, options);
+        auto result = enumerator.run();
+        ASSERT_FALSE(result.ok());
+        EXPECT_NE(result.errorMessage().find("70-bit state"),
+                  std::string::npos)
+            << result.errorMessage();
+    }
+}
+
 TEST(Enumerator, ZeroBitModelEnumerates)
 {
     // A model whose control state is fully implicit is legal: one
@@ -268,10 +289,10 @@ TEST(Enumerator, ZeroBitModelEnumerates)
 
 TEST(Enumerator, MemoryAccountingWithinTwiceLowerBound)
 {
-    // The reported footprint comes from shard bucket counts and node
-    // layouts; sanity-check it against an independently computed
-    // lower bound: the graph itself plus, per interned state, one
-    // table entry (key object + id) and the key's heap words.
+    // The reported footprint is what the graph and the interned
+    // state table allocated; sanity-check it against an independently
+    // computed lower bound: the graph itself plus, per interned state,
+    // one table entry (its packed words and id) and one probe slot.
     auto model = counterModel(8);
     for (unsigned threads : {1u, 4u}) {
         murphi::EnumOptions options;
@@ -280,13 +301,67 @@ TEST(Enumerator, MemoryAccountingWithinTwiceLowerBound)
         auto graph = enumerator.runOrThrow();
         size_t lower = graph.memoryBytes();
         for (graph::StateId s = 0; s < graph.numStates(); ++s) {
-            lower += sizeof(BitVec) + sizeof(graph::StateId) +
-                     graph.packedState(s).memoryBytes();
+            lower += graph.stateWords(s).size_bytes() +
+                     sizeof(graph::StateId) + sizeof(uint32_t);
         }
         size_t reported = enumerator.stats().memoryBytes;
         EXPECT_GE(reported, lower) << "threads=" << threads;
         EXPECT_LE(reported, 2 * lower) << "threads=" << threads;
     }
+}
+
+/** A one-state model whose choice space is wider than 32-bit codes;
+ *  its one transition carries the code 2^32 + 5. */
+class WideChoiceModel : public fsm::Model
+{
+  public:
+    std::string name() const override { return "wide_choice"; }
+
+    const std::vector<fsm::StateVarInfo> &
+    stateVars() const override
+    {
+        return stateVars_;
+    }
+
+    const std::vector<fsm::ChoiceVarInfo> &
+    choiceVars() const override
+    {
+        return choiceVars_;
+    }
+
+    BitVec resetState() const override { return BitVec(1); }
+
+    std::optional<fsm::Transition>
+    next(const BitVec &state, const fsm::Choice &) const override
+    {
+        return fsm::Transition{state, 0};
+    }
+
+    void
+    forEachTransition(
+        const BitVec &state,
+        const std::function<void(uint64_t, fsm::Transition &&)> &fn)
+        const override
+    {
+        fn((uint64_t(1) << 32) + 5, fsm::Transition{state, 0});
+    }
+
+  private:
+    std::vector<fsm::StateVarInfo> stateVars_{{"s", 1, 0}};
+    std::vector<fsm::ChoiceVarInfo> choiceVars_{{"a", 65536},
+                                                {"b", 65537}};
+};
+
+TEST(Enumerator, ChoiceCodesBeyond32BitsAreAnError)
+{
+    WideChoiceModel model;
+    ASSERT_GT(model.makeChoiceCodec().numCombinations(),
+              uint64_t(1) << 32);
+    murphi::Enumerator enumerator(model);
+    auto result = enumerator.run();
+    ASSERT_FALSE(result.ok());
+    EXPECT_NE(result.errorMessage().find("32 bits"), std::string::npos)
+        << result.errorMessage();
 }
 
 TEST(Enumerator, InstructionCountsLandOnEdges)

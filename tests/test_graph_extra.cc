@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/postman.hh"
 #include "graph/state_graph.hh"
 #include "graph/tour.hh"
@@ -70,22 +72,28 @@ TEST(StateGraph, MixedRetentionRejected)
     StateGraph u;
     u.addStateUnretained();
     EXPECT_THROW(u.addState(BitVec(4)), FatalError);
-    std::vector<BitVec> bulk(1, BitVec(4));
-    EXPECT_THROW(u.addStates(std::move(bulk)), FatalError);
+    const std::vector<uint64_t> bulk(1, 0);
+    EXPECT_THROW(u.addStates(4, 1, bulk), FatalError);
+}
+
+TEST(StateGraph, FirstRetainedStateFixesTheWidth)
+{
+    StateGraph g;
+    g.addState(BitVec(4));
+    EXPECT_EQ(g.stateBits(), 4u);
+    EXPECT_THROW(g.addState(BitVec(5)), FatalError);
+    const std::vector<uint64_t> bulk(2, 0);
+    EXPECT_THROW(g.addStates(70, 1, bulk), FatalError);
+    EXPECT_EQ(g.numStates(), 1u);
 }
 
 TEST(StateGraph, BulkInsertionMatchesIncremental)
 {
     StateGraph bulk;
-    std::vector<BitVec> states;
-    for (uint64_t i = 0; i < 4; ++i) {
-        BitVec v(4);
-        v.setField(0, 4, i);
-        states.push_back(v);
-    }
-    bulk.addStates(std::move(states));
-    std::vector<Edge> edges = {{0, 1, 5, 1}, {1, 2, 6, 0},
-                               {0, 2, 7, 2}, {2, 3, 8, 0}};
+    const std::vector<uint64_t> states = {0, 1, 2, 3};
+    bulk.addStates(4, states.size(), states);
+    std::vector<Edge> edges = {{0, 1, 5, 1}, {0, 2, 7, 2},
+                               {1, 2, 6, 0}, {2, 3, 8, 0}};
     bulk.addEdges(edges);
 
     StateGraph one;
@@ -101,7 +109,7 @@ TEST(StateGraph, BulkInsertionMatchesIncremental)
     ASSERT_EQ(bulk.numEdges(), one.numEdges());
     for (StateId s = 0; s < bulk.numStates(); ++s) {
         EXPECT_EQ(bulk.packedState(s), one.packedState(s));
-        EXPECT_EQ(bulk.outEdges(s), one.outEdges(s));
+        EXPECT_TRUE(std::ranges::equal(bulk.outEdges(s), one.outEdges(s)));
     }
     for (EdgeId e = 0; e < bulk.numEdges(); ++e) {
         EXPECT_EQ(bulk.edge(e).src, one.edge(e).src);

@@ -71,14 +71,15 @@ TEST(Postman, ImbalancedNodeDuplicatesShortPath)
 
 TEST(Postman, BranchyGraphStillBalances)
 {
-    // Reset fans out to two rings of different lengths.
+    // Reset fans out to two rings of different lengths: 0 -> 1 -> 2
+    // -> 0 and 0 -> 3 -> 4 -> 5 -> 0 (edges in source order).
     StateGraph graph;
     for (int i = 0; i < 6; ++i)
         graph.addStateUnretained();
     graph.addEdge(0, 1, 0, 1);
+    graph.addEdge(0, 3, 3, 1);
     graph.addEdge(1, 2, 1, 1);
     graph.addEdge(2, 0, 2, 1);
-    graph.addEdge(0, 3, 3, 1);
     graph.addEdge(3, 4, 4, 1);
     graph.addEdge(4, 5, 5, 1);
     graph.addEdge(5, 0, 6, 1);
@@ -97,16 +98,17 @@ TEST(Postman, LowerBoundsGreedyTour)
     StateGraph graph;
     for (int i = 0; i < 8; ++i)
         graph.addStateUnretained();
-    // A messy graph: hub with spokes and back edges.
+    // A messy graph: hub with spokes and back edges (in source
+    // order).
     graph.addEdge(0, 1, 0, 1);
+    graph.addEdge(0, 6, 8, 1);
     graph.addEdge(1, 2, 1, 1);
-    graph.addEdge(2, 0, 2, 1);
     graph.addEdge(1, 3, 3, 1);
-    graph.addEdge(3, 1, 4, 1);
+    graph.addEdge(2, 0, 2, 1);
     graph.addEdge(2, 4, 5, 1);
+    graph.addEdge(3, 1, 4, 1);
     graph.addEdge(4, 5, 6, 1);
     graph.addEdge(5, 2, 7, 1);
-    graph.addEdge(0, 6, 8, 1);
     graph.addEdge(6, 7, 9, 1);
     graph.addEdge(7, 6, 10, 1); // 6<->7 trap: no way back to 0
 
@@ -124,8 +126,15 @@ TEST(Postman, LowerBoundsGreedyTour)
 
 TEST(Postman, TourVisitsEveryEdgeAtLeastOnce)
 {
-    auto graph = ringGraph(5);
-    graph.addEdge(2, 2, 99, 1); // self loop
+    // A 5-ring with a self loop at 2 (edges in source order).
+    StateGraph graph;
+    for (unsigned i = 0; i < 5; ++i)
+        graph.addStateUnretained();
+    for (unsigned i = 0; i < 5; ++i) {
+        graph.addEdge(i, (i + 1) % 5, i, 1);
+        if (i == 2)
+            graph.addEdge(2, 2, 99, 1);
+    }
     auto result = solveResettablePostman(graph);
     auto tour = hierholzerTour(graph, result);
     EXPECT_EQ(checkPostmanTour(graph, result, tour), "");

@@ -12,8 +12,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <algorithm>
 #include <csignal>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <mutex>
 #include <string>
@@ -34,6 +36,7 @@
 #include "service/job_manager.hh"
 #include "service/protocol.hh"
 #include "service/session_cache.hh"
+#include "support/record_file.hh"
 #include "support/status.hh"
 
 using namespace archval;
@@ -1277,6 +1280,125 @@ TEST(SessionPersistence, DamagedStoreDegradesToColdRebuild)
     }
 
     removeTree(store);
+}
+
+namespace
+{
+
+/** Rewrite the graph record of the store file at @p path through
+ *  @p patch, under a fresh CRC, so that only the graph decoder can
+ *  tell the record is damaged. */
+void
+patchGraphRecord(const std::string &path,
+                 const std::function<void(std::vector<uint8_t> &)> &patch)
+{
+    // The store's record-file identity: "AVS1", version 1.
+    constexpr uint32_t kStoreMagic = 0x31535641;
+    std::vector<std::vector<uint8_t>> records;
+    {
+        RecordFileReader reader(path, kStoreMagic, 1);
+        ASSERT_TRUE(reader.ok());
+        std::vector<uint8_t> rec;
+        while (reader.next(rec) == RecordFileReader::Status::Record)
+            records.push_back(rec);
+    }
+    ASSERT_GE(records.size(), 3u); // fingerprint, meta, graph, ...
+    patch(records[2]);
+    RecordFileWriter writer(path, kStoreMagic, 1);
+    for (const std::vector<uint8_t> &rec : records)
+        ASSERT_TRUE(writer.append(rec));
+    ASSERT_TRUE(writer.commit());
+}
+
+uint64_t
+getU64(const std::vector<uint8_t> &bytes, size_t at)
+{
+    uint64_t value = 0;
+    for (int i = 0; i < 8; ++i)
+        value |= uint64_t(bytes.at(at + i)) << (8 * i);
+    return value;
+}
+
+/** @return the offset of edge @p index in a graph record: a retained
+ *  flag, the state width, the state count and the packed states,
+ *  then the edge count and 20-byte edges (src u32, dst u32, choice
+ *  code u64, instructions u32). */
+size_t
+edgeOffset(const std::vector<uint8_t> &graph, size_t index)
+{
+    const uint64_t words = (getU64(graph, 1) + 63) / 64;
+    return 1 + 8 + 8 + getU64(graph, 9) * words * 8 + 8 + 20 * index;
+}
+
+/**
+ * Save a cold `enumerate` session, damage the stored graph record
+ * through @p damage (under a fresh CRC), and expect the next job to
+ * count one restore failure and rebuild the same graph cold.
+ */
+void
+expectGraphDamageRebuildsCold(
+    const char *tag,
+    const std::function<void(std::vector<uint8_t> &)> &damage)
+{
+    const std::string store = makeStoreDir(tag);
+    std::string store_file;
+    int64_t cold_states = 0;
+    int64_t cold_edges = 0;
+    {
+        SessionCache sessions(4, store);
+        JobManager manager(sessions, 2);
+        Collector events;
+        manager.submit(makeRequest("enumerate"), events.sink());
+        json::Value result = events.waitTerminal();
+        ASSERT_EQ(result.get("type").asString(), "result")
+            << result.get("message").asString();
+        cold_states = result.get("states").asInt();
+        cold_edges = result.get("edges").asInt();
+        manager.shutdown(); // workers joined: the save is on disk
+        store_file =
+            sessions.store().pathFor(DesignSpec{}.fingerprint());
+    }
+    ASSERT_GT(cold_edges, 1);
+
+    patchGraphRecord(store_file, damage);
+    SessionCache sessions(4, store);
+    JobManager manager(sessions, 2);
+    Collector events;
+    manager.submit(makeRequest("enumerate"), events.sink());
+    json::Value result = events.waitTerminal();
+    ASSERT_EQ(result.get("type").asString(), "result")
+        << result.get("message").asString();
+    EXPECT_EQ(result.get("states").asInt(), cold_states);
+    EXPECT_EQ(result.get("edges").asInt(), cold_edges);
+    EXPECT_EQ(sessions.stats().restoreFailures, 1u);
+    EXPECT_EQ(sessions.stats().restoreHits, 0u);
+    manager.shutdown();
+    removeTree(store);
+}
+
+} // namespace
+
+TEST(SessionPersistence, WideChoiceCodeIsRestoreFailure)
+{
+    // A stored choice code of 2^32: a 32-bit edge field would keep 0.
+    expectGraphDamageRebuildsCold("code", [](std::vector<uint8_t> &graph) {
+        graph.at(edgeOffset(graph, 0) + 8 + 4) = 1;
+    });
+}
+
+TEST(SessionPersistence, EdgesOutOfSourceOrderAreRestoreFailure)
+{
+    // The first and last edges swapped: sources out of order.
+    expectGraphDamageRebuildsCold("order", [](std::vector<uint8_t> &graph) {
+        const size_t count = getU64(graph, edgeOffset(graph, 0) - 8);
+        const size_t first = edgeOffset(graph, 0);
+        const size_t last = edgeOffset(graph, count - 1);
+        ASSERT_LT(getU64(graph, first) & 0xffffffff,
+                  getU64(graph, last) & 0xffffffff);
+        std::swap_ranges(graph.begin() + first,
+                         graph.begin() + first + 20,
+                         graph.begin() + last);
+    });
 }
 
 TEST(SessionPersistence, SizeCapEvictsLruAndEvictedRebuildsCold)

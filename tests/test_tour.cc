@@ -7,11 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 
 #include "fsm/built_model.hh"
 #include "graph/state_graph.hh"
 #include "graph/tour.hh"
+#include "hdl/corpus.hh"
 #include "murphi/enumerator.hh"
+#include "rtl/pp_fsm_model.hh"
+#include "support/status.hh"
 
 namespace archval::graph
 {
@@ -77,11 +82,11 @@ TEST(Tour, BfsBridgesDisconnectedCoverage)
     StateGraph graph;
     for (int i = 0; i < 5; ++i)
         graph.addStateUnretained();
-    // Loop A: 0 -> 1 -> 0
+    // Loop A: 0 -> 1 -> 0; loop B: 0 -> 2 -> 3 -> 4 -> 0 (edges are
+    // added in source order).
     graph.addEdge(0, 1, 0, 1);
-    graph.addEdge(1, 0, 1, 1);
-    // Loop B: 0 -> 2 -> 3 -> 4 -> 0
     graph.addEdge(0, 2, 2, 1);
+    graph.addEdge(1, 0, 1, 1);
     graph.addEdge(2, 3, 3, 1);
     graph.addEdge(3, 4, 4, 1);
     graph.addEdge(4, 0, 5, 1);
@@ -216,6 +221,101 @@ TEST(Tour, WorksOnEnumeratedModel)
     auto traces = generator.run();
     EXPECT_EQ(checkTourCoverage(graph, traces), "");
     EXPECT_GE(generator.stats().totalEdgeTraversals, graph.numEdges());
+}
+
+TEST(Tour, OutEdgesKeepInsertionOrderWithinASource)
+{
+    StateGraph graph;
+    for (int i = 0; i < 3; ++i)
+        graph.addStateUnretained();
+    const EdgeId a = graph.addEdge(0, 2, 5, 1);
+    const EdgeId b = graph.addEdge(0, 1, 7, 0);
+    const EdgeId c = graph.addEdge(0, 2, 9, 2);
+    graph.addEdge(2, 0, 11, 1);
+    const std::vector<EdgeId> out(graph.outEdges(0).begin(),
+                                  graph.outEdges(0).end());
+    EXPECT_EQ(out, (std::vector<EdgeId>{a, b, c}));
+    EXPECT_EQ(graph.edge(out[0]).choiceCode, 5u);
+    EXPECT_EQ(graph.edge(out[1]).choiceCode, 7u);
+    EXPECT_EQ(graph.edge(out[2]).choiceCode, 9u);
+    EXPECT_TRUE(graph.outEdges(1).empty());
+    EXPECT_EQ(graph.outEdges(2).size(), 1u);
+
+    // Edges are stored in source order: going back to an earlier
+    // source is rejected, and the graph is left as it was.
+    EXPECT_THROW(graph.addEdge(1, 0, 13, 0), FatalError);
+    EXPECT_THROW(graph.addEdges(std::vector<Edge>{{0, 1, 15, 0}}),
+                 FatalError);
+    EXPECT_EQ(graph.numEdges(), 4u);
+    EXPECT_EQ(graph.outEdges(0).size(), 3u);
+}
+
+// --- Golden tours -------------------------------------------------------
+//
+// These constants pin the traces themselves: an FNV-1a hash over every
+// trace's edge ids, instruction total and limit flag, in trace order.
+// A change here is a change of the generated stimulus.
+
+uint64_t
+tourHash(const std::vector<Trace> &traces)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](uint64_t value) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (value >> (byte * 8)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    mix(traces.size());
+    for (const Trace &trace : traces) {
+        mix(trace.edges.size());
+        for (EdgeId e : trace.edges)
+            mix(e);
+        mix(trace.instructions);
+        mix(trace.limitTerminated);
+    }
+    return h;
+}
+
+uint64_t
+goldenTourHash(const fsm::Model &model, uint64_t limit)
+{
+    murphi::Enumerator enumerator(model);
+    const StateGraph graph = enumerator.runOrThrow();
+    TourOptions options;
+    options.maxInstructionsPerTrace = limit;
+    TourGenerator generator(graph, options);
+    const std::vector<Trace> traces = generator.run();
+    EXPECT_EQ(checkTourCoverage(graph, traces), "");
+    return tourHash(traces);
+}
+
+TEST(TourGolden, PpSmallPresetAtTwoLimits)
+{
+    rtl::PpFsmModel model(rtl::PpConfig::smallPreset());
+    EXPECT_EQ(goldenTourHash(model, 0), 0x8cb4955d34c7d9baull);
+    EXPECT_EQ(goldenTourHash(model, 1000), 0xdf7b958bcb47fcc5ull);
+}
+
+TEST(TourGolden, CorpusDesigns)
+{
+    const std::pair<const char *, uint64_t> golden[] = {
+        {"elevator", 0x72bb01e4724e99a0ull},
+        {"credit_sender", 0xe88f701be58e61ccull},
+        {"dma_arbiter", 0x2b6d9e544e260ff4ull},
+        {"barrel_rotator", 0x3c5bc5aefc3c2e04ull},
+    };
+    ASSERT_EQ(hdl::designCorpus().size(), std::size(golden));
+    for (size_t i = 0; i < std::size(golden); ++i) {
+        const hdl::CorpusDesign &design = hdl::designCorpus()[i];
+        ASSERT_STREQ(design.name, golden[i].first);
+        auto result = hdl::translateCorpus(design);
+        ASSERT_TRUE(result.ok()) << design.name << ": "
+                                 << result.errorMessage();
+        EXPECT_EQ(goldenTourHash(*result.value().model, 0),
+                  golden[i].second)
+            << design.name;
+    }
 }
 
 TEST(GraphAnalysis, SccOnRing)
