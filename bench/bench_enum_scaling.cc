@@ -82,45 +82,6 @@ graphFingerprint(const graph::StateGraph &graph)
     return h;
 }
 
-void
-threadSweep(const rtl::PpConfig &config, bench::JsonWriter &json)
-{
-    std::printf("\nthread sweep on the largest design (wall-clock):\n");
-    std::printf("%8s %12s %14s %9s %9s %10s\n", "threads", "states",
-                "edges", "wall s", "speedup", "identical");
-
-    rtl::PpFsmModel model(config);
-    double base_seconds = 0.0;
-    uint64_t base_fingerprint = 0;
-    for (unsigned threads : {1u, 2u, 4u, 8u}) {
-        murphi::EnumOptions options;
-        options.numThreads = threads;
-        murphi::Enumerator enumerator(model, options);
-        WallTimer timer;
-        auto graph = enumerator.runOrThrow();
-        double seconds = timer.seconds();
-        uint64_t fp = graphFingerprint(graph);
-        if (threads == 1) {
-            base_seconds = seconds;
-            base_fingerprint = fp;
-        }
-        std::printf("%8u %12s %14s %9.2f %8.2fx %10s\n", threads,
-                    withCommas(graph.numStates()).c_str(),
-                    withCommas(graph.numEdges()).c_str(), seconds,
-                    seconds > 0.0 ? base_seconds / seconds : 0.0,
-                    fp == base_fingerprint ? "yes" : "NO");
-        json.beginRow();
-        json.add("kind", "thread_sweep");
-        json.add("threads", threads);
-        json.add("states", (uint64_t)graph.numStates());
-        json.add("edges", (uint64_t)graph.numEdges());
-        json.add("wall_seconds", seconds);
-        json.add("speedup",
-                 seconds > 0.0 ? base_seconds / seconds : 0.0);
-        json.add("identical", fp == base_fingerprint);
-    }
-}
-
 /**
  * Out-of-core sweep on the largest HDL corpus design: each residency
  * budget's run differenced against the unbounded in-memory graph.
@@ -231,7 +192,6 @@ main(int argc, char **argv)
     if (std::getenv("ARCHVAL_SCALING_L8"))
         measure("full with L=8", l8, json);
 
-    threadSweep(align, json);
     oocSweep(json);
 
     std::printf(

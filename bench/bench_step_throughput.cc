@@ -11,7 +11,9 @@
  *    state through every choice code (states/sec and cycles/sec,
  *    where one cycle = one (state, choice) step). The bytecode arm
  *    is the exact call the enumerator makes, per-call kernel
- *    included. This is the number the speedup column gates on.
+ *    included. The two arms alternate in rounds and each reports its
+ *    median time per pass, so host drift lands on both alike. This
+ *    is the number the speedup column gates on.
  *  - end-to-end enumeration wall time per step (informational;
  *    includes hashing/interning, which is step-independent).
  *
@@ -21,8 +23,10 @@
  * (bench_diff.py MIN_FLOORS).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hh"
@@ -86,19 +90,48 @@ runEnum(const fsm::Model &model)
 }
 
 /** Time repeated full passes of @p pass (one pass = expand every
- *  state once); @return seconds per pass. */
+ *  state once) for at least @p min_seconds; @return seconds per
+ *  pass. */
 template <typename Fn>
 double
-secondsPerPass(Fn &&pass)
+secondsPerPass(Fn &pass, double min_seconds)
 {
-    pass(); // warm-up (page in code, touch buffers)
     WallTimer timer;
     size_t passes = 0;
     do {
         pass();
         ++passes;
-    } while (timer.seconds() < 0.25);
+    } while (timer.seconds() < min_seconds);
     return timer.seconds() / double(passes);
+}
+
+/** @return the median of @p samples (an odd count). */
+double
+median(std::vector<double> samples)
+{
+    std::nth_element(samples.begin(),
+                     samples.begin() + samples.size() / 2,
+                     samples.end());
+    return samples[samples.size() / 2];
+}
+
+/** Time the two arms in alternating rounds; @return each arm's
+ *  median seconds per pass. */
+template <typename A, typename B>
+std::pair<double, double>
+interleavedSecondsPerPass(A &&a, B &&b)
+{
+    constexpr int kRounds = 11;
+    constexpr double kRoundSeconds = 0.025;
+    a(); // warm-up (page in code, touch buffers)
+    b();
+    std::vector<double> a_samples;
+    std::vector<double> b_samples;
+    for (int round = 0; round < kRounds; ++round) {
+        a_samples.push_back(secondsPerPass(a, kRoundSeconds));
+        b_samples.push_back(secondsPerPass(b, kRoundSeconds));
+    }
+    return {median(std::move(a_samples)), median(std::move(b_samples))};
 }
 
 void
@@ -135,14 +168,15 @@ benchDesign(const hdl::CorpusDesign &design,
             sink_count += t.next.numBits();
         };
 
-    const double interp_pass = secondsPerPass([&] {
-        for (const BitVec &state : states)
-            model.fsm::Model::forEachTransition(state, count_sink);
-    });
-    const double bytecode_pass = secondsPerPass([&] {
-        for (const BitVec &state : states)
-            model.forEachTransition(state, count_sink);
-    });
+    const auto [interp_pass, bytecode_pass] = interleavedSecondsPerPass(
+        [&] {
+            for (const BitVec &state : states)
+                model.fsm::Model::forEachTransition(state, count_sink);
+        },
+        [&] {
+            for (const BitVec &state : states)
+                model.forEachTransition(state, count_sink);
+        });
     if (sink_count == 0)
         fatal("step passes produced no transitions");
 

@@ -26,20 +26,14 @@ main()
     archval::telemetry::initTelemetryFromEnv();
     rtl::PpConfig config = rtl::PpConfig::smallPreset();
     rtl::PpFsmModel model(config);
-    // Enumerate on four worker threads; the graph is
-    // bit-identical for any worker count, so everything downstream
-    // (tours, vectors, the campaign itself) stays reproducible.
-    murphi::EnumOptions enum_options;
-    enum_options.numThreads = 4;
-    murphi::Enumerator enumerator(model, enum_options);
+    murphi::Enumerator enumerator(model);
     auto graph = enumerator.runOrThrow();
     graph::TourGenerator tour_gen(graph);
     auto tours = tour_gen.run();
-    std::printf("PP control graph: %s states, %s edges (%u enum "
-                "workers); %zu tour trace(s)\n\n",
+    std::printf("PP control graph: %s states, %s edges; %zu tour "
+                "trace(s)\n\n",
                 withCommas(graph.numStates()).c_str(),
-                withCommas(graph.numEdges()).c_str(),
-                enumerator.stats().numThreads, tours.size());
+                withCommas(graph.numEdges()).c_str(), tours.size());
 
     // --- 1. The single-threaded engine: coverage feedback at work.
     std::printf("engine (1 thread, bug-free): corpus growth under "

@@ -148,8 +148,7 @@ class Model
      * states) override this with a generator that visits only the
      * canonical tuples, and HDL models override it to step through
      * their lowered bytecode — constant-factor speedups for the
-     * enumerator with identical results. Overrides must be
-     * thread-safe: enumerator workers call them concurrently.
+     * enumerator with identical results.
      *
      * @param state Source state.
      * @param fn Called once per legal transition with the packed

@@ -188,7 +188,7 @@ std::string renderSummary(const GraphSummary &summary);
  * over every edge record (in id order) and every retained packed
  * state (in id order). Two graphs fingerprint equal iff the same
  * states and edges were produced in the same order — the equality the
- * enumerator guarantees across worker counts and memory budgets.
+ * enumerator guarantees across memory budgets.
  */
 uint64_t fingerprint(const StateGraph &graph);
 

@@ -3,27 +3,24 @@
  * The enumerator: one level-synchronous breadth-first search for
  * every option set (see DESIGN.md, "State enumeration").
  *
- * Each BFS level is cut into contiguous slices that numThreads
- * workers expand in parallel; the level barrier then turns what they
- * found into graph states and edges. None of the following may change
- * a produced byte (tests/test_enum_parallel.cc pins golden
- * fingerprints; the `enum` and `ooc` differentials compare
- * configurations):
+ * Each BFS level is expanded on the calling thread, source by source;
+ * the level barrier then turns what was found into graph states and
+ * edges. None of the following may change a produced byte
+ * (tests/test_enum_golden.cc pins golden fingerprints; the `ooc`
+ * differential compares memory budgets):
  *
- *  - Delayed duplicate detection. Workers never probe the interned
- *    state table and take no lock: each appends (choice code, packed
- *    next state, instructions) to its own buffers, and under
- *    FirstCondition drops a transition whose next state the same
- *    source already reached. At the level barrier every transition is
- *    resolved against its destination's table partition, one
- *    partition at a time, so only one partition need be resident
- *    while resolving.
+ *  - Delayed duplicate detection. Expansion never probes the interned
+ *    state table: it appends (choice code, packed next state,
+ *    instructions) to the level's buffers, and under FirstCondition
+ *    drops a transition whose next state the same source already
+ *    reached. At the level barrier every transition is resolved
+ *    against its destination's table partition, one partition at a
+ *    time, so only one partition need be resident while resolving.
  *
  *  - The canonical walk. The barrier numbers still-unresolved states
- *    at their first occurrence walking workers in index order,
- *    sources in level order and transitions in generation order —
- *    the order a one-source-at-a-time BFS discovers them in — so ids
- *    and edges are the same for every worker count.
+ *    at their first occurrence walking sources in level order and
+ *    transitions in generation order, the order a one-source-at-a-time
+ *    BFS discovers them in.
  *
  *  - Paging only under a budget. With memoryBudgetBytes > 0, cold
  *    partitions are written to CRC-guarded shard files and their
@@ -34,8 +31,8 @@
  *    never a silently different graph. A zero budget makes no spill
  *    directory and pages nothing.
  *
- *  - Cancellation per source. Workers read EnumOptions::cancelFlag
- *    before every source; a raised flag stops them and the partial
+ *  - Cancellation per source. Expansion reads EnumOptions::cancelFlag
+ *    before every source; a raised flag stops it and the partial
  *    level is discarded.
  */
 
@@ -45,7 +42,6 @@
 #include <cstdio>
 #include <optional>
 #include <span>
-#include <thread>
 
 #include "murphi/ooc.hh"
 #include "support/flight_recorder.hh"
@@ -73,23 +69,6 @@ EnumStats::render() const
     out += formatString("Transitions tried/valid %s / %s\n",
                         withCommas(transitionsTried).c_str(),
                         withCommas(transitionsValid).c_str());
-    if (numThreads > 1) {
-        uint64_t widest = 0;
-        double peak = 0.0;
-        for (const LevelStats &level : levels) {
-            widest = std::max(widest, level.frontierWidth);
-            peak = std::max(peak, level.statesPerSec());
-        }
-        out += formatString("Worker threads          %u over %zu shards\n",
-                            numThreads, numShards);
-        out += formatString("BFS levels              %zu (max frontier %s)\n",
-                            levels.size(), withCommas(widest).c_str());
-        out += formatString("Peak throughput         %s states/sec\n",
-                            withCommas(uint64_t(peak)).c_str());
-        out += formatString("Shard occupancy         min %s / max %s\n",
-                            withCommas(minShardStates).c_str(),
-                            withCommas(maxShardStates).c_str());
-    }
     if (spillBytesWritten || pageIns || pageOuts || spillFallbacks) {
         out += formatString("Spill bytes written     %s\n",
                             humanBytes(spillBytesWritten).c_str());
@@ -104,28 +83,10 @@ EnumStats::render() const
     return out;
 }
 
-std::string
-EnumStats::renderLevels() const
-{
-    std::string out = formatString("%6s %12s %12s %12s %12s\n", "level",
-                                   "frontier", "new states", "new edges",
-                                   "states/sec");
-    for (size_t i = 0; i < levels.size(); ++i) {
-        const LevelStats &level = levels[i];
-        out += formatString("%6zu %12s %12s %12s %12s\n", i,
-                            withCommas(level.frontierWidth).c_str(),
-                            withCommas(level.newStates).c_str(),
-                            withCommas(level.newEdges).c_str(),
-                            withCommas(uint64_t(
-                                level.statesPerSec())).c_str());
-    }
-    return out;
-}
-
 namespace
 {
 
-/** One worker-found transition. dst is invalidState until the level
+/** One found transition. dst is invalidState until the level
  *  barrier resolves it: the canonical id of a state interned at an
  *  earlier level, or still invalidState for a state that may be new. */
 struct TransRec
@@ -135,8 +96,8 @@ struct TransRec
     graph::StateId dst;
 };
 
-/** All transitions found for one slice, grouped per source. */
-struct WorkerOut
+/** All transitions found for one level, grouped per source. */
+struct LevelOut
 {
     std::vector<TransRec> trans;
     std::vector<uint64_t> words; ///< destinations, packed per trans
@@ -145,8 +106,6 @@ struct WorkerOut
      *  hashes into it. */
     std::vector<std::vector<uint32_t>> byPart;
     uint64_t valid = 0;
-    bool cancelled = false; ///< stopped early on cancelFlag
-    std::string error;      ///< stopped early on a malformed state
 
     /** Empty every buffer, keeping its capacity. */
     void
@@ -180,15 +139,9 @@ Enumerator::runOrThrow()
 Result<graph::StateGraph>
 Enumerator::run()
 {
-    unsigned num_threads = options_.numThreads;
-    if (num_threads == 0) {
-        num_threads = std::thread::hardware_concurrency();
-        if (num_threads == 0)
-            num_threads = 1;
-    }
     stats_ = EnumStats{};
 
-    telemetry::ScopedSpan run_span("enum.run", "threads", num_threads);
+    telemetry::ScopedSpan run_span("enum.run");
     CpuTimer timer;
 
     const fsm::ChoiceCodec codec = model_.makeChoiceCodec();
@@ -228,13 +181,11 @@ Enumerator::run()
         logWarn(formatString("enumerator (out-of-core): %s", why));
     };
 
-    // Partition count: a power of two; high enough that one resident
-    // partition is a small slice of the table.
+    // Partition count: a power of two (64 by default); high enough
+    // that one resident partition is a small slice of the table.
     size_t num_parts = 1;
     const size_t min_parts =
-        options_.oocPartitions
-            ? options_.oocPartitions
-            : std::max<size_t>(64, size_t(num_threads) * 4);
+        options_.oocPartitions ? options_.oocPartitions : 64;
     while (num_parts < min_parts)
         num_parts <<= 1;
     const size_t part_mask = num_parts - 1;
@@ -405,15 +356,45 @@ Enumerator::run()
         telemetry::gauge("enum.frontier");
     telemetry::Gauge &residency_gauge =
         telemetry::gauge("enum.residency_high_water");
-    telemetry::Histogram &barrier_wait =
-        telemetry::histogram("enum.barrier_wait_seconds");
 
     // Every level's edges, in id order. They join the graph once the
     // search is done, so the graph's edge array is allocated once, at
     // its final size; nothing reads them before.
     std::vector<graph::Edge> edges;
 
-    std::vector<WorkerOut> outs;
+    // The level's transitions; the buffers keep their capacity from
+    // level to level.
+    LevelOut out;
+    out.byPart.resize(num_parts);
+    // FirstCondition: the current source's destinations so far.
+    ooc::StateTable seen(state_bits);
+    const std::function<void(uint64_t, fsm::Transition &&)> record =
+        [&](uint64_t code, fsm::Transition &&transition) {
+            ++out.valid;
+            if (!error.empty())
+                return;
+            if (transition.next.numBits() != state_bits) {
+                error = formatString("model produced a %zu-bit state but "
+                                     "the state layout declares %zu",
+                                     transition.next.numBits(),
+                                     state_bits);
+                return;
+            }
+            const std::span<const uint64_t> key = transition.next.words();
+            const uint64_t hash = hash_of(key);
+            if (first_condition) {
+                if (seen.find(key, hash) != graph::invalidState)
+                    return;
+                seen.insert(key, hash, 0);
+            }
+            out.byPart[hash & part_mask].push_back(
+                static_cast<uint32_t>(out.trans.size()));
+            out.trans.push_back({static_cast<uint32_t>(code),
+                                 transition.instructions,
+                                 graph::invalidState});
+            out.words.insert(out.words.end(), key.begin(), key.end());
+        };
+
     bool frontier_spill_enabled = paging;
     bool frontier_on_disk = false;
     size_t width = 1;
@@ -459,74 +440,25 @@ Enumerator::run()
             }
         }
 
-        const unsigned workers = static_cast<unsigned>(
-            std::min<size_t>(num_threads, width));
-        // The buffers keep their capacity from level to level.
-        outs.resize(workers);
-        for (WorkerOut &out : outs)
-            out.clear();
-        std::vector<uint64_t> finish_ns(workers, 0);
+        out.clear();
         frontier_gauge.set(static_cast<int64_t>(width));
         telemetry::ScopedSpan level_span("enum.level", "level",
                                          level_index, "frontier",
                                          width);
 
-        // Expand a disjoint contiguous slice of the level into the
-        // worker's own buffers, recording in the canonical order
-        // (sources in level order, transitions in generation order).
-        // The cancel flag is read before every source.
-        const uint64_t job_id = telemetry::currentJobId();
-        auto expand = [&, job_id](unsigned w) {
-            telemetry::JobScope job_scope(job_id);
-            const size_t begin = width * w / workers;
-            const size_t end = width * (w + 1) / workers;
-            if (telemetry::tracingEnabled()) {
-                telemetry::setThreadName(
-                    formatString("enum.worker.%u", w));
-            }
-            telemetry::ScopedSpan expand_span(
-                "enum.expand", "worker", w, "sources", end - begin);
-            WorkerOut &out = outs[w];
-            out.byPart.resize(num_parts);
-            out.perSource.reserve(end - begin);
-            auto stopped = [&] {
+        // Expand the level source by source, recording in the
+        // canonical order (sources in level order, transitions in
+        // generation order). The cancel flag is read before every
+        // source; a stop leaves the level short, and it is discarded.
+        {
+            telemetry::ScopedSpan expand_span("enum.expand", "sources",
+                                              width);
+            for (size_t i = 0; i < width && error.empty(); ++i) {
                 if (options_.cancelFlag &&
-                    options_.cancelFlag->load(std::memory_order_relaxed))
-                    out.cancelled = true;
-                return out.cancelled || !out.error.empty();
-            };
-            // FirstCondition: this source's destinations so far.
-            ooc::StateTable seen(state_bits);
-            const std::function<void(uint64_t, fsm::Transition &&)>
-                record = [&](uint64_t code,
-                             fsm::Transition &&transition) {
-                    ++out.valid;
-                    if (!out.error.empty())
-                        return;
-                    if (transition.next.numBits() != state_bits) {
-                        out.error = formatString(
-                            "model produced a %zu-bit state but the "
-                            "state layout declares %zu",
-                            transition.next.numBits(), state_bits);
-                        return;
-                    }
-                    const std::span<const uint64_t> key =
-                        transition.next.words();
-                    const uint64_t hash = hash_of(key);
-                    if (first_condition) {
-                        if (seen.find(key, hash) != graph::invalidState)
-                            return;
-                        seen.insert(key, hash, 0);
-                    }
-                    out.byPart[hash & part_mask].push_back(
-                        static_cast<uint32_t>(out.trans.size()));
-                    out.trans.push_back(
-                        {static_cast<uint32_t>(code),
-                         transition.instructions, graph::invalidState});
-                    out.words.insert(out.words.end(), key.begin(),
-                                     key.end());
-                };
-            for (size_t i = begin; i < end && !stopped(); ++i) {
+                    options_.cancelFlag->load(std::memory_order_relaxed)) {
+                    error = "enumeration cancelled";
+                    break;
+                }
                 const size_t before = out.trans.size();
                 seen.clear();
                 model_.forEachTransition(
@@ -536,124 +468,78 @@ Enumerator::run()
                     record);
                 out.perSource.push_back(out.trans.size() - before);
             }
-            finish_ns[w] = telemetry::nowNs();
-        };
-        if (workers == 1) {
-            expand(0);
-        } else {
-            std::vector<std::thread> threads;
-            threads.reserve(workers);
-            for (unsigned w = 0; w < workers; ++w)
-                threads.emplace_back(expand, w);
-            for (std::thread &t : threads)
-                t.join();
-        }
-        const uint64_t slowest =
-            *std::max_element(finish_ns.begin(), finish_ns.end());
-        for (unsigned w = 0; w < workers; ++w)
-            barrier_wait.record(double(slowest - finish_ns[w]) / 1e9);
-
-        // A stopped worker left its slice short: discard the level.
-        if (std::any_of(outs.begin(), outs.end(),
-                        [](const WorkerOut &out) {
-                            return out.cancelled;
-                        })) {
-            error = "enumeration cancelled";
-            break;
-        }
-        for (const WorkerOut &out : outs) {
-            if (!out.error.empty()) {
-                error = out.error;
-                break;
-            }
         }
         if (!error.empty())
             break;
 
         stats_.transitionsTried += uint64_t(width) * combos;
-        for (const WorkerOut &out : outs)
-            stats_.transitionsValid += out.valid;
+        stats_.transitionsValid += out.valid;
 
         // --- Level barrier ----------------------------------------
         // (1) Delayed duplicate detection: resolve every transition
         // against its destination's partition, paging partitions in
         // one at a time. A destination found there gets its
         // canonical id; the rest stay unresolved for the walk below.
+        const std::span<const uint64_t> words(out.words);
         for (size_t p = 0; p < num_parts && error.empty(); ++p) {
-            if (std::all_of(outs.begin(), outs.end(),
-                            [p](const WorkerOut &out) {
-                                return out.byPart[p].empty();
-                            }))
+            const std::vector<uint32_t> &list = out.byPart[p];
+            if (list.empty())
                 continue;
             if (!ensure_resident(p))
                 break;
             const ooc::StateTable &table = parts[p].table;
-            for (WorkerOut &out : outs) {
-                const std::span<const uint64_t> words(out.words);
-                // The indices ascend but skip: fetch ahead.
-                const std::vector<uint32_t> &list = out.byPart[p];
-                for (size_t k = 0; k < list.size(); ++k) {
-                    if (k + 16 < list.size()) {
-                        __builtin_prefetch(&out.trans[list[k + 16]]);
-                        __builtin_prefetch(
-                            words.data() + list[k + 16] * stride);
-                    }
-                    const uint32_t t = list[k];
-                    const auto key = words.subspan(t * stride, stride);
-                    out.trans[t].dst = table.find(key, hash_of(key));
+            // The indices ascend but skip: fetch ahead.
+            for (size_t k = 0; k < list.size(); ++k) {
+                if (k + 16 < list.size()) {
+                    __builtin_prefetch(&out.trans[list[k + 16]]);
+                    __builtin_prefetch(words.data() +
+                                       list[k + 16] * stride);
                 }
+                const uint32_t t = list[k];
+                const auto key = words.subspan(t * stride, stride);
+                out.trans[t].dst = table.find(key, hash_of(key));
             }
         }
         if (!error.empty())
             break;
 
-        // (2) Canonical id assignment: workers in index order,
-        // sources in level order, transitions in generation order,
-        // numbering each unresolved state at its first occurrence.
-        // This is what makes the graph the same for every worker
-        // count.
+        // (2) Canonical id assignment: sources in level order,
+        // transitions in generation order, numbering each unresolved
+        // state at its first occurrence.
         const uint64_t interned = graph.numStates();
         const uint64_t edges_before = edges.size();
         // This level's new states in id order, and per partition
         // their entry indices.
         ooc::StateTable fresh(state_bits);
         std::vector<std::vector<uint32_t>> fresh_by_part(num_parts);
-        for (unsigned w = 0; w < workers && error.empty(); ++w) {
-            const WorkerOut &out = outs[w];
-            const std::span<const uint64_t> words(out.words);
-            const size_t begin = width * w / workers;
-            size_t cursor = 0;
-            for (size_t i = 0;
-                 i < out.perSource.size() && error.empty(); ++i) {
-                const graph::StateId src = static_cast<graph::StateId>(
-                    level_first + begin + i);
-                for (uint64_t t = 0; t < out.perSource[i];
-                     ++t, ++cursor) {
-                    const TransRec &rec = out.trans[cursor];
-                    graph::StateId dst = rec.dst;
+        size_t cursor = 0;
+        for (size_t i = 0; i < width && error.empty(); ++i) {
+            const graph::StateId src =
+                static_cast<graph::StateId>(level_first + i);
+            for (uint64_t t = 0; t < out.perSource[i]; ++t, ++cursor) {
+                const TransRec &rec = out.trans[cursor];
+                graph::StateId dst = rec.dst;
+                if (dst == graph::invalidState) {
+                    const auto key = words.subspan(cursor * stride, stride);
+                    const uint64_t hash = hash_of(key);
+                    dst = fresh.find(key, hash);
                     if (dst == graph::invalidState) {
-                        const auto key =
-                            words.subspan(cursor * stride, stride);
-                        const uint64_t hash = hash_of(key);
-                        dst = fresh.find(key, hash);
-                        if (dst == graph::invalidState) {
-                            if (interned + fresh.size() >= max_states) {
-                                error = formatString(
-                                    "state explosion: search exceeds "
-                                    "%llu states",
-                                    static_cast<unsigned long long>(
-                                        max_states));
-                                break;
-                            }
-                            dst = static_cast<graph::StateId>(
-                                interned + fresh.size());
-                            fresh_by_part[hash & part_mask].push_back(
-                                static_cast<uint32_t>(fresh.size()));
-                            fresh.insert(key, hash, dst);
+                        if (interned + fresh.size() >= max_states) {
+                            error = formatString(
+                                "state explosion: search exceeds "
+                                "%llu states",
+                                static_cast<unsigned long long>(
+                                    max_states));
+                            break;
                         }
+                        dst = static_cast<graph::StateId>(
+                            interned + fresh.size());
+                        fresh_by_part[hash & part_mask].push_back(
+                            static_cast<uint32_t>(fresh.size()));
+                        fresh.insert(key, hash, dst);
                     }
-                    edges.push_back({src, dst, rec.code, rec.instrs});
                 }
+                edges.push_back({src, dst, rec.code, rec.instrs});
             }
         }
         if (!error.empty())
@@ -740,7 +626,6 @@ Enumerator::run()
     stats_.numEdges = graph.numEdges();
     stats_.bitsPerState = state_bits;
     stats_.cpuSeconds = timer.seconds();
-    stats_.numThreads = num_threads;
     stats_.numShards = num_parts;
     stats_.residencyHighWaterBytes = residency_high_water;
     size_t min_occupancy = SIZE_MAX;

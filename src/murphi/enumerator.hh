@@ -14,17 +14,15 @@
  *    distinct (src, dst, condition), which catches the Figure 4.2
  *    "fewer behaviours" bug class at the cost of a larger graph.
  *
- * There is one search for every option set: a level-synchronous BFS.
- * Worker threads expand disjoint slices of the current level into
- * their own transition buffers, and at each level barrier the
- * destinations are resolved against the partitioned interned-state
- * table (open addressing over packed words) and the new ones
- * numbered in canonical BFS order. Each source state is
- * expanded by the model's own fsm::Model::forEachTransition. The
- * produced StateGraph is bit-identical for every worker count and
- * memory budget; a budget only decides whether table partitions and
- * the frontier are paged to disk (see DESIGN.md, "State
- * enumeration").
+ * There is one search for every option set: a level-synchronous BFS
+ * on the calling thread. Each level's sources are expanded in order
+ * by the model's own fsm::Model::forEachTransition into transition
+ * buffers; at the level barrier the destinations are resolved
+ * against the partitioned interned-state table (open addressing over
+ * packed words) and the new ones numbered in canonical BFS order.
+ * The produced StateGraph is bit-identical for every memory budget;
+ * a budget only decides whether table partitions and the frontier
+ * are paged to disk (see DESIGN.md, "State enumeration").
  */
 
 #ifndef ARCHVAL_MURPHI_ENUMERATOR_HH
@@ -68,13 +66,12 @@ struct EnumOptions
      *  vector generator's condition mapping and by debug output). */
     bool retainStates = true;
 
-    /** Worker threads expanding slices of each BFS level (0 = one
-     *  per hardware thread). The resulting graph is bit-identical
-     *  for every value. */
+    /** Nothing reads this: the search runs on the calling thread.
+     *  It stays until valbench stops assigning it. */
     unsigned numThreads = 1;
 
     /** Cooperative cancellation: when non-null and it reads true,
-     *  every worker stops before its next source, the partial level
+     *  the search stops before its next source, the partial level
      *  is discarded and run() returns an error result — the same
      *  recoverable path as maxStates, never a process exit. The
      *  flag is only read. */
@@ -106,21 +103,13 @@ struct EnumOptions
     const ooc::TestHooks *testHooks = nullptr;
 };
 
-/** Per-BFS-level observability (frontier shape and throughput). */
+/** Per-BFS-level observability (frontier shape and wall time). */
 struct LevelStats
 {
     uint64_t frontierWidth = 0; ///< states expanded at this level
     uint64_t newStates = 0;     ///< states first reached here
     uint64_t newEdges = 0;      ///< edges recorded at this level
     double seconds = 0.0;       ///< wall-clock time for the level
-
-    /** @return expansion throughput for this level (0 when the
-     *  level completed faster than the clock resolution). */
-    double
-    statesPerSec() const
-    {
-        return seconds > 0.0 ? double(frontierWidth) / seconds : 0.0;
-    }
 };
 
 /** Statistics matching the paper's Table 3.2 rows. */
@@ -134,7 +123,6 @@ struct EnumStats
     uint64_t transitionsTried = 0; ///< choice tuples evaluated
     uint64_t transitionsValid = 0; ///< tuples that were legal actions
 
-    unsigned numThreads = 1;      ///< worker threads actually used
     size_t numShards = 1;         ///< state table partitions
     size_t minShardStates = 0;    ///< final occupancy, emptiest shard
     size_t maxShardStates = 0;    ///< final occupancy, fullest shard
@@ -153,9 +141,6 @@ struct EnumStats
 
     /** Render as an aligned table next to the paper's values. */
     std::string render() const;
-
-    /** Render the per-level breakdown as its own table. */
-    std::string renderLevels() const;
 };
 
 /**

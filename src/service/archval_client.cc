@@ -12,10 +12,10 @@
  *        reply; `stats --watch` refreshes a live dashboard instead)
  *
  * Job options: --preset small|full, --line-words N, --max-states N,
- * --enum-threads N, --memory-budget-mb N, --spill-dir PATH,
- * --vector-seed N, --bugs bug1,bug4 (names or indices), --threads N,
- * --stride N, --budget N, --rounds N, --round-instructions N,
- * --seed N. Control options: --job N.
+ * --memory-budget-mb N, --spill-dir PATH, --vector-seed N,
+ * --bugs bug1,bug4 (names or indices), --threads N, --stride N,
+ * --budget N, --rounds N, --round-instructions N, --seed N.
+ * Control options: --job N.
  * `--request JSON` sends a raw request object instead (the verb
  * argument is still required and overrides the object's).
  * `--json` prints each received event as one raw JSON line.
@@ -84,8 +84,6 @@ help(const char *argv0)
         "  --preset NAME        model preset (default small)\n"
         "  --line-words N       cache line words\n"
         "  --max-states N       enumeration state cap\n"
-        "  --enum-threads N     enumeration workers (not part of "
-        "the fingerprint)\n"
         "  --memory-budget-mb N out-of-core enumeration residency "
         "budget in MiB (not part of the fingerprint)\n"
         "  --memory-budget-kb N same, in KiB\n"
@@ -390,10 +388,6 @@ main(int argc, char **argv)
             if (!intValue(n))
                 return usage(argv[0]);
             design.set("maxStates", n);
-        } else if (arg == "--enum-threads") {
-            if (!intValue(n))
-                return usage(argv[0]);
-            design.set("enumThreads", n);
         } else if (arg == "--memory-budget-mb") {
             if (!intValue(n))
                 return usage(argv[0]);

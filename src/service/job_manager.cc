@@ -582,7 +582,7 @@ JobManager::execute(Job &job)
             result.set("levels",
                        static_cast<int64_t>(stats.levels.size()));
             // Structural graph hash: lets clients verify byte-equal
-            // graphs across worker counts and memory budgets.
+            // graphs across memory budgets.
             result.set("graphFingerprint",
                        formatString("%016llx",
                                     static_cast<unsigned long long>(

@@ -117,14 +117,11 @@ DesignSpec::fromJson(const json::Value &design)
         spec.preset = design.get("preset").asString();
     }
     uint64_t line_words = spec.lineWords;
-    uint64_t enum_threads = spec.enumThreads;
     bool model_branches = false;
     bool dual_issue = false;
     if (!readCount(design, "lineWords", line_words, error,
                    UINT32_MAX) ||
         !readCount(design, "maxStates", spec.maxStates, error) ||
-        !readCount(design, "enumThreads", enum_threads, error,
-                   kMaxRequestThreads) ||
         !readCount(design, "memoryBudgetBytes",
                    spec.memoryBudgetBytes, error) ||
         !readCount(design, "maxInstructionsPerTrace",
@@ -141,7 +138,6 @@ DesignSpec::fromJson(const json::Value &design)
         spec.spillDir = design.get("spillDir").asString();
     }
     spec.lineWords = static_cast<unsigned>(line_words);
-    spec.enumThreads = static_cast<unsigned>(enum_threads);
     if (design.has("modelBranches"))
         spec.modelBranches = model_branches ? 1 : 0;
     if (design.has("dualIssue"))
@@ -181,7 +177,6 @@ Session::ensure(Stage stage, const std::atomic<bool> *cancel)
                 model_ = std::make_unique<rtl::PpFsmModel>(config_);
             murphi::EnumOptions options;
             options.maxStates = spec_.maxStates;
-            options.numThreads = std::max(1u, spec_.enumThreads);
             options.retainStates = true; // vecgen condition mapping
             options.cancelFlag = cancel;
             options.memoryBudgetBytes = spec_.memoryBudgetBytes;

@@ -52,9 +52,8 @@
 namespace archval::service
 {
 
-/** Most worker threads one request may ask for (the job's `threads`
- *  and the design's `enumThreads`); a larger count is a bad
- *  request. */
+/** Most worker threads one request may ask for (the job's
+ *  `threads`); a larger count is a bad request. */
 constexpr unsigned kMaxRequestThreads = 256;
 
 /**
@@ -72,13 +71,12 @@ struct DesignSpec
 
     /** Enumeration guard (murphi::EnumOptions::maxStates). */
     uint64_t maxStates = 500'000;
-    unsigned enumThreads = 1; ///< at most kMaxRequestThreads
 
     /** Out-of-core enumeration knobs (murphi::EnumOptions). Both
-     *  are excluded from the fingerprint for the same reason as
-     *  enumThreads: the graph is byte-identical for every budget,
-     *  so neither the residency budget nor the spill directory can
-     *  change any cached product. */
+     *  are excluded from the fingerprint: the graph is
+     *  byte-identical for every budget, so neither the residency
+     *  budget nor the spill directory can change any cached
+     *  product. */
     uint64_t memoryBudgetBytes = 0; ///< 0 = fully in-memory
     std::string spillDir;           ///< spill root ("" = $TMPDIR)
 
@@ -92,8 +90,6 @@ struct DesignSpec
      * Canonical key: every generation-relevant field rendered as
      * `name=value`, space-separated, fixed order. Equal fingerprints
      * iff equal specs — the SessionCache validity rule.
-     * (enumThreads is excluded: the graph is bit-identical for every
-     * worker count, so it cannot invalidate a cached product.)
      */
     std::string fingerprint() const;
 
@@ -107,8 +103,7 @@ struct DesignSpec
      * (answered as a `bad request` frame), never a silent default —
      * a client sending `"maxStates": 500000.0` must not land on a
      * different fingerprint than the 500000 it meant. So is a value
-     * its field cannot hold: `lineWords` above UINT32_MAX, or
-     * `enumThreads` above kMaxRequestThreads.
+     * its field cannot hold: `lineWords` above UINT32_MAX.
      */
     static Result<DesignSpec> fromJson(const json::Value &design);
 };

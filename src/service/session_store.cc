@@ -24,7 +24,7 @@ namespace
  *  whenever any record layout below changes — stale stores then
  *  read as "no usable store" and rebuild cold. */
 constexpr uint32_t kStoreMagic = 0x31535641;
-constexpr uint32_t kStoreVersion = 1;
+constexpr uint32_t kStoreVersion = 2;
 
 /** Structural sanity caps: a record that passed its CRC but claims
  *  sizes beyond these is from a different layout, not this one. */
@@ -144,7 +144,6 @@ serializeMeta(bool has_tours, const murphi::EnumStats &enum_stats,
     packU64(out, enum_stats.memoryBytes);
     packU64(out, enum_stats.transitionsTried);
     packU64(out, enum_stats.transitionsValid);
-    packU32(out, enum_stats.numThreads);
     packU64(out, enum_stats.numShards);
     packU64(out, enum_stats.minShardStates);
     packU64(out, enum_stats.maxShardStates);
@@ -179,7 +178,6 @@ deserializeMeta(const std::vector<uint8_t> &rec, bool &has_tours,
     enum_stats.memoryBytes = in.u64();
     enum_stats.transitionsTried = in.u64();
     enum_stats.transitionsValid = in.u64();
-    enum_stats.numThreads = in.u32();
     enum_stats.numShards = in.u64();
     enum_stats.minShardStates = in.u64();
     enum_stats.maxShardStates = in.u64();

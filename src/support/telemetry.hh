@@ -29,7 +29,7 @@
  *
  * Metric naming scheme: `<subsystem>.<noun>[_<unit>]`, e.g.
  * `enum.states`, `replay.stride_hits`,
- * `enum.barrier_wait_seconds`. Subsystem prefixes in use: `enum`,
+ * `enum.spill_bytes`. Subsystem prefixes in use: `enum`,
  * `replay`, `player`, `fuzz`, `hunt`.
  */
 
@@ -301,7 +301,7 @@ void sampleProcessMemory();
 // Spans
 // ---------------------------------------------------------------------
 
-/** Name the calling thread in the exported trace ("enum.worker.3").
+/** Name the calling thread in the exported trace ("vecgen.worker.3").
  *  No-op while tracing is disabled. */
 void setThreadName(const std::string &name);
 

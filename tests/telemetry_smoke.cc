@@ -27,9 +27,7 @@ main()
     rtl::PpConfig config = rtl::PpConfig::smallPreset();
     rtl::PpFsmModel model(config);
 
-    murphi::EnumOptions enum_options;
-    enum_options.numThreads = 2;
-    murphi::Enumerator enumerator(model, enum_options);
+    murphi::Enumerator enumerator(model);
     graph::StateGraph graph = enumerator.runOrThrow();
     if (graph.numStates() == 0 || graph.numEdges() == 0) {
         std::fprintf(stderr, "smoke: empty state graph\n");

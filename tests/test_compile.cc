@@ -2,22 +2,24 @@
  * @file
  * Differential tests of the bytecode step (src/compile/): an HDL
  * model steps through its lowered bytecode, and for every reachable
- * state of every corpus design that step must emit exactly the
+ * state of every corpus design, and of a level meter that compares
+ * with `<`, `<=`, `>` and `>=`, that step must emit exactly the
  * callback sequence of the base fsm::Model loop over the interpreted
- * next(). The enumerated graph must be the same at worker counts
- * {1, 2, 8}, and a design too large for the bytecode must fail
- * translation with an error result.
+ * next(). A design too large for the bytecode must fail translation
+ * with an error result.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "compile/bytecode.hh"
 #include "graph/state_graph.hh"
 #include "hdl/corpus.hh"
+#include "hdl/translate.hh"
 #include "murphi/enumerator.hh"
 
 namespace archval::compile
@@ -25,34 +27,35 @@ namespace archval::compile
 namespace
 {
 
-using murphi::EnumOptions;
 using murphi::Enumerator;
 
-/** Enumerate @p model with default options at @p threads workers. */
-uint64_t
-enumFingerprint(const fsm::Model &model, unsigned threads)
-{
-    EnumOptions options;
-    options.numThreads = threads;
-    Enumerator enumerator(model, options);
-    return graph::fingerprint(enumerator.runOrThrow());
-}
+/**
+ * A 3-bit level meter: its next state compares the level with its
+ * bounds and with two thresholds, and every compare meets a level
+ * equal to its right side, so swapping `<` for `<=` (or `>` for
+ * `>=`) changes a next state. No corpus design compares this way.
+ */
+const char *kLevelMeter = R"(
+module level_meter(clk, up, down);
+  input clk;
+  input up;
+  input down;
+  parameter HI = 5;
+  parameter LO = 2;
+  reg [2:0] level;  // vfsm state level reset 0
+  reg high;         // vfsm state high reset 0
+  reg low;          // vfsm state low reset 1
 
-TEST(Compile, EveryCorpusDesignAllWorkerCounts)
-{
-    for (const auto &design : hdl::designCorpus()) {
-        SCOPED_TRACE(design.name);
-        auto result = hdl::translateCorpus(design);
-        ASSERT_TRUE(result.ok()) << result.errorMessage();
-        const fsm::Model &model = *result.value().model;
-        // The single-worker graph is the one EnumGolden pins.
-        const uint64_t reference = enumFingerprint(model, 1);
-        for (unsigned threads : {2u, 8u}) {
-            EXPECT_EQ(enumFingerprint(model, threads), reference)
-                << "threads " << threads;
-        }
-    }
-}
+  always @(posedge clk) begin
+    if (up && !down && level < 3'd7)
+      level <= level + 3'd1;
+    else if (down && !up && level > 3'd0)
+      level <= level - 3'd1;
+    high <= (level >= HI);
+    low <= (level <= LO);
+  end
+endmodule
+)";
 
 TEST(Compile, BytecodeStepMatchesInterpreterEverywhere)
 {
@@ -65,11 +68,14 @@ TEST(Compile, BytecodeStepMatchesInterpreterEverywhere)
             out.emplace_back(code, std::move(t.next), t.instructions);
         };
     };
-    for (const auto &design : hdl::designCorpus()) {
-        SCOPED_TRACE(design.name);
-        auto result = hdl::translateCorpus(design);
+    std::vector<Result<hdl::TranslateResult>> designs;
+    for (const auto &design : hdl::designCorpus())
+        designs.push_back(hdl::translateCorpus(design));
+    designs.push_back(hdl::translateSource(kLevelMeter, "level_meter"));
+    for (const Result<hdl::TranslateResult> &result : designs) {
         ASSERT_TRUE(result.ok()) << result.errorMessage();
         const hdl::HdlModel &model = *result.value().model;
+        SCOPED_TRACE(model.name());
 
         Enumerator enumerator(model);
         graph::StateGraph graph = enumerator.runOrThrow();
@@ -83,6 +89,25 @@ TEST(Compile, BytecodeStepMatchesInterpreterEverywhere)
             ASSERT_FALSE(interpreted.empty()) << "state " << s;
             ASSERT_EQ(compiled, interpreted) << "state " << s;
         }
+    }
+}
+
+TEST(Compile, LevelMeterGraphGolden)
+{
+    auto result = hdl::translateSource(kLevelMeter, "level_meter");
+    ASSERT_TRUE(result.ok()) << result.errorMessage();
+    const std::pair<murphi::EdgeRecording, uint64_t> golden[] = {
+        {murphi::EdgeRecording::FirstCondition, 0xe2b413996afb79e0ull},
+        {murphi::EdgeRecording::AllConditions, 0xec5d5903d00dff72ull},
+    };
+    for (const auto &[recording, expected] : golden) {
+        murphi::EnumOptions options;
+        options.recording = recording;
+        Enumerator enumerator(*result.value().model, options);
+        EXPECT_EQ(graph::fingerprint(enumerator.runOrThrow()), expected)
+            << (recording == murphi::EdgeRecording::FirstCondition
+                    ? "FirstCondition"
+                    : "AllConditions");
     }
 }
 

@@ -3,9 +3,9 @@
  * Differential battery for enumeration under a memory budget: for
  * every corpus design and the PP FSM model, a run that pages its
  * table partitions and frontier to disk must produce a graph
- * byte-identical to the unbudgeted single-thread run across every
- * worker count and residency budget — including the pathological
- * single-partition table — and every injected spill
+ * byte-identical to the unbudgeted run across every residency
+ * budget — including the pathological single-partition table — and
+ * every injected spill
  * fault (flipped CRC byte, truncated record file, unusable spill
  * directory) must either rebuild the identical graph or surface a
  * typed error, counted in enum.spill_fallbacks. Registered under the
@@ -35,8 +35,8 @@ namespace archval
 namespace
 {
 
-/** Serialize every observable byte of a graph (same digest as the
- *  parallel-enumerator suite uses). */
+/** Serialize every observable byte of a graph: per state the packed
+ *  vector and its out-edge ids, then every edge's four fields. */
 std::string
 fingerprintBytes(const graph::StateGraph &graph)
 {
@@ -97,7 +97,6 @@ std::string
 inMemoryBaseline(const fsm::Model &model, murphi::EnumOptions options)
 {
     options.memoryBudgetBytes = 0;
-    options.numThreads = 1;
     murphi::Enumerator single(model, options);
     auto graph = single.runOrThrow();
     EXPECT_GT(graph.numStates(), 0u);
@@ -106,7 +105,7 @@ inMemoryBaseline(const fsm::Model &model, murphi::EnumOptions options)
 
 /**
  * Budgeted graphs must be byte-identical to the in-memory graph for
- * every worker count x budget.
+ * every budget.
  */
 void
 expectOocIdentical(const fsm::Model &model)
@@ -115,27 +114,23 @@ expectOocIdentical(const fsm::Model &model)
     const std::string expected = inMemoryBaseline(model, options);
 
     for (const BudgetCase &budget : kBudgets) {
-        for (unsigned workers : {1u, 2u, 8u}) {
-            options.numThreads = workers;
-            options.memoryBudgetBytes = budget.budgetBytes;
-            options.oocPartitions = budget.partitions;
-            murphi::Enumerator ooc(model, options);
-            auto graph = ooc.runOrThrow();
-            EXPECT_EQ(fingerprintBytes(graph), expected)
-                << model.name() << " diverges at " << workers
-                << " threads, " << budget.name << " budget";
-            EXPECT_EQ(ooc.stats().spillFallbacks, 0u);
-            // The acceptance gate: whenever nothing degraded, the
-            // steady-state resident table footprint stayed under
-            // the budget.
-            EXPECT_LE(ooc.stats().residencyHighWaterBytes,
-                      budget.budgetBytes)
-                << model.name() << " over budget (" << budget.name
-                << ")";
-            if (budget.budgetBytes < (size_t(1) << 30)) {
-                EXPECT_GT(ooc.stats().spillBytesWritten, 0u)
-                    << budget.name << " budget never touched disk";
-            }
+        options.memoryBudgetBytes = budget.budgetBytes;
+        options.oocPartitions = budget.partitions;
+        murphi::Enumerator ooc(model, options);
+        auto graph = ooc.runOrThrow();
+        EXPECT_EQ(fingerprintBytes(graph), expected)
+            << model.name() << " diverges at the " << budget.name
+            << " budget";
+        EXPECT_EQ(ooc.stats().spillFallbacks, 0u);
+        // The acceptance gate: whenever nothing degraded, the
+        // steady-state resident table footprint stayed under the
+        // budget.
+        EXPECT_LE(ooc.stats().residencyHighWaterBytes,
+                  budget.budgetBytes)
+            << model.name() << " over budget (" << budget.name << ")";
+        if (budget.budgetBytes < (size_t(1) << 30)) {
+            EXPECT_GT(ooc.stats().spillBytesWritten, 0u)
+                << budget.name << " budget never touched disk";
         }
     }
 }
@@ -168,7 +163,6 @@ TEST(EnumOoc, UnretainedGraphsIdenticalUnderBudget)
     options.retainStates = false;
     const std::string expected = inMemoryBaseline(model, options);
     for (const BudgetCase &budget : kBudgets) {
-        options.numThreads = 2;
         options.memoryBudgetBytes = budget.budgetBytes;
         options.oocPartitions = budget.partitions;
         murphi::Enumerator ooc(model, options);
@@ -184,7 +178,6 @@ TEST(EnumOoc, AllConditionsRecordingIdenticalToo)
     murphi::EnumOptions options = baseOptions();
     options.recording = murphi::EdgeRecording::AllConditions;
     const std::string expected = inMemoryBaseline(model, options);
-    options.numThreads = 4;
     options.memoryBudgetBytes = kBudgets[1].budgetBytes;
     murphi::Enumerator ooc(model, options);
     EXPECT_EQ(fingerprintBytes(ooc.runOrThrow()), expected);
@@ -224,7 +217,6 @@ TEST(EnumOoc, CorruptShardFileRebuildsFromGraph)
         ASSERT_TRUE(corruptFileByteForTesting(path, 20));
         corrupted = true;
     };
-    options.numThreads = 2;
     options.memoryBudgetBytes = kBudgets[1].budgetBytes;
     options.testHooks = &hooks;
     murphi::Enumerator ooc(model, options);

@@ -162,19 +162,6 @@ TEST(Enumerator, MaxStatesGuardReturnsError)
               std::string::npos);
 }
 
-TEST(Enumerator, MaxStatesGuardFiresInParallelMode)
-{
-    auto model = counterModel(10);
-    murphi::EnumOptions options;
-    options.maxStates = 100;
-    options.numThreads = 4;
-    murphi::Enumerator enumerator(*model, options);
-    auto result = enumerator.run();
-    ASSERT_FALSE(result.ok());
-    EXPECT_NE(result.errorMessage().find("state explosion"),
-              std::string::npos);
-}
-
 TEST(Enumerator, MaxStatesExactlyAtLimitSucceeds)
 {
     // The limit is enforced *before* interning: a model with exactly
@@ -236,15 +223,11 @@ class BadResetModel : public fsm::Model
 TEST(Enumerator, ResetWidthMismatchReturnsError)
 {
     BadResetModel model;
-    for (unsigned threads : {1u, 4u}) {
-        murphi::EnumOptions options;
-        options.numThreads = threads;
-        murphi::Enumerator enumerator(model, options);
-        auto result = enumerator.run();
-        ASSERT_FALSE(result.ok());
-        EXPECT_NE(result.errorMessage().find("reset state"),
-                  std::string::npos);
-    }
+    murphi::Enumerator enumerator(model);
+    auto result = enumerator.run();
+    ASSERT_FALSE(result.ok());
+    EXPECT_NE(result.errorMessage().find("reset state"),
+              std::string::npos);
 }
 
 TEST(Enumerator, NextStateWidthMismatchReturnsError)
@@ -256,16 +239,12 @@ TEST(Enumerator, NextStateWidthMismatchReturnsError)
         std::vector<fsm::ChoiceVarInfo>{{"c", 2}},
         [](const BitVec &, const fsm::Choice &choice)
             -> std::optional<BitVec> { return BitVec(choice[0] ? 70 : 4); });
-    for (unsigned threads : {1u, 4u}) {
-        murphi::EnumOptions options;
-        options.numThreads = threads;
-        murphi::Enumerator enumerator(*model, options);
-        auto result = enumerator.run();
-        ASSERT_FALSE(result.ok());
-        EXPECT_NE(result.errorMessage().find("70-bit state"),
-                  std::string::npos)
-            << result.errorMessage();
-    }
+    murphi::Enumerator enumerator(*model);
+    auto result = enumerator.run();
+    ASSERT_FALSE(result.ok());
+    EXPECT_NE(result.errorMessage().find("70-bit state"),
+              std::string::npos)
+        << result.errorMessage();
 }
 
 TEST(Enumerator, ZeroBitModelEnumerates)
@@ -294,20 +273,16 @@ TEST(Enumerator, MemoryAccountingWithinTwiceLowerBound)
     // computed lower bound: the graph itself plus, per interned state,
     // one table entry (its packed words and id) and one probe slot.
     auto model = counterModel(8);
-    for (unsigned threads : {1u, 4u}) {
-        murphi::EnumOptions options;
-        options.numThreads = threads;
-        murphi::Enumerator enumerator(*model, options);
-        auto graph = enumerator.runOrThrow();
-        size_t lower = graph.memoryBytes();
-        for (graph::StateId s = 0; s < graph.numStates(); ++s) {
-            lower += graph.stateWords(s).size_bytes() +
-                     sizeof(graph::StateId) + sizeof(uint32_t);
-        }
-        size_t reported = enumerator.stats().memoryBytes;
-        EXPECT_GE(reported, lower) << "threads=" << threads;
-        EXPECT_LE(reported, 2 * lower) << "threads=" << threads;
+    murphi::Enumerator enumerator(*model);
+    auto graph = enumerator.runOrThrow();
+    size_t lower = graph.memoryBytes();
+    for (graph::StateId s = 0; s < graph.numStates(); ++s) {
+        lower += graph.stateWords(s).size_bytes() +
+                 sizeof(graph::StateId) + sizeof(uint32_t);
     }
+    size_t reported = enumerator.stats().memoryBytes;
+    EXPECT_GE(reported, lower);
+    EXPECT_LE(reported, 2 * lower);
 }
 
 /** A one-state model whose choice space is wider than 32-bit codes;
@@ -428,28 +403,21 @@ TEST(Enumerator, BfsOrderIsBreadthFirst)
 TEST(Enumerator, LevelStatsCoverEveryState)
 {
     // The per-level breakdown must account for every state and edge
-    // exactly once, and every state is expanded exactly once, in
-    // single- and multi-worker runs.
+    // exactly once, and every state is expanded exactly once.
     auto model = counterModel(4);
-    for (unsigned threads : {1u, 2u}) {
-        murphi::EnumOptions options;
-        options.numThreads = threads;
-        murphi::Enumerator enumerator(*model, options);
-        auto graph = enumerator.runOrThrow();
-        const auto &stats = enumerator.stats();
-        ASSERT_FALSE(stats.levels.empty());
-        uint64_t states = 1, edges = 0, expanded = 0;
-        for (const auto &level : stats.levels) {
-            states += level.newStates;
-            edges += level.newEdges;
-            expanded += level.frontierWidth;
-        }
-        EXPECT_EQ(states, graph.numStates()) << "threads=" << threads;
-        EXPECT_EQ(edges, graph.numEdges()) << "threads=" << threads;
-        EXPECT_EQ(expanded, graph.numStates())
-            << "threads=" << threads;
-        EXPECT_FALSE(stats.renderLevels().empty());
+    murphi::Enumerator enumerator(*model);
+    auto graph = enumerator.runOrThrow();
+    const auto &stats = enumerator.stats();
+    ASSERT_FALSE(stats.levels.empty());
+    uint64_t states = 1, edges = 0, expanded = 0;
+    for (const auto &level : stats.levels) {
+        states += level.newStates;
+        edges += level.newEdges;
+        expanded += level.frontierWidth;
     }
+    EXPECT_EQ(states, graph.numStates());
+    EXPECT_EQ(edges, graph.numEdges());
+    EXPECT_EQ(expanded, graph.numStates());
 }
 
 TEST(Enumerator, CancelStopsWithinOneSourcePerWorker)
@@ -457,42 +425,37 @@ TEST(Enumerator, CancelStopsWithinOneSourcePerWorker)
     // A 16-bit shift register fed four bits per step: level k holds
     // 15 * 16^(k-1) states, so the flag, raised on the model's
     // 1,000th call (mid level 2), lands with thousands of calls left
-    // in the level. Each worker checks the flag before every source,
-    // so after it is raised a worker at most finishes the source it
+    // in the level. The flag is checked before every source, so
+    // after it is raised the search at most finishes the source it
     // is expanding.
     constexpr uint64_t kChoices = 16;
     constexpr uint64_t kCancelAt = 1000;
-    for (unsigned threads : {1u, 2u}) {
-        for (size_t budget : {size_t(0), size_t(32) << 10}) {
-            std::atomic<bool> cancel{false};
-            std::atomic<uint64_t> calls{0};
-            fsm::LambdaModel model(
-                "shift",
-                std::vector<fsm::StateVarInfo>{{"s", 16, 0}},
-                std::vector<fsm::ChoiceVarInfo>{{"nibble", kChoices}},
-                [&](const BitVec &state, const fsm::Choice &choice)
-                    -> std::optional<BitVec> {
-                    if (++calls == kCancelAt)
-                        cancel.store(true);
-                    BitVec next(16);
-                    next.setField(0, 16,
-                                  ((state.getField(0, 16) << 4) |
-                                   choice[0]) &
-                                      0xffff);
-                    return next;
-                });
-            murphi::EnumOptions options;
-            options.numThreads = threads;
-            options.memoryBudgetBytes = budget;
-            options.cancelFlag = &cancel;
-            murphi::Enumerator enumerator(model, options);
-            auto result = enumerator.run();
-            ASSERT_FALSE(result.ok())
-                << "threads=" << threads << " budget=" << budget;
-            EXPECT_EQ(result.errorMessage(), "enumeration cancelled");
-            EXPECT_LE(calls.load() - kCancelAt, kChoices * threads)
-                << "threads=" << threads << " budget=" << budget;
-        }
+    for (size_t budget : {size_t(0), size_t(32) << 10}) {
+        std::atomic<bool> cancel{false};
+        std::atomic<uint64_t> calls{0};
+        fsm::LambdaModel model(
+            "shift",
+            std::vector<fsm::StateVarInfo>{{"s", 16, 0}},
+            std::vector<fsm::ChoiceVarInfo>{{"nibble", kChoices}},
+            [&](const BitVec &state, const fsm::Choice &choice)
+                -> std::optional<BitVec> {
+                if (++calls == kCancelAt)
+                    cancel.store(true);
+                BitVec next(16);
+                next.setField(0, 16,
+                              ((state.getField(0, 16) << 4) | choice[0]) &
+                                  0xffff);
+                return next;
+            });
+        murphi::EnumOptions options;
+        options.memoryBudgetBytes = budget;
+        options.cancelFlag = &cancel;
+        murphi::Enumerator enumerator(model, options);
+        auto result = enumerator.run();
+        ASSERT_FALSE(result.ok()) << "budget=" << budget;
+        EXPECT_EQ(result.errorMessage(), "enumeration cancelled");
+        EXPECT_LE(calls.load() - kCancelAt, kChoices)
+            << "budget=" << budget;
     }
 }
 

@@ -357,8 +357,6 @@ TEST(DesignSpecParse, FingerprintSeparatesGenerationKnobs)
     DesignSpec a;
     DesignSpec b;
     EXPECT_EQ(a.fingerprint(), b.fingerprint());
-    b.enumThreads = 4; // graph is bit-identical for any worker count
-    EXPECT_EQ(a.fingerprint(), b.fingerprint());
     b.vectorSeed = 2;
     EXPECT_NE(a.fingerprint(), b.fingerprint());
 
@@ -392,20 +390,18 @@ TEST(DesignSpecParse, WrongTypedFieldsAreBadRequests)
     EXPECT_FALSE(parse("{\"preset\": 3}").ok());
     EXPECT_FALSE(parse("[1, 2]").ok()); // design must be an object
 
-    // Values the fields cannot hold: a worker count past the cap
-    // (one enumeration thread per frontier state), and a line width
-    // that used to wrap to 0 in the fingerprint.
-    EXPECT_FALSE(parse("{\"enumThreads\": 50000}").ok());
-    EXPECT_FALSE(parse("{\"enumThreads\": 257}").ok());
+    // A value its field cannot hold: a line width that used to wrap
+    // to 0 in the fingerprint.
     EXPECT_FALSE(parse("{\"lineWords\": 4294967296}").ok());
-    Result<DesignSpec> edge = parse(
-        "{\"enumThreads\": 256, \"lineWords\": 4294967295}");
+    Result<DesignSpec> edge = parse("{\"lineWords\": 4294967295}");
     ASSERT_TRUE(edge.ok()) << edge.errorMessage();
-    EXPECT_EQ(edge.value().enumThreads, kMaxRequestThreads);
     EXPECT_EQ(edge.value().lineWords, 4294967295u);
-    Result<DesignSpec> zero = parse("{\"enumThreads\": 0}");
-    ASSERT_TRUE(zero.ok()) << zero.errorMessage();
-    EXPECT_EQ(zero.value().enumThreads, 0u); // the session runs 1
+
+    // The retired enumeration worker count is ignored like any
+    // unknown field, whatever its value.
+    Result<DesignSpec> retired = parse("{\"enumThreads\": 50000}");
+    ASSERT_TRUE(retired.ok()) << retired.errorMessage();
+    EXPECT_EQ(retired.value().fingerprint(), DesignSpec{}.fingerprint());
 
     // Correctly typed fields still parse, absent ones keep defaults.
     Result<DesignSpec> good =
@@ -1285,18 +1281,21 @@ TEST(SessionPersistence, DamagedStoreDegradesToColdRebuild)
 namespace
 {
 
-/** Rewrite the graph record of the store file at @p path through
- *  @p patch, under a fresh CRC, so that only the graph decoder can
- *  tell the record is damaged. */
+/** The store's record-file identity: "AVS1", version 2. */
+constexpr uint32_t kStoreMagic = 0x31535641;
+constexpr uint32_t kStoreVersion = 2;
+
+/** Rewrite the store file at @p path under fresh CRCs and a header
+ *  of format @p version, passing its graph record through @p patch,
+ *  so that only the graph decoder can tell a patched record is
+ *  damaged. */
 void
-patchGraphRecord(const std::string &path,
-                 const std::function<void(std::vector<uint8_t> &)> &patch)
+rewriteStore(const std::string &path, uint32_t version,
+             const std::function<void(std::vector<uint8_t> &)> &patch)
 {
-    // The store's record-file identity: "AVS1", version 1.
-    constexpr uint32_t kStoreMagic = 0x31535641;
     std::vector<std::vector<uint8_t>> records;
     {
-        RecordFileReader reader(path, kStoreMagic, 1);
+        RecordFileReader reader(path, kStoreMagic, kStoreVersion);
         ASSERT_TRUE(reader.ok());
         std::vector<uint8_t> rec;
         while (reader.next(rec) == RecordFileReader::Status::Record)
@@ -1304,7 +1303,7 @@ patchGraphRecord(const std::string &path,
     }
     ASSERT_GE(records.size(), 3u); // fingerprint, meta, graph, ...
     patch(records[2]);
-    RecordFileWriter writer(path, kStoreMagic, 1);
+    RecordFileWriter writer(path, kStoreMagic, version);
     for (const std::vector<uint8_t> &rec : records)
         ASSERT_TRUE(writer.append(rec));
     ASSERT_TRUE(writer.commit());
@@ -1360,7 +1359,7 @@ expectGraphDamageRebuildsCold(
     }
     ASSERT_GT(cold_edges, 1);
 
-    patchGraphRecord(store_file, damage);
+    rewriteStore(store_file, kStoreVersion, damage);
     SessionCache sessions(4, store);
     JobManager manager(sessions, 2);
     Collector events;
@@ -1399,6 +1398,52 @@ TEST(SessionPersistence, EdgesOutOfSourceOrderAreRestoreFailure)
                          graph.begin() + first + 20,
                          graph.begin() + last);
     });
+}
+
+TEST(SessionPersistence, StaleStoreVersionRebuildsCold)
+{
+    // A store whose header carries the previous format version, its
+    // records unchanged, must not restore: the next job rebuilds the
+    // session cold and reports the cold graph.
+    const std::string store = makeStoreDir("stale");
+    std::string store_file;
+    int64_t cold_states = 0;
+    int64_t cold_edges = 0;
+    std::string cold_fingerprint;
+    {
+        SessionCache sessions(4, store);
+        JobManager manager(sessions, 2);
+        Collector events;
+        manager.submit(makeRequest("enumerate"), events.sink());
+        json::Value result = events.waitTerminal();
+        ASSERT_EQ(result.get("type").asString(), "result")
+            << result.get("message").asString();
+        cold_states = result.get("states").asInt();
+        cold_edges = result.get("edges").asInt();
+        cold_fingerprint = result.get("graphFingerprint").asString();
+        manager.shutdown(); // workers joined: the save is on disk
+        EXPECT_GE(sessions.stats().saves, 1u);
+        store_file =
+            sessions.store().pathFor(DesignSpec{}.fingerprint());
+    }
+    ASSERT_FALSE(cold_fingerprint.empty());
+
+    rewriteStore(store_file, kStoreVersion - 1,
+                 [](std::vector<uint8_t> &) {});
+    SessionCache sessions(4, store);
+    JobManager manager(sessions, 2);
+    Collector events;
+    manager.submit(makeRequest("enumerate"), events.sink());
+    json::Value result = events.waitTerminal();
+    ASSERT_EQ(result.get("type").asString(), "result")
+        << result.get("message").asString();
+    EXPECT_EQ(result.get("states").asInt(), cold_states);
+    EXPECT_EQ(result.get("edges").asInt(), cold_edges);
+    EXPECT_EQ(result.get("graphFingerprint").asString(),
+              cold_fingerprint);
+    EXPECT_EQ(sessions.stats().restoreHits, 0u);
+    manager.shutdown();
+    removeTree(store);
 }
 
 TEST(SessionPersistence, SizeCapEvictsLruAndEvictedRebuildsCold)

@@ -40,7 +40,6 @@ ID_KEYS = (
     "mode",
     "benchmark",
     "workers",
-    "threads",
     "stride",
     "budget_kb",
     "bug",

@@ -7,10 +7,11 @@ Aggregates the `ph: "X"` complete events emitted by
   * a per-phase table: for each span name, the call count, total
     (inclusive) time, self time (total minus time spent in child
     spans on the same thread), and share of measured wall-clock;
-  * a per-thread table: for each thread *name* (merging the many
-    short-lived OS threads the enumerator spawns per level), busy
-    time, extent (first span start to last span end) and
-    utilization % (busy / extent);
+  * a per-thread table: for each thread *name* (merging the
+    short-lived OS threads that share one, such as the vector
+    generator's workers of successive calls), busy time, extent
+    (first span start to last span end) and utilization %
+    (busy / extent);
   * overall coverage: the fraction of the trace's wall-clock
     (earliest start to latest end across all threads) accounted for
     by top-level spans.
@@ -28,7 +29,7 @@ Usage:
 
 Service traces stamp each span with the job correlation id that was
 live on its thread (`args.job`), including spans recorded by the
-enumerator's and the replay engine's worker threads. When job-stamped
+replay engine's worker threads. When job-stamped
 spans are present a per-job self-time table is printed; `--job <id>`
 restricts every table to one job's spans across all threads.
 """
