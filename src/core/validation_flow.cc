@@ -35,8 +35,6 @@ PpValidationFlow::PpValidationFlow(const rtl::PpConfig &config,
     : config_(config), options_(options),
       model_(std::make_unique<rtl::PpFsmModel>(config))
 {
-    // The vector generator's condition mapping needs packed states.
-    options_.enumeration.retainStates = true;
 }
 
 PpValidationFlow::~PpValidationFlow() = default;

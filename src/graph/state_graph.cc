@@ -9,24 +9,8 @@ namespace archval::graph
 {
 
 void
-StateGraph::setRetention(bool retain)
-{
-    if (!retentionSet_) {
-        retainStates_ = retain;
-        retentionSet_ = true;
-    } else if (retainStates_ != retain) {
-        fatal(retain
-                  ? "StateGraph: retained state added to a graph "
-                    "built without state retention"
-                  : "StateGraph: unretained state added to a graph "
-                    "built with state retention");
-    }
-}
-
-void
 StateGraph::setWidth(size_t state_bits)
 {
-    setRetention(true);
     if (numStates_ == 0) {
         stateBits_ = state_bits;
         stride_ = (state_bits + 63) / 64;
@@ -46,13 +30,6 @@ StateGraph::addState(const BitVec &packed)
     return static_cast<StateId>(numStates_++);
 }
 
-StateId
-StateGraph::addStateUnretained()
-{
-    setRetention(false);
-    return static_cast<StateId>(numStates_++);
-}
-
 void
 StateGraph::addStates(size_t state_bits, size_t count,
                       std::span<const uint64_t> words)
@@ -61,13 +38,6 @@ StateGraph::addStates(size_t state_bits, size_t count,
     if (words.size() != count * stride_)
         panic("StateGraph::addStates: word count does not match");
     words_.insert(words_.end(), words.begin(), words.end());
-    numStates_ += count;
-}
-
-void
-StateGraph::addStatesUnretained(size_t count)
-{
-    setRetention(false);
     numStates_ += count;
 }
 
@@ -133,8 +103,6 @@ StateGraph::outEdges(StateId state) const
 std::span<const uint64_t>
 StateGraph::stateWords(StateId state) const
 {
-    if (!retainStates_)
-        panic("StateGraph: packed states were not retained");
     if (state >= numStates_)
         panic("StateGraph: packed state out of range");
     return std::span<const uint64_t>(words_).subspan(state * stride_,
@@ -317,10 +285,8 @@ fingerprint(const StateGraph &graph)
         }
     };
     mix(graph.numStates());
-    if (graph.statesRetained()) {
-        for (StateId s = 0; s < graph.numStates(); ++s)
-            mix(hashPackedWords(graph.stateBits(), graph.stateWords(s)));
-    }
+    for (StateId s = 0; s < graph.numStates(); ++s)
+        mix(hashPackedWords(graph.stateBits(), graph.stateWords(s)));
     mix(graph.numEdges());
     for (EdgeId e = 0; e < graph.numEdges(); ++e) {
         const Edge &edge = graph.edge(e);

@@ -46,41 +46,35 @@ using EdgeRange = std::ranges::iota_view<EdgeId, EdgeId>;
  * Directed multigraph over enumerated states.
  *
  * Built incrementally by the enumerator, then used read-only by tour
- * generation and analysis. Optionally retains the packed state vector
- * of every state for debugging and condition mapping.
+ * generation and analysis. Holds the packed state vector of every
+ * state: the enumerator expands each BFS level from it and vector
+ * generation maps conditions through it. A structural graph (one
+ * built by hand, without a model) holds zero-width states.
  *
  * Layout (see DESIGN.md, "The state graph"): edges live in one array
  * in non-decreasing source order, so a state's out-edges are one
  * contiguous id range found through a per-source offset (CSR);
- * retained states live in one word array at a fixed stride of
- * ceil(bits / 64) words.
+ * states live in one word array at a fixed stride of ceil(bits / 64)
+ * words.
  */
 class StateGraph
 {
   public:
     /**
-     * Add a state whose packed vector is retained (a zero-width
-     * vector is legal: a model whose control state is fully
-     * implicit). The first insertion fixes the graph's retention
-     * mode, and the first retained state its width; mixing retained
-     * and unretained states, or widths, is a FatalError.
+     * Add a state with its packed vector (a zero-width vector is
+     * legal: a model whose control state is fully implicit, or a
+     * structural graph). The first state fixes the graph's width;
+     * another width is a FatalError.
      * @return the new state's id.
      */
     StateId addState(const BitVec &packed);
 
-    /** Add a state without retaining a packed vector (see
-     *  addState() for the retention-mode contract). */
-    StateId addStateUnretained();
-
-    /** Bulk-append @p count retained states of @p state_bits bits,
-     *  packed back to back in @p words at ceil(state_bits / 64)
-     *  words each; ids are assigned consecutively starting at the
-     *  current numStates(). */
+    /** Bulk-append @p count states of @p state_bits bits, packed
+     *  back to back in @p words at ceil(state_bits / 64) words each;
+     *  ids are assigned consecutively starting at the current
+     *  numStates(). */
     void addStates(size_t state_bits, size_t count,
                    std::span<const uint64_t> words);
-
-    /** Bulk-append @p count unretained states. */
-    void addStatesUnretained(size_t count);
 
     /**
      * Add an edge; @return the new edge's id. Edges must arrive in
@@ -110,22 +104,16 @@ class StateGraph
     /** @return ids of edges leaving @p state, in insertion order. */
     EdgeRange outEdges(StateId state) const;
 
-    /** @return the packed state vector; panics when retention is
-     *  off or @p state is out of range. */
+    /** @return the packed state vector; panics when @p state is out
+     *  of range. */
     BitVec packedState(StateId state) const;
 
     /** @return the packed words of @p state, ceil(stateBits() / 64)
      *  of them; panics like packedState(). */
     std::span<const uint64_t> stateWords(StateId state) const;
 
-    /** @return the width of the retained states (0 before the first
-     *  one, and for unretained graphs). */
+    /** @return the width of the states (0 before the first one). */
     size_t stateBits() const { return stateBits_; }
-
-    /** @return true when packed states are retained. An empty graph
-     *  reports true (retention is decided by the first insertion,
-     *  and nothing contradicts it yet). */
-    bool statesRetained() const { return retainStates_; }
 
     /** @return the reset (initial) state id; always 0 by construction. */
     StateId resetState() const { return 0; }
@@ -137,19 +125,16 @@ class StateGraph
     size_t memoryBytes() const;
 
   private:
-    void setRetention(bool retain);
     void setWidth(size_t state_bits);
 
     std::vector<Edge> edges_;
     /** rowStart_[s] is the first out-edge id of state s, for every
      *  state up to the last edge's source; later states have none. */
     std::vector<EdgeId> rowStart_;
-    std::vector<uint64_t> words_; ///< retained states at stride_
+    std::vector<uint64_t> words_; ///< the states at stride_
     size_t numStates_ = 0;
     size_t stateBits_ = 0;
-    size_t stride_ = 0;         ///< words per retained state
-    bool retainStates_ = true;  ///< retention mode (see statesRetained)
-    bool retentionSet_ = false; ///< first insertion happened
+    size_t stride_ = 0; ///< words per state
 };
 
 /** Strongly-connected-component decomposition (iterative Tarjan). */
@@ -185,8 +170,8 @@ std::string renderSummary(const GraphSummary &summary);
 
 /**
  * Order-sensitive structural fingerprint of a graph: an FNV-1a hash
- * over every edge record (in id order) and every retained packed
- * state (in id order). Two graphs fingerprint equal iff the same
+ * over every edge record (in id order) and every packed state (in id
+ * order). Two graphs fingerprint equal iff the same
  * states and edges were produced in the same order — the equality the
  * enumerator guarantees across memory budgets.
  */

@@ -4,6 +4,7 @@
 #include "pp/ref_sim.hh"
 #include "rtl/pp_core.hh"
 #include "support/status.hh"
+#include "support/strings.hh"
 
 namespace archval::harness
 {
@@ -36,8 +37,11 @@ BiasedWalker::BiasedWalker(const rtl::PpFsmModel &model,
                            uint64_t seed, const EventBias &bias)
     : model_(model), graph_(graph), rng_(seed), bias_(bias)
 {
-    if (!graph.statesRetained())
-        fatal("BiasedWalker needs retained states");
+    if (graph.stateBits() != model.stateBits()) {
+        fatal(formatString("BiasedWalker needs %zu-bit states; the "
+                           "graph holds %zu-bit states",
+                           model.stateBits(), graph.stateBits()));
+    }
     stateIds_.reserve(graph.numStates());
     for (graph::StateId id = 0; id < graph.numStates(); ++id)
         stateIds_.emplace(graph.packedState(id), id);

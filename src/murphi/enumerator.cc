@@ -24,11 +24,9 @@
  *
  *  - Paging only under a budget. With memoryBudgetBytes > 0, cold
  *    partitions are written to CRC-guarded shard files and their
- *    tables freed, and the next level's frontier goes to a frontier
- *    file at the barrier. Any read damage either rebuilds the content
- *    from the retained graph (counted in enum.spill_fallbacks) or,
- *    when states are not retained, fails the run with a typed error —
- *    never a silently different graph. A zero budget makes no spill
+ *    tables freed. A damaged shard is rebuilt from the graph, which
+ *    holds every state (counted in enum.spill_fallbacks) — never a
+ *    silently different graph. A zero budget makes no spill
  *    directory and pages nothing.
  *
  *  - Cancellation per source. Expansion reads EnumOptions::cancelFlag
@@ -39,7 +37,6 @@
 #include "enumerator.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <optional>
 #include <span>
 
@@ -154,7 +151,6 @@ Enumerator::run()
     }
     const size_t state_bits = model_.stateBits();
     const size_t stride = (state_bits + 63) / 64;
-    const bool retain = options_.retainStates;
     const bool first_condition =
         options_.recording == EdgeRecording::FirstCondition;
     const ooc::TestHooks *hooks = options_.testHooks;
@@ -287,17 +283,15 @@ Enumerator::run()
     graph::StateGraph graph;
 
     // Page a partition's table back in (CRC-verified). Damage
-    // rebuilds the partition from the retained graph — the graph is
-    // the ground truth the table merely indexes — or, when states
-    // are not retained, fails the run with a typed error.
-    auto ensure_resident = [&](size_t p) -> bool {
+    // rebuilds the partition from the graph — the graph is the
+    // ground truth the table merely indexes.
+    auto ensure_resident = [&](size_t p) {
         Partition &part = parts[p];
         part.lastUse = ++use_clock;
         if (part.resident)
-            return true;
-        const std::string path = ooc::shardPath(spill_path, p);
+            return;
         bool ok = ooc::readShardFile(
-            path, p, state_bits,
+            ooc::shardPath(spill_path, p), p, state_bits,
             [&](std::span<const uint64_t> key, graph::StateId id) {
                 part.table.insert(key, hash_of(key), id);
             });
@@ -305,16 +299,6 @@ Enumerator::run()
             ok = false;
         if (!ok) {
             part.table.release();
-            if (!retain) {
-                ++stats_.spillFallbacks;
-                fallback_ctr.add();
-                error = formatString(
-                    "shard spill file %s is damaged and packed "
-                    "states are not retained; cannot rebuild",
-                    path.c_str());
-                part.resident = true; // (empty) — no more reads
-                return false;
-            }
             spill_fallback("shard spill file damaged; "
                            "rebuilding partition from graph");
             for (graph::StateId id = 0; id < graph.numStates();
@@ -330,7 +314,6 @@ Enumerator::run()
         ++stats_.pageIns;
         page_in_ctr.add();
         enforce_budget(p);
-        return true;
     };
 
     const BitVec reset = model_.resetState();
@@ -343,14 +326,8 @@ Enumerator::run()
     {
         const uint64_t hash = hash_of(reset.words());
         parts[hash & part_mask].table.insert(reset.words(), hash, 0);
-        if (retain)
-            graph.addState(reset);
-        else
-            graph.addStateUnretained();
+        graph.addState(reset);
     }
-    /** The level's states, packed back to back. */
-    std::vector<uint64_t> level_words(reset.words().begin(),
-                                      reset.words().end());
 
     telemetry::Gauge &frontier_gauge =
         telemetry::gauge("enum.frontier");
@@ -395,51 +372,14 @@ Enumerator::run()
             out.words.insert(out.words.end(), key.begin(), key.end());
         };
 
-    bool frontier_spill_enabled = paging;
-    bool frontier_on_disk = false;
+    // The level's sources are the graph's states
+    // [level_first, level_first + width).
     size_t width = 1;
     uint64_t level_first = 0;
     size_t level_index = 0;
 
     while (width > 0 && error.empty()) {
         WallTimer level_timer;
-
-        // Reload a spilled frontier. The file carries the level, the
-        // state width and the exact count, all CRC-guarded; damage
-        // rebuilds the frontier from the retained graph (this
-        // level's ids are [level_first, level_first + width)) or
-        // fails the run typed.
-        if (frontier_on_disk) {
-            const std::string path =
-                ooc::frontierPath(spill_path, level_index);
-            const bool ok = ooc::readFrontierFile(
-                path, level_index, state_bits, width, level_words);
-            ::remove(path.c_str());
-            frontier_on_disk = false;
-            if (!ok) {
-                if (!retain) {
-                    ++stats_.spillFallbacks;
-                    fallback_ctr.add();
-                    error = formatString(
-                        "frontier spill file %s is damaged and "
-                        "packed states are not retained; cannot "
-                        "rebuild",
-                        path.c_str());
-                    break;
-                }
-                spill_fallback("frontier spill file damaged; "
-                               "rebuilding from graph");
-                level_words.clear();
-                for (size_t i = 0; i < width; ++i) {
-                    const std::span<const uint64_t> key =
-                        graph.stateWords(static_cast<graph::StateId>(
-                            level_first + i));
-                    level_words.insert(level_words.end(), key.begin(),
-                                       key.end());
-                }
-            }
-        }
-
         out.clear();
         frontier_gauge.set(static_cast<int64_t>(width));
         telemetry::ScopedSpan level_span("enum.level", "level",
@@ -448,8 +388,10 @@ Enumerator::run()
 
         // Expand the level source by source, recording in the
         // canonical order (sources in level order, transitions in
-        // generation order). The cancel flag is read before every
-        // source; a stop leaves the level short, and it is discarded.
+        // generation order). Each source's words are read from the
+        // graph, which gains nothing until the barrier. The cancel
+        // flag is read before every source; a stop leaves the level
+        // short, and it is discarded.
         {
             telemetry::ScopedSpan expand_span("enum.expand", "sources",
                                               width);
@@ -463,8 +405,8 @@ Enumerator::run()
                 seen.clear();
                 model_.forEachTransition(
                     BitVec(state_bits,
-                           std::span<const uint64_t>(level_words)
-                               .subspan(i * stride, stride)),
+                           graph.stateWords(static_cast<graph::StateId>(
+                               level_first + i))),
                     record);
                 out.perSource.push_back(out.trans.size() - before);
             }
@@ -481,12 +423,11 @@ Enumerator::run()
         // one at a time. A destination found there gets its
         // canonical id; the rest stay unresolved for the walk below.
         const std::span<const uint64_t> words(out.words);
-        for (size_t p = 0; p < num_parts && error.empty(); ++p) {
+        for (size_t p = 0; p < num_parts; ++p) {
             const std::vector<uint32_t> &list = out.byPart[p];
             if (list.empty())
                 continue;
-            if (!ensure_resident(p))
-                break;
+            ensure_resident(p);
             const ooc::StateTable &table = parts[p].table;
             // The indices ascend but skip: fetch ahead.
             for (size_t k = 0; k < list.size(); ++k) {
@@ -500,8 +441,6 @@ Enumerator::run()
                 out.trans[t].dst = table.find(key, hash_of(key));
             }
         }
-        if (!error.empty())
-            break;
 
         // (2) Canonical id assignment: sources in level order,
         // transitions in generation order, numbering each unresolved
@@ -547,54 +486,24 @@ Enumerator::run()
 
         // (3) Intern the newly numbered states into their
         // partitions' tables (again paging one partition at a time).
-        for (size_t p = 0; p < num_parts && error.empty(); ++p) {
+        for (size_t p = 0; p < num_parts; ++p) {
             if (fresh_by_part[p].empty())
                 continue;
-            if (!ensure_resident(p))
-                break;
+            ensure_resident(p);
             for (uint32_t e : fresh_by_part[p]) {
                 parts[p].table.insert(fresh.key(e),
                                       hash_of(fresh.key(e)),
                                       fresh.id(e));
             }
         }
-        if (!error.empty())
-            break;
 
-        // (4) Commit the new states to the graph.
+        // (4) Commit the new states to the graph: they are the next
+        // level's sources.
         const size_t new_count = fresh.size();
-        if (retain)
-            graph.addStates(state_bits, new_count, fresh.keys());
-        else
-            graph.addStatesUnretained(new_count);
-        std::vector<uint64_t> next_words = fresh.keys();
+        graph.addStates(state_bits, new_count, fresh.keys());
         fresh.release();
 
-        // (5) Spill the next frontier. Only a non-empty frontier is
-        // written (so every written file is read back), and a write
-        // failure keeps the in-memory words and stops spilling —
-        // degradation, not damage.
-        if (frontier_spill_enabled && new_count > 0) {
-            const std::string path =
-                ooc::frontierPath(spill_path, level_index + 1);
-            uint64_t bytes = 0;
-            if (ooc::writeFrontierFile(path, level_index + 1,
-                                       state_bits, new_count,
-                                       next_words, &bytes)) {
-                stats_.spillBytesWritten += bytes;
-                spill_bytes_ctr.add(bytes);
-                frontier_on_disk = true;
-                std::vector<uint64_t>().swap(next_words);
-                if (hooks && hooks->afterFrontierWrite)
-                    hooks->afterFrontierWrite(path);
-            } else {
-                spill_fallback("frontier spill write failed; "
-                               "keeping frontier in memory");
-                frontier_spill_enabled = false;
-            }
-        }
-
-        // (6) Enforce the budget at its steady-state point and take
+        // (5) Enforce the budget at its steady-state point and take
         // the residency reading the acceptance gate asserts on.
         if (paging) {
             enforce_budget(SIZE_MAX);
@@ -612,7 +521,6 @@ Enumerator::run()
         stats_.levels.push_back(level_stats);
 
         level_first = interned;
-        level_words = std::move(next_words);
         width = new_count;
         ++level_index;
     }
@@ -639,8 +547,7 @@ Enumerator::run()
     }
     stats_.minShardStates = min_occupancy;
     stats_.maxShardStates = max_occupancy;
-    stats_.memoryBytes = graph.memoryBytes() + resident_bytes() +
-                         level_words.capacity() * sizeof(uint64_t);
+    stats_.memoryBytes = graph.memoryBytes() + resident_bytes();
     telemetry::counter("enum.states").add(stats_.numStates);
     telemetry::counter("enum.edges").add(stats_.numEdges);
     telemetry::counter("enum.levels").add(stats_.levels.size());

@@ -19,10 +19,12 @@
  * by the model's own fsm::Model::forEachTransition into transition
  * buffers; at the level barrier the destinations are resolved
  * against the partitioned interned-state table (open addressing over
- * packed words) and the new ones numbered in canonical BFS order.
- * The produced StateGraph is bit-identical for every memory budget;
- * a budget only decides whether table partitions and the frontier
- * are paged to disk (see DESIGN.md, "State enumeration").
+ * packed words) and the new ones numbered in canonical BFS order;
+ * they join the graph, which holds every state and is where the next
+ * level's sources are read from. The produced StateGraph is
+ * bit-identical for every memory budget; a budget only decides
+ * whether table partitions are paged to disk (see DESIGN.md, "State
+ * enumeration").
  */
 
 #ifndef ARCHVAL_MURPHI_ENUMERATOR_HH
@@ -62,10 +64,6 @@ struct EnumOptions
      *  the over-limit state is never interned. */
     uint64_t maxStates = 0;
 
-    /** Retain packed state vectors in the graph (needed by the
-     *  vector generator's condition mapping and by debug output). */
-    bool retainStates = true;
-
     /** Nothing reads this: the search runs on the calling thread.
      *  It stays until valbench stops assigning it. */
     unsigned numThreads = 1;
@@ -81,11 +79,11 @@ struct EnumOptions
      * Byte budget for the resident interned-state table (0 =
      * unbounded: nothing is paged and no spill directory is made).
      * Under a non-zero budget, cold table partitions are paged out
-     * to CRC-guarded spill files under spillDir and the BFS frontier
-     * is spilled between levels. The produced graph is bit-identical
-     * for every budget. An unusable spill directory degrades the run
-     * back to in-memory (counted in enum.spill_fallbacks) rather
-     * than failing it.
+     * to CRC-guarded spill files under spillDir; the graph, with
+     * every state, stays resident. The produced graph is
+     * bit-identical for every budget. An unusable spill directory
+     * degrades the run back to in-memory (counted in
+     * enum.spill_fallbacks) rather than failing it.
      */
     size_t memoryBudgetBytes = 0;
 

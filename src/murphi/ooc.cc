@@ -238,86 +238,6 @@ SpillDir::~SpillDir()
     ::rmdir(path_.c_str());
 }
 
-// --- Frontier spill files -------------------------------------------
-
-std::string
-frontierPath(const std::string &dir, size_t level)
-{
-    return formatString("%s/frontier-%06zu.avf", dir.c_str(), level);
-}
-
-bool
-writeFrontierFile(const std::string &path, uint64_t level,
-                  size_t state_bits, size_t count,
-                  std::span<const uint64_t> words,
-                  uint64_t *bytes_written)
-{
-    const size_t stride = wordsFor(state_bits);
-    RecordFileWriter writer(path, kFrontierMagic, kSpillVersion);
-    std::vector<uint8_t> rec;
-    packU64(rec, level);
-    packU64(rec, state_bits);
-    packU64(rec, count);
-    bool ok = writer.append(rec);
-    for (size_t i = 0; i < count && ok; i += kBatchStates) {
-        const size_t n = std::min(kBatchStates, count - i);
-        rec.clear();
-        packU64(rec, n);
-        packState(rec, words.subspan(i * stride, n * stride));
-        ok = writer.append(rec);
-    }
-    const uint64_t bytes = writer.bytesWritten();
-    ok = ok && writer.commit();
-    if (ok && bytes_written)
-        *bytes_written += bytes;
-    return ok;
-}
-
-bool
-readFrontierFile(const std::string &path, uint64_t level,
-                 size_t state_bits, size_t expect_count,
-                 std::vector<uint64_t> &out)
-{
-    out.clear();
-    RecordFileReader reader(path, kFrontierMagic, kSpillVersion);
-    if (!reader.ok())
-        return false;
-    using RS = RecordFileReader::Status;
-    std::vector<uint8_t> rec;
-    if (reader.next(rec) != RS::Record)
-        return false;
-    Reader header{rec.data(), rec.size()};
-    const uint64_t file_level = header.u64();
-    const uint64_t file_bits = header.u64();
-    const uint64_t file_count = header.u64();
-    if (!header.ok || header.pos != header.size ||
-        file_level != level || file_bits != state_bits ||
-        file_count != expect_count)
-        return false;
-    const size_t stride = wordsFor(state_bits);
-    out.reserve(expect_count * stride);
-    const size_t state_bytes = stride * 8;
-    uint64_t seen = 0;
-    RS status;
-    while ((status = reader.next(rec)) == RS::Record) {
-        Reader in{rec.data(), rec.size()};
-        const uint64_t n = in.u64();
-        if (!in.ok || n * state_bytes != in.remaining() ||
-            seen + n > expect_count) {
-            out.clear();
-            return false;
-        }
-        for (uint64_t k = 0; k < n; ++k)
-            in.state(state_bits, out);
-        seen += n;
-    }
-    if (status != RS::End || seen != expect_count) {
-        out.clear();
-        return false;
-    }
-    return true;
-}
-
 // --- Shard (table partition) spill files ----------------------------
 
 std::string

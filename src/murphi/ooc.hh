@@ -1,21 +1,19 @@
 /**
  * @file
- * Out-of-core support for the enumerator: CRC-guarded spill files
- * for the BFS frontier and the partitioned state table.
+ * Out-of-core support for the enumerator: the interned-state table
+ * and the CRC-guarded shard files its partitions are paged out to.
  *
- * On-disk format (see DESIGN.md, "State enumeration"):
- * both file kinds are support::RecordFileWriter/Reader record files
- * — `[magic u32][version u32]` then `[size u64][crc u32][payload]`
+ * On-disk format (see DESIGN.md, "State enumeration"): a shard file
+ * is a support::RecordFileWriter/Reader record file —
+ * `[magic u32][version u32]` then `[size u64][crc u32][payload]`
  * records — written atomically (temp file + rename) and fully
- * CRC-verified on the way back in. A frontier file holds one BFS
- * level's packed state vectors; a shard file holds one table
- * partition's (state, canonical id) entries. The first record of
- * each file is a header naming what the file claims to be (level or
- * partition index, state width, entry count); a reader that finds
- * any mismatch or damage reports failure instead of returning bytes
- * it cannot vouch for, and the enumerator then either rebuilds the
- * content from the retained graph or fails the run with a typed
- * error — never a silently different graph.
+ * CRC-verified on the way back in. It holds one table partition's
+ * (state, canonical id) entries. Its first record is a header naming
+ * what the file claims to be (partition index, state width, entry
+ * count); a reader that finds any mismatch or damage reports failure
+ * instead of returning bytes it cannot vouch for, and the enumerator
+ * then rebuilds the partition from the graph — never a silently
+ * different graph.
  */
 
 #ifndef ARCHVAL_MURPHI_OOC_HH
@@ -95,24 +93,20 @@ class StateTable
     unsigned slotBits_ = 0; ///< log2(slots_.size())
 };
 
-/** Frontier file identity: "AVF1" + format version. */
-constexpr uint32_t kFrontierMagic = 0x31465641;
-/** Shard (table partition) file identity: "AVP1". */
+/** Shard (table partition) file identity: "AVP1" + format version. */
 constexpr uint32_t kShardMagic = 0x31505641;
 constexpr uint32_t kSpillVersion = 1;
 
 /**
  * Fault-injection hooks (testing only). Null members are skipped;
  * production runs pass no hooks at all. They let the differential
- * battery damage spill files between write and read, to prove every
- * failure either rebuilds correctly or surfaces a typed error.
+ * battery damage shard files between write and read, to prove every
+ * failure rebuilds the identical graph.
  */
 struct TestHooks
 {
     /** After a shard file was committed: (path, partition). */
     std::function<void(const std::string &, size_t)> afterShardPageOut;
-    /** After a frontier file was committed: (path). */
-    std::function<void(const std::string &)> afterFrontierWrite;
 };
 
 /**
@@ -136,31 +130,6 @@ class SpillDir
   private:
     std::string path_; ///< empty when creation failed
 };
-
-/** @name Frontier spill files (one per BFS level)
- * Records: header `[level u64][stateBits u64][count u64]`, then
- * batches `[n u64][n × ceil(stateBits/64) words]`.
- * @{ */
-/** @return the frontier file path for @p level under @p dir. */
-std::string frontierPath(const std::string &dir, size_t level);
-
-/** Write the @p count states packed back to back in @p words as
- *  level @p level's frontier file (atomic). @return false on any
- *  write failure (target untouched); on success adds the file size
- *  to @p bytes_written. */
-bool writeFrontierFile(const std::string &path, uint64_t level,
-                       size_t state_bits, size_t count,
-                       std::span<const uint64_t> words,
-                       uint64_t *bytes_written);
-
-/** Read a frontier file back into @p out (packed words), expecting
- *  exactly @p expect_count states of @p state_bits bits for
- *  @p level. @return false — with @p out cleared — on any damage or
- *  header mismatch. */
-bool readFrontierFile(const std::string &path, uint64_t level,
-                      size_t state_bits, size_t expect_count,
-                      std::vector<uint64_t> &out);
-/** @} */
 
 /** @name Shard (table partition) spill files
  * Records: header `[partition u64][stateBits u64][count u64]`, then

@@ -177,7 +177,6 @@ Session::ensure(Stage stage, const std::atomic<bool> *cancel)
                 model_ = std::make_unique<rtl::PpFsmModel>(config_);
             murphi::EnumOptions options;
             options.maxStates = spec_.maxStates;
-            options.retainStates = true; // vecgen condition mapping
             options.cancelFlag = cancel;
             options.memoryBudgetBytes = spec_.memoryBudgetBytes;
             options.spillDir = spec_.spillDir;

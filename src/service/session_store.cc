@@ -21,8 +21,8 @@ namespace
 {
 
 /** Record-file identity: "AVS1" + format version. Bump the version
- *  whenever any record layout below changes — stale stores then
- *  read as "no usable store" and rebuild cold. */
+ *  whenever any record layout below changes — stores of another
+ *  version then count as restore misses and rebuild cold. */
 constexpr uint32_t kStoreMagic = 0x31535641;
 constexpr uint32_t kStoreVersion = 2;
 
@@ -202,21 +202,21 @@ deserializeMeta(const std::vector<uint8_t> &rec, bool &has_tours,
     return in.ok && in.pos == in.size;
 }
 
+/** The graph record: `[1 u8][stateBits u64][numStates u64]`, the
+ *  packed states, then the edges. The leading byte is always 1 (a
+ *  graph holds its states); a 0 there is a record of an older
+ *  layout and does not decode. */
 std::vector<uint8_t>
 serializeGraph(const graph::StateGraph &g)
 {
     std::vector<uint8_t> out;
-    const bool retained = g.statesRetained();
     const uint64_t num_states = g.numStates();
-    packU8(out, retained ? 1 : 0);
-    packU64(out, retained ? g.stateBits() : 0);
+    packU8(out, 1);
+    packU64(out, g.stateBits());
     packU64(out, num_states);
-    if (retained) {
-        for (uint64_t s = 0; s < num_states; ++s) {
-            for (uint64_t word :
-                 g.stateWords(static_cast<graph::StateId>(s)))
-                packU64(out, word);
-        }
+    for (uint64_t s = 0; s < num_states; ++s) {
+        for (uint64_t word : g.stateWords(static_cast<graph::StateId>(s)))
+            packU64(out, word);
     }
     const uint64_t num_edges = g.numEdges();
     packU64(out, num_edges);
@@ -236,33 +236,30 @@ deserializeGraph(const std::vector<uint8_t> &rec,
                  graph::StateGraph &g)
 {
     Reader in{rec.data(), rec.size()};
-    const bool retained = in.u8() != 0;
+    const uint8_t with_states = in.u8();
     const uint64_t bits = in.u64();
     const uint64_t num_states = in.u64();
-    if (!in.ok || bits > kMaxStateBits || num_states > kMaxCount)
+    if (!in.ok || with_states != 1 || bits > kMaxStateBits ||
+        num_states > kMaxCount)
         return false;
-    if (retained) {
-        const size_t words = (bits + 63) / 64;
-        if (num_states * (words * 8) > in.remaining())
-            return false;
-        std::vector<uint64_t> packed;
-        packed.reserve(num_states * words);
-        for (uint64_t i = 0; i < num_states * words; ++i)
-            packed.push_back(in.u64());
-        if (!in.ok)
-            return false;
-        // Bits above the width are clear in every saved state.
-        if (bits % 64 != 0) {
-            for (size_t i = words - 1; i < packed.size(); i += words) {
-                if (packed[i] >> (bits % 64))
-                    return false;
-            }
+    const size_t words = (bits + 63) / 64;
+    if (num_states * (words * 8) > in.remaining())
+        return false;
+    std::vector<uint64_t> packed;
+    packed.reserve(num_states * words);
+    for (uint64_t i = 0; i < num_states * words; ++i)
+        packed.push_back(in.u64());
+    if (!in.ok)
+        return false;
+    // Bits above the width are clear in every saved state.
+    if (bits % 64 != 0) {
+        for (size_t i = words - 1; i < packed.size(); i += words) {
+            if (packed[i] >> (bits % 64))
+                return false;
         }
-        if (num_states > 0)
-            g.addStates(bits, num_states, packed);
-    } else if (num_states > 0) {
-        g.addStatesUnretained(num_states);
     }
+    if (num_states > 0)
+        g.addStates(bits, num_states, packed);
     const uint64_t num_edges = in.u64();
     if (!in.ok || num_edges > kMaxCount ||
         num_edges * 20 > in.remaining())
@@ -488,8 +485,10 @@ SessionStore::loadLocked(Session &session)
     if (::stat(path.c_str(), &st) != 0)
         return miss(); // never saved: the expected cold-start case
     RecordFileReader reader(path, kStoreMagic, kStoreVersion);
+    if (reader.otherVersion())
+        return miss(); // another format version: rebuild, not damage
     if (!reader.ok())
-        return failure(); // foreign magic / stale version / damage
+        return failure(); // foreign magic / damage
 
     using RS = RecordFileReader::Status;
     std::vector<uint8_t> rec;
@@ -506,9 +505,15 @@ SessionStore::loadLocked(Session &session)
         !deserializeMeta(rec, has_tours, enum_stats, tour_stats))
         return failure();
 
+    // The model is rebuilt from the config (it is itself a pure
+    // function of the fingerprint). A graph of another state width
+    // was written by a build with another control layout: vectors
+    // read each state through the model's layout.
+    auto model = std::make_unique<rtl::PpFsmModel>(session.config_);
     graph::StateGraph restored_graph;
     if (reader.next(rec) != RS::Record ||
-        !deserializeGraph(rec, restored_graph))
+        !deserializeGraph(rec, restored_graph) ||
+        restored_graph.stateBits() != model->stateBits())
         return failure();
 
     std::vector<graph::Trace> restored_tours;
@@ -535,11 +540,9 @@ SessionStore::loadLocked(Session &session)
     if (status != RS::End)
         return failure();
 
-    // Commit. The model is rebuilt from the config (it is itself a
-    // pure function of the fingerprint); vectors regenerate on
-    // demand in the usual Vectors stage.
-    session.model_ =
-        std::make_unique<rtl::PpFsmModel>(session.config_);
+    // Commit. Vectors regenerate on demand in the usual Vectors
+    // stage.
+    session.model_ = std::move(model);
     session.graph_ = std::move(restored_graph);
     session.enumStats_ = enum_stats;
     if (has_tours) {

@@ -16,12 +16,14 @@
  * posture as PpCore::Snapshot::serialize): the file header carries a
  * magic and format version, the first record carries the *full*
  * fingerprint string, and every record is CRC-guarded — a missing
- * file is a restore miss, a fingerprint mismatch (hash collision,
- * renamed file) is a miss, and anything else wrong (foreign magic,
- * stale version, truncation, flipped bit, undecodable warm entry) is
- * a restore *failure*. All three degrade to a cold build; none can
- * crash the daemon or restore wrong bytes. Outcomes are counted in
- * the `service.session_restore_*` / `service.session_saves` metrics.
+ * file is a restore miss, a store of another format version is a
+ * miss (a routine upgrade, not damage), a fingerprint mismatch (hash
+ * collision, renamed file) is a miss, and anything else wrong
+ * (foreign magic, truncation, flipped bit, a graph of another state
+ * width, undecodable warm entry) is a restore *failure*. All of them
+ * degrade to a cold build; none can crash the daemon or restore
+ * wrong bytes. Outcomes are counted in the `service.session_restore_*`
+ * / `service.session_saves` metrics.
  *
  * Generated vectors are deliberately not persisted: they regenerate
  * deterministically from model + graph + tours + vectorSeed (see

@@ -204,9 +204,11 @@ RecordFileReader::RecordFileReader(const std::string &path,
         return;
     off_t size = ::lseek(fd, 0, SEEK_END);
     uint8_t header[kRecordHeaderBytes];
-    if (size < (off_t)sizeof(header) ||
-        !preadAll(fd, header, sizeof(header), 0) ||
-        getU32(header) != magic || getU32(header + 4) != version) {
+    const bool has_header = size >= (off_t)sizeof(header) &&
+                            preadAll(fd, header, sizeof(header), 0);
+    if (!has_header || getU32(header) != magic ||
+        getU32(header + 4) != version) {
+        otherVersion_ = has_header && getU32(header) == magic;
         ::close(fd);
         return; // missing/foreign/stale: "no usable store"
     }

@@ -92,8 +92,7 @@ class RecordFileReader
 
     /** Open @p path and validate the header. ok() is false when the
      *  file is missing, unreadable, or carries a foreign magic or
-     *  version — the caller treats all of those as "no usable
-     *  store". */
+     *  version; otherVersion() tells the last apart. */
     RecordFileReader(const std::string &path, uint32_t magic,
                      uint32_t version);
     ~RecordFileReader();
@@ -102,6 +101,11 @@ class RecordFileReader
     RecordFileReader &operator=(const RecordFileReader &) = delete;
 
     bool ok() const { return fd_ >= 0; }
+
+    /** @return true when the header carries the expected magic and
+     *  another format version: a file written by an older or newer
+     *  build, not a missing, foreign or damaged one. */
+    bool otherVersion() const { return otherVersion_; }
 
     enum class Status
     {
@@ -117,6 +121,7 @@ class RecordFileReader
 
   private:
     int fd_ = -1;
+    bool otherVersion_ = false;
     uint64_t offset_ = 0;
     uint64_t fileSize_ = 0;
     bool damaged_ = false;

@@ -63,12 +63,17 @@ constexpr size_t summaryChunk = 1 << 10;
 /** signalIdOf_ entry of a choice code not interned yet. */
 constexpr uint32_t noSignal = UINT32_MAX;
 
+/** Conditions are mapped through each edge's source state, so the
+ *  graph must hold states of the model's width. */
 void
-requireRetainedStates(const graph::StateGraph &graph)
+requireStateWidth(const graph::StateGraph &graph,
+                  const rtl::PpFsmModel &model)
 {
-    if (!graph.statesRetained())
-        fatal("vector generation needs retained states "
-              "(EnumOptions::retainStates)");
+    if (graph.stateBits() != model.stateBits()) {
+        fatal(formatString("vector generation needs %zu-bit states; "
+                           "the graph holds %zu-bit states",
+                           model.stateBits(), graph.stateBits()));
+    }
 }
 
 void
@@ -555,7 +560,7 @@ TestTrace
 VectorGenerator::generate(const graph::StateGraph &graph,
                           const graph::Trace &trace, size_t trace_index)
 {
-    requireRetainedStates(graph);
+    requireStateWidth(graph, model_);
     internTrace(graph, trace, trace_index);
 
     VecGenStats delta;
@@ -578,7 +583,7 @@ VectorGenerator::generateAll(const graph::StateGraph &graph,
 {
     if (traces.empty())
         return {};
-    requireRetainedStates(graph);
+    requireStateWidth(graph, model_);
     const unsigned workers = workersFor(traces.size());
     telemetry::ScopedSpan span("vecgen.generate_all", "traces",
                                traces.size(), "workers", workers);

@@ -102,29 +102,6 @@ TEST(EnumGolden, PpFourWordLinesDualIssueInBothModes)
               0x166b0389df309ffdull);
 }
 
-TEST(EnumGolden, UnretainedGraphHasRetainedEdges)
-{
-    // Dropping the packed states changes no edge.
-    rtl::PpFsmModel model(rtl::PpConfig::smallPreset());
-    murphi::EnumOptions options;
-    const graph::StateGraph retained =
-        murphi::Enumerator(model, options).runOrThrow();
-    options.retainStates = false;
-    const graph::StateGraph unretained =
-        murphi::Enumerator(model, options).runOrThrow();
-    EXPECT_FALSE(unretained.statesRetained());
-    ASSERT_EQ(unretained.numStates(), retained.numStates());
-    ASSERT_EQ(unretained.numEdges(), retained.numEdges());
-    for (graph::EdgeId e = 0; e < retained.numEdges(); ++e) {
-        const graph::Edge &got = unretained.edge(e);
-        const graph::Edge &want = retained.edge(e);
-        ASSERT_EQ(got.src, want.src) << "edge " << e;
-        ASSERT_EQ(got.dst, want.dst) << "edge " << e;
-        ASSERT_EQ(got.choiceCode, want.choiceCode) << "edge " << e;
-        ASSERT_EQ(got.instrCount, want.instrCount) << "edge " << e;
-    }
-}
-
 /**
  * A 100-bit built model whose fields straddle the 64-bit word
  * boundary. A 10-bit counter n, kept in the low bits, steps by one to

@@ -2,15 +2,14 @@
  * @file
  * Differential battery for enumeration under a memory budget: for
  * every corpus design and the PP FSM model, a run that pages its
- * table partitions and frontier to disk must produce a graph
- * byte-identical to the unbudgeted run across every residency
- * budget — including the pathological single-partition table — and
- * every injected spill
- * fault (flipped CRC byte, truncated record file, unusable spill
- * directory) must either rebuild the identical graph or surface a
- * typed error, counted in enum.spill_fallbacks. Registered under the
- * ctest label `ooc`; ARCHVAL_ENUM_SOAK widens the PP configuration
- * to paper scale.
+ * table partitions to disk must produce a graph byte-identical to
+ * the unbudgeted run across every residency budget — including the
+ * pathological single-partition table — and must page exactly when
+ * the budget binds. Every injected spill fault (flipped CRC byte,
+ * truncated shard file, unusable spill directory) must rebuild the
+ * identical graph, counted in enum.spill_fallbacks. Registered under
+ * the ctest label `ooc`; ARCHVAL_ENUM_SOAK widens the PP
+ * configuration to paper scale.
  */
 
 #include <gtest/gtest.h>
@@ -47,13 +46,10 @@ fingerprintBytes(const graph::StateGraph &graph)
     };
     put64(graph.numStates());
     put64(graph.numEdges());
-    put64(graph.statesRetained());
     for (graph::StateId s = 0; s < graph.numStates(); ++s) {
-        if (graph.statesRetained()) {
-            const BitVec &packed = graph.packedState(s);
-            put64(packed.numBits());
-            bytes += packed.toString();
-        }
+        const BitVec &packed = graph.packedState(s);
+        put64(packed.numBits());
+        bytes += packed.toString();
         for (graph::EdgeId e : graph.outEdges(s))
             put64(e);
     }
@@ -78,8 +74,10 @@ struct BudgetCase
     size_t partitions; ///< 0 = default
 };
 
+constexpr size_t kUnboundedBytes = size_t(1) << 30;
+
 const BudgetCase kBudgets[] = {
-    {"unbounded", size_t(1) << 30, 0},
+    {"unbounded", kUnboundedBytes, 0},
     {"tight", size_t(32) << 10, 0},
     {"pathological-1-shard", 4096, 1},
 };
@@ -89,7 +87,6 @@ baseOptions()
 {
     murphi::EnumOptions options;
     options.recording = murphi::EdgeRecording::FirstCondition;
-    options.retainStates = true;
     return options;
 }
 
@@ -105,7 +102,12 @@ inMemoryBaseline(const fsm::Model &model, murphi::EnumOptions options)
 
 /**
  * Budgeted graphs must be byte-identical to the in-memory graph for
- * every budget.
+ * every budget, and a budget pages exactly when it binds. An
+ * unbounded run at the same partition count reads the table's
+ * resident high water: a budget below it makes at least one
+ * page-out, one at or above it makes none. The rule is exact because
+ * eviction happens only at a level's end, where that reading is
+ * taken, or after a page-in, which only follows a page-out.
  */
 void
 expectOocIdentical(const fsm::Model &model)
@@ -114,24 +116,41 @@ expectOocIdentical(const fsm::Model &model)
     const std::string expected = inMemoryBaseline(model, options);
 
     for (const BudgetCase &budget : kBudgets) {
-        options.memoryBudgetBytes = budget.budgetBytes;
         options.oocPartitions = budget.partitions;
+        options.memoryBudgetBytes = kUnboundedBytes;
+        murphi::Enumerator unbounded(model, options);
+        unbounded.runOrThrow();
+        const size_t high_water =
+            unbounded.stats().residencyHighWaterBytes;
+
+        options.memoryBudgetBytes = budget.budgetBytes;
         murphi::Enumerator ooc(model, options);
         auto graph = ooc.runOrThrow();
+        const murphi::EnumStats &stats = ooc.stats();
         EXPECT_EQ(fingerprintBytes(graph), expected)
             << model.name() << " diverges at the " << budget.name
             << " budget";
-        EXPECT_EQ(ooc.stats().spillFallbacks, 0u);
+        EXPECT_EQ(stats.spillFallbacks, 0u);
         // The acceptance gate: whenever nothing degraded, the
         // steady-state resident table footprint stayed under the
         // budget.
-        EXPECT_LE(ooc.stats().residencyHighWaterBytes,
-                  budget.budgetBytes)
+        EXPECT_LE(stats.residencyHighWaterBytes, budget.budgetBytes)
             << model.name() << " over budget (" << budget.name << ")";
-        if (budget.budgetBytes < (size_t(1) << 30)) {
-            EXPECT_GT(ooc.stats().spillBytesWritten, 0u)
-                << budget.name << " budget never touched disk";
+        if (budget.budgetBytes < high_water) {
+            EXPECT_GE(stats.pageOuts, 1u)
+                << model.name() << ": the " << budget.name
+                << " budget is below the " << high_water
+                << " B high water but paged nothing out";
+        } else {
+            EXPECT_EQ(stats.pageOuts, 0u)
+                << model.name() << ": the " << budget.name
+                << " budget covers the " << high_water
+                << " B high water but paged out";
         }
+        // Shard files are the only spill files.
+        EXPECT_LE(stats.pageIns, stats.pageOuts);
+        EXPECT_EQ(stats.spillBytesWritten > 0, stats.pageOuts > 0)
+            << model.name() << " (" << budget.name << ")";
     }
 }
 
@@ -152,24 +171,6 @@ TEST(EnumOoc, PpFsmModelIdenticalAcrossBudgetsAndKernels)
         config = rtl::PpConfig::fullPreset();
     rtl::PpFsmModel model(config);
     expectOocIdentical(model);
-}
-
-TEST(EnumOoc, UnretainedGraphsIdenticalUnderBudget)
-{
-    // retainStates = false is the true out-of-core shape: no packed
-    // state survives outside the partitioned table and the frontier.
-    rtl::PpFsmModel model(rtl::PpConfig::smallPreset());
-    murphi::EnumOptions options = baseOptions();
-    options.retainStates = false;
-    const std::string expected = inMemoryBaseline(model, options);
-    for (const BudgetCase &budget : kBudgets) {
-        options.memoryBudgetBytes = budget.budgetBytes;
-        options.oocPartitions = budget.partitions;
-        murphi::Enumerator ooc(model, options);
-        auto graph = ooc.runOrThrow();
-        EXPECT_EQ(fingerprintBytes(graph), expected) << budget.name;
-        EXPECT_EQ(ooc.stats().spillFallbacks, 0u);
-    }
 }
 
 TEST(EnumOoc, AllConditionsRecordingIdenticalToo)
@@ -200,7 +201,7 @@ TEST(EnumOoc, MaxStatesCapStillEnforced)
 
 /** First shard page-out gets one payload byte flipped: the CRC must
  *  catch it at page-in and the partition be rebuilt from the
- *  retained graph — identical graph, counted fallback. */
+ *  graph — identical graph, counted fallback. */
 TEST(EnumOoc, CorruptShardFileRebuildsFromGraph)
 {
     rtl::PpFsmModel model(rtl::PpConfig::smallPreset());
@@ -250,16 +251,16 @@ TEST(EnumOoc, CorruptShardSinglePartitionRebuilds)
     EXPECT_GE(ooc.stats().spillFallbacks, 1u);
 }
 
-/** A truncated frontier file must be detected (record framing) and
- *  the frontier rebuilt from the retained graph. */
-TEST(EnumOoc, TruncatedFrontierRebuildsFromGraph)
+/** A truncated shard file must be detected (record framing) at
+ *  page-in and the partition rebuilt from the graph. */
+TEST(EnumOoc, TruncatedShardRebuildsFromGraph)
 {
     rtl::PpFsmModel model(rtl::PpConfig::smallPreset());
     murphi::EnumOptions options = baseOptions();
     const std::string expected = inMemoryBaseline(model, options);
     bool truncated = false;
     murphi::ooc::TestHooks hooks;
-    hooks.afterFrontierWrite = [&](const std::string &path) {
+    hooks.afterShardPageOut = [&](const std::string &path, size_t) {
         if (truncated)
             return;
         struct stat st
@@ -274,37 +275,8 @@ TEST(EnumOoc, TruncatedFrontierRebuildsFromGraph)
     options.testHooks = &hooks;
     murphi::Enumerator ooc(model, options);
     auto graph = ooc.runOrThrow();
-    EXPECT_TRUE(truncated);
+    EXPECT_TRUE(truncated) << "tight budget never paged a shard out";
     EXPECT_EQ(fingerprintBytes(graph), expected);
-    EXPECT_GE(ooc.stats().spillFallbacks, 1u);
-}
-
-/** Without retained states there is nothing to rebuild from: damage
- *  must surface as a typed error result, never a crash and never a
- *  silently different graph. */
-TEST(EnumOoc, DamageWithoutRetentionIsTypedError)
-{
-    rtl::PpFsmModel model(rtl::PpConfig::smallPreset());
-    murphi::EnumOptions options = baseOptions();
-    options.retainStates = false;
-    bool corrupted = false;
-    murphi::ooc::TestHooks hooks;
-    hooks.afterShardPageOut = [&](const std::string &path, size_t) {
-        if (!corrupted) {
-            ASSERT_TRUE(corruptFileByteForTesting(path, 20));
-            corrupted = true;
-        }
-    };
-    options.memoryBudgetBytes = 4096;
-    options.oocPartitions = 1;
-    options.testHooks = &hooks;
-    murphi::Enumerator ooc(model, options);
-    auto result = ooc.run();
-    ASSERT_TRUE(corrupted);
-    ASSERT_FALSE(result.ok());
-    EXPECT_NE(result.errorMessage().find("damaged"),
-              std::string::npos)
-        << result.errorMessage();
     EXPECT_GE(ooc.stats().spillFallbacks, 1u);
 }
 
@@ -326,43 +298,6 @@ TEST(EnumOoc, UnusableSpillDirDegradesInMemory)
 }
 
 // --- Spill file unit coverage ---------------------------------------
-
-TEST(EnumOoc, FrontierFileRoundTripsAndRejectsMismatch)
-{
-    murphi::ooc::SpillDir dir("");
-    ASSERT_TRUE(dir.ok());
-    std::vector<uint64_t> states; // 67-bit states, two words each
-    for (uint64_t i = 0; i < 700; ++i) {
-        states.push_back(i * 0x9e3779b97f4a7c15ull);
-        states.push_back(i & 7);
-    }
-    const std::string path = murphi::ooc::frontierPath(dir.path(), 3);
-    uint64_t bytes = 0;
-    ASSERT_TRUE(murphi::ooc::writeFrontierFile(path, 3, 67, 700, states,
-                                               &bytes));
-    EXPECT_GT(bytes, 0u);
-
-    std::vector<uint64_t> back;
-    ASSERT_TRUE(
-        murphi::ooc::readFrontierFile(path, 3, 67, 700, back));
-    ASSERT_EQ(back.size(), states.size());
-    for (size_t i = 0; i < states.size(); ++i)
-        EXPECT_EQ(back[i], states[i]) << "word " << i;
-
-    // Wrong level, wrong width, wrong count: all rejected.
-    EXPECT_FALSE(
-        murphi::ooc::readFrontierFile(path, 4, 67, 700, back));
-    EXPECT_FALSE(
-        murphi::ooc::readFrontierFile(path, 3, 66, 700, back));
-    EXPECT_FALSE(
-        murphi::ooc::readFrontierFile(path, 3, 67, 699, back));
-
-    // A flipped payload byte is a CRC mismatch, not wrong states.
-    ASSERT_TRUE(corruptFileByteForTesting(path, 64));
-    EXPECT_FALSE(
-        murphi::ooc::readFrontierFile(path, 3, 67, 700, back));
-    EXPECT_TRUE(back.empty());
-}
 
 TEST(EnumOoc, ShardFileRoundTripsAndRejectsDamage)
 {

@@ -250,7 +250,7 @@ TEST(Enumerator, NextStateWidthMismatchReturnsError)
 TEST(Enumerator, ZeroBitModelEnumerates)
 {
     // A model whose control state is fully implicit is legal: one
-    // reachable (empty) state, self-loop edges, retention intact.
+    // reachable (empty) state, self-loop edges, a zero-width graph.
     auto model = std::make_unique<fsm::LambdaModel>(
         "zerobit", std::vector<fsm::StateVarInfo>{},
         std::vector<fsm::ChoiceVarInfo>{{"c", 2}},
@@ -262,7 +262,7 @@ TEST(Enumerator, ZeroBitModelEnumerates)
     auto graph = enumerator.runOrThrow();
     EXPECT_EQ(graph.numStates(), 1u);
     EXPECT_EQ(graph.numEdges(), 2u);
-    EXPECT_TRUE(graph.statesRetained());
+    EXPECT_EQ(graph.stateBits(), 0u);
     EXPECT_EQ(graph.packedState(0).numBits(), 0u);
 }
 
@@ -355,17 +355,6 @@ TEST(Enumerator, InstructionCountsLandOnEdges)
     auto graph = enumerator.runOrThrow();
     ASSERT_EQ(graph.numEdges(), 2u);
     EXPECT_EQ(graph.totalEdgeInstructions(), 2u);
-}
-
-TEST(Enumerator, StateRetentionOptional)
-{
-    auto model = counterModel(3);
-    murphi::EnumOptions options;
-    options.retainStates = false;
-    murphi::Enumerator enumerator(*model, options);
-    auto graph = enumerator.runOrThrow();
-    EXPECT_EQ(graph.numStates(), 8u);
-    EXPECT_FALSE(graph.statesRetained());
 }
 
 TEST(Enumerator, StatsRenderMentionsRows)

@@ -30,7 +30,7 @@ TEST(StateGraph, AddStateAndEdgeBookkeeping)
     StateId s1 = g.addState(b);
     EXPECT_EQ(s0, 0u);
     EXPECT_EQ(s1, 1u);
-    EXPECT_TRUE(g.statesRetained());
+    EXPECT_EQ(g.stateBits(), 4u);
     EXPECT_EQ(g.packedState(1).getField(0, 4), 9u);
 
     EdgeId e = g.addEdge(s0, s1, 77, 2);
@@ -46,34 +46,33 @@ TEST(StateGraph, AddStateAndEdgeBookkeeping)
 
 TEST(StateGraph, RetentionTrackedByFlagNotContents)
 {
-    // A zero-bit packed state is still a retained state: retention
-    // is decided by which insertion API ran, not by vector width.
+    // A zero-bit packed state is still a state the graph holds: a
+    // structural graph is a graph of zero-width states.
     StateGraph g;
     g.addState(BitVec(0));
-    EXPECT_TRUE(g.statesRetained());
+    g.addStates(0, 2, {});
+    EXPECT_EQ(g.numStates(), 3u);
+    EXPECT_EQ(g.stateBits(), 0u);
     EXPECT_EQ(g.packedState(0).numBits(), 0u);
-
-    StateGraph u;
-    u.addStateUnretained();
-    EXPECT_FALSE(u.statesRetained());
-
-    // An empty graph has nothing contradicting retention.
-    StateGraph empty;
-    EXPECT_TRUE(empty.statesRetained());
+    EXPECT_TRUE(g.stateWords(2).empty());
 }
 
 TEST(StateGraph, MixedRetentionRejected)
 {
+    // A 4-bit graph and a zero-width graph each refuse the other's
+    // states, one at a time or in bulk.
     StateGraph g;
     g.addState(BitVec(4));
-    EXPECT_THROW(g.addStateUnretained(), FatalError);
-    EXPECT_THROW(g.addStatesUnretained(2), FatalError);
+    EXPECT_THROW(g.addState(BitVec(0)), FatalError);
+    EXPECT_THROW(g.addStates(0, 2, {}), FatalError);
 
     StateGraph u;
-    u.addStateUnretained();
+    u.addState(BitVec(0));
     EXPECT_THROW(u.addState(BitVec(4)), FatalError);
     const std::vector<uint64_t> bulk(1, 0);
     EXPECT_THROW(u.addStates(4, 1, bulk), FatalError);
+    EXPECT_EQ(g.numStates(), 1u);
+    EXPECT_EQ(u.numStates(), 1u);
 }
 
 TEST(StateGraph, FirstRetainedStateFixesTheWidth)
@@ -122,8 +121,8 @@ TEST(StateGraph, BulkInsertionMatchesIncremental)
 TEST(StateGraph, ParallelEdgesPreserved)
 {
     StateGraph g;
-    g.addStateUnretained();
-    g.addStateUnretained();
+    g.addState(BitVec(0));
+    g.addState(BitVec(0));
     g.addEdge(0, 1, 0, 0);
     g.addEdge(0, 1, 1, 0);
     g.addEdge(0, 1, 2, 0);
@@ -134,7 +133,7 @@ TEST(StateGraph, ParallelEdgesPreserved)
 TEST(StateGraph, SelfLoopsCount)
 {
     StateGraph g;
-    g.addStateUnretained();
+    g.addState(BitVec(0));
     g.addEdge(0, 0, 0, 1);
     auto summary = summarize(g);
     EXPECT_EQ(summary.numSccs, 1u);
@@ -145,7 +144,7 @@ TEST(StateGraph, SelfLoopsCount)
 TEST(StateGraph, SummaryRenderHasRows)
 {
     StateGraph g;
-    g.addStateUnretained();
+    g.addState(BitVec(0));
     std::string text = renderSummary(summarize(g));
     EXPECT_NE(text.find("states"), std::string::npos);
     EXPECT_NE(text.find("SCCs"), std::string::npos);

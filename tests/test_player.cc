@@ -185,6 +185,15 @@ TEST_F(PlayerFixture, BiasedWalkerProducesValidWalks)
     EXPECT_GE(walk.instructions, 400u);
 }
 
+TEST_F(PlayerFixture, BiasedWalkerRefusesGraphOfAnotherWidth)
+{
+    // The walker indexes states by their packed vectors; a graph of
+    // zero-width states is not one of this model's.
+    graph::StateGraph structural;
+    structural.addState(BitVec(0));
+    EXPECT_THROW(BiasedWalker(*model_, structural, 31), FatalError);
+}
+
 TEST_F(PlayerFixture, BiasedWalkerVectorsDoNotDivergeBugFree)
 {
     BiasedWalker walker(*model_, *graph_, 33);

@@ -20,7 +20,7 @@ ringGraph(unsigned n)
 {
     StateGraph g;
     for (unsigned i = 0; i < n; ++i)
-        g.addStateUnretained();
+        g.addState(BitVec(0));
     for (unsigned i = 0; i < n; ++i)
         g.addEdge(i, (i + 1) % n, i, 1);
     return g;
@@ -42,8 +42,8 @@ TEST(Postman, DeadEndUsesResetReturn)
 {
     // 0 -> 1 with no way back: the postman must use a virtual return.
     StateGraph graph;
-    graph.addStateUnretained();
-    graph.addStateUnretained();
+    graph.addState(BitVec(0));
+    graph.addState(BitVec(0));
     graph.addEdge(0, 1, 0, 1);
     auto result = solveResettablePostman(graph);
     EXPECT_EQ(result.resetReturns, 1u);
@@ -56,8 +56,8 @@ TEST(Postman, ImbalancedNodeDuplicatesShortPath)
 {
     // 0 -> 1 (x2 parallel edges), 1 -> 0 (x1): one edge must repeat.
     StateGraph graph;
-    graph.addStateUnretained();
-    graph.addStateUnretained();
+    graph.addState(BitVec(0));
+    graph.addState(BitVec(0));
     graph.addEdge(0, 1, 0, 1);
     graph.addEdge(0, 1, 1, 1);
     graph.addEdge(1, 0, 2, 1);
@@ -75,7 +75,7 @@ TEST(Postman, BranchyGraphStillBalances)
     // -> 0 and 0 -> 3 -> 4 -> 5 -> 0 (edges in source order).
     StateGraph graph;
     for (int i = 0; i < 6; ++i)
-        graph.addStateUnretained();
+        graph.addState(BitVec(0));
     graph.addEdge(0, 1, 0, 1);
     graph.addEdge(0, 3, 3, 1);
     graph.addEdge(1, 2, 1, 1);
@@ -97,7 +97,7 @@ TEST(Postman, LowerBoundsGreedyTour)
     // trace restarts).
     StateGraph graph;
     for (int i = 0; i < 8; ++i)
-        graph.addStateUnretained();
+        graph.addState(BitVec(0));
     // A messy graph: hub with spokes and back edges (in source
     // order).
     graph.addEdge(0, 1, 0, 1);
@@ -129,7 +129,7 @@ TEST(Postman, TourVisitsEveryEdgeAtLeastOnce)
     // A 5-ring with a self loop at 2 (edges in source order).
     StateGraph graph;
     for (unsigned i = 0; i < 5; ++i)
-        graph.addStateUnretained();
+        graph.addState(BitVec(0));
     for (unsigned i = 0; i < 5; ++i) {
         graph.addEdge(i, (i + 1) % 5, i, 1);
         if (i == 2)

@@ -107,6 +107,31 @@ TEST(RecordFileTest, ForeignMagicOrVersionFailsOpen)
     ::unlink(path.c_str());
 }
 
+TEST(RecordFileTest, OtherVersionToldApartFromMissingForeignAndDamage)
+{
+    // A file of our magic and another version is told apart from a
+    // missing file, a foreign magic and a damaged header, so that a
+    // caller can treat an older format as a routine miss.
+    const std::string path = recordFilePath("other-version");
+    {
+        RecordFileWriter writer(path, kTestMagic, 3);
+        ASSERT_TRUE(writer.ok());
+        ASSERT_TRUE(writer.append(patternRecord(32, 5)));
+        ASSERT_TRUE(writer.commit());
+    }
+    EXPECT_FALSE(RecordFileReader(path, kTestMagic, 3).otherVersion());
+    EXPECT_TRUE(RecordFileReader(path, kTestMagic, 4).otherVersion());
+    EXPECT_FALSE(RecordFileReader(path, kTestMagic + 1, 3).otherVersion());
+    EXPECT_FALSE(RecordFileReader(path, kTestMagic + 1, 4).otherVersion());
+    EXPECT_FALSE(
+        RecordFileReader(path + ".nope", kTestMagic, 4).otherVersion());
+    // Shorter than the 8-byte header: damage, whatever the version.
+    ASSERT_TRUE(truncateFileForTesting(path, 6));
+    EXPECT_FALSE(RecordFileReader(path, kTestMagic, 4).otherVersion());
+    EXPECT_FALSE(RecordFileReader(path, kTestMagic, 3).ok());
+    ::unlink(path.c_str());
+}
+
 TEST(RecordFileTest, FlippedBitAndTruncationAreStickyDamage)
 {
     const std::string path = recordFilePath("damage");

@@ -1318,8 +1318,8 @@ getU64(const std::vector<uint8_t> &bytes, size_t at)
     return value;
 }
 
-/** @return the offset of edge @p index in a graph record: a retained
- *  flag, the state width, the state count and the packed states,
+/** @return the offset of edge @p index in a graph record: a leading
+ *  1 byte, the state width, the state count and the packed states,
  *  then the edge count and 20-byte edges (src u32, dst u32, choice
  *  code u64, instructions u32). */
 size_t
@@ -1332,7 +1332,8 @@ edgeOffset(const std::vector<uint8_t> &graph, size_t index)
 /**
  * Save a cold `enumerate` session, damage the stored graph record
  * through @p damage (under a fresh CRC), and expect the next job to
- * count one restore failure and rebuild the same graph cold.
+ * count one restore failure and rebuild the same graph cold, with
+ * the cold graphFingerprint.
  */
 void
 expectGraphDamageRebuildsCold(
@@ -1343,6 +1344,7 @@ expectGraphDamageRebuildsCold(
     std::string store_file;
     int64_t cold_states = 0;
     int64_t cold_edges = 0;
+    std::string cold_fingerprint;
     {
         SessionCache sessions(4, store);
         JobManager manager(sessions, 2);
@@ -1353,11 +1355,13 @@ expectGraphDamageRebuildsCold(
             << result.get("message").asString();
         cold_states = result.get("states").asInt();
         cold_edges = result.get("edges").asInt();
+        cold_fingerprint = result.get("graphFingerprint").asString();
         manager.shutdown(); // workers joined: the save is on disk
         store_file =
             sessions.store().pathFor(DesignSpec{}.fingerprint());
     }
     ASSERT_GT(cold_edges, 1);
+    ASSERT_FALSE(cold_fingerprint.empty());
 
     rewriteStore(store_file, kStoreVersion, damage);
     SessionCache sessions(4, store);
@@ -1369,6 +1373,8 @@ expectGraphDamageRebuildsCold(
         << result.get("message").asString();
     EXPECT_EQ(result.get("states").asInt(), cold_states);
     EXPECT_EQ(result.get("edges").asInt(), cold_edges);
+    EXPECT_EQ(result.get("graphFingerprint").asString(),
+              cold_fingerprint);
     EXPECT_EQ(sessions.stats().restoreFailures, 1u);
     EXPECT_EQ(sessions.stats().restoreHits, 0u);
     manager.shutdown();
@@ -1382,6 +1388,17 @@ TEST(SessionPersistence, WideChoiceCodeIsRestoreFailure)
     // A stored choice code of 2^32: a 32-bit edge field would keep 0.
     expectGraphDamageRebuildsCold("code", [](std::vector<uint8_t> &graph) {
         graph.at(edgeOffset(graph, 0) + 8 + 4) = 1;
+    });
+}
+
+TEST(SessionPersistence, OtherStateWidthIsRestoreFailure)
+{
+    // The default session's 30-bit states stored as 31-bit ones, as
+    // a build with another control layout would: every state still
+    // fits and the words are unchanged, so only the width tells.
+    expectGraphDamageRebuildsCold("width", [](std::vector<uint8_t> &graph) {
+        ASSERT_EQ(getU64(graph, 1), 30u);
+        graph.at(1) = 31;
     });
 }
 
@@ -1404,7 +1421,8 @@ TEST(SessionPersistence, StaleStoreVersionRebuildsCold)
 {
     // A store whose header carries the previous format version, its
     // records unchanged, must not restore: the next job rebuilds the
-    // session cold and reports the cold graph.
+    // session cold and reports the cold graph. An older store is a
+    // routine upgrade, so it counts as a miss, not a failure.
     const std::string store = makeStoreDir("stale");
     std::string store_file;
     int64_t cold_states = 0;
@@ -1442,6 +1460,8 @@ TEST(SessionPersistence, StaleStoreVersionRebuildsCold)
     EXPECT_EQ(result.get("graphFingerprint").asString(),
               cold_fingerprint);
     EXPECT_EQ(sessions.stats().restoreHits, 0u);
+    EXPECT_EQ(sessions.stats().restoreMisses, 1u);
+    EXPECT_EQ(sessions.stats().restoreFailures, 0u);
     manager.shutdown();
     removeTree(store);
 }

@@ -29,7 +29,7 @@ ringGraph(unsigned n)
 {
     StateGraph g;
     for (unsigned i = 0; i < n; ++i)
-        g.addStateUnretained();
+        g.addState(BitVec(0));
     for (unsigned i = 0; i < n; ++i)
         g.addEdge(i, (i + 1) % n, i, 1);
     return g;
@@ -50,7 +50,7 @@ TEST(Tour, SingleRingIsOneTrace)
 TEST(Tour, EmptyGraphYieldsNoTraces)
 {
     StateGraph graph;
-    graph.addStateUnretained();
+    graph.addState(BitVec(0));
     TourGenerator generator(graph);
     auto traces = generator.run();
     EXPECT_TRUE(traces.empty());
@@ -63,7 +63,7 @@ TEST(Tour, ResetOnlyEdgesForceMultipleTraces)
     // "edges that can only be reached from reset" lower bound.
     StateGraph graph;
     for (int i = 0; i < 3; ++i)
-        graph.addStateUnretained();
+        graph.addState(BitVec(0));
     graph.addEdge(0, 1, 0, 1);
     graph.addEdge(0, 2, 1, 1);
     graph.addEdge(1, 2, 2, 1);
@@ -81,7 +81,7 @@ TEST(Tour, BfsBridgesDisconnectedCoverage)
     // route back through covered edges to reach the other.
     StateGraph graph;
     for (int i = 0; i < 5; ++i)
-        graph.addStateUnretained();
+        graph.addState(BitVec(0));
     // Loop A: 0 -> 1 -> 0; loop B: 0 -> 2 -> 3 -> 4 -> 0 (edges are
     // added in source order).
     graph.addEdge(0, 1, 0, 1);
@@ -101,8 +101,8 @@ TEST(Tour, RevisitsStatesWithRemainingEdges)
 {
     // Diamond with parallel edges: 0->1 (x2), 1->0 (x2).
     StateGraph graph;
-    graph.addStateUnretained();
-    graph.addStateUnretained();
+    graph.addState(BitVec(0));
+    graph.addState(BitVec(0));
     graph.addEdge(0, 1, 0, 1);
     graph.addEdge(0, 1, 1, 1);
     graph.addEdge(1, 0, 2, 1);
@@ -143,7 +143,7 @@ TEST(Tour, LimitCountsInstructionsNotEdges)
     StateGraph graph;
     const unsigned n = 30;
     for (unsigned i = 0; i < n; ++i)
-        graph.addStateUnretained();
+        graph.addState(BitVec(0));
     for (unsigned i = 0; i < n; ++i)
         graph.addEdge(i, (i + 1) % n, i, i % 3 == 0 ? 1 : 0);
 
@@ -227,7 +227,7 @@ TEST(Tour, OutEdgesKeepInsertionOrderWithinASource)
 {
     StateGraph graph;
     for (int i = 0; i < 3; ++i)
-        graph.addStateUnretained();
+        graph.addState(BitVec(0));
     const EdgeId a = graph.addEdge(0, 2, 5, 1);
     const EdgeId b = graph.addEdge(0, 1, 7, 0);
     const EdgeId c = graph.addEdge(0, 2, 9, 2);
@@ -329,7 +329,7 @@ TEST(GraphAnalysis, SccSeparatesDag)
 {
     StateGraph graph;
     for (int i = 0; i < 3; ++i)
-        graph.addStateUnretained();
+        graph.addState(BitVec(0));
     graph.addEdge(0, 1, 0, 0);
     graph.addEdge(1, 2, 0, 0);
     auto scc = stronglyConnectedComponents(graph);
@@ -340,7 +340,7 @@ TEST(GraphAnalysis, ReachabilityFromReset)
 {
     StateGraph graph;
     for (int i = 0; i < 4; ++i)
-        graph.addStateUnretained();
+        graph.addState(BitVec(0));
     graph.addEdge(0, 1, 0, 0);
     graph.addEdge(2, 3, 0, 0); // island
     auto reach = reachableFrom(graph, 0);
