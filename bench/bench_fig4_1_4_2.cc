@@ -34,7 +34,7 @@ namespace
  */
 unsigned
 lockstepMismatches(const graph::StateGraph &graph,
-                   const std::vector<graph::Trace> &tours,
+                   const graph::Tours &tours,
                    const fsm::ExplicitFsm &driver,
                    const fsm::ExplicitFsm &observer)
 {
@@ -42,10 +42,11 @@ lockstepMismatches(const graph::StateGraph &graph,
     size_t state_bits = 1;
     while ((size_t(1) << state_bits) < driver.numStates())
         ++state_bits;
-    for (const auto &trace : tours) {
+    for (size_t t = 0; t < tours.size(); ++t) {
         size_t observer_state = 0; // reset
-        for (graph::EdgeId e : trace.edges) {
-            const auto &edge = graph.edge(e);
+        for (graph::TraceCursor cursor = tours.cursor(graph, t);
+             cursor.next();) {
+            const auto &edge = graph.edge(cursor.edge());
             // Single choice variable: the code is the input index.
             size_t input = static_cast<size_t>(edge.choiceCode);
             const std::string &symbol = driver.inputs()[input];
@@ -73,7 +74,7 @@ lockstepMismatches(const graph::StateGraph &graph,
     return mismatches;
 }
 
-std::pair<graph::StateGraph, std::vector<graph::Trace>>
+std::pair<graph::StateGraph, graph::Tours>
 enumerateAndTour(const fsm::ExplicitFsm &fsm,
                  murphi::EdgeRecording recording)
 {

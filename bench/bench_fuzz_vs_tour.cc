@@ -177,8 +177,9 @@ main(int argc, char **argv)
         bool tour_detected = false;
         uint64_t tour_instrs = 0;
         for (size_t i = 0; i < mutated_tours.size(); ++i) {
-            auto trace = mutated_gen.generate(mutated_graph,
-                                              mutated_tours[i], i);
+            auto trace = mutated_gen.generate(
+                mutated_graph, mutated_tours[i], i,
+                &mutated_tours.routes());
             harness::PlayResult play = player.play(trace);
             tour_instrs += play.instructions;
             if (play.diverged) {

@@ -43,8 +43,10 @@ main(int argc, char **argv)
 
     harness::CoverageTracker tour_cov(graph);
     uint64_t next_sample = step;
-    for (const auto &trace : tours) {
-        for (graph::EdgeId e : trace.edges) {
+    for (size_t t = 0; t < tours.size(); ++t) {
+        for (graph::TraceCursor cursor = tours.cursor(graph, t);
+             cursor.next();) {
+            const graph::EdgeId e = cursor.edge();
             tour_cov.addEdge(e, graph.edge(e).instrCount);
             if (tour_cov.instructions() >= next_sample) {
                 tour_cov.samplePoint();

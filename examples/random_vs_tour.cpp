@@ -38,7 +38,7 @@ main()
     auto tours = tour_gen.run();
     harness::CoverageTracker tour_cov(graph);
     for (const auto &trace : tours)
-        tour_cov.addTrace(trace);
+        tour_cov.addTrace(trace, &tours.routes());
     uint64_t budget = tour_cov.instructions();
 
     std::printf("tour: covers 100%% of arcs with %s instructions\n",

@@ -51,7 +51,7 @@ PpValidationFlow::enumerate()
     return *graph_;
 }
 
-const std::vector<graph::Trace> &
+const graph::Tours &
 PpValidationFlow::makeTours()
 {
     if (!tours_) {
@@ -76,7 +76,7 @@ PpValidationFlow::makeVectors()
 {
     if (!vectors_) {
         const graph::StateGraph &state_graph = enumerate();
-        const std::vector<graph::Trace> &tours = makeTours();
+        const graph::Tours &tours = makeTours();
         telemetry::ScopedSpan span("flow.vectors");
         vecgen::VectorGenerator generator(*model_,
                                           options_.vectorSeed);

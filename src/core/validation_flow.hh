@@ -76,7 +76,7 @@ class PpValidationFlow
     const graph::StateGraph &enumerate();
 
     /** Step 3: covering transition tours. */
-    const std::vector<graph::Trace> &makeTours();
+    const graph::Tours &makeTours();
 
     /** Step 4: test vectors for every tour component. */
     const std::vector<vecgen::TestTrace> &makeVectors();
@@ -104,7 +104,7 @@ class PpValidationFlow
     FlowOptions options_;
     std::unique_ptr<rtl::PpFsmModel> model_;
     std::optional<graph::StateGraph> graph_;
-    std::optional<std::vector<graph::Trace>> tours_;
+    std::optional<graph::Tours> tours_;
     std::optional<std::vector<vecgen::TestTrace>> vectors_;
     murphi::EnumStats enumStats_;
     graph::TourStats tourStats_;

@@ -35,7 +35,7 @@ CampaignRunner::workerSeed(unsigned worker) const
 
 CampaignResult
 CampaignRunner::run(const rtl::BugSet &bugs,
-                    const std::vector<graph::Trace> &seed_tours)
+                    const graph::Tours &seed_tours)
 {
     const unsigned workers = options_.workers;
 
@@ -210,7 +210,7 @@ harness::FuzzArm
 makeCampaignFuzzArm(const rtl::PpConfig &config,
                     const rtl::PpFsmModel &model,
                     const graph::StateGraph &graph,
-                    const std::vector<graph::Trace> &seed_tours,
+                    const graph::Tours &seed_tours,
                     CampaignOptions options, FuzzOptions fuzz_options)
 {
     return [&config, &model, &graph, &seed_tours, options,

@@ -97,7 +97,7 @@ class CampaignRunner
      * @p seed_tours.
      */
     CampaignResult run(const rtl::BugSet &bugs,
-                       const std::vector<graph::Trace> &seed_tours);
+                       const graph::Tours &seed_tours);
 
   private:
     /** @return the deterministic per-worker engine seed. */
@@ -118,7 +118,7 @@ harness::FuzzArm
 makeCampaignFuzzArm(const rtl::PpConfig &config,
                     const rtl::PpFsmModel &model,
                     const graph::StateGraph &graph,
-                    const std::vector<graph::Trace> &seed_tours,
+                    const graph::Tours &seed_tours,
                     CampaignOptions options = {},
                     FuzzOptions fuzz_options = {});
 

@@ -23,24 +23,25 @@ FuzzEngine::FuzzEngine(const rtl::PpConfig &config,
 }
 
 void
-FuzzEngine::seedCorpus(const std::vector<graph::Trace> &tours,
-                       size_t offset, size_t stride)
+FuzzEngine::seedCorpus(const graph::Tours &tours, size_t offset,
+                       size_t stride)
 {
     std::vector<Candidate> seeds;
 
     // Tour prefixes: the tour's front edges are the cheapest dense
     // coverage available, and every prefix of a reset-rooted walk is
-    // itself a reset-rooted walk.
+    // itself a reset-rooted walk (flattened into one run, legs and
+    // all, so mutants can cut and splice it anywhere).
     size_t take = std::min(options_.seedTours, tours.size());
     for (size_t i = 0; i < take; ++i) {
         Candidate seed;
         seed.vecgenSeed = rng_.next();
-        for (graph::EdgeId e : tours[i].edges) {
-            if (seed.trace.instructions >=
-                options_.maxTraceInstructions)
-                break;
-            seed.trace.edges.push_back(e);
-            seed.trace.instructions += graph_.edge(e).instrCount;
+        for (graph::TraceCursor cursor = tours.cursor(graph_, i);
+             seed.trace.instructions < options_.maxTraceInstructions &&
+             cursor.next();) {
+            seed.trace.edges.push_back(cursor.edge());
+            seed.trace.instructions +=
+                graph_.edge(cursor.edge()).instrCount;
         }
         if (!seed.trace.edges.empty())
             seeds.push_back(std::move(seed));

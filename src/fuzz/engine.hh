@@ -103,8 +103,8 @@ class FuzzEngine
      * @p stride engines evaluate disjoint seed subsets starting at
      * @p offset (every engine still *holds* all seeds for mutation).
      */
-    void seedCorpus(const std::vector<graph::Trace> &tours,
-                    size_t offset = 0, size_t stride = 1);
+    void seedCorpus(const graph::Tours &tours, size_t offset = 0,
+                    size_t stride = 1);
 
     /**
      * Evaluate one candidate (a queued seed, else a fresh mutant)

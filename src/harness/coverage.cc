@@ -22,10 +22,11 @@ CoverageTracker::addEdge(graph::EdgeId edge, uint32_t instr_count)
 }
 
 void
-CoverageTracker::addTrace(const graph::Trace &trace)
+CoverageTracker::addTrace(const graph::Trace &trace,
+                          const graph::Routes *routes)
 {
-    for (graph::EdgeId e : trace.edges)
-        addEdge(e, graph_.edge(e).instrCount);
+    for (graph::TraceCursor cursor(graph_, trace, routes); cursor.next();)
+        addEdge(cursor.edge(), graph_.edge(cursor.edge()).instrCount);
 }
 
 void

@@ -37,8 +37,10 @@ class CoverageTracker
     /** Record the traversal of one edge. */
     void addEdge(graph::EdgeId edge, uint32_t instr_count);
 
-    /** Record a whole walk. */
-    void addTrace(const graph::Trace &trace);
+    /** Record a whole walk, expanded along @p routes (the trees its
+     *  implied legs follow; a one-run walk from reset needs none). */
+    void addTrace(const graph::Trace &trace,
+                  const graph::Routes *routes = nullptr);
 
     /** Sample the current totals onto the curve. */
     void samplePoint();

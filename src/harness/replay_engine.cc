@@ -5,6 +5,7 @@
 #include <atomic>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "support/status.hh"
@@ -421,7 +422,7 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
                                "%zu traces",
                                lockstep->tours.size(), nt));
         for (size_t t = 0; t < nt; ++t) {
-            if (lockstep->tours[t].edges.size() !=
+            if (lockstep->tours.cursor(lockstep->graph, t).length() !=
                 traces[t].cycles.size())
                 fatal(formatString("trace %zu: tour and generated "
                                    "trace disagree on cycle count",
@@ -514,10 +515,11 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         if (warm_hit)
             triggers = warm_hit->triggers;
         TriggerPins pins;
+        std::optional<graph::TraceCursor> tour;
         VectorPlayer::LockstepSpec spec;
         if (lockstep) {
-            spec = {&lockstep->graph, expected_states.data(),
-                    &lockstep->tours[t]};
+            tour.emplace(lockstep->tours.cursor(lockstep->graph, t));
+            spec = {expected_states.data(), &*tour};
         }
         const VectorPlayer::LockstepSpec *check =
             lockstep ? &spec : nullptr;

@@ -191,14 +191,14 @@ class ReplayWarmCache
  * What the lockstep check compares a batch against: the FSM model
  * and state graph its traces were generated from, and each trace's
  * tour (tours[t] drove traces[t]). After forced cycle i of trace t
- * the core's control must equal the state tours[t].edges[i] leads
- * to.
+ * the core's control must equal the state that traversal i of
+ * tours[t] enters.
  */
 struct LockstepReference
 {
     const rtl::PpFsmModel &model;
     const graph::StateGraph &graph;
-    const std::vector<graph::Trace> &tours;
+    const graph::Tours &tours;
 };
 
 /** Engine tuning. */

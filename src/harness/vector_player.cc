@@ -8,14 +8,6 @@ namespace archval::harness
 
 using rtl::PpChoiceVar;
 
-namespace
-{
-
-/** Cycles ahead of the step that drive() prefetches tour edges. */
-constexpr size_t kLockstepPrefetch = 16;
-
-} // namespace
-
 rtl::ForcedSignals
 VectorPlayer::drainSignals()
 {
@@ -73,23 +65,18 @@ VectorPlayer::drive(rtl::PpCore &core, const vecgen::TestTrace &trace,
                     const LockstepSpec *lockstep)
 {
     uint64_t lockstep_errors = 0;
+    graph::TraceCursor *tour = lockstep ? lockstep->tour : nullptr;
+    if (tour && tour->position() != first_cycle)
+        tour->seek(first_cycle);
     const std::vector<rtl::ForcedSignals> &rows = rtl::unpackTable();
     for (size_t i = first_cycle; i < last_cycle; ++i) {
         core.forceSignals(rows[trace.cycles[i]]);
         core.step();
-        if (lockstep) {
-            // The core's control must now sit exactly on the tour
-            // edge's destination state. Tour edges land anywhere in
-            // the edge array, so fetch the one a few cycles on while
-            // the core steps.
-            const graph::Trace &tour = *lockstep->tour;
-            if (i + kLockstepPrefetch < last_cycle) {
-                __builtin_prefetch(&lockstep->graph->edge(
-                    tour.edges[i + kLockstepPrefetch]));
-            }
-            const graph::StateId expected =
-                lockstep->graph->edge(tour.edges[i]).dst;
-            if (!(core.controlState() == lockstep->states[expected]))
+        if (tour) {
+            // The core's control must now sit exactly on the state
+            // the tour's traversal enters.
+            if (!tour->next() ||
+                !(core.controlState() == lockstep->states[tour->state()]))
                 ++lockstep_errors;
         }
     }

@@ -82,15 +82,15 @@ class VectorPlayer
 
     /**
      * Lockstep-check context for drive(): after forced cycle i the
-     * core's control must equal states[d], where d is the
-     * destination of @c tour->edges[i] in @c graph and @c states is
-     * expectedStates() of that graph.
+     * core's control must equal states[d], where d is the state
+     * traversal i of @c tour enters and @c states is expectedStates()
+     * of the tour's graph. drive() seeks the cursor to its first
+     * cycle when it is not already there.
      */
     struct LockstepSpec
     {
-        const graph::StateGraph *graph = nullptr;
         const rtl::PpControlState *states = nullptr;
-        const graph::Trace *tour = nullptr;
+        graph::TraceCursor *tour = nullptr;
     };
 
     /** @return every state of @p graph unpacked by @p model, indexed

@@ -252,7 +252,10 @@ writeShardFile(const std::string &path, uint64_t partition,
                size_t state_bits, const StateTable &table,
                uint64_t *bytes_written)
 {
-    RecordFileWriter writer(path, kShardMagic, kSpillVersion);
+    // A spill file is scratch: SpillDir removes it at the end of the
+    // run, and only this process reads it back (CRC-checked).
+    RecordFileWriter writer(path, kShardMagic, kSpillVersion,
+                            RecordFileWriter::Durability::Scratch);
     std::vector<uint8_t> rec;
     packU64(rec, partition);
     packU64(rec, state_bits);

@@ -138,7 +138,7 @@ class Session
     const rtl::PpConfig &config() const { return config_; }
     const rtl::PpFsmModel &model() const { return *model_; }
     const graph::StateGraph &graph() const { return *graph_; }
-    const std::vector<graph::Trace> &tours() const { return *tours_; }
+    const graph::Tours &tours() const { return *tours_; }
     const std::vector<vecgen::TestTrace> &vectors() const
     {
         return *vectors_;
@@ -181,7 +181,7 @@ class Session
     uint64_t savedStamp_ = 0;   ///< stampLocked() at the last save
     std::unique_ptr<rtl::PpFsmModel> model_;
     std::optional<graph::StateGraph> graph_;
-    std::optional<std::vector<graph::Trace>> tours_;
+    std::optional<graph::Tours> tours_;
     std::optional<std::vector<vecgen::TestTrace>> vectors_;
     murphi::EnumStats enumStats_;
     graph::TourStats tourStats_;

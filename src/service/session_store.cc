@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include <dirent.h>
 #include <sys/stat.h>
@@ -24,7 +25,7 @@ namespace
  *  whenever any record layout below changes — stores of another
  *  version then count as restore misses and rebuild cold. */
 constexpr uint32_t kStoreMagic = 0x31535641;
-constexpr uint32_t kStoreVersion = 2;
+constexpr uint32_t kStoreVersion = 3;
 
 /** Structural sanity caps: a record that passed its CRC but claims
  *  sizes beyond these is from a different layout, not this one. */
@@ -290,7 +291,7 @@ deserializeGraph(const std::vector<uint8_t> &rec,
 }
 
 std::vector<uint8_t>
-serializeTours(const std::vector<graph::Trace> &tours)
+serializeTours(const graph::Tours &tours)
 {
     std::vector<uint8_t> out;
     packU64(out, tours.size());
@@ -298,25 +299,31 @@ serializeTours(const std::vector<graph::Trace> &tours)
         packU64(out, trace.edges.size());
         for (graph::EdgeId edge : trace.edges)
             packU32(out, edge);
+        packU64(out, trace.runEnds.size());
+        for (uint32_t end : trace.runEnds)
+            packU32(out, end);
         packU64(out, trace.instructions);
         packU8(out, trace.limitTerminated ? 1 : 0);
     }
     return out;
 }
 
+/** Decode the tours record against a graph of @p num_edges edges.
+ *  Each trace is bounds-checked: edge ids in the graph, and run ends
+ *  strictly increasing below the edge count, so no run is empty. */
 bool
 deserializeTours(const std::vector<uint8_t> &rec, uint64_t num_edges,
                  std::vector<graph::Trace> &tours)
 {
     Reader in{rec.data(), rec.size()};
     const uint64_t count = in.u64();
-    if (!in.ok || count > kMaxCount || count * 17 > in.remaining())
+    if (!in.ok || count > kMaxCount || count * 25 > in.remaining())
         return false;
     tours.reserve(count);
     for (uint64_t t = 0; t < count; ++t) {
         graph::Trace trace;
         const uint64_t edges = in.u64();
-        if (!in.ok || edges * 4 > in.remaining())
+        if (!in.ok || edges == 0 || edges * 4 > in.remaining())
             return false;
         trace.edges.reserve(edges);
         for (uint64_t e = 0; e < edges; ++e) {
@@ -324,6 +331,18 @@ deserializeTours(const std::vector<uint8_t> &rec, uint64_t num_edges,
             if (id >= num_edges)
                 return false; // dangling edge reference: damage
             trace.edges.push_back(id);
+        }
+        const uint64_t runs = in.u64();
+        if (!in.ok || runs >= edges || runs * 4 > in.remaining())
+            return false;
+        trace.runEnds.reserve(runs);
+        uint32_t prev = 0;
+        for (uint64_t r = 0; r < runs; ++r) {
+            const uint32_t end = in.u32();
+            if (end <= prev || end >= edges)
+                return false; // an empty or out-of-range run
+            trace.runEnds.push_back(end);
+            prev = end;
         }
         trace.instructions = in.u64();
         trace.limitTerminated = in.u8() != 0;
@@ -516,11 +535,18 @@ SessionStore::loadLocked(Session &session)
         restored_graph.stateBits() != model->stateBits())
         return failure();
 
-    std::vector<graph::Trace> restored_tours;
+    // Tours are checked, not trusted: their legs follow routes
+    // rebuilt from the restored graph, and every run must walk it.
+    std::optional<graph::Tours> restored_tours;
     if (has_tours) {
+        std::vector<graph::Trace> traces;
         if (reader.next(rec) != RS::Record ||
-            !deserializeTours(rec, restored_graph.numEdges(),
-                              restored_tours))
+            !deserializeTours(rec, restored_graph.numEdges(), traces))
+            return failure();
+        restored_tours.emplace(graph::Routes(restored_graph),
+                               std::move(traces));
+        if (!graph::checkTourCoverage(restored_graph, *restored_tours)
+                 .empty())
             return failure();
     }
 
@@ -546,7 +572,7 @@ SessionStore::loadLocked(Session &session)
     session.graph_ = std::move(restored_graph);
     session.enumStats_ = enum_stats;
     if (has_tours) {
-        session.tours_ = std::move(restored_tours);
+        session.tours_ = std::move(*restored_tours);
         session.tourStats_ = tour_stats;
     }
     for (auto &entry : warm_entries)

@@ -120,8 +120,9 @@ getU64(const uint8_t *in)
 } // namespace
 
 RecordFileWriter::RecordFileWriter(const std::string &path,
-                                   uint32_t magic, uint32_t version)
-    : path_(path)
+                                   uint32_t magic, uint32_t version,
+                                   Durability durability)
+    : durability_(durability), path_(path)
 {
     std::string tmpl = path + ".tmpXXXXXX";
     std::vector<char> buf(tmpl.begin(), tmpl.end());
@@ -185,7 +186,7 @@ RecordFileWriter::commit()
 {
     if (fd_ < 0)
         return false;
-    if (::fsync(fd_) != 0 ||
+    if ((durability_ == Durability::Durable && ::fsync(fd_) != 0) ||
         ::rename(tempPath_.c_str(), path_.c_str()) != 0) {
         discard();
         return false;

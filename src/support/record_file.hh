@@ -36,18 +36,28 @@ uint32_t crc32(const uint8_t *data, size_t size, uint32_t seed = 0);
  * appended to a temp file in the same directory, then fsync'd and
  * atomically renamed over the target, so a crash mid-save leaves
  * the previous file intact and a concurrent reader never observes a
- * half-written store.
+ * half-written store. A scratch file — one that only the writing
+ * process reads back and that it removes before exit — skips the
+ * fsync: a crash discards it anyway.
  * @{
  */
 
 class RecordFileWriter
 {
   public:
+    /** Whether commit() makes the file outlive a crash. */
+    enum class Durability
+    {
+        Durable, ///< fsync, then rename: a store other runs read
+        Scratch, ///< rename only: this process's own spill file
+    };
+
     /** Open a temp file next to @p path and write the header. A
      *  failure leaves the writer disabled (ok() false); every later
      *  call is then a harmless no-op returning false. */
     RecordFileWriter(const std::string &path, uint32_t magic,
-                     uint32_t version);
+                     uint32_t version,
+                     Durability durability = Durability::Durable);
 
     /** Discards the temp file unless commit() succeeded. */
     ~RecordFileWriter();
@@ -65,8 +75,9 @@ class RecordFileWriter
     bool append(const uint8_t *data, size_t size);
     bool append(const std::vector<uint8_t> &record);
 
-    /** fsync and atomically rename the temp file over the target.
-     *  @return false (target untouched) on any failure. */
+    /** fsync (a Durable file) and atomically rename the temp file
+     *  over the target. @return false (target untouched) on any
+     *  failure. */
     bool commit();
 
     /** @return total file bytes written so far (header + records) —
@@ -77,6 +88,7 @@ class RecordFileWriter
     void discard();
 
     int fd_ = -1;
+    Durability durability_;
     std::string path_;     ///< final target
     std::string tempPath_; ///< staging file (same directory)
     uint64_t offset_ = 0;

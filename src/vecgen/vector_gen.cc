@@ -76,15 +76,6 @@ requireStateWidth(const graph::StateGraph &graph,
     }
 }
 
-void
-requireEdge(graph::EdgeId e, size_t num_edges, size_t trace_index)
-{
-    if (e >= num_edges)
-        fatal(formatString("trace %zu: edge %u is not in the graph "
-                           "(%zu edges)",
-                           trace_index, e, num_edges));
-}
-
 /** @return workers for @p items independent items. */
 unsigned
 workersFor(size_t items)
@@ -229,12 +220,10 @@ VectorGenerator::internChoice(uint64_t choice_code)
 void
 VectorGenerator::internTrace(const graph::StateGraph &graph,
                              const graph::Trace &trace,
-                             size_t trace_index)
+                             const graph::Routes *routes)
 {
-    for (graph::EdgeId e : trace.edges) {
-        requireEdge(e, graph.numEdges(), trace_index);
-        internChoice(graph.edge(e).choiceCode);
-    }
+    for (graph::TraceCursor cursor(graph, trace, routes); cursor.next();)
+        internChoice(graph.edge(cursor.edge()).choiceCode);
 }
 
 VectorGenerator::EdgeSummary
@@ -303,19 +292,21 @@ VectorGenerator::summarizeGraph(const graph::StateGraph &graph) const
 
 template <typename SummaryOf>
 TestTrace
-VectorGenerator::walk(const graph::Trace &trace, size_t trace_index,
-                      size_t num_edges, const SummaryOf &summary_of,
+VectorGenerator::walk(const graph::Trace &trace,
+                      graph::TraceCursor cursor, size_t trace_index,
+                      const SummaryOf &summary_of,
                       VecGenStats &stats) const
 {
     TestTrace out;
     out.traceIndex = trace_index;
-    out.cycles.reserve(trace.edges.size());
+    out.cycles.reserve(cursor.length());
 
     // ------------------------------------------------------------------
     // Pass 1: walk the tour, record forced signals, track pipeline
     // occupancy for squash filtering and conflict constraints.
     // ------------------------------------------------------------------
     std::vector<Skeleton> skeletons;
+    skeletons.reserve(trace.instructions); // a fetch brings one or two
     int rd_hold = -1, ex_hold = -1, mem_hold = -1;
     int pending_store = -1;
 
@@ -326,8 +317,8 @@ VectorGenerator::walk(const graph::Trace &trace, size_t trace_index,
     // walks diverge.
     uint64_t prefix_hash = prefixMix(0xcbf29ce484222325ull, seed_);
 
-    for (graph::EdgeId e : trace.edges) {
-        requireEdge(e, num_edges, trace_index);
+    while (cursor.next()) {
+        const graph::EdgeId e = cursor.edge();
         prefix_hash = prefixMix(prefix_hash, e);
         const EdgeSummary s = summary_of(e);
 
@@ -558,14 +549,15 @@ VectorGenerator::account(const VecGenStats &delta)
 
 TestTrace
 VectorGenerator::generate(const graph::StateGraph &graph,
-                          const graph::Trace &trace, size_t trace_index)
+                          const graph::Trace &trace, size_t trace_index,
+                          const graph::Routes *routes)
 {
     requireStateWidth(graph, model_);
-    internTrace(graph, trace, trace_index);
+    internTrace(graph, trace, routes);
 
     VecGenStats delta;
     TestTrace out = walk(
-        trace, trace_index, graph.numEdges(),
+        trace, graph::TraceCursor(graph, trace, routes), trace_index,
         [&](graph::EdgeId e) {
             const graph::Edge &edge = graph.edge(e);
             return summarize(model_.unpack(graph.packedState(edge.src)),
@@ -573,13 +565,13 @@ VectorGenerator::generate(const graph::StateGraph &graph,
         },
         delta);
     account(delta);
-    telemetry::counter("vecgen.edges_summarized").add(trace.edges.size());
+    telemetry::counter("vecgen.edges_summarized").add(out.cycles.size());
     return out;
 }
 
 std::vector<TestTrace>
 VectorGenerator::generateAll(const graph::StateGraph &graph,
-                             const std::vector<graph::Trace> &traces)
+                             const graph::Tours &traces)
 {
     if (traces.empty())
         return {};
@@ -597,7 +589,7 @@ VectorGenerator::generateAll(const graph::StateGraph &graph,
     std::vector<VecGenStats> per_trace(traces.size());
     parallelFor(traces.size(), workers, [&](size_t i) {
         out[i] = walk(
-            traces[i], i, table.size(),
+            traces[i], traces.cursor(graph, i), i,
             [&](graph::EdgeId e) { return table[e]; }, per_trace[i]);
     });
 

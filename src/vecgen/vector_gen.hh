@@ -121,22 +121,24 @@ class VectorGenerator
     VectorGenerator(const rtl::PpFsmModel &model, uint64_t seed = 1);
 
     /** Convert one tour component, summarizing each of its edge
-     *  traversals as it goes. */
+     *  traversals as it goes. @p routes are the trees its implied
+     *  legs follow (graph::TraceCursor); a one-run walk from reset
+     *  needs none. */
     TestTrace generate(const graph::StateGraph &graph,
-                       const graph::Trace &trace, size_t trace_index = 0);
+                       const graph::Trace &trace, size_t trace_index = 0,
+                       const graph::Routes *routes = nullptr);
 
     /**
      * Convert every tour component: byte-identical to calling
-     * generate() on each in order. Summarizes every edge of @p graph
-     * once (meant for trace sets that cover the graph, such as a
-     * transition tour), then converts the traces on
-     * min(hardware threads, traces) workers. The summary table is
+     * generate() on each in order with the tour's routes. Summarizes
+     * every edge of @p graph once (meant for trace sets that cover
+     * the graph, such as a transition tour), then converts the traces
+     * on min(hardware threads, traces) workers. The summary table is
      * freed before returning. The first exception a worker throws is
      * rethrown here once every worker has stopped.
      */
-    std::vector<TestTrace> generateAll(
-        const graph::StateGraph &graph,
-        const std::vector<graph::Trace> &traces);
+    std::vector<TestTrace> generateAll(const graph::StateGraph &graph,
+                                       const graph::Tours &traces);
 
     /** @return accumulated statistics. */
     const VecGenStats &stats() const { return stats_; }
@@ -154,10 +156,10 @@ class VectorGenerator
     /** Index of an interned choice in choices_/signals_. */
     using SignalId = uint32_t;
 
-    /** Intern the choice of every edge @p trace traverses, checking
-     *  each edge id against @p graph. */
+    /** Intern the choice of every edge @p trace traverses. */
     void internTrace(const graph::StateGraph &graph,
-                     const graph::Trace &trace, size_t trace_index);
+                     const graph::Trace &trace,
+                     const graph::Routes *routes);
 
     /** @return the id of @p choice_code's decoded choice, interning
      *  it on first sight. */
@@ -173,11 +175,12 @@ class VectorGenerator
     std::vector<EdgeSummary> summarizeGraph(
         const graph::StateGraph &graph) const;
 
-    /** Turn @p trace into stimulus; @p summary_of maps an edge id to
-     *  its EdgeSummary. Adds the trace's figures to @p stats. */
+    /** Turn @p trace, expanded by @p cursor, into stimulus;
+     *  @p summary_of maps an edge id to its EdgeSummary. Adds the
+     *  trace's figures to @p stats. */
     template <typename SummaryOf>
-    TestTrace walk(const graph::Trace &trace, size_t trace_index,
-                   size_t num_edges, const SummaryOf &summary_of,
+    TestTrace walk(const graph::Trace &trace, graph::TraceCursor cursor,
+                   size_t trace_index, const SummaryOf &summary_of,
                    VecGenStats &stats) const;
 
     /** Fold @p delta into stats_ and the telemetry counters. */

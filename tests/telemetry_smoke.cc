@@ -37,7 +37,7 @@ main()
     graph::TourOptions tour_options;
     tour_options.maxInstructionsPerTrace = 500;
     graph::TourGenerator tour_gen(graph, tour_options);
-    std::vector<graph::Trace> tours = tour_gen.run();
+    graph::Tours tours = tour_gen.run();
     vecgen::VectorGenerator generator(model, 42);
     std::vector<vecgen::TestTrace> traces =
         generator.generateAll(graph, tours);

@@ -63,7 +63,7 @@ class CheckpointFixture : public ::testing::Test
         graph::TourOptions tour_options;
         tour_options.maxInstructionsPerTrace = 1'000;
         graph::TourGenerator tour_gen(*graph_, tour_options);
-        tours_ = new std::vector<graph::Trace>(tour_gen.run());
+        tours_ = new graph::Tours(tour_gen.run());
         vecgen::VectorGenerator generator(*model_, 42);
         traces_ = new std::vector<vecgen::TestTrace>(
             generator.generateAll(*graph_, *tours_));
@@ -123,7 +123,7 @@ class CheckpointFixture : public ::testing::Test
     static PpConfig *config_;
     static PpFsmModel *model_;
     static graph::StateGraph *graph_;
-    static std::vector<graph::Trace> *tours_;
+    static graph::Tours *tours_;
     static std::vector<vecgen::TestTrace> *traces_;
     static std::vector<BugSet> *bug_sets_;
     static std::vector<PlayResult> *expected_;
@@ -132,7 +132,7 @@ class CheckpointFixture : public ::testing::Test
 PpConfig *CheckpointFixture::config_ = nullptr;
 PpFsmModel *CheckpointFixture::model_ = nullptr;
 graph::StateGraph *CheckpointFixture::graph_ = nullptr;
-std::vector<graph::Trace> *CheckpointFixture::tours_ = nullptr;
+graph::Tours *CheckpointFixture::tours_ = nullptr;
 std::vector<vecgen::TestTrace> *CheckpointFixture::traces_ = nullptr;
 std::vector<BugSet> *CheckpointFixture::bug_sets_ = nullptr;
 std::vector<PlayResult> *CheckpointFixture::expected_ = nullptr;
@@ -675,16 +675,37 @@ TEST_F(CheckpointFixture, HeldCheckpointsAreBoundedPerRow)
 // Claim 5: the lockstep count survives donor copies and pin resumes.
 // ---------------------------------------------------------------------
 
-/** @return the first k in [@p from, @p to - 1) whose tour edges k and
- *  k + 1 lead to different states, or SIZE_MAX. */
+/**
+ * @return the first run edge k of tour @p t whose cycle c has
+ * @p from <= c and c + 1 < @p to, such that run edges k and k + 1 lie
+ * inside one run away from its ends (the legs around the run stay as
+ * they are) and lead to different states; SIZE_MAX when none does.
+ */
 size_t
-swappableAt(const graph::StateGraph &graph, const graph::Trace &tour,
-            size_t from, size_t to)
+swappableAt(const graph::StateGraph &graph, const graph::Tours &tours,
+            size_t t, size_t from, size_t to)
 {
-    for (size_t k = from; k + 1 < to; ++k) {
-        if (graph.edge(tour.edges[k]).dst !=
-            graph.edge(tour.edges[k + 1]).dst)
-            return k;
+    const graph::Trace &tour = tours[t];
+    const graph::Routes &routes = tours.routes();
+    size_t cycle = 0; // the cycle of the current run's first edge
+    for (size_t run = 0; run <= tour.runEnds.size(); ++run) {
+        const size_t begin = run == 0 ? 0 : tour.runEnds[run - 1];
+        const size_t end = run < tour.runEnds.size() ? tour.runEnds[run]
+                                                     : tour.edges.size();
+        const graph::StateId leg_from =
+            run == 0 ? graph.resetState()
+                     : graph.edge(tour.edges[begin - 1]).dst;
+        cycle += routes.toReset().depth[leg_from] +
+                 routes.fromReset()
+                     .depth[graph.edge(tour.edges[begin]).src];
+        for (size_t k = begin + 1; k + 2 < end; ++k) {
+            const size_t c = cycle + (k - begin);
+            if (c >= from && c + 1 < to &&
+                graph.edge(tour.edges[k]).dst !=
+                    graph.edge(tour.edges[k + 1]).dst)
+                return k;
+        }
+        cycle += end - begin;
     }
     return SIZE_MAX;
 }
@@ -711,7 +732,7 @@ TEST_F(CheckpointFixture, LockstepCountSurvivesCopiesAndResumes)
         // boundary, twice: with a swap below the pin, and with one
         // above it. Then a trace that bug never triggers on.
         std::vector<vecgen::TestTrace> traces;
-        std::vector<graph::Trace> tours;
+        std::vector<graph::Trace> swaps;
         size_t bug = rtl::numBugs;
         for (size_t t = 0; t < traces_->size() && traces.empty(); ++t) {
             const vecgen::TestTrace &trace = (*traces_)[t];
@@ -724,31 +745,36 @@ TEST_F(CheckpointFixture, LockstepCountSurvivesCopiesAndResumes)
                 if (triggers[b] == UINT64_MAX || limit <= stride)
                     continue;
                 const size_t pin = (limit - 1) / stride * stride;
-                const size_t below = swappableAt(*graph_, tour, 0, pin);
+                const size_t below =
+                    swappableAt(*graph_, *tours_, t, 0, pin);
                 const size_t above =
-                    swappableAt(*graph_, tour, pin, len);
+                    swappableAt(*graph_, *tours_, t, pin, len);
                 if (below == SIZE_MAX || above == SIZE_MAX)
                     continue;
                 bug = b;
                 traces.assign(2, trace);
-                tours = {swapped(tour, below), swapped(tour, above)};
+                swaps = {swapped(tour, below), swapped(tour, above)};
                 break;
             }
         }
         ASSERT_EQ(traces.size(), 2u) << "stride=" << stride;
         for (size_t t = 0; t < traces_->size(); ++t) {
             const vecgen::TestTrace &trace = (*traces_)[t];
-            const size_t k = swappableAt(*graph_, (*tours_)[t], 0,
+            const size_t k = swappableAt(*graph_, *tours_, t, 0,
                                          trace.cycles.size());
             if (bugFreeTriggers(*config_, trace)[bug] == UINT64_MAX &&
                 k != SIZE_MAX) {
                 traces.push_back(trace);
-                tours.push_back(swapped((*tours_)[t], k));
+                swaps.push_back(swapped((*tours_)[t], k));
                 break;
             }
         }
         ASSERT_EQ(traces.size(), 3u) << "stride=" << stride;
+        // Resumed jobs seek their tour past legs through reset.
+        for (const graph::Trace &swap : swaps)
+            ASSERT_FALSE(swap.runEnds.empty()) << "stride=" << stride;
 
+        const graph::Tours tours(tours_->routes(), swaps);
         const LockstepReference lockstep{*model_, *graph_, tours};
         std::vector<BugSet> bug_sets(2);
         bug_sets[1].set(bug);
@@ -761,8 +787,9 @@ TEST_F(CheckpointFixture, LockstepCountSurvivesCopiesAndResumes)
             for (size_t t = 0; t < traces.size(); ++t) {
                 rtl::PpCore core(*config_, rtl::CoreMode::Vector);
                 VectorPlayer::primeCore(core, traces[t], bugs);
-                const VectorPlayer::LockstepSpec spec{
-                    graph_, states.data(), &tours[t]};
+                graph::TraceCursor tour = tours.cursor(*graph_, t);
+                const VectorPlayer::LockstepSpec spec{states.data(),
+                                                      &tour};
                 PlayResult result = player.play(traces[t], bugs);
                 result.lockstepErrors = VectorPlayer::drive(
                     core, traces[t], 0, traces[t].cycles.size(), &spec);
@@ -827,16 +854,18 @@ TEST_F(CheckpointFixture, LockstepRejectsToursOutOfShape)
 {
     // Before any job runs, the engine rejects a reference without one
     // tour per trace or with a tour whose length is not its trace's.
-    std::vector<graph::Trace> tours(tours_->begin(), tours_->end());
-    tours.back().edges.pop_back();
-    const LockstepReference short_tour{*model_, *graph_, tours};
+    std::vector<graph::Trace> traces = tours_->traces();
+    traces.back().edges.pop_back();
+    const graph::Tours short_tours(tours_->routes(), traces);
+    const LockstepReference short_tour{*model_, *graph_, short_tours};
     ReplayEngine engine(*config_);
     EXPECT_THROW(engine.playAll(*traces_, *bug_sets_, &short_tour),
                  FatalError);
     EXPECT_EQ(engine.stats().jobs, 0u);
 
-    tours.pop_back();
-    const LockstepReference missing{*model_, *graph_, tours};
+    traces.pop_back();
+    const graph::Tours fewer_tours(tours_->routes(), traces);
+    const LockstepReference missing{*model_, *graph_, fewer_tours};
     EXPECT_THROW(engine.playAll(*traces_, *bug_sets_, &missing),
                  FatalError);
     EXPECT_EQ(engine.stats().jobs, 0u);

@@ -111,7 +111,8 @@ TEST_P(ConfigMatrix, EnumeratesToursAndReplaysClean)
         // Field by field, everything serializeTrace() writes (the
         // text form itself costs over a minute across the matrix).
         const vecgen::TestTrace &a = vectors[i];
-        const vecgen::TestTrace b = loop_gen.generate(graph, traces[i], i);
+        const vecgen::TestTrace b =
+            loop_gen.generate(graph, traces[i], i, &traces.routes());
         ASSERT_TRUE(a.traceIndex == b.traceIndex &&
                     a.instructions == b.instructions &&
                     a.cycles == b.cycles &&

@@ -65,7 +65,7 @@ class FuzzFixture : public ::testing::Test
         murphi::Enumerator enumerator(*model_);
         graph_ = new graph::StateGraph(enumerator.runOrThrow());
         graph::TourGenerator tour_gen(*graph_);
-        tours_ = new std::vector<graph::Trace>(tour_gen.run());
+        tours_ = new graph::Tours(tour_gen.run());
     }
 
     static void
@@ -81,35 +81,52 @@ class FuzzFixture : public ::testing::Test
         config_ = nullptr;
     }
 
+    /** Tour trace @p i as one run: its walk with the legs spelled
+     *  out, as a fuzz candidate holds it. */
+    static graph::Trace
+    flatTour(size_t i)
+    {
+        graph::Trace flat;
+        for (graph::TraceCursor cursor = tours_->cursor(*graph_, i);
+             cursor.next();)
+            flat.edges.push_back(cursor.edge());
+        flat.instructions = (*tours_)[i].instructions;
+        flat.limitTerminated = (*tours_)[i].limitTerminated;
+        return flat;
+    }
+
     static PpConfig *config_;
     static PpFsmModel *model_;
     static graph::StateGraph *graph_;
-    static std::vector<graph::Trace> *tours_;
+    static graph::Tours *tours_;
 };
 
 PpConfig *FuzzFixture::config_ = nullptr;
 PpFsmModel *FuzzFixture::model_ = nullptr;
 graph::StateGraph *FuzzFixture::graph_ = nullptr;
-std::vector<graph::Trace> *FuzzFixture::tours_ = nullptr;
+graph::Tours *FuzzFixture::tours_ = nullptr;
 
 TEST_F(FuzzFixture, CoverageTrackerMergeUnionsArcs)
 {
     harness::CoverageTracker a(*graph_), b(*graph_);
-    const auto &tour = tours_->front();
-    size_t half = tour.edges.size() / 2;
+    const graph::Trace tour = flatTour(0);
+    const size_t half = tour.edges.size() / 2;
 
-    graph::Trace front, back;
-    front.edges.assign(tour.edges.begin(),
-                       tour.edges.begin() + half);
-    back.edges.assign(tour.edges.begin() + half, tour.edges.end());
-    a.addTrace(front);
-    b.addTrace(back);
+    // The back half does not start at reset: its edges are added one
+    // by one.
+    auto add = [&](harness::CoverageTracker &tracker, size_t from,
+                   size_t to) {
+        for (size_t i = from; i < to; ++i)
+            tracker.addEdge(tour.edges[i],
+                            graph_->edge(tour.edges[i]).instrCount);
+    };
+    add(a, 0, half);
+    add(b, half, tour.edges.size());
 
     uint64_t union_size = 0;
     {
         harness::CoverageTracker both(*graph_);
-        both.addTrace(front);
-        both.addTrace(back);
+        add(both, 0, tour.edges.size());
         union_size = both.coveredEdges();
     }
 
@@ -126,7 +143,7 @@ TEST_F(FuzzFixture, CoverageTrackerMergeUnionsArcs)
 TEST_F(FuzzFixture, CoverageTrackerResetClears)
 {
     harness::CoverageTracker tracker(*graph_);
-    tracker.addTrace(tours_->front());
+    tracker.addTrace((*tours_)[0], &tours_->routes());
     tracker.samplePoint();
     ASSERT_GT(tracker.coveredEdges(), 0u);
 
@@ -142,7 +159,7 @@ TEST_F(FuzzFixture, CorpusPicksAreEnergyWeightedAndDeterministic)
 {
     Corpus corpus;
     Candidate candidate;
-    candidate.trace = tours_->front();
+    candidate.trace = flatTour(0);
     corpus.add(candidate, 1);
     corpus.add(candidate, 1'000'000);
 
@@ -171,7 +188,7 @@ TEST_F(FuzzFixture, CorpusEvictsLowestEnergyPastBound)
 {
     Corpus corpus(3);
     Candidate candidate;
-    candidate.trace = tours_->front();
+    candidate.trace = flatTour(0);
     corpus.add(candidate, 10);
     corpus.add(candidate, 2); // victim
     corpus.add(candidate, 30);
@@ -187,8 +204,8 @@ TEST_F(FuzzFixture, EveryMutationOperatorPreservesWalkValidity)
     Rng rng(11);
 
     Candidate base, donor;
-    base.trace = tours_->front();
-    donor.trace = tours_->size() > 1 ? (*tours_)[1] : tours_->front();
+    base.trace = flatTour(0);
+    donor.trace = flatTour(tours_->size() > 1 ? 1 : 0);
 
     for (size_t op = 0;
          op < static_cast<size_t>(MutationOp::NumOps); ++op) {
@@ -210,7 +227,7 @@ TEST_F(FuzzFixture, MutantsOfMutantsStayValid)
     TraceMutator mutator(*graph_, 600);
     Rng rng(23);
     Candidate current;
-    current.trace = tours_->front();
+    current.trace = flatTour(0);
     for (int i = 0; i < 120; ++i) {
         current = mutator.mutate(current, current, rng);
         ASSERT_EQ(checkTraceValid(*graph_, current.trace), "")
@@ -223,7 +240,7 @@ TEST_F(FuzzFixture, ClassResampleKeepsWalkChangesSeed)
     TraceMutator mutator(*graph_, 600);
     Rng rng(5);
     Candidate base;
-    base.trace = tours_->front();
+    base.trace = flatTour(0);
     base.vecgenSeed = 1234;
     Candidate mutant = mutator.apply(MutationOp::ClassResample, base,
                                      base, rng);

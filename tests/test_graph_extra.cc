@@ -222,8 +222,10 @@ TEST_F(EnumeratedGraphFixture, TourDeterministicAcrossRuns)
     auto ta = a.run();
     auto tb = b.run();
     ASSERT_EQ(ta.size(), tb.size());
-    for (size_t i = 0; i < ta.size(); ++i)
+    for (size_t i = 0; i < ta.size(); ++i) {
         EXPECT_EQ(ta[i].edges, tb[i].edges) << "trace " << i;
+        EXPECT_EQ(ta[i].runEnds, tb[i].runEnds) << "trace " << i;
+    }
 }
 
 TEST_F(EnumeratedGraphFixture, LimitMonotonicity)

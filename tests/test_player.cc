@@ -36,7 +36,7 @@ class PlayerFixture : public ::testing::Test
         murphi::Enumerator enumerator(*model_);
         graph_ = new graph::StateGraph(enumerator.runOrThrow());
         graph::TourGenerator tour_gen(*graph_);
-        tours_ = new std::vector<graph::Trace>(tour_gen.run());
+        tours_ = new graph::Tours(tour_gen.run());
         vecgen::VectorGenerator generator(*model_, 42);
         traces_ = new std::vector<vecgen::TestTrace>(
             generator.generateAll(*graph_, *tours_));
@@ -60,14 +60,14 @@ class PlayerFixture : public ::testing::Test
     static PpConfig *config_;
     static PpFsmModel *model_;
     static graph::StateGraph *graph_;
-    static std::vector<graph::Trace> *tours_;
+    static graph::Tours *tours_;
     static std::vector<vecgen::TestTrace> *traces_;
 };
 
 PpConfig *PlayerFixture::config_ = nullptr;
 PpFsmModel *PlayerFixture::model_ = nullptr;
 graph::StateGraph *PlayerFixture::graph_ = nullptr;
-std::vector<graph::Trace> *PlayerFixture::tours_ = nullptr;
+graph::Tours *PlayerFixture::tours_ = nullptr;
 std::vector<vecgen::TestTrace> *PlayerFixture::traces_ = nullptr;
 
 TEST_F(PlayerFixture, BugFreeRunsNeverDiverge)
@@ -87,8 +87,10 @@ TEST_F(PlayerFixture, ControlFollowsTourInLockstep)
     // The forced vectors must drive the RTL control through exactly
     // the arcs the tour prescribes — the paper's central mechanism.
     const long checked = std::min<long>(tours_->size(), 25);
-    const std::vector<graph::Trace> tours(tours_->begin(),
-                                          tours_->begin() + checked);
+    const graph::Tours tours(
+        tours_->routes(),
+        std::vector<graph::Trace>(tours_->begin(),
+                                  tours_->begin() + checked));
     const std::vector<vecgen::TestTrace> traces(
         traces_->begin(), traces_->begin() + checked);
     const LockstepReference lockstep{*model_, *graph_, tours};
@@ -240,7 +242,7 @@ TEST_F(PlayerFixture, CoverageTrackerMatchesTourTotals)
 {
     CoverageTracker tracker(*graph_);
     for (const auto &tour : *tours_)
-        tracker.addTrace(tour);
+        tracker.addTrace(tour, &tours_->routes());
     EXPECT_EQ(tracker.coveredEdges(), graph_->numEdges());
     EXPECT_DOUBLE_EQ(tracker.fraction(), 1.0);
 }

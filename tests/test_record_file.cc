@@ -64,6 +64,39 @@ TEST(RecordFileTest, RoundTripIncludingEmptyRecords)
     ::unlink(path.c_str());
 }
 
+TEST(RecordFileTest, ScratchWriterCommitsTheSameFile)
+{
+    // A scratch file skips only the fsync: the committed bytes and
+    // their read-back are a durable file's.
+    using Durability = RecordFileWriter::Durability;
+    const std::vector<uint8_t> record = patternRecord(300, 5);
+    std::vector<std::vector<uint8_t>> files;
+    for (Durability durability :
+         {Durability::Durable, Durability::Scratch}) {
+        const std::string path = recordFilePath(
+            durability == Durability::Durable ? "durable" : "scratch");
+        {
+            RecordFileWriter writer(path, kTestMagic, 1, durability);
+            ASSERT_TRUE(writer.append(record));
+            ASSERT_TRUE(writer.commit());
+        }
+        RecordFileReader reader(path, kTestMagic, 1);
+        std::vector<uint8_t> out;
+        ASSERT_EQ(reader.next(out), RecordFileReader::Status::Record);
+        EXPECT_EQ(out, record);
+        EXPECT_EQ(reader.next(out), RecordFileReader::Status::End);
+
+        std::vector<uint8_t> bytes(4096);
+        const int fd = ::open(path.c_str(), O_RDONLY);
+        ASSERT_GE(fd, 0);
+        bytes.resize(size_t(::read(fd, bytes.data(), bytes.size())));
+        ::close(fd);
+        files.push_back(bytes);
+        ::unlink(path.c_str());
+    }
+    EXPECT_EQ(files[0], files[1]);
+}
+
 TEST(RecordFileTest, UncommittedWriterLeavesTargetUntouched)
 {
     const std::string path = recordFilePath("atomic");

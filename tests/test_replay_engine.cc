@@ -44,7 +44,7 @@ class ReplayFixture : public ::testing::Test
         graph::TourOptions tour_options;
         tour_options.maxInstructionsPerTrace = 1'000;
         graph::TourGenerator tour_gen(*graph_, tour_options);
-        tours_ = new std::vector<graph::Trace>(tour_gen.run());
+        tours_ = new graph::Tours(tour_gen.run());
         vecgen::VectorGenerator generator(*model_, 42);
         traces_ = new std::vector<vecgen::TestTrace>(
             generator.generateAll(*graph_, *tours_));
@@ -68,14 +68,14 @@ class ReplayFixture : public ::testing::Test
     static PpConfig *config_;
     static PpFsmModel *model_;
     static graph::StateGraph *graph_;
-    static std::vector<graph::Trace> *tours_;
+    static graph::Tours *tours_;
     static std::vector<vecgen::TestTrace> *traces_;
 };
 
 PpConfig *ReplayFixture::config_ = nullptr;
 PpFsmModel *ReplayFixture::model_ = nullptr;
 graph::StateGraph *ReplayFixture::graph_ = nullptr;
-std::vector<graph::Trace> *ReplayFixture::tours_ = nullptr;
+graph::Tours *ReplayFixture::tours_ = nullptr;
 std::vector<vecgen::TestTrace> *ReplayFixture::traces_ = nullptr;
 
 /** Field-by-field PlayResult equality with a readable message. */

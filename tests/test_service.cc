@@ -1281,19 +1281,22 @@ TEST(SessionPersistence, DamagedStoreDegradesToColdRebuild)
 namespace
 {
 
-/** The store's record-file identity: "AVS1", version 2. */
+/** The store's record-file identity: "AVS1", version 3. */
 constexpr uint32_t kStoreMagic = 0x31535641;
-constexpr uint32_t kStoreVersion = 2;
+constexpr uint32_t kStoreVersion = 3;
+
+/** Records of a store: fingerprint, meta, graph, then the tours when
+ *  the session made them. */
+using StoreRecords = std::vector<std::vector<uint8_t>>;
 
 /** Rewrite the store file at @p path under fresh CRCs and a header
- *  of format @p version, passing its graph record through @p patch,
- *  so that only the graph decoder can tell a patched record is
- *  damaged. */
+ *  of format @p version, passing its records through @p patch, so
+ *  that only the decoders can tell a patched record is damaged. */
 void
-rewriteStore(const std::string &path, uint32_t version,
-             const std::function<void(std::vector<uint8_t> &)> &patch)
+rewriteStoreRecords(const std::string &path, uint32_t version,
+                    const std::function<void(StoreRecords &)> &patch)
 {
-    std::vector<std::vector<uint8_t>> records;
+    StoreRecords records;
     {
         RecordFileReader reader(path, kStoreMagic, kStoreVersion);
         ASSERT_TRUE(reader.ok());
@@ -1302,11 +1305,20 @@ rewriteStore(const std::string &path, uint32_t version,
             records.push_back(rec);
     }
     ASSERT_GE(records.size(), 3u); // fingerprint, meta, graph, ...
-    patch(records[2]);
+    patch(records);
     RecordFileWriter writer(path, kStoreMagic, version);
     for (const std::vector<uint8_t> &rec : records)
         ASSERT_TRUE(writer.append(rec));
     ASSERT_TRUE(writer.commit());
+}
+
+/** rewriteStoreRecords() patching the graph record alone. */
+void
+rewriteStore(const std::string &path, uint32_t version,
+             const std::function<void(std::vector<uint8_t> &)> &patch)
+{
+    rewriteStoreRecords(path, version,
+                        [&](StoreRecords &records) { patch(records[2]); });
 }
 
 uint64_t
@@ -1415,6 +1427,151 @@ TEST(SessionPersistence, EdgesOutOfSourceOrderAreRestoreFailure)
                          graph.begin() + first + 20,
                          graph.begin() + last);
     });
+}
+
+namespace
+{
+
+/** Tour figures of the default session, as a `tour` job and then an
+ *  `enumerate` job of one lifetime report them. */
+struct TourFigures
+{
+    int64_t tours = 0;
+    std::string fingerprint;
+};
+
+TourFigures
+tourThenEnumerate(SessionCache &sessions)
+{
+    JobManager manager(sessions, 2);
+    TourFigures figures;
+    Collector tour_events;
+    manager.submit(makeRequest("tour"), tour_events.sink());
+    json::Value tour = tour_events.waitTerminal();
+    EXPECT_EQ(tour.get("type").asString(), "result")
+        << tour.get("message").asString();
+    figures.tours = tour.get("tours").asInt();
+    Collector enum_events;
+    manager.submit(makeRequest("enumerate"), enum_events.sink());
+    json::Value graph = enum_events.waitTerminal();
+    EXPECT_EQ(graph.get("type").asString(), "result")
+        << graph.get("message").asString();
+    figures.fingerprint = graph.get("graphFingerprint").asString();
+    manager.shutdown(); // workers joined: the save is on disk
+    return figures;
+}
+
+/** The tours record, for patching: its first trace's edge ids and run
+ *  ends sit at fixed offsets (u64 count, then per trace u64 edge
+ *  count, u32 edges, u64 run count, u32 run ends, u64 instructions,
+ *  u8 limit flag). */
+struct FirstTrace
+{
+    std::vector<uint8_t> &rec;
+
+    uint64_t edges() const { return getU64(rec, 8); }
+    size_t edgeAt(size_t i) const { return 16 + 4 * i; }
+    uint64_t runs() const { return getU64(rec, 16 + 4 * edges()); }
+    size_t runEndAt(size_t r) const { return 24 + 4 * edges() + 4 * r; }
+
+    uint32_t
+    get(size_t at) const
+    {
+        return uint32_t(getU64(rec, at) & 0xffffffff);
+    }
+
+    void
+    set(size_t at, uint32_t value)
+    {
+        for (int i = 0; i < 4; ++i)
+            rec.at(at + i) = uint8_t(value >> (8 * i));
+    }
+};
+
+/**
+ * Save a cold `tour` session, damage its tours record through
+ * @p damage (under a fresh CRC; the graph record is passed along to
+ * read edges from), and expect the next lifetime to count one restore
+ * failure and rebuild cold: the cold tour count and graphFingerprint.
+ */
+void
+expectToursDamageRebuildsCold(
+    const char *tag,
+    const std::function<void(FirstTrace, const std::vector<uint8_t> &)>
+        &damage)
+{
+    const std::string store = makeStoreDir(tag);
+    TourFigures cold;
+    std::string store_file;
+    {
+        SessionCache sessions(4, store);
+        cold = tourThenEnumerate(sessions);
+        store_file = sessions.store().pathFor(DesignSpec{}.fingerprint());
+    }
+    ASSERT_GT(cold.tours, 0);
+    ASSERT_FALSE(cold.fingerprint.empty());
+
+    rewriteStoreRecords(store_file, kStoreVersion,
+                        [&](StoreRecords &records) {
+                            ASSERT_EQ(records.size(), 4u);
+                            damage(FirstTrace{records[3]}, records[2]);
+                        });
+    SessionCache sessions(4, store);
+    const TourFigures restored = tourThenEnumerate(sessions);
+    EXPECT_EQ(restored.tours, cold.tours);
+    EXPECT_EQ(restored.fingerprint, cold.fingerprint);
+    EXPECT_EQ(sessions.stats().restoreFailures, 1u);
+    EXPECT_EQ(sessions.stats().restoreHits, 0u);
+    removeTree(store);
+}
+
+} // namespace
+
+TEST(SessionPersistence, RunEndPastEdgeCountIsRestoreFailure)
+{
+    expectToursDamageRebuildsCold(
+        "runend", [](FirstTrace trace, const std::vector<uint8_t> &) {
+            ASSERT_GT(trace.runs(), 0u);
+            trace.set(trace.runEndAt(trace.runs() - 1),
+                      uint32_t(trace.edges() + 5));
+        });
+}
+
+TEST(SessionPersistence, DiscontinuousRunIsRestoreFailure)
+{
+    // In the first run of two or more edges, its second edge is
+    // replaced by one that leaves another state than the first
+    // enters: every id stays in the graph and the run ends keep their
+    // shape, so only the walk check can tell.
+    expectToursDamageRebuildsCold(
+        "discontinuous",
+        [](FirstTrace trace, const std::vector<uint8_t> &graph) {
+            auto src = [&](uint32_t e) {
+                return getU64(graph, edgeOffset(graph, e)) & 0xffffffff;
+            };
+            auto dst = [&](uint32_t e) {
+                return getU64(graph, edgeOffset(graph, e)) >> 32;
+            };
+            const uint64_t num_edges =
+                getU64(graph, edgeOffset(graph, 0) - 8);
+            uint64_t begin = 0;
+            for (uint64_t r = 0; r <= trace.runs(); ++r) {
+                const uint64_t end = r < trace.runs()
+                                         ? trace.get(trace.runEndAt(r))
+                                         : trace.edges();
+                if (end - begin >= 2)
+                    break;
+                begin = end;
+            }
+            ASSERT_LT(begin + 1, trace.edges());
+            const uint32_t at =
+                trace.get(trace.edgeAt(begin)); // the run's first edge
+            uint32_t other = 0;
+            while (other < num_edges && src(other) == dst(at))
+                ++other;
+            ASSERT_LT(other, num_edges);
+            trace.set(trace.edgeAt(begin + 1), other);
+        });
 }
 
 TEST(SessionPersistence, StaleStoreVersionRebuildsCold)

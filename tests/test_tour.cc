@@ -160,33 +160,159 @@ TEST(Tour, LimitCountsInstructionsNotEdges)
     EXPECT_EQ(traces[0].instructions, 5u);
 }
 
+/** Reset (0) fans out to three loops 0 -> 1 -> 2 -> 0,
+ *  0 -> 3 -> 4 -> 0 and 0 -> 5 -> 6 -> 0, each with one chord back:
+ *  the DFS covers the loops in one run, and each chord needs a leg
+ *  through reset, so the tour is one trace of several runs. */
+StateGraph
+spokeGraph()
+{
+    StateGraph graph;
+    for (int i = 0; i < 7; ++i)
+        graph.addState(BitVec(0));
+    graph.addEdge(0, 1, 0, 1);
+    graph.addEdge(0, 3, 1, 1);
+    graph.addEdge(0, 5, 2, 1);
+    graph.addEdge(1, 2, 3, 1);
+    graph.addEdge(2, 0, 4, 1);
+    graph.addEdge(2, 1, 5, 2);
+    graph.addEdge(3, 4, 6, 1);
+    graph.addEdge(4, 0, 7, 1);
+    graph.addEdge(4, 3, 8, 2);
+    graph.addEdge(5, 6, 9, 1);
+    graph.addEdge(6, 5, 10, 1);
+    graph.addEdge(6, 0, 11, 2);
+    return graph;
+}
+
+/** @return every traversal of trace @p i: (edge, state entered). */
+std::vector<std::pair<EdgeId, StateId>>
+expand(const StateGraph &graph, const Tours &tours, size_t i)
+{
+    std::vector<std::pair<EdgeId, StateId>> out;
+    for (TraceCursor cursor = tours.cursor(graph, i); cursor.next();)
+        out.emplace_back(cursor.edge(), cursor.state());
+    return out;
+}
+
 TEST(Tour, StatsConsistentWithTraces)
 {
-    auto graph = ringGraph(12);
-    TourGenerator generator(graph);
-    auto traces = generator.run();
-    uint64_t edges = 0, instrs = 0, longest = 0;
-    for (const auto &t : traces) {
-        edges += t.edges.size();
-        instrs += t.instructions;
-        longest = std::max<uint64_t>(longest, t.edges.size());
+    for (const StateGraph &graph : {ringGraph(12), spokeGraph()}) {
+        TourGenerator generator(graph);
+        auto traces = generator.run();
+        uint64_t edges = 0, instrs = 0, longest = 0;
+        for (size_t i = 0; i < traces.size(); ++i) {
+            const uint64_t length = traces.cursor(graph, i).length();
+            EXPECT_EQ(length, expand(graph, traces, i).size());
+            edges += length;
+            instrs += traces[i].instructions;
+            longest = std::max<uint64_t>(longest, length);
+        }
+        EXPECT_EQ(generator.stats().totalEdgeTraversals, edges);
+        EXPECT_EQ(generator.stats().totalInstructions, instrs);
+        EXPECT_EQ(generator.stats().longestTraceEdges, longest);
+        EXPECT_EQ(generator.stats().numTraces, traces.size());
     }
-    EXPECT_EQ(generator.stats().totalEdgeTraversals, edges);
-    EXPECT_EQ(generator.stats().totalInstructions, instrs);
-    EXPECT_EQ(generator.stats().longestTraceEdges, longest);
-    EXPECT_EQ(generator.stats().numTraces, traces.size());
+}
+
+TEST(Tour, LegsAreImpliedBetweenRuns)
+{
+    const StateGraph graph = spokeGraph();
+    TourGenerator generator(graph);
+    const Tours tours = generator.run();
+    ASSERT_EQ(tours.size(), 1u);
+    EXPECT_EQ(checkTourCoverage(graph, tours), "");
+    // The DFS runs 0 -> 1 -> 2 -> 0 -> 3 -> 4 -> 0 -> 5 -> 6 -> 5 and
+    // is stuck. The leg up the in-tree (5 -> 6 -> 0) covers chord
+    // 6 -> 0 and goes down the BFS tree to 2 for chord 2 -> 1; the
+    // next leg (1 -> 2 -> 0, then 0 -> 3 -> 4) reaches chord 4 -> 3.
+    const Trace &trace = tours[0];
+    EXPECT_EQ(trace.edges,
+              (std::vector<EdgeId>{0, 3, 4, 1, 6, 7, 2, 9, 10, 5, 8}));
+    EXPECT_EQ(trace.runEnds, (std::vector<uint32_t>{9, 10}));
+    std::vector<EdgeId> walk;
+    StateId at = graph.resetState();
+    for (const auto &[edge, state] : expand(graph, tours, 0)) {
+        EXPECT_EQ(graph.edge(edge).src, at);
+        EXPECT_EQ(graph.edge(edge).dst, state);
+        at = state;
+        walk.push_back(edge);
+    }
+    EXPECT_EQ(walk, (std::vector<EdgeId>{0, 3, 4, 1, 6, 7, 2, 9, 10, 9,
+                                         11, 0, 3, 5, 3, 4, 1, 6, 8}));
+    EXPECT_EQ(trace.instructions, 22u);
+    EXPECT_EQ(generator.stats().totalEdgeTraversals, walk.size());
+    EXPECT_EQ(generator.stats().longestTraceEdges, walk.size());
+    EXPECT_EQ(tours.memoryBytes(),
+              sizeof(Trace) + 11 * sizeof(EdgeId) +
+                  2 * sizeof(uint32_t) + tours.routes().memoryBytes());
+}
+
+TEST(Tour, LegCoveringItsTargetIsSpelledOut)
+{
+    // 0 -A-> 2 -D-> 1 -B-> 2 is stuck at 2, with 1 -C-> 0 left. The
+    // leg to 1 goes up the in-tree (2 -D-> 1 -C-> 0), which covers C,
+    // then down the BFS tree (0 -A-> 2 -D-> 1); the DFS from 1 then
+    // takes nothing. Figure 3.3 still walked that leg, so its edges
+    // are written into the run.
+    StateGraph graph;
+    for (int i = 0; i < 3; ++i)
+        graph.addState(BitVec(0));
+    const EdgeId a = graph.addEdge(0, 2, 0, 1);
+    const EdgeId b = graph.addEdge(1, 2, 1, 1);
+    const EdgeId c = graph.addEdge(1, 0, 2, 1);
+    const EdgeId d = graph.addEdge(2, 1, 3, 1);
+    TourGenerator generator(graph);
+    const Tours tours = generator.run();
+    ASSERT_EQ(tours.size(), 1u);
+    EXPECT_EQ(checkTourCoverage(graph, tours), "");
+    EXPECT_EQ(tours[0].edges, (std::vector<EdgeId>{a, d, b, d, c, a, d}));
+    EXPECT_TRUE(tours[0].runEnds.empty());
+    EXPECT_EQ(tours[0].instructions, 7u);
+    EXPECT_EQ(generator.stats().totalEdgeTraversals, 7u);
+}
+
+TEST(Tour, CursorWithoutRoutesIsFatal)
+{
+    const StateGraph graph = spokeGraph();
+    const Tours tours = TourGenerator(graph).run();
+    ASSERT_FALSE(tours[0].runEnds.empty());
+    EXPECT_THROW(TraceCursor(graph, tours[0]), FatalError);
+
+    // One run from reset needs no routes; one starting elsewhere does.
+    Trace walk;
+    walk.edges = {0, 3};
+    TraceCursor from_reset(graph, walk);
+    EXPECT_TRUE(from_reset.next());
+    EXPECT_EQ(from_reset.state(), 1u);
+    walk.edges = {3, 4};
+    EXPECT_THROW(TraceCursor(graph, walk), FatalError);
+
+    // Run ends out of shape, and edges outside the graph.
+    walk.edges = {0, 3, 4};
+    walk.runEnds = {3};
+    EXPECT_THROW(TraceCursor(graph, walk, &tours.routes()), FatalError);
+    walk.runEnds = {0};
+    EXPECT_THROW(TraceCursor(graph, walk, &tours.routes()), FatalError);
+    walk.runEnds = {};
+    walk.edges = {0, EdgeId(graph.numEdges())};
+    TraceCursor bad(graph, walk);
+    EXPECT_TRUE(bad.next());
+    EXPECT_THROW(bad.next(), FatalError);
 }
 
 TEST(Tour, CoverageCheckerDetectsGap)
 {
     auto graph = ringGraph(4);
     TourGenerator generator(graph);
-    auto traces = generator.run();
-    ASSERT_EQ(traces.size(), 1u);
+    const Tours tours = generator.run();
+    ASSERT_EQ(tours.size(), 1u);
+    std::vector<Trace> traces = tours.traces();
     traces[0].instructions -=
         graph.edge(traces[0].edges.back()).instrCount;
     traces[0].edges.pop_back();
-    EXPECT_NE(checkTourCoverage(graph, traces), "");
+    EXPECT_EQ(checkTourCoverage(graph, Tours(tours.routes(), traces)),
+              "edge 3 never traversed");
 }
 
 TEST(Tour, CoverageCheckerDetectsDiscontinuity)
@@ -195,7 +321,57 @@ TEST(Tour, CoverageCheckerDetectsDiscontinuity)
     std::vector<Trace> traces(1);
     traces[0].edges = {0, 2}; // skips edge 1: walk breaks at state 1
     traces[0].instructions = 2;
-    EXPECT_NE(checkTourCoverage(graph, traces), "");
+    EXPECT_NE(checkTourCoverage(graph, Tours(Routes(graph), traces)),
+              "");
+
+    // The same break inside one run of a multi-run trace.
+    const StateGraph spokes = spokeGraph();
+    const Tours tours = TourGenerator(spokes).run();
+    traces = tours.traces();
+    ASSERT_GE(traces[0].runEnds.size(), 1u);
+    const size_t first_end = traces[0].runEnds[0];
+    ASSERT_GE(first_end, 2u);
+    std::swap(traces[0].edges[first_end - 2],
+              traces[0].edges[first_end - 1]);
+    const std::string why =
+        checkTourCoverage(spokes, Tours(tours.routes(), traces));
+    EXPECT_NE(why.find("departs from state"), std::string::npos) << why;
+}
+
+TEST(Tour, CoverageCheckerDetectsRunEndOutOfRange)
+{
+    const StateGraph graph = spokeGraph();
+    const Tours tours = TourGenerator(graph).run();
+    std::vector<Trace> traces = tours.traces();
+    ASSERT_FALSE(traces[0].runEnds.empty());
+    traces[0].runEnds.back() =
+        static_cast<uint32_t>(traces[0].edges.size());
+    const std::string why =
+        checkTourCoverage(graph, Tours(tours.routes(), traces));
+    EXPECT_NE(why.find("run end"), std::string::npos) << why;
+
+    // Not increasing: an empty run.
+    traces = tours.traces();
+    traces[0].runEnds.push_back(traces[0].runEnds.back());
+    EXPECT_NE(checkTourCoverage(graph, Tours(tours.routes(), traces))
+                  .find("run end"),
+              std::string::npos);
+}
+
+TEST(Tour, CoverageCheckerDetectsInstructionMismatch)
+{
+    const StateGraph graph = spokeGraph();
+    const Tours tours = TourGenerator(graph).run();
+    std::vector<Trace> traces = tours.traces();
+    // The legs' instructions count: the runs' edges alone sum to less.
+    uint64_t run_instrs = 0;
+    for (EdgeId e : traces[0].edges)
+        run_instrs += graph.edge(e).instrCount;
+    ASSERT_LT(run_instrs, traces[0].instructions);
+    traces[0].instructions += 1;
+    const std::string why =
+        checkTourCoverage(graph, Tours(tours.routes(), traces));
+    EXPECT_NE(why.find("instructions"), std::string::npos) << why;
 }
 
 TEST(Tour, WorksOnEnumeratedModel)
@@ -252,12 +428,13 @@ TEST(Tour, OutEdgesKeepInsertionOrderWithinASource)
 
 // --- Golden tours -------------------------------------------------------
 //
-// These constants pin the traces themselves: an FNV-1a hash over every
-// trace's edge ids, instruction total and limit flag, in trace order.
-// A change here is a change of the generated stimulus.
+// These constants pin the walks themselves: an FNV-1a hash over every
+// trace's expanded length, its edge ids in walk order (legs included),
+// its instruction total and its limit flag, in trace order. A change
+// here is a change of the generated stimulus.
 
 uint64_t
-tourHash(const std::vector<Trace> &traces)
+tourHash(const StateGraph &graph, const Tours &traces)
 {
     uint64_t h = 0xcbf29ce484222325ull;
     auto mix = [&h](uint64_t value) {
@@ -267,12 +444,13 @@ tourHash(const std::vector<Trace> &traces)
         }
     };
     mix(traces.size());
-    for (const Trace &trace : traces) {
-        mix(trace.edges.size());
-        for (EdgeId e : trace.edges)
-            mix(e);
-        mix(trace.instructions);
-        mix(trace.limitTerminated);
+    for (size_t i = 0; i < traces.size(); ++i) {
+        TraceCursor cursor = traces.cursor(graph, i);
+        mix(cursor.length());
+        while (cursor.next())
+            mix(cursor.edge());
+        mix(traces[i].instructions);
+        mix(traces[i].limitTerminated);
     }
     return h;
 }
@@ -285,9 +463,105 @@ goldenTourHash(const fsm::Model &model, uint64_t limit)
     TourOptions options;
     options.maxInstructionsPerTrace = limit;
     TourGenerator generator(graph, options);
-    const std::vector<Trace> traces = generator.run();
+    const Tours traces = generator.run();
     EXPECT_EQ(checkTourCoverage(graph, traces), "");
-    return tourHash(traces);
+    return tourHash(graph, traces);
+}
+
+/** @return the cycles where trace @p i's legs and runs begin and end:
+ *  per run, its leg's start, the leg's pass through reset, the run's
+ *  start and its end. */
+std::vector<uint64_t>
+segmentBoundaries(const StateGraph &graph, const Tours &tours, size_t i)
+{
+    const Trace &trace = tours[i];
+    const Routes &routes = tours.routes();
+    std::vector<uint64_t> out;
+    uint64_t at = 0;
+    for (size_t run = 0; run <= trace.runEnds.size(); ++run) {
+        const size_t begin = run == 0 ? 0 : trace.runEnds[run - 1];
+        const size_t end = run < trace.runEnds.size() ? trace.runEnds[run]
+                                                      : trace.edges.size();
+        const StateId from =
+            run == 0 ? graph.resetState()
+                     : graph.edge(trace.edges[begin - 1]).dst;
+        const StateId to = graph.edge(trace.edges[begin]).src;
+        out.push_back(at);
+        at += routes.toReset().depth[from];
+        out.push_back(at);
+        at += routes.fromReset().depth[to];
+        out.push_back(at);
+        at += end - begin;
+    }
+    out.push_back(at);
+    return out;
+}
+
+TEST(TourCursor, SeekMatchesFullReadOnPpSmallPreset)
+{
+    // From every run and leg boundary +-1 and every 97th cycle, a
+    // seek and a read must give the suffix of a full read from 0.
+    // The 1000-instruction tour's traces are read to the end from
+    // every start. The unlimited tour is one 309,530-cycle trace of
+    // thousands of runs, where each seek costs O(runs): there the
+    // boundaries of every 37th run are sought, every start reads 512
+    // cycles and every 64th reads to the end.
+    rtl::PpFsmModel model(rtl::PpConfig::smallPreset());
+    murphi::Enumerator enumerator(model);
+    const StateGraph graph = enumerator.runOrThrow();
+    for (uint64_t limit : {0ull, 1000ull}) {
+        TourOptions options;
+        options.maxInstructionsPerTrace = limit;
+        const Tours tours = TourGenerator(graph, options).run();
+        size_t multi_run = 0;
+        for (size_t t = 0; t < tours.size(); ++t) {
+            const auto full = expand(graph, tours, t);
+            const uint64_t length = tours.cursor(graph, t).length();
+            ASSERT_EQ(full.size(), length) << "trace " << t;
+            multi_run += !tours[t].runEnds.empty();
+
+            const std::vector<uint64_t> bounds =
+                segmentBoundaries(graph, tours, t);
+            EXPECT_EQ(bounds.back(), length);
+            std::vector<uint64_t> starts;
+            const size_t run_stride = limit == 0 ? 37 : 1;
+            for (size_t i = 0; i < bounds.size(); ++i) {
+                const uint64_t b = bounds[i];
+                if ((i / 3) % run_stride != 0 && i + 1 != bounds.size())
+                    continue;
+                for (uint64_t d : {b - 1, b, b + 1}) {
+                    if (b > 0 || d == b)
+                        starts.push_back(d);
+                }
+            }
+            for (uint64_t c = 0; c <= length; c += 97)
+                starts.push_back(c);
+            std::sort(starts.begin(), starts.end());
+            starts.erase(std::unique(starts.begin(), starts.end()),
+                         starts.end());
+
+            TraceCursor cursor = tours.cursor(graph, t);
+            for (size_t s = 0; s < starts.size(); ++s) {
+                const uint64_t start = starts[s];
+                const uint64_t end = limit == 0 && s % 64 != 0
+                                         ? std::min(length, start + 512)
+                                         : length;
+                cursor.seek(start);
+                ASSERT_EQ(cursor.position(), std::min(start, length));
+                uint64_t c = start;
+                while (c < end && cursor.next() &&
+                       cursor.edge() == full[c].first &&
+                       cursor.state() == full[c].second)
+                    ++c;
+                ASSERT_EQ(c, std::max(start, end))
+                    << "trace " << t << " from " << start;
+                if (end == length) {
+                    ASSERT_FALSE(cursor.next());
+                }
+            }
+        }
+        EXPECT_GT(multi_run, 0u) << "limit " << limit;
+    }
 }
 
 TEST(TourGolden, PpSmallPresetAtTwoLimits)

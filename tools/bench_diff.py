@@ -122,6 +122,11 @@ METRICS_HIGHER_IS_BETTER = {
 METRICS_EXACT = {
     "enum.states",
     "enum.edges",
+    # Deterministic counts of the tour and its stimulus: a tour that
+    # expands to other walks moves them.
+    "tour.traversals",
+    "vecgen.cycles",
+    "vecgen.traces",
 }
 
 
