@@ -51,6 +51,10 @@ measure(const char *label, const rtl::PpConfig &config,
     json.add("bits_per_state", (uint64_t)stats.bitsPerState);
     json.add("states", stats.numStates);
     json.add("edges", stats.numEdges);
+    // Exact in bench_diff: a step that drops or duplicates a tuple
+    // moves it even where FirstCondition recording hides the fault
+    // from the edge count.
+    json.add("transitions_valid", stats.transitionsValid);
     json.add("cpu_seconds", stats.cpuSeconds);
     json.add("density_percent", density);
 }

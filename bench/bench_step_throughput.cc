@@ -153,29 +153,28 @@ benchDesign(const hdl::CorpusDesign &design,
         fatal(std::string("step fingerprint mismatch on ") +
               design.name);
 
-    // Reachable states for the step-level passes.
+    // Reachable states for the step-level passes, read from the
+    // graph's packed words as the enumerator reads them.
     murphi::Enumerator enumerator(model);
     graph::StateGraph graph = enumerator.runOrThrow();
     const size_t num_states = graph.numStates();
-    std::vector<BitVec> states;
-    states.reserve(num_states);
-    for (size_t s = 0; s < num_states; ++s)
-        states.push_back(graph.packedState(s));
 
     uint64_t sink_count = 0;
-    const std::function<void(uint64_t, fsm::Transition &&)> count_sink =
-        [&sink_count](uint64_t, fsm::Transition &&t) {
-            sink_count += t.next.numBits();
-        };
+    auto count_sink = [&sink_count](uint64_t,
+                                    std::span<const uint64_t> next,
+                                    unsigned) {
+        sink_count += next.size() + 1;
+    };
 
     const auto [interp_pass, bytecode_pass] = interleavedSecondsPerPass(
         [&] {
-            for (const BitVec &state : states)
-                model.fsm::Model::forEachTransition(state, count_sink);
+            for (graph::StateId s = 0; s < num_states; ++s)
+                model.fsm::Model::forEachTransition(graph.stateWords(s),
+                                                    count_sink);
         },
         [&] {
-            for (const BitVec &state : states)
-                model.forEachTransition(state, count_sink);
+            for (graph::StateId s = 0; s < num_states; ++s)
+                model.forEachTransition(graph.stateWords(s), count_sink);
         });
     if (sink_count == 0)
         fatal("step passes produced no transitions");

@@ -14,7 +14,7 @@
 #ifndef ARCHVAL_COMPILE_KERNEL_HH
 #define ARCHVAL_COMPILE_KERNEL_HH
 
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "compile/bytecode.hh"
@@ -30,21 +30,23 @@ class ScalarKernel
     explicit ScalarKernel(const Program &program);
 
     /**
-     * Enumerate every legal transition out of @p state in ascending
-     * packed-code order — the exact callback sequence of
-     * fsm::Model::forEachTransition on the producing model.
+     * Enumerate every legal transition out of the packed state
+     * @p state in ascending packed-code order — the exact callback
+     * sequence of the base fsm::Model::forEachTransition loop on the
+     * producing model.
      */
-    void forEachTransition(
-        const BitVec &state,
-        const std::function<void(uint64_t, fsm::Transition &&)> &fn);
+    void forEachTransition(std::span<const uint64_t> state,
+                           fsm::TransitionSink sink);
 
   private:
     void exec();
     bool legal() const;
-    fsm::Transition materialize() const;
+    /** Pack the next-state registers into next_. */
+    void materialize();
 
     const Program &prog_;
     std::vector<uint64_t> regs_;
+    std::vector<uint64_t> next_; ///< the next state's packed words
 };
 
 } // namespace archval::compile

@@ -18,7 +18,8 @@ maskFor(unsigned width)
 } // namespace
 
 ScalarKernel::ScalarKernel(const Program &program)
-    : prog_(program), regs_(prog_.numRegs, 0)
+    : prog_(program), regs_(prog_.numRegs, 0),
+      next_((prog_.layout.totalBits() + 63) / 64, 0)
 {
     for (const auto &[reg, value] : prog_.constInit)
         regs_[reg] = value;
@@ -201,23 +202,19 @@ ScalarKernel::legal() const
     return prog_.legalReg == kNoReg || regs_[prog_.legalReg] != 0;
 }
 
-fsm::Transition
-ScalarKernel::materialize() const
+void
+ScalarKernel::materialize()
 {
+    // The fields tile the layout's bits, so each call overwrites every
+    // one; the bits above the width stay zero from construction.
     const Program &p = prog_;
-    fsm::Transition t;
-    t.next = BitVec(p.layout.totalBits());
     for (size_t i = 0; i < p.nextRegs.size(); ++i)
-        p.layout.set(t.next, i, regs_[p.nextRegs[i]]);
-    if (p.instrReg != kNoReg)
-        t.instructions = static_cast<unsigned>(regs_[p.instrReg]);
-    return t;
+        p.layout.set(std::span<uint64_t>(next_), i, regs_[p.nextRegs[i]]);
 }
 
 void
-ScalarKernel::forEachTransition(
-    const BitVec &state,
-    const std::function<void(uint64_t, fsm::Transition &&)> &fn)
+ScalarKernel::forEachTransition(std::span<const uint64_t> state,
+                                fsm::TransitionSink sink)
 {
     const Program &p = prog_;
     for (size_t i = 0; i < p.stateVars.size(); ++i)
@@ -228,8 +225,13 @@ ScalarKernel::forEachTransition(
     const uint64_t combos = p.numCombos;
     for (uint64_t code = 0; code < combos; ++code) {
         exec();
-        if (legal())
-            fn(code, materialize());
+        if (legal()) {
+            materialize();
+            sink(code, next_,
+                 p.instrReg != kNoReg
+                     ? static_cast<unsigned>(regs_[p.instrReg])
+                     : 0u);
+        }
         // Mixed-radix increment matching packed-code order (variable
         // 0 is the fastest-varying, as in ChoiceCodec).
         for (size_t i = 0; i < num_choice; ++i) {

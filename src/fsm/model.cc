@@ -1,6 +1,5 @@
 #include "model.hh"
 
-#include "support/status.hh"
 #include "support/strings.hh"
 
 namespace archval::fsm
@@ -72,20 +71,29 @@ Model::makeChoiceCodec() const
     return ChoiceCodec(choiceVars());
 }
 
-void
-Model::forEachTransition(
-    const BitVec &state,
-    const std::function<void(uint64_t, Transition &&)> &fn) const
+Result<bool>
+Model::forEachTransition(std::span<const uint64_t> state,
+                         TransitionSink sink) const
 {
+    const size_t bits = stateBits();
+    const BitVec from(bits, state);
     const ChoiceCodec codec = makeChoiceCodec();
     const auto &vars = codec.vars();
     Choice choice(vars.size(), 0);
 
     const uint64_t combos = codec.numCombinations();
     for (uint64_t code = 0; code < combos; ++code) {
-        auto transition = next(state, choice);
-        if (transition)
-            fn(code, std::move(*transition));
+        const std::optional<Transition> transition = next(from, choice);
+        if (transition) {
+            if (transition->next.numBits() != bits) {
+                return Result<bool>::error(formatString(
+                    "model produced a %zu-bit state but the state "
+                    "layout declares %zu",
+                    transition->next.numBits(), bits));
+            }
+            sink(code, transition->next.words(),
+                 transition->instructions);
+        }
         // Mixed-radix increment matching packed-code order.
         for (size_t i = 0; i < choice.size(); ++i) {
             if (++choice[i] < vars[i].cardinality)
@@ -93,6 +101,7 @@ Model::forEachTransition(
             choice[i] = 0;
         }
     }
+    return true;
 }
 
 std::string

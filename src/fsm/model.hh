@@ -21,13 +21,17 @@
 #ifndef ARCHVAL_FSM_MODEL_HH
 #define ARCHVAL_FSM_MODEL_HH
 
+#include <concepts>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "support/bitvec.hh"
+#include "support/status.hh"
 
 namespace archval::fsm
 {
@@ -92,11 +96,53 @@ class ChoiceCodec
     uint64_t combos_ = 1;
 };
 
-/** Result of one legal transition. */
+/** Result of one legal transition, as next() returns it. */
 struct Transition
 {
     BitVec next;              ///< next packed state
     unsigned instructions = 0; ///< instructions consumed by the edge
+};
+
+/**
+ * Where Model::forEachTransition reports the transitions out of one
+ * state: a non-owning reference to a callable
+ * `void(uint64_t code, std::span<const uint64_t> next, unsigned
+ * instructions)`, built from a lambda at the call site. It holds two
+ * pointers and allocates nothing; the callable must outlive it, so a
+ * sink is passed down, never stored.
+ *
+ * `next` holds the next state's packed words (bit 0 is the LSB of
+ * word 0) and is valid only during the call.
+ */
+class TransitionSink
+{
+  public:
+    template <typename Fn>
+        requires(!std::same_as<std::remove_cvref_t<Fn>, TransitionSink> &&
+                 std::invocable<Fn &, uint64_t, std::span<const uint64_t>,
+                                unsigned>)
+    TransitionSink(Fn &&fn)
+        : target_(const_cast<void *>(
+              static_cast<const void *>(std::addressof(fn)))),
+          call_([](void *target, uint64_t code,
+                   std::span<const uint64_t> next, unsigned instructions) {
+              (*static_cast<std::remove_reference_t<Fn> *>(target))(
+                  code, next, instructions);
+          })
+    {
+    }
+
+    /** Report one legal transition. */
+    void
+    operator()(uint64_t code, std::span<const uint64_t> next,
+               unsigned instructions) const
+    {
+        call_(target_, code, next, instructions);
+    }
+
+  private:
+    void *target_;
+    void (*call_)(void *, uint64_t, std::span<const uint64_t>, unsigned);
 };
 
 /**
@@ -148,15 +194,20 @@ class Model
      * states) override this with a generator that visits only the
      * canonical tuples, and HDL models override it to step through
      * their lowered bytecode — constant-factor speedups for the
-     * enumerator with identical results.
+     * enumerator with identical results. An override works from and
+     * into packed words and allocates nothing per transition.
      *
-     * @param state Source state.
-     * @param fn Called once per legal transition with the packed
-     *           choice code and the transition.
+     * @param state Source state's packed words: ceil(stateBits() / 64)
+     *              of them, such as a graph's stateWords(id).
+     * @param sink Called once per legal transition with the packed
+     *             choice code, the next state's words and the
+     *             instructions the edge consumes.
+     * @return true, or an error when the model cannot be stepped:
+     *         the default loop refuses a next() whose state is not
+     *         stateBits() wide, before reporting it.
      */
-    virtual void forEachTransition(
-        const BitVec &state,
-        const std::function<void(uint64_t, Transition &&)> &fn) const;
+    virtual Result<bool> forEachTransition(std::span<const uint64_t> state,
+                                           TransitionSink sink) const;
 
     /** @return total packed state width in bits. */
     size_t stateBits() const;
@@ -194,6 +245,22 @@ class StateLayout
 
     /** Set field value of variable @p var in @p state. */
     void set(BitVec &state, size_t var, uint64_t value) const;
+
+    /** @return field value of variable @p var in the packed words
+     *  @p state (unchecked: as many words as totalBits() needs). */
+    uint64_t
+    get(std::span<const uint64_t> state, size_t var) const
+    {
+        return packedField(state, offsets_[var], widths_[var]);
+    }
+
+    /** Set field value of variable @p var in the packed words
+     *  @p state (unchecked, like the reading form). */
+    void
+    set(std::span<uint64_t> state, size_t var, uint64_t value) const
+    {
+        setPackedField(state, offsets_[var], widths_[var], value);
+    }
 
     /** @return field value by name (slower; for tests and reports). */
     uint64_t getByName(const BitVec &state, const std::string &name) const;

@@ -1,5 +1,7 @@
 #include "baselines.hh"
 
+#include <algorithm>
+
 #include "pp/assembler.hh"
 #include "pp/ref_sim.hh"
 #include "rtl/pp_core.hh"
@@ -42,9 +44,6 @@ BiasedWalker::BiasedWalker(const rtl::PpFsmModel &model,
                            "graph holds %zu-bit states",
                            model.stateBits(), graph.stateBits()));
     }
-    stateIds_.reserve(graph.numStates());
-    for (graph::StateId id = 0; id < graph.numStates(); ++id)
-        stateIds_.emplace(graph.packedState(id), id);
 }
 
 graph::Trace
@@ -99,33 +98,32 @@ BiasedWalker::walk(uint64_t max_instructions, uint64_t max_edges)
         values[static_cast<size_t>(PpChoiceVar::TargetAlign)] =
             static_cast<uint32_t>(rng_.index(align_card));
 
-        const BitVec packed = graph_.packedState(at);
-        fsm::Choice choice = model_.canonicalize(packed, values);
-        auto transition = model_.next(packed, choice);
+        const std::span<const uint64_t> from = graph_.stateWords(at);
+        const fsm::Choice choice = model_.canonicalize(from, values);
+        const auto transition =
+            model_.next(BitVec(graph_.stateBits(), from), choice);
         if (!transition)
             panic("biased walker produced an illegal tuple");
 
-        auto dst_it = stateIds_.find(transition->next);
-        if (dst_it == stateIds_.end())
-            panic("biased walker left the enumerated graph");
-        graph::StateId dst = dst_it->second;
-
-        // Account the (src, dst) arc (FirstCondition graphs record
-        // one edge per destination).
+        // Account the first recorded arc into the next state
+        // (FirstCondition graphs record one edge per destination):
+        // the graph is complete, so one of the out-edges enters it.
+        const std::span<const uint64_t> next = transition->next.words();
         graph::EdgeId matched = graph::invalidState;
         for (graph::EdgeId e : graph_.outEdges(at)) {
-            if (graph_.edge(e).dst == dst) {
+            if (std::ranges::equal(graph_.stateWords(graph_.edge(e).dst),
+                                   next)) {
                 matched = e;
                 break;
             }
         }
         if (matched == graph::invalidState)
-            panic("biased walker used an unrecorded arc");
+            panic("biased walker left the recorded arcs");
         trace.edges.push_back(matched);
         // Account the recorded arc's own instruction count so the
         // trace replays consistently through the vector generator.
         trace.instructions += graph_.edge(matched).instrCount;
-        at = dst;
+        at = graph_.edge(matched).dst;
     }
     return trace;
 }

@@ -18,7 +18,6 @@
 
 #include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/state_graph.hh"
@@ -110,8 +109,6 @@ class BiasedWalker
     const graph::StateGraph &graph_;
     Rng rng_;
     EventBias bias_;
-    /** packed state -> graph id (for edge accounting). */
-    std::unordered_map<BitVec, graph::StateId, BitVecHash> stateIds_;
 };
 
 /** One hand-written directed test. */

@@ -416,23 +416,15 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
     stats_ = ReplayStats{};
     const size_t nt = traces.size();
     const size_t nb = bug_sets.size();
-    if (lockstep) {
-        if (lockstep->tours.size() != nt)
-            fatal(formatString("lockstep reference has %zu tours for "
-                               "%zu traces",
-                               lockstep->tours.size(), nt));
-        for (size_t t = 0; t < nt; ++t) {
-            if (lockstep->tours.cursor(lockstep->graph, t).length() !=
-                traces[t].cycles.size())
-                fatal(formatString("trace %zu: tour and generated "
-                                   "trace disagree on cycle count",
-                                   t));
-        }
-    }
+    // Each row checks its own tour's length (run_row below), on the
+    // worker that plays it.
+    if (lockstep && lockstep->tours.size() != nt)
+        fatal(formatString("lockstep reference has %zu tours for "
+                           "%zu traces",
+                           lockstep->tours.size(), nt));
     std::vector<PlayResult> results(nt * nb);
     if (nt == 0 || nb == 0)
         return results;
-    stats_.jobs = nt * nb;
 
     // The lockstep oracle reads each graph state's control fields
     // from a table unpacked once per batch.
@@ -519,6 +511,10 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         VectorPlayer::LockstepSpec spec;
         if (lockstep) {
             tour.emplace(lockstep->tours.cursor(lockstep->graph, t));
+            if (tour->length() != len)
+                fatal(formatString("trace %zu: tour and generated "
+                                   "trace disagree on cycle count",
+                                   t));
             spec = {expected_states.data(), &*tour};
         }
         const VectorPlayer::LockstepSpec *check =
@@ -732,6 +728,7 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         }
     }
 
+    stats_.jobs = nt * nb;
     for (const PlayResult &result : results)
         stats_.lockstepErrors += result.lockstepErrors;
     for (const LocalStats &ls : local) {

@@ -343,11 +343,13 @@ class ReplayEngine
     /**
      * Play every trace against every bug set, checking each job
      * against @p lockstep when it is given. A reference without one
-     * tour per trace, or with a tour whose length differs from its
-     * trace's, is rejected (FatalError) before any job runs. A
-     * FatalError a job throws (stimulus out of step with the core)
-     * reaches the caller at any worker count; the other workers
-     * finish the rows they hold and claim no more.
+     * tour per trace is rejected (FatalError) before any job runs; a
+     * tour whose length differs from its trace's is rejected
+     * (FatalError) by the worker that claims its row, before the
+     * row's first job. A FatalError a job throws (stimulus out of
+     * step with the core) reaches the caller at any worker count;
+     * the other workers finish the rows they hold and claim no more.
+     * A batch that throws leaves stats() with no jobs counted.
      * @return results indexed [b * traces.size() + t], each
      * byte-identical to VectorPlayer(config).play(traces[t],
      * bug_sets[b]) apart from lockstepErrors.

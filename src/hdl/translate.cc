@@ -362,13 +362,13 @@ HdlModel::evalNet(const std::string &net, const BitVec &state,
     return impl_->readNet(net, ctx);
 }
 
-void
-HdlModel::forEachTransition(
-    const BitVec &state,
-    const std::function<void(uint64_t, fsm::Transition &&)> &fn) const
+Result<bool>
+HdlModel::forEachTransition(std::span<const uint64_t> state,
+                            fsm::TransitionSink sink) const
 {
     compile::ScalarKernel kernel(impl_->program);
-    kernel.forEachTransition(state, fn);
+    kernel.forEachTransition(state, sink);
+    return true;
 }
 
 const compile::Program &

@@ -77,12 +77,12 @@ class HdlModel : public fsm::Model
 
     /**
      * Every transition out of @p state through a per-call
-     * compile::ScalarKernel over program(): the callback sequence of
-     * the base loop over next(), bit for bit. Thread-safe.
+     * compile::ScalarKernel over program(), which writes its
+     * next-state registers into a word buffer: the callback sequence
+     * of the base loop over next(), bit for bit. Thread-safe.
      */
-    void forEachTransition(
-        const BitVec &state,
-        const std::function<void(uint64_t, fsm::Transition &&)> &fn)
+    Result<bool> forEachTransition(std::span<const uint64_t> state,
+                                   fsm::TransitionSink sink)
         const override;
 
     /** @return the bytecode this model steps through, lowered at

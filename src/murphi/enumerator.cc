@@ -345,32 +345,29 @@ Enumerator::run()
     out.byPart.resize(num_parts);
     // FirstCondition: the current source's destinations so far.
     ooc::StateTable seen(state_bits);
-    const std::function<void(uint64_t, fsm::Transition &&)> record =
-        [&](uint64_t code, fsm::Transition &&transition) {
-            ++out.valid;
-            if (!error.empty())
+    auto record = [&](uint64_t code, std::span<const uint64_t> next,
+                      unsigned instructions) {
+        ++out.valid;
+        if (!error.empty())
+            return;
+        if (next.size() != stride) {
+            error = formatString("model produced a %zu-word state but "
+                                 "the %zu-bit state layout takes %zu",
+                                 next.size(), state_bits, stride);
+            return;
+        }
+        const uint64_t hash = hash_of(next);
+        if (first_condition) {
+            if (seen.find(next, hash) != graph::invalidState)
                 return;
-            if (transition.next.numBits() != state_bits) {
-                error = formatString("model produced a %zu-bit state but "
-                                     "the state layout declares %zu",
-                                     transition.next.numBits(),
-                                     state_bits);
-                return;
-            }
-            const std::span<const uint64_t> key = transition.next.words();
-            const uint64_t hash = hash_of(key);
-            if (first_condition) {
-                if (seen.find(key, hash) != graph::invalidState)
-                    return;
-                seen.insert(key, hash, 0);
-            }
-            out.byPart[hash & part_mask].push_back(
-                static_cast<uint32_t>(out.trans.size()));
-            out.trans.push_back({static_cast<uint32_t>(code),
-                                 transition.instructions,
-                                 graph::invalidState});
-            out.words.insert(out.words.end(), key.begin(), key.end());
-        };
+            seen.insert(next, hash, 0);
+        }
+        out.byPart[hash & part_mask].push_back(
+            static_cast<uint32_t>(out.trans.size()));
+        out.trans.push_back({static_cast<uint32_t>(code), instructions,
+                             graph::invalidState});
+        out.words.insert(out.words.end(), next.begin(), next.end());
+    };
 
     // The level's sources are the graph's states
     // [level_first, level_first + width).
@@ -403,11 +400,12 @@ Enumerator::run()
                 }
                 const size_t before = out.trans.size();
                 seen.clear();
-                model_.forEachTransition(
-                    BitVec(state_bits,
-                           graph.stateWords(static_cast<graph::StateId>(
-                               level_first + i))),
+                const Result<bool> stepped = model_.forEachTransition(
+                    graph.stateWords(
+                        static_cast<graph::StateId>(level_first + i)),
                     record);
+                if (!stepped.ok())
+                    error = stepped.errorMessage();
                 out.perSource.push_back(out.trans.size() - before);
             }
         }

@@ -23,8 +23,13 @@ struct PpConfig
 
     /** Words per cache line; each refill/writeback moves this many
      *  memory-reply beats. Larger lines deepen the refill counters
-     *  and grow the control state space (bench_enum_scaling). */
+     *  and grow the control state space (bench_enum_scaling). At
+     *  least 1 and at most maxLineWords. */
     unsigned lineWords = 4;
+
+    /** Longest line the control's 8-bit refill and writeback
+     *  counters hold; PpControl refuses a longer one. */
+    static constexpr unsigned maxLineWords = 255;
 
     /** Model dual-issue fetch packets (a second, control-neutral ALU
      *  op may ride along; affects only instruction accounting). */

@@ -99,8 +99,16 @@ PpControlState::toString() const
         port_names[static_cast<int>(memPort)]);
 }
 
+PpControl::PpControl(const PpConfig &config) : config_(config)
+{
+    if (config.lineWords < 1 || config.lineWords > PpConfig::maxLineWords)
+        fatal(formatString("lineWords must be in [1, %u]; got %u",
+                           PpConfig::maxLineWords, config.lineWords));
+}
+
+template <typename Inputs>
 PpControlState
-PpControl::step(const PpControlState &state, PpInputs &in,
+PpControl::step(const PpControlState &state, Inputs &in,
                 PpOutputs &out) const
 {
     const unsigned line_words = config_.lineWords;
@@ -361,5 +369,15 @@ PpControl::step(const PpControlState &state, PpInputs &in,
 
     return next;
 }
+
+template PpControlState PpControl::step(const PpControlState &,
+                                       ChoiceInputs &, PpOutputs &) const;
+template PpControlState PpControl::step(const PpControlState &,
+                                       SignalInputs &, PpOutputs &) const;
+template PpControlState PpControl::step(const PpControlState &,
+                                       ForkingInputs &, PpOutputs &) const;
+template PpControlState PpControl::step(const PpControlState &,
+                                       TrackingInputs &,
+                                       PpOutputs &) const;
 
 } // namespace archval::rtl

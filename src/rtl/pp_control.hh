@@ -22,7 +22,9 @@
 #ifndef ARCHVAL_RTL_PP_CONTROL_HH
 #define ARCHVAL_RTL_PP_CONTROL_HH
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "pp/isa.hh"
@@ -123,20 +125,143 @@ constexpr size_t numPpChoiceVars =
 const char *ppChoiceVarName(PpChoiceVar var);
 
 /**
- * Source of the control's abstract inputs.
+ * Sources of the control's abstract inputs.
  *
- * The control reads an input only in cycles where it is relevant;
- * read() must record which variables were consumed so the FSM model
- * can reject non-canonical choice tuples (unconsumed variables must
- * be zero) — this implements the paper's constrained abstract blocks.
+ * PpControl::step() is a template over its input source, which it
+ * calls as `uint32_t read(PpChoiceVar var)`. The control reads an
+ * input only in cycles where it is relevant, so a source can record
+ * which variables were consumed: the FSM model rejects non-canonical
+ * choice tuples (unconsumed variables must be zero) — this implements
+ * the paper's constrained abstract blocks. step() is instantiated in
+ * pp_control.cc for the four sources below and no others, so no read
+ * is a virtual call.
  */
-class PpInputs
+
+/** Inputs read from a choice tuple, recording which variables were
+ *  consumed (the FSM model's next()). */
+class ChoiceInputs
 {
   public:
-    virtual ~PpInputs() = default;
+    /** @param choice One value per PpChoiceVar, in enum order; must
+     *  outlive the inputs. */
+    explicit ChoiceInputs(std::span<const uint32_t> choice)
+        : choice_(choice)
+    {
+    }
 
-    /** @return the value of @p var this cycle (and mark it used). */
-    virtual uint32_t read(PpChoiceVar var) = 0;
+    uint32_t
+    read(PpChoiceVar var)
+    {
+        const size_t index = static_cast<size_t>(var);
+        used_[index] = true;
+        return choice_[index];
+    }
+
+    /** @return true when every non-zero component was consumed. */
+    bool
+    canonical() const
+    {
+        for (size_t i = 0; i < numPpChoiceVars; ++i) {
+            if (!used_[i] && choice_[i] != 0)
+                return false;
+        }
+        return true;
+    }
+
+  private:
+    std::span<const uint32_t> choice_;
+    std::array<bool, numPpChoiceVars> used_{};
+};
+
+/** Inputs over concrete signal values: the RTL model and the vector
+ *  player, where values come from real wires or from force/release
+ *  commands. */
+class SignalInputs
+{
+  public:
+    /** Set the value of @p var for this cycle. */
+    void
+    set(PpChoiceVar var, uint32_t value)
+    {
+        values_[static_cast<size_t>(var)] = value;
+    }
+
+    uint32_t
+    read(PpChoiceVar var) const
+    {
+        return values_[static_cast<size_t>(var)];
+    }
+
+  private:
+    std::array<uint32_t, numPpChoiceVars> values_{};
+};
+
+/** Inputs over a partial assignment, for the FSM model's sparse
+ *  step: bound variables return their value; unbound ones return 0
+ *  and are recorded in first-read order. */
+class ForkingInputs
+{
+  public:
+    /** @param bound Per variable its value, or -1 when unbound; must
+     *  outlive the inputs. */
+    explicit ForkingInputs(const std::array<int32_t, numPpChoiceVars> &bound)
+        : bound_(bound)
+    {
+    }
+
+    uint32_t
+    read(PpChoiceVar var)
+    {
+        const size_t index = static_cast<size_t>(var);
+        if (bound_[index] >= 0)
+            return static_cast<uint32_t>(bound_[index]);
+        const uint32_t bit = uint32_t(1) << index;
+        if (!(seen_ & bit)) {
+            seen_ |= bit;
+            readOrder_[numRead_++] = static_cast<uint8_t>(index);
+        }
+        return 0;
+    }
+
+    /** @return how many unbound variables the step read. */
+    size_t numRead() const { return numRead_; }
+
+    /** @return the @p i-th unbound variable read, in read order. */
+    size_t readVar(size_t i) const { return readOrder_[i]; }
+
+  private:
+    const std::array<int32_t, numPpChoiceVars> &bound_;
+    uint32_t seen_ = 0;
+    std::array<uint8_t, numPpChoiceVars> readOrder_{};
+    size_t numRead_ = 0;
+};
+
+/** Inputs over arbitrary per-variable values, recording which
+ *  variables were consumed (the FSM model's canonicalize()). */
+class TrackingInputs
+{
+  public:
+    /** @param values One value per PpChoiceVar; must outlive the
+     *  inputs. */
+    explicit TrackingInputs(
+        const std::array<uint32_t, numPpChoiceVars> &values)
+        : values_(values)
+    {
+    }
+
+    uint32_t
+    read(PpChoiceVar var)
+    {
+        used_[static_cast<size_t>(var)] = true;
+        return values_[static_cast<size_t>(var)];
+    }
+
+    /** @return whether the step read variable @p index. */
+    bool used(size_t index) const { return used_[index]; }
+
+  private:
+    const std::array<uint32_t, numPpChoiceVars> &values_;
+    std::array<bool, numPpChoiceVars> used_{};
 };
 
 /** Per-cycle control outputs consumed by the datapath (RTL model). */
@@ -184,8 +309,13 @@ struct PpOutputs
 class PpControl
 {
   public:
-    /** @param config Model parameters (line length, feature flags). */
-    explicit PpControl(const PpConfig &config) : config_(config) {}
+    /**
+     * @param config Model parameters (line length, feature flags).
+     * Throws FatalError when config.lineWords is outside
+     * [1, PpConfig::maxLineWords]: the refill and writeback counters
+     * are 8 bits wide.
+     */
+    explicit PpControl(const PpConfig &config);
 
     /** @return the reset control state. */
     static PpControlState resetState() { return PpControlState{}; }
@@ -194,11 +324,15 @@ class PpControl
      * Advance one clock.
      *
      * @param state Current latched state.
-     * @param inputs Abstract input source for this cycle.
+     * @param inputs Abstract input source for this cycle: a
+     *               ChoiceInputs, SignalInputs, ForkingInputs or
+     *               TrackingInputs (the instantiations pp_control.cc
+     *               provides).
      * @param[out] outputs Derived control outputs for the datapath.
      * @return the next latched state.
      */
-    PpControlState step(const PpControlState &state, PpInputs &inputs,
+    template <typename Inputs>
+    PpControlState step(const PpControlState &state, Inputs &inputs,
                         PpOutputs &outputs) const;
 
     /** @return the configuration. */

@@ -16,6 +16,7 @@
 #define ARCHVAL_RTL_PP_FSM_MODEL_HH
 
 #include <array>
+#include <span>
 
 #include "fsm/model.hh"
 #include "rtl/pp_control.hh"
@@ -24,66 +25,12 @@ namespace archval::rtl
 {
 
 /**
- * PpInputs implementation that reads values from a choice tuple and
- * records which variables were consumed.
- */
-class ChoiceInputs : public PpInputs
-{
-  public:
-    /** @param choice One value per PpChoiceVar, in enum order. */
-    explicit ChoiceInputs(const fsm::Choice &choice) : choice_(choice) {}
-
-    uint32_t
-    read(PpChoiceVar var) override
-    {
-        size_t index = static_cast<size_t>(var);
-        used_[index] = true;
-        return choice_[index];
-    }
-
-    /** @return true when every non-zero component was consumed. */
-    bool
-    canonical() const
-    {
-        for (size_t i = 0; i < numPpChoiceVars; ++i) {
-            if (!used_[i] && choice_[i] != 0)
-                return false;
-        }
-        return true;
-    }
-
-  private:
-    const fsm::Choice &choice_;
-    std::array<bool, numPpChoiceVars> used_{};
-};
-
-/**
- * PpInputs implementation over concrete signal values (used by the
- * RTL model and by the vector player, where values come from real
- * wires or from force/release commands).
- */
-class SignalInputs : public PpInputs
-{
-  public:
-    /** Set the value of @p var for this cycle. */
-    void
-    set(PpChoiceVar var, uint32_t value)
-    {
-        values_[static_cast<size_t>(var)] = value;
-    }
-
-    uint32_t
-    read(PpChoiceVar var) override
-    {
-        return values_[static_cast<size_t>(var)];
-    }
-
-  private:
-    std::array<uint32_t, numPpChoiceVars> values_{};
-};
-
-/**
  * The PP control as an enumerable synchronous model.
+ *
+ * A control state packs into one word: lineWords is at most
+ * PpConfig::maxLineWords, so the layout is at most 55 bits wide
+ * (see stateVars()). The constructor throws FatalError on a
+ * lineWords out of range, like PpControl's.
  */
 class PpFsmModel : public fsm::Model
 {
@@ -102,19 +49,32 @@ class PpFsmModel : public fsm::Model
      * Sparse transition generator: explores only canonical choice
      * tuples by forking on the first input the control reads that is
      * not yet bound, instead of filtering the full cartesian
-     * product. Identical results to the default, hundreds of times
-     * faster on this model.
+     * product, and builds each tuple's choice code as it forks. It
+     * works from and into one state word and allocates nothing.
+     * Identical results to the default, hundreds of times faster on
+     * this model.
      */
-    void forEachTransition(
-        const BitVec &state,
-        const std::function<void(uint64_t, fsm::Transition &&)> &fn)
+    Result<bool> forEachTransition(std::span<const uint64_t> state,
+                                   fsm::TransitionSink sink)
         const override;
 
     /** Pack a control state into the enumerator's bit vector. */
     BitVec pack(const PpControlState &state) const;
 
+    /** Unpack packed words — a graph's stateWords(id) — into a
+     *  control state. */
+    PpControlState
+    unpack(std::span<const uint64_t> packed) const
+    {
+        return unpackWord(packed[0]);
+    }
+
     /** Unpack an enumerator bit vector into a control state. */
-    PpControlState unpack(const BitVec &packed) const;
+    PpControlState
+    unpack(const BitVec &packed) const
+    {
+        return unpack(packed.words());
+    }
 
     /** Re-run the control for (state, choice) to recover the cycle's
      *  outputs (used by the vector generator). Takes an unpacked
@@ -125,13 +85,13 @@ class PpFsmModel : public fsm::Model
 
     /**
      * Canonicalize arbitrary per-variable values into a legal choice
-     * tuple for @p state: runs the control once and zeroes every
-     * variable it did not examine. The result is always accepted by
-     * next(). Used by the biased-random stimulus baseline, which
-     * samples realistic event probabilities without knowing which
-     * inputs matter in a given state.
+     * tuple for the packed @p state: runs the control once and zeroes
+     * every variable it did not examine. The result is always
+     * accepted by next(). Used by the biased-random stimulus
+     * baseline, which samples realistic event probabilities without
+     * knowing which inputs matter in a given state.
      */
-    fsm::Choice canonicalize(const BitVec &state,
+    fsm::Choice canonicalize(std::span<const uint64_t> state,
                              const std::array<uint32_t,
                                               numPpChoiceVars> &values)
         const;
@@ -140,11 +100,23 @@ class PpFsmModel : public fsm::Model
     const PpConfig &config() const { return control_.config(); }
 
   private:
+    /** Number of latched state fields (stateVars().size()). */
+    static constexpr size_t numFields = 15;
+
+    /** @return @p state packed into its one state word. */
+    uint64_t packWord(const PpControlState &state) const;
+
+    /** @return the control state a state word holds. */
+    PpControlState unpackWord(uint64_t word) const;
+
     PpControl control_;
     std::vector<fsm::StateVarInfo> stateVars_;
     std::vector<fsm::ChoiceVarInfo> choiceVars_;
-    fsm::StateLayout layout_;
-    fsm::ChoiceCodec codec_;
+    /** Per state field, its bit offset and value mask in the word. */
+    std::array<uint8_t, numFields> shift_{};
+    std::array<uint64_t, numFields> mask_{};
+    /** Per choice variable, its stride in the packed choice code. */
+    std::array<uint64_t, numPpChoiceVars> stride_{};
 };
 
 } // namespace archval::rtl

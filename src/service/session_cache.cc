@@ -120,7 +120,7 @@ DesignSpec::fromJson(const json::Value &design)
     bool model_branches = false;
     bool dual_issue = false;
     if (!readCount(design, "lineWords", line_words, error,
-                   UINT32_MAX) ||
+                   rtl::PpConfig::maxLineWords) ||
         !readCount(design, "maxStates", spec.maxStates, error) ||
         !readCount(design, "memoryBudgetBytes",
                    spec.memoryBudgetBytes, error) ||

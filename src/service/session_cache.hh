@@ -103,7 +103,8 @@ struct DesignSpec
      * (answered as a `bad request` frame), never a silent default —
      * a client sending `"maxStates": 500000.0` must not land on a
      * different fingerprint than the 500000 it meant. So is a value
-     * its field cannot hold: `lineWords` above UINT32_MAX.
+     * the design cannot take: `lineWords` above
+     * rtl::PpConfig::maxLineWords (0 keeps the preset's).
      */
     static Result<DesignSpec> fromJson(const json::Value &design);
 };

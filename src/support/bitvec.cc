@@ -57,19 +57,9 @@ BitVec::getField(size_t lsb, size_t width) const
 {
     if (width > 64)
         panic("BitVec::getField width > 64");
-    if (width == 0)
-        return 0;
-    if (lsb + width > numBits_)
+    if (width != 0 && lsb + width > numBits_)
         panic("BitVec::getField out of range");
-
-    size_t word = lsb / wordBits;
-    size_t offset = lsb % wordBits;
-    uint64_t value = words_[word] >> offset;
-    if (offset + width > wordBits)
-        value |= words_[word + 1] << (wordBits - offset);
-    if (width < 64)
-        value &= (uint64_t(1) << width) - 1;
-    return value;
+    return packedField(words_, lsb, width);
 }
 
 void
@@ -77,24 +67,9 @@ BitVec::setField(size_t lsb, size_t width, uint64_t value)
 {
     if (width > 64)
         panic("BitVec::setField width > 64");
-    if (width == 0)
-        return;
-    if (lsb + width > numBits_)
+    if (width != 0 && lsb + width > numBits_)
         panic("BitVec::setField out of range");
-
-    uint64_t mask =
-        width == 64 ? ~uint64_t(0) : (uint64_t(1) << width) - 1;
-    value &= mask;
-
-    size_t word = lsb / wordBits;
-    size_t offset = lsb % wordBits;
-    words_[word] = (words_[word] & ~(mask << offset)) | (value << offset);
-    if (offset + width > wordBits) {
-        size_t high_bits = offset + width - wordBits;
-        uint64_t high_mask = (uint64_t(1) << high_bits) - 1;
-        words_[word + 1] = (words_[word + 1] & ~high_mask) |
-                           (value >> (wordBits - offset));
-    }
+    setPackedField(words_, lsb, width, value);
 }
 
 void

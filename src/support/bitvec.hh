@@ -82,6 +82,49 @@ class BitVec
 };
 
 /**
+ * Read the unsigned field of @p width (<= 64) bits at bit @p lsb of
+ * packed @p words (bit 0 is the LSB of word 0). Unchecked: the field
+ * must lie inside the words. BitVec::getField is the checked form.
+ */
+inline uint64_t
+packedField(std::span<const uint64_t> words, size_t lsb, size_t width)
+{
+    if (width == 0)
+        return 0;
+    const size_t word = lsb / 64;
+    const size_t offset = lsb % 64;
+    uint64_t value = words[word] >> offset;
+    if (offset + width > 64)
+        value |= words[word + 1] << (64 - offset);
+    return width < 64 ? value & ((uint64_t(1) << width) - 1) : value;
+}
+
+/**
+ * Write the low @p width (<= 64) bits of @p value at bit @p lsb of
+ * packed @p words. Unchecked, like packedField(); BitVec::setField is
+ * the checked form.
+ */
+inline void
+setPackedField(std::span<uint64_t> words, size_t lsb, size_t width,
+               uint64_t value)
+{
+    if (width == 0)
+        return;
+    const uint64_t mask =
+        width == 64 ? ~uint64_t(0) : (uint64_t(1) << width) - 1;
+    value &= mask;
+    const size_t word = lsb / 64;
+    const size_t offset = lsb % 64;
+    words[word] = (words[word] & ~(mask << offset)) | (value << offset);
+    if (offset + width > 64) {
+        const uint64_t high_mask =
+            (uint64_t(1) << (offset + width - 64)) - 1;
+        words[word + 1] = (words[word + 1] & ~high_mask) |
+                          (value >> (64 - offset));
+    }
+}
+
+/**
  * The hash of a packed state of @p num_bits bits held in @p words:
  * FNV-1a over the words, folded with the width. BitVec::hash() and
  * code that keeps states as bare words share it, so a state hashes

@@ -279,7 +279,7 @@ VectorGenerator::summarizeGraph(const graph::StateGraph &graph) const
         for (size_t s = c * summaryChunk; s < end; ++s) {
             const graph::StateId src_id = static_cast<graph::StateId>(s);
             const rtl::PpControlState src =
-                model_.unpack(graph.packedState(src_id));
+                model_.unpack(graph.stateWords(src_id));
             for (graph::EdgeId e : graph.outEdges(src_id)) {
                 table[e] = summarize(
                     src, signalIdOf_[graph.edge(e).choiceCode]);
@@ -560,7 +560,7 @@ VectorGenerator::generate(const graph::StateGraph &graph,
         trace, graph::TraceCursor(graph, trace, routes), trace_index,
         [&](graph::EdgeId e) {
             const graph::Edge &edge = graph.edge(e);
-            return summarize(model_.unpack(graph.packedState(edge.src)),
+            return summarize(model_.unpack(graph.stateWords(edge.src)),
                              signalIdOf_[edge.choiceCode]);
         },
         delta);

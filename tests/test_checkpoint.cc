@@ -852,23 +852,30 @@ TEST_F(CheckpointFixture, LockstepCountSurvivesCopiesAndResumes)
 
 TEST_F(CheckpointFixture, LockstepRejectsToursOutOfShape)
 {
-    // Before any job runs, the engine rejects a reference without one
-    // tour per trace or with a tour whose length is not its trace's.
+    // The engine rejects a reference without one tour per trace
+    // before any job runs, and a tour whose length is not its
+    // trace's on the worker that claims its row; either way the
+    // caller gets a FatalError and no jobs are counted, at one
+    // worker or several.
     std::vector<graph::Trace> traces = tours_->traces();
     traces.back().edges.pop_back();
     const graph::Tours short_tours(tours_->routes(), traces);
     const LockstepReference short_tour{*model_, *graph_, short_tours};
-    ReplayEngine engine(*config_);
-    EXPECT_THROW(engine.playAll(*traces_, *bug_sets_, &short_tour),
-                 FatalError);
-    EXPECT_EQ(engine.stats().jobs, 0u);
-
     traces.pop_back();
     const graph::Tours fewer_tours(tours_->routes(), traces);
     const LockstepReference missing{*model_, *graph_, fewer_tours};
-    EXPECT_THROW(engine.playAll(*traces_, *bug_sets_, &missing),
-                 FatalError);
-    EXPECT_EQ(engine.stats().jobs, 0u);
+    for (unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE(workers);
+        ReplayOptions options;
+        options.numThreads = workers;
+        ReplayEngine engine(*config_, options);
+        EXPECT_THROW(engine.playAll(*traces_, *bug_sets_, &short_tour),
+                     FatalError);
+        EXPECT_EQ(engine.stats().jobs, 0u);
+        EXPECT_THROW(engine.playAll(*traces_, *bug_sets_, &missing),
+                     FatalError);
+        EXPECT_EQ(engine.stats().jobs, 0u);
+    }
 }
 
 } // namespace

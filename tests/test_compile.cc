@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -62,10 +63,14 @@ TEST(Compile, BytecodeStepMatchesInterpreterEverywhere)
     // Every reachable state: HdlModel's bytecode step must emit the
     // base loop's (code, next state, instruction count) sequence over
     // the interpreted next(), bit for bit and in the same order.
-    using Emission = std::tuple<uint64_t, BitVec, unsigned>;
+    using Emission =
+        std::tuple<uint64_t, std::vector<uint64_t>, unsigned>;
     auto collect = [](std::vector<Emission> &out) {
-        return [&out](uint64_t code, fsm::Transition &&t) {
-            out.emplace_back(code, std::move(t.next), t.instructions);
+        return [&out](uint64_t code, std::span<const uint64_t> next,
+                      unsigned instructions) {
+            out.emplace_back(
+                code, std::vector<uint64_t>(next.begin(), next.end()),
+                instructions);
         };
     };
     std::vector<Result<hdl::TranslateResult>> designs;
@@ -80,12 +85,14 @@ TEST(Compile, BytecodeStepMatchesInterpreterEverywhere)
         Enumerator enumerator(model);
         graph::StateGraph graph = enumerator.runOrThrow();
         for (graph::StateId s = 0; s < graph.numStates(); ++s) {
-            const BitVec &packed = graph.packedState(s);
+            const std::span<const uint64_t> packed = graph.stateWords(s);
             std::vector<Emission> interpreted;
             std::vector<Emission> compiled;
-            model.fsm::Model::forEachTransition(packed,
-                                                collect(interpreted));
-            model.forEachTransition(packed, collect(compiled));
+            ASSERT_TRUE(model.fsm::Model::forEachTransition(
+                                 packed, collect(interpreted))
+                            .ok());
+            ASSERT_TRUE(
+                model.forEachTransition(packed, collect(compiled)).ok());
             ASSERT_FALSE(interpreted.empty()) << "state " << s;
             ASSERT_EQ(compiled, interpreted) << "state " << s;
         }

@@ -312,13 +312,12 @@ class WideChoiceModel : public fsm::Model
         return fsm::Transition{state, 0};
     }
 
-    void
-    forEachTransition(
-        const BitVec &state,
-        const std::function<void(uint64_t, fsm::Transition &&)> &fn)
-        const override
+    Result<bool>
+    forEachTransition(std::span<const uint64_t> state,
+                      fsm::TransitionSink sink) const override
     {
-        fn((uint64_t(1) << 32) + 5, fsm::Transition{state, 0});
+        sink((uint64_t(1) << 32) + 5, state, 0);
+        return true;
     }
 
   private:

@@ -52,6 +52,15 @@ differential(const std::vector<uint32_t> &program,
     return ref.archState().diff(core.archState());
 }
 
+TEST(PpCore, LineWordsBeyondTheCountersIsFatal)
+{
+    PpConfig config = PpConfig::smallPreset();
+    config.lineWords = PpConfig::maxLineWords + 1;
+    EXPECT_THROW(PpCore(config, CoreMode::Vector), FatalError);
+    config.lineWords = 0;
+    EXPECT_THROW(PpCore(config, CoreMode::Program), FatalError);
+}
+
 TEST(PpCore, AluProgramMatchesRef)
 {
     EXPECT_EQ(differential(mustAssemble(R"(

@@ -390,12 +390,16 @@ TEST(DesignSpecParse, WrongTypedFieldsAreBadRequests)
     EXPECT_FALSE(parse("{\"preset\": 3}").ok());
     EXPECT_FALSE(parse("[1, 2]").ok()); // design must be an object
 
-    // A value its field cannot hold: a line width that used to wrap
-    // to 0 in the fingerprint.
+    // A value its field cannot hold: a line width beyond what the
+    // control's 8-bit refill counters count (PpConfig::maxLineWords),
+    // or one that used to wrap to 0 in the fingerprint.
+    Result<DesignSpec> wide = parse("{\"lineWords\": 256}");
+    ASSERT_FALSE(wide.ok());
+    EXPECT_NE(wide.errorMessage().find("bad request"), std::string::npos);
     EXPECT_FALSE(parse("{\"lineWords\": 4294967296}").ok());
-    Result<DesignSpec> edge = parse("{\"lineWords\": 4294967295}");
+    Result<DesignSpec> edge = parse("{\"lineWords\": 255}");
     ASSERT_TRUE(edge.ok()) << edge.errorMessage();
-    EXPECT_EQ(edge.value().lineWords, 4294967295u);
+    EXPECT_EQ(edge.value().lineWords, 255u);
 
     // The retired enumeration worker count is ignored like any
     // unknown field, whatever its value.
