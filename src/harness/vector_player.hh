@@ -95,7 +95,9 @@ class VectorPlayer
 
     /** @return every state of @p graph unpacked by @p model, indexed
      *  by state id: the table a LockstepSpec reads, built once so
-     *  the per-cycle check is a lookup, not an unpack. */
+     *  the per-cycle check is a lookup, not an unpack. Throws
+     *  FatalError when the graph's states are not the model's
+     *  width. */
     static std::vector<rtl::PpControlState>
     expectedStates(const rtl::PpFsmModel &model,
                    const graph::StateGraph &graph);

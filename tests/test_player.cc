@@ -189,11 +189,21 @@ TEST_F(PlayerFixture, BiasedWalkerProducesValidWalks)
 
 TEST_F(PlayerFixture, BiasedWalkerRefusesGraphOfAnotherWidth)
 {
-    // The walker indexes states by their packed vectors; a graph of
-    // zero-width states is not one of this model's.
+    // The walker unpacks and compares states as this model's packed
+    // words; a graph of zero-width states is not one of this model's.
     graph::StateGraph structural;
     structural.addState(BitVec(0));
     EXPECT_THROW(BiasedWalker(*model_, structural, 31), FatalError);
+}
+
+TEST_F(PlayerFixture, LockstepTableRefusesGraphOfAnotherWidth)
+{
+    // The lockstep table unpacks each state from the graph's words,
+    // so the graph must hold this model's states.
+    graph::StateGraph structural;
+    structural.addState(BitVec(0));
+    EXPECT_THROW(VectorPlayer::expectedStates(*model_, structural),
+                 FatalError);
 }
 
 TEST_F(PlayerFixture, BiasedWalkerVectorsDoNotDivergeBugFree)
