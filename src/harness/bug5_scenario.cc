@@ -44,7 +44,7 @@ runBug5Scenario(const rtl::PpConfig &config, bool external_stall,
     auto cycle = [&](auto setup) {
         rtl::ForcedSignals signals{};
         setup(signals);
-        core.forceSignals(signals);
+        core.forceSignals(rtl::packSignals(signals).value());
         core.step();
         outcome.waveform.push_back(core.waveLine());
     };
@@ -103,7 +103,8 @@ runBug5Scenario(const rtl::PpConfig &config, bool external_stall,
     });
 
     // Drain.
-    const rtl::ForcedSignals drain = VectorPlayer::drainSignals();
+    const rtl::PackedSignals drain =
+        rtl::packSignals(VectorPlayer::drainSignals()).value();
     for (unsigned i = 0; i < VectorPlayer::drainLength(config); ++i) {
         if (core.pipeEmpty())
             break;

@@ -519,6 +519,11 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         }
         const VectorPlayer::LockstepSpec *check =
             lockstep ? &spec : nullptr;
+        // The specification's answer depends on the trace alone:
+        // computed at the row's first simulated job (the donor, or a
+        // warm row's first triggered job), then shared by every job
+        // of the row.
+        std::optional<pp::ArchState> spec_state;
 
         for (size_t b : set_order) {
             // A trace earlier in the batch already diverged under
@@ -634,7 +639,10 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
                     next_stride += snap_stride;
                 }
             }
-            PlayResult result = VectorPlayer::finish(config_, core, trace);
+            if (!spec_state)
+                spec_state = VectorPlayer::specState(config_, trace);
+            PlayResult result =
+                VectorPlayer::finish(config_, core, *spec_state);
             result.lockstepErrors = lockstep_errors;
             if (snap_stride)
                 pins.pinTriggers(core);

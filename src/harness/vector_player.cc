@@ -1,6 +1,5 @@
 #include "vector_player.hh"
 
-#include "pp/ref_sim.hh"
 #include "support/status.hh"
 #include "support/strings.hh"
 #include "support/telemetry.hh"
@@ -75,9 +74,8 @@ VectorPlayer::drive(rtl::PpCore &core, const vecgen::TestTrace &trace,
     graph::TraceCursor *tour = lockstep ? lockstep->tour : nullptr;
     if (tour && tour->position() != first_cycle)
         tour->seek(first_cycle);
-    const std::vector<rtl::ForcedSignals> &rows = rtl::unpackTable();
     for (size_t i = first_cycle; i < last_cycle; ++i) {
-        core.forceSignals(rows[trace.cycles[i]]);
+        core.forceSignals(trace.cycles[i]);
         core.step();
         if (tour) {
             // The core's control must now sit exactly on the state
@@ -90,16 +88,31 @@ VectorPlayer::drive(rtl::PpCore &core, const vecgen::TestTrace &trace,
     return lockstep_errors;
 }
 
+pp::ArchState
+VectorPlayer::specState(const rtl::PpConfig &config,
+                        const vecgen::TestTrace &trace)
+{
+    // Executable specification: the retired stream in order, with
+    // branches as no-ops (control flow is baked into the stream).
+    pp::RefSim ref(config.machine);
+    ref.setStreamMode(true);
+    ref.loadProgram(trace.retiredStream);
+    ref.setInbox(trace.inbox);
+    ref.run(trace.retiredStream.size() + 8);
+    return ref.archState();
+}
+
 PlayResult
 VectorPlayer::finish(const rtl::PpConfig &config, rtl::PpCore &core,
-                     const vecgen::TestTrace &trace)
+                     const pp::ArchState &spec)
 {
     PlayResult result;
 
     // Drain: complete all in-flight work; newly fetched NOPs are
     // architecturally inert, so comparison is exact even if some are
     // still in the pipe when we stop.
-    const rtl::ForcedSignals drain = drainSignals();
+    const rtl::PackedSignals drain =
+        rtl::packSignals(drainSignals()).value();
     for (unsigned i = 0; i < drainLength(config); ++i) {
         if (core.pipeEmpty())
             break;
@@ -109,16 +122,7 @@ VectorPlayer::finish(const rtl::PpConfig &config, rtl::PpCore &core,
     result.drained = core.pipeEmpty();
     result.cycles = core.cycles();
     result.instructions = core.instructionsRetired();
-
-    // Executable specification: the retired stream in order, with
-    // branches as no-ops (control flow is baked into the stream).
-    pp::RefSim ref(config.machine);
-    ref.setStreamMode(true);
-    ref.loadProgram(trace.retiredStream);
-    ref.setInbox(trace.inbox);
-    ref.run(trace.retiredStream.size() + 8);
-
-    result.diff = ref.archState().diff(core.archState());
+    result.diff = spec.diff(core.archState());
     result.diverged = !result.diff.empty();
     return result;
 }
@@ -133,7 +137,7 @@ VectorPlayer::play(const vecgen::TestTrace &trace,
     rtl::PpCore core(config_, rtl::CoreMode::Vector);
     primeCore(core, trace, bugs);
     drive(core, trace, 0, trace.cycles.size());
-    return finish(config_, core, trace);
+    return finish(config_, core, specState(config_, trace));
 }
 
 } // namespace archval::harness

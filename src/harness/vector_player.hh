@@ -24,6 +24,7 @@
 
 #include "graph/state_graph.hh"
 #include "graph/tour.hh"
+#include "pp/ref_sim.hh"
 #include "rtl/pp_core.hh"
 #include "rtl/pp_fsm_model.hh"
 #include "vecgen/vector_gen.hh"
@@ -118,12 +119,22 @@ class VectorPlayer
                           const LockstepSpec *lockstep = nullptr);
 
     /**
-     * Drain @p core, run the executable specification on @p trace's
-     * retired stream and compare architectural state.
+     * @return the executable specification's architectural state
+     * after @p trace's retired stream: the reference every job that
+     * plays @p trace is compared against, whatever its bugs. It
+     * depends on the trace alone, so a batch computes it once per
+     * trace.
+     */
+    static pp::ArchState specState(const rtl::PpConfig &config,
+                                   const vecgen::TestTrace &trace);
+
+    /**
+     * Drain @p core and compare its architectural state with
+     * @p spec, the specState() of the trace it played.
      */
     static PlayResult finish(const rtl::PpConfig &config,
                              rtl::PpCore &core,
-                             const vecgen::TestTrace &trace);
+                             const pp::ArchState &spec);
 
     /** @} */
 

@@ -28,29 +28,6 @@ instrClassName(InstrClass cls)
     return "?";
 }
 
-InstrClass
-DecodedInstr::cls() const
-{
-    switch (op) {
-      case Opcode::Lw:
-        return InstrClass::Load;
-      case Opcode::Sw:
-        return InstrClass::Store;
-      case Opcode::Switch:
-        return InstrClass::Switch;
-      case Opcode::Send:
-        return InstrClass::Send;
-      case Opcode::Beq:
-      case Opcode::Bne:
-      case Opcode::J:
-        return InstrClass::Branch;
-      default:
-        // HALT behaves as ALU for the control logic: it only stops
-        // the test, it causes no stall of its own.
-        return InstrClass::Alu;
-    }
-}
-
 bool
 DecodedInstr::isNop() const
 {
@@ -116,21 +93,6 @@ DecodedInstr::toString() const
         return "halt";
     }
     return "?";
-}
-
-DecodedInstr
-decode(uint32_t word)
-{
-    DecodedInstr d;
-    d.op = static_cast<Opcode>((word >> 26) & 0x3f);
-    d.rs = static_cast<uint8_t>((word >> 21) & 0x1f);
-    d.rt = static_cast<uint8_t>((word >> 16) & 0x1f);
-    d.rd = static_cast<uint8_t>((word >> 11) & 0x1f);
-    d.shamt = static_cast<uint8_t>((word >> 6) & 0x1f);
-    d.funct = static_cast<Funct>(word & 0x3f);
-    d.imm = static_cast<int16_t>(word & 0xffff);
-    d.target = word & 0x03ffffff;
-    return d;
 }
 
 uint32_t

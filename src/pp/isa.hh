@@ -90,7 +90,28 @@ struct DecodedInstr
     uint32_t target = 0; ///< J-type target (word index)
 
     /** @return the control-logic class of this instruction. */
-    InstrClass cls() const;
+    InstrClass
+    cls() const
+    {
+        switch (op) {
+          case Opcode::Lw:
+            return InstrClass::Load;
+          case Opcode::Sw:
+            return InstrClass::Store;
+          case Opcode::Switch:
+            return InstrClass::Switch;
+          case Opcode::Send:
+            return InstrClass::Send;
+          case Opcode::Beq:
+          case Opcode::Bne:
+          case Opcode::J:
+            return InstrClass::Branch;
+          default:
+            // HALT behaves as ALU for the control logic: it only
+            // stops the test, it causes no stall of its own.
+            return InstrClass::Alu;
+        }
+    }
 
     /** @return true for the NOP encoding (sll r0, r0, 0). */
     bool isNop() const;
@@ -99,8 +120,22 @@ struct DecodedInstr
     std::string toString() const;
 };
 
-/** Decode a 32-bit instruction word. */
-DecodedInstr decode(uint32_t word);
+/** Decode a 32-bit instruction word. Inline, with cls(): the RTL
+ *  core decodes every instruction it fetches. */
+inline DecodedInstr
+decode(uint32_t word)
+{
+    DecodedInstr d;
+    d.op = static_cast<Opcode>((word >> 26) & 0x3f);
+    d.rs = static_cast<uint8_t>((word >> 21) & 0x1f);
+    d.rt = static_cast<uint8_t>((word >> 16) & 0x1f);
+    d.rd = static_cast<uint8_t>((word >> 11) & 0x1f);
+    d.shamt = static_cast<uint8_t>((word >> 6) & 0x1f);
+    d.funct = static_cast<Funct>(word & 0x3f);
+    d.imm = static_cast<int16_t>(word & 0xffff);
+    d.target = word & 0x03ffffff;
+    return d;
+}
 
 /** Encode a decoded instruction back to its 32-bit word. */
 uint32_t encode(const DecodedInstr &instr);

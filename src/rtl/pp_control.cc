@@ -375,6 +375,8 @@ template PpControlState PpControl::step(const PpControlState &,
 template PpControlState PpControl::step(const PpControlState &,
                                        SignalInputs &, PpOutputs &) const;
 template PpControlState PpControl::step(const PpControlState &,
+                                       PackedInputs &, PpOutputs &) const;
+template PpControlState PpControl::step(const PpControlState &,
                                        ForkingInputs &, PpOutputs &) const;
 template PpControlState PpControl::step(const PpControlState &,
                                        TrackingInputs &,

@@ -125,6 +125,38 @@ constexpr size_t numPpChoiceVars =
 const char *ppChoiceVarName(PpChoiceVar var);
 
 /**
+ * One cycle of abstract input values packed into 16 bits, the form
+ * test traces store and vector mode forces. The fields are in
+ * PpChoiceVar order with var 0 in the most significant bits: fetch
+ * class 3 bits, each of the nine flag variables 1 bit, target
+ * alignment 4 bits. Every field sits above all later ones, so
+ * comparing two packed words orders them exactly as comparing the
+ * rows they pack (std::array's lexicographic order).
+ */
+using PackedSignals = uint16_t;
+
+/** Width in bits of each PpChoiceVar's PackedSignals field. */
+inline constexpr std::array<unsigned, numPpChoiceVars> packedSignalBits{
+    3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 4};
+
+/** Bit position of each PpChoiceVar's PackedSignals field (var 0
+ *  most significant). */
+inline constexpr std::array<unsigned, numPpChoiceVars> packedSignalShift =
+    [] {
+        std::array<unsigned, numPpChoiceVars> shift{};
+        unsigned low = 0;
+        for (size_t v = numPpChoiceVars; v-- > 0;) {
+            shift[v] = low;
+            low += packedSignalBits[v];
+        }
+        return shift;
+    }();
+
+static_assert(packedSignalShift[0] + packedSignalBits[0] ==
+                  8 * sizeof(PackedSignals),
+              "the PackedSignals fields must fill exactly 16 bits");
+
+/**
  * Sources of the control's abstract inputs.
  *
  * PpControl::step() is a template over its input source, which it
@@ -133,7 +165,7 @@ const char *ppChoiceVarName(PpChoiceVar var);
  * which variables were consumed: the FSM model rejects non-canonical
  * choice tuples (unconsumed variables must be zero) — this implements
  * the paper's constrained abstract blocks. step() is instantiated in
- * pp_control.cc for the four sources below and no others, so no read
+ * pp_control.cc for the five sources below and no others, so no read
  * is a virtual call.
  */
 
@@ -194,6 +226,27 @@ class SignalInputs
 
   private:
     std::array<uint32_t, numPpChoiceVars> values_{};
+};
+
+/** Inputs over one PackedSignals word: the vector player, which
+ *  forces each cycle's word straight from its trace. A read is a
+ *  shift and a mask, so no row is unpacked for variables the control
+ *  never consumes. */
+class PackedInputs
+{
+  public:
+    explicit PackedInputs(PackedSignals word) : word_(word) {}
+
+    uint32_t
+    read(PpChoiceVar var) const
+    {
+        const size_t index = static_cast<size_t>(var);
+        return (uint32_t{word_} >> packedSignalShift[index]) &
+               ((uint32_t{1} << packedSignalBits[index]) - 1);
+    }
+
+  private:
+    PackedSignals word_;
 };
 
 /** Inputs over a partial assignment, for the FSM model's sparse
@@ -298,6 +351,8 @@ struct PpOutputs
     bool outboxPush = false; ///< SEND delivered a word to the Outbox
     bool branchTaken = false; ///< EX branch squashes younger stages
     bool advance = false;     ///< pipeline registers shifted
+
+    bool operator==(const PpOutputs &other) const = default;
 };
 
 /**
@@ -325,9 +380,9 @@ class PpControl
      *
      * @param state Current latched state.
      * @param inputs Abstract input source for this cycle: a
-     *               ChoiceInputs, SignalInputs, ForkingInputs or
-     *               TrackingInputs (the instantiations pp_control.cc
-     *               provides).
+     *               ChoiceInputs, SignalInputs, PackedInputs,
+     *               ForkingInputs or TrackingInputs (the
+     *               instantiations pp_control.cc provides).
      * @param[out] outputs Derived control outputs for the datapath.
      * @return the next latched state.
      */

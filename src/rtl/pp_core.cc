@@ -33,22 +33,6 @@ choiceOfClass(InstrClass cls)
 /** Garbage pattern for bug-corrupted values ("Z values latched"). */
 constexpr uint32_t garbageValue = 0x2a2a2a2au;
 
-/** Bit position of each PpChoiceVar's PackedSignals field (var 0
- *  most significant). */
-constexpr std::array<unsigned, numPpChoiceVars> packedSignalShift = [] {
-    std::array<unsigned, numPpChoiceVars> shift{};
-    unsigned low = 0;
-    for (size_t v = numPpChoiceVars; v-- > 0;) {
-        shift[v] = low;
-        low += packedSignalBits[v];
-    }
-    return shift;
-}();
-
-static_assert(packedSignalShift[0] + packedSignalBits[0] ==
-                  8 * sizeof(PackedSignals),
-              "the PackedSignals fields must fill exactly 16 bits");
-
 } // namespace
 
 std::optional<PackedSignals>
@@ -110,9 +94,8 @@ PpCore::reset()
     outboxOccupancy_ = 0;
     streamPos_ = 0;
     forcedValid_ = false;
-    rdPacket_ = Packet{};
-    exPacket_ = Packet{};
-    memPacket_ = Packet{};
+    pipe_.fill(Packet{});
+    pipeHead_ = 0;
     pendingStore_ = PendingStore{};
     bug1Armed_ = false;
     bug4Armed_ = false;
@@ -139,13 +122,6 @@ PpCore::loadStream(std::vector<uint32_t> stream)
         fatal("loadStream requires vector mode");
     stream_ = std::move(stream);
     reset();
-}
-
-void
-PpCore::forceSignals(const ForcedSignals &signals)
-{
-    forced_ = signals;
-    forcedValid_ = true;
 }
 
 void
@@ -300,7 +276,9 @@ struct ByteReader
 };
 
 constexpr uint32_t snapshotMagic = 0x41565353u; // "AVSS"
-constexpr uint32_t snapshotVersion = 1;
+/** Version 2: the forced signals are one PackedSignals word (version
+ *  1 held an unpacked ForcedSignals row). */
+constexpr uint32_t snapshotVersion = 2;
 
 } // namespace
 
@@ -343,9 +321,10 @@ PpCore::serializeInto(std::vector<uint8_t> &out) const
     w.u64(streamPos_);
     w.pod(forced_);
     w.b(forcedValid_);
-    w.pod(rdPacket_);
-    w.pod(exPacket_);
-    w.pod(memPacket_);
+    // The packets in stage order, whichever ring slots hold them.
+    w.pod(rdPacket());
+    w.pod(exPacket());
+    w.pod(memPacket());
     w.pod(pendingStore_);
     w.b(bug1Armed_);
     w.b(bug4Armed_);
@@ -396,9 +375,10 @@ PpCore::deserializeFrom(const uint8_t *data, size_t size)
     streamPos_ = r.u64();
     r.pod(forced_);
     forcedValid_ = r.b();
-    r.pod(rdPacket_);
-    r.pod(exPacket_);
-    r.pod(memPacket_);
+    pipeHead_ = 0;
+    r.pod(rdPacket());
+    r.pod(exPacket());
+    r.pod(memPacket());
     r.pod(pendingStore_);
     bug1Armed_ = r.b();
     bug4Armed_ = r.b();
@@ -568,10 +548,10 @@ PpCore::sameLine(uint32_t a, uint32_t b) const
     return a / line_bytes == b / line_bytes;
 }
 
-ForcedSignals
+SignalInputs
 PpCore::computeSignals()
 {
-    ForcedSignals s{};
+    SignalInputs s;
 
     // Fetch interface: probe the I-cache at the current PC and
     // classify the instruction(s) there.
@@ -580,52 +560,51 @@ PpCore::computeSignals()
     InstrClass fetch_cls = pp::classOfWord(fetch_word);
     if (!config_.modelBranches && fetch_cls == InstrClass::Branch)
         fatal("program contains a branch but modelBranches is off");
-    s[static_cast<size_t>(PpChoiceVar::IHit)] =
-        pc_ < program_.size() ? (icacheProbe(pc_) ? 1 : 0) : 1;
-    s[static_cast<size_t>(PpChoiceVar::FetchClass)] =
-        choiceOfClass(fetch_cls);
+    s.set(PpChoiceVar::IHit,
+          pc_ < program_.size() ? (icacheProbe(pc_) ? 1 : 0) : 1);
+    s.set(PpChoiceVar::FetchClass, choiceOfClass(fetch_cls));
     if (config_.dualIssue && pc_ + 1 < program_.size()) {
         InstrClass second = pp::classOfWord(program_[pc_ + 1]);
         bool pairable = second == InstrClass::Alu &&
                         fetch_cls != InstrClass::Branch &&
                         (pc_ / config_.lineWords ==
                          (pc_ + 1) / config_.lineWords);
-        s[static_cast<size_t>(PpChoiceVar::Dual)] = pairable ? 1 : 0;
+        s.set(PpChoiceVar::Dual, pairable ? 1 : 0);
     }
 
     // MEM-stage interface: compute the access address once and probe
     // the D-cache.
-    if (memPacket_.valid && isMemClass(memPacket_.ops[0].d.cls()) &&
+    Packet &mem = memPacket();
+    if (mem.valid && isMemClass(mem.ops[0].d.cls()) &&
         !control_.memDone) {
-        MicroOp &op = memPacket_.ops[0];
+        MicroOp &op = mem.ops[0];
         if (!op.addrValid) {
             op.memAddr = effectiveAddress(op);
             op.addrValid = true;
         }
-        s[static_cast<size_t>(PpChoiceVar::DHit)] =
-            dcacheProbe(op.memAddr) ? 1 : 0;
-        s[static_cast<size_t>(PpChoiceVar::Dirty)] =
-            dcacheVictimDirty(op.memAddr) ? 1 : 0;
-        s[static_cast<size_t>(PpChoiceVar::SameLine)] =
-            pendingStore_.valid &&
-                    sameLine(op.memAddr, pendingStore_.addr)
-                ? 1
-                : 0;
+        s.set(PpChoiceVar::DHit, dcacheProbe(op.memAddr) ? 1 : 0);
+        s.set(PpChoiceVar::Dirty,
+              dcacheVictimDirty(op.memAddr) ? 1 : 0);
+        s.set(PpChoiceVar::SameLine,
+              pendingStore_.valid &&
+                      sameLine(op.memAddr, pendingStore_.addr)
+                  ? 1
+                  : 0);
     }
 
     // External units.
-    s[static_cast<size_t>(PpChoiceVar::InboxReady)] =
-        inbox_.empty() ? 0 : 1;
-    s[static_cast<size_t>(PpChoiceVar::OutboxReady)] =
-        outboxOccupancy_ < timing_.outboxCapacity ? 1 : 0;
+    s.set(PpChoiceVar::InboxReady, inbox_.empty() ? 0 : 1);
+    s.set(PpChoiceVar::OutboxReady,
+          outboxOccupancy_ < timing_.outboxCapacity ? 1 : 0);
 
     // Branch outcome, resolved in EX. The static schedule must keep
     // a branch's sources clear of in-flight producers (see file
     // comment); reading the committed register file here is the
     // machine's contract.
-    if (config_.modelBranches && exPacket_.valid &&
-        exPacket_.ops[0].d.cls() == InstrClass::Branch) {
-        const DecodedInstr &d = exPacket_.ops[0].d;
+    const Packet &ex = exPacket();
+    if (config_.modelBranches && ex.valid &&
+        ex.ops[0].d.cls() == InstrClass::Branch) {
+        const DecodedInstr &d = ex.ops[0].d;
         bool taken = false;
         if (d.op == Opcode::J)
             taken = true;
@@ -633,45 +612,46 @@ PpCore::computeSignals()
             taken = regs_[d.rs] == regs_[d.rt];
         else if (d.op == Opcode::Bne)
             taken = regs_[d.rs] != regs_[d.rt];
-        s[static_cast<size_t>(PpChoiceVar::BranchTaken)] = taken ? 1 : 0;
+        s.set(PpChoiceVar::BranchTaken, taken ? 1 : 0);
         if (config_.modelAlignment) {
             uint32_t target =
                 d.op == Opcode::J
                     ? d.target
-                    : exPacket_.ops[0].pc + 1 +
+                    : ex.ops[0].pc + 1 +
                           static_cast<uint32_t>(
                               static_cast<int32_t>(d.imm));
-            s[static_cast<size_t>(PpChoiceVar::TargetAlign)] =
-                target % config_.lineWords;
+            s.set(PpChoiceVar::TargetAlign,
+                  target % config_.lineWords);
         }
     }
 
     // Memory controller reply beat.
-    s[static_cast<size_t>(PpChoiceVar::MemReply)] =
-        control_.memPort != MemPort::Free && memWait_ == 0 ? 1 : 0;
+    s.set(PpChoiceVar::MemReply,
+          control_.memPort != MemPort::Free && memWait_ == 0 ? 1 : 0);
 
     return s;
 }
 
-PpCore::Packet
-PpCore::fetchPacket(InstrClass cls, unsigned count)
+void
+PpCore::fetchPacket(Packet &packet, InstrClass cls, unsigned count)
 {
-    Packet packet;
     packet.valid = true;
     packet.count = count;
     for (unsigned slot = 0; slot < count; ++slot) {
-        MicroOp &op = packet.ops[slot];
+        // Every field of a fetched micro-op starts fresh; slots past
+        // count keep stale bytes, which nothing reads.
+        uint32_t word;
+        uint32_t pc = 0;
         if (mode_ == CoreMode::Vector) {
-            op.word = streamPos_ < stream_.size()
-                          ? stream_[streamPos_++]
-                          : pp::encodeNop();
+            word = streamPos_ < stream_.size() ? stream_[streamPos_++]
+                                               : pp::encodeNop();
         } else {
-            op.word = pc_ < program_.size() ? program_[pc_]
-                                            : pp::encodeNop();
-            op.pc = pc_;
+            word = pc_ < program_.size() ? program_[pc_]
+                                         : pp::encodeNop();
+            pc = pc_;
             ++pc_;
         }
-        op.d = pp::decode(op.word);
+        packet.ops[slot] = MicroOp{word, pp::decode(word), pc};
     }
     // fatal, not panic: in vector mode the stream is input, and a
     // stream that does not match its forced fetch classes (a trace
@@ -694,7 +674,6 @@ PpCore::fetchPacket(InstrClass cls, unsigned count)
         bug1Armed_ = false;
         bug4Armed_ = false;
     }
-    return packet;
 }
 
 void
@@ -817,7 +796,7 @@ PpCore::retirePacket(Packet &packet)
         if (halted_)
             break;
     }
-    packet = Packet{};
+    packet.valid = false;
 }
 
 bool
@@ -827,44 +806,39 @@ PpCore::step()
         return false;
 
     // ------------------------------------------------------------------
-    // 1. Assemble this cycle's interface signals.
+    // 1-2. Assemble this cycle's interface signals and advance the
+    //      control. Vector mode reads each input the control consumes
+    //      straight from the forced word.
     // ------------------------------------------------------------------
-    ForcedSignals signals;
+    Packet &mem = memPacket();
+    Packet &ex = exPacket();
+    const PpControlState prev = control_;
+    PpOutputs out;
+    PpControlState next;
     if (mode_ == CoreMode::Vector) {
         if (!forcedValid_)
             fatal("vector mode requires forceSignals before step");
-        signals = forced_;
         forcedValid_ = false;
         // The MEM-stage address is still computed from the real
         // datapath (the generator constrained it to be consistent
         // with the forced SameLine choice).
-        if (memPacket_.valid &&
-            isMemClass(memPacket_.ops[0].d.cls()) &&
-            !control_.memDone && !memPacket_.ops[0].addrValid) {
-            memPacket_.ops[0].memAddr =
-                effectiveAddress(memPacket_.ops[0]);
-            memPacket_.ops[0].addrValid = true;
+        if (mem.valid && isMemClass(mem.ops[0].d.cls()) &&
+            !control_.memDone && !mem.ops[0].addrValid) {
+            mem.ops[0].memAddr = effectiveAddress(mem.ops[0]);
+            mem.ops[0].addrValid = true;
         }
+        PackedInputs inputs(forced_);
+        next = controller_.step(prev, inputs, out);
     } else {
-        signals = computeSignals();
+        SignalInputs inputs = computeSignals();
+        next = controller_.step(prev, inputs, out);
     }
-
-    SignalInputs inputs;
-    for (size_t i = 0; i < numPpChoiceVars; ++i)
-        inputs.set(static_cast<PpChoiceVar>(i), signals[i]);
-
-    // ------------------------------------------------------------------
-    // 2. Advance the control.
-    // ------------------------------------------------------------------
-    const PpControlState prev = control_;
-    PpOutputs out;
-    PpControlState next = controller_.step(prev, inputs, out);
 
     // ------------------------------------------------------------------
     // 3. EX-stage handshakes (order of pops/pushes == program order).
     // ------------------------------------------------------------------
     if (out.inboxPop) {
-        if (!exPacket_.valid)
+        if (!ex.valid)
             panic("inboxPop with no SWITCH in EX");
         // An empty inbox is bad input (a truncated trace), not a
         // broken core.
@@ -872,8 +846,8 @@ PpCore::step()
             fatal(formatString("cycle %llu: SWITCH pops an empty inbox",
                                static_cast<unsigned long long>(cycles_)));
         }
-        exPacket_.ops[0].inboxValue = inbox_.front();
-        exPacket_.ops[0].inboxValid = true;
+        ex.ops[0].inboxValue = inbox_.front();
+        ex.ops[0].inboxValid = true;
         inbox_.pop_front();
     }
     if (out.outboxPush) {
@@ -891,7 +865,7 @@ PpCore::step()
     //    a bug-free one — but effects stay strictly guarded by the
     //    bug-set bit, so an untriggered bug never perturbs the run.
     // ------------------------------------------------------------------
-    MicroOp *mem_op = memPacket_.valid ? &memPacket_.ops[0] : nullptr;
+    MicroOp *mem_op = mem.valid ? &mem.ops[0] : nullptr;
 
     // Bug #5 window: an external stall arriving right after the
     // critical word prevents the correcting second write, leaving
@@ -915,10 +889,10 @@ PpCore::step()
         }
         // Bug #5: the glitch on Membus-valid exists only when a
         // following load/store sits in the pipe; open the window.
+        const Packet &rd = rdPacket();
         bool follower_mem =
-            (exPacket_.valid &&
-             isMemClass(exPacket_.ops[0].d.cls())) ||
-            (rdPacket_.valid && isMemClass(rdPacket_.ops[0].d.cls()));
+            (ex.valid && isMemClass(ex.ops[0].d.cls())) ||
+            (rd.valid && isMemClass(rd.ops[0].d.cls()));
         if (follower_mem) {
             noteBugTrigger(BugId::Bug5MembusGlitch);
             if (bugs_.test(
@@ -943,12 +917,11 @@ PpCore::step()
         }
         // Bug #3: the conflict-stalled load's address register is not
         // held; a following load/store overwrites it.
-        if (exPacket_.valid &&
-            isMemClass(exPacket_.ops[0].d.cls())) {
+        if (ex.valid && isMemClass(ex.ops[0].d.cls())) {
             noteBugTrigger(BugId::Bug3ConflictAddr);
             if (bugs_.test(
                     static_cast<size_t>(BugId::Bug3ConflictAddr)))
-                mem_op->memAddr = effectiveAddress(exPacket_.ops[0]);
+                mem_op->memAddr = effectiveAddress(ex.ops[0]);
         }
     }
 
@@ -1035,36 +1008,35 @@ PpCore::step()
     }
 
     // ------------------------------------------------------------------
-    // 7. Pipeline advance: retire, shift, squash, fetch.
+    // 7. Pipeline advance: retire, rotate, squash, fetch.
     // ------------------------------------------------------------------
     if (out.advance) {
         // The WB stage never stalls (the PP has no exceptions), so
         // architectural effects land at MEM-exit; wbClass is
         // control-only state tracked by PpControl.
-        if (memPacket_.valid)
-            retirePacket(memPacket_);
-        memPacket_ = exPacket_;
+        if (mem.valid)
+            retirePacket(mem);
+        // Rotate the ring: EX becomes MEM and RD becomes EX where they
+        // sit, and the freed MEM slot becomes the new RD.
+        pipeHead_ = static_cast<uint8_t>((pipeHead_ + 2) % 3);
         if (out.branchTaken) {
             // Squash the RD packet and redirect the PC.
-            if (mode_ == CoreMode::Program && memPacket_.valid) {
-                const DecodedInstr &d = memPacket_.ops[0].d;
+            const Packet &branch = memPacket();
+            if (mode_ == CoreMode::Program && branch.valid) {
+                const DecodedInstr &d = branch.ops[0].d;
                 uint32_t target;
                 if (d.op == Opcode::J) {
                     target = d.target;
                 } else {
-                    target = memPacket_.ops[0].pc + 1 +
+                    target = branch.ops[0].pc + 1 +
                              static_cast<uint32_t>(
                                  static_cast<int32_t>(d.imm));
                 }
                 pc_ = target;
             }
-            exPacket_ = Packet{};
-            rdPacket_ = Packet{};
-        } else {
-            exPacket_ = rdPacket_;
-            rdPacket_ = out.fetch
-                            ? fetchPacket(out.fetchClass, out.fetchCount)
-                            : Packet{};
+            exPacket().valid = false;
+        } else if (out.fetch) {
+            fetchPacket(rdPacket(), out.fetchClass, out.fetchCount);
         }
     }
 
@@ -1075,9 +1047,8 @@ PpCore::step()
             dmem_[pendingStore_.addr / 4] = pendingStore_.data;
             pendingStore_.valid = false;
         }
-        rdPacket_ = Packet{};
-        exPacket_ = Packet{};
-        memPacket_ = Packet{};
+        for (Packet &packet : pipe_)
+            packet.valid = false;
         bug5_.open = false;
     }
 
@@ -1114,7 +1085,7 @@ PpCore::pipeEmpty() const
         }
         return true;
     };
-    return inert(rdPacket_) && inert(exPacket_) && inert(memPacket_) &&
+    return inert(pipe_[0]) && inert(pipe_[1]) && inert(pipe_[2]) &&
            !pendingStore_.valid && !bug5_.open &&
            control_.irefill == IRefill::Idle &&
            control_.drefill == DRefill::Idle &&

@@ -59,22 +59,10 @@ enum class CoreMode
     Vector,  ///< fetch from a generated stream; signals forced
 };
 
-/** Per-cycle forced signal values for vector mode. */
+/** One cycle of forced signal values, one per PpChoiceVar (the
+ *  unpacked form of a PackedSignals word, declared in
+ *  pp_control.hh). */
 using ForcedSignals = std::array<uint32_t, numPpChoiceVars>;
-
-/**
- * One cycle of forced signals packed into 16 bits, the form test
- * traces store. The fields are in PpChoiceVar order with var 0 in the
- * most significant bits: fetch class 3 bits, each of the nine flag
- * variables 1 bit, target alignment 4 bits. Every field sits above
- * all later ones, so comparing two packed words orders them exactly
- * as comparing the rows they pack (std::array's lexicographic order).
- */
-using PackedSignals = uint16_t;
-
-/** Width in bits of each PpChoiceVar's PackedSignals field. */
-inline constexpr std::array<unsigned, numPpChoiceVars> packedSignalBits{
-    3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 4};
 
 /** @return true when @p value fits @p var's PackedSignals field. */
 constexpr bool
@@ -90,7 +78,9 @@ std::optional<PackedSignals> packSignals(const ForcedSignals &signals);
 /**
  * @return the decode table: entry p is the row that p packs (64 Ki
  * entries, built once per process on first use). Loops that decode
- * every cycle take this reference once, outside the loop.
+ * every cycle take this reference once, outside the loop; the core
+ * itself never unpacks a row (it reads the word through
+ * PackedInputs).
  */
 const std::vector<ForcedSignals> &unpackTable();
 
@@ -125,8 +115,14 @@ class PpCore
     /** @name Vector-mode setup @{ */
     /** Load the fetch stream chosen by the test generator. */
     void loadStream(std::vector<uint32_t> stream);
-    /** Set the forced interface signals for the next cycle. */
-    void forceSignals(const ForcedSignals &signals);
+    /** Set the forced interface signals for the next cycle: one
+     *  packed word, as test traces store it. */
+    void
+    forceSignals(PackedSignals signals)
+    {
+        forced_ = signals;
+        forcedValid_ = true;
+    }
     /** @} */
 
     /** Provide Inbox contents (consumed by SWITCH). */
@@ -308,13 +304,24 @@ class PpCore
     bool deserializeFrom(const uint8_t *data, size_t size);
 
     /** Build this cycle's control inputs (program mode). */
-    ForcedSignals computeSignals();
+    SignalInputs computeSignals();
 
-    /** Fetch the next packet (mode dependent). */
-    Packet fetchPacket(pp::InstrClass cls, unsigned count);
+    /** Fetch the next packet (mode dependent) into @p packet, a
+     *  free (invalid) pipeline slot. */
+    void fetchPacket(Packet &packet, pp::InstrClass cls, unsigned count);
 
-    /** Architecturally execute @p packet (retire point). */
+    /** Architecturally execute @p packet (retire point) and free its
+     *  slot. */
     void retirePacket(Packet &packet);
+
+    /** @name Pipeline stages: slots of the packet ring @{ */
+    Packet &rdPacket() { return pipe_[pipeHead_]; }
+    Packet &exPacket() { return pipe_[(pipeHead_ + 1) % 3]; }
+    Packet &memPacket() { return pipe_[(pipeHead_ + 2) % 3]; }
+    const Packet &rdPacket() const { return pipe_[pipeHead_]; }
+    const Packet &exPacket() const { return pipe_[(pipeHead_ + 1) % 3]; }
+    const Packet &memPacket() const { return pipe_[(pipeHead_ + 2) % 3]; }
+    /** @} */
 
     /** Execute one micro-op at retire. */
     void retireOp(MicroOp &op);
@@ -365,13 +372,15 @@ class PpCore
     // Vector mode.
     std::vector<uint32_t> stream_;
     size_t streamPos_ = 0;
-    ForcedSignals forced_{};
+    PackedSignals forced_ = 0;
     bool forcedValid_ = false;
 
-    // Pipeline.
-    Packet rdPacket_;
-    Packet exPacket_;
-    Packet memPacket_;
+    // Pipeline: the RD, EX and MEM packets in a ring. RD is
+    // pipe_[pipeHead_], EX and MEM follow it; an advancing cycle
+    // moves the head back one slot, so EX and MEM take over the old
+    // RD and EX packets in place and RD reuses the retired MEM slot.
+    std::array<Packet, 3> pipe_{};
+    uint8_t pipeHead_ = 0;
 
     // Split store data write.
     struct PendingStore

@@ -1,5 +1,6 @@
 #include "flight_recorder.hh"
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -373,9 +374,13 @@ dumpFlightRecorderToFile(const std::string &reason)
     if (dir.empty())
         return std::string();
     std::string body = dumpFlightRecorder(reason);
+    // The sequence number keeps every dump: SIGUSR1 dumps taken in
+    // the same second would otherwise overwrite each other.
+    static std::atomic<uint64_t> sequence{0};
     std::string path = formatString(
-        "%s/crash-%lld-%d.json", dir.c_str(),
-        (long long)::time(nullptr), (int)::getpid());
+        "%s/crash-%lld-%d-%llu.json", dir.c_str(),
+        (long long)::time(nullptr), (int)::getpid(),
+        (unsigned long long)sequence.fetch_add(1));
     std::FILE *file = std::fopen(path.c_str(), "w");
     if (!file)
         return std::string();

@@ -114,7 +114,8 @@ std::string dumpFlightRecorder(const std::string &reason);
 
 /**
  * Write dumpFlightRecorder() to a timestamped file
- * (`crash-<unixtime>-<pid>.json`) under the configured crashDir.
+ * (`crash-<unixtime>-<pid>-<seq>.json`, seq counting this process's
+ * dumps from 0) under the configured crashDir.
  * @return the path written, or empty when disabled or on I/O error.
  */
 std::string dumpFlightRecorderToFile(const std::string &reason);

@@ -32,6 +32,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 
 #include "harness/replay_engine.hh"
@@ -203,9 +204,11 @@ TEST_F(CheckpointFixture, SerializedSnapshotRoundTripsExactly)
     VectorPlayer::primeCore(resumed, trace, BugSet{});
     resumed.restore(snap);
     VectorPlayer::drive(resumed, trace, half, trace.cycles.size());
-    expectSameResult(fresh,
-                     VectorPlayer::finish(*config_, resumed, trace),
-                     "deserialized mid-trace snapshot");
+    expectSameResult(
+        fresh,
+        VectorPlayer::finish(*config_, resumed,
+                             VectorPlayer::specState(*config_, trace)),
+        "deserialized mid-trace snapshot");
 }
 
 TEST_F(CheckpointFixture, DeserializeRejectsDamage)
@@ -392,6 +395,55 @@ TEST_F(CheckpointFixture, DamagedWarmLinksReplayFromReset)
                                        cold.strideResumeCycles);
 }
 
+TEST_F(CheckpointFixture, PreviousSnapshotVersionIsRefused)
+{
+    // A version-1 record holds the forced signals as an unpacked row,
+    // so its bytes would be misread as today's layout. The version
+    // field (the u32 after the magic) refuses it, and a warm link
+    // holding one replays from reset with the results unchanged.
+    auto previous_version = [](std::vector<uint8_t> record) {
+        const uint32_t version = 1;
+        std::memcpy(record.data() + 4, &version, sizeof version);
+        return record;
+    };
+    const vecgen::TestTrace &trace = traces_->front();
+    rtl::PpCore core(*config_, rtl::CoreMode::Vector);
+    VectorPlayer::primeCore(core, trace, BugSet{});
+    VectorPlayer::drive(core, trace, 0, trace.cycles.size() / 2);
+    const std::vector<uint8_t> bytes = core.snapshot().serialize();
+    ASSERT_TRUE(rtl::PpCore::deserializeSnapshot(
+                    *config_, rtl::CoreMode::Vector, bytes.data(),
+                    bytes.size())
+                    .valid());
+    const std::vector<uint8_t> old = previous_version(bytes);
+    EXPECT_FALSE(rtl::PpCore::deserializeSnapshot(
+                     *config_, rtl::CoreMode::Vector, old.data(),
+                     old.size())
+                     .valid());
+
+    ReplayOptions options;
+    options.checkpointStride = 64;
+    options.warmCache = std::make_shared<ReplayWarmCache>(size_t{1} << 32);
+    ReplayStats cold = expectMatrixIdentical(
+        *config_, *traces_, *bug_sets_, *expected_, options, "cold");
+    ASSERT_GT(cold.strideHits, 0u);
+
+    auto stale = std::make_shared<ReplayWarmCache>(size_t{1} << 32);
+    for (const auto &entry : options.warmCache->entries()) {
+        auto copy = std::make_shared<ReplayWarmCache::Entry>(*entry);
+        for (ReplayWarmCache::ChainLink &link : copy->chain)
+            link.snapshot = previous_version(link.snapshot);
+        ASSERT_TRUE(stale->insert(std::move(copy)));
+    }
+    options.warmCache = stale;
+    ReplayStats hot = expectMatrixIdentical(
+        *config_, *traces_, *bug_sets_, *expected_, options,
+        "previous-version links");
+    EXPECT_EQ(hot.warmHits, traces_->size());
+    EXPECT_EQ(hot.warmChainHits, 0u);
+    EXPECT_EQ(hot.checkpointMisses, cold.strideHits);
+}
+
 // ---------------------------------------------------------------------
 // Claim 2: cross-bug-set restore with mask re-arming.
 // ---------------------------------------------------------------------
@@ -427,7 +479,9 @@ TEST_F(CheckpointFixture, BugRearmRoundTripFuzz)
         VectorPlayer::drive(donor, trace, 0, cut);
         std::vector<uint8_t> bytes = donor.snapshot().serialize();
         VectorPlayer::drive(donor, trace, cut, trace.cycles.size());
-        VectorPlayer::finish(*config_, donor, trace);
+        const pp::ArchState spec =
+            VectorPlayer::specState(*config_, trace);
+        VectorPlayer::finish(*config_, donor, spec);
 
         uint64_t first = UINT64_MAX;
         for (size_t b = 0; b < rtl::numBugs; ++b)
@@ -448,8 +502,7 @@ TEST_F(CheckpointFixture, BugRearmRoundTripFuzz)
         VectorPlayer::primeCore(resumed, trace, bugs);
         resumed.restoreWithBugs(snap, bugs);
         VectorPlayer::drive(resumed, trace, cut, trace.cycles.size());
-        PlayResult result =
-            VectorPlayer::finish(*config_, resumed, trace);
+        PlayResult result = VectorPlayer::finish(*config_, resumed, spec);
 
         VectorPlayer player(*config_);
         expectSameResult(player.play(trace, bugs), result,
@@ -563,7 +616,8 @@ bugFreeTriggers(const PpConfig &config, const vecgen::TestTrace &trace)
     rtl::PpCore core(config, rtl::CoreMode::Vector);
     VectorPlayer::primeCore(core, trace, BugSet{});
     VectorPlayer::drive(core, trace, 0, trace.cycles.size());
-    VectorPlayer::finish(config, core, trace);
+    VectorPlayer::finish(config, core,
+                         VectorPlayer::specState(config, trace));
     std::array<uint64_t, rtl::numBugs> triggers{};
     for (size_t b = 0; b < rtl::numBugs; ++b)
         triggers[b] = core.bugFirstTrigger(static_cast<BugId>(b));

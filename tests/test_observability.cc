@@ -338,6 +338,33 @@ TEST(FlightRecorder, Sigusr1DumpsCrashFileNamingReason)
         std::remove(file.c_str());
 }
 
+TEST(FlightRecorder, DumpsWithinOneSecondKeepSeparateFiles)
+{
+    // Crash-file names carry seconds; back-to-back dumps (a burst of
+    // SIGUSR1) must each keep their own file, not overwrite the
+    // last.
+    const std::string dir = ::testing::TempDir() + "obs_crash_burst";
+    ::mkdir(dir.c_str(), 0777);
+    for (const std::string &stale : crashFiles(dir))
+        std::remove(stale.c_str());
+
+    flight::FlightRecorderOptions options;
+    options.crashDir = dir;
+    options.handleTerminate = false;
+    RecorderSession session(options);
+    const std::string first = flight::dumpFlightRecorderToFile("first");
+    const std::string second = flight::dumpFlightRecorderToFile("second");
+    ASSERT_FALSE(first.empty());
+    ASSERT_FALSE(second.empty());
+    EXPECT_NE(first, second);
+    EXPECT_EQ(crashFiles(dir).size(), 2u);
+    EXPECT_EQ(parseDump(slurp(first)).get("reason").asString(), "first");
+    EXPECT_EQ(parseDump(slurp(second)).get("reason").asString(),
+              "second");
+    for (const std::string &file : crashFiles(dir))
+        std::remove(file.c_str());
+}
+
 // ---------------------------------------------------------------------
 // Prometheus HTTP endpoint
 // ---------------------------------------------------------------------

@@ -104,6 +104,7 @@ TEST_F(ReplayFixture, PpCoreSnapshotRoundTripEqualsFreshReplay)
             return a.cycles.size() < b.cycles.size();
         });
     ASSERT_FALSE(trace.cycles.empty());
+    const pp::ArchState spec = VectorPlayer::specState(*config_, trace);
 
     std::vector<BugSet> bug_sets(2);
     bug_sets[1].set(static_cast<size_t>(BugId::Bug3ConflictAddr));
@@ -125,7 +126,7 @@ TEST_F(ReplayFixture, PpCoreSnapshotRoundTripEqualsFreshReplay)
             VectorPlayer::drive(resumed, trace, c,
                                 trace.cycles.size());
             PlayResult result =
-                VectorPlayer::finish(*config_, resumed, trace);
+                VectorPlayer::finish(*config_, resumed, spec);
             expectSameResult(
                 fresh, result,
                 "checkpoint at cycle " + std::to_string(c) +
@@ -250,7 +251,8 @@ TEST_F(ReplayFixture, BugFreeDonorCopiesUntriggeredJobs)
         rtl::PpCore core(*config_, rtl::CoreMode::Vector);
         VectorPlayer::primeCore(core, trace, BugSet{});
         VectorPlayer::drive(core, trace, 0, trace.cycles.size());
-        VectorPlayer::finish(*config_, core, trace);
+        VectorPlayer::finish(*config_, core,
+                             VectorPlayer::specState(*config_, trace));
         for (size_t b = 0; b < rtl::numBugs; ++b) {
             if (core.bugFirstTrigger(static_cast<BugId>(b)) ==
                 UINT64_MAX)
@@ -447,6 +449,49 @@ TEST_F(ReplayFixture, OutOfStepStimulusThrowsFatal)
                 << what << " workers=" << nw;
         }
     }
+}
+
+TEST_F(ReplayFixture, WarmRowsComputeTheirSpecStateWithoutADonor)
+{
+    // A row computes the specification's state once, at its first
+    // simulated job. In a warm batch that job is never a donor run:
+    // every row is a warm hit, and here the batch has no bug-free set
+    // at all, so the first job of a row to simulate is a triggered
+    // bugged job. The results must still equal the sequential player.
+    std::vector<BugSet> all_sets(1 + rtl::numBugs);
+    std::vector<BugSet> bugged(rtl::numBugs);
+    for (size_t b = 0; b < rtl::numBugs; ++b) {
+        all_sets[1 + b].set(b);
+        bugged[b].set(b);
+    }
+    ReplayOptions options;
+    options.checkpointStride = 64;
+    options.warmCache = std::make_shared<ReplayWarmCache>();
+    ReplayEngine cold(*config_, options);
+    cold.playAll(*traces_, all_sets);
+    ASSERT_EQ(cold.stats().warmInserts, traces_->size());
+
+    ReplayEngine hot(*config_, options);
+    const std::vector<PlayResult> actual = hot.playAll(*traces_, bugged);
+    const ReplayStats &stats = hot.stats();
+    EXPECT_EQ(stats.warmHits, traces_->size());
+    EXPECT_EQ(stats.warmInserts, 0u);
+    EXPECT_GT(stats.triggeredJobs, 0u);
+    EXPECT_GT(stats.simulatedCycles, 0u);
+
+    VectorPlayer player(*config_);
+    ASSERT_EQ(actual.size(), traces_->size() * bugged.size());
+    size_t diverged = 0;
+    for (size_t b = 0; b < bugged.size(); ++b) {
+        for (size_t t = 0; t < traces_->size(); ++t) {
+            const PlayResult &result = actual[b * traces_->size() + t];
+            expectSameResult(player.play((*traces_)[t], bugged[b]), result,
+                             "trace " + std::to_string(t) + " bug " +
+                                 std::to_string(b));
+            diverged += result.diverged;
+        }
+    }
+    EXPECT_GT(diverged, 0u);
 }
 
 TEST_F(ReplayFixture, EmptyBatchesAreHarmless)

@@ -25,6 +25,10 @@ workers/stride/bug). Metrics fall into three classes:
                CPU seconds: machine-dependent, reported but never
                gated (the committed baseline may come from different
                hardware — see the "host" object in each emission).
+
+An exact or gated key (row metric or registry metric) that the
+baseline holds and the current emission lacks is a failure; only
+informational keys may be absent.
 """
 
 import argparse
@@ -200,10 +204,17 @@ def main():
             failures.append(f"{label}: row missing from current run")
             continue
         for key, base_val in base_row.items():
-            if key in ID_KEYS or key not in cur_row:
+            if key in ID_KEYS:
+                continue
+            kind = classify(key)
+            if key not in cur_row:
+                # A bench that stops emitting a pinned or gated value
+                # must not pass its gate by omission.
+                if kind != "info":
+                    failures.append(f"{label}: {key} missing from "
+                                    f"current run")
                 continue
             cur_val = cur_row[key]
-            kind = classify(key)
             if kind == "exact":
                 compared += 1
                 if cur_val != base_val:
@@ -289,10 +300,13 @@ def main():
     for name, base_val in base_metrics.items():
         if name in METRICS_EXACT:
             compared += 1
-            if cur_metrics.get(name) != base_val:
+            if name not in cur_metrics:
+                failures.append(f"metrics: {name} missing from current "
+                                f"run")
+            elif cur_metrics[name] != base_val:
                 failures.append(
                     f"metrics: {name} changed {base_val!r} -> "
-                    f"{cur_metrics.get(name)!r} (must be exact)"
+                    f"{cur_metrics[name]!r} (must be exact)"
                 )
             continue
         if name in METRICS_LOWER_IS_BETTER:
@@ -301,7 +315,10 @@ def main():
             direction = "higher"
         else:
             continue
-        cur_val = cur_metrics.get(name)
+        if name not in cur_metrics:
+            failures.append(f"metrics: {name} missing from current run")
+            continue
+        cur_val = cur_metrics[name]
         if not isinstance(base_val, (int, float)) or not isinstance(
             cur_val, (int, float)
         ):

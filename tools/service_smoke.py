@@ -23,11 +23,12 @@ hit, at most 10% of the cold run's simulated cycles.
 
 `--flight` mode exercises the crash flight recorder instead: the
 daemon is booted with --crash-dir, a replay job is started and
-SIGUSR1 is delivered while it is in flight; the daemon must stay up,
-finish the job, and leave a crash-report file that parses as JSON,
-gives "SIGUSR1" as the reason, carries the event ring and the
-metrics digest, and names the in-flight replay job in its
-activeJobs table.
+SIGUSR1 is delivered from the job's `accepted` event until its
+`result` arrives; the daemon must stay up, finish the job, and leave
+crash-report files that parse as JSON, give "SIGUSR1" as the reason,
+carry the event ring and the metrics digest, and of which at least
+one names the in-flight replay job in its activeJobs table. A failure
+prints each dump's activeJobs and the client's events.
 
 Usage: tools/service_smoke.py [--persist|--flight] \\
            <archvald> <archval_client>
@@ -36,10 +37,12 @@ Usage: tools/service_smoke.py [--persist|--flight] \\
 import glob
 import json
 import os
+import queue
 import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 
@@ -261,25 +264,59 @@ def run_flight(archvald, client):
             ("--crash-dir", crash_dir))
         if error:
             return fail(error)
+        events = []
+        signals = 0
         try:
-            # Start a replay job asynchronously and pepper the
-            # daemon with SIGUSR1 while the job is in flight. Each
-            # signal dumps a fresh crash report; at least one must
-            # catch the job in its activeJobs table.
+            # Start a replay job and read the client's raw --json
+            # events as they arrive (raw mode flushes each one). From
+            # the job's `accepted` event until its `result`, pepper the
+            # daemon with SIGUSR1; each signal dumps its own crash
+            # report. activeJobs lists queued and running jobs, and
+            # the job is one of those from `accepted` until the daemon
+            # marks it done just before sending `result`, so the
+            # signals sent right after `accepted` land inside it.
             job = subprocess.Popen(
                 [client, "--socket", socket, "--json", "replay"],
                 stdout=subprocess.PIPE, text=True)
-            while job.poll() is None:
-                daemon.send_signal(signal.SIGUSR1)
-                time.sleep(0.02)
-            out, _ = job.communicate(timeout=300)
-            events = [json.loads(line) for line in out.splitlines()
-                      if line.strip()]
+            lines = queue.Queue()
+
+            def read_events():
+                for line in job.stdout:
+                    lines.put(line)
+                lines.put(None)
+
+            reader = threading.Thread(target=read_events, daemon=True)
+            reader.start()
+            in_flight = False
+            deadline = time.monotonic() + 300
+            while time.monotonic() < deadline:
+                if in_flight:
+                    daemon.send_signal(signal.SIGUSR1)
+                    signals += 1
+                try:
+                    line = lines.get(timeout=0.02)
+                except queue.Empty:
+                    continue
+                if line is None:
+                    break
+                if not line.strip():
+                    continue
+                event = json.loads(line)
+                events.append(event)
+                if event.get("type") == "accepted":
+                    in_flight = True
+                elif terminal([event]):
+                    in_flight = False
+            job.wait(timeout=30)
             result = terminal(events)
             if job.returncode != 0 or not result or \
                     result["type"] != "result":
                 return fail("replay under SIGUSR1 failed: exit "
-                            f"{job.returncode}, terminal {result}")
+                            f"{job.returncode}, terminal {result}; "
+                            f"events {events}")
+            if signals == 0:
+                return fail(f"no SIGUSR1 sent between accepted and "
+                            f"result; events {events}")
 
             error = shutdown_daemon(client, socket, daemon)
             if error:
@@ -291,8 +328,10 @@ def run_flight(archvald, client):
 
         dumps = sorted(glob.glob(os.path.join(crash_dir, "crash-*.json")))
         if not dumps:
-            return fail("no crash report written for SIGUSR1")
+            return fail(f"no crash report written for {signals} "
+                        f"SIGUSR1; events {events}")
         saw_job = False
+        active = []
         for path in dumps:
             with open(path) as f:
                 doc = json.load(f)  # must parse — the point of dumps
@@ -305,15 +344,20 @@ def run_flight(archvald, client):
             if not any(ev.get("kind") == "signal"
                        for ev in doc["events"]):
                 return fail(f"{path}: no 'signal' event on the ring")
+            active.append(doc["activeJobs"])
             for rec in doc["activeJobs"]:
                 if rec.get("verb") == "replay" and "job" in rec:
                     saw_job = True
         if not saw_job:
+            listing = "\n".join(f"  {os.path.basename(p)}: {jobs}"
+                                 for p, jobs in zip(dumps, active))
             return fail(f"none of the {len(dumps)} crash reports "
-                        "caught the in-flight replay job")
+                        f"({signals} signals) caught the in-flight "
+                        f"replay job; activeJobs per dump:\n{listing}\n"
+                        f"client events: {events}")
 
-    print(f"service flight ok ({len(dumps)} dumps, "
-          "in-flight job named)")
+    print(f"service flight ok ({len(dumps)} dumps of {signals} "
+          "signals, in-flight job named)")
     return 0
 
 
