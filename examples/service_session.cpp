@@ -132,8 +132,8 @@ main()
                 (long long)enum_result.get("edges").asInt());
 
     // --- 3. Cold replay: tours and vectors are generated once,
-    //        every cycle is simulated, and the bug-free run deposits
-    //        its result + checkpoint chain in the warm cache.
+    //        every cycle is simulated, and the bug-free run fills
+    //        the trace's warm row with its result and pins.
     json::Value replay = json::Value::object();
     replay.set("verb", "replay");
     replay.set("threads", static_cast<int64_t>(2));

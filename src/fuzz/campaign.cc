@@ -49,44 +49,6 @@ CampaignRunner::run(const rtl::BugSet &bugs,
         engines.back()->seedCorpus(seed_tours, w, workers);
     }
 
-    // Replay arm: concretize every worker's pending seeds (a pure
-    // function of the candidates) and batch-replay them through the
-    // checkpointed engine; the workers then consume the primed
-    // results instead of re-simulating, bit-identically.
-    {
-        std::vector<vecgen::TestTrace> seed_traces;
-        std::vector<size_t> counts(workers, 0);
-        for (unsigned w = 0; w < workers; ++w) {
-            for (const Candidate &seed :
-                 engines[w]->pendingSeedCandidates()) {
-                vecgen::VectorGenerator generator(model_,
-                                                  seed.vecgenSeed);
-                seed_traces.push_back(
-                    generator.generate(graph_, seed.trace));
-                ++counts[w];
-            }
-        }
-        if (!seed_traces.empty()) {
-            harness::ReplayOptions replay = options_.replay;
-            if (replay.numThreads == 0)
-                replay.numThreads = workers;
-            if (!replay.cancelFlag)
-                replay.cancelFlag = options_.cancelFlag;
-            harness::ReplayEngine replayer(config_, replay);
-            std::vector<harness::PlayResult> plays =
-                replayer.playAll(seed_traces, bugs);
-            size_t at = 0;
-            for (unsigned w = 0; w < workers; ++w) {
-                engines[w]->primePendingSeedResults(
-                    std::vector<harness::PlayResult>(
-                        plays.begin() + static_cast<long>(at),
-                        plays.begin() +
-                            static_cast<long>(at + counts[w])));
-                at += counts[w];
-            }
-        }
-    }
-
     CampaignResult result;
     uint64_t instructions_before = 0;
     uint64_t cycles_before = 0;

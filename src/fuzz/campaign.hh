@@ -38,19 +38,8 @@ struct CampaignOptions
     unsigned maxRounds = 8;           ///< campaign length bound
     uint64_t seed = 1;                ///< campaign master seed
 
-    /** Replay-arm tuning: every worker's pending seeds are
-     *  batch-replayed through harness::ReplayEngine before round 0
-     *  and the engines primed with the results. numThreads = 0
-     *  means "use the campaign worker count". */
-    harness::ReplayOptions replay = [] {
-        harness::ReplayOptions options;
-        options.numThreads = 0;
-        return options;
-    }();
-
     /** Cooperative cancellation: when non-null and it reads true,
-     *  the campaign stops at the next round barrier (and the seed
-     *  replay skips its remaining jobs) with
+     *  the campaign stops at the next round barrier with
      *  CampaignResult::cancelled set. The flag is only read. */
     const std::atomic<bool> *cancelFlag = nullptr;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "harness/baselines.hh"
-#include "pp/ref_sim.hh"
 #include "support/strings.hh"
 #include "support/telemetry.hh"
 #include "vecgen/vector_gen.hh"
@@ -17,7 +16,7 @@ FuzzEngine::FuzzEngine(const rtl::PpConfig &config,
                        FuzzOptions options)
     : config_(config), model_(model), graph_(graph),
       options_(options), rng_(seed), corpus_(options.corpusMax),
-      mutator_(graph, options.maxTraceInstructions), player_(config),
+      mutator_(graph, options.maxTraceInstructions), replayer_(config),
       coverage_(graph)
 {
 }
@@ -72,12 +71,8 @@ FuzzEngine::archSignature(const vecgen::TestTrace &trace) const
     // hashes what the stimulus *does* architecturally, so novelty
     // rewards new datapath behaviour, not artifacts of the fault
     // under test.
-    pp::RefSim ref(config_.machine);
-    ref.setStreamMode(true);
-    ref.loadProgram(trace.retiredStream);
-    ref.setInbox(trace.inbox);
-    ref.run(trace.retiredStream.size() + 8);
-    pp::ArchState state = ref.archState();
+    const pp::ArchState state =
+        harness::VectorPlayer::specState(config_, trace);
 
     uint64_t hash = 0xcbf29ce484222325ull;
     auto mix = [&hash](uint32_t word) {
@@ -94,26 +89,10 @@ FuzzEngine::archSignature(const vecgen::TestTrace &trace) const
     return hash;
 }
 
-std::vector<Candidate>
-FuzzEngine::pendingSeedCandidates() const
-{
-    return std::vector<Candidate>(pendingSeeds_.begin() + nextPending_,
-                                  pendingSeeds_.end());
-}
-
-void
-FuzzEngine::primePendingSeedResults(
-    std::vector<harness::PlayResult> results)
-{
-    primedOffset_ = nextPending_;
-    primedSeedResults_ = std::move(results);
-}
-
 std::optional<FuzzDetection>
 FuzzEngine::evaluate(const Candidate &candidate,
                      const rtl::BugSet &bugs, bool from_seed,
-                     const char *origin,
-                     const harness::PlayResult *primed)
+                     const char *origin)
 {
     telemetry::ScopedSpan span("fuzz.iter", "edges",
                                candidate.trace.edges.size());
@@ -127,12 +106,13 @@ FuzzEngine::evaluate(const Candidate &candidate,
     uint64_t new_arcs = coverage_.coveredEdges() - before;
 
     vecgen::VectorGenerator generator(model_, candidate.vecgenSeed);
-    vecgen::TestTrace trace =
-        generator.generate(graph_, candidate.trace,
-                           static_cast<size_t>(stats_.iterations));
+    std::vector<vecgen::TestTrace> batch;
+    batch.push_back(generator.generate(
+        graph_, candidate.trace, static_cast<size_t>(stats_.iterations)));
+    const vecgen::TestTrace &trace = batch.front();
 
-    harness::PlayResult play =
-        primed ? *primed : player_.play(trace, bugs);
+    const harness::PlayResult play =
+        replayer_.playAll(batch, bugs).front();
     stats_.instructions += play.instructions;
     stats_.cycles += play.cycles;
 
@@ -176,14 +156,8 @@ std::optional<FuzzDetection>
 FuzzEngine::step(const rtl::BugSet &bugs)
 {
     if (nextPending_ < pendingSeeds_.size()) {
-        size_t index = nextPending_++;
-        const Candidate &seed = pendingSeeds_[index];
-        const harness::PlayResult *primed = nullptr;
-        if (index >= primedOffset_ &&
-            index - primedOffset_ < primedSeedResults_.size())
-            primed = &primedSeedResults_[index - primedOffset_];
-        return evaluate(seed, bugs, /*from_seed=*/true, "seed",
-                        primed);
+        return evaluate(pendingSeeds_[nextPending_++], bugs,
+                        /*from_seed=*/true, "seed");
     }
     if (corpus_.empty())
         return std::nullopt; // degenerate graph: nothing to mutate

@@ -6,9 +6,9 @@
  * The engine repeatedly draws a corpus entry, mutates it with the
  * graph-aware TraceMutator, concretizes it through the existing
  * VectorGenerator and plays it on the RTL core against the reference
- * simulator (the same player every other stimulus source uses). A
- * candidate is kept when it is *interesting* under either feedback
- * signal:
+ * simulator through a one-worker harness::ReplayEngine (the engine
+ * every other stimulus source replays through). A candidate is kept
+ * when it is *interesting* under either feedback signal:
  *
  *  - arc novelty: the walk exercises a state-graph arc no previous
  *    candidate exercised (the paper's coverage metric, now used as
@@ -35,7 +35,7 @@
 #include "fuzz/corpus.hh"
 #include "fuzz/mutator.hh"
 #include "harness/coverage.hh"
-#include "harness/vector_player.hh"
+#include "harness/replay_engine.hh"
 #include "rtl/faults.hh"
 
 namespace archval::fuzz
@@ -156,33 +156,13 @@ class FuzzEngine
 
     /** @} */
 
-    /** @name Seed pre-play hooks (campaign replay arm). @{ */
-
-    /** @return seed candidates not yet evaluated, in evaluation
-     *  order. Their concretized traces — and therefore their
-     *  PlayResults — are pure functions of the candidates, so a
-     *  campaign can batch-replay them ahead of time. */
-    std::vector<Candidate> pendingSeedCandidates() const;
-
-    /**
-     * Install precomputed PlayResults for the pending seeds, aligned
-     * with pendingSeedCandidates(). step() consumes them instead of
-     * re-simulating; each must equal what play() of the concretized
-     * candidate would return (the campaign computes them through
-     * harness::ReplayEngine, whose results carry that guarantee).
-     */
-    void primePendingSeedResults(std::vector<harness::PlayResult> results);
-
-    /** @} */
-
   private:
     /** Evaluate @p candidate; updates feedback state and stats.
      *  @p from_seed suppresses corpus re-admission of unchanged
      *  seeds. @return detection when the play diverged. */
     std::optional<FuzzDetection>
     evaluate(const Candidate &candidate, const rtl::BugSet &bugs,
-             bool from_seed, const char *origin,
-             const harness::PlayResult *primed = nullptr);
+             bool from_seed, const char *origin);
 
     /** FNV-1a hash of the reference run's final architectural
      *  state. */
@@ -195,7 +175,7 @@ class FuzzEngine
     Rng rng_;
     Corpus corpus_;
     TraceMutator mutator_;
-    harness::VectorPlayer player_;
+    harness::ReplayEngine replayer_;
     harness::CoverageTracker coverage_;
     std::unordered_set<uint64_t> seenHashes_;
     FuzzStats stats_;
@@ -203,10 +183,6 @@ class FuzzEngine
     /** Seed candidates still awaiting evaluation. */
     std::vector<Candidate> pendingSeeds_;
     size_t nextPending_ = 0;
-
-    /** Precomputed PlayResults for pendingSeeds_[primedOffset_..]. */
-    std::vector<harness::PlayResult> primedSeedResults_;
-    size_t primedOffset_ = 0;
 
     /** Entries admitted since the last takeRoundAdds(). */
     std::vector<CorpusEntry> roundAdds_;

@@ -32,18 +32,16 @@ BugHunt::hunt(rtl::BugId bug, uint64_t random_budget, uint64_t seed)
     // below reproduces the old trace-at-a-time loop exactly.
     ReplayOptions replay = replay_;
     replay.stopOnDivergence = true;
-    replay.warmCache = warmCache_;
     ReplayEngine engine(config_, replay);
 
-    // Transition-tour vectors, in generation order. With a warm
-    // cache installed the batch carries a bug-free donor block in
-    // front: the first hunt populates the cache (donor results +
-    // pinned stride checkpoints), every later hunt's donor block
-    // warm-copies, and triggered jobs resume from the cached links
-    // instead of replaying the bug-free lead from reset. The bugged
-    // block's results — the ones read below — are byte-identical
-    // either way.
-    const bool warm_tour = warmCache_ != nullptr;
+    // Transition-tour vectors, in generation order. With warm rows
+    // installed the batch carries a bug-free donor block in front:
+    // the first hunt fills the rows (donor results + pins), every
+    // later hunt's donor block warm-copies, and triggered jobs resume
+    // from the rows' pins instead of replaying the bug-free lead from
+    // reset. The bugged block's results — the ones read below — are
+    // byte-identical either way.
+    const bool warm_tour = warmRows_ != nullptr;
     {
         telemetry::ScopedSpan arm_span(
             "hunt.tour", "bug", static_cast<uint64_t>(bug));
@@ -51,8 +49,8 @@ BugHunt::hunt(rtl::BugId bug, uint64_t random_budget, uint64_t seed)
         if (warm_tour)
             tour_sets.push_back(rtl::BugSet{});
         tour_sets.push_back(bugs);
-        std::vector<PlayResult> tour_plays =
-            engine.playAll(tourTraces_, tour_sets);
+        std::vector<PlayResult> tour_plays = engine.playAll(
+            tourTraces_, tour_sets, nullptr, warmRows_.get());
         const size_t base =
             (tour_sets.size() - 1) * tourTraces_.size();
         for (size_t t = 0; t < tourTraces_.size(); ++t) {

@@ -81,20 +81,20 @@ class BugHunt
     void setFuzzArm(FuzzArm arm) { fuzzArm_ = std::move(arm); }
 
     /**
-     * Install (or clear) a cross-hunt warm cache. With a cache
-     * installed the tour arm plays {bug-free, bug} instead of just
-     * {bug}: the first hunt's bug-free donor block deposits every
-     * tour trace's result and pinned stride checkpoints in the cache,
-     * and each later hunt's donor block collapses to warm copies —
-     * the donor links stay alive across hunt() calls, so a
-     * triggered bug resumes from a checkpoint instead of
-     * replaying the bug-free lead from reset. Opt in deliberately:
-     * the first hunt pays for the donor block (a second pass over
-     * the tour corpus). Detection results are unchanged either way.
+     * Install (or clear) cross-hunt warm rows, one per tour trace.
+     * With rows installed the tour arm plays {bug-free, bug} instead
+     * of just {bug}: the first hunt's bug-free donor block fills
+     * every tour trace's row with its result and pins, and each
+     * later hunt's donor block collapses to warm copies — the pins
+     * stay alive across hunt() calls, so a triggered bug resumes
+     * from a checkpoint instead of replaying the bug-free lead from
+     * reset. Opt in deliberately: the first hunt pays for the donor
+     * block (a second pass over the tour corpus). Detection results
+     * are unchanged either way. The random arm never reads them.
      */
-    void setWarmCache(std::shared_ptr<ReplayWarmCache> cache)
+    void setWarmRows(std::shared_ptr<WarmRows> rows)
     {
-        warmCache_ = std::move(cache);
+        warmRows_ = std::move(rows);
     }
 
   private:
@@ -104,7 +104,7 @@ class BugHunt
     const std::vector<vecgen::TestTrace> &tourTraces_;
     ReplayOptions replay_;
     FuzzArm fuzzArm_;
-    std::shared_ptr<ReplayWarmCache> warmCache_;
+    std::shared_ptr<WarmRows> warmRows_;
 };
 
 /** Render hunt results as the bench table. */

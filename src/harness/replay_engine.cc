@@ -11,7 +11,6 @@
 #include "support/status.hh"
 #include "support/strings.hh"
 #include "support/telemetry.hh"
-#include "vecgen/trace_io.hh"
 
 namespace archval::harness
 {
@@ -19,20 +18,10 @@ namespace archval::harness
 namespace
 {
 
-/** One stride snapshot of a reference run, held in memory. */
-struct RowLink
-{
-    uint64_t cycle = 0;
-    /** The run's lockstep mismatches over cycles [0, cycle). */
-    uint64_t lockstepErrors = 0;
-    rtl::PpCore::Snapshot snapshot;
-};
-
 /** @return the greatest of @p links (increasing cycle order) strictly
  *  below cycle @p limit, or null when none qualifies. */
-template <class Link>
-const Link *
-linkBelow(const std::vector<Link> &links, uint64_t limit)
+const RowLink *
+linkBelow(const std::vector<RowLink> &links, uint64_t limit)
 {
     for (size_t i = links.size(); i-- > 0;) {
         if (links[i].cycle < limit)
@@ -43,7 +32,7 @@ linkBelow(const std::vector<Link> &links, uint64_t limit)
 
 /**
  * The checkpoints a row keeps from its bug-free reference run (the
- * donor, or a warm-populating run). Only the two newest stride
+ * donor, or a run that fills a warm row). Only the two newest stride
  * snapshots roll along; as each bug's first trigger appears, the
  * greatest snapshot strictly below it is pinned. A bug set's first
  * trigger is one of its own bugs' first triggers, so the greatest
@@ -126,7 +115,6 @@ struct LocalStats
     uint64_t batchCycles = 0;
     uint64_t simulatedCycles = 0;
     uint64_t cyclesAvoided = 0;
-    uint64_t misses = 0;
     uint64_t copies = 0;
     uint64_t strideCheckpoints = 0;
     uint64_t strideHits = 0;
@@ -135,6 +123,7 @@ struct LocalStats
     uint64_t triggeredJobCycles = 0;
     uint64_t triggeredLeadCycles = 0;
     uint64_t cancelled = 0;
+    uint64_t warmHits = 0;
     uint64_t warmCopies = 0;
     uint64_t warmChainHits = 0;
     uint64_t warmResumeCycles = 0;
@@ -155,83 +144,63 @@ fetchMin(std::atomic<size_t> &target, size_t value)
 
 } // namespace
 
-std::shared_ptr<const ReplayWarmCache::Entry>
-ReplayWarmCache::find(const std::string &key)
+std::shared_ptr<const RowReference>
+WarmRows::get(size_t row) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++lookups_;
-    auto it = entries_.find(key);
-    if (it == entries_.end())
-        return nullptr;
-    ++hits_;
-    it->second.lastUse = ++clock_;
-    return it->second.entry;
+    return rows_.at(row);
 }
 
-bool
-ReplayWarmCache::insert(std::shared_ptr<Entry> entry)
+void
+WarmRows::put(size_t row, std::shared_ptr<const RowReference> ref)
 {
-    if (!entry)
-        return false;
-    size_t bytes = sizeof(Entry) + entry->key.size();
-    for (const ChainLink &link : entry->chain)
-        bytes += sizeof(link) + link.snapshot.size();
-    entry->bytes = bytes;
-
     std::lock_guard<std::mutex> lock(mutex_);
-    if (entries_.count(entry->key))
-        return false; // entries are immutable; the first insert wins
-    if (bytes > budget_)
-        return false; // alone past the whole budget: not cacheable
-    while (bytes_ + bytes > budget_ && !entries_.empty()) {
-        auto victim = entries_.end();
-        for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-            if (victim == entries_.end() ||
-                it->second.lastUse < victim->second.lastUse)
-                victim = it;
-        }
-        bytes_ -= victim->second.entry->bytes;
-        entries_.erase(victim);
-        ++evictions_;
-    }
-    bytes_ += bytes;
-    ++inserts_;
-    Slot &slot = entries_[entry->key];
-    slot.entry = std::move(entry);
-    slot.lastUse = ++clock_;
-    return true;
+    rows_.at(row) = std::move(ref);
+    ++puts_;
 }
 
-ReplayWarmCache::Stats
-ReplayWarmCache::stats() const
+std::vector<std::shared_ptr<const RowReference>>
+WarmRows::rows() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    Stats s;
-    s.lookups = lookups_;
-    s.hits = hits_;
-    s.inserts = inserts_;
-    s.evictions = evictions_;
-    s.bytes = bytes_;
-    s.entries = entries_.size();
-    return s;
+    return rows_;
 }
 
-std::vector<std::shared_ptr<const ReplayWarmCache::Entry>>
-ReplayWarmCache::entries() const
+uint64_t
+WarmRows::puts() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::shared_ptr<const Entry>> out;
-    out.reserve(entries_.size());
-    for (const auto &[key, slot] : entries_)
-        out.push_back(slot.entry);
-    return out;
+    return puts_;
+}
+
+uint64_t
+hashTrace(const vecgen::TestTrace &trace)
+{
+    uint64_t hash = 0xcbf29ce484222325ull;
+    auto mix = [&hash](uint64_t word) {
+        hash ^= word;
+        hash *= 0x100000001b3ull;
+    };
+    // Each section's length goes first, so no word can move across
+    // a section boundary unnoticed.
+    auto section = [&mix](const auto &words) {
+        mix(words.size());
+        for (uint64_t word : words)
+            mix(word);
+    };
+    section(trace.cycles);
+    section(trace.fetchStream);
+    section(trace.retiredStream);
+    section(trace.inbox);
+    return hash;
 }
 
 namespace
 {
 
-/** Warm-entry record format version (serializeEntry). */
-constexpr uint32_t kWarmEntryVersion = 1;
+/** Row record format version (RowReference::serialize). Version 1
+ *  was the warm cache's entry, keyed by the trace's text. */
+constexpr uint32_t kRowVersion = 2;
 
 void
 packU32(std::vector<uint8_t> &out, uint32_t value)
@@ -257,77 +226,51 @@ packBytes(std::vector<uint8_t> &out, const void *data, size_t size)
 
 /** Bounds-checked little-endian record reader; any overrun flips
  *  ok and pins the cursor, so callers test once at the end. */
-struct EntryReader
+struct RowReader
 {
     const uint8_t *data;
     size_t size;
     size_t pos = 0;
     bool ok = true;
 
-    uint32_t
-    u32()
+    /** @return the next @p n bytes, or null (ok cleared) past the
+     *  end. */
+    const uint8_t *
+    take(uint64_t n)
     {
-        if (!ok || size - pos < 4) {
+        if (!ok || size - pos < n) {
             ok = false;
-            return 0;
+            return nullptr;
         }
-        uint32_t value = 0;
-        for (int i = 0; i < 4; ++i)
-            value |= uint32_t(data[pos + i]) << (8 * i);
-        pos += 4;
-        return value;
+        const uint8_t *at = data + pos;
+        pos += n;
+        return at;
     }
 
     uint64_t
-    u64()
+    le(unsigned width)
     {
-        if (!ok || size - pos < 8) {
-            ok = false;
-            return 0;
-        }
+        const uint8_t *at = take(width);
         uint64_t value = 0;
-        for (int i = 0; i < 8; ++i)
-            value |= uint64_t(data[pos + i]) << (8 * i);
-        pos += 8;
+        for (unsigned i = 0; at && i < width; ++i)
+            value |= uint64_t(at[i]) << (8 * i);
         return value;
     }
 
-    bool
-    bytes(std::vector<uint8_t> &out)
-    {
-        uint64_t n = u64();
-        if (!ok || size - pos < n) {
-            ok = false;
-            return false;
-        }
-        out.assign(data + pos, data + pos + n);
-        pos += n;
-        return true;
-    }
-
-    bool
-    str(std::string &out)
-    {
-        uint64_t n = u64();
-        if (!ok || size - pos < n) {
-            ok = false;
-            return false;
-        }
-        out.assign(reinterpret_cast<const char *>(data + pos), n);
-        pos += n;
-        return true;
-    }
+    uint8_t u8() { return static_cast<uint8_t>(le(1)); }
+    uint32_t u32() { return static_cast<uint32_t>(le(4)); }
+    uint64_t u64() { return le(8); }
 };
 
 } // namespace
 
 std::vector<uint8_t>
-ReplayWarmCache::serializeEntry(const Entry &entry)
+RowReference::serialize() const
 {
     std::vector<uint8_t> out;
-    packU32(out, kWarmEntryVersion);
-    packBytes(out, entry.key.data(), entry.key.size());
-    const PlayResult &donor = entry.donorResult;
+    packU32(out, kRowVersion);
+    packU64(out, traceHash);
+    const PlayResult &donor = donorResult;
     out.push_back(donor.diverged ? 1 : 0);
     packBytes(out, donor.diff.data(), donor.diff.size());
     packU64(out, donor.cycles);
@@ -336,60 +279,67 @@ ReplayWarmCache::serializeEntry(const Entry &entry)
     out.push_back(donor.drained ? 1 : 0);
     out.push_back(donor.skipped ? 1 : 0);
     packU32(out, static_cast<uint32_t>(rtl::numBugs));
-    for (uint64_t trigger : entry.triggers)
+    for (uint64_t trigger : triggers)
         packU64(out, trigger);
-    packU64(out, entry.chain.size());
-    for (const ChainLink &link : entry.chain) {
-        packU64(out, link.cycle);
-        packBytes(out, link.snapshot.data(), link.snapshot.size());
+    packU64(out, pins.size());
+    for (const RowLink &pin : pins) {
+        packU64(out, pin.cycle);
+        packU64(out, pin.lockstepErrors);
+        const std::vector<uint8_t> snapshot = pin.snapshot.serialize();
+        packBytes(out, snapshot.data(), snapshot.size());
     }
     return out;
 }
 
-std::shared_ptr<ReplayWarmCache::Entry>
-ReplayWarmCache::deserializeEntry(const uint8_t *data, size_t size)
+std::shared_ptr<const RowReference>
+RowReference::deserialize(const rtl::PpConfig &config,
+                          const uint8_t *data, size_t size)
 {
-    EntryReader in{data, size};
-    if (in.u32() != kWarmEntryVersion)
+    RowReader in{data, size};
+    if (in.u32() != kRowVersion)
         return nullptr;
-    auto entry = std::make_shared<Entry>();
-    in.str(entry->key);
-    PlayResult &donor = entry->donorResult;
-    auto u8 = [&]() -> uint8_t {
-        if (!in.ok || in.size - in.pos < 1) {
-            in.ok = false;
-            return 0;
-        }
-        return in.data[in.pos++];
-    };
-    donor.diverged = u8() != 0;
-    in.str(donor.diff);
+    auto ref = std::make_shared<RowReference>();
+    ref->traceHash = in.u64();
+    PlayResult &donor = ref->donorResult;
+    donor.diverged = in.u8() != 0;
+    const uint64_t diff_size = in.u64();
+    if (const uint8_t *diff = in.take(diff_size))
+        donor.diff.assign(reinterpret_cast<const char *>(diff),
+                          diff_size);
     donor.cycles = in.u64();
     donor.instructions = in.u64();
     donor.lockstepErrors = in.u64();
-    donor.drained = u8() != 0;
-    donor.skipped = u8() != 0;
+    donor.drained = in.u8() != 0;
+    donor.skipped = in.u8() != 0;
     // A build with a different bug roster laid the triggers array
     // out differently; its records must not restore.
     if (in.u32() != static_cast<uint32_t>(rtl::numBugs))
         return nullptr;
-    for (size_t i = 0; i < rtl::numBugs; ++i)
-        entry->triggers[i] = in.u64();
-    const uint64_t links = in.u64();
-    if (!in.ok || links > in.size - in.pos)
-        return nullptr; // lying count; each link needs >1 byte
-    entry->chain.reserve(links);
-    for (uint64_t i = 0; i < links; ++i) {
-        ChainLink link;
-        link.cycle = in.u64();
-        in.bytes(link.snapshot);
-        if (!in.ok)
+    for (uint64_t &trigger : ref->triggers)
+        trigger = in.u64();
+    const uint64_t pins = in.u64();
+    if (!in.ok || pins > rtl::numBugs)
+        return nullptr;
+    for (uint64_t i = 0; i < pins; ++i) {
+        RowLink pin;
+        pin.cycle = in.u64();
+        pin.lockstepErrors = in.u64();
+        const uint64_t bytes = in.u64();
+        const uint8_t *snapshot = in.take(bytes);
+        if (!snapshot)
             return nullptr;
-        entry->chain.push_back(std::move(link));
+        pin.snapshot = rtl::PpCore::deserializeSnapshot(
+            config, rtl::CoreMode::Vector, snapshot, bytes);
+        // A pin is the snapshot its run took at its cycle, above the
+        // pin before it.
+        if (!pin.snapshot.valid() || pin.snapshot.cycles() != pin.cycle ||
+            (!ref->pins.empty() && pin.cycle <= ref->pins.back().cycle))
+            return nullptr;
+        ref->pins.push_back(std::move(pin));
     }
     if (!in.ok || in.pos != in.size)
         return nullptr; // trailing garbage is damage too
-    return entry;
+    return ref;
 }
 
 ReplayEngine::ReplayEngine(const rtl::PpConfig &config,
@@ -411,7 +361,7 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
 std::vector<PlayResult>
 ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
                       const std::vector<rtl::BugSet> &bug_sets,
-                      const LockstepReference *lockstep)
+                      const LockstepReference *lockstep, WarmRows *warm)
 {
     stats_ = ReplayStats{};
     const size_t nt = traces.size();
@@ -422,6 +372,9 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         fatal(formatString("lockstep reference has %zu tours for "
                            "%zu traces",
                            lockstep->tours.size(), nt));
+    if (warm && warm->size() != nt)
+        fatal(formatString("warm rows hold %zu rows for %zu traces",
+                           warm->size(), nt));
     std::vector<PlayResult> results(nt * nb);
     if (nt == 0 || nb == 0)
         return results;
@@ -433,28 +386,10 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
                                                 lockstep->graph)
                  : std::vector<rtl::PpControlState>{};
 
-    // Cross-batch warm cache: resolve each trace's entry up front by
-    // its full serialized content (exact match, so a foreign trace
-    // can never borrow a warm result). Keys of the misses are kept —
-    // they become the insert keys when this batch's bug-free runs
-    // populate the cache. Warm records carry no lockstep counts, so
-    // a checked batch leaves the cache alone.
-    ReplayWarmCache *warm =
-        lockstep ? nullptr : options_.warmCache.get();
-    std::vector<std::shared_ptr<const ReplayWarmCache::Entry>>
-        warm_entries(warm ? nt : 0);
-    std::vector<std::string> warm_keys(warm ? nt : 0);
-    if (warm) {
-        stats_.warmLookups = nt;
-        for (size_t t = 0; t < nt; ++t) {
-            std::string key = vecgen::serializeTrace(traces[t]);
-            warm_entries[t] = warm->find(key);
-            if (warm_entries[t])
-                ++stats_.warmHits;
-            else
-                warm_keys[t] = std::move(key);
-        }
-    }
+    // Warm rows carry no lockstep counts, so a checked batch leaves
+    // them alone.
+    if (lockstep)
+        warm = nullptr;
 
     // Bug-set axis: when the batch contains the empty bug set, each
     // row plays it first as the donor. Jobs whose bugs never
@@ -492,20 +427,20 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         "replay.resume_depth", telemetry::depthBounds());
 
     // One row: the trace's jobs, donor first. The row's bug-free
-    // reference is the trace's warm entry or its reference run (the
-    // donor, or the job that populates the warm cache); only that run
-    // takes stride snapshots, and only this worker reads its pins.
+    // reference is its warm row, when that was recorded on this very
+    // trace, or else the record its reference run builds (the donor,
+    // or the job that fills the warm row); only that run takes stride
+    // snapshots.
     auto run_row = [&](size_t t, LocalStats &ls) {
         const vecgen::TestTrace &trace = traces[t];
         const size_t len = trace.cycles.size();
-        const ReplayWarmCache::Entry *warm_hit =
-            warm ? warm_entries[t].get() : nullptr;
-        PlayResult donor_result;
-        const PlayResult *ref =
-            warm_hit ? &warm_hit->donorResult : nullptr;
-        std::array<uint64_t, rtl::numBugs> triggers{};
-        if (warm_hit)
-            triggers = warm_hit->triggers;
+        const uint64_t hash = warm ? hashTrace(trace) : 0;
+        std::shared_ptr<const RowReference> ref =
+            warm ? warm->get(t) : nullptr;
+        if (ref && ref->traceHash != hash)
+            ref = nullptr; // recorded on another trace: a miss
+        const bool warm_hit = ref != nullptr;
+        ls.warmHits += warm_hit;
         TriggerPins pins;
         std::optional<graph::TraceCursor> tour;
         VectorPlayer::LockstepSpec spec;
@@ -550,12 +485,12 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
             // trigger.
             uint64_t first = UINT64_MAX;
             if (ref) {
-                first = firstTrigger(triggers, bug_sets[b]);
+                first = firstTrigger(ref->triggers, bug_sets[b]);
                 if (first == UINT64_MAX) {
                     ++(warm_hit ? ls.warmCopies : ls.copies);
                     ls.batchCycles += len;
-                    ls.cyclesAvoided += ref->cycles;
-                    record(t, b, *ref);
+                    ls.cyclesAvoided += ref->donorResult.cycles;
+                    record(t, b, ref->donorResult);
                     continue;
                 }
                 ++ls.triggeredJobs;
@@ -567,10 +502,10 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
             }
 
             const bool is_donor = !warm_hit && b == donor_set;
-            // Bug-free jobs of a warm-enabled batch deposit the entry
-            // the next batch will hit: the donor when there is one,
-            // or a single-bug-set batch's own empty-set job (the
-            // service's warm-up shape).
+            // Bug-free jobs of a batch with warm rows fill the row the
+            // next batch will hit: the donor when there is one, or a
+            // single-bug-set batch's own empty-set job (the service's
+            // warm-up shape).
             const bool populate = warm && !warm_hit &&
                                   bug_sets[b].none() &&
                                   (is_donor || nb == 1);
@@ -579,41 +514,24 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
             rtl::PpCore core(config_, rtl::CoreMode::Vector);
             VectorPlayer::primeCore(core, trace, bug_sets[b]);
 
-            // Resume from the greatest link strictly below the first
+            // Resume from the greatest pin strictly below the first
             // trigger, re-arming this job's bug mask (the one field of
             // the reference state that legitimately differs), and
-            // carry the reference run's lockstep count below it. A
-            // warm link is a serialized snapshot of a
-            // content-identical trace; a damaged or foreign one
-            // degrades to from-reset replay.
+            // carry the reference run's lockstep count below it.
             size_t start = 0;
             uint64_t lockstep_errors = 0;
-            if (warm_hit) {
-                // Within the trace, too: at most cycle len.
-                if (const ReplayWarmCache::ChainLink *link = linkBelow(
-                        warm_hit->chain,
-                        std::min<uint64_t>(first, len + 1))) {
-                    rtl::PpCore::Snapshot snap =
-                        rtl::PpCore::deserializeSnapshot(
-                            config_, rtl::CoreMode::Vector,
-                            link->snapshot.data(), link->snapshot.size());
-                    if (snap.valid() && snap.cycles() <= len) {
-                        core.restoreWithBugs(snap, bug_sets[b]);
-                        start = snap.cycles();
-                        ++ls.warmChainHits;
-                        ls.warmResumeCycles += start;
-                        ls.cyclesAvoided += start;
-                    } else {
-                        ++ls.misses;
-                    }
-                }
-            } else if (const RowLink *link =
-                           linkBelow(pins.pins, first)) {
+            if (const RowLink *link =
+                    ref ? linkBelow(ref->pins, first) : nullptr) {
                 core.restoreWithBugs(link->snapshot, bug_sets[b]);
-                start = link->snapshot.cycles();
+                start = link->cycle;
                 lockstep_errors = link->lockstepErrors;
-                ++ls.strideHits;
-                ls.strideResumeCycles += start;
+                if (warm_hit) {
+                    ++ls.warmChainHits;
+                    ls.warmResumeCycles += start;
+                } else {
+                    ++ls.strideHits;
+                    ls.strideResumeCycles += start;
+                }
                 ls.cyclesAvoided += start;
             }
             resume_depth.record(double(start));
@@ -651,24 +569,18 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
             record(t, b, result);
 
             if (reference) {
+                auto built = std::make_shared<RowReference>();
+                built->donorResult = result;
                 for (size_t i = 0; i < rtl::numBugs; ++i)
-                    triggers[i] =
+                    built->triggers[i] =
                         core.bugFirstTrigger(static_cast<rtl::BugId>(i));
-            }
-            if (is_donor) {
-                donor_result = result;
-                ref = &donor_result;
+                built->pins = std::move(pins.pins);
+                built->traceHash = hash;
+                ref = std::move(built);
             }
             if (populate) {
-                auto entry = std::make_shared<ReplayWarmCache::Entry>();
-                entry->key = std::move(warm_keys[t]);
-                entry->donorResult = result;
-                entry->triggers = triggers;
-                for (const RowLink &pin : pins.pins)
-                    entry->chain.push_back(
-                        {pin.cycle, pin.snapshot.serialize()});
-                if (warm->insert(std::move(entry)))
-                    ++ls.warmInserts;
+                warm->put(t, ref);
+                ++ls.warmInserts;
             }
         }
         ls.peakCacheBytes = std::max(ls.peakCacheBytes, pins.peakBytes);
@@ -737,13 +649,14 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
     }
 
     stats_.jobs = nt * nb;
+    if (warm)
+        stats_.warmLookups = nt;
     for (const PlayResult &result : results)
         stats_.lockstepErrors += result.lockstepErrors;
     for (const LocalStats &ls : local) {
         stats_.batchCycles += ls.batchCycles;
         stats_.simulatedCycles += ls.simulatedCycles;
         stats_.cyclesAvoided += ls.cyclesAvoided;
-        stats_.checkpointMisses += ls.misses;
         stats_.bugSetCopies += ls.copies;
         stats_.strideCheckpoints += ls.strideCheckpoints;
         stats_.strideHits += ls.strideHits;
@@ -752,6 +665,7 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         stats_.triggeredJobCycles += ls.triggeredJobCycles;
         stats_.triggeredLeadCycles += ls.triggeredLeadCycles;
         stats_.jobsSkipped += ls.cancelled;
+        stats_.warmHits += ls.warmHits;
         stats_.warmCopies += ls.warmCopies;
         stats_.warmChainHits += ls.warmChainHits;
         stats_.warmResumeCycles += ls.warmResumeCycles;
@@ -763,8 +677,6 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
     // Registry mirror of the batch stats: one add per batch keeps
     // the hot path free of shared-counter traffic.
     telemetry::counter("replay.jobs").add(stats_.jobs);
-    telemetry::counter("replay.checkpoint_misses")
-        .add(stats_.checkpointMisses);
     telemetry::counter("replay.bug_set_copies")
         .add(stats_.bugSetCopies);
     telemetry::counter("replay.stride_hits").add(stats_.strideHits);

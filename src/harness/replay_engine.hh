@@ -22,15 +22,19 @@
  * counts them; that count is the only field play() leaves 0. A donor
  * copy inherits the donor's count. A job resumed from a pin adds the
  * count the reference run had reached below the pin, which the pin
- * stores. Warm records carry no counts, so a batch with a lockstep
- * reference neither reads nor fills the warm cache.
+ * stores. Warm rows carry no counts, so a batch with a lockstep
+ * reference neither reads nor fills them.
  *
  * Two sharing axes cut a row's simulated cycles. Both rest on one
  * guarantee: every fault effect in rtl::PpCore is strictly guarded by
  * its trigger conjunction, and the core records the first cycle each
  * conjunction held whether or not the bug is enabled
  * (PpCore::bugFirstTrigger). When the batch contains the empty bug
- * set, each row plays it first as the donor:
+ * set, each row plays it first as the donor, and the run leaves a
+ * RowReference that every later job of the row reads. Given
+ * WarmRows, a row whose slot holds a reference recorded on its very
+ * trace reads that one instead and runs no donor; the jobs take the
+ * same path either way:
  *
  *  - Donor copy: a job whose bugs never triggered on the donor run
  *    reuses the donor's PlayResult outright — the bugged run is
@@ -50,7 +54,8 @@
  *    (PpCore::restoreWithBugs). With no such pin it plays from reset.
  *
  * Memory bound: a worker holds at most 2 + rtl::numBugs snapshots at
- * any stride or trace length, and frees them when the row is done.
+ * any stride or trace length, and frees them when the row is done
+ * unless warm rows keep its pins.
  */
 
 #ifndef ARCHVAL_HARNESS_REPLAY_ENGINE_HH
@@ -62,7 +67,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "harness/vector_player.hh"
@@ -70,121 +74,95 @@
 namespace archval::harness
 {
 
-/**
- * Cross-batch warm cache — donor reuse across playAll() calls (and
- * across engines: the cache is shared by handle, so a service session
- * or a hunt loop keeps it alive between requests).
- *
- * Every bug-free donor run deposits an entry keyed by the trace's
- * *entire serialized content* (vecgen::serializeTrace — exact-match
- * lookup, so a foreign trace can never borrow a warm result): the
- * donor PlayResult, the first-trigger cycle of every bug, and the
- * donor's pinned stride checkpoints (at most one per bug, see
- * ReplayEngine) as serialized core snapshots. A
- * later batch containing the same trace then reuses the warm entry
- * exactly like an in-batch donor run:
- *
- *  - a job whose bugs never triggered on the donor run copies the
- *    donor result outright (zero cycles simulated);
- *  - a job whose bugs did trigger resumes from the greatest warm
- *    link strictly below its first trigger cycle, with the bug
- *    mask re-armed on restore (PpCore::restoreWithBugs) — the same
- *    validity rule as the in-batch stride checkpoints.
- *
- * Snapshot records are config-fingerprinted; a record that fails to
- * deserialize degrades that job to from-reset replay, never to wrong
- * bytes. Entries are immutable once inserted and evicted whole, LRU,
- * under a byte budget. All operations are thread-safe.
- */
-class ReplayWarmCache
+/** One pinned snapshot of a row's bug-free reference run. */
+struct RowLink
 {
-  public:
-    /** @param budget_bytes Whole-cache LRU byte budget. */
-    explicit ReplayWarmCache(size_t budget_bytes = 256ull << 20)
-        : budget_(budget_bytes)
-    {
-    }
+    uint64_t cycle = 0;
+    /** The run's lockstep mismatches over cycles [0, cycle). */
+    uint64_t lockstepErrors = 0;
+    rtl::PpCore::Snapshot snapshot;
+};
 
-    /** One pinned donor checkpoint (serialized core snapshot). */
-    struct ChainLink
-    {
-        uint64_t cycle = 0;
-        std::vector<uint8_t> snapshot;
-    };
-
-    /** One warm entry; immutable once inserted. */
-    struct Entry
-    {
-        std::string key; ///< full serialized trace content
-        PlayResult donorResult;
-        /** First cycle each bug's trigger conjunction held on the
-         *  bug-free run (UINT64_MAX = never). */
-        std::array<uint64_t, rtl::numBugs> triggers{};
-        /** The donor's pinned links (at most rtl::numBugs),
-         *  increasing cycle order. */
-        std::vector<ChainLink> chain;
-        size_t bytes = 0;             ///< filled by insert()
-    };
-
-    /** Cache observability (monotonic over the cache's lifetime). */
-    struct Stats
-    {
-        uint64_t lookups = 0;
-        uint64_t hits = 0;
-        uint64_t inserts = 0;
-        uint64_t evictions = 0;
-        size_t bytes = 0;
-        size_t entries = 0;
-    };
-
-    /** @return the entry whose key equals @p key, or null. */
-    std::shared_ptr<const Entry> find(const std::string &key);
-
-    /** Insert @p entry (an existing entry with the same key wins;
-     *  LRU entries are evicted past the byte budget; an entry alone
-     *  exceeding the budget is dropped).
-     *  @return true when @p entry was stored. */
-    bool insert(std::shared_ptr<Entry> entry);
-
-    /** @return a point-in-time snapshot of every entry (unordered).
-     *  Entries are immutable, so the snapshot stays valid however
-     *  long the caller holds it — this is the persistence walk. */
-    std::vector<std::shared_ptr<const Entry>> entries() const;
+/**
+ * What a trace row's bug-free reference run leaves for the row's
+ * other jobs: its result, the first cycle each bug triggered on it,
+ * and its pins (see ReplayEngine). A job whose bugs never triggered
+ * copies the result; a triggered job resumes from the greatest pin
+ * strictly below its first trigger. Immutable once built, so a row
+ * and WarmRows share it by handle.
+ */
+struct RowReference
+{
+    PlayResult donorResult;
+    /** First cycle each bug's trigger conjunction held on the
+     *  bug-free run (UINT64_MAX = never). */
+    std::array<uint64_t, rtl::numBugs> triggers{};
+    /** At most rtl::numBugs pins, increasing cycle order. */
+    std::vector<RowLink> pins;
+    /** hashTrace() of the trace the run played. */
+    uint64_t traceHash = 0;
 
     /**
-     * @name Entry persistence
-     * One warm entry to/from a self-contained byte record (for the
-     * service's disk-backed session store). The record carries its
-     * own version stamp and the build's bug count; deserializeEntry
-     * returns null on any structural mismatch — a stale or foreign
-     * record restores as "not warm", never as wrong bytes. Chain
-     * snapshots are opaque here: they stay config-fingerprinted and
-     * are re-validated by PpCore::deserializeSnapshot at use time.
+     * @name Persistence
+     * One reference to/from a self-contained byte record (for the
+     * service's session store), its pins written through
+     * PpCore::Snapshot::serialize. The record carries its own
+     * version stamp and the build's bug count; deserialize returns
+     * null, never aborting, on any structural mismatch and on a pin
+     * that PpCore::deserializeSnapshot refuses under @p config, so
+     * stored snapshots are checked once, where the bytes enter.
      * @{
      */
-    static std::vector<uint8_t> serializeEntry(const Entry &entry);
-    static std::shared_ptr<Entry>
-    deserializeEntry(const uint8_t *data, size_t size);
+    std::vector<uint8_t> serialize() const;
+    static std::shared_ptr<const RowReference>
+    deserialize(const rtl::PpConfig &config, const uint8_t *data,
+                size_t size);
     /** @} */
+};
 
-    Stats stats() const;
+/** @return the 64-bit FNV-1a hash of @p trace's packed cycles and of
+ *  its fetch, retired and inbox words: what ties a RowReference to
+ *  the trace it was recorded on. */
+uint64_t hashTrace(const vecgen::TestTrace &trace);
+
+/**
+ * Warm rows: one RowReference slot per trace of the batch the rows
+ * belong to, kept across playAll() calls (and engines: the rows are
+ * shared by handle, so a service session or a hunt loop keeps them
+ * between requests). A batch given warm rows of its own size reads
+ * each trace's slot: a reference recorded on that very trace (equal
+ * hashTrace()) stands in for the row's donor run, and every other
+ * slot is a miss whose bug-free reference run fills it. Two
+ * references of one trace are byte-identical, so a put() simply
+ * replaces the slot. The rows hold at most rtl::numBugs pins per
+ * trace and have no budget. Thread-safe.
+ */
+class WarmRows
+{
+  public:
+    /** @param rows One empty slot per trace of the batch. */
+    explicit WarmRows(size_t rows) : rows_(rows) {}
+
+    size_t size() const { return rows_.size(); }
+
+    /** @return slot @p row's reference, or null when empty. */
+    std::shared_ptr<const RowReference> get(size_t row) const;
+
+    /** Replace slot @p row's reference with @p ref. */
+    void put(size_t row, std::shared_ptr<const RowReference> ref);
+
+    /** @return every slot (null = empty), in trace order. References
+     *  are immutable, so the copy stays valid however long the caller
+     *  holds it: this is the persistence walk. */
+    std::vector<std::shared_ptr<const RowReference>> rows() const;
+
+    /** @return put() calls so far (the session store's change stamp). */
+    uint64_t puts() const;
 
   private:
-    struct Slot
-    {
-        std::shared_ptr<Entry> entry;
-        uint64_t lastUse = 0;
-    };
-
     mutable std::mutex mutex_;
-    size_t budget_;
-    size_t bytes_ = 0;
-    uint64_t clock_ = 0;
-    uint64_t lookups_ = 0;
-    uint64_t hits_ = 0;
-    uint64_t inserts_ = 0;
-    uint64_t evictions_ = 0;
-    std::unordered_map<std::string, Slot> entries_;
+    std::vector<std::shared_ptr<const RowReference>> rows_;
+    uint64_t puts_ = 0;
 };
 
 /**
@@ -210,11 +188,10 @@ struct ReplayOptions
     /**
      * Cycle stride of the reference run's snapshots (0 disables
      * them). Only meaningful when the batch has a bug-free donor set
-     * or populates the warm cache: a (trace, bug) job whose bugs
-     * triggered on the donor run resumes from the greatest stride
-     * snapshot strictly below its first trigger cycle, with the bug
-     * mask re-armed at restore. Warm entries keep the same pinned
-     * snapshots.
+     * or fills warm rows: a (trace, bug) job whose bugs triggered on
+     * the donor run resumes from the greatest stride snapshot
+     * strictly below its first trigger cycle, with the bug mask
+     * re-armed at restore. Warm rows keep the same pins.
      */
     size_t checkpointStride = 1024;
 
@@ -226,15 +203,6 @@ struct ReplayOptions
      * any worker count.
      */
     bool stopOnDivergence = false;
-
-    /**
-     * Cross-batch warm cache (see ReplayWarmCache). When set, jobs
-     * consult it before simulating and bug-free donor runs populate
-     * it, so a later batch over the same traces skips the donor
-     * simulation entirely. Shared: any number of engines (and
-     * threads) may hold the same cache.
-     */
-    std::shared_ptr<ReplayWarmCache> warmCache;
 
     /**
      * Cooperative cancellation: when non-null and it reads true,
@@ -257,7 +225,6 @@ struct ReplayStats
      *  trace. Kept, with verifyFallbacks and hitRate(), because
      *  reports still print them. */
     uint64_t checkpointHits = 0;
-    uint64_t checkpointMisses = 0;   ///< warm links that failed to load
     uint64_t verifyFallbacks = 0;    ///< always 0 (see checkpointHits)
     /** Jobs whose whole result was reused from the trace's bug-free
      *  donor run because none of their bugs ever triggered on it. */
@@ -286,23 +253,22 @@ struct ReplayStats
     uint64_t triggeredLeadCycles = 0;
     /** @} */
 
-    /** @name Cross-batch warm cache (ReplayWarmCache) @{ */
-    uint64_t warmLookups = 0; ///< traces looked up in the warm cache
-    uint64_t warmHits = 0;    ///< traces found warm
-    /** Jobs whose whole result was copied from a warm donor entry
-     *  (zero cycles simulated). */
+    /** @name Warm rows (WarmRows) @{ */
+    uint64_t warmLookups = 0; ///< traces whose warm row was read
+    uint64_t warmHits = 0;    ///< traces whose warm row was theirs
+    /** Jobs whose whole result was copied from a warm row's donor
+     *  result (zero cycles simulated). */
     uint64_t warmCopies = 0;
-    uint64_t warmChainHits = 0;     ///< jobs resumed from a warm link
+    uint64_t warmChainHits = 0;     ///< jobs resumed from a warm pin
     uint64_t warmResumeCycles = 0;  ///< cycles those resumes skipped
-    uint64_t warmInserts = 0;       ///< donor entries stored
+    uint64_t warmInserts = 0;       ///< warm rows this batch filled
     /** @} */
 
     /** @return checkpointHits over planned restores (reads 0; see
      *  checkpointHits). */
     double hitRate() const
     {
-        uint64_t planned =
-            checkpointHits + checkpointMisses + verifyFallbacks;
+        uint64_t planned = checkpointHits + verifyFallbacks;
         return planned ? double(checkpointHits) / double(planned) : 0.0;
     }
 
@@ -342,9 +308,11 @@ class ReplayEngine
 
     /**
      * Play every trace against every bug set, checking each job
-     * against @p lockstep when it is given. A reference without one
-     * tour per trace is rejected (FatalError) before any job runs; a
-     * tour whose length differs from its trace's is rejected
+     * against @p lockstep when it is given, and reading and filling
+     * @p warm (one row per trace) when it is given without one. A
+     * reference without one tour per trace, and warm rows of another
+     * size than the batch, are rejected (FatalError) before any job
+     * runs; a tour whose length differs from its trace's is rejected
      * (FatalError) by the worker that claims its row, before the
      * row's first job. A FatalError a job throws (stimulus out of
      * step with the core) reaches the caller at any worker count;
@@ -357,7 +325,8 @@ class ReplayEngine
     std::vector<PlayResult>
     playAll(const std::vector<vecgen::TestTrace> &traces,
             const std::vector<rtl::BugSet> &bug_sets,
-            const LockstepReference *lockstep = nullptr);
+            const LockstepReference *lockstep = nullptr,
+            WarmRows *warm = nullptr);
 
     /** Single-bug-set convenience overload. */
     std::vector<PlayResult>

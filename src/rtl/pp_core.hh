@@ -148,8 +148,8 @@ class PpCore
         uint64_t cycles() const;
 
         /**
-         * Serialize to a self-contained byte record for the replay
-         * warm cache's checkpoint chains (which the service's session
+         * Serialize to a self-contained byte record for the pins of
+         * the replay engine's warm rows (which the service's session
          * store persists). Same-host format (native endianness and struct
          * layout), versioned and tagged with the capture
          * configuration so deserializeSnapshot() can reject foreign

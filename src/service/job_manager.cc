@@ -614,18 +614,18 @@ JobManager::execute(Job &job)
             harness::ReplayOptions options;
             options.numThreads = request.threads;
             options.checkpointStride = request.checkpointStride;
-            options.warmCache = session->warmCache();
             options.cancelFlag = &job.cancel;
             harness::ReplayEngine engine(session->config(), options);
-            // A bug-free donor block leads every batch: it feeds the
-            // session warm cache on the first run and collapses to
+            // A bug-free donor block leads every batch: it fills the
+            // session's warm rows on the first run and collapses to
             // warm copies on every repeat. The client-visible block
             // is the last one.
             std::vector<rtl::BugSet> bug_sets{rtl::BugSet{}};
             if (request.bugs.any())
                 bug_sets.push_back(request.bugs);
             std::vector<harness::PlayResult> plays =
-                engine.playAll(session->vectors(), bug_sets);
+                engine.playAll(session->vectors(), bug_sets, nullptr,
+                               session->warmRows().get());
             if (cancelled())
                 return finish_cancelled();
             const size_t nt = session->vectors().size();
@@ -697,7 +697,7 @@ JobManager::execute(Job &job)
             harness::BugHunt hunt(session->config(), session->model(),
                                   session->graph(),
                                   session->vectors(), options);
-            hunt.setWarmCache(session->warmCache());
+            hunt.setWarmRows(session->warmRows());
             json::Value hunts = json::Value::array();
             bool any_detected = false;
             for (size_t i = 0; i < rtl::numBugs; ++i) {
@@ -751,7 +751,7 @@ JobManager::execute(Job &job)
         flight::recordEvent(flight::EventKind::JobDone, job.id, 0,
                             verdict);
         emit(job, result);
-        // Park the session's products (graph, tours, warm entries)
+        // Park the session's products (graph, tours, warm rows)
         // on disk so a daemon restart replays warm. No-op when
         // persistence is off or nothing changed since the last save.
         session->persist();

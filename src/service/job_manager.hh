@@ -23,8 +23,8 @@
  *
  * Jobs resolve their Session through the shared SessionCache, so
  * concurrent jobs with equal design fingerprints share one product
- * chain and one replay warm cache — the second replay of a trace
- * set reuses the first one's bug-free donor runs even across
+ * chain and one set of replay warm rows — the second replay of a
+ * trace set reuses the first one's bug-free donor runs even across
  * clients.
  */
 
@@ -64,7 +64,7 @@ struct JobRequest
     rtl::BugSet bugs;
 
     unsigned threads = 2;        ///< replay / campaign workers
-    size_t checkpointStride = 128; ///< replay warm-chain granularity
+    size_t checkpointStride = 128; ///< replay snapshot stride
     uint64_t randomBudget = 30'000; ///< bughunt random-arm budget
     uint64_t roundInstructions = 10'000; ///< fuzz, per worker/round
     unsigned maxRounds = 4;      ///< fuzz campaign length

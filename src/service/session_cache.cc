@@ -147,8 +147,7 @@ DesignSpec::fromJson(const json::Value &design)
 
 Session::Session(const DesignSpec &spec)
     : spec_(spec), fingerprint_(spec.fingerprint()),
-      config_(spec.toConfig()),
-      warm_(std::make_shared<harness::ReplayWarmCache>())
+      config_(spec.toConfig())
 {
 }
 
@@ -209,6 +208,10 @@ Session::ensure(Stage stage, const std::atomic<bool> *cancel)
                                               spec_.vectorSeed);
             vectors_ = generator.generateAll(*graph_, *tours_);
         }
+        // Restored rows are sized by the restored tours, one vector
+        // each.
+        if (!warm_)
+            warm_ = std::make_shared<harness::WarmRows>(vectors_->size());
         return {};
     } catch (const FatalError &err) {
         // Build machinery reports bad input by throwing; to a job it

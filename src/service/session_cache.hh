@@ -5,13 +5,13 @@
  *
  * The expensive products of the validation flow — the enumerated
  * state graph, the tour corpus, the generated vectors and the replay
- * engine's cross-batch warm cache — depend only on the design
- * configuration and the generation parameters, never on which client
- * asked. A Session owns one such product chain; the SessionCache
- * maps a DesignSpec fingerprint to its Session so a repeat request
- * (any client, any connection) reuses everything the first request
- * built: repeat replays skip enumeration, tour generation, vector
- * generation *and* — through the shared harness::ReplayWarmCache —
+ * engine's warm rows — depend only on the design configuration and
+ * the generation parameters, never on which client asked. A Session
+ * owns one such product chain; the SessionCache maps a DesignSpec
+ * fingerprint to its Session so a repeat request (any client, any
+ * connection) reuses everything the first request built: repeat
+ * replays skip enumeration, tour generation, vector generation
+ * *and* — through the shared harness::WarmRows, one per vector —
  * the bug-free donor simulation itself.
  *
  * Validity rule: the fingerprint string is the cache key and is a
@@ -111,7 +111,7 @@ struct DesignSpec
 
 /**
  * One cached design session: the product chain plus the shared
- * replay warm cache. Thread-safe; see file comment for the build
+ * replay warm rows. Thread-safe; see file comment for the build
  * discipline.
  */
 class Session
@@ -148,9 +148,11 @@ class Session
     const graph::TourStats &tourStats() const { return tourStats_; }
     /** @} */
 
-    /** The session's cross-batch replay warm cache (shared by every
-     *  replay/bughunt job on this session). */
-    const std::shared_ptr<harness::ReplayWarmCache> &warmCache() const
+    /** The session's replay warm rows, one per vector (shared by
+     *  every replay/bughunt job on this session; valid after
+     *  ensure(Stage::Vectors)). A session builds its vectors once and
+     *  never patches them, so a vector's index names its row. */
+    const std::shared_ptr<harness::WarmRows> &warmRows() const
     {
         return warm_;
     }
@@ -174,7 +176,7 @@ class Session
     DesignSpec spec_;
     std::string fingerprint_;
     rtl::PpConfig config_;
-    std::shared_ptr<harness::ReplayWarmCache> warm_;
+    std::shared_ptr<harness::WarmRows> warm_;
     SessionStore *store_ = nullptr; ///< null = memory-only session
 
     std::mutex buildMutex_; ///< serializes stage building

@@ -25,7 +25,7 @@ namespace
  *  whenever any record layout below changes — stores of another
  *  version then count as restore misses and rebuild cold. */
 constexpr uint32_t kStoreMagic = 0x31535641;
-constexpr uint32_t kStoreVersion = 3;
+constexpr uint32_t kStoreVersion = 4;
 
 /** Structural sanity caps: a record that passed its CRC but claims
  *  sizes beyond these is from a different layout, not this one. */
@@ -436,7 +436,8 @@ SessionStore::stampLocked(const Session &session)
         stamp |= 1;
     if (session.tours_)
         stamp |= 2;
-    stamp |= session.warm_->stats().inserts << 2;
+    if (session.warm_)
+        stamp |= session.warm_->puts() << 2;
     return stamp;
 }
 
@@ -463,11 +464,18 @@ SessionStore::save(Session &session)
     ok = ok && writer.append(serializeGraph(*session.graph_));
     if (session.tours_)
         ok = ok && writer.append(serializeTours(*session.tours_));
-    if (ok) {
-        for (const auto &entry : session.warm_->entries())
-            ok = ok &&
-                 writer.append(
-                     harness::ReplayWarmCache::serializeEntry(*entry));
+    // Each present warm row: its index, then its record.
+    if (ok && session.warm_) {
+        const auto rows = session.warm_->rows();
+        for (size_t t = 0; ok && t < rows.size(); ++t) {
+            if (!rows[t])
+                continue;
+            std::vector<uint8_t> rec;
+            packU64(rec, t);
+            const std::vector<uint8_t> row = rows[t]->serialize();
+            rec.insert(rec.end(), row.begin(), row.end());
+            ok = writer.append(rec);
+        }
     }
     ok = ok && writer.commit();
     if (!ok) {
@@ -550,18 +558,24 @@ SessionStore::loadLocked(Session &session)
             return failure();
     }
 
-    // Warm entries trail until clean end of file. Decode them all
-    // before committing anything, so a damaged tail cannot leave a
-    // half-restored session.
-    std::vector<std::shared_ptr<harness::ReplayWarmCache::Entry>>
-        warm_entries;
+    // Warm rows trail until clean end of file, one per restored tour
+    // at most. Decode them all before committing anything, so a
+    // damaged tail cannot leave a half-restored session; a row's pins
+    // are checked here, where their bytes enter.
+    std::shared_ptr<harness::WarmRows> warm;
+    if (restored_tours)
+        warm = std::make_shared<harness::WarmRows>(restored_tours->size());
     RS status;
     while ((status = reader.next(rec)) == RS::Record) {
-        auto entry = harness::ReplayWarmCache::deserializeEntry(
-            rec.data(), rec.size());
-        if (!entry)
+        Reader in{rec.data(), rec.size()};
+        const uint64_t row = in.u64();
+        if (!in.ok || !warm || row >= warm->size())
             return failure();
-        warm_entries.push_back(std::move(entry));
+        auto ref = harness::RowReference::deserialize(
+            session.config_, rec.data() + in.pos, in.remaining());
+        if (!ref)
+            return failure();
+        warm->put(row, std::move(ref));
     }
     if (status != RS::End)
         return failure();
@@ -575,8 +589,7 @@ SessionStore::loadLocked(Session &session)
         session.tours_ = std::move(*restored_tours);
         session.tourStats_ = tour_stats;
     }
-    for (auto &entry : warm_entries)
-        session.warm_->insert(std::move(entry));
+    session.warm_ = std::move(warm);
     session.savedStamp_ = stampLocked(session);
     restoreHits_.fetch_add(1, std::memory_order_relaxed);
     telemetry::counter("service.session_restore_hits").add(1);

@@ -4,12 +4,12 @@
  * restart would otherwise throw away.
  *
  * A session's expensive products (the enumerated state graph, the
- * tour corpus, and the replay warm cache's donor entries) are pure
- * functions of the design fingerprint, so they can be parked on disk
- * and picked up by a later daemon on the same `--session-dir`: the
- * first job on a matching fingerprint restores in one file read and
- * replays warm, instead of paying enumeration plus the bug-free
- * donor simulation again.
+ * tour corpus, and the replay warm rows) are pure functions of the
+ * design fingerprint, so they can be parked on disk and picked up by
+ * a later daemon on the same `--session-dir`: the first job on a
+ * matching fingerprint restores in one file read and replays warm,
+ * instead of paying enumeration plus the bug-free donor simulation
+ * again.
  *
  * One support::RecordFileReader/Writer file per fingerprint, named
  * by a hash of the fingerprint string. Validity rule (the same
@@ -20,16 +20,19 @@
  * miss (a routine upgrade, not damage), a fingerprint mismatch (hash
  * collision, renamed file) is a miss, and anything else wrong
  * (foreign magic, truncation, flipped bit, a graph of another state
- * width, undecodable warm entry) is a restore *failure*. All of them
+ * width, a warm row that does not decode — an index outside the
+ * tours, or a pin PpCore::deserializeSnapshot refuses) is a restore
+ * *failure*. All of them
  * degrade to a cold build; none can crash the daemon or restore
  * wrong bytes. Outcomes are counted in the `service.session_restore_*`
  * / `service.session_saves` metrics.
  *
  * Generated vectors are deliberately not persisted: they regenerate
  * deterministically from model + graph + tours + vectorSeed (see
- * vecgen::VectorGenerator), which keeps the restored warm-cache keys
- * — full serialized trace content — exactly matching the traces a
- * restored session will replay.
+ * vecgen::VectorGenerator). Each warm row is stored under its
+ * vector's index with the hash of the trace it was recorded on, so a
+ * row restored by a build whose vector generation differs is a miss
+ * that the next replay refills, never a borrowed result.
  *
  * Saves are atomic (temp file + rename, see RecordFileWriter), so a
  * daemon killed mid-save leaves the previous store intact.
@@ -67,7 +70,7 @@ class SessionStore
 
     /**
      * Serialize @p session's built products (graph, tours, warm
-     * entries) into its record file, atomically replacing any
+     * rows) into its record file, atomically replacing any
      * previous version. Skips the write when nothing changed since
      * the last save. Takes the session's build mutex.
      * @return false only on a real write failure.
@@ -101,8 +104,8 @@ class SessionStore
 
   private:
     /** Change stamp of a session's persistable state (build stages +
-     *  warm-entry count); save() skips when it matches the stamp of
-     *  the last save. Caller holds the session's build mutex. */
+     *  warm-row puts); save() skips when it matches the stamp of the
+     *  last save. Caller holds the session's build mutex. */
     static uint64_t stampLocked(const Session &session);
 
     /** Evict LRU record files until the directory fits capBytes_;

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "pp/isa.hh"
 #include "support/strings.hh"
 
 namespace archval::vecgen
@@ -170,6 +171,14 @@ deserializeTrace(const std::string &text)
         }
         if (!onlyBlanks(p, end))
             return err(formatString("long cycle line %zu", i));
+        // The field holds 0-7, but only the first values name a class
+        // the core can fetch.
+        const uint32_t fetch_class =
+            signals[static_cast<size_t>(rtl::PpChoiceVar::FetchClass)];
+        if (fetch_class >= pp::numProgramClasses)
+            return err(formatString("cycle line %zu: fetch class %u "
+                                    "names no instruction class",
+                                    i, fetch_class));
         const std::optional<rtl::PackedSignals> packed =
             rtl::packSignals(signals);
         if (!packed)

@@ -6,9 +6,10 @@
  * The stride tier rides on four claims, each attacked here:
  *
  *  1. Serialization is lossless: a snapshot that round-trips through
- *     bytes resumes to a bit-identical outcome, and damaged snapshot
- *     or warm-entry bytes are rejected rather than half-decoded — a
- *     damaged warm link costs a resume, never a result.
+ *     bytes resumes to a bit-identical outcome, damaged snapshot or
+ *     warm-row bytes are rejected rather than half-decoded, and a
+ *     warm row recorded on another trace is a miss, never a
+ *     result.
  *  2. Cross-bug-set restore is sound: below a bug set's first trigger
  *     cycle the bug-free trajectory *is* the bugged trajectory, so
  *     restoring a donor snapshot with the bug mask re-armed
@@ -152,18 +153,20 @@ expectSameResult(const PlayResult &expected, const PlayResult &actual,
     EXPECT_EQ(expected.skipped, actual.skipped) << what;
 }
 
-/** Run the engine under @p options over the fixture matrix and
- *  require byte-identical results. @return the run's stats. */
+/** Run the engine under @p options (and @p warm, when given) over
+ *  the fixture matrix and require byte-identical results. @return the
+ *  run's stats. */
 ReplayStats
 expectMatrixIdentical(const PpConfig &config,
                       const std::vector<vecgen::TestTrace> &traces,
                       const std::vector<BugSet> &bug_sets,
                       const std::vector<PlayResult> &expected,
                       const ReplayOptions &options,
-                      const std::string &what)
+                      const std::string &what, WarmRows *warm = nullptr)
 {
     ReplayEngine engine(config, options);
-    std::vector<PlayResult> actual = engine.playAll(traces, bug_sets);
+    std::vector<PlayResult> actual =
+        engine.playAll(traces, bug_sets, nullptr, warm);
     EXPECT_EQ(actual.size(), expected.size()) << what;
     for (size_t i = 0; i < expected.size() && i < actual.size(); ++i)
         expectSameResult(expected[i], actual[i],
@@ -249,27 +252,6 @@ TEST_F(CheckpointFixture, DeserializeRejectsDamage)
                      .valid());
 }
 
-/** @return a small warm entry whose links hold opaque bytes (the
- *  entry decoder never looks inside a link's snapshot). */
-ReplayWarmCache::Entry
-syntheticWarmEntry()
-{
-    ReplayWarmCache::Entry entry;
-    entry.key = std::string("trace\0content", 13);
-    entry.donorResult.diverged = true;
-    entry.donorResult.diff = "r3: 1 != 2";
-    entry.donorResult.cycles = 4242;
-    entry.donorResult.instructions = 1717;
-    entry.donorResult.lockstepErrors = 3;
-    entry.donorResult.drained = true;
-    for (size_t i = 0; i < rtl::numBugs; ++i)
-        entry.triggers[i] = i % 2 ? UINT64_MAX : 100 * i + 7;
-    entry.chain.push_back({64, {0x01, 0x02, 0x03}});
-    entry.chain.push_back({128, {0xFF}});
-    entry.chain.push_back({960, {0x00, 0x10, 0x20, 0x30, 0x40}});
-    return entry;
-}
-
 /** Overwrite the little-endian @p width-byte field at @p offset. */
 void
 pokeLe(std::vector<uint8_t> &bytes, size_t offset, uint64_t value,
@@ -279,28 +261,78 @@ pokeLe(std::vector<uint8_t> &bytes, size_t offset, uint64_t value,
         bytes[offset + i] = static_cast<uint8_t>(value >> (8 * i));
 }
 
-TEST_F(CheckpointFixture, WarmEntryRoundTripsAndRejectsDamage)
+/** @return @p record with its snapshot version field (the u32 after
+ *  the magic) set to the previous version, 1. */
+std::vector<uint8_t>
+previousSnapshotVersion(std::vector<uint8_t> record)
 {
-    const ReplayWarmCache::Entry entry = syntheticWarmEntry();
-    const std::vector<uint8_t> bytes =
-        ReplayWarmCache::serializeEntry(entry);
-    auto decode = [](const std::vector<uint8_t> &record, size_t size) {
-        return ReplayWarmCache::deserializeEntry(record.data(), size);
+    pokeLe(record, 4, 1, 4);
+    return record;
+}
+
+TEST_F(CheckpointFixture, PreviousSnapshotVersionIsRefused)
+{
+    // A version-1 record holds the forced signals as an unpacked row,
+    // so its bytes would be misread as today's layout. The version
+    // field refuses it (a warm row pin holding one is a restore
+    // failure: see RowRecordRoundTripsAndRejectsDamage).
+    const vecgen::TestTrace &trace = traces_->front();
+    rtl::PpCore core(*config_, rtl::CoreMode::Vector);
+    VectorPlayer::primeCore(core, trace, BugSet{});
+    VectorPlayer::drive(core, trace, 0, trace.cycles.size() / 2);
+    const std::vector<uint8_t> bytes = core.snapshot().serialize();
+    ASSERT_TRUE(rtl::PpCore::deserializeSnapshot(
+                    *config_, rtl::CoreMode::Vector, bytes.data(),
+                    bytes.size())
+                    .valid());
+    const std::vector<uint8_t> old = previousSnapshotVersion(bytes);
+    EXPECT_FALSE(rtl::PpCore::deserializeSnapshot(
+                     *config_, rtl::CoreMode::Vector, old.data(),
+                     old.size())
+                     .valid());
+}
+
+TEST_F(CheckpointFixture, RowRecordRoundTripsAndRejectsDamage)
+{
+    // The row with the most pins, as the session store writes it,
+    // with a diverged donor result and lockstep counts set so every
+    // field of the record carries a value.
+    WarmRows rows(traces_->size());
+    ReplayOptions options;
+    options.checkpointStride = 64;
+    ReplayEngine(*config_, options)
+        .playAll(*traces_, *bug_sets_, nullptr, &rows);
+    std::shared_ptr<const RowReference> most;
+    for (const auto &candidate : rows.rows()) {
+        ASSERT_NE(candidate, nullptr);
+        if (!most || candidate->pins.size() > most->pins.size())
+            most = candidate;
+    }
+    ASSERT_GE(most->pins.size(), 2u);
+    auto row = std::make_shared<RowReference>(*most);
+    row->donorResult.diverged = true;
+    row->donorResult.diff = "r3: 1 != 2";
+    row->donorResult.lockstepErrors = 3;
+    row->pins[1].lockstepErrors = 2;
+    const std::vector<uint8_t> bytes = row->serialize();
+    auto decode = [&](const std::vector<uint8_t> &record, size_t size) {
+        return RowReference::deserialize(*config_, record.data(), size);
     };
 
-    std::shared_ptr<ReplayWarmCache::Entry> back =
-        decode(bytes, bytes.size());
+    std::shared_ptr<const RowReference> back = decode(bytes, bytes.size());
     ASSERT_NE(back, nullptr);
-    EXPECT_EQ(back->key, entry.key);
-    expectSameResult(entry.donorResult, back->donorResult,
+    expectSameResult(row->donorResult, back->donorResult,
                      "round-tripped donor result");
-    EXPECT_EQ(back->triggers, entry.triggers);
-    ASSERT_EQ(back->chain.size(), entry.chain.size());
-    for (size_t i = 0; i < entry.chain.size(); ++i) {
-        EXPECT_EQ(back->chain[i].cycle, entry.chain[i].cycle);
-        EXPECT_EQ(back->chain[i].snapshot, entry.chain[i].snapshot);
+    EXPECT_EQ(back->triggers, row->triggers);
+    EXPECT_EQ(back->traceHash, row->traceHash);
+    ASSERT_EQ(back->pins.size(), row->pins.size());
+    for (size_t i = 0; i < row->pins.size(); ++i) {
+        EXPECT_EQ(back->pins[i].cycle, row->pins[i].cycle);
+        EXPECT_EQ(back->pins[i].lockstepErrors, row->pins[i].lockstepErrors);
+        EXPECT_EQ(back->pins[i].snapshot.serialize(),
+                  row->pins[i].snapshot.serialize());
     }
-    EXPECT_EQ(ReplayWarmCache::serializeEntry(*back), bytes);
+    EXPECT_EQ(back->serialize(), bytes);
 
     // Every strict prefix is a truncated record.
     for (size_t keep = 0; keep < bytes.size(); ++keep)
@@ -311,37 +343,49 @@ TEST_F(CheckpointFixture, WarmEntryRoundTripsAndRejectsDamage)
     longer.push_back(0);
     EXPECT_EQ(decode(longer, longer.size()), nullptr);
 
-    // The record layout, read from the end: the bug count (u32), the
-    // triggers (u64 each), the link count (u64), then per link its
-    // cycle (u64) and length-prefixed snapshot bytes.
-    size_t links_bytes = 0;
-    for (const auto &link : entry.chain)
-        links_bytes += 16 + link.snapshot.size();
-    const size_t count_at = bytes.size() - links_bytes - 8;
-    const size_t bugs_at = count_at - 8 * rtl::numBugs - 4;
+    // The record layout: version (u32), trace hash (u64), the donor
+    // result (u8, length-prefixed diff, three u64, two u8), the bug
+    // count (u32), the triggers (u64 each), the pin count (u64), then
+    // per pin its cycle and lockstep count (u64 each) and its
+    // length-prefixed snapshot record.
+    const size_t bugs_at = 4 + 8 + 1 + 8 + row->donorResult.diff.size() +
+                           3 * 8 + 2;
+    const size_t count_at = bugs_at + 4 + 8 * rtl::numBugs;
+    const size_t pin_at = count_at + 8;
+    const size_t snapshot_at = pin_at + 8 + 8 + 8;
 
     std::vector<uint8_t> damaged = bytes;
-    pokeLe(damaged, 0, 2, 4);
+    pokeLe(damaged, 0, 1, 4);
     EXPECT_EQ(decode(damaged, damaged.size()), nullptr) << "version";
 
     damaged = bytes;
     pokeLe(damaged, bugs_at, rtl::numBugs + 1, 4);
     EXPECT_EQ(decode(damaged, damaged.size()), nullptr) << "bug count";
 
-    for (uint64_t count : {uint64_t{entry.chain.size() + 1},
-                           uint64_t{bytes.size()}, UINT64_MAX}) {
+    for (uint64_t count : {uint64_t{row->pins.size() + 1},
+                           uint64_t{rtl::numBugs + 1}, UINT64_MAX}) {
         damaged = bytes;
         pokeLe(damaged, count_at, count, 8);
         EXPECT_EQ(decode(damaged, damaged.size()), nullptr)
-            << "link count " << count;
+            << "pin count " << count;
     }
 
-    // Every single-byte flip either decodes to some entry or returns
+    damaged = bytes;
+    pokeLe(damaged, pin_at, row->pins[0].cycle + 1, 8);
+    EXPECT_EQ(decode(damaged, damaged.size()), nullptr)
+        << "pin cycle off its snapshot's";
+
+    damaged = bytes;
+    pokeLe(damaged, snapshot_at + 4, 1, 4);
+    EXPECT_EQ(decode(damaged, damaged.size()), nullptr)
+        << "pin of the previous snapshot version";
+
+    // Every single-byte flip either decodes to some row or returns
     // null; it never reads out of bounds or aborts (the sanitizer
     // builds turn an overrun into a failure here).
     size_t rejected = 0;
     for (size_t at = 0; at < bytes.size(); ++at) {
-        for (uint8_t mask : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xFF}}) {
+        for (uint8_t mask : {uint8_t{0x01}, uint8_t{0xFF}}) {
             damaged = bytes;
             damaged[at] ^= mask;
             rejected += decode(damaged, damaged.size()) == nullptr;
@@ -350,98 +394,72 @@ TEST_F(CheckpointFixture, WarmEntryRoundTripsAndRejectsDamage)
     EXPECT_GT(rejected, 0u);
 }
 
-TEST_F(CheckpointFixture, DamagedWarmLinksReplayFromReset)
+TEST_F(CheckpointFixture, SwappedTracesMissTheirRowsAndRefillThem)
 {
-    // A cold batch fills a warm cache; a copy of every entry with its
-    // link bytes damaged goes into a fresh cache. Against that cache
-    // every triggered job that would resume from a link counts a miss
-    // and replays from reset instead — with byte-identical results.
+    // Rows filled for the fixture's traces, then a batch with the
+    // first two traces swapped: each of those rows now sits under a
+    // trace it was not recorded on, so both miss and are replaced by
+    // their new traces' reference runs, and every result still
+    // matches the sequential player.
+    const size_t nt = traces_->size();
     ReplayOptions options;
+    options.numThreads = 2;
     options.checkpointStride = 64;
-    options.warmCache = std::make_shared<ReplayWarmCache>(size_t{1} << 32);
-    ReplayStats cold = expectMatrixIdentical(
-        *config_, *traces_, *bug_sets_, *expected_, options, "cold");
-    ASSERT_GT(cold.strideHits, 0u);
+    WarmRows rows(nt);
+    const ReplayStats cold = expectMatrixIdentical(
+        *config_, *traces_, *bug_sets_, *expected_, options, "cold", &rows);
+    ASSERT_EQ(cold.warmInserts, nt);
+    const auto before = rows.rows();
 
-    auto damaged = std::make_shared<ReplayWarmCache>(size_t{1} << 32);
-    for (const auto &entry : options.warmCache->entries()) {
-        auto copy = std::make_shared<ReplayWarmCache::Entry>(*entry);
-        for (size_t i = 0; i < copy->chain.size(); ++i) {
-            std::vector<uint8_t> &snapshot = copy->chain[i].snapshot;
-            ASSERT_FALSE(snapshot.empty());
-            if (i % 2)
-                snapshot.pop_back(); // truncated
-            else
-                snapshot[0] ^= 0xFF; // damaged header
+    std::vector<vecgen::TestTrace> swapped = *traces_;
+    std::swap(swapped[0], swapped[1]);
+    ASSERT_NE(hashTrace(swapped[0]), hashTrace(swapped[1]));
+    std::vector<PlayResult> expected = *expected_;
+    for (size_t b = 0; b < bug_sets_->size(); ++b)
+        std::swap(expected[b * nt], expected[b * nt + 1]);
+
+    const ReplayStats hot = expectMatrixIdentical(
+        *config_, swapped, *bug_sets_, expected, options, "swapped", &rows);
+    EXPECT_EQ(hot.warmLookups, nt);
+    EXPECT_EQ(hot.warmHits, nt - 2);
+    EXPECT_EQ(hot.warmInserts, 2u);
+    const auto after = rows.rows();
+    for (size_t t = 0; t < nt; ++t) {
+        ASSERT_NE(after[t], nullptr) << t;
+        EXPECT_EQ(after[t]->traceHash, hashTrace(swapped[t])) << t;
+        if (t >= 2) {
+            EXPECT_EQ(after[t], before[t]) << t;
         }
-        ASSERT_TRUE(damaged->insert(std::move(copy)));
     }
-    options.warmCache = damaged;
-    ReplayStats hot = expectMatrixIdentical(
-        *config_, *traces_, *bug_sets_, *expected_, options,
-        "damaged links");
-    EXPECT_EQ(hot.warmHits, traces_->size());
-    EXPECT_EQ(hot.warmChainHits, 0u);
-    EXPECT_EQ(hot.warmResumeCycles, 0u);
-    EXPECT_EQ(hot.checkpointMisses, cold.strideHits);
-    EXPECT_EQ(hot.warmCopies, traces_->size() + cold.bugSetCopies);
-    // The donor runs are copied and each missed resume re-steps its
-    // skipped lead, so the hot batch simulates the cold batch's
-    // cycles less the donor runs plus the cold resumes.
-    uint64_t donor_cycles = 0;
-    for (size_t t = 0; t < traces_->size(); ++t)
-        donor_cycles += (*expected_)[t].cycles;
-    EXPECT_EQ(hot.simulatedCycles, cold.simulatedCycles - donor_cycles +
-                                       cold.strideResumeCycles);
+
+    // The refilled rows are the swapped traces' own: a repeat hits
+    // every row.
+    const ReplayStats again = expectMatrixIdentical(
+        *config_, swapped, *bug_sets_, expected, options, "again", &rows);
+    EXPECT_EQ(again.warmHits, nt);
+    EXPECT_EQ(again.warmInserts, 0u);
 }
 
-TEST_F(CheckpointFixture, PreviousSnapshotVersionIsRefused)
+TEST_F(CheckpointFixture, RowsOfAnotherSizeAreRejected)
 {
-    // A version-1 record holds the forced signals as an unpacked row,
-    // so its bytes would be misread as today's layout. The version
-    // field (the u32 after the magic) refuses it, and a warm link
-    // holding one replays from reset with the results unchanged.
-    auto previous_version = [](std::vector<uint8_t> record) {
-        const uint32_t version = 1;
-        std::memcpy(record.data() + 4, &version, sizeof version);
-        return record;
-    };
-    const vecgen::TestTrace &trace = traces_->front();
-    rtl::PpCore core(*config_, rtl::CoreMode::Vector);
-    VectorPlayer::primeCore(core, trace, BugSet{});
-    VectorPlayer::drive(core, trace, 0, trace.cycles.size() / 2);
-    const std::vector<uint8_t> bytes = core.snapshot().serialize();
-    ASSERT_TRUE(rtl::PpCore::deserializeSnapshot(
-                    *config_, rtl::CoreMode::Vector, bytes.data(),
-                    bytes.size())
-                    .valid());
-    const std::vector<uint8_t> old = previous_version(bytes);
-    EXPECT_FALSE(rtl::PpCore::deserializeSnapshot(
-                     *config_, rtl::CoreMode::Vector, old.data(),
-                     old.size())
-                     .valid());
-
-    ReplayOptions options;
-    options.checkpointStride = 64;
-    options.warmCache = std::make_shared<ReplayWarmCache>(size_t{1} << 32);
-    ReplayStats cold = expectMatrixIdentical(
-        *config_, *traces_, *bug_sets_, *expected_, options, "cold");
-    ASSERT_GT(cold.strideHits, 0u);
-
-    auto stale = std::make_shared<ReplayWarmCache>(size_t{1} << 32);
-    for (const auto &entry : options.warmCache->entries()) {
-        auto copy = std::make_shared<ReplayWarmCache::Entry>(*entry);
-        for (ReplayWarmCache::ChainLink &link : copy->chain)
-            link.snapshot = previous_version(link.snapshot);
-        ASSERT_TRUE(stale->insert(std::move(copy)));
+    // Rows belong to a batch: rows of another size are rejected
+    // (FatalError) before any job runs, at one worker or several.
+    const size_t nt = traces_->size();
+    for (unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE(workers);
+        ReplayOptions options;
+        options.numThreads = workers;
+        ReplayEngine engine(*config_, options);
+        for (size_t size : {nt - 1, nt + 1}) {
+            WarmRows rows(size);
+            EXPECT_THROW(
+                engine.playAll(*traces_, *bug_sets_, nullptr, &rows),
+                FatalError)
+                << size;
+            EXPECT_EQ(engine.stats().jobs, 0u) << size;
+            EXPECT_EQ(rows.puts(), 0u) << size;
+        }
     }
-    options.warmCache = stale;
-    ReplayStats hot = expectMatrixIdentical(
-        *config_, *traces_, *bug_sets_, *expected_, options,
-        "previous-version links");
-    EXPECT_EQ(hot.warmHits, traces_->size());
-    EXPECT_EQ(hot.warmChainHits, 0u);
-    EXPECT_EQ(hot.checkpointMisses, cold.strideHits);
 }
 
 // ---------------------------------------------------------------------
@@ -712,7 +730,7 @@ TEST_F(CheckpointFixture, HeldCheckpointsAreBoundedPerRow)
     }
 
     // A bug-free batch alone holds nothing: no other bug set can
-    // resume from a checkpoint, and no warm cache wants one.
+    // resume from a checkpoint, and no warm row wants one.
     ReplayOptions options;
     options.checkpointStride = 64;
     ReplayStats single = expectMatrixIdentical(
@@ -887,20 +905,22 @@ TEST_F(CheckpointFixture, LockstepCountSurvivesCopiesAndResumes)
             EXPECT_EQ(engine.stats().strideHits, 0u) << what;
         }
 
-        // Warm records carry no lockstep counts: a checked batch
-        // neither reads nor fills the warm cache.
+        // Warm rows carry no lockstep counts: a checked batch neither
+        // reads rows an unchecked batch filled nor fills them.
         ReplayOptions options;
         options.checkpointStride = stride;
-        options.warmCache = std::make_shared<ReplayWarmCache>();
         ReplayEngine warm(*config_, options);
+        WarmRows rows(traces.size());
+        warm.playAll(traces, bug_sets, nullptr, &rows);
+        ASSERT_EQ(rows.puts(), traces.size());
         std::vector<PlayResult> actual =
-            warm.playAll(traces, bug_sets, &lockstep);
+            warm.playAll(traces, bug_sets, &lockstep, &rows);
         for (size_t i = 0; i < expected.size(); ++i)
             expectSameResult(expected[i], actual[i],
-                             "warm cache job " + std::to_string(i));
+                             "warm rows job " + std::to_string(i));
         EXPECT_EQ(warm.stats().warmLookups, 0u);
-        EXPECT_EQ(options.warmCache->stats().inserts, 0u);
-        EXPECT_EQ(options.warmCache->stats().lookups, 0u);
+        EXPECT_EQ(warm.stats().warmHits, 0u);
+        EXPECT_EQ(rows.puts(), traces.size());
     }
 }
 

@@ -4,8 +4,8 @@
  * snapshots must be bit-exact against fresh-from-reset replay at
  * every cycle, and ReplayEngine must return byte-identical
  * PlayResults to the sequential VectorPlayer for any worker count,
- * checkpoint stride and warm-cache state — while actually avoiding
- * simulated cycles through the bug-free donor and the warm cache.
+ * checkpoint stride and warm-row state — while actually avoiding
+ * simulated cycles through the bug-free donor and the warm rows.
  */
 
 #include <gtest/gtest.h>
@@ -169,7 +169,7 @@ TEST_F(ReplayFixture, RefSimSnapshotRoundTrip)
 TEST_F(ReplayFixture, EngineMatchesSequentialPlayerEverywhere)
 {
     // The acceptance matrix: worker counts {1,2,8} x checkpoint
-    // strides {0 (off), 64} x warm cache {none, cold, hot}, bug-free
+    // strides {0 (off), 64} x warm rows {none, cold, hot}, bug-free
     // and with a bug injected. Every cell must reproduce the
     // sequential player byte-for-byte.
     std::vector<BugSet> bug_sets(2);
@@ -188,10 +188,11 @@ TEST_F(ReplayFixture, EngineMatchesSequentialPlayerEverywhere)
             ReplayOptions options;
             options.numThreads = nw;
             options.checkpointStride = stride;
-            auto play = [&](const std::string &pass) {
+            auto play = [&](const std::string &pass,
+                            WarmRows *warm = nullptr) {
                 ReplayEngine engine(*config_, options);
                 std::vector<PlayResult> actual =
-                    engine.playAll(*traces_, bug_sets);
+                    engine.playAll(*traces_, bug_sets, nullptr, warm);
                 EXPECT_EQ(actual.size(), expected.size());
                 for (size_t i = 0;
                      i < expected.size() && i < actual.size(); ++i) {
@@ -204,29 +205,29 @@ TEST_F(ReplayFixture, EngineMatchesSequentialPlayerEverywhere)
                 return engine.stats();
             };
 
-            const ReplayStats plain = play("no warm cache");
+            const ReplayStats plain = play("no warm rows");
             if (stride == 0) {
                 EXPECT_EQ(plain.strideCheckpoints, 0u) << what;
                 EXPECT_EQ(plain.peakCacheBytes, 0u) << what;
                 EXPECT_EQ(plain.strideHits, 0u) << what;
             }
 
-            // The warm cache keeps the donor's pins, never a chain:
-            // a hot batch resumes every triggered job exactly where
-            // the cold batch's donor pins put it.
-            auto warm = std::make_shared<ReplayWarmCache>();
-            options.warmCache = warm;
-            const ReplayStats cold = play("cold");
-            const ReplayStats hot = play("hot");
+            // A warm row keeps the donor's pins, never a chain: a
+            // hot batch resumes every triggered job exactly where the
+            // cold batch's donor pins put it.
+            WarmRows warm(traces_->size());
+            const ReplayStats cold = play("cold", &warm);
+            const ReplayStats hot = play("hot", &warm);
             EXPECT_EQ(cold.strideHits, plain.strideHits) << what;
             EXPECT_EQ(cold.warmInserts, traces_->size()) << what;
             EXPECT_EQ(hot.warmHits, traces_->size()) << what;
-            for (const auto &entry : warm->entries())
-                EXPECT_LE(entry->chain.size(), rtl::numBugs) << what;
+            for (const auto &row : warm.rows()) {
+                ASSERT_NE(row, nullptr) << what;
+                EXPECT_LE(row->pins.size(), rtl::numBugs) << what;
+            }
             EXPECT_EQ(hot.warmChainHits, cold.strideHits) << what;
             EXPECT_EQ(hot.warmResumeCycles, cold.strideResumeCycles)
                 << what;
-            EXPECT_EQ(hot.checkpointMisses, 0u) << what;
             if (stride > 0) {
                 EXPECT_GT(hot.warmChainHits, 0u) << what;
             }
@@ -353,33 +354,20 @@ TEST_F(ReplayFixture, StopOnDivergenceMatchesSequentialBreak)
 
 TEST_F(ReplayFixture, WarmInsertsCountOnlyStoredEntries)
 {
-    // A warm cache whose budget is smaller than any one entry stores
-    // nothing, so the batch must report no inserts — and still warm
-    // nothing on a repeat.
-    auto warm = std::make_shared<ReplayWarmCache>(1);
-    ReplayOptions options;
-    options.warmCache = warm;
+    // Every trace's donor run is stored exactly once: a repeat batch
+    // finds every trace warm and stores nothing new.
+    WarmRows warm(traces_->size());
     std::vector<BugSet> bug_sets(2);
     bug_sets[1].set(static_cast<size_t>(BugId::Bug3ConflictAddr));
-    for (int pass = 0; pass < 2; ++pass) {
-        ReplayEngine engine(*config_, options);
-        engine.playAll(*traces_, bug_sets);
-        EXPECT_EQ(engine.stats().warmInserts, 0u) << "pass " << pass;
-        EXPECT_EQ(engine.stats().warmHits, 0u) << "pass " << pass;
-    }
-    EXPECT_EQ(warm->stats().inserts, 0u);
-    EXPECT_EQ(warm->stats().entries, 0u);
-
-    // With room, every trace's donor run is stored exactly once: a
-    // repeat batch finds every trace warm and stores nothing new.
-    options.warmCache = std::make_shared<ReplayWarmCache>();
-    ReplayEngine cold(*config_, options);
-    cold.playAll(*traces_, bug_sets);
+    ReplayEngine cold(*config_);
+    cold.playAll(*traces_, bug_sets, nullptr, &warm);
     EXPECT_EQ(cold.stats().warmInserts, traces_->size());
-    ReplayEngine hot(*config_, options);
-    hot.playAll(*traces_, bug_sets);
+    EXPECT_EQ(warm.puts(), traces_->size());
+    ReplayEngine hot(*config_);
+    hot.playAll(*traces_, bug_sets, nullptr, &warm);
     EXPECT_EQ(hot.stats().warmHits, traces_->size());
     EXPECT_EQ(hot.stats().warmInserts, 0u);
+    EXPECT_EQ(warm.puts(), traces_->size());
 }
 
 /** @return the FatalError message @p play throws, or "" when it
@@ -466,13 +454,14 @@ TEST_F(ReplayFixture, WarmRowsComputeTheirSpecStateWithoutADonor)
     }
     ReplayOptions options;
     options.checkpointStride = 64;
-    options.warmCache = std::make_shared<ReplayWarmCache>();
+    WarmRows warm(traces_->size());
     ReplayEngine cold(*config_, options);
-    cold.playAll(*traces_, all_sets);
+    cold.playAll(*traces_, all_sets, nullptr, &warm);
     ASSERT_EQ(cold.stats().warmInserts, traces_->size());
 
     ReplayEngine hot(*config_, options);
-    const std::vector<PlayResult> actual = hot.playAll(*traces_, bugged);
+    const std::vector<PlayResult> actual =
+        hot.playAll(*traces_, bugged, nullptr, &warm);
     const ReplayStats &stats = hot.stats();
     EXPECT_EQ(stats.warmHits, traces_->size());
     EXPECT_EQ(stats.warmInserts, 0u);

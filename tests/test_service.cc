@@ -490,15 +490,31 @@ expectSamePlay(const harness::PlayResult &x,
     EXPECT_EQ(x.skipped, y.skipped) << what;
 }
 
-} // namespace
-
-TEST(WarmReplay, WarmRunIsByteIdenticalToColdAndSequential)
+/** The small-preset design split into 12 traces of at most 10,000
+ *  instructions: the warm tests' many-row input, beside the service
+ *  default's one trace. */
+DesignSpec
+manyTraceDesign()
 {
-    DesignSpec spec; // small preset, service defaults
+    DesignSpec spec;
+    spec.maxInstructionsPerTrace = 10'000;
+    return spec;
+}
+
+constexpr size_t kManyTraces = 12;
+
+/** The warm-vs-cold differential on @p spec's session. */
+void
+expectWarmRunByteIdentical(const DesignSpec &spec)
+{
+    SCOPED_TRACE(spec.fingerprint());
     Session session(spec);
     ASSERT_EQ(session.ensure(Session::Stage::Vectors, nullptr), "");
     const auto &traces = session.vectors();
-    ASSERT_FALSE(traces.empty());
+    ASSERT_EQ(traces.size(),
+              spec.maxInstructionsPerTrace ? kManyTraces : 1u);
+    harness::WarmRows &rows = *session.warmRows();
+    ASSERT_EQ(rows.size(), traces.size());
 
     rtl::BugSet bug;
     bug.set(static_cast<size_t>(rtl::BugId::Bug4FixupLost));
@@ -507,20 +523,19 @@ TEST(WarmReplay, WarmRunIsByteIdenticalToColdAndSequential)
     harness::ReplayOptions options;
     options.numThreads = 2;
     options.checkpointStride = 128;
-    options.warmCache = session.warmCache();
 
-    // Cold: populates the session's warm cache.
+    // Cold: fills the session's warm rows.
     harness::ReplayEngine cold(session.config(), options);
-    auto cold_plays = cold.playAll(traces, bug_sets);
+    auto cold_plays = cold.playAll(traces, bug_sets, nullptr, &rows);
     const harness::ReplayStats cold_stats = cold.stats();
     EXPECT_EQ(cold_stats.warmHits, 0u);
     EXPECT_EQ(cold_stats.warmInserts, traces.size());
 
-    // Warm: a second engine on the same cache (a repeat service
+    // Warm: a second engine on the same rows (a repeat service
     // request) must produce byte-identical results while simulating
     // at most 10% of the cold run's cycles.
     harness::ReplayEngine warmed(session.config(), options);
-    auto warm_plays = warmed.playAll(traces, bug_sets);
+    auto warm_plays = warmed.playAll(traces, bug_sets, nullptr, &rows);
     const harness::ReplayStats warm_stats = warmed.stats();
     EXPECT_EQ(warm_stats.warmHits, traces.size());
     EXPECT_GE(warm_stats.warmCopies, traces.size());
@@ -531,8 +546,8 @@ TEST(WarmReplay, WarmRunIsByteIdenticalToColdAndSequential)
 
     // The whole bug-free donor block is avoided on the warm repeat
     // (the bug block may still simulate when the bug triggers before
-    // the first chain link, so the bound for this two-block batch is
-    // one half).
+    // the first pin, so the bound for this two-block batch is one
+    // half).
     EXPECT_LE(warm_stats.simulatedCycles * 2,
               cold_stats.simulatedCycles)
         << "warm=" << warm_stats.simulatedCycles
@@ -542,8 +557,8 @@ TEST(WarmReplay, WarmRunIsByteIdenticalToColdAndSequential)
     // block) simulates >= 90% fewer cycles than its cold run; here
     // it is a pure donor-result copy, so zero.
     harness::ReplayEngine repeat(session.config(), options);
-    auto repeat_plays =
-        repeat.playAll(traces, {rtl::BugSet{}});
+    auto repeat_plays = repeat.playAll(
+        traces, std::vector<rtl::BugSet>{rtl::BugSet{}}, nullptr, &rows);
     const harness::ReplayStats repeat_stats = repeat.stats();
     EXPECT_EQ(repeat_stats.warmHits, traces.size());
     EXPECT_LE(repeat_stats.simulatedCycles * 10,
@@ -565,6 +580,14 @@ TEST(WarmReplay, WarmRunIsByteIdenticalToColdAndSequential)
                            "warm vs sequential");
         }
     }
+}
+
+} // namespace
+
+TEST(WarmReplay, WarmRunIsByteIdenticalToColdAndSequential)
+{
+    expectWarmRunByteIdentical(DesignSpec{}); // small preset, one trace
+    expectWarmRunByteIdentical(manyTraceDesign());
 }
 
 // ---------------------------------------------------------------
@@ -620,45 +643,61 @@ class Collector
 };
 
 JobRequest
-makeRequest(const std::string &verb, uint64_t vector_seed = 1)
+makeRequest(const std::string &verb, const DesignSpec &design)
 {
     JobRequest request;
     request.verb = verb;
-    request.design.vectorSeed = vector_seed;
+    request.design = design;
     request.threads = 2;
     return request;
 }
 
-} // namespace
-
-TEST(JobManager, EnumerateThenWarmReplayReportsCacheHits)
+JobRequest
+makeRequest(const std::string &verb, uint64_t vector_seed = 1)
 {
+    DesignSpec design;
+    design.vectorSeed = vector_seed;
+    return makeRequest(verb, design);
+}
+
+/** Enumerate, then replay cold and warm, through a JobManager on
+ *  @p design's session. */
+void
+expectEnumerateThenWarmReplayHits(const DesignSpec &design)
+{
+    SCOPED_TRACE(design.fingerprint());
     SessionCache sessions;
     JobManager manager(sessions, 2);
 
     Collector enum_events;
-    manager.submit(makeRequest("enumerate"), enum_events.sink());
+    manager.submit(makeRequest("enumerate", design), enum_events.sink());
     json::Value enum_result = enum_events.waitTerminal();
     ASSERT_EQ(enum_result.get("type").asString(), "result");
     EXPECT_GT(enum_result.get("states").asInt(), 0);
 
     Collector cold_events;
-    manager.submit(makeRequest("replay"), cold_events.sink());
+    manager.submit(makeRequest("replay", design), cold_events.sink());
     json::Value cold = cold_events.waitTerminal();
     ASSERT_EQ(cold.get("type").asString(), "result");
     EXPECT_EQ(cold.get("verdict").asString(), "ok");
+    EXPECT_EQ(cold.get("traces").asInt(),
+              design.maxInstructionsPerTrace ? int64_t{kManyTraces} : 1);
     EXPECT_EQ(cold.get("warm").get("hits").asInt(), 0);
+    EXPECT_EQ(cold.get("warm").get("inserts").asInt(),
+              cold.get("traces").asInt());
     EXPECT_GT(cold.get("simulatedCycles").asInt(), 0);
 
     Collector warm_events;
-    manager.submit(makeRequest("replay"), warm_events.sink());
+    manager.submit(makeRequest("replay", design), warm_events.sink());
     json::Value warm = warm_events.waitTerminal();
     ASSERT_EQ(warm.get("type").asString(), "result");
-    // The cache-hit metric the tentpole promises: the repeat request
-    // hits the session warm cache on every trace and re-simulates
-    // at most 10% of the cold run.
+    // The repeat request hits the session's warm rows on every trace
+    // and re-simulates at most 10% of the cold run.
+    EXPECT_EQ(warm.get("warm").get("lookups").asInt(),
+              warm.get("traces").asInt());
     EXPECT_EQ(warm.get("warm").get("hits").asInt(),
               warm.get("traces").asInt());
+    EXPECT_EQ(warm.get("warm").get("inserts").asInt(), 0);
     EXPECT_LE(warm.get("simulatedCycles").asInt() * 10,
               cold.get("simulatedCycles").asInt());
 
@@ -669,6 +708,14 @@ TEST(JobManager, EnumerateThenWarmReplayReportsCacheHits)
     // Both replay jobs found the session the enumerate job created.
     EXPECT_GE(sessions.stats().hits, 2u);
     EXPECT_EQ(sessions.stats().sessions, 1u);
+}
+
+} // namespace
+
+TEST(JobManager, EnumerateThenWarmReplayReportsCacheHits)
+{
+    expectEnumerateThenWarmReplayHits(DesignSpec{});
+    expectEnumerateThenWarmReplayHits(manyTraceDesign());
 }
 
 TEST(JobManager, BadRequestsAreErrorsNotCrashes)
@@ -1139,10 +1186,12 @@ makeStoreDir(const char *tag)
     return std::string(buf.data());
 }
 
-} // namespace
-
-TEST(SessionPersistence, DaemonRestartReplaysWarmByteIdentical)
+/** Two daemon lifetimes on one store, each serving one replay job on
+ *  @p design's session: the second must restore and replay warm. */
+void
+expectRestartReplaysWarm(const DesignSpec &design)
 {
+    SCOPED_TRACE(design.fingerprint());
     const std::string store = makeStoreDir("restart");
     const std::string path = socketPath() + "p";
 
@@ -1169,6 +1218,12 @@ TEST(SessionPersistence, DaemonRestartReplaysWarmByteIdentical)
         json::Value request = json::Value::object();
         request.set("verb", "replay");
         request.set("threads", static_cast<int64_t>(2));
+        if (design.maxInstructionsPerTrace) {
+            json::Value fields = json::Value::object();
+            fields.set("maxInstructionsPerTrace",
+                       static_cast<int64_t>(design.maxInstructionsPerTrace));
+            request.set("design", std::move(fields));
+        }
         EXPECT_TRUE(sendFrame(fd, request));
         FrameReader reader;
         json::Value event;
@@ -1197,16 +1252,18 @@ TEST(SessionPersistence, DaemonRestartReplaysWarmByteIdentical)
 
     const Run cold = runReplay(false);
     ASSERT_FALSE(cold.plays.empty());
+    EXPECT_EQ(cold.traces,
+              design.maxInstructionsPerTrace ? int64_t{kManyTraces} : 1);
     EXPECT_EQ(cold.warmHits, 0);
     EXPECT_GT(cold.cycles, 0);
 
     const Run warm = runReplay(true);
     // The headline guarantee: after a restart on the same store the
     // results are byte-identical and >= 90% of the cold run's
-    // simulated cycles are avoided (every trace hits the restored
-    // warm cache).
+    // simulated cycles are avoided (every trace hits its restored
+    // warm row).
     EXPECT_EQ(warm.plays, cold.plays);
-    EXPECT_GT(warm.traces, 0);
+    EXPECT_EQ(warm.traces, cold.traces);
     EXPECT_EQ(warm.warmHits, warm.traces);
     EXPECT_LE(warm.cycles * 10, cold.cycles)
         << "warm=" << warm.cycles << " cold=" << cold.cycles;
@@ -1214,83 +1271,23 @@ TEST(SessionPersistence, DaemonRestartReplaysWarmByteIdentical)
     removeTree(store);
 }
 
-TEST(SessionPersistence, DamagedStoreDegradesToColdRebuild)
+} // namespace
+
+TEST(SessionPersistence, DaemonRestartReplaysWarmByteIdentical)
 {
-    const std::string store = makeStoreDir("damage");
-    std::string store_file;
-    std::string cold_plays;
-
-    {
-        SessionCache sessions(4, store);
-        JobManager manager(sessions, 2);
-        Collector events;
-        manager.submit(makeRequest("replay"), events.sink());
-        json::Value result = events.waitTerminal();
-        ASSERT_EQ(result.get("type").asString(), "result")
-            << result.get("message").asString();
-        cold_plays = result.get("plays").serialize();
-        manager.shutdown(); // workers joined: the save is on disk
-        EXPECT_GE(sessions.stats().saves, 1u);
-        store_file =
-            sessions.store().pathFor(DesignSpec{}.fingerprint());
-    }
-    struct stat st;
-    ASSERT_EQ(::stat(store_file.c_str(), &st), 0);
-    ASSERT_GT(st.st_size, 0);
-
-    // Flip one bit in the middle of the store: the restore must be
-    // counted as a failure and the session rebuilt cold — with
-    // byte-identical results and no crash.
-    {
-        int fd = ::open(store_file.c_str(), O_RDWR);
-        ASSERT_GE(fd, 0);
-        uint8_t byte = 0;
-        ASSERT_EQ(::pread(fd, &byte, 1, st.st_size / 2), 1);
-        byte ^= 0x40;
-        ASSERT_EQ(::pwrite(fd, &byte, 1, st.st_size / 2), 1);
-        ::close(fd);
-
-        SessionCache sessions(4, store);
-        JobManager manager(sessions, 2);
-        Collector events;
-        manager.submit(makeRequest("replay"), events.sink());
-        json::Value result = events.waitTerminal();
-        ASSERT_EQ(result.get("type").asString(), "result")
-            << result.get("message").asString();
-        EXPECT_EQ(result.get("plays").serialize(), cold_plays);
-        EXPECT_EQ(result.get("warm").get("hits").asInt(), 0);
-        EXPECT_GE(sessions.stats().restoreFailures, 1u);
-        manager.shutdown(); // rewrites a clean store on its way out
-    }
-
-    // Truncation mid-record: same degradation posture.
-    ASSERT_EQ(::stat(store_file.c_str(), &st), 0);
-    ASSERT_EQ(::truncate(store_file.c_str(), st.st_size / 3), 0);
-    {
-        SessionCache sessions(4, store);
-        JobManager manager(sessions, 2);
-        Collector events;
-        manager.submit(makeRequest("replay"), events.sink());
-        json::Value result = events.waitTerminal();
-        ASSERT_EQ(result.get("type").asString(), "result")
-            << result.get("message").asString();
-        EXPECT_EQ(result.get("plays").serialize(), cold_plays);
-        EXPECT_GE(sessions.stats().restoreFailures, 1u);
-        manager.shutdown();
-    }
-
-    removeTree(store);
+    expectRestartReplaysWarm(DesignSpec{});
+    expectRestartReplaysWarm(manyTraceDesign());
 }
 
 namespace
 {
 
-/** The store's record-file identity: "AVS1", version 3. */
+/** The store's record-file identity: "AVS1", version 4. */
 constexpr uint32_t kStoreMagic = 0x31535641;
-constexpr uint32_t kStoreVersion = 3;
+constexpr uint32_t kStoreVersion = 4;
 
 /** Records of a store: fingerprint, meta, graph, then the tours when
- *  the session made them. */
+ *  the session made them, then its warm rows. */
 using StoreRecords = std::vector<std::vector<uint8_t>>;
 
 /** Rewrite the store file at @p path under fresh CRCs and a header
@@ -1398,6 +1395,117 @@ expectGraphDamageRebuildsCold(
 }
 
 } // namespace
+
+TEST(SessionPersistence, DamagedStoreDegradesToColdRebuild)
+{
+    const std::string store = makeStoreDir("damage");
+    std::string store_file;
+    std::string cold_plays;
+
+    {
+        SessionCache sessions(4, store);
+        JobManager manager(sessions, 2);
+        Collector events;
+        manager.submit(makeRequest("replay"), events.sink());
+        json::Value result = events.waitTerminal();
+        ASSERT_EQ(result.get("type").asString(), "result")
+            << result.get("message").asString();
+        cold_plays = result.get("plays").serialize();
+        manager.shutdown(); // workers joined: the save is on disk
+        EXPECT_GE(sessions.stats().saves, 1u);
+        store_file =
+            sessions.store().pathFor(DesignSpec{}.fingerprint());
+    }
+    struct stat st;
+    ASSERT_EQ(::stat(store_file.c_str(), &st), 0);
+    ASSERT_GT(st.st_size, 0);
+
+    // Flip one bit in the middle of the store: the restore must be
+    // counted as a failure and the session rebuilt cold — with
+    // byte-identical results and no crash.
+    {
+        int fd = ::open(store_file.c_str(), O_RDWR);
+        ASSERT_GE(fd, 0);
+        uint8_t byte = 0;
+        ASSERT_EQ(::pread(fd, &byte, 1, st.st_size / 2), 1);
+        byte ^= 0x40;
+        ASSERT_EQ(::pwrite(fd, &byte, 1, st.st_size / 2), 1);
+        ::close(fd);
+
+        SessionCache sessions(4, store);
+        JobManager manager(sessions, 2);
+        Collector events;
+        manager.submit(makeRequest("replay"), events.sink());
+        json::Value result = events.waitTerminal();
+        ASSERT_EQ(result.get("type").asString(), "result")
+            << result.get("message").asString();
+        EXPECT_EQ(result.get("plays").serialize(), cold_plays);
+        EXPECT_EQ(result.get("warm").get("hits").asInt(), 0);
+        EXPECT_GE(sessions.stats().restoreFailures, 1u);
+        manager.shutdown(); // rewrites a clean store on its way out
+    }
+
+    // Truncation mid-record: same degradation posture.
+    ASSERT_EQ(::stat(store_file.c_str(), &st), 0);
+    ASSERT_EQ(::truncate(store_file.c_str(), st.st_size / 3), 0);
+    {
+        SessionCache sessions(4, store);
+        JobManager manager(sessions, 2);
+        Collector events;
+        manager.submit(makeRequest("replay"), events.sink());
+        json::Value result = events.waitTerminal();
+        ASSERT_EQ(result.get("type").asString(), "result")
+            << result.get("message").asString();
+        EXPECT_EQ(result.get("plays").serialize(), cold_plays);
+        EXPECT_GE(sessions.stats().restoreFailures, 1u);
+        manager.shutdown(); // rewrites a clean store on its way out
+    }
+
+    // A warm row that does not decode, under a fresh CRC: a pin that
+    // PpCore::deserializeSnapshot refuses, then a row index outside
+    // the tours. Each is a restore failure, rebuilt cold.
+    auto damage_row =
+        [&](const std::function<void(std::vector<uint8_t> &)> &patch) {
+            rewriteStoreRecords(
+                store_file, kStoreVersion, [&](StoreRecords &records) {
+                    // Fingerprint, meta, graph, tours, the one row.
+                    ASSERT_EQ(records.size(), 5u);
+                    patch(records[4]);
+                });
+            SessionCache sessions(4, store);
+            JobManager manager(sessions, 2);
+            Collector events;
+            manager.submit(makeRequest("replay"), events.sink());
+            json::Value result = events.waitTerminal();
+            ASSERT_EQ(result.get("type").asString(), "result")
+                << result.get("message").asString();
+            EXPECT_EQ(result.get("plays").serialize(), cold_plays);
+            EXPECT_EQ(result.get("warm").get("hits").asInt(), 0);
+            EXPECT_EQ(sessions.stats().restoreFailures, 1u);
+            EXPECT_EQ(sessions.stats().restoreHits, 0u);
+            manager.shutdown();
+        };
+    damage_row([](std::vector<uint8_t> &row) {
+        // The row's index (u64), then its record: version (u32), trace
+        // hash (u64), the donor result (u8, length-prefixed diff, three
+        // u64, two u8), the bug count (u32), the triggers, the pin
+        // count (u64), then the first pin's cycle, lockstep count and
+        // snapshot length (u64 each) and its snapshot record, whose
+        // version is the u32 after its magic.
+        const size_t count_at = 8 + 4 + 8 + 1 + 8 + getU64(row, 21) +
+                                3 * 8 + 2 + 4 + 8 * rtl::numBugs;
+        ASSERT_GT(getU64(row, count_at), 0u);
+        const size_t version_at = count_at + 8 + 3 * 8 + 4;
+        ASSERT_EQ(row.at(version_at), 2u);
+        row.at(version_at) = 1;
+    });
+    damage_row([](std::vector<uint8_t> &row) {
+        ASSERT_EQ(getU64(row, 0), 0u);
+        row.at(0) = 1; // the design has one tour
+    });
+
+    removeTree(store);
+}
 
 TEST(SessionPersistence, WideChoiceCodeIsRestoreFailure)
 {

@@ -11,6 +11,7 @@
 
 #include "harness/vector_player.hh"
 #include "murphi/enumerator.hh"
+#include "pp/isa.hh"
 #include "support/strings.hh"
 #include "vecgen/trace_io.hh"
 
@@ -201,6 +202,18 @@ TEST(TraceIo, FetchClassTooWideIsAnError)
     EXPECT_NE(parseError(damaged(oneCycleText(), "C 0 ", "C 99 ")), "");
 }
 
+TEST(TraceIo, FetchClassNamingNoClassIsAnError)
+{
+    // Classes 6 and 7 fit the packed field but name no instruction
+    // class; replaying one would stop the core.
+    for (const char *value : {"C 6 ", "C 7 "}) {
+        const std::string error =
+            parseError(damaged(oneCycleText(), "C 0 ", value));
+        EXPECT_NE(error.find("cycle line 0"), std::string::npos)
+            << value << ": " << error;
+    }
+}
+
 TEST(TraceIo, AlignmentTooWideIsAnError)
 {
     EXPECT_NE(parseError(damaged(oneCycleText(), " 0\nfetch",
@@ -214,10 +227,15 @@ TEST(TraceIo, NonHexWordIsAnError)
               "");
 }
 
-// Every packed word renders as the decimal row it packs and parses
-// back to itself.
+// Every packed word renders as the decimal row it packs. The 49,152
+// words whose fetch class names a class parse back to themselves;
+// each of the other 16,384 is an error.
 TEST(TraceIo, EveryPackedWordRoundTrips)
 {
+    const auto fetch_class = [](rtl::PackedSignals p) {
+        return rtl::unpackTable()[p][static_cast<size_t>(
+            rtl::PpChoiceVar::FetchClass)];
+    };
     TestTrace trace;
     for (uint32_t p = 0; p <= UINT16_MAX; ++p)
         trace.cycles.push_back(static_cast<rtl::PackedSignals>(p));
@@ -233,9 +251,24 @@ TEST(TraceIo, EveryPackedWordRoundTrips)
     EXPECT_NE(text.find("cycles 65536 11\n" + expected + "fetch 0\n"),
               std::string::npos);
 
-    auto parsed = deserializeTrace(text);
+    TestTrace named;
+    size_t unnamed = 0;
+    for (rtl::PackedSignals p : trace.cycles) {
+        if (fetch_class(p) < pp::numProgramClasses) {
+            named.cycles.push_back(p);
+            continue;
+        }
+        ++unnamed;
+        TestTrace one;
+        one.cycles.push_back(p);
+        EXPECT_FALSE(deserializeTrace(serializeTrace(one)).ok()) << p;
+    }
+    EXPECT_EQ(named.cycles.size(), 49'152u);
+    EXPECT_EQ(unnamed, 16'384u);
+
+    auto parsed = deserializeTrace(serializeTrace(named));
     ASSERT_TRUE(parsed.ok()) << parsed.errorMessage();
-    EXPECT_EQ(parsed.value().cycles, trace.cycles);
+    EXPECT_EQ(parsed.value().cycles, named.cycles);
 }
 
 TEST(TraceIo, ReadMissingFileFails)

@@ -103,7 +103,6 @@ MIN_FLOORS = {
 # the same drift threshold as row metrics; everything not named here
 # (wall-clock histograms, gauges) is informational.
 METRICS_LOWER_IS_BETTER = {
-    "replay.checkpoint_misses",
     "replay.cycles_simulated",
     # Service health: jobs turned away or failed, protocol damage
     # and enumeration spill fallbacks are regressions when they grow.

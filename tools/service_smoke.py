@@ -6,20 +6,25 @@ ARCHVAL_TRACE armed, then drives it end-to-end through
 archval_client:
 
   1. `enumerate` — builds the session's state graph.
-  2. `replay` (cold) — plays the generated vectors, populating the
-     session's replay warm cache.
-  3. `replay` (warm) — must report a warm-cache hit on every trace
+  2. `replay` (cold) — plays the generated vectors, filling the
+     session's replay warm rows.
+  3. `replay` (warm) — must report a warm-row hit on every trace
      and simulate at most 10% of the cold run's cycles, while its
      per-trace results stay byte-identical to the cold run's.
+     Steps 2 and 3 run for the default design (one trace) and, sent
+     through `--request`, for the small preset split into 12 traces
+     of at most 10,000 instructions.
   4. `shutdown` — stops the daemon cleanly; its telemetry trace must
      then pass trace_summary.py --check.
 
 `--persist` mode runs the restart-and-rewarm differential instead:
-one daemon lifetime does the cold work on a --session-dir store and
-shuts down; a *second* daemon process on the same store must then
-restore the session from disk (session_restore_hits >= 1) and replay
-warm — byte-identical per-trace results, every trace a warm-cache
-hit, at most 10% of the cold run's simulated cycles.
+one daemon lifetime does the cold work for both designs on a
+--session-dir store and shuts down; a *second* daemon process on the
+same store must then restore the sessions from disk
+(session_restore_hits >= 1) and replay warm — byte-identical
+per-trace results, every trace a warm-row hit (all 12 restored rows
+of the split design), at most 10% of the cold run's simulated
+cycles.
 
 `--flight` mode exercises the crash flight recorder instead: the
 daemon is booted with --crash-dir, a replay job is started and
@@ -96,14 +101,42 @@ def shutdown_daemon(client, socket, daemon):
     return None
 
 
-def replay(client, socket, what):
+# The two designs each replay mode runs: the service default (one
+# trace), and the small preset split into 12 traces, sent as a raw
+# request.
+DESIGNS = (
+    ("default", (), 1),
+    ("12-trace",
+     ("--request",
+      json.dumps({"design": {"maxInstructionsPerTrace": 10000}})),
+     12),
+)
+
+
+def replay(client, socket, what, args=()):
     """One replay job; returns (result, error)."""
-    code, events = client_events(client, socket, "replay")
+    code, events = client_events(client, socket, "replay", *args)
     result = terminal(events)
     if code != 0 or not result or result["type"] != "result":
         return None, f"{what} replay failed: exit {code}, " \
                      f"terminal {result}"
     return result, None
+
+
+def replay_cold(client, socket, what, args, traces):
+    """A cold replay of a design with @p traces traces; returns
+    (result, error)."""
+    cold, error = replay(client, socket, what, args)
+    if error:
+        return None, error
+    if cold["traces"] != traces:
+        return None, f"{what} replay played {cold['traces']} " \
+                     f"traces, not {traces}"
+    if cold["warm"]["hits"] != 0:
+        return None, f"{what} replay claims warm hits"
+    if cold["simulatedCycles"] <= 0:
+        return None, f"{what} replay simulated nothing"
+    return cold, None
 
 
 def check_warm_vs_cold(warm, cold, what):
@@ -143,20 +176,18 @@ def run_smoke(archvald, client, summary):
             if result.get("states", 0) <= 0:
                 return fail("enumerate reported no states")
 
-            cold, error = replay(client, socket, "cold")
-            if error:
-                return fail(error)
-            if cold["warm"]["hits"] != 0:
-                return fail("cold replay claims warm hits")
-            if cold["simulatedCycles"] <= 0:
-                return fail("cold replay simulated nothing")
-
-            warm, error = replay(client, socket, "warm")
-            if error:
-                return fail(error)
-            error = check_warm_vs_cold(warm, cold, "warm")
-            if error:
-                return fail(error)
+            for name, args, traces in DESIGNS:
+                cold, error = replay_cold(client, socket,
+                                          f"{name} cold", args, traces)
+                if error:
+                    return fail(error)
+                warm, error = replay(client, socket, f"{name} warm",
+                                     args)
+                if error:
+                    return fail(error)
+                error = check_warm_vs_cold(warm, cold, f"{name} warm")
+                if error:
+                    return fail(error)
 
             error = shutdown_daemon(client, socket, daemon)
             if error:
@@ -199,12 +230,13 @@ def run_persist(archvald, client, summary):
                                     persist_args)
         if error:
             return fail(error)
+        colds = {}
         try:
-            cold, error = replay(client, socket, "cold")
-            if error:
-                return fail(error)
-            if cold["simulatedCycles"] <= 0:
-                return fail("cold replay simulated nothing")
+            for name, args, traces in DESIGNS:
+                colds[name], error = replay_cold(
+                    client, socket, f"{name} cold", args, traces)
+                if error:
+                    return fail(error)
             error = shutdown_daemon(client, socket, daemon)
             if error:
                 return fail(error)
@@ -227,12 +259,14 @@ def run_persist(archvald, client, summary):
         if error:
             return fail(error)
         try:
-            warm, error = replay(client, socket, "restarted")
-            if error:
-                return fail(error)
-            error = check_warm_vs_cold(warm, cold, "restarted")
-            if error:
-                return fail(error)
+            for name, args, _ in DESIGNS:
+                what = f"{name} restarted"
+                warm, error = replay(client, socket, what, args)
+                if error:
+                    return fail(error)
+                error = check_warm_vs_cold(warm, colds[name], what)
+                if error:
+                    return fail(error)
             error = shutdown_daemon(client, socket, daemon)
             if error:
                 return fail(error)
@@ -242,9 +276,10 @@ def run_persist(archvald, client, summary):
                 daemon.wait()
 
         metrics = trace_metrics(warm_trace)
-        if int(metrics.get("service.session_restore_hits", 0)) < 1:
-            return fail("restarted daemon did not restore the "
-                        "session from disk")
+        restored = int(metrics.get("service.session_restore_hits", 0))
+        if restored < len(DESIGNS):
+            return fail(f"restarted daemon restored {restored} "
+                        f"sessions from disk, not {len(DESIGNS)}")
         check = subprocess.run(
             [sys.executable, summary, warm_trace, "--check"])
         if check.returncode != 0:
