@@ -9,12 +9,14 @@
  * provably cannot change its replay, so the bugged job reuses the
  * donor result without stepping a cycle, and a fault that did trigger
  * resumes from the donor's greatest stride checkpoint below its first
- * trigger cycle. This bench reports, per (workers, stride) point:
- * wall time, cycles actually stepped, donor copies, stride hits, the
- * fraction of the triggered jobs' reset-to-trigger lead cycles the
- * checkpoints skip, and whether the results stayed byte-identical to
- * a VectorPlayer::play loop (they must — both axes are pure
- * accelerators).
+ * trigger cycle, stepping only the datapath from the donor's
+ * recorded control answers. This bench reports, per (workers, stride)
+ * point: wall time, cycles actually stepped, donor copies, stride
+ * hits, the fraction of the triggered jobs' reset-to-trigger lead
+ * cycles the checkpoints skip, the cycles stepped from recorded
+ * control, and whether the results stayed byte-identical to a
+ * VectorPlayer::play loop (they must — every axis is a pure
+ * accelerator).
  *
  * `--json <path>` additionally writes the table as JSON (see
  * README; CI uses BENCH_replay.json).
@@ -183,6 +185,7 @@ main(int argc, char **argv)
             json.add("stride_resume_cycles",
                      stats.strideResumeCycles);
             json.add("stride_savings", stats.strideSavings());
+            json.add("control_replay_cycles", stats.controlReplayCycles);
             json.add("peak_cache_bytes",
                      (uint64_t)stats.peakCacheBytes);
             json.add("identical", identical);

@@ -122,6 +122,7 @@ struct LocalStats
     uint64_t triggeredJobs = 0;
     uint64_t triggeredJobCycles = 0;
     uint64_t triggeredLeadCycles = 0;
+    uint64_t controlReplayCycles = 0;
     uint64_t cancelled = 0;
     uint64_t warmHits = 0;
     uint64_t warmCopies = 0;
@@ -430,8 +431,10 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
     // reference is its warm row, when that was recorded on this very
     // trace, or else the record its reference run builds (the donor,
     // or the job that fills the warm row); only that run takes stride
-    // snapshots.
-    auto run_row = [&](size_t t, LocalStats &ls) {
+    // snapshots. A donor also records its control answers into the
+    // worker's @p answers, which the row's triggered jobs step from.
+    auto run_row = [&](size_t t, LocalStats &ls,
+                       std::vector<rtl::ControlAnswer> &answers) {
         const vecgen::TestTrace &trace = traces[t];
         const size_t len = trace.cycles.size();
         const uint64_t hash = warm ? hashTrace(trace) : 0;
@@ -459,6 +462,8 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         // warm row's first triggered job), then shared by every job
         // of the row.
         std::optional<pp::ArchState> spec_state;
+        // Set once the donor has recorded the row's control answers.
+        bool recorded = false;
 
         for (size_t b : set_order) {
             // A trace earlier in the batch already diverged under
@@ -536,6 +541,21 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
             }
             resume_depth.record(double(start));
 
+            // Every job of the row follows the donor's control
+            // trajectory (fault effects write data, never the control),
+            // so the donor records it and the row's triggered jobs step
+            // from the recording. A row without a donor run (a one-set
+            // batch, a warm hit) evaluates the control.
+            ControlTape tape;
+            if (is_donor) {
+                if (answers.size() < len)
+                    answers.resize(len);
+                tape = {ControlTape::Use::Record, answers.data()};
+            } else if (recorded) {
+                tape = {ControlTape::Use::Replay, answers.data()};
+                ls.controlReplayCycles += len - start;
+            }
+
             // Drive to the end of the trace. The reference run (from
             // reset) pauses at every stride boundary: it pins below
             // the triggers that fired since the last pause, then rolls
@@ -547,8 +567,8 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
             size_t next_stride = snap_stride ? snap_stride : len;
             while (pos < len) {
                 const size_t stop = std::min(len, next_stride);
-                lockstep_errors +=
-                    VectorPlayer::drive(core, trace, pos, stop, check);
+                lockstep_errors += VectorPlayer::drive(core, trace, pos,
+                                                       stop, check, tape);
                 pos = stop;
                 if (pos < len && pos == next_stride) {
                     pins.pinTriggers(core);
@@ -567,6 +587,7 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
             ls.simulatedCycles += core.cycles() - stepped_from;
             ls.batchCycles += len;
             record(t, b, result);
+            recorded = recorded || is_donor;
 
             if (reference) {
                 auto built = std::make_shared<RowReference>();
@@ -590,10 +611,12 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
     std::atomic<size_t> next_trace{0};
     std::vector<LocalStats> local(workers);
     auto work = [&](LocalStats &ls) {
+        // The worker's control-answer buffer, reused across its rows.
+        std::vector<rtl::ControlAnswer> answers;
         for (size_t t;
              (t = next_trace.fetch_add(1, std::memory_order_relaxed)) <
              nt;)
-            run_row(t, ls);
+            run_row(t, ls, answers);
     };
     if (workers <= 1) {
         work(local[0]);
@@ -664,6 +687,7 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         stats_.triggeredJobs += ls.triggeredJobs;
         stats_.triggeredJobCycles += ls.triggeredJobCycles;
         stats_.triggeredLeadCycles += ls.triggeredLeadCycles;
+        stats_.controlReplayCycles += ls.controlReplayCycles;
         stats_.jobsSkipped += ls.cancelled;
         stats_.warmHits += ls.warmHits;
         stats_.warmCopies += ls.warmCopies;
@@ -684,6 +708,8 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         .add(stats_.cyclesAvoided);
     telemetry::counter("replay.cycles_simulated")
         .add(stats_.simulatedCycles);
+    telemetry::counter("replay.control_replay_cycles")
+        .add(stats_.controlReplayCycles);
     telemetry::gauge("replay.peak_cache_bytes")
         .set(static_cast<int64_t>(stats_.peakCacheBytes));
     if (lockstep) {

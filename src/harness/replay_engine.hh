@@ -25,16 +25,16 @@
  * stores. Warm rows carry no counts, so a batch with a lockstep
  * reference neither reads nor fills them.
  *
- * Two sharing axes cut a row's simulated cycles. Both rest on one
- * guarantee: every fault effect in rtl::PpCore is strictly guarded by
- * its trigger conjunction, and the core records the first cycle each
- * conjunction held whether or not the bug is enabled
- * (PpCore::bugFirstTrigger). When the batch contains the empty bug
- * set, each row plays it first as the donor, and the run leaves a
- * RowReference that every later job of the row reads. Given
- * WarmRows, a row whose slot holds a reference recorded on its very
- * trace reads that one instead and runs no donor; the jobs take the
- * same path either way:
+ * Three sharing axes cut a row's work. The first two cut simulated
+ * cycles and rest on one guarantee: every fault effect in
+ * rtl::PpCore is strictly guarded by its trigger conjunction, and the
+ * core records the first cycle each conjunction held whether or not
+ * the bug is enabled (PpCore::bugFirstTrigger). When the batch
+ * contains the empty bug set, each row plays it first as the donor,
+ * and the run leaves a RowReference that every later job of the row
+ * reads. Given WarmRows, a row whose slot holds a reference recorded
+ * on its very trace reads that one instead and runs no donor; the
+ * jobs take the same path either way:
  *
  *  - Donor copy: a job whose bugs never triggered on the donor run
  *    reuses the donor's PlayResult outright — the bugged run is
@@ -52,6 +52,18 @@
  *    trigger the donor's state *is* the bugged state except for the
  *    enabled-bug mask, which the restore re-arms
  *    (PpCore::restoreWithBugs). With no such pin it plays from reset.
+ *  - Recorded control: the third axis cuts the cost of a triggered
+ *    job's cycles. In vector mode the control reads only its latched
+ *    state and the forced word, and fault effects write data, never
+ *    the control (a HALT, which would stop one run and not another, is
+ *    refused at fetch), so every job of a row follows the donor's
+ *    control trajectory. The donor records each forced cycle's
+ *    rtl::ControlAnswer into a buffer its worker reuses across rows
+ *    (52 B a cycle, at most the longest trace's cycles), and the row's
+ *    triggered jobs step their forced cycles from it, evaluating only
+ *    the datapath (PpCore::stepRecorded); drains evaluate the control.
+ *    A one-set batch and a warm hit run no donor, so their jobs
+ *    evaluate the control too.
  *
  * Memory bound: a worker holds at most 2 + rtl::numBugs snapshots at
  * any stride or trace length, and frees them when the row is done
@@ -251,6 +263,9 @@ struct ReplayStats
      *  the trigger is the diverged run itself and must be re-stepped
      *  by any scheme. */
     uint64_t triggeredLeadCycles = 0;
+    /** Forced cycles triggered jobs stepped from their row donor's
+     *  recorded control answers, evaluating only the datapath. */
+    uint64_t controlReplayCycles = 0;
     /** @} */
 
     /** @name Warm rows (WarmRows) @{ */

@@ -65,18 +65,32 @@ VectorPlayer::expectedStates(const rtl::PpFsmModel &model,
     return states;
 }
 
+namespace
+{
+
+using Use = ControlTape::Use;
+
+/** drive()'s loop, one instantiation per tape use. */
+template <Use use>
 uint64_t
-VectorPlayer::drive(rtl::PpCore &core, const vecgen::TestTrace &trace,
-                    size_t first_cycle, size_t last_cycle,
-                    const LockstepSpec *lockstep)
+driveCycles(rtl::PpCore &core, const vecgen::TestTrace &trace,
+            size_t first_cycle, size_t last_cycle,
+            const VectorPlayer::LockstepSpec *lockstep,
+            rtl::ControlAnswer *answers)
 {
     uint64_t lockstep_errors = 0;
     graph::TraceCursor *tour = lockstep ? lockstep->tour : nullptr;
     if (tour && tour->position() != first_cycle)
         tour->seek(first_cycle);
     for (size_t i = first_cycle; i < last_cycle; ++i) {
-        core.forceSignals(trace.cycles[i]);
-        core.step();
+        if constexpr (use == Use::Replay) {
+            core.stepRecorded(trace.cycles[i], answers[i]);
+        } else {
+            core.forceSignals(trace.cycles[i]);
+            core.step();
+            if constexpr (use == Use::Record)
+                answers[i] = {core.controlState(), core.lastOutputs()};
+        }
         if (tour) {
             // The core's control must now sit exactly on the state
             // the tour's traversal enters.
@@ -86,6 +100,29 @@ VectorPlayer::drive(rtl::PpCore &core, const vecgen::TestTrace &trace,
         }
     }
     return lockstep_errors;
+}
+
+} // namespace
+
+uint64_t
+VectorPlayer::drive(rtl::PpCore &core, const vecgen::TestTrace &trace,
+                    size_t first_cycle, size_t last_cycle,
+                    const LockstepSpec *lockstep, ControlTape tape)
+{
+    switch (tape.use) {
+      case Use::Record:
+        return driveCycles<Use::Record>(core, trace, first_cycle,
+                                        last_cycle, lockstep,
+                                        tape.answers);
+      case Use::Replay:
+        return driveCycles<Use::Replay>(core, trace, first_cycle,
+                                        last_cycle, lockstep,
+                                        tape.answers);
+      case Use::Evaluate:
+        break;
+    }
+    return driveCycles<Use::Evaluate>(core, trace, first_cycle,
+                                      last_cycle, lockstep, nullptr);
 }
 
 pp::ArchState

@@ -14,6 +14,12 @@
  * coverage claims meaningful. The batch ReplayEngine runs that check
  * on every job given a lockstep reference; play() is the unchecked
  * sequential reference the engine is held to.
+ *
+ * drive() can also record each forced cycle's control answer, or
+ * step from answers recorded on another run of the same trace: the
+ * forced word alone fixes the control's path, whatever the bugs, so a
+ * replayed cycle steps only the datapath (rtl::PpCore::stepRecorded).
+ * play() always evaluates the control.
  */
 
 #ifndef ARCHVAL_HARNESS_VECTOR_PLAYER_HH
@@ -46,6 +52,26 @@ struct PlayResult
     /** Not played: a ReplayEngine batch with stopOnDivergence set
      *  skips every job after the first divergence. */
     bool skipped = false;
+};
+
+/**
+ * How VectorPlayer::drive() obtains each cycle's control answer.
+ * Evaluate steps the control. Record does too, and stores cycle i's
+ * answer at answers[i]; Replay steps cycle i from answers[i]
+ * (rtl::PpCore::stepRecorded), which is exact when a run of the same
+ * trace recorded them, under any bugs. The buffer must hold every
+ * cycle driven.
+ */
+struct ControlTape
+{
+    enum class Use
+    {
+        Evaluate,
+        Record,
+        Replay,
+    };
+    Use use = Use::Evaluate;
+    rtl::ControlAnswer *answers = nullptr;
 };
 
 /**
@@ -110,13 +136,15 @@ class VectorPlayer
 
     /**
      * Force-and-step @p core through @p trace's cycles
-     * [@p first_cycle, @p last_cycle).
+     * [@p first_cycle, @p last_cycle), taking each cycle's control
+     * answer as @p tape says.
      * @return lockstep mismatches (0 when @p lockstep is null).
      */
     static uint64_t drive(rtl::PpCore &core,
                           const vecgen::TestTrace &trace,
                           size_t first_cycle, size_t last_cycle,
-                          const LockstepSpec *lockstep = nullptr);
+                          const LockstepSpec *lockstep = nullptr,
+                          ControlTape tape = {});
 
     /**
      * @return the executable specification's architectural state

@@ -175,12 +175,16 @@ namespace
 
 /**
  * Byte-stream helpers for the serialized snapshot record. The format
- * is a plain concatenation of trivially-copyable blocks and
- * length-prefixed arrays in native layout — a record never leaves
- * the host, and the session store's record files CRC-check it on disk;
- * the reader only has to reject structural damage (bad lengths,
- * foreign configuration), which it does by refusing to read past the
- * end and by checking every length against the constructing config.
+ * is a plain concatenation of fields, padding-free blocks and
+ * length-prefixed arrays in native byte order — a record never leaves
+ * the host, and the session store's record files CRC-check it on
+ * disk. A struct with padding is written field by field, so a record
+ * holds no uninitialized bytes and two equal states write equal
+ * records. The reader rejects structural damage (bad lengths, foreign
+ * configuration) by refusing to read past the end and by checking
+ * every length against the constructing config, and refuses a flag
+ * byte other than 0 or 1, an enum outside its values and an index
+ * outside what it indexes before any of them becomes state.
  */
 struct ByteWriter
 {
@@ -195,18 +199,27 @@ struct ByteWriter
     template <typename T>
     void pod(const T &value)
     {
-        static_assert(std::is_trivially_copyable_v<T>);
+        static_assert(std::has_unique_object_representations_v<T>,
+                      "a block with padding is written field by field");
         raw(&value, sizeof value);
     }
 
+    void u8(uint8_t value) { pod(value); }
     void u32(uint32_t value) { pod(value); }
     void u64(uint64_t value) { pod(value); }
-    void b(bool value) { pod(uint8_t(value ? 1 : 0)); }
+    void b(bool value) { u8(value ? 1 : 0); }
+
+    template <typename Enum>
+    void e(Enum value)
+    {
+        static_assert(sizeof(Enum) == 1);
+        u8(static_cast<uint8_t>(value));
+    }
 
     template <typename T>
     void vec(const std::vector<T> &values)
     {
-        static_assert(std::is_trivially_copyable_v<T>);
+        static_assert(std::has_unique_object_representations_v<T>);
         u64(values.size());
         raw(values.data(), values.size() * sizeof(T));
     }
@@ -218,6 +231,13 @@ struct ByteReader
     size_t size;
     size_t pos = 0;
     bool ok = true;
+
+    /** Mark the record damaged unless @p holds. */
+    void check(bool holds)
+    {
+        if (!holds)
+            ok = false;
+    }
 
     bool raw(void *out, size_t n)
     {
@@ -236,8 +256,15 @@ struct ByteReader
     template <typename T>
     bool pod(T &value)
     {
-        static_assert(std::is_trivially_copyable_v<T>);
+        static_assert(std::has_unique_object_representations_v<T>);
         return raw(&value, sizeof value);
+    }
+
+    uint8_t u8()
+    {
+        uint8_t v = 0;
+        pod(v);
+        return v;
     }
 
     uint32_t u32()
@@ -254,17 +281,28 @@ struct ByteReader
         return v;
     }
 
+    /** A flag byte: anything but 0 or 1 is damage. */
     bool b()
     {
-        uint8_t v = 0;
-        pod(v);
-        return v != 0;
+        const uint8_t v = u8();
+        check(v <= 1);
+        return v == 1;
+    }
+
+    /** An enum byte: anything past @p last, its greatest value, is
+     *  damage. */
+    template <typename Enum>
+    Enum e(Enum last)
+    {
+        const uint8_t v = u8();
+        check(v <= static_cast<uint8_t>(last));
+        return static_cast<Enum>(v);
     }
 
     template <typename T>
     bool vec(std::vector<T> &values)
     {
-        static_assert(std::is_trivially_copyable_v<T>);
+        static_assert(std::has_unique_object_representations_v<T>);
         uint64_t n = u64();
         if (!ok || (size - pos) / sizeof(T) < n) {
             ok = false;
@@ -275,10 +313,94 @@ struct ByteReader
     }
 };
 
+void
+putControl(ByteWriter &w, const PpControlState &s)
+{
+    w.e(s.rdClass);
+    w.e(s.exClass);
+    w.e(s.memClass);
+    w.e(s.wbClass);
+    w.u8(s.fetchAlign);
+    w.b(s.exDone);
+    w.b(s.memDone);
+    w.b(s.storePending);
+    w.e(s.irefill);
+    w.u8(s.irefillCount);
+    w.e(s.drefill);
+    w.u8(s.drefillCount);
+    w.e(s.spill);
+    w.u8(s.spillCount);
+    w.e(s.memPort);
+}
+
+PpControlState
+getControl(ByteReader &r)
+{
+    PpControlState s;
+    s.rdClass = r.e(InstrClass::Branch);
+    s.exClass = r.e(InstrClass::Branch);
+    s.memClass = r.e(InstrClass::Branch);
+    s.wbClass = r.e(InstrClass::Branch);
+    s.fetchAlign = r.u8();
+    s.exDone = r.b();
+    s.memDone = r.b();
+    s.storePending = r.b();
+    s.irefill = r.e(IRefill::Fixup);
+    s.irefillCount = r.u8();
+    s.drefill = r.e(DRefill::Fill);
+    s.drefillCount = r.u8();
+    s.spill = r.e(Spill::Wb);
+    s.spillCount = r.u8();
+    s.memPort = r.e(MemPort::BusyWb);
+    return s;
+}
+
+/** PpOutputs's flags, in record order: every member but fetchClass
+ *  and fetchCount, which the record holds first. */
+constexpr bool PpOutputs::*outputFlags[] = {
+    &PpOutputs::fetch,        &PpOutputs::iMissStart,
+    &PpOutputs::frozen,       &PpOutputs::dStall,
+    &PpOutputs::extStall,     &PpOutputs::iStall,
+    &PpOutputs::probe,        &PpOutputs::loadHit,
+    &PpOutputs::storeProbe,   &PpOutputs::storeCommit,
+    &PpOutputs::conflict,     &PpOutputs::dMissStart,
+    &PpOutputs::spillCopy,    &PpOutputs::spillBlocked,
+    &PpOutputs::critWord,     &PpOutputs::dFillBeat,
+    &PpOutputs::dRefillDone,  &PpOutputs::iFillBeat,
+    &PpOutputs::iRefillDone,  &PpOutputs::fixup,
+    &PpOutputs::wbBeat,       &PpOutputs::wbDone,
+    &PpOutputs::inboxPop,     &PpOutputs::outboxPush,
+    &PpOutputs::branchTaken,  &PpOutputs::advance,
+};
+
+void
+putOutputs(ByteWriter &w, const PpOutputs &o)
+{
+    w.e(o.fetchClass);
+    w.u32(o.fetchCount);
+    for (bool PpOutputs::*flag : outputFlags)
+        w.b(o.*flag);
+}
+
+PpOutputs
+getOutputs(ByteReader &r)
+{
+    PpOutputs o;
+    o.fetchClass = r.e(InstrClass::Branch);
+    o.fetchCount = r.u32();
+    r.check(o.fetchCount <= 2);
+    for (bool PpOutputs::*flag : outputFlags)
+        o.*flag = r.b();
+    return o;
+}
+
 constexpr uint32_t snapshotMagic = 0x41565353u; // "AVSS"
-/** Version 2: the forced signals are one PackedSignals word (version
- *  1 held an unpacked ForcedSignals row). */
-constexpr uint32_t snapshotVersion = 2;
+/** Version 3: blocks with padding are written field by field, and a
+ *  micro-op's decoded fields are its word's (version 2 wrote the
+ *  control outputs, cache lines, packets, pending store and bug-5
+ *  window as raw memory, padding included; version 1 held the forced
+ *  signals as an unpacked ForcedSignals row). */
+constexpr uint32_t snapshotVersion = 3;
 
 } // namespace
 
@@ -286,6 +408,33 @@ void
 PpCore::serializeInto(std::vector<uint8_t> &out) const
 {
     ByteWriter w{out};
+    auto put_lines = [&w](const std::vector<CacheLine> &lines) {
+        w.u64(lines.size());
+        for (const CacheLine &line : lines) {
+            w.b(line.valid);
+            w.b(line.dirty);
+            w.u32(line.tag);
+        }
+    };
+    // A micro-op's decoded fields are decode(word)'s (fetchPacket and
+    // MicroOp's initializers), so the record holds only the word.
+    auto put_packet = [&w](const Packet &packet) {
+        for (const MicroOp &op : packet.ops) {
+            w.u32(op.word);
+            w.u32(op.pc);
+            w.u32(op.memAddr);
+            w.b(op.addrValid);
+            w.u32(op.inboxValue);
+            w.b(op.inboxValid);
+            w.b(op.corruptToNop);
+            w.b(op.valueCorrupt);
+            w.b(op.useStale);
+            w.u32(op.staleValue);
+        }
+        w.u32(packet.count);
+        w.b(packet.valid);
+    };
+
     w.u32(snapshotMagic);
     w.u32(snapshotVersion);
     w.u32(static_cast<uint32_t>(mode_));
@@ -297,8 +446,8 @@ PpCore::serializeInto(std::vector<uint8_t> &out) const
     w.u32(config_.icacheSets);
     w.u32(config_.machine.dmemWords);
 
-    w.pod(control_);
-    w.pod(lastOutputs_);
+    putControl(w, control_);
+    putOutputs(w, lastOutputs_);
     w.pod(timing_);
     w.u32(static_cast<uint32_t>(bugs_.to_ulong()));
     w.pod(regs_);
@@ -309,8 +458,8 @@ PpCore::serializeInto(std::vector<uint8_t> &out) const
         w.u32(word);
     w.vec(program_);
     w.u32(pc_);
-    w.vec(icacheLines_);
-    w.vec(dcacheLines_);
+    put_lines(icacheLines_);
+    put_lines(dcacheLines_);
     w.vec(dcacheLru_);
     w.u32(drefillAddr_);
     w.u32(irefillPc_);
@@ -322,13 +471,17 @@ PpCore::serializeInto(std::vector<uint8_t> &out) const
     w.pod(forced_);
     w.b(forcedValid_);
     // The packets in stage order, whichever ring slots hold them.
-    w.pod(rdPacket());
-    w.pod(exPacket());
-    w.pod(memPacket());
-    w.pod(pendingStore_);
+    put_packet(rdPacket());
+    put_packet(exPacket());
+    put_packet(memPacket());
+    w.b(pendingStore_.valid);
+    w.u32(pendingStore_.addr);
+    w.u32(pendingStore_.data);
     w.b(bug1Armed_);
     w.b(bug4Armed_);
-    w.pod(bug5_);
+    w.b(bug5_.open);
+    w.u8(bug5_.reg);
+    w.u32(bug5_.garbage);
     w.pod(bugFirstTrigger_);
     w.b(halted_);
     w.u64(cycles_);
@@ -348,8 +501,46 @@ PpCore::deserializeFrom(const uint8_t *data, size_t size)
         r.u32() != config_.machine.dmemWords || !r.ok)
         return false;
 
-    r.pod(control_);
-    r.pod(lastOutputs_);
+    // Every index the resumed core will use must fall inside what it
+    // indexes: register numbers, dmem addresses, packet slots and LRU
+    // ways. A damaged record is refused, not resumed into
+    // out-of-bounds reads.
+    auto dmem_address = [&] {
+        const uint32_t addr = r.u32();
+        r.check(addr / 4 < config_.machine.dmemWords);
+        return addr;
+    };
+    auto get_lines = [&](std::vector<CacheLine> &lines, size_t count) {
+        r.check(r.u64() == count);
+        for (CacheLine &line : lines) {
+            line.valid = r.b();
+            line.dirty = r.b();
+            line.tag = r.u32();
+        }
+    };
+    // A packet holds at most two micro-ops, and one at least when
+    // valid.
+    auto get_packet = [&](Packet &packet) {
+        for (MicroOp &op : packet.ops) {
+            op.word = r.u32();
+            op.d = pp::decode(op.word);
+            op.pc = r.u32();
+            op.memAddr = dmem_address();
+            op.addrValid = r.b();
+            op.inboxValue = r.u32();
+            op.inboxValid = r.b();
+            op.corruptToNop = r.b();
+            op.valueCorrupt = r.b();
+            op.useStale = r.b();
+            op.staleValue = r.u32();
+        }
+        packet.count = r.u32();
+        packet.valid = r.b();
+        r.check(packet.count <= 2 && (packet.count > 0 || !packet.valid));
+    };
+
+    control_ = getControl(r);
+    lastOutputs_ = getOutputs(r);
     r.pod(timing_);
     bugs_ = BugSet(r.u32());
     r.pod(regs_);
@@ -363,9 +554,11 @@ PpCore::deserializeFrom(const uint8_t *data, size_t size)
         inbox_.push_back(r.u32());
     r.vec(program_);
     pc_ = r.u32();
-    r.vec(icacheLines_);
-    r.vec(dcacheLines_);
+    get_lines(icacheLines_, config_.icacheSets);
+    get_lines(dcacheLines_, size_t(config_.dcacheSets) * config_.dcacheWays);
     r.vec(dcacheLru_);
+    for (uint8_t way : dcacheLru_)
+        r.check(way < config_.dcacheWays);
     drefillAddr_ = r.u32();
     irefillPc_ = r.u32();
     memWait_ = r.u32();
@@ -376,13 +569,18 @@ PpCore::deserializeFrom(const uint8_t *data, size_t size)
     r.pod(forced_);
     forcedValid_ = r.b();
     pipeHead_ = 0;
-    r.pod(rdPacket());
-    r.pod(exPacket());
-    r.pod(memPacket());
-    r.pod(pendingStore_);
+    get_packet(rdPacket());
+    get_packet(exPacket());
+    get_packet(memPacket());
+    pendingStore_.valid = r.b();
+    pendingStore_.addr = dmem_address();
+    pendingStore_.data = r.u32();
     bug1Armed_ = r.b();
     bug4Armed_ = r.b();
-    r.pod(bug5_);
+    bug5_.open = r.b();
+    bug5_.reg = r.u8();
+    r.check(bug5_.reg < regs_.size());
+    bug5_.garbage = r.u32();
     r.pod(bugFirstTrigger_);
     halted_ = r.b();
     cycles_ = r.u64();
@@ -391,13 +589,12 @@ PpCore::deserializeFrom(const uint8_t *data, size_t size)
     // Structural checks: every container the config sizes must come
     // back at its constructed size, and the record must be consumed
     // exactly — a partial or padded record is damage, not a version.
+    // A vector-mode core never halts (fetchPacket refuses HALT).
     return r.ok && r.pos == r.size &&
            dmem_.size() == config_.machine.dmemWords &&
-           icacheLines_.size() == config_.icacheSets &&
-           dcacheLines_.size() ==
-               size_t(config_.dcacheSets) * config_.dcacheWays &&
            dcacheLru_.size() == config_.dcacheSets &&
-           streamPos_ <= stream_.size();
+           streamPos_ <= stream_.size() &&
+           !(halted_ && mode_ == CoreMode::Vector);
 }
 
 std::vector<uint8_t>
@@ -665,6 +862,22 @@ PpCore::fetchPacket(Packet &packet, InstrClass cls, unsigned count)
             pp::instrClassName(packet.ops[0].d.cls()),
             packet.ops[0].d.toString().c_str()));
     }
+    // A retired HALT stops the core, and bugs #1 and #4 can turn a
+    // fetched one into a NOP, so a HALT would let one bug set's run of
+    // a trace leave the control trajectory every other run follows
+    // (the replay engine steps triggered jobs from the bug-free run's
+    // recorded control). The generator never emits HALT; a vector
+    // stream holding one is bad input.
+    if (mode_ == CoreMode::Vector) {
+        for (unsigned slot = 0; slot < count; ++slot) {
+            if (packet.ops[slot].d.op == Opcode::Halt) {
+                fatal(formatString(
+                    "cycle %llu: fetch stream holds HALT, which vector "
+                    "mode refuses",
+                    static_cast<unsigned long long>(cycles_)));
+            }
+        }
+    }
     if (bug1Armed_ || bug4Armed_) {
         // Bug #1: the I-cache received wrong data for this line.
         // Bug #4: the lost fix-up clobbered the restored registers.
@@ -810,28 +1023,49 @@ PpCore::step()
     //      control. Vector mode reads each input the control consumes
     //      straight from the forced word.
     // ------------------------------------------------------------------
-    Packet &mem = memPacket();
-    Packet &ex = exPacket();
-    const PpControlState prev = control_;
     PpOutputs out;
     PpControlState next;
     if (mode_ == CoreMode::Vector) {
         if (!forcedValid_)
             fatal("vector mode requires forceSignals before step");
         forcedValid_ = false;
-        // The MEM-stage address is still computed from the real
-        // datapath (the generator constrained it to be consistent
-        // with the forced SameLine choice).
-        if (mem.valid && isMemClass(mem.ops[0].d.cls()) &&
-            !control_.memDone && !mem.ops[0].addrValid) {
-            mem.ops[0].memAddr = effectiveAddress(mem.ops[0]);
-            mem.ops[0].addrValid = true;
-        }
         PackedInputs inputs(forced_);
-        next = controller_.step(prev, inputs, out);
+        next = controller_.step(control_, inputs, out);
     } else {
         SignalInputs inputs = computeSignals();
-        next = controller_.step(prev, inputs, out);
+        next = controller_.step(control_, inputs, out);
+    }
+    return stepDatapath(next, out);
+}
+
+bool
+PpCore::stepRecorded(PackedSignals signals, const ControlAnswer &answer)
+{
+    // A vector-mode core never halts (fetchPacket refuses HALT), so
+    // this is forceSignals() and step() but for evaluating the
+    // control.
+    if (mode_ != CoreMode::Vector)
+        fatal("stepRecorded requires vector mode");
+    forced_ = signals;
+    forcedValid_ = false;
+    return stepDatapath(answer.next, answer.outputs);
+}
+
+bool
+PpCore::stepDatapath(const PpControlState &next, const PpOutputs &out)
+{
+    Packet &mem = memPacket();
+    Packet &ex = exPacket();
+    const PpControlState prev = control_;
+    if (mode_ == CoreMode::Vector && mem.valid &&
+        isMemClass(mem.ops[0].d.cls()) && !prev.memDone &&
+        !mem.ops[0].addrValid) {
+        // The MEM-stage address is still computed from the real
+        // datapath (the generator constrained it to be consistent
+        // with the forced SameLine choice). Program mode computed it
+        // with the signals.
+        mem.ops[0].memAddr = effectiveAddress(mem.ops[0]);
+        mem.ops[0].addrValid = true;
     }
 
     // ------------------------------------------------------------------

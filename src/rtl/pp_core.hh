@@ -84,6 +84,22 @@ std::optional<PackedSignals> packSignals(const ForcedSignals &signals);
  */
 const std::vector<ForcedSignals> &unpackTable();
 
+/**
+ * One vector-mode cycle's control answer: the latched state and the
+ * outputs the control produced, i.e. controlState() and lastOutputs()
+ * after the step. In vector mode the control reads only its latched
+ * state and the forced word, and no fault effect writes it, so every
+ * bug set's run of one trace takes the same answers: one run can
+ * record them and the others step from them (PpCore::stepRecorded).
+ */
+struct ControlAnswer
+{
+    PpControlState next;
+    PpOutputs outputs;
+
+    bool operator==(const ControlAnswer &other) const = default;
+};
+
 /** Memory/interface timing knobs for program mode. */
 struct CoreTiming
 {
@@ -226,6 +242,17 @@ class PpCore
     /** Advance one clock. @return false once halted (program mode). */
     bool step();
 
+    /**
+     * Vector mode: advance one clock on forced word @p signals, taking
+     * the control's answer from @p answer instead of evaluating the
+     * control, so only the datapath steps. When @p answer is what
+     * this cycle's control produces (recorded on a run of the same
+     * trace, under any bugs), the core ends bit-identical to one
+     * given forceSignals(@p signals) and step(), snapshot bytes
+     * included. Throws FatalError in program mode.
+     */
+    bool stepRecorded(PackedSignals signals, const ControlAnswer &answer);
+
     /** Run up to @p max_cycles or until halt. @return cycles run. */
     uint64_t run(uint64_t max_cycles = 1'000'000);
 
@@ -266,7 +293,7 @@ class PpCore
     struct MicroOp
     {
         uint32_t word = 0;
-        pp::DecodedInstr d;
+        pp::DecodedInstr d = pp::decode(0); ///< always decode(word)
         uint32_t pc = 0;
         uint32_t memAddr = 0;      ///< byte address (mem ops)
         bool addrValid = false;
@@ -305,6 +332,11 @@ class PpCore
 
     /** Build this cycle's control inputs (program mode). */
     SignalInputs computeSignals();
+
+    /** The datapath half of a clock, shared by step() and
+     *  stepRecorded(): act on the control's answer (@p next, @p out)
+     *  for the current control state, then latch it. */
+    bool stepDatapath(const PpControlState &next, const PpOutputs &out);
 
     /** Fetch the next packet (mode dependent) into @p packet, a
      *  free (invalid) pipeline slot. */

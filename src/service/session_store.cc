@@ -25,7 +25,7 @@ namespace
  *  whenever any record layout below changes — stores of another
  *  version then count as restore misses and rebuild cold. */
 constexpr uint32_t kStoreMagic = 0x31535641;
-constexpr uint32_t kStoreVersion = 4;
+constexpr uint32_t kStoreVersion = 5;
 
 /** Structural sanity caps: a record that passed its CRC but claims
  *  sizes beyond these is from a different layout, not this one. */

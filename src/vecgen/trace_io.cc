@@ -253,7 +253,10 @@ readTraceFile(const std::string &path)
         return Result<TestTrace>::error("cannot open " + path);
     std::stringstream buffer;
     buffer << in.rdbuf();
-    return deserializeTrace(buffer.str());
+    auto trace = deserializeTrace(buffer.str());
+    if (!trace.ok())
+        return Result<TestTrace>::error(path + ": " + trace.errorMessage());
+    return trace;
 }
 
 std::string

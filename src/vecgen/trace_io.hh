@@ -32,7 +32,7 @@ Result<TestTrace> deserializeTrace(const std::string &text);
 Result<bool> writeTraceFile(const TestTrace &trace,
                             const std::string &path);
 
-/** Read a trace from @p path. */
+/** Read a trace from @p path. A parse error names @p path. */
 Result<TestTrace> readTraceFile(const std::string &path);
 
 /** @return the conventional file name for trace @p index,

@@ -23,6 +23,11 @@
  *  5. The lockstep count survives sharing: a donor copy and a pin
  *     resume report exactly the mismatches a from-reset run counts,
  *     on tours deliberately put out of step with their traces.
+ *  6. One control trajectory per trace: every bug set's run holds the
+ *     bug-free run's control answer after every forced cycle, and a
+ *     core stepped from those recorded answers stays bit-identical to
+ *     one that evaluates its control, so the engine's triggered jobs
+ *     step only the datapath.
  *
  * The suite exercises the worker pool, so it is part of the
  * ARCHVAL_SANITIZE=thread build (see README).
@@ -262,18 +267,18 @@ pokeLe(std::vector<uint8_t> &bytes, size_t offset, uint64_t value,
 }
 
 /** @return @p record with its snapshot version field (the u32 after
- *  the magic) set to the previous version, 1. */
+ *  the magic) set to the previous version, 2. */
 std::vector<uint8_t>
 previousSnapshotVersion(std::vector<uint8_t> record)
 {
-    pokeLe(record, 4, 1, 4);
+    pokeLe(record, 4, 2, 4);
     return record;
 }
 
 TEST_F(CheckpointFixture, PreviousSnapshotVersionIsRefused)
 {
-    // A version-1 record holds the forced signals as an unpacked row,
-    // so its bytes would be misread as today's layout. The version
+    // A version-2 record holds its padded blocks as raw memory, so
+    // its bytes would be misread as today's layout. The version
     // field refuses it (a warm row pin holding one is a restore
     // failure: see RowRecordRoundTripsAndRejectsDamage).
     const vecgen::TestTrace &trace = traces_->front();
@@ -290,6 +295,61 @@ TEST_F(CheckpointFixture, PreviousSnapshotVersionIsRefused)
                      *config_, rtl::CoreMode::Vector, old.data(),
                      old.size())
                      .valid());
+}
+
+TEST_F(CheckpointFixture, ByteFlippedRecordsAreRefusedOrResumeInBounds)
+{
+    // Each of a mid-trace record's last 600 bytes (the stream's tail,
+    // the pipeline packets, the pending store and the bug
+    // bookkeeping) set in turn to 0xff, 0x40 and 0x02. A record
+    // deserializeSnapshot accepts must resume, bug-free and with
+    // every bug on, and play through the trace's end and the drain
+    // without indexing out of bounds or loading a bool or an enum
+    // outside its values: the sanitizer builds turn either into a
+    // failure here. Stimulus the damaged core cannot follow (a stream
+    // word flipped to another class, or to HALT) throws FatalError.
+    const vecgen::TestTrace &trace = traces_->front();
+    const size_t half = trace.cycles.size() / 2;
+    rtl::PpCore core(*config_, rtl::CoreMode::Vector);
+    VectorPlayer::primeCore(core, trace, BugSet{});
+    VectorPlayer::drive(core, trace, 0, half);
+    const std::vector<uint8_t> bytes = core.snapshot().serialize();
+    ASSERT_GT(bytes.size(), 600u);
+    const pp::ArchState spec = VectorPlayer::specState(*config_, trace);
+    BugSet all_bugs;
+    all_bugs.set();
+
+    size_t accepted = 0;
+    size_t refused = 0;
+    for (size_t at = bytes.size() - 600; at < bytes.size(); ++at) {
+        for (uint8_t value : {uint8_t{0xff}, uint8_t{0x40}, uint8_t{0x02}}) {
+            if (bytes[at] == value)
+                continue;
+            std::vector<uint8_t> damaged = bytes;
+            damaged[at] = value;
+            const rtl::PpCore::Snapshot snap =
+                rtl::PpCore::deserializeSnapshot(
+                    *config_, rtl::CoreMode::Vector, damaged.data(),
+                    damaged.size());
+            if (!snap.valid()) {
+                ++refused;
+                continue;
+            }
+            ++accepted;
+            for (const BugSet &bugs : {BugSet{}, all_bugs}) {
+                rtl::PpCore resumed(*config_, rtl::CoreMode::Vector);
+                resumed.restoreWithBugs(snap, bugs);
+                try {
+                    VectorPlayer::drive(resumed, trace, half,
+                                        trace.cycles.size());
+                    VectorPlayer::finish(*config_, resumed, spec);
+                } catch (const FatalError &) {
+                }
+            }
+        }
+    }
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(refused, 0u);
 }
 
 TEST_F(CheckpointFixture, RowRecordRoundTripsAndRejectsDamage)
@@ -376,7 +436,7 @@ TEST_F(CheckpointFixture, RowRecordRoundTripsAndRejectsDamage)
         << "pin cycle off its snapshot's";
 
     damaged = bytes;
-    pokeLe(damaged, snapshot_at + 4, 1, 4);
+    pokeLe(damaged, snapshot_at + 4, 2, 4);
     EXPECT_EQ(decode(damaged, damaged.size()), nullptr)
         << "pin of the previous snapshot version";
 
@@ -922,6 +982,137 @@ TEST_F(CheckpointFixture, LockstepCountSurvivesCopiesAndResumes)
         EXPECT_EQ(warm.stats().warmHits, 0u);
         EXPECT_EQ(rows.puts(), traces.size());
     }
+}
+
+// ---------------------------------------------------------------------
+// Claim 6: one control trajectory per trace, whatever the bugs.
+// ---------------------------------------------------------------------
+
+/** @return the control answer after each forced cycle of @p trace
+ *  played under @p bugs with its control evaluated. */
+std::vector<rtl::ControlAnswer>
+recordControl(const PpConfig &config, const vecgen::TestTrace &trace,
+              const BugSet &bugs)
+{
+    std::vector<rtl::ControlAnswer> answers(trace.cycles.size());
+    rtl::PpCore core(config, rtl::CoreMode::Vector);
+    VectorPlayer::primeCore(core, trace, bugs);
+    VectorPlayer::drive(core, trace, 0, trace.cycles.size(), nullptr,
+                        {ControlTape::Use::Record, answers.data()});
+    return answers;
+}
+
+TEST_F(CheckpointFixture, ControlAnswersDoNotDependOnTheBugs)
+{
+    // The premise of recorded control: every fault effect lands on
+    // data, never on the control, so after every forced cycle each
+    // bug set's run holds the bug-free run's control state and
+    // outputs. A fault effect that reached the control fails here.
+    size_t diverged = 0;
+    for (size_t t = 0; t < traces_->size(); ++t) {
+        const vecgen::TestTrace &trace = (*traces_)[t];
+        const auto reference = recordControl(*config_, trace, BugSet{});
+        for (size_t b = 1; b < bug_sets_->size(); ++b) {
+            const auto answers =
+                recordControl(*config_, trace, (*bug_sets_)[b]);
+            const auto at = std::mismatch(answers.begin(), answers.end(),
+                                          reference.begin())
+                                .first;
+            EXPECT_EQ(at, answers.end())
+                << "trace " << t << " bugs " << (*bug_sets_)[b]
+                << ": control leaves the bug-free run's at cycle "
+                << (at - answers.begin());
+            diverged += (*expected_)[b * traces_->size() + t].diverged;
+        }
+    }
+    // The bugs must actually fire, or the premise went untested.
+    EXPECT_GT(diverged, 0u);
+}
+
+TEST_F(CheckpointFixture, RecordedControlStepsBitIdentically)
+{
+    // Under every bug set, a core stepped from the bug-free run's
+    // recorded control answers writes the record bytes of one that
+    // evaluates its control at every 64th cycle, and finishes to the
+    // sequential player's result.
+    const size_t nt = traces_->size();
+    for (size_t t = 0; t < nt; ++t) {
+        const vecgen::TestTrace &trace = (*traces_)[t];
+        const size_t len = trace.cycles.size();
+        std::vector<rtl::ControlAnswer> answers =
+            recordControl(*config_, trace, BugSet{});
+        const pp::ArchState spec = VectorPlayer::specState(*config_, trace);
+        for (size_t b = 0; b < bug_sets_->size(); ++b) {
+            const BugSet &bugs = (*bug_sets_)[b];
+            const std::string what = "trace " + std::to_string(t) +
+                                     " bugs " + bugs.to_string();
+            rtl::PpCore evaluated(*config_, rtl::CoreMode::Vector);
+            rtl::PpCore replayed(*config_, rtl::CoreMode::Vector);
+            VectorPlayer::primeCore(evaluated, trace, bugs);
+            VectorPlayer::primeCore(replayed, trace, bugs);
+            for (size_t pos = 0; pos < len;) {
+                const size_t stop = std::min(len, pos + 64);
+                VectorPlayer::drive(evaluated, trace, pos, stop);
+                VectorPlayer::drive(
+                    replayed, trace, pos, stop, nullptr,
+                    {ControlTape::Use::Replay, answers.data()});
+                pos = stop;
+                ASSERT_EQ(replayed.snapshot().serialize(),
+                          evaluated.snapshot().serialize())
+                    << what << " cycle " << pos;
+            }
+            expectSameResult((*expected_)[b * nt + t],
+                             VectorPlayer::finish(*config_, replayed, spec),
+                             what);
+        }
+    }
+}
+
+TEST_F(CheckpointFixture, TriggeredJobsStepFromTheDonorsControl)
+{
+    // With a donor in the batch, every triggered job steps the forced
+    // cycles past its resume point from the donor's recorded control.
+    // A one-set batch records nothing, and a warm hit has no donor run
+    // to record: both evaluate the control.
+    const size_t nt = traces_->size();
+    for (size_t stride : {size_t{0}, size_t{64}}) {
+        for (unsigned nw : {1u, 4u}) {
+            const std::string what = "stride=" + std::to_string(stride) +
+                                     " workers=" + std::to_string(nw);
+            ReplayOptions options;
+            options.numThreads = nw;
+            options.checkpointStride = stride;
+            const ReplayStats stats = expectMatrixIdentical(
+                *config_, *traces_, *bug_sets_, *expected_, options, what);
+            EXPECT_GT(stats.triggeredJobs, 0u) << what;
+            EXPECT_EQ(stats.controlReplayCycles,
+                      stats.triggeredJobCycles - stats.strideResumeCycles)
+                << what;
+
+            for (size_t b : {size_t{0}, size_t{1}}) {
+                const ReplayStats one = expectMatrixIdentical(
+                    *config_, *traces_, {(*bug_sets_)[b]},
+                    std::vector<PlayResult>(
+                        expected_->begin() + static_cast<long>(b * nt),
+                        expected_->begin() +
+                            static_cast<long>((b + 1) * nt)),
+                    options, what + " set " + std::to_string(b) + " alone");
+                EXPECT_EQ(one.controlReplayCycles, 0u) << what;
+            }
+        }
+    }
+
+    ReplayOptions options;
+    options.checkpointStride = 64;
+    WarmRows rows(nt);
+    const ReplayStats cold = expectMatrixIdentical(
+        *config_, *traces_, *bug_sets_, *expected_, options, "cold", &rows);
+    EXPECT_GT(cold.controlReplayCycles, 0u);
+    const ReplayStats warm = expectMatrixIdentical(
+        *config_, *traces_, *bug_sets_, *expected_, options, "warm", &rows);
+    EXPECT_EQ(warm.warmHits, nt);
+    EXPECT_GT(warm.triggeredJobs, 0u);
+    EXPECT_EQ(warm.controlReplayCycles, 0u);
 }
 
 TEST_F(CheckpointFixture, LockstepRejectsToursOutOfShape)

@@ -61,6 +61,12 @@ TEST(PpCore, LineWordsBeyondTheCountersIsFatal)
     EXPECT_THROW(PpCore(config, CoreMode::Program), FatalError);
 }
 
+TEST(PpCore, StepFromRecordedControlIsVectorModeOnly)
+{
+    PpCore core(PpConfig::smallPreset(), CoreMode::Program);
+    EXPECT_THROW(core.stepRecorded(0, ControlAnswer{}), FatalError);
+}
+
 TEST(PpCore, AluProgramMatchesRef)
 {
     EXPECT_EQ(differential(mustAssemble(R"(

@@ -439,6 +439,51 @@ TEST_F(ReplayFixture, OutOfStepStimulusThrowsFatal)
     }
 }
 
+TEST_F(ReplayFixture, HaltInTheFetchStreamThrowsFatal)
+{
+    // A vector-mode core refuses to fetch HALT: a retired HALT stops
+    // the core, and bugs #1 and #4 can turn one into a NOP, so one
+    // bug set's run could leave the control trajectory the engine's
+    // triggered jobs step from. HALT is an ALU-class word, so it
+    // passes the fetch class check; the sequential player and the
+    // engine, at one worker or four and with one bug set or seven,
+    // throw the same FatalError naming the cycle.
+    vecgen::TestTrace halting = traces_->front();
+    auto word = std::find_if(
+        halting.fetchStream.begin() +
+            static_cast<long>(halting.fetchStream.size() / 2),
+        halting.fetchStream.end(), [](uint32_t w) {
+            return pp::decode(w).cls() == pp::InstrClass::Alu;
+        });
+    ASSERT_NE(word, halting.fetchStream.end());
+    *word = pp::encodeHalt();
+
+    VectorPlayer player(*config_);
+    const std::string message =
+        fatalMessage([&] { player.play(halting); });
+    EXPECT_EQ(message.rfind("cycle ", 0), 0u) << message;
+    EXPECT_NE(message.find("HALT"), std::string::npos) << message;
+
+    std::vector<vecgen::TestTrace> batch = *traces_;
+    batch.front() = halting;
+    std::vector<BugSet> seven(1 + rtl::numBugs);
+    for (size_t b = 0; b < rtl::numBugs; ++b)
+        seven[1 + b].set(b);
+    for (const std::vector<BugSet> &bug_sets :
+         {std::vector<BugSet>{BugSet{}}, seven}) {
+        for (unsigned nw : {1u, 4u}) {
+            ReplayOptions options;
+            options.numThreads = nw;
+            ReplayEngine engine(*config_, options);
+            EXPECT_EQ(fatalMessage([&] {
+                          engine.playAll(batch, bug_sets);
+                      }),
+                      message)
+                << bug_sets.size() << " bug sets, workers=" << nw;
+        }
+    }
+}
+
 TEST_F(ReplayFixture, WarmRowsComputeTheirSpecStateWithoutADonor)
 {
     // A row computes the specification's state once, at its first

@@ -1282,9 +1282,9 @@ TEST(SessionPersistence, DaemonRestartReplaysWarmByteIdentical)
 namespace
 {
 
-/** The store's record-file identity: "AVS1", version 4. */
+/** The store's record-file identity: "AVS1", version 5. */
 constexpr uint32_t kStoreMagic = 0x31535641;
-constexpr uint32_t kStoreVersion = 4;
+constexpr uint32_t kStoreVersion = 5;
 
 /** Records of a store: fingerprint, meta, graph, then the tours when
  *  the session made them, then its warm rows. */
@@ -1496,8 +1496,8 @@ TEST(SessionPersistence, DamagedStoreDegradesToColdRebuild)
                                 3 * 8 + 2 + 4 + 8 * rtl::numBugs;
         ASSERT_GT(getU64(row, count_at), 0u);
         const size_t version_at = count_at + 8 + 3 * 8 + 4;
-        ASSERT_EQ(row.at(version_at), 2u);
-        row.at(version_at) = 1;
+        ASSERT_EQ(row.at(version_at), 3u);
+        row.at(version_at) = 2;
     });
     damage_row([](std::vector<uint8_t> &row) {
         ASSERT_EQ(getU64(row, 0), 0u);

@@ -276,5 +276,32 @@ TEST(TraceIo, ReadMissingFileFails)
     EXPECT_FALSE(readTraceFile("/nonexistent/path.avt").ok());
 }
 
+TEST(TraceIo, TraceSetErrorNamesTheFile)
+{
+    // A set of two one-cycle traces whose second names fetch class 6:
+    // reading the set fails with that file's path and the line.
+    const std::string dir = std::filesystem::temp_directory_path() /
+                            "archval_trace_set_error_test";
+    std::filesystem::remove_all(dir);
+    TestTrace good;
+    good.cycles.push_back(rtl::PackedSignals{});
+    good.fetchStream.push_back(0x1234);
+    TestTrace bad = good;
+    bad.traceIndex = 1;
+    bad.cycles[0] = static_cast<rtl::PackedSignals>(
+        6u << rtl::packedSignalShift[static_cast<size_t>(
+            rtl::PpChoiceVar::FetchClass)]);
+    ASSERT_TRUE(writeTraceSet({good, bad}, dir).ok());
+
+    auto read = readTraceSet(dir);
+    ASSERT_FALSE(read.ok());
+    const std::string &error = read.errorMessage();
+    EXPECT_NE(error.find(traceFileName(1) + ": trace parse: cycle line 0"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(error.find(traceFileName(0)), std::string::npos) << error;
+    std::filesystem::remove_all(dir);
+}
+
 } // namespace
 } // namespace archval::vecgen

@@ -85,6 +85,9 @@ LOWER_IS_BETTER = {
 HIGHER_IS_BETTER = {
     "avoided_fraction",
     "stride_savings",
+    # Triggered replay jobs stepping only the datapath: a fall back
+    # to evaluating the control reads 0 here.
+    "control_replay_cycles",
     "coverage_fraction",
     "speedup_bytecode",
 }
@@ -114,6 +117,7 @@ METRICS_LOWER_IS_BETTER = {
 }
 METRICS_HIGHER_IS_BETTER = {
     "replay.stride_hits",
+    "replay.control_replay_cycles",
     "replay.bug_set_copies",
     "replay.cycles_avoided",
     "fuzz.arc_novel",
