@@ -4,12 +4,29 @@
 #include <thread>
 
 #include "harness/replay_engine.hh"
+#include "support/memusage.hh"
 #include "support/status.hh"
 #include "support/strings.hh"
 #include "support/telemetry.hh"
 
 namespace archval::core
 {
+
+namespace
+{
+
+/** Set the gauges flow.<phase>.rss_bytes and .peak_rss_bytes to the
+ *  process's memory as @p phase ends. */
+void
+recordPhaseMemory(const char *phase)
+{
+    telemetry::gauge(formatString("flow.%s.rss_bytes", phase))
+        .set(static_cast<int64_t>(currentRssBytes()));
+    telemetry::gauge(formatString("flow.%s.peak_rss_bytes", phase))
+        .set(static_cast<int64_t>(peakRssBytes()));
+}
+
+} // namespace
 
 std::string
 FlowReport::render() const
@@ -47,6 +64,7 @@ PpValidationFlow::enumerate()
         murphi::Enumerator enumerator(*model_, options_.enumeration);
         graph_ = enumerator.runOrThrow();
         enumStats_ = enumerator.stats();
+        recordPhaseMemory("enumerate");
     }
     return *graph_;
 }
@@ -67,6 +85,7 @@ PpValidationFlow::makeTours()
         // surface as a catchable job error, never abort the process.
         if (!check.empty())
             fatal("tour coverage check failed: " + check);
+        recordPhaseMemory("tours");
     }
     return *tours_;
 }
@@ -82,6 +101,7 @@ PpValidationFlow::makeVectors()
                                           options_.vectorSeed);
         vectors_ = generator.generateAll(state_graph, tours);
         vecStats_ = generator.stats();
+        recordPhaseMemory("vectors");
     }
     return *vectors_;
 }
@@ -117,6 +137,7 @@ PpValidationFlow::simulate(const rtl::BugSet &bugs)
             }
         }
     }
+    recordPhaseMemory("simulate");
     return report;
 }
 

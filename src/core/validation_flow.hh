@@ -63,7 +63,10 @@ struct FlowReport
 /**
  * The full flow for the Protocol Processor. Steps are lazy: each
  * phase runs once on first demand, so benches can time them
- * separately.
+ * separately. As each phase ends it sets the telemetry gauges
+ * flow.<phase>.rss_bytes and flow.<phase>.peak_rss_bytes (phase
+ * enumerate, tours, vectors or simulate) to the process's resident
+ * and peak resident set sizes.
  */
 class PpValidationFlow
 {

@@ -191,7 +191,7 @@ hashTrace(const vecgen::TestTrace &trace)
     };
     section(trace.cycles);
     section(trace.fetchStream);
-    section(trace.retiredStream);
+    section(trace.retiredStream());
     section(trace.inbox);
     return hash;
 }

@@ -133,8 +133,8 @@ struct RowReference
 };
 
 /** @return the 64-bit FNV-1a hash of @p trace's packed cycles and of
- *  its fetch, retired and inbox words: what ties a RowReference to
- *  the trace it was recorded on. */
+ *  its fetch, retired (TestTrace::retiredStream()) and inbox words:
+ *  what ties a RowReference to the trace it was recorded on. */
 uint64_t hashTrace(const vecgen::TestTrace &trace);
 
 /**

@@ -131,11 +131,13 @@ VectorPlayer::specState(const rtl::PpConfig &config,
 {
     // Executable specification: the retired stream in order, with
     // branches as no-ops (control flow is baked into the stream).
+    std::vector<uint32_t> program = trace.retiredStream();
+    const size_t length = program.size();
     pp::RefSim ref(config.machine);
     ref.setStreamMode(true);
-    ref.loadProgram(trace.retiredStream);
+    ref.loadProgram(std::move(program));
     ref.setInbox(trace.inbox);
-    ref.run(trace.retiredStream.size() + 8);
+    ref.run(length + 8);
     return ref.archState();
 }
 

@@ -586,6 +586,24 @@ PpCore::deserializeFrom(const uint8_t *data, size_t size)
     cycles_ = r.u64();
     retired_ = r.u64();
 
+    // In vector mode the control and the pipeline agree stage by
+    // stage: RD, EX and MEM hold a packet exactly when their class is
+    // not None, the packet leads with an op of that class, and the
+    // control's split store is pending exactly when the pending store
+    // is valid. A record that breaks this would resume into the
+    // core's panics (a store commit with no pending data).
+    if (mode_ == CoreMode::Vector) {
+        auto agrees = [](InstrClass cls, const Packet &packet) {
+            return packet.valid ? cls != InstrClass::None &&
+                                      packet.ops[0].d.cls() == cls
+                                : cls == InstrClass::None;
+        };
+        r.check(agrees(control_.rdClass, rdPacket()) &&
+                agrees(control_.exClass, exPacket()) &&
+                agrees(control_.memClass, memPacket()) &&
+                control_.storePending == pendingStore_.valid);
+    }
+
     // Structural checks: every container the config sizes must come
     // back at its constructed size, and the record must be consumed
     // exactly — a partial or padded record is damage, not a version.

@@ -184,9 +184,10 @@ class PpCore
     /**
      * Rebuild a snapshot from Snapshot::serialize() bytes.
      * @return an invalid snapshot when the record is malformed,
-     * truncated, or was captured under a different configuration or
-     * mode — callers fall back to from-reset replay rather than
-     * trusting damaged bytes.
+     * truncated, was captured under a different configuration or
+     * mode, or (vector mode) holds a control state that disagrees
+     * with its pipeline packets or pending store — callers fall back
+     * to from-reset replay rather than trusting damaged bytes.
      */
     static Snapshot deserializeSnapshot(const PpConfig &config,
                                         CoreMode mode,

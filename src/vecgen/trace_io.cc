@@ -55,6 +55,36 @@ onlyBlanks(const char *p, const char *end)
     return std::all_of(p, end, isBlank);
 }
 
+/**
+ * Recover the squashed positions from a file's two streams: match
+ * each retired word to the earliest fetch word after the previous
+ * match that equals it; the fetch words left unmatched are the
+ * squashed ones. Any other set of positions that leaves @p retired
+ * names the same program (a squashed `bne 0,0,0` before a retired
+ * one can swap roles), so the earliest match is as good as the
+ * generator's. @return false when @p retired is not @p fetch with
+ * some words removed.
+ */
+bool
+findSquashed(const std::vector<uint32_t> &fetch,
+             const std::vector<uint32_t> &retired,
+             std::vector<uint32_t> &squashed)
+{
+    if (fetch.size() > UINT32_MAX)
+        return false;
+    size_t position = 0;
+    for (uint32_t word : retired) {
+        while (position < fetch.size() && fetch[position] != word)
+            squashed.push_back(static_cast<uint32_t>(position++));
+        if (position == fetch.size())
+            return false;
+        ++position;
+    }
+    while (position < fetch.size())
+        squashed.push_back(static_cast<uint32_t>(position++));
+    return true;
+}
+
 } // namespace
 
 std::string
@@ -64,8 +94,9 @@ serializeTrace(const TestTrace &trace)
     // Sizing the text up front rather than letting it double keeps
     // the heap from fragmenting when a whole batch is serialized
     // (6 MB less peak RSS over the full preset's 2,638 traces).
-    const size_t words = trace.fetchStream.size() +
-                         trace.retiredStream.size() + trace.inbox.size();
+    const std::vector<uint32_t> retired = trace.retiredStream();
+    const size_t words = trace.fetchStream.size() + retired.size() +
+                         trace.inbox.size();
     std::string out;
     out.reserve(128 + trace.cycles.size() * (minCycleLineBytes + 2) +
                 words * 10);
@@ -110,7 +141,7 @@ serializeTrace(const TestTrace &trace)
             out += '\n';
     };
     word_section("fetch", trace.fetchStream);
-    word_section("retired", trace.retiredStream);
+    word_section("retired", retired);
     word_section("inbox", trace.inbox);
 
     out += "end\n";
@@ -220,10 +251,14 @@ deserializeTrace(const std::string &text)
         return true;
     };
 
+    std::vector<uint32_t> retired;
     if (auto r = read_words("fetch", trace.fetchStream); !r.ok())
         return err(r.errorMessage());
-    if (auto r = read_words("retired", trace.retiredStream); !r.ok())
+    if (auto r = read_words("retired", retired); !r.ok())
         return err(r.errorMessage());
+    if (!findSquashed(trace.fetchStream, retired, trace.squashed))
+        return err("the retired section is not the fetch section with "
+                   "words removed");
     if (auto r = read_words("inbox", trace.inbox); !r.ok())
         return err(r.errorMessage());
 

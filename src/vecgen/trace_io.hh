@@ -7,7 +7,9 @@
  * "open output file to write tour"). This module provides the same
  * workflow: a plain-text format carrying the forced-signal schedule,
  * the fetch and retired instruction streams, and the inbox preload,
- * so traces can be generated once and replayed in separate runs.
+ * so traces can be generated once and replayed in separate runs. A
+ * TestTrace holds the retired stream as the positions of the fetch
+ * words it leaves out; the file spells it out word by word.
  */
 
 #ifndef ARCHVAL_VECGEN_TRACE_IO_HH
@@ -25,7 +27,10 @@ namespace archval::vecgen
 /** Serialize @p trace into the textual trace format. */
 std::string serializeTrace(const TestTrace &trace);
 
-/** Parse a trace from text. @return the trace or an error. */
+/** Parse a trace from text. The squashed positions are recovered by
+ *  matching each retired word to the earliest fetch word it can be.
+ *  @return the trace, or an error (among others when the retired
+ *  section is not the fetch section with some words removed). */
 Result<TestTrace> deserializeTrace(const std::string &text);
 
 /** Write @p trace to @p path. @return true or an error. */

@@ -1,7 +1,9 @@
 #include "vector_gen.hh"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -39,15 +41,30 @@ struct Skeleton
     uint64_t seedHash = 0;
 };
 
-/** FNV-1a step folding @p value into the running prefix hash. */
+constexpr uint64_t fnvPrime = 0x100000001b3ull;
+
+/** fnvZeroRounds[n]: the FNV prime to the n-th power, which is what
+ *  n FNV-1a rounds over zero bytes multiply the hash by. */
+constexpr std::array<uint64_t, 9> fnvZeroRounds = [] {
+    std::array<uint64_t, 9> powers{};
+    powers[0] = 1;
+    for (size_t n = 1; n < powers.size(); ++n)
+        powers[n] = powers[n - 1] * fnvPrime;
+    return powers;
+}();
+
+/** FNV-1a step folding @p value's 8 bytes, low byte first, into the
+ *  running prefix hash. The high zero bytes xor nothing in, so their
+ *  rounds are one multiply (an edge id has at least four). */
 uint64_t
 prefixMix(uint64_t hash, uint64_t value)
 {
-    for (int i = 0; i < 8; ++i) {
+    const int bytes = (std::bit_width(value) + 7) / 8;
+    for (int i = 0; i < bytes; ++i) {
         hash ^= (value >> (8 * i)) & 0xff;
-        hash *= 0x100000001b3ull;
+        hash *= fnvPrime;
     }
-    return hash;
+    return hash * fnvZeroRounds[8 - bytes];
 }
 
 size_t
@@ -146,6 +163,30 @@ parallelFor(size_t count, unsigned workers, const Fn &fn)
 }
 
 } // namespace
+
+std::vector<uint32_t>
+TestTrace::retiredStream() const
+{
+    // Copy the runs of words between squashed positions.
+    std::vector<uint32_t> retired;
+    retired.reserve(fetchStream.size() - std::min(fetchStream.size(),
+                                                  squashed.size()));
+    size_t run_begin = 0;
+    for (uint32_t position : squashed) {
+        if (position < run_begin || position >= fetchStream.size()) {
+            fatal(formatString("trace %zu: squashed position %u is not "
+                               "ascending within its %zu-word fetch "
+                               "stream",
+                               traceIndex, position, fetchStream.size()));
+        }
+        retired.insert(retired.end(), fetchStream.begin() + run_begin,
+                       fetchStream.begin() + position);
+        run_begin = position + 1;
+    }
+    retired.insert(retired.end(), fetchStream.begin() + run_begin,
+                   fetchStream.end());
+    return retired;
+}
 
 /**
  * Everything the skeleton walk reads from one edge: the cycle's
@@ -309,6 +350,7 @@ VectorGenerator::walk(const graph::Trace &trace,
     skeletons.reserve(trace.instructions); // a fetch brings one or two
     int rd_hold = -1, ex_hold = -1, mem_hold = -1;
     int pending_store = -1;
+    size_t squashed_words = 0;
 
     // Running hash of the tour-edge prefix. Each packet's operand
     // draws are seeded from the hash at its fetch cycle, so traces
@@ -355,6 +397,7 @@ VectorGenerator::walk(const graph::Trace &trace,
                 if (rd_hold >= 0) {
                     skeletons[rd_hold].squashed = true;
                     ++stats.squashedPackets;
+                    squashed_words += skeletons[rd_hold].count;
                 }
                 ex_hold = -1;
                 rd_hold = -1;
@@ -383,7 +426,7 @@ VectorGenerator::walk(const graph::Trace &trace,
             static_cast<unsigned long long>(trace.instructions)));
     }
     out.fetchStream.reserve(out.instructions);
-    out.retiredStream.reserve(out.instructions);
+    out.squashed.reserve(squashed_words);
 
     // ------------------------------------------------------------------
     // Pass 2: materialize concrete instructions. Everything the
@@ -509,22 +552,18 @@ VectorGenerator::walk(const graph::Trace &trace,
                                trace_index, unsigned(skel.cls)));
         }
 
-        out.fetchStream.push_back(slot0);
-        uint32_t slot1 = 0;
-        if (skel.count == 2) {
-            slot1 = random_alu(r);
-            out.fetchStream.push_back(slot1);
-        }
-
-        if (!skel.squashed) {
-            out.retiredStream.push_back(slot0);
-            if (skel.count == 2)
-                out.retiredStream.push_back(slot1);
-            if (skel.cls == InstrClass::Switch) {
-                out.inbox.push_back(
-                    static_cast<uint32_t>(r.next()));
+        if (skel.squashed) {
+            for (unsigned slot = 0; slot < skel.count; ++slot) {
+                out.squashed.push_back(static_cast<uint32_t>(
+                    out.fetchStream.size() + slot));
             }
         }
+        out.fetchStream.push_back(slot0);
+        if (skel.count == 2)
+            out.fetchStream.push_back(random_alu(r));
+
+        if (!skel.squashed && skel.cls == InstrClass::Switch)
+            out.inbox.push_back(static_cast<uint32_t>(r.next()));
     }
 
     ++stats.traces;
@@ -532,7 +571,7 @@ VectorGenerator::walk(const graph::Trace &trace,
     stats.instructions += out.instructions;
     stats.traceBytes +=
         out.cycles.size() * sizeof(out.cycles[0]) +
-        (out.fetchStream.size() + out.retiredStream.size() +
+        (out.fetchStream.size() + out.squashed.size() +
          out.inbox.size()) *
             sizeof(uint32_t);
     return out;

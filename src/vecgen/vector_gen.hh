@@ -15,8 +15,9 @@
  *
  *  - Squash filtering: with the branch extension, a taken branch
  *    squashes the packet in RD, so the generator tracks pipeline
- *    occupancy along the tour and removes squashed packets from the
- *    *retired* stream that the executable specification runs.
+ *    occupancy along the tour and records where the squashed packets
+ *    sit in the fetch stream; the executable specification runs the
+ *    fetch stream without them (the *retired* stream).
  *  - Address constraints: the abstract "same_line" choice at a
  *    split-store conflict check must be honoured by the concrete
  *    load/store addresses, or a forced bypass over a pending store to
@@ -61,9 +62,10 @@ struct TestTrace
      *  abstract I-cache). */
     std::vector<uint32_t> fetchStream;
 
-    /** Instruction words in retire order (squash-filtered); the
-     *  program the executable specification runs in stream mode. */
-    std::vector<uint32_t> retiredStream;
+    /** Positions in fetchStream of the words a taken branch squashed,
+     *  ascending. The other words, in order, are the retired
+     *  program. */
+    std::vector<uint32_t> squashed;
 
     /** Inbox words, one per SWITCH that reaches execution. */
     std::deque<uint32_t> inbox;
@@ -73,6 +75,10 @@ struct TestTrace
 
     /** Index of the source tour trace. */
     size_t traceIndex = 0;
+
+    /** @return the fetch stream without its squashed words: the
+     *  program the executable specification runs in stream mode. */
+    std::vector<uint32_t> retiredStream() const;
 };
 
 /** Generator statistics. */
@@ -83,8 +89,8 @@ struct VecGenStats
     uint64_t instructions = 0;
     uint64_t squashedPackets = 0;
     uint64_t constrainedLoads = 0;
-    /** Bytes the generated traces hold: 2 per cycle, 4 per fetch,
-     *  retired and inbox word. */
+    /** Bytes the generated traces hold: 2 per cycle, 4 per fetch
+     *  word, squashed position and inbox word. */
     uint64_t traceBytes = 0;
 
     VecGenStats &

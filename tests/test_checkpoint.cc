@@ -299,30 +299,42 @@ TEST_F(CheckpointFixture, PreviousSnapshotVersionIsRefused)
 
 TEST_F(CheckpointFixture, ByteFlippedRecordsAreRefusedOrResumeInBounds)
 {
-    // Each of a mid-trace record's last 600 bytes (the stream's tail,
-    // the pipeline packets, the pending store and the bug
-    // bookkeeping) set in turn to 0xff, 0x40 and 0x02. A record
-    // deserializeSnapshot accepts must resume, bug-free and with
-    // every bug on, and play through the trace's end and the drain
-    // without indexing out of bounds or loading a bool or an enum
-    // outside its values: the sanitizer builds turn either into a
-    // failure here. Stimulus the damaged core cannot follow (a stream
-    // word flipped to another class, or to HALT) throws FatalError.
+    // Each of a mid-trace record's first 400 bytes after the 32-byte
+    // header (the control state, whose first byte is RD's class, the
+    // control outputs, the timing, the bug mask, the registers and
+    // the start of dmem) and of its last 600 bytes (the
+    // stream's tail, the pipeline packets, the pending store and the
+    // bug bookkeeping) set in turn to 0xff, 0x40, 0x03 and 0x02. A
+    // record deserializeSnapshot accepts must resume, bug-free and
+    // with every bug on, and play through the trace's end and the
+    // drain without indexing out of bounds, loading a bool or an enum
+    // outside its values, or reaching a panic (RD's class set to
+    // Store, 0x03, with no store in RD did): the sanitizer builds turn
+    // the first two into a failure here, and a panic aborts the test.
+    // Stimulus the damaged core cannot follow (a stream word flipped
+    // to another class, or to HALT) throws FatalError.
     const vecgen::TestTrace &trace = traces_->front();
     const size_t half = trace.cycles.size() / 2;
     rtl::PpCore core(*config_, rtl::CoreMode::Vector);
     VectorPlayer::primeCore(core, trace, BugSet{});
     VectorPlayer::drive(core, trace, 0, half);
     const std::vector<uint8_t> bytes = core.snapshot().serialize();
-    ASSERT_GT(bytes.size(), 600u);
+    constexpr size_t header = 32;
+    ASSERT_GT(bytes.size(), header + 400 + 600);
     const pp::ArchState spec = VectorPlayer::specState(*config_, trace);
     BugSet all_bugs;
     all_bugs.set();
 
+    std::vector<size_t> offsets;
+    for (size_t at = header; at < header + 400; ++at)
+        offsets.push_back(at);
+    for (size_t at = bytes.size() - 600; at < bytes.size(); ++at)
+        offsets.push_back(at);
     size_t accepted = 0;
     size_t refused = 0;
-    for (size_t at = bytes.size() - 600; at < bytes.size(); ++at) {
-        for (uint8_t value : {uint8_t{0xff}, uint8_t{0x40}, uint8_t{0x02}}) {
+    for (size_t at : offsets) {
+        for (uint8_t value : {uint8_t{0xff}, uint8_t{0x40}, uint8_t{0x03},
+                              uint8_t{0x02}}) {
             if (bytes[at] == value)
                 continue;
             std::vector<uint8_t> damaged = bytes;

@@ -117,7 +117,7 @@ TEST_P(ConfigMatrix, EnumeratesToursAndReplaysClean)
                     a.instructions == b.instructions &&
                     a.cycles == b.cycles &&
                     a.fetchStream == b.fetchStream &&
-                    a.retiredStream == b.retiredStream &&
+                    a.squashed == b.squashed &&
                     a.inbox == b.inbox)
             << pointName(GetParam()) << " trace " << i;
     }

@@ -141,23 +141,24 @@ TEST_F(ReplayFixture, PpCoreSnapshotRoundTripEqualsFreshReplay)
 TEST_F(ReplayFixture, RefSimSnapshotRoundTrip)
 {
     const vecgen::TestTrace &trace = traces_->front();
+    const std::vector<uint32_t> retired = trace.retiredStream();
     pp::RefSim fresh(config_->machine);
     fresh.setStreamMode(true);
-    fresh.loadProgram(trace.retiredStream);
+    fresh.loadProgram(retired);
     fresh.setInbox(trace.inbox);
 
     // Snapshot halfway, run both the original and a restored copy to
     // completion, and compare everything observable.
-    uint64_t half = trace.retiredStream.size() / 2;
+    uint64_t half = retired.size() / 2;
     fresh.run(half);
     pp::RefSim::Snapshot snap = fresh.snapshot();
     EXPECT_EQ(snap.instructionsRetired(), fresh.instructionsRetired());
     EXPECT_GT(snap.bytes(), 0u);
-    fresh.run(trace.retiredStream.size() + 8);
+    fresh.run(retired.size() + 8);
 
     pp::RefSim resumed(config_->machine);
     resumed.restore(snap);
-    resumed.run(trace.retiredStream.size() + 8);
+    resumed.run(retired.size() + 8);
 
     EXPECT_EQ(fresh.archState(), resumed.archState());
     EXPECT_EQ(fresh.pc(), resumed.pc());

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 
 #include "harness/vector_player.hh"
 #include "murphi/enumerator.hh"
@@ -69,7 +70,7 @@ tracesEqual(const TestTrace &a, const TestTrace &b)
     return a.traceIndex == b.traceIndex &&
            a.instructions == b.instructions && a.cycles == b.cycles &&
            a.fetchStream == b.fetchStream &&
-           a.retiredStream == b.retiredStream && a.inbox == b.inbox;
+           a.retiredStream() == b.retiredStream() && a.inbox == b.inbox;
 }
 
 TEST_F(TraceIoFixture, SerializeRoundTrip)
@@ -139,7 +140,6 @@ TEST(TraceIo, RejectsTruncatedInput)
     TestTrace trace;
     trace.cycles.push_back(rtl::PackedSignals{});
     trace.fetchStream.push_back(0x1234);
-    trace.retiredStream.push_back(0x1234);
     std::string text = serializeTrace(trace);
     for (size_t cut : {text.size() / 4, text.size() / 2,
                        text.size() - 5}) {
@@ -269,6 +269,76 @@ TEST(TraceIo, EveryPackedWordRoundTrips)
     auto parsed = deserializeTrace(serializeTrace(named));
     ASSERT_TRUE(parsed.ok()) << parsed.errorMessage();
     EXPECT_EQ(parsed.value().cycles, named.cycles);
+}
+
+/** Serialized one-cycle trace whose fetch section is 0x1, 0x2, 0x1
+ *  and whose retired section is @p retired. */
+std::string
+threeWordText(const std::vector<uint32_t> &retired)
+{
+    TestTrace trace;
+    trace.cycles.push_back(rtl::PackedSignals{});
+    trace.fetchStream = {0x1, 0x2, 0x1};
+    std::string text = serializeTrace(trace);
+    std::string section = formatString("retired %zu\n", retired.size());
+    if (!retired.empty()) {
+        section += "W";
+        for (uint32_t word : retired)
+            section += formatString(" %08x", word);
+        section += "\n";
+    }
+    return damaged(text, "retired 3\nW 00000001 00000002 00000001\n",
+                   section);
+}
+
+TEST(TraceIo, RetiredSectionRecoversTheSquashedPositions)
+{
+    // Each retired word takes the earliest fetch word it can: the
+    // positions left over are the squashed ones.
+    const std::vector<std::pair<std::vector<uint32_t>,
+                                std::vector<uint32_t>>>
+        cases = {{{0x1, 0x2, 0x1}, {}},
+                 {{0x1, 0x2}, {2}},
+                 {{0x2, 0x1}, {0}},
+                 {{0x1}, {1, 2}},
+                 {{}, {0, 1, 2}}};
+    for (const auto &[retired, squashed] : cases) {
+        auto parsed = deserializeTrace(threeWordText(retired));
+        ASSERT_TRUE(parsed.ok()) << parsed.errorMessage();
+        EXPECT_EQ(parsed.value().squashed, squashed);
+        EXPECT_EQ(parsed.value().retiredStream(), retired);
+    }
+}
+
+TEST(TraceIo, RetiredSectionOutsideTheFetchSectionIsAnError)
+{
+    // Words the fetch section lacks, words out of its order, and more
+    // words than it holds.
+    for (const std::vector<uint32_t> &retired :
+         std::vector<std::vector<uint32_t>>{{0x3},
+                                            {0x2, 0x2},
+                                            {0x2, 0x1, 0x2},
+                                            {0x1, 0x2, 0x1, 0x1}}) {
+        const std::string error = parseError(threeWordText(retired));
+        EXPECT_NE(error.find("retired section"), std::string::npos)
+            << retired.size() << " words: " << error;
+    }
+
+    // readTraceFile names the file.
+    const std::string path = std::filesystem::temp_directory_path() /
+                             "archval_trace_retired_error.avt";
+    {
+        std::ofstream out(path);
+        out << threeWordText({0x2, 0x2});
+    }
+    auto read = readTraceFile(path);
+    ASSERT_FALSE(read.ok());
+    EXPECT_EQ(read.errorMessage().rfind(path + ": trace parse: the "
+                                               "retired section",
+                                        0),
+              0u)
+        << read.errorMessage();
+    std::remove(path.c_str());
 }
 
 TEST(TraceIo, ReadMissingFileFails)

@@ -6,10 +6,13 @@ file, then gates the trace with trace_summary.py: the flow's
 top-level spans must cover at least 95% of the traced wall-clock,
 and the tour generator and the vector generator must have reported
 their work. The simulate phase must have run on the replay engine
-with the tour lockstep checked and clean. The traces it generates
-must also stay packed: the small preset's 309,530 cycles and 235,225
-stream words hold 1,559,960 bytes at 2 bytes per cycle, and the gate
-allows 10% above that (44-byte cycles would be 14.6 MB).
+with the tour lockstep checked and clean, and the vectors phase must
+have recorded its memory. The traces it generates must also stay
+compact: the small preset's 309,530 cycles at 2 bytes each, 110,102
+fetch words, 0 squashed positions and 15,021 inbox words at 4 bytes
+each hold 1,119,552 bytes, and the gate allows 10% above that. A
+second copy of the retired words (1,559,960 bytes) or 44-byte cycles
+(14.6 MB) fail it.
 
 Usage: tools/pipeline_smoke.py <path-to-pp_validation-binary>
 """
@@ -20,7 +23,7 @@ import sys
 import tempfile
 
 # vecgen.trace_bytes of `pp_validation small`, plus 10%.
-MAX_SMALL_TRACE_BYTES = 1_559_960 * 11 // 10
+MAX_SMALL_TRACE_BYTES = 1_119_552 * 11 // 10
 
 
 def main():
@@ -51,6 +54,7 @@ def main():
              "--require-metric", "vecgen.cycles>=1",
              "--require-metric", "vecgen.edges_summarized>=1",
              "--require-metric", "vecgen.trace_bytes>=1",
+             "--require-metric", "flow.vectors.peak_rss_bytes>=1",
              "--require-metric",
              f"vecgen.trace_bytes<={MAX_SMALL_TRACE_BYTES}",
              "--require-metric", "replay.jobs>=1",
