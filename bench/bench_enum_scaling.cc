@@ -71,12 +71,14 @@ graphFingerprint(const graph::StateGraph &graph)
         }
     };
     mix(graph.numStates());
-    for (graph::EdgeId e = 0; e < graph.numEdges(); ++e) {
-        const graph::Edge &edge = graph.edge(e);
-        mix(edge.src);
-        mix(edge.dst);
-        mix(edge.choiceCode);
-        mix(edge.instrCount);
+    for (graph::StateId s = 0; s < graph.numStates(); ++s) {
+        for (graph::EdgeId e : graph.outEdges(s)) {
+            const graph::Edge edge = graph.edge(e);
+            mix(s);
+            mix(edge.dst);
+            mix(edge.choiceCode);
+            mix(edge.instrCount);
+        }
     }
     for (graph::StateId s = 0; s < graph.numStates(); ++s) {
         const BitVec packed = graph.packedState(s);

@@ -171,7 +171,7 @@ TraceMutator::edgeFlip(const Candidate &base, Rng &rng)
                               base.trace.edges.begin() + flip);
 
     graph::EdgeId original = base.trace.edges[flip];
-    graph::StateId src = graph_.edge(original).src;
+    graph::StateId src = graph_.source(original);
     const graph::EdgeRange out = graph_.outEdges(src);
     graph::EdgeId replacement = original;
     if (out.size() > 1) {
@@ -193,9 +193,10 @@ TraceMutator::edgeFlip(const Candidate &base, Rng &rng)
     // later position whose source state matches where the flip
     // landed; random-walk when no rejoin exists.
     graph::StateId landed = graph_.edge(replacement).dst;
+    const graph::EdgeRange landed_out = graph_.outEdges(landed);
     size_t rejoin = base.trace.edges.size();
     for (size_t i = flip + 1; i < base.trace.edges.size(); ++i) {
-        if (graph_.edge(base.trace.edges[i]).src == landed) {
+        if (graph::contains(landed_out, base.trace.edges[i])) {
             rejoin = i;
             break;
         }
@@ -233,12 +234,13 @@ checkTraceValid(const graph::StateGraph &graph,
         graph::EdgeId e = trace.edges[i];
         if (e >= graph.numEdges())
             return formatString("edge %zu: id %u out of range", i, e);
-        if (graph.edge(e).src != at)
+        if (!graph::contains(graph.outEdges(at), e))
             return formatString(
                 "edge %zu: source %u != current state %u", i,
-                graph.edge(e).src, at);
-        at = graph.edge(e).dst;
-        instructions += graph.edge(e).instrCount;
+                graph.source(e), at);
+        const graph::Edge edge = graph.edge(e);
+        at = edge.dst;
+        instructions += edge.instrCount;
     }
     if (instructions != trace.instructions)
         return formatString("instruction total %llu != recomputed %llu",

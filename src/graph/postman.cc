@@ -131,10 +131,11 @@ solveResettablePostman(const StateGraph &graph)
     // with positive delta must originate extra traversals; negative
     // delta must terminate extra traversals.
     std::vector<int64_t> delta(n, 0);
-    for (EdgeId e = 0; e < graph.numEdges(); ++e) {
-        const Edge &edge = graph.edge(e);
-        ++delta[edge.dst];
-        --delta[edge.src];
+    for (StateId s = 0; s < n; ++s) {
+        for (EdgeId e : graph.outEdges(s)) {
+            ++delta[graph.edge(e).dst];
+            --delta[s];
+        }
     }
 
     // Min-cost flow from surplus-in nodes to surplus-out nodes over
@@ -146,9 +147,9 @@ solveResettablePostman(const StateGraph &graph)
     const int64_t inf = std::numeric_limits<int64_t>::max() / 8;
 
     std::vector<size_t> real_arc_ids(graph.numEdges());
-    for (EdgeId e = 0; e < graph.numEdges(); ++e) {
-        const Edge &edge = graph.edge(e);
-        real_arc_ids[e] = flow.addArc(edge.src, edge.dst, inf, 1, e);
+    for (StateId s = 0; s < n; ++s) {
+        for (EdgeId e : graph.outEdges(s))
+            real_arc_ids[e] = flow.addArc(s, graph.edge(e).dst, inf, 1, e);
     }
     std::vector<size_t> virtual_arc_ids(n, SIZE_MAX);
     for (uint32_t v = 0; v < n; ++v) {
@@ -198,10 +199,11 @@ hierholzerTour(const StateGraph &graph, const PostmanResult &result)
     // returns computed from the balance (in - out over real edges).
     std::vector<uint32_t> remaining = result.multiplicity;
     std::vector<int64_t> balance(n, 0);
-    for (EdgeId e = 0; e < graph.numEdges(); ++e) {
-        const Edge &edge = graph.edge(e);
-        balance[edge.dst] += result.multiplicity[e];
-        balance[edge.src] -= result.multiplicity[e];
+    for (StateId s = 0; s < n; ++s) {
+        for (EdgeId e : graph.outEdges(s)) {
+            balance[graph.edge(e).dst] += result.multiplicity[e];
+            balance[s] -= result.multiplicity[e];
+        }
     }
     std::vector<uint64_t> virtual_out(n, 0);
     for (uint32_t v = 0; v < n; ++v) {
@@ -252,13 +254,14 @@ checkPostmanTour(const StateGraph &graph, const PostmanResult &result,
             at = graph.resetState();
             continue;
         }
-        const Edge &edge = graph.edge(e);
-        if (edge.src != at) {
+        if (e >= graph.numEdges())
+            return formatString("tour edge %u is not in the graph", e);
+        if (!contains(graph.outEdges(at), e)) {
             return formatString(
                 "tour discontinuity: edge %u leaves %u but walk at %u",
-                e, edge.src, at);
+                e, graph.source(e), at);
         }
-        at = edge.dst;
+        at = graph.edge(e).dst;
         ++seen[e];
     }
     for (EdgeId e = 0; e < graph.numEdges(); ++e) {

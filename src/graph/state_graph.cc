@@ -45,38 +45,50 @@ EdgeId
 StateGraph::addEdge(StateId src, StateId dst, uint64_t choice_code,
                     uint32_t instr_count)
 {
-    if (choice_code > UINT32_MAX) {
-        fatal(formatString("StateGraph: choice code %llu exceeds 32 bits",
-                           static_cast<unsigned long long>(choice_code)));
+    if (!EdgeRecord::fits(choice_code, instr_count)) {
+        fatal(formatString("StateGraph: an edge of choice code %llu and "
+                           "%u instructions does not fit its record "
+                           "(%u-bit code, at most %llu instructions)",
+                           static_cast<unsigned long long>(choice_code),
+                           instr_count, EdgeRecord::codeBits,
+                           static_cast<unsigned long long>(
+                               EdgeRecord::maxInstrCount)));
     }
-    const Edge edge{src, dst, static_cast<uint32_t>(choice_code),
-                    instr_count};
-    addEdges(std::span<const Edge>(&edge, 1));
+    const EdgeRecord edge(dst, static_cast<uint32_t>(choice_code),
+                          instr_count);
+    addRow(src, std::span<const EdgeRecord>(&edge, 1));
     return static_cast<EdgeId>(edges_.size() - 1);
 }
 
 void
-StateGraph::addEdges(std::span<const Edge> batch)
+StateGraph::addRow(StateId src, std::span<const EdgeRecord> row)
 {
-    StateId last_src = edges_.empty() ? 0 : edges_.back().src;
-    for (const Edge &e : batch) {
-        if (e.src >= numStates_ || e.dst >= numStates_)
-            panic("StateGraph::addEdges out of range");
-        if (e.src < last_src) {
-            fatal(formatString("StateGraph: edge from state %u added "
-                               "after an edge from state %u (edges "
-                               "must arrive in source order)",
-                               e.src, last_src));
-        }
-        last_src = e.src;
+    if (src >= numStates_)
+        panic("StateGraph::addRow out of range");
+    for (const EdgeRecord &e : row) {
+        if (e.dst() >= numStates_)
+            panic("StateGraph::addRow out of range");
     }
-    EdgeId id = static_cast<EdgeId>(edges_.size());
-    for (const Edge &e : batch) {
-        while (rowStart_.size() <= e.src)
-            rowStart_.push_back(id);
-        ++id;
+    if (row.empty())
+        return;
+    // The last edge's source is the last state with a row offset.
+    if (src + 1 < rowStart_.size()) {
+        fatal(formatString("StateGraph: edge from state %u added "
+                           "after an edge from state %zu (edges "
+                           "must arrive in source order)",
+                           src, rowStart_.size() - 1));
     }
-    edges_.insert(edges_.end(), batch.begin(), batch.end());
+    const EdgeId id = static_cast<EdgeId>(edges_.size());
+    rowStart_.resize(size_t(src) + 1, id);
+    edges_.insert(edges_.end(), row.begin(), row.end());
+    while ((sampledSource_.size() << sampleShift) < edges_.size())
+        sampledSource_.push_back(src);
+}
+
+void
+StateGraph::reserveEdges(size_t total)
+{
+    edges_.reserve(total);
 }
 
 void
@@ -84,7 +96,27 @@ StateGraph::shrinkToFit()
 {
     edges_.shrink_to_fit();
     rowStart_.shrink_to_fit();
+    sampledSource_.shrink_to_fit();
     words_.shrink_to_fit();
+}
+
+StateId
+StateGraph::source(EdgeId id) const
+{
+    if (id >= edges_.size())
+        panic("StateGraph::source out of range");
+    // The last state whose row starts at or before the edge (states
+    // without out-edges share their offset with the next row), found
+    // between the sources of the sampled edges before and after it.
+    const size_t sample = id >> sampleShift;
+    const size_t lo = sampledSource_[sample];
+    const size_t hi = sample + 1 < sampledSource_.size()
+                          ? sampledSource_[sample + 1]
+                          : rowStart_.size() - 1;
+    return static_cast<StateId>(
+        std::upper_bound(rowStart_.begin() + lo + 1,
+                         rowStart_.begin() + hi + 1, id) -
+        rowStart_.begin() - 1);
 }
 
 EdgeRange
@@ -119,16 +151,17 @@ uint64_t
 StateGraph::totalEdgeInstructions() const
 {
     uint64_t total = 0;
-    for (const auto &e : edges_)
-        total += e.instrCount;
+    for (const EdgeRecord &e : edges_)
+        total += e.unpack().instrCount;
     return total;
 }
 
 size_t
 StateGraph::memoryBytes() const
 {
-    return edges_.capacity() * sizeof(Edge) +
+    return edges_.capacity() * sizeof(EdgeRecord) +
            rowStart_.capacity() * sizeof(EdgeId) +
+           sampledSource_.capacity() * sizeof(StateId) +
            words_.capacity() * sizeof(uint64_t);
 }
 
@@ -288,12 +321,14 @@ fingerprint(const StateGraph &graph)
     for (StateId s = 0; s < graph.numStates(); ++s)
         mix(hashPackedWords(graph.stateBits(), graph.stateWords(s)));
     mix(graph.numEdges());
-    for (EdgeId e = 0; e < graph.numEdges(); ++e) {
-        const Edge &edge = graph.edge(e);
-        mix(edge.src);
-        mix(edge.dst);
-        mix(edge.choiceCode);
-        mix(edge.instrCount);
+    for (StateId s = 0; s < graph.numStates(); ++s) {
+        for (EdgeId e : graph.outEdges(s)) {
+            const Edge edge = graph.edge(e);
+            mix(s);
+            mix(edge.dst);
+            mix(edge.choiceCode);
+            mix(edge.instrCount);
+        }
     }
     return h;
 }

@@ -28,15 +28,56 @@ using EdgeId = uint32_t;
 /** Sentinel for "no state". */
 constexpr StateId invalidState = UINT32_MAX;
 
-/** One labelled transition. */
+/** One labelled transition, as StateGraph::edge() reads it back. Its
+ *  source is not stored: it is the state whose out-edges hold it
+ *  (StateGraph::source()). */
 struct Edge
 {
-    StateId src;         ///< source state
     StateId dst;         ///< destination state
     uint32_t choiceCode; ///< packed environment choice (ChoiceCodec)
     uint32_t instrCount; ///< instructions consumed by this transition
 };
-static_assert(sizeof(Edge) == 16);
+
+/**
+ * An edge as the graph stores it: 8 bytes, a destination and a label
+ * word holding the choice code in its low 24 bits and the instruction
+ * count in its high 8. Building one from fields that do not fit
+ * (fits()) is the caller's error.
+ */
+class EdgeRecord
+{
+  public:
+    static constexpr unsigned codeBits = 24;
+    static constexpr uint64_t maxChoiceCode = (uint64_t(1) << codeBits) - 1;
+    static constexpr uint64_t maxInstrCount = UINT8_MAX;
+
+    /** @return whether a choice code and an instruction count fit. */
+    static constexpr bool
+    fits(uint64_t choice_code, uint64_t instr_count)
+    {
+        return choice_code <= maxChoiceCode && instr_count <= maxInstrCount;
+    }
+
+    EdgeRecord() = default;
+    constexpr EdgeRecord(StateId dst, uint32_t choice_code,
+                         uint32_t instr_count)
+        : dst_(dst), label_(choice_code | instr_count << codeBits)
+    {
+    }
+
+    StateId dst() const { return dst_; }
+    Edge
+    unpack() const
+    {
+        return {dst_, static_cast<uint32_t>(label_ & maxChoiceCode),
+                label_ >> codeBits};
+    }
+
+  private:
+    StateId dst_;
+    uint32_t label_;
+};
+static_assert(sizeof(EdgeRecord) == 8);
 
 /** The out-edges of one state: consecutive edge ids, because edges
  *  are stored in source order. */
@@ -52,10 +93,11 @@ using EdgeRange = std::ranges::iota_view<EdgeId, EdgeId>;
  * built by hand, without a model) holds zero-width states.
  *
  * Layout (see DESIGN.md, "The state graph"): edges live in one array
- * in non-decreasing source order, so a state's out-edges are one
- * contiguous id range found through a per-source offset (CSR);
- * states live in one word array at a fixed stride of ceil(bits / 64)
- * words.
+ * of 8-byte EdgeRecords in non-decreasing source order, so a state's
+ * out-edges are one contiguous id range found through a per-source
+ * offset (CSR), and an edge's source is implied by the range it sits
+ * in; states live in one word array at a fixed stride of
+ * ceil(bits / 64) words.
  */
 class StateGraph
 {
@@ -78,16 +120,20 @@ class StateGraph
 
     /**
      * Add an edge; @return the new edge's id. Edges must arrive in
-     * non-decreasing source order, and the choice code must fit 32
-     * bits; anything else is a FatalError that leaves the graph
-     * unchanged.
+     * non-decreasing source order, the choice code must fit 24 bits
+     * and the instruction count 8 (EdgeRecord::fits()); anything
+     * else is a FatalError that leaves the graph unchanged.
      */
     EdgeId addEdge(StateId src, StateId dst, uint64_t choice_code,
                    uint32_t instr_count);
 
-    /** Bulk-append edges (the addEdge() contract per edge; on a
-     *  FatalError none of @p batch is added). */
-    void addEdges(std::span<const Edge> batch);
+    /** Append @p row as out-edges of @p src (the addEdge() order
+     *  contract; on a FatalError none of @p row is added). */
+    void addRow(StateId src, std::span<const EdgeRecord> row);
+
+    /** Allocate the edge array for @p total edges in all, so that
+     *  appending up to that many never copies it. */
+    void reserveEdges(size_t total);
 
     /** Release the arrays' growth slack once building is done. */
     void shrinkToFit();
@@ -98,8 +144,17 @@ class StateGraph
     /** @return number of edges. */
     size_t numEdges() const { return edges_.size(); }
 
-    /** @return edge record for @p id. */
-    const Edge &edge(EdgeId id) const { return edges_[id]; }
+    /** @return the fields of edge @p id. */
+    Edge edge(EdgeId id) const { return edges_[id].unpack(); }
+
+    /** @return the state edge @p id leaves: a binary search of the
+     *  row offsets between the sources of the sampled edges around
+     *  it; panics when @p id is out of range. A walk that knows where
+     *  it is tests outEdges() instead. */
+    StateId source(EdgeId id) const;
+
+    /** Start loading edge @p id's record. */
+    void prefetch(EdgeId id) const { __builtin_prefetch(&edges_[id]); }
 
     /** @return ids of edges leaving @p state, in insertion order. */
     EdgeRange outEdges(StateId state) const;
@@ -127,15 +182,26 @@ class StateGraph
   private:
     void setWidth(size_t state_bits);
 
-    std::vector<Edge> edges_;
+    std::vector<EdgeRecord> edges_;
     /** rowStart_[s] is the first out-edge id of state s, for every
      *  state up to the last edge's source; later states have none. */
     std::vector<EdgeId> rowStart_;
+    /** The source of every 2^sampleShift-th edge, so that source()
+     *  searches only the rows between two samples. */
+    static constexpr unsigned sampleShift = 8;
+    std::vector<StateId> sampledSource_;
     std::vector<uint64_t> words_; ///< the states at stride_
     size_t numStates_ = 0;
     size_t stateBits_ = 0;
     size_t stride_ = 0; ///< words per state
 };
+
+/** @return whether edge @p id is one of @p range's edges. */
+inline bool
+contains(EdgeRange range, EdgeId id)
+{
+    return id - *range.begin() < range.size();
+}
 
 /** Strongly-connected-component decomposition (iterative Tarjan). */
 struct SccResult
@@ -170,8 +236,8 @@ std::string renderSummary(const GraphSummary &summary);
 
 /**
  * Order-sensitive structural fingerprint of a graph: an FNV-1a hash
- * over every edge record (in id order) and every packed state (in id
- * order). Two graphs fingerprint equal iff the same
+ * over every packed state (in id order) and every edge's source,
+ * destination, choice code and instruction count (in id order). Two graphs fingerprint equal iff the same
  * states and edges were produced in the same order — the equality the
  * enumerator guarantees across memory budgets.
  */

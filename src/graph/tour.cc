@@ -60,7 +60,7 @@ Routes::Routes(const StateGraph &graph, std::vector<StateId> *bfs_order)
         for (size_t head = 0; head < order.size(); ++head) {
             const StateId u = order[head];
             for (EdgeId e : graph.outEdges(u)) {
-                const Edge &edge = graph.edge(e);
+                const Edge edge = graph.edge(e);
                 const StateId v = edge.dst;
                 if (visited[v])
                     continue;
@@ -77,18 +77,21 @@ Routes::Routes(const StateGraph &graph, std::vector<StateId> *bfs_order)
     // Reverse BFS in-tree toward reset: hops[v] is the first hop of a
     // shortest walk v -> ... -> reset (none when reset is unreachable
     // from v). Needs reverse adjacency, built here in CSR form by
-    // counting sort.
+    // counting sort over a walk of the states: in_sources lists, per
+    // state, the source of each edge entering it, in edge id order.
     std::vector<uint32_t> offsets(n + 1, 0);
     for (EdgeId e = 0; e < graph.numEdges(); ++e)
         ++offsets[graph.edge(e).dst + 1];
     for (size_t i = 1; i < offsets.size(); ++i)
         offsets[i] += offsets[i - 1];
-    std::vector<EdgeId> reverse_edges(graph.numEdges());
+    std::vector<StateId> in_sources(graph.numEdges());
     {
         std::vector<uint32_t> cursor(offsets.begin(),
                                      offsets.end() - 1);
-        for (EdgeId e = 0; e < graph.numEdges(); ++e)
-            reverse_edges[cursor[graph.edge(e).dst]++] = e;
+        for (StateId s = 0; s < n; ++s) {
+            for (EdgeId e : graph.outEdges(s))
+                in_sources[cursor[graph.edge(e).dst]++] = s;
+        }
     }
     {
         std::vector<bool> visited(n, false);
@@ -99,16 +102,19 @@ Routes::Routes(const StateGraph &graph, std::vector<StateId> *bfs_order)
         for (size_t head = 0; head < queue.size(); ++head) {
             const StateId u = queue[head];
             for (uint32_t i = offsets[u]; i < offsets[u + 1]; ++i) {
-                const EdgeId e = reverse_edges[i];
-                const Edge &edge = graph.edge(e);
-                const StateId v = edge.src;
+                const StateId v = in_sources[i];
                 if (visited[v])
                     continue;
                 visited[v] = true;
-                // forward edge v -> u -> ... -> reset
+                // forward edge v -> u -> ... -> reset: the first of
+                // v's edges into u, the lowest id entering u from v
+                EdgeId e = *graph.outEdges(v).begin();
+                while (graph.edge(e).dst != u)
+                    ++e;
                 toReset_.hops[v] = {e, u};
                 toReset_.depth[v] = toReset_.depth[u] + 1;
-                toReset_.instrs[v] = toReset_.instrs[u] + edge.instrCount;
+                toReset_.instrs[v] =
+                    toReset_.instrs[u] + graph.edge(e).instrCount;
                 queue.push_back(v);
             }
         }
@@ -177,7 +183,7 @@ TraceCursor::legBefore(size_t run) const
     const StateId reset = graph_->resetState();
     Leg leg;
     leg.from = run == 0 ? reset : graph_->edge(runEdge(begin - 1)).dst;
-    leg.to = graph_->edge(runEdge(begin)).src;
+    leg.to = graph_->source(runEdge(begin));
     leg.up = 0;
     leg.down = 0;
     if (!routes_) {
@@ -333,7 +339,7 @@ TourGenerator::traverseDfs(StateId state, Trace &trace)
         if (pos >= out.size())
             return state;
         const EdgeId e = out[pos];
-        const Edge &edge = graph_.edge(e);
+        const Edge edge = graph_.edge(e);
         trace.edges.push_back(e);
         trace.instructions += edge.instrCount;
         ++traceLength_;
@@ -535,10 +541,12 @@ checkTourCoverage(const StateGraph &graph, const Tours &tours)
                 return formatString("%s routes: state %u hops outside "
                                     "the graph",
                                     name, s);
-            const Edge &edge = graph.edge(hop.edge);
+            const Edge edge = graph.edge(hop.edge);
             const bool linked =
-                up ? edge.src == s && edge.dst == hop.next
-                   : edge.dst == s && edge.src == hop.next;
+                up ? contains(graph.outEdges(s), hop.edge) &&
+                         edge.dst == hop.next
+                   : edge.dst == s &&
+                         contains(graph.outEdges(hop.next), hop.edge);
             if (!linked)
                 return formatString("%s routes: edge %u does not link "
                                     "state %u to state %u",
@@ -595,11 +603,12 @@ checkTourCoverage(const StateGraph &graph, const Tours &tours)
                 return formatString("trace %zu: edge %u is not in the "
                                     "graph",
                                     t, e);
-            const Edge &edge = graph.edge(e);
+            const Edge edge = graph.edge(e);
             const bool starts_run =
                 i == 0 || (run < trace.runEnds.size() &&
                            i == trace.runEnds[run]);
             if (starts_run) {
+                const StateId src = graph.source(e);
                 if (i > 0) {
                     ++run;
                     if (!routes.reachesReset(at))
@@ -610,18 +619,18 @@ checkTourCoverage(const StateGraph &graph, const Tours &tours)
                     instrs += routes.toReset().instrs[at];
                     mark(routes.toReset(), up_marked, at);
                 }
-                if (!routes.reachedFromReset(edge.src))
+                if (!routes.reachedFromReset(src))
                     return formatString(
                         "trace %zu: run %zu starts at state %u, which "
                         "no route from reset reaches",
-                        t, run, edge.src);
-                instrs += routes.fromReset().instrs[edge.src];
-                mark(routes.fromReset(), down_marked, edge.src);
-            } else if (edge.src != at) {
+                        t, run, src);
+                instrs += routes.fromReset().instrs[src];
+                mark(routes.fromReset(), down_marked, src);
+            } else if (!contains(graph.outEdges(at), e)) {
                 return formatString(
                     "trace %zu: edge %u departs from state %u but walk "
                     "is at state %u",
-                    t, e, edge.src, at);
+                    t, e, graph.source(e), at);
             }
             at = edge.dst;
             instrs += edge.instrCount;

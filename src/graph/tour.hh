@@ -222,7 +222,7 @@ class TraceCursor
     {
         const EdgeId e = trace_->edges[offset];
         if (e < graph_->numEdges())
-            __builtin_prefetch(&graph_->edge(e));
+            graph_->prefetch(e);
     }
 
     size_t numRuns() const { return trace_->runEnds.size() + 1; }

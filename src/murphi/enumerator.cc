@@ -36,7 +36,10 @@
 
 #include "enumerator.hh"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <new>
 #include <optional>
 #include <span>
 
@@ -93,12 +96,49 @@ struct TransRec
     graph::StateId dst;
 };
 
+/**
+ * Allocates whole pages straight from the kernel. A level's edge block
+ * is freed as soon as the graph has copied it, and only an unmapped
+ * block leaves the process at once: the heap keeps a freed chunk below
+ * its top for reuse, so a block from the heap would stay resident
+ * beside its copy.
+ */
+template <typename T>
+struct PageAllocator
+{
+    using value_type = T;
+
+    PageAllocator() = default;
+    template <typename U>
+    PageAllocator(const PageAllocator<U> &)
+    {
+    }
+
+    T *
+    allocate(size_t n)
+    {
+        void *p = ::mmap(nullptr, n * sizeof(T), PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (p == MAP_FAILED)
+            throw std::bad_alloc();
+        return static_cast<T *>(p);
+    }
+
+    void deallocate(T *p, size_t n) { ::munmap(p, n * sizeof(T)); }
+
+    friend bool
+    operator==(const PageAllocator &, const PageAllocator &)
+    {
+        return true;
+    }
+};
+
 /** All transitions found for one level, grouped per source. */
 struct LevelOut
 {
     std::vector<TransRec> trans;
     std::vector<uint64_t> words; ///< destinations, packed per trans
-    std::vector<uint64_t> perSource;
+    std::vector<uint32_t> perSource; ///< transitions per source
     /** Per table partition, the trans indices whose destination
      *  hashes into it. */
     std::vector<std::vector<uint32_t>> byPart;
@@ -143,11 +183,12 @@ Enumerator::run()
 
     const fsm::ChoiceCodec codec = model_.makeChoiceCodec();
     const uint64_t combos = codec.numCombinations();
-    if (combos > (uint64_t(1) << 32)) {
+    if (combos > graph::EdgeRecord::maxChoiceCode + 1) {
         return Result<graph::StateGraph>::error(formatString(
             "model has %llu choice combinations; edge choice codes "
-            "hold 32 bits",
-            static_cast<unsigned long long>(combos)));
+            "hold %u bits",
+            static_cast<unsigned long long>(combos),
+            graph::EdgeRecord::codeBits));
     }
     const size_t state_bits = model_.stateBits();
     const size_t stride = (state_bits + 63) / 64;
@@ -334,10 +375,18 @@ Enumerator::run()
     telemetry::Gauge &residency_gauge =
         telemetry::gauge("enum.residency_high_water");
 
-    // Every level's edges, in id order. They join the graph once the
-    // search is done, so the graph's edge array is allocated once, at
-    // its final size; nothing reads them before.
-    std::vector<graph::Edge> edges;
+    // Each level's edges in id order, in a block of exactly its size,
+    // and the level's sources' row lengths. They join the graph once
+    // the search is done, so the graph's edge array is allocated
+    // once, at its final size; nothing reads them before.
+    struct EdgeBlock
+    {
+        std::vector<graph::EdgeRecord, PageAllocator<graph::EdgeRecord>>
+            edges;
+        std::vector<uint32_t> rowLengths;
+    };
+    std::vector<EdgeBlock> blocks;
+    size_t num_edges = 0;
 
     // The level's transitions; the buffers keep their capacity from
     // level to level.
@@ -354,6 +403,15 @@ Enumerator::run()
             error = formatString("model produced a %zu-word state but "
                                  "the %zu-bit state layout takes %zu",
                                  next.size(), state_bits, stride);
+            return;
+        }
+        if (instructions > graph::EdgeRecord::maxInstrCount) {
+            error = formatString(
+                "a transition consumes %u instructions; edges hold "
+                "at most %llu",
+                instructions,
+                static_cast<unsigned long long>(
+                    graph::EdgeRecord::maxInstrCount));
             return;
         }
         const uint64_t hash = hash_of(next);
@@ -406,7 +464,8 @@ Enumerator::run()
                     record);
                 if (!stepped.ok())
                     error = stepped.errorMessage();
-                out.perSource.push_back(out.trans.size() - before);
+                out.perSource.push_back(
+                    static_cast<uint32_t>(out.trans.size() - before));
             }
         }
         if (!error.empty())
@@ -441,46 +500,45 @@ Enumerator::run()
         }
 
         // (2) Canonical id assignment: sources in level order,
-        // transitions in generation order, numbering each unresolved
-        // state at its first occurrence.
+        // transitions in generation order (the order they were
+        // recorded in), numbering each unresolved state at its first
+        // occurrence. The level's edges go to a block of exactly
+        // their count.
         const uint64_t interned = graph.numStates();
-        const uint64_t edges_before = edges.size();
+        EdgeBlock &block = blocks.emplace_back();
+        block.edges.reserve(out.trans.size());
         // This level's new states in id order, and per partition
         // their entry indices.
         ooc::StateTable fresh(state_bits);
         std::vector<std::vector<uint32_t>> fresh_by_part(num_parts);
-        size_t cursor = 0;
-        for (size_t i = 0; i < width && error.empty(); ++i) {
-            const graph::StateId src =
-                static_cast<graph::StateId>(level_first + i);
-            for (uint64_t t = 0; t < out.perSource[i]; ++t, ++cursor) {
-                const TransRec &rec = out.trans[cursor];
-                graph::StateId dst = rec.dst;
+        for (size_t t = 0; t < out.trans.size(); ++t) {
+            const TransRec &rec = out.trans[t];
+            graph::StateId dst = rec.dst;
+            if (dst == graph::invalidState) {
+                const auto key = words.subspan(t * stride, stride);
+                const uint64_t hash = hash_of(key);
+                dst = fresh.find(key, hash);
                 if (dst == graph::invalidState) {
-                    const auto key = words.subspan(cursor * stride, stride);
-                    const uint64_t hash = hash_of(key);
-                    dst = fresh.find(key, hash);
-                    if (dst == graph::invalidState) {
-                        if (interned + fresh.size() >= max_states) {
-                            error = formatString(
-                                "state explosion: search exceeds "
-                                "%llu states",
-                                static_cast<unsigned long long>(
-                                    max_states));
-                            break;
-                        }
-                        dst = static_cast<graph::StateId>(
-                            interned + fresh.size());
-                        fresh_by_part[hash & part_mask].push_back(
-                            static_cast<uint32_t>(fresh.size()));
-                        fresh.insert(key, hash, dst);
+                    if (interned + fresh.size() >= max_states) {
+                        error = formatString(
+                            "state explosion: search exceeds %llu "
+                            "states",
+                            static_cast<unsigned long long>(max_states));
+                        break;
                     }
+                    dst = static_cast<graph::StateId>(interned +
+                                                      fresh.size());
+                    fresh_by_part[hash & part_mask].push_back(
+                        static_cast<uint32_t>(fresh.size()));
+                    fresh.insert(key, hash, dst);
                 }
-                edges.push_back({src, dst, rec.code, rec.instrs});
             }
+            block.edges.emplace_back(dst, rec.code, rec.instrs);
         }
         if (!error.empty())
             break;
+        block.rowLengths = out.perSource;
+        num_edges += block.edges.size();
 
         // (3) Intern the newly numbered states into their
         // partitions' tables (again paging one partition at a time).
@@ -514,7 +572,7 @@ Enumerator::run()
         LevelStats level_stats;
         level_stats.frontierWidth = width;
         level_stats.newStates = graph.numStates() - interned;
-        level_stats.newEdges = edges.size() - edges_before;
+        level_stats.newEdges = block.edges.size();
         level_stats.seconds = level_timer.seconds();
         stats_.levels.push_back(level_stats);
 
@@ -525,15 +583,8 @@ Enumerator::run()
     if (!error.empty())
         return Result<graph::StateGraph>::error(error);
 
-    graph.addEdges(edges);
-    std::vector<graph::Edge>().swap(edges);
-    graph.shrinkToFit();
-    stats_.numStates = graph.numStates();
-    stats_.numEdges = graph.numEdges();
-    stats_.bitsPerState = state_bits;
-    stats_.cpuSeconds = timer.seconds();
-    stats_.numShards = num_parts;
-    stats_.residencyHighWaterBytes = residency_high_water;
+    // The search is done: read the table partitions' figures, then
+    // free them and the level buffers before the edges are assembled.
     size_t min_occupancy = SIZE_MAX;
     size_t max_occupancy = 0;
     for (const Partition &part : parts) {
@@ -543,9 +594,36 @@ Enumerator::run()
         min_occupancy = std::min(min_occupancy, entries);
         max_occupancy = std::max(max_occupancy, entries);
     }
+    const size_t table_bytes = resident_bytes();
+    std::vector<Partition>().swap(parts);
+    out = LevelOut{};
+
+    // Assemble the edges: the graph's array is allocated once, at its
+    // final size, and filled block by block, each block freed once it
+    // is copied. The levels' sources are consecutive states from
+    // reset on, so the rows arrive in source order.
+    graph.reserveEdges(num_edges);
+    graph::StateId src = 0;
+    for (EdgeBlock &block : blocks) {
+        const std::span<const graph::EdgeRecord> edges(block.edges);
+        size_t offset = 0;
+        for (const uint32_t length : block.rowLengths) {
+            graph.addRow(src++, edges.subspan(offset, length));
+            offset += length;
+        }
+        block = EdgeBlock{};
+    }
+    graph.shrinkToFit();
+
+    stats_.numStates = graph.numStates();
+    stats_.numEdges = graph.numEdges();
+    stats_.bitsPerState = state_bits;
+    stats_.cpuSeconds = timer.seconds();
+    stats_.numShards = num_parts;
+    stats_.residencyHighWaterBytes = residency_high_water;
     stats_.minShardStates = min_occupancy;
     stats_.maxShardStates = max_occupancy;
-    stats_.memoryBytes = graph.memoryBytes() + resident_bytes();
+    stats_.memoryBytes = graph.memoryBytes() + table_bytes;
     telemetry::counter("enum.states").add(stats_.numStates);
     telemetry::counter("enum.edges").add(stats_.numEdges);
     telemetry::counter("enum.levels").add(stats_.levels.size());
@@ -553,6 +631,8 @@ Enumerator::run()
         .set(static_cast<int64_t>(min_occupancy));
     telemetry::gauge("enum.shard_states_max")
         .set(static_cast<int64_t>(max_occupancy));
+    telemetry::gauge("enum.graph_bytes")
+        .set(static_cast<int64_t>(graph.memoryBytes()));
     return graph;
 }
 

@@ -219,15 +219,16 @@ serializeGraph(const graph::StateGraph &g)
         for (uint64_t word : g.stateWords(static_cast<graph::StateId>(s)))
             packU64(out, word);
     }
-    const uint64_t num_edges = g.numEdges();
-    packU64(out, num_edges);
-    for (uint64_t i = 0; i < num_edges; ++i) {
-        const graph::Edge &edge =
-            g.edge(static_cast<graph::EdgeId>(i));
-        packU32(out, edge.src);
-        packU32(out, edge.dst);
-        packU64(out, edge.choiceCode);
-        packU32(out, edge.instrCount);
+    packU64(out, g.numEdges());
+    for (uint64_t s = 0; s < num_states; ++s) {
+        const auto src = static_cast<graph::StateId>(s);
+        for (graph::EdgeId e : g.outEdges(src)) {
+            const graph::Edge edge = g.edge(e);
+            packU32(out, src);
+            packU32(out, edge.dst);
+            packU64(out, edge.choiceCode);
+            packU32(out, edge.instrCount);
+        }
     }
     return out;
 }
@@ -261,31 +262,31 @@ deserializeGraph(const std::vector<uint8_t> &rec,
     }
     if (num_states > 0)
         g.addStates(bits, num_states, packed);
+    // The edges are the rest of the record, 20 bytes each.
     const uint64_t num_edges = in.u64();
     if (!in.ok || num_edges > kMaxCount ||
-        num_edges * 20 > in.remaining())
+        num_edges * 20 != in.remaining())
         return false;
-    std::vector<graph::Edge> batch;
-    batch.reserve(num_edges);
+    // Decoded straight into the graph's array, allocated at its final
+    // size. addEdge() treats out-of-range endpoints as an internal
+    // invariant violation, and rejects a source out of order or a
+    // label its record cannot hold; from a disk record all are
+    // damage, so each is checked first.
+    g.reserveEdges(num_edges);
+    graph::StateId last_src = 0;
     for (uint64_t i = 0; i < num_edges; ++i) {
-        graph::Edge edge;
-        edge.src = in.u32();
-        edge.dst = in.u32();
+        const graph::StateId src = in.u32();
+        const graph::StateId dst = in.u32();
         const uint64_t code = in.u64();
-        edge.instrCount = in.u32();
-        // addEdges() treats out-of-range endpoints as an internal
-        // invariant violation, and rejects a wide choice code or a
-        // source out of order; from a disk record all are damage.
-        if (edge.src >= num_states || edge.dst >= num_states ||
-            code > UINT32_MAX ||
-            (!batch.empty() && edge.src < batch.back().src))
+        const uint32_t instrs = in.u32();
+        if (src >= num_states || dst >= num_states || src < last_src ||
+            !graph::EdgeRecord::fits(code, instrs))
             return false;
-        edge.choiceCode = static_cast<uint32_t>(code);
-        batch.push_back(edge);
+        g.addEdge(src, dst, code, instrs);
+        last_src = src;
     }
     if (!in.ok || in.pos != in.size)
         return false;
-    g.addEdges(batch);
     g.shrinkToFit();
     return true;
 }

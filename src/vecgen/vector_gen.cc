@@ -192,7 +192,10 @@ TestTrace::retiredStream() const
  * Everything the skeleton walk reads from one edge: the cycle's
  * packed forced signals and the control outputs and
  * source-state predicates that drive the occupancy, squash, pending
- * store and conflict-constraint bookkeeping.
+ * store and conflict-constraint bookkeeping. Packed into one word,
+ * since the flow keeps one per graph edge: the signals in bits 0-15,
+ * the fetched packet's class in 16-18, its instruction count (0-2)
+ * in 19-20 and the flags in 21-28.
  */
 struct VectorGenerator::EdgeSummary
 {
@@ -209,12 +212,33 @@ struct VectorGenerator::EdgeSummary
         SameLine = 1 << 7,      ///< ... and the check chose same-line
     };
 
-    rtl::PackedSignals signals = 0;
-    InstrClass fetchClass = InstrClass::None;
-    uint8_t fetchCount = 0;
-    uint8_t flags = 0;
+    EdgeSummary() = default;
+    EdgeSummary(rtl::PackedSignals signals, InstrClass fetch_class,
+                unsigned fetch_count, uint8_t flags)
+        : bits_(signals | uint32_t(fetch_class) << classShift |
+                fetch_count << countShift | uint32_t(flags) << flagShift)
+    {
+    }
 
-    bool has(Flag flag) const { return flags & flag; }
+    rtl::PackedSignals signals() const
+    {
+        return static_cast<rtl::PackedSignals>(bits_);
+    }
+    InstrClass fetchClass() const
+    {
+        return static_cast<InstrClass>(bits_ >> classShift & 7);
+    }
+    unsigned fetchCount() const { return bits_ >> countShift & 3; }
+    bool has(Flag flag) const { return bits_ >> flagShift & flag; }
+
+  private:
+    static constexpr unsigned classShift = 16;
+    static constexpr unsigned countShift = 19;
+    static constexpr unsigned flagShift = 21;
+    static_assert(sizeof(rtl::PackedSignals) * 8 == classShift);
+    static_assert(unsigned(InstrClass::Branch) < 8);
+
+    uint32_t bits_ = 0;
 };
 
 VectorGenerator::VectorGenerator(const rtl::PpFsmModel &model,
@@ -274,13 +298,10 @@ VectorGenerator::summarize(const rtl::PpControlState &src,
     const fsm::Choice &choice = choices_[id];
     const rtl::PpOutputs out = model_.outputsFor(src, choice);
 
-    EdgeSummary s;
-    s.signals = signals_[id];
-    s.fetchClass = out.fetchClass;
-    s.fetchCount = static_cast<uint8_t>(out.fetchCount);
+    uint8_t flags = 0;
     auto set = [&](EdgeSummary::Flag flag, bool on) {
         if (on)
-            s.flags |= flag;
+            flags |= flag;
     };
     set(EdgeSummary::Fetch, out.fetch);
     set(EdgeSummary::Advance, out.advance);
@@ -302,13 +323,14 @@ VectorGenerator::summarize(const rtl::PpControlState &src,
             !dropsLoadCheck_);
     set(EdgeSummary::SameLine,
         choice[varIndex(PpChoiceVar::SameLine)] != 0);
-    return s;
+    return EdgeSummary(signals_[id], out.fetchClass, out.fetchCount,
+                       flags);
 }
 
 std::vector<VectorGenerator::EdgeSummary>
 VectorGenerator::summarizeGraph(const graph::StateGraph &graph) const
 {
-    static_assert(sizeof(EdgeSummary) <= 8);
+    static_assert(sizeof(EdgeSummary) == 4);
     telemetry::ScopedSpan span("vecgen.summarize", "edges",
                                graph.numEdges());
     std::vector<EdgeSummary> table(graph.numEdges());
@@ -365,8 +387,8 @@ VectorGenerator::walk(const graph::Trace &trace,
         const EdgeSummary s = summary_of(e);
 
         // Record the forced-signal vector for this cycle verbatim.
-        out.cycles.push_back(s.signals);
-        out.instructions += s.fetchCount;
+        out.cycles.push_back(s.signals());
+        out.instructions += s.fetchCount();
 
         // Conflict-check constraint (see summarize()).
         if (s.has(EdgeSummary::ConflictCheck) && mem_hold >= 0 &&
@@ -405,8 +427,8 @@ VectorGenerator::walk(const graph::Trace &trace,
                 ex_hold = rd_hold;
                 if (s.has(EdgeSummary::Fetch)) {
                     Skeleton skel;
-                    skel.cls = s.fetchClass;
-                    skel.count = s.fetchCount;
+                    skel.cls = s.fetchClass();
+                    skel.count = s.fetchCount();
                     skel.seedHash = prefix_hash;
                     skeletons.push_back(skel);
                     rd_hold = static_cast<int>(skeletons.size()) - 1;
@@ -594,12 +616,20 @@ VectorGenerator::generate(const graph::StateGraph &graph,
     requireStateWidth(graph, model_);
     internTrace(graph, trace, routes);
 
+    // The walk calls summary_of once per traversal in walk order, so
+    // an edge's source is where the previous one led; a trace whose
+    // edges do not join up is summarized from each edge's own source.
     VecGenStats delta;
+    graph::StateId at = graph.resetState();
     TestTrace out = walk(
         trace, graph::TraceCursor(graph, trace, routes), trace_index,
         [&](graph::EdgeId e) {
-            const graph::Edge &edge = graph.edge(e);
-            return summarize(model_.unpack(graph.stateWords(edge.src)),
+            const graph::StateId src =
+                graph::contains(graph.outEdges(at), e) ? at
+                                                       : graph.source(e);
+            const graph::Edge edge = graph.edge(e);
+            at = edge.dst;
+            return summarize(model_.unpack(graph.stateWords(src)),
                              signalIdOf_[edge.choiceCode]);
         },
         delta);

@@ -841,7 +841,7 @@ swappableAt(const graph::StateGraph &graph, const graph::Tours &tours,
                      : graph.edge(tour.edges[begin - 1]).dst;
         cycle += routes.toReset().depth[leg_from] +
                  routes.fromReset()
-                     .depth[graph.edge(tour.edges[begin]).src];
+                     .depth[graph.source(tour.edges[begin])];
         for (size_t k = begin + 1; k + 2 < end; ++k) {
             const size_t c = cycle + (k - begin);
             if (c >= from && c + 1 < to &&

@@ -53,12 +53,14 @@ fingerprintBytes(const graph::StateGraph &graph)
         for (graph::EdgeId e : graph.outEdges(s))
             put64(e);
     }
-    for (graph::EdgeId e = 0; e < graph.numEdges(); ++e) {
-        const graph::Edge &edge = graph.edge(e);
-        put64(edge.src);
-        put64(edge.dst);
-        put64(edge.choiceCode);
-        put64(edge.instrCount);
+    for (graph::StateId s = 0; s < graph.numStates(); ++s) {
+        for (graph::EdgeId e : graph.outEdges(s)) {
+            const graph::Edge edge = graph.edge(e);
+            put64(s);
+            put64(edge.dst);
+            put64(edge.choiceCode);
+            put64(edge.instrCount);
+        }
     }
     return bytes;
 }

@@ -334,8 +334,59 @@ TEST(Enumerator, ChoiceCodesBeyond32BitsAreAnError)
     murphi::Enumerator enumerator(model);
     auto result = enumerator.run();
     ASSERT_FALSE(result.ok());
-    EXPECT_NE(result.errorMessage().find("32 bits"), std::string::npos)
+    EXPECT_NE(result.errorMessage().find("hold 24 bits"),
+              std::string::npos)
         << result.errorMessage();
+}
+
+TEST(Enumerator, ChoiceSpaceBeyond24BitsIsAnError)
+{
+    // 4,097 x 4,096 = 2^24 + 4,096 combinations: one code more than
+    // an edge's 24-bit field holds is refused before the search.
+    auto model = std::make_unique<fsm::LambdaModel>(
+        "wide24",
+        std::vector<fsm::StateVarInfo>{{"s", 1, 0}},
+        std::vector<fsm::ChoiceVarInfo>{{"a", 4097}, {"b", 4096}},
+        [](const BitVec &state, const fsm::Choice &) { return state; });
+    ASSERT_GT(model->makeChoiceCodec().numCombinations(),
+              uint64_t(1) << 24);
+    murphi::Enumerator enumerator(*model);
+    auto result = enumerator.run();
+    ASSERT_FALSE(result.ok());
+    EXPECT_NE(result.errorMessage().find("hold 24 bits"),
+              std::string::npos)
+        << result.errorMessage();
+    EXPECT_EQ(enumerator.stats().transitionsTried, 0u);
+}
+
+TEST(Enumerator, InstructionCountBeyondAByteIsAnError)
+{
+    // 255 instructions fit an edge; 256 make the run an error result,
+    // never a truncated count.
+    for (const unsigned count : {255u, 256u}) {
+        auto model = std::make_unique<fsm::LambdaModel>(
+            "instr_byte",
+            std::vector<fsm::StateVarInfo>{{"s", 1, 0}},
+            std::vector<fsm::ChoiceVarInfo>{{"c", 2}},
+            [](const BitVec &state, const fsm::Choice &) {
+                return state;
+            },
+            [count](const BitVec &, const fsm::Choice &choice)
+                -> unsigned { return choice[0] ? count : 0; });
+        murphi::EnumOptions options;
+        options.recording = murphi::EdgeRecording::AllConditions;
+        murphi::Enumerator enumerator(*model, options);
+        auto result = enumerator.run();
+        if (count == 255) {
+            ASSERT_TRUE(result.ok()) << result.errorMessage();
+            EXPECT_EQ(result.value().totalEdgeInstructions(), 255u);
+        } else {
+            ASSERT_FALSE(result.ok());
+            EXPECT_NE(result.errorMessage().find("256 instructions"),
+                      std::string::npos)
+                << result.errorMessage();
+        }
+    }
 }
 
 TEST(Enumerator, InstructionCountsLandOnEdges)

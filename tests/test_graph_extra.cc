@@ -34,7 +34,7 @@ TEST(StateGraph, AddStateAndEdgeBookkeeping)
     EXPECT_EQ(g.packedState(1).getField(0, 4), 9u);
 
     EdgeId e = g.addEdge(s0, s1, 77, 2);
-    EXPECT_EQ(g.edge(e).src, s0);
+    EXPECT_EQ(g.source(e), s0);
     EXPECT_EQ(g.edge(e).dst, s1);
     EXPECT_EQ(g.edge(e).choiceCode, 77u);
     EXPECT_EQ(g.edge(e).instrCount, 2u);
@@ -91,9 +91,19 @@ TEST(StateGraph, BulkInsertionMatchesIncremental)
     StateGraph bulk;
     const std::vector<uint64_t> states = {0, 1, 2, 3};
     bulk.addStates(4, states.size(), states);
-    std::vector<Edge> edges = {{0, 1, 5, 1}, {0, 2, 7, 2},
-                               {1, 2, 6, 0}, {2, 3, 8, 0}};
-    bulk.addEdges(edges);
+    // Rows of states 0, 1 and 2; state 3 has none.
+    const std::vector<std::vector<EdgeRecord>> rows = {
+        {{1, 5, 1}, {2, 7, 2}}, {{2, 6, 0}}, {{3, 8, 0}}};
+    bulk.reserveEdges(4);
+    for (StateId s = 0; s < rows.size(); ++s)
+        bulk.addRow(s, rows[s]);
+    bulk.shrinkToFit();
+    // Four edges, three row offsets, one sampled source and four
+    // one-word states.
+    EXPECT_EQ(bulk.memoryBytes(), 4 * sizeof(EdgeRecord) +
+                                      3 * sizeof(EdgeId) +
+                                      1 * sizeof(StateId) +
+                                      4 * sizeof(uint64_t));
 
     StateGraph one;
     for (uint64_t i = 0; i < 4; ++i) {
@@ -101,8 +111,12 @@ TEST(StateGraph, BulkInsertionMatchesIncremental)
         v.setField(0, 4, i);
         one.addState(v);
     }
-    for (const Edge &e : edges)
-        one.addEdge(e.src, e.dst, e.choiceCode, e.instrCount);
+    for (StateId s = 0; s < rows.size(); ++s) {
+        for (const EdgeRecord &r : rows[s]) {
+            const Edge e = r.unpack();
+            one.addEdge(s, e.dst, e.choiceCode, e.instrCount);
+        }
+    }
 
     ASSERT_EQ(bulk.numStates(), one.numStates());
     ASSERT_EQ(bulk.numEdges(), one.numEdges());
@@ -111,11 +125,109 @@ TEST(StateGraph, BulkInsertionMatchesIncremental)
         EXPECT_TRUE(std::ranges::equal(bulk.outEdges(s), one.outEdges(s)));
     }
     for (EdgeId e = 0; e < bulk.numEdges(); ++e) {
-        EXPECT_EQ(bulk.edge(e).src, one.edge(e).src);
+        EXPECT_EQ(bulk.source(e), one.source(e));
         EXPECT_EQ(bulk.edge(e).dst, one.edge(e).dst);
         EXPECT_EQ(bulk.edge(e).choiceCode, one.edge(e).choiceCode);
         EXPECT_EQ(bulk.edge(e).instrCount, one.edge(e).instrCount);
     }
+}
+
+/** Seven zero-width states with out-edges only from states 1, 4 and
+ *  5: edges 0-2 leave state 1, edge 3 leaves state 4 and edges 4-5
+ *  leave state 5; states 0, 2, 3 and 6 have none. */
+StateGraph
+sparseRowsGraph()
+{
+    StateGraph g;
+    for (int i = 0; i < 7; ++i)
+        g.addState(BitVec(0));
+    g.addEdge(1, 2, 10, 1);
+    g.addEdge(1, 4, 11, 0);
+    g.addEdge(1, 1, 12, 2);
+    g.addEdge(4, 5, 13, 0);
+    g.addEdge(5, 0, 14, 1);
+    g.addEdge(5, 6, 15, 3);
+    return g;
+}
+
+TEST(StateGraph, SourceOfTheFirstAndLastEdgeOfARow)
+{
+    const StateGraph g = sparseRowsGraph();
+    ASSERT_EQ(*g.outEdges(1).begin(), 0u);
+    ASSERT_EQ(g.outEdges(1).size(), 3u);
+    EXPECT_EQ(g.source(0), 1u);
+    EXPECT_EQ(g.source(1), 1u);
+    EXPECT_EQ(g.source(2), 1u);
+}
+
+TEST(StateGraph, SourceSkipsStatesWithoutOutEdges)
+{
+    // State 0 before the first row, states 2 and 3 between two rows.
+    const StateGraph g = sparseRowsGraph();
+    for (StateId s : {0u, 2u, 3u, 6u})
+        EXPECT_TRUE(g.outEdges(s).empty()) << "state " << s;
+    EXPECT_EQ(g.source(0), 1u);
+    EXPECT_EQ(g.source(3), 4u);
+    EXPECT_EQ(g.source(4), 5u);
+    // Every edge's source is the state whose row holds it.
+    for (StateId s = 0; s < g.numStates(); ++s) {
+        for (EdgeId e : g.outEdges(s)) {
+            EXPECT_EQ(g.source(e), s) << "edge " << e;
+            EXPECT_TRUE(contains(g.outEdges(s), e));
+        }
+    }
+    EXPECT_FALSE(contains(g.outEdges(2), 3));
+    EXPECT_FALSE(contains(g.outEdges(4), 2));
+    EXPECT_FALSE(contains(g.outEdges(4), 4));
+}
+
+TEST(StateGraph, SourceOfTheGraphsLastEdge)
+{
+    // The last edge's row is followed by a state without out-edges.
+    const StateGraph g = sparseRowsGraph();
+    ASSERT_EQ(g.numEdges(), 6u);
+    EXPECT_EQ(g.source(5), 5u);
+    EXPECT_EQ(g.edge(5).dst, 6u);
+    EXPECT_EQ(g.edge(5).choiceCode, 15u);
+    EXPECT_EQ(g.edge(5).instrCount, 3u);
+}
+
+TEST(StateGraph, SourceAcrossSampledRows)
+{
+    // 400 states of out-degree s % 8 (a quarter of them without
+    // out-edges) give 1,400 edges: source() must agree with the
+    // state walk on every edge, across the sampled edges too.
+    StateGraph g;
+    for (int i = 0; i < 400; ++i)
+        g.addState(BitVec(0));
+    for (StateId s = 0; s < 400; ++s) {
+        for (StateId k = 0; k < s % 8; ++k)
+            g.addEdge(s, (s + k) % 400, k, 0);
+    }
+    ASSERT_EQ(g.numEdges(), 1400u);
+    for (StateId s = 0; s < g.numStates(); ++s) {
+        for (EdgeId e : g.outEdges(s))
+            ASSERT_EQ(g.source(e), s) << "edge " << e;
+    }
+}
+
+TEST(StateGraph, RecordLimitsAreFatal)
+{
+    // An edge is 8 bytes: the choice code has 24 bits and the
+    // instruction count 8. At the limits both read back; past them
+    // the edge is refused, never truncated, and the graph unchanged.
+    static_assert(sizeof(EdgeRecord) == 8);
+    StateGraph g;
+    g.addState(BitVec(0));
+    g.addState(BitVec(0));
+    const uint64_t max_code = (uint64_t(1) << 24) - 1;
+    const EdgeId e = g.addEdge(0, 1, max_code, 255);
+    EXPECT_EQ(g.edge(e).choiceCode, max_code);
+    EXPECT_EQ(g.edge(e).instrCount, 255u);
+    EXPECT_THROW(g.addEdge(1, 0, max_code + 1, 0), FatalError);
+    EXPECT_THROW(g.addEdge(1, 0, 0, 256), FatalError);
+    EXPECT_EQ(g.numEdges(), 1u);
+    EXPECT_TRUE(g.outEdges(1).empty());
 }
 
 TEST(StateGraph, ParallelEdgesPreserved)

@@ -133,7 +133,7 @@ TEST_F(PlayerFixture, RandomWalkerProducesValidWalks)
     // Walk continuity from reset.
     graph::StateId at = graph_->resetState();
     for (auto e : walk.edges) {
-        EXPECT_EQ(graph_->edge(e).src, at);
+        EXPECT_EQ(graph_->source(e), at);
         at = graph_->edge(e).dst;
     }
     EXPECT_GE(walk.instructions, 500u);
@@ -179,7 +179,7 @@ TEST_F(PlayerFixture, BiasedWalkerProducesValidWalks)
     graph::StateId at = graph_->resetState();
     uint64_t instrs = 0;
     for (auto e : walk.edges) {
-        EXPECT_EQ(graph_->edge(e).src, at);
+        EXPECT_EQ(graph_->source(e), at);
         at = graph_->edge(e).dst;
         instrs += graph_->edge(e).instrCount;
     }

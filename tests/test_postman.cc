@@ -90,6 +90,25 @@ TEST(Postman, BranchyGraphStillBalances)
     EXPECT_EQ(result.resetReturns, 0u);
 }
 
+TEST(Postman, CheckerRejectsBrokenTours)
+{
+    // 0 -> 1 -> 0: a tour must walk edges that leave where it is, and
+    // only edges of the graph.
+    StateGraph graph;
+    graph.addState(BitVec(0));
+    graph.addState(BitVec(0));
+    graph.addEdge(0, 1, 0, 1);
+    graph.addEdge(1, 0, 1, 1);
+    const auto result = solveResettablePostman(graph);
+    EXPECT_EQ(checkPostmanTour(graph, result, {0, 1}), "");
+    EXPECT_NE(checkPostmanTour(graph, result, {1, 0})
+                  .find("edge 1 leaves 1 but walk at 0"),
+              std::string::npos);
+    EXPECT_NE(checkPostmanTour(graph, result, {0, 2})
+                  .find("tour edge 2 is not in the graph"),
+              std::string::npos);
+}
+
 TEST(Postman, LowerBoundsGreedyTour)
 {
     // On any graph, the postman tour length (traversals + returns) is

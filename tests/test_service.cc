@@ -1515,6 +1515,22 @@ TEST(SessionPersistence, WideChoiceCodeIsRestoreFailure)
     });
 }
 
+TEST(SessionPersistence, ChoiceCodeBeyond24BitsIsRestoreFailure)
+{
+    // A stored choice code of 2^24 or more: an edge holds 24 bits.
+    expectGraphDamageRebuildsCold("code24", [](std::vector<uint8_t> &graph) {
+        graph.at(edgeOffset(graph, 0) + 8 + 3) = 1;
+    });
+}
+
+TEST(SessionPersistence, InstructionCountBeyondAByteIsRestoreFailure)
+{
+    // A stored instruction count of 256 or more: an edge holds 8 bits.
+    expectGraphDamageRebuildsCold("count", [](std::vector<uint8_t> &graph) {
+        graph.at(edgeOffset(graph, 0) + 16 + 1) = 1;
+    });
+}
+
 TEST(SessionPersistence, OtherStateWidthIsRestoreFailure)
 {
     // The default session's 30-bit states stored as 31-bit ones, as

@@ -233,7 +233,7 @@ TEST(Tour, LegsAreImpliedBetweenRuns)
     std::vector<EdgeId> walk;
     StateId at = graph.resetState();
     for (const auto &[edge, state] : expand(graph, tours, 0)) {
-        EXPECT_EQ(graph.edge(edge).src, at);
+        EXPECT_EQ(graph.source(edge), at);
         EXPECT_EQ(graph.edge(edge).dst, state);
         at = state;
         walk.push_back(edge);
@@ -420,7 +420,7 @@ TEST(Tour, OutEdgesKeepInsertionOrderWithinASource)
     // Edges are stored in source order: going back to an earlier
     // source is rejected, and the graph is left as it was.
     EXPECT_THROW(graph.addEdge(1, 0, 13, 0), FatalError);
-    EXPECT_THROW(graph.addEdges(std::vector<Edge>{{0, 1, 15, 0}}),
+    EXPECT_THROW(graph.addRow(0, std::vector<EdgeRecord>{{1, 15, 0}}),
                  FatalError);
     EXPECT_EQ(graph.numEdges(), 4u);
     EXPECT_EQ(graph.outEdges(0).size(), 3u);
@@ -485,7 +485,7 @@ segmentBoundaries(const StateGraph &graph, const Tours &tours, size_t i)
         const StateId from =
             run == 0 ? graph.resetState()
                      : graph.edge(trace.edges[begin - 1]).dst;
-        const StateId to = graph.edge(trace.edges[begin]).src;
+        const StateId to = graph.source(trace.edges[begin]);
         out.push_back(at);
         at += routes.toReset().depth[from];
         out.push_back(at);

@@ -12,7 +12,12 @@ compact: the small preset's 309,530 cycles at 2 bytes each, 110,102
 fetch words, 0 squashed positions and 15,021 inbox words at 4 bytes
 each hold 1,119,552 bytes, and the gate allows 10% above that. A
 second copy of the retired words (1,559,960 bytes) or 44-byte cycles
-(14.6 MB) fail it.
+(14.6 MB) fail it. The state graph must stay compact too: the small
+preset's 36,869 edges at 8 bytes, 5,413 row offsets and 145 sampled
+sources at 4 and 5,413 one-word states hold 360,488 bytes
+(`enum.graph_bytes`), and the gate allows 10% above that; 16-byte
+edges (655,440 bytes) fail it. The enumerate phase must have recorded
+its memory as well.
 
 Usage: tools/pipeline_smoke.py <path-to-pp_validation-binary>
 """
@@ -24,6 +29,8 @@ import tempfile
 
 # vecgen.trace_bytes of `pp_validation small`, plus 10%.
 MAX_SMALL_TRACE_BYTES = 1_119_552 * 11 // 10
+# enum.graph_bytes of `pp_validation small`, plus 10%.
+MAX_SMALL_GRAPH_BYTES = 360_488 * 11 // 10
 
 
 def main():
@@ -54,7 +61,10 @@ def main():
              "--require-metric", "vecgen.cycles>=1",
              "--require-metric", "vecgen.edges_summarized>=1",
              "--require-metric", "vecgen.trace_bytes>=1",
+             "--require-metric", "flow.enumerate.peak_rss_bytes>=1",
              "--require-metric", "flow.vectors.peak_rss_bytes>=1",
+             "--require-metric",
+             f"enum.graph_bytes<={MAX_SMALL_GRAPH_BYTES}",
              "--require-metric",
              f"vecgen.trace_bytes<={MAX_SMALL_TRACE_BYTES}",
              "--require-metric", "replay.jobs>=1",
